@@ -14,134 +14,45 @@ from .errors import (
 )
 from .exact_linalg import (
     QMatrix,
-    Rational,
-    SimilarityInvariant,
-    UnitBlockPartition,
-    block_diag,
     centralizer_dimension,
-    coordinates_in_basis,
     fixed_space_dim,
-    format_rational,
     invariant_factors,
-    jordan_block,
-    matrix_from_json,
-    matrix_rank,
-    matrix_to_json,
-    parse_rational,
-    polynomial_to_string,
-    restrict_to_image,
-    rref_decompose,
     similar,
-    split_unit_part,
-    unit_block_partition,
 )
-from .fourier import (
-    ExponentialComponent,
-    FourierLocalData,
-    PointIdentity,
-    PreservationReport,
-    ReducibleInputWarning,
-    formal_euler_end_min,
-    irregularity_end,
-    preservation_details,
-    rig_fourier,
-    stationary_phase,
-    verify_preservation,
-)
+from .fourier import preservation_details, rig_fourier, stationary_phase
 from .local_systems import (
-    INFINITY,
-    FinitePoint,
-    MonodromyTuple,
-    RigidityReport,
     is_irreducible,
-    is_physically_rigid,
-    local_pair,
     monodromy_tuple,
     random_tuple,
     rigidity_index,
     rigidity_report,
-    tuple_from_json,
-    tuple_to_json,
-    validate,
 )
-from .theta_pairs import (
-    ThetaPair,
-    centralizer_identity_check,
-    from_full_direct_image,
-    from_shriek,
-    from_star,
-    is_minimal,
-    minimal_extension,
-    monodromy_E,
-    monodromy_F,
-    pairs_isomorphic,
-)
+from .theta_pairs import centralizer_identity_check, from_star
 
 __all__ = [
     "CatalogError",
     "DimensionMismatchError",
-    "ExponentialComponent",
-    "FinitePoint",
-    "FourierLocalData",
     "GenerationError",
     "HypothesisViolationError",
-    "INFINITY",
     "InvalidMonodromyError",
     "InvalidPairError",
-    "MonodromyTuple",
     "NonRealizableError",
     "PairPreconditionError",
-    "PointIdentity",
-    "PreservationReport",
     "QMatrix",
-    "Rational",
-    "ReducibleInputWarning",
     "RigidityLabError",
-    "RigidityReport",
-    "SimilarityInvariant",
-    "ThetaPair",
-    "UnitBlockPartition",
     "ValidationError",
-    "block_diag",
     "centralizer_dimension",
     "centralizer_identity_check",
-    "coordinates_in_basis",
     "fixed_space_dim",
-    "formal_euler_end_min",
-    "format_rational",
-    "from_full_direct_image",
-    "from_shriek",
     "from_star",
     "invariant_factors",
-    "irregularity_end",
     "is_irreducible",
-    "is_minimal",
-    "is_physically_rigid",
-    "jordan_block",
-    "local_pair",
-    "matrix_from_json",
-    "matrix_rank",
-    "matrix_to_json",
-    "minimal_extension",
-    "monodromy_E",
-    "monodromy_F",
     "monodromy_tuple",
-    "pairs_isomorphic",
-    "parse_rational",
-    "polynomial_to_string",
     "preservation_details",
     "random_tuple",
-    "restrict_to_image",
     "rig_fourier",
     "rigidity_index",
     "rigidity_report",
-    "rref_decompose",
     "similar",
-    "split_unit_part",
     "stationary_phase",
-    "tuple_from_json",
-    "tuple_to_json",
-    "unit_block_partition",
-    "validate",
-    "verify_preservation",
 ]

@@ -14,13 +14,7 @@ from pathlib import Path
 
 from .errors import CatalogError
 from .exact_linalg import QMatrix
-from .local_systems import (
-    MonodromyTuple,
-    is_physically_rigid,
-    monodromy_tuple,
-    rigidity_index,
-    tuple_from_json,
-)
+from .local_systems import MonodromyTuple, monodromy_tuple, rigidity_report, tuple_from_json
 
 CATALOG_ENV_VAR = "RIGIDITY_LAB_CATALOG"
 
@@ -104,8 +98,8 @@ def _builtin_entries() -> list[CatalogEntry]:
 
 
 def _check_entry(entry: CatalogEntry) -> CatalogEntry:
-    index = rigidity_index(entry.tuple)
-    rigid = is_physically_rigid(entry.tuple)
+    report = rigidity_report(entry.tuple)
+    index, rigid = report.index, report.physically_rigid
     if index != entry.expected_index or rigid != entry.expected_rigid:
         raise CatalogError(
             f"catalog entry {entry.name!r}: stored expectations "
@@ -126,8 +120,8 @@ def _external_entries(directory: Path) -> list[CatalogEntry]:
             t = tuple_from_json(payload)
         except ValueError as exc:
             raise CatalogError(f"bad tuple in catalog file {path}: {exc}") from exc
-        index = rigidity_index(t)
-        rigid = is_physically_rigid(t)
+        report = rigidity_report(t)
+        index, rigid = report.index, report.physically_rigid
         if "expected_index" in payload and payload["expected_index"] != index:
             raise CatalogError(
                 f"catalog file {path}: expected_index={payload['expected_index']} "

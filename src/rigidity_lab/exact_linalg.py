@@ -10,13 +10,13 @@ are bit-identical.
 
 from __future__ import annotations
 
+import re
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError, InvalidMonodromyError
-
-Rational = Fraction
 
 # Above this size the commutation-system route (an n^2 x n^2 elimination)
 # stops being reasonable and the centralizer dimension is read off the
@@ -26,13 +26,7 @@ _COMMUTATION_SYSTEM_LIMIT = 8
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-
-def _as_rational(value: Fraction | int | str) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, (int, str)):
-        return Fraction(value)
-    raise TypeError(f"cannot interpret {value!r} as an exact rational")
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def format_rational(value: Fraction) -> str:
@@ -42,9 +36,23 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def parse_rational(text: str | int) -> Fraction:
-    """Parse the ``p/q`` (or plain integer) serialization format."""
-    return _as_rational(text)
+def parse_rational(value: Fraction | int | str) -> Fraction:
+    """Parse the ``p/q`` serialization format: an optional sign, digits and an
+    optional ``/digits`` with a nonzero denominator, or a non-bool ``int``.
+
+    Fractions pass through unchanged; anything else raises ``ValueError``.
+    """
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    match = _RATIONAL.fullmatch(value) if isinstance(value, str) else None
+    if match is None:
+        raise ValueError(f"not a p/q rational: {value!r}")
+    numerator, denominator = match.groups()
+    if denominator is not None and not int(denominator):
+        raise ValueError(f"zero denominator in {value!r}")
+    return Fraction(int(numerator), int(denominator or 1))
 
 
 @dataclass(frozen=True)
@@ -64,7 +72,7 @@ class QMatrix:
             )
         if any(type(e) is not Fraction for e in self.entries):
             object.__setattr__(
-                self, "entries", tuple(_as_rational(e) for e in self.entries)
+                self, "entries", tuple(parse_rational(e) for e in self.entries)
             )
 
     @classmethod
@@ -75,7 +83,7 @@ class QMatrix:
         for row in rows:
             if len(row) != n_cols:
                 raise DimensionMismatchError("ragged rows in matrix literal")
-            flat.extend(_as_rational(x) for x in row)
+            flat.extend(parse_rational(x) for x in row)
         return cls(n_rows, n_cols, tuple(flat))
 
     @classmethod
@@ -88,7 +96,7 @@ class QMatrix:
 
     @classmethod
     def diagonal(cls, values: Sequence[Fraction | int | str]) -> "QMatrix":
-        vals = [_as_rational(v) for v in values]
+        vals = [parse_rational(v) for v in values]
         n = len(vals)
         return cls(n, n, tuple(vals[i] if i == j else _ZERO for i in range(n) for j in range(n)))
 
@@ -102,16 +110,6 @@ class QMatrix:
     def row_list(self, i: int) -> list[Fraction]:
         return list(self.entries[i * self.cols : (i + 1) * self.cols])
 
-    def to_rows(self) -> list[list[Fraction]]:
-        return [self.row_list(i) for i in range(self.rows)]
-
-    def transpose(self) -> "QMatrix":
-        return QMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.entry(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
-
     def __add__(self, other: "QMatrix") -> "QMatrix":
         self._require_same_shape(other)
         return QMatrix(self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries)))
@@ -120,11 +118,8 @@ class QMatrix:
         self._require_same_shape(other)
         return QMatrix(self.rows, self.cols, tuple(a - b for a, b in zip(self.entries, other.entries)))
 
-    def __neg__(self) -> "QMatrix":
-        return QMatrix(self.rows, self.cols, tuple(-a for a in self.entries))
-
     def __mul__(self, scalar: Fraction | int) -> "QMatrix":
-        c = _as_rational(scalar)
+        c = parse_rational(scalar)
         return QMatrix(self.rows, self.cols, tuple(a * c for a in self.entries))
 
     __rmul__ = __mul__
@@ -167,15 +162,10 @@ class QMatrix:
     def inverse(self) -> "QMatrix":
         if not self.is_square:
             raise DimensionMismatchError("only square matrices can be inverted")
-        n = self.rows
-        aug = [
-            self.row_list(i) + [_ONE if i == j else _ZERO for j in range(n)]
-            for i in range(n)
-        ]
-        pivots = _rref(aug)
-        if pivots != list(range(n)):
+        rows = _solve(self, QMatrix.identity(self.rows))
+        if rows is None:
             raise InvalidMonodromyError("matrix is singular")
-        return QMatrix(n, n, tuple(aug[i][n + j] for i in range(n) for j in range(n)))
+        return QMatrix(self.rows, self.rows, tuple(x for row in rows for x in row))
 
     def is_invertible(self) -> bool:
         return self.is_square and matrix_rank(self) == self.rows
@@ -202,14 +192,14 @@ def matrix_from_json(data: object) -> QMatrix:
     if not isinstance(data, list) or any(not isinstance(row, list) for row in data):
         raise ValueError("matrix must be a JSON array of row arrays")
     try:
-        return QMatrix.from_rows([[parse_rational(x) for x in row] for row in data])
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        return QMatrix.from_rows(data)
+    except ValueError as exc:
         raise ValueError(f"bad matrix entry: {exc}") from exc
 
 
 def jordan_block(size: int, eigenvalue: Fraction | int | str = 1) -> QMatrix:
     """Jordan block with the eigenvalue on the diagonal and 1 above it."""
-    lam = _as_rational(eigenvalue)
+    lam = parse_rational(eigenvalue)
     entries = []
     for i in range(size):
         for j in range(size):
@@ -243,75 +233,75 @@ def block_diag(blocks: Iterable[QMatrix]) -> QMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _rref(rows: list[list[Fraction]]) -> list[int]:
-    """Reduce ``rows`` in place to reduced row echelon form.
+class Echelon:
+    """Row echelon basis of a growing span of vectors of a fixed width.
 
-    Pivots are the leftmost nonzero columns, processed top-down; returns the
-    pivot column indices in order.
+    The single elimination kernel: every rank, kernel, inverse and span
+    computation feeds vectors through ``add``.  Rows are kept sorted by pivot
+    column with an implicit leading 1 and stored as (column, value) pairs of
+    their other nonzero entries, so a new vector is reduced in one forward
+    pass; stored rows are never touched again.
     """
-    if not rows:
-        return []
-    n_cols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        if r == len(rows):
-            break
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = _ONE / rows[r][c]
-        if inv != 1:
-            rows[r] = [x * inv for x in rows[r]]
-        prow = rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                ri = rows[i]
-                for j in range(c, n_cols):
-                    if prow[j]:
-                        ri[j] -= f * prow[j]
-        pivots.append(c)
-        r += 1
-    return pivots
 
+    def __init__(self, width: int):
+        self.width = width
+        self.pivots: list[int] = []
+        self._rows: list[list[tuple[int, Fraction]]] = []
 
-def _rank_of_rows(rows: list[list[Fraction]], n_cols: int) -> int:
-    """Rank by forward elimination only (cheaper than full reduction)."""
-    rank = 0
-    n_rows = len(rows)
-    for c in range(n_cols):
-        if rank == n_rows:
-            break
-        piv = None
-        for i in range(rank, n_rows):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        pval = prow[c]
-        for i in range(rank + 1, n_rows):
-            f = rows[i][c]
+    def __len__(self) -> int:
+        return len(self.pivots)
+
+    def add(self, vector: Iterable[Fraction]) -> bool:
+        """Extend the basis by ``vector``; False when it is already in the span."""
+        vec = list(vector)
+        for p, row in zip(self.pivots, self._rows):
+            f = vec[p]
             if f:
-                factor = f / pval
-                ri = rows[i]
-                for j in range(c, n_cols):
-                    if prow[j]:
-                        ri[j] -= factor * prow[j]
-        rank += 1
-    return rank
+                vec[p] = _ZERO
+                for j, x in row:
+                    vec[j] -= f * x
+        pivot = next((j for j, x in enumerate(vec) if x), None)
+        if pivot is None:
+            return False
+        inv = _ONE / vec[pivot]
+        at = bisect(self.pivots, pivot)
+        self.pivots.insert(at, pivot)
+        self._rows.insert(at, [(j, vec[j] * inv) for j in range(pivot + 1, self.width) if vec[j]])
+        return True
+
+    def reduced_rows(self) -> list[list[Fraction]]:
+        """The basis in reduced row echelon form, by back-substitution.
+
+        The reduced form depends only on the span, so it is the same whatever
+        order the vectors arrived in.
+        """
+        rows = []
+        for p, sparse in zip(self.pivots, self._rows):
+            row = [_ZERO] * self.width
+            row[p] = _ONE
+            for j, x in sparse:
+                row[j] = x
+            rows.append(row)
+        for i in range(len(rows) - 1, 0, -1):
+            p, prow = self.pivots[i], rows[i]
+            for above in rows[:i]:
+                f = above[p]
+                if f:
+                    for j in range(p, self.width):
+                        if prow[j]:
+                            above[j] -= f * prow[j]
+        return rows
+
+
+def _echelon(rows: Iterable[Sequence[Fraction]], width: int) -> Echelon:
+    basis = Echelon(width)
+    for row in rows:
+        basis.add(row)
+    return basis
 
 
 def matrix_rank(matrix: QMatrix) -> int:
-    return _rank_of_rows(matrix.to_rows(), matrix.cols)
+    return len(_echelon(map(matrix.row_list, range(matrix.rows)), matrix.cols))
 
 
 def rref_decompose(matrix: QMatrix) -> tuple[int, QMatrix, QMatrix]:
@@ -321,8 +311,9 @@ def rref_decompose(matrix: QMatrix) -> tuple[int, QMatrix, QMatrix]:
     the reduced echelon form (one per free column, ascending); the image
     basis columns are the original matrix columns at the pivot positions.
     """
-    work = matrix.to_rows()
-    pivots = _rref(work)
+    basis = _echelon(map(matrix.row_list, range(matrix.rows)), matrix.cols)
+    pivots = basis.pivots
+    work = basis.reduced_rows()
     rank = len(pivots)
     pivot_set = set(pivots)
     free_cols = [c for c in range(matrix.cols) if c not in pivot_set]
@@ -345,6 +336,19 @@ def rref_decompose(matrix: QMatrix) -> tuple[int, QMatrix, QMatrix]:
     return rank, kernel, image
 
 
+def _solve(lhs: QMatrix, rhs: QMatrix) -> list[list[Fraction]] | None:
+    """The unique X with ``lhs @ X = rhs`` as rows, or None when there is none.
+
+    Reduces the augmented matrix [lhs | rhs]; a solution exists and is unique
+    exactly when the pivots are the columns of ``lhs``.
+    """
+    r, m = lhs.cols, rhs.cols
+    basis = _echelon((lhs.row_list(i) + rhs.row_list(i) for i in range(lhs.rows)), r + m)
+    if basis.pivots != list(range(r)):
+        return None
+    return [row[r:] for row in basis.reduced_rows()]
+
+
 def coordinates_in_basis(basis: QMatrix, vectors: QMatrix) -> QMatrix:
     """Solve ``basis @ X = vectors`` for the unique ``X``.
 
@@ -353,12 +357,34 @@ def coordinates_in_basis(basis: QMatrix, vectors: QMatrix) -> QMatrix:
     """
     if basis.rows != vectors.rows:
         raise DimensionMismatchError("basis and vectors live in different spaces")
-    r = basis.cols
-    aug = [basis.row_list(i) + vectors.row_list(i) for i in range(basis.rows)]
-    pivots = _rref(aug)
-    if pivots != list(range(r)):
+    rows = _solve(basis, vectors)
+    if rows is None:
         raise DimensionMismatchError("columns are not in the span of the basis")
-    return QMatrix(r, vectors.cols, tuple(aug[i][r + j] for i in range(r) for j in range(vectors.cols)))
+    return QMatrix(basis.cols, vectors.cols, tuple(x for row in rows for x in row))
+
+
+def spans_full_algebra(generators: Sequence[QMatrix]) -> bool:
+    """Whether the n x n matrices ``generators`` generate all of M_n(Q).
+
+    Starting from the identity, the span of the reached products is closed
+    under left multiplication by the generators until it stabilizes.  The
+    dimension of a rational span does not change under field extension, so
+    a full span is the same over any extension field.
+    """
+    n = generators[0].rows
+    target = n * n
+    basis = Echelon(target)
+    queue = [QMatrix.identity(n)]
+    basis.add(queue[0].entries)
+    while queue and len(basis) < target:
+        element = queue.pop()
+        for g in generators:
+            product = g @ element
+            if basis.add(product.entries):
+                queue.append(product)
+                if len(basis) == target:
+                    return True
+    return len(basis) == target
 
 
 def _require_square_invertible(matrix: QMatrix, what: str = "matrix") -> None:
@@ -407,7 +433,7 @@ def centralizer_dimension(matrix: QMatrix) -> int:
     if n == 0:
         return 0
     if n <= _COMMUTATION_SYSTEM_LIMIT:
-        return n * n - _rank_of_rows(_commutation_rows(matrix), n * n)
+        return n * n - len(_echelon(_commutation_rows(matrix), n * n))
     return _centralizer_dimension_from_factors(invariant_factors(matrix))
 
 

@@ -4,11 +4,12 @@ A tuple stores one invertible matrix per finite singular point plus one at
 infinity, subject to the product-one relation in the listed order.  The
 rigidity index is (2 - #points) * n^2 plus the sum of the centralizer
 dimensions; combined with irreducibility it decides physical rigidity.
+The index, irreducibility and the report are read off one
+``fourier.TupleAnalysis`` of the tuple.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,19 +19,14 @@ from typing import Iterable, NamedTuple
 from .errors import GenerationError, ValidationError
 from .exact_linalg import (
     QMatrix,
-    centralizer_dimension,
     format_rational,
     matrix_from_json,
     matrix_to_json,
     parse_rational,
 )
-from .theta_pairs import ThetaPair, from_full_direct_image, from_star
 
-_ZERO = Fraction(0)
 _RANDOM_ENTRY_BOUND = 2
 _MAX_DRAWS_PER_MATRIX = 200
-
-INFINITY = math.inf
 
 
 class FinitePoint(NamedTuple):
@@ -114,107 +110,25 @@ def validate(t: MonodromyTuple) -> None:
         raise ValidationError("monodromy relation violated")
 
 
+def _analysis(t: MonodromyTuple):
+    # The analysis lives with the transform, which builds on this module.
+    from .fourier import TupleAnalysis
+
+    return TupleAnalysis(t)
+
+
 def rigidity_index(t: MonodromyTuple) -> int:
-    validate(t)
-    n = t.rank
-    num_points = t.num_finite_points + 1
-    dims = sum(centralizer_dimension(m) for m in t.matrices())
-    return (2 - num_points) * n * n + dims
+    return _analysis(t).index
 
 
 def is_irreducible(t: MonodromyTuple) -> bool:
-    """Absolute irreducibility via span closure of the generated algebra.
-
-    Starting from the identity, the span of the reached matrices is closed
-    under left multiplication by the local monodromies until it stabilizes;
-    the tuple is irreducible exactly when the span fills all of the n x n
-    matrices.  The dimension of the rational span does not change under
-    field extension, so this decides irreducibility over any extension.
-    """
-    validate(t)
-    n = t.rank
-    if n == 1:
-        return True
-    target = n * n
-    generators = t.matrices()
-    basis_rows: list[list[Fraction]] = []
-    pivots: list[int] = []
-
-    def try_add(candidate: QMatrix) -> bool:
-        vec = list(candidate.entries)
-        for row, p in zip(basis_rows, pivots):
-            f = vec[p]
-            if f:
-                for j in range(p, target):
-                    if row[j]:
-                        vec[j] -= f * row[j]
-        pivot = next((j for j, x in enumerate(vec) if x), None)
-        if pivot is None:
-            return False
-        inv = 1 / vec[pivot]
-        vec = [x * inv for x in vec]
-        for row in basis_rows:
-            f = row[pivot]
-            if f:
-                for j in range(pivot, target):
-                    if vec[j]:
-                        row[j] -= f * vec[j]
-        # keep rows sorted by pivot so reduction stays single-pass
-        insert_at = next(
-            (idx for idx, p in enumerate(pivots) if p > pivot), len(pivots)
-        )
-        basis_rows.insert(insert_at, vec)
-        pivots.insert(insert_at, pivot)
-        return True
-
-    queue = [QMatrix.identity(n)]
-    try_add(queue[0])
-    while queue and len(pivots) < target:
-        element = queue.pop()
-        for g in generators:
-            product = g @ element
-            if try_add(product):
-                queue.append(product)
-                if len(pivots) == target:
-                    return True
-    return len(pivots) == target
-
-
-def is_physically_rigid(t: MonodromyTuple) -> bool:
-    return is_irreducible(t) and rigidity_index(t) == 2
+    """Absolute irreducibility: the local monodromies generate all n x n
+    matrices (see ``exact_linalg.spans_full_algebra``)."""
+    return _analysis(t).irreducible
 
 
 def rigidity_report(t: MonodromyTuple) -> RigidityReport:
-    validate(t)
-    n = t.rank
-    num_points = t.num_finite_points + 1
-    dims = tuple(centralizer_dimension(m) for m in t.matrices())
-    index = (2 - num_points) * n * n + sum(dims)
-    irreducible = is_irreducible(t)
-    return RigidityReport(
-        rank=n,
-        num_points=num_points,
-        centralizer_dims=dims,
-        index=index,
-        irreducible=irreducible,
-        physically_rigid=irreducible and index == 2,
-    )
-
-
-def local_pair(t: MonodromyTuple, point: int | float | str) -> ThetaPair:
-    """Germ pair at a singular point.
-
-    Finite points (by index into the tuple) give the middle-extension pair;
-    ``math.inf`` or ``"inf"`` gives the localized pair at infinity.
-    """
-    validate(t)
-    if point == INFINITY or point == "inf":
-        return from_full_direct_image(t.infinity_matrix)
-    if not isinstance(point, int):
-        raise IndexError(f"point must be a finite-point index or infinity, got {point!r}")
-    if not 0 <= point < t.num_finite_points:
-        raise IndexError(f"finite point index {point} out of range")
-    return from_star(t.finite_points[point].matrix)
+    return _analysis(t).report
 
 
 def random_tuple(rank: int, k: int, seed: int) -> MonodromyTuple:
@@ -276,7 +190,7 @@ def tuple_from_json(data: object) -> MonodromyTuple:
             )
         try:
             loc = parse_rational(item["location"])
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise ValueError(f"bad location at finite point #{idx}: {exc}") from exc
         points.append((loc, matrix_from_json(item["matrix"])))
     infinity = data.get("infinity_matrix")

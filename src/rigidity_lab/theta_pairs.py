@@ -18,10 +18,7 @@ from .exact_linalg import (
     coordinates_in_basis,
     fixed_space_dim,
     matrix_rank,
-    matrix_from_json,
-    matrix_to_json,
     rref_decompose,
-    similar,
 )
 
 
@@ -110,37 +107,3 @@ def centralizer_identity_check(pair: ThetaPair) -> tuple[int, int]:
     rhs = fixed_space_dim(t_e) ** 2
     return lhs, rhs
 
-
-def pairs_isomorphic(a: ThetaPair, b: ThetaPair) -> bool:
-    """Isomorphism test adequate for middle-extension bookkeeping.
-
-    Compares dimensions, similarity classes of both monodromies and the
-    ranks of u and v; this separates every pair of interest here without a
-    full quiver-isomorphism search.
-    """
-    return (
-        a.dim_E == b.dim_E
-        and a.dim_F == b.dim_F
-        and matrix_rank(a.u) == matrix_rank(b.u)
-        and matrix_rank(a.v) == matrix_rank(b.v)
-        and similar(monodromy_E(a), monodromy_E(b))
-        and similar(monodromy_F(a), monodromy_F(b))
-    )
-
-
-def pair_to_json(pair: ThetaPair) -> dict:
-    return {
-        "dim_E": pair.dim_E,
-        "dim_F": pair.dim_F,
-        "u": matrix_to_json(pair.u),
-        "v": matrix_to_json(pair.v),
-    }
-
-
-def pair_from_json(data: dict) -> ThetaPair:
-    return ThetaPair(
-        int(data["dim_E"]),
-        int(data["dim_F"]),
-        matrix_from_json(data["u"]),
-        matrix_from_json(data["v"]),
-    )

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from rigidity_lab import QMatrix, block_diag, jordan_block
+from rigidity_lab.exact_linalg import QMatrix, block_diag, jordan_block
 
 
 def random_invertible(rng: random.Random, n: int, bound: int = 2, forbid_identity: bool = False) -> QMatrix:

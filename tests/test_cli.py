@@ -1,8 +1,10 @@
 import io
 import json
+import sys
 
 import pytest
 
+from rigidity_lab import exact_linalg, local_systems
 from rigidity_lab.catalog import CATALOG_ENV_VAR, load_catalog
 from rigidity_lab.cli import CampaignConfig, main, run_campaign
 
@@ -32,6 +34,16 @@ REDUCIBLE_DIAGONAL = {
     "finite_points": [
         {"location": "0", "matrix": [["2", "0"], ["0", "3"]]},
         {"location": "1", "matrix": [["5", "0"], ["0", "7"]]},
+    ],
+}
+
+# rank 2 on three finite points plus infinity, irreducible, index 0
+FOURPOINT2 = {
+    "rank": 2,
+    "finite_points": [
+        {"location": "0", "matrix": [["2", "0"], ["0", "1"]]},
+        {"location": "1", "matrix": [["1", "1"], ["1", "0"]]},
+        {"location": "2", "matrix": [["1", "1"], ["0", "1"]]},
     ],
 }
 
@@ -82,6 +94,16 @@ class TestRig:
         assert code == 0
         assert "rigidity index: 2" in out
         assert "physically rigid: yes" in out
+
+    @pytest.mark.parametrize("field", ["location", "matrix"])
+    @pytest.mark.parametrize("value", ["1.5", "1e30", "1_000", " 3 ", True, 2.0, "1/0", "0x10"])
+    def test_rationals_outside_the_grammar_exit_2(self, capsys, tmp_path, field, value):
+        point = {"location": "0", "matrix": [["2"]]}
+        point[field] = [[value]] if field == "matrix" else value
+        path = write_json(tmp_path, "bad.json", {"rank": 1, "finite_points": [point]})
+        code, _, err = run_cli(capsys, "rig", "--input", path)
+        assert code == 2
+        assert "schema violation" in err
 
 
 class TestFourier:
@@ -244,6 +266,66 @@ class TestCatalog:
         code, out, _ = run_cli(capsys, "catalog", "list", "--format", "text")
         assert code == 0
         assert "kummer" in out
+
+
+class TestArguments:
+    @pytest.mark.parametrize("flag", ["--trials", "--max-rank", "--max-points"])
+    @pytest.mark.parametrize("value", ["0", "-1", "x"])
+    def test_campaign_sizes_must_be_positive(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--random", flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "positive integer" in err
+
+
+def count_calls(monkeypatch, module, name):
+    """Record the calls to ``module.name`` made under any name in the library."""
+    original = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module_name, loaded in list(sys.modules.items()):
+        if module_name.split(".")[0] == "rigidity_lab":
+            for key, value in list(vars(loaded).items()):
+                if value is original:
+                    monkeypatch.setattr(loaded, key, counting)
+    return calls
+
+
+class TestComputeOnce:
+    # (command, centralizer calls, restrictions to im(A - 1)) for k finite
+    # points: rig needs the k + 1 source matrices and nothing of the
+    # transform; fourier the k components, each restricted once, plus the
+    # zero monodromy's self-check; verify every matrix role once.
+    @pytest.mark.parametrize(
+        "command, centralizers, restrictions",
+        [("rig", 4, 0), ("fourier", 3, 4), ("verify", 8, 4)],
+    )
+    def test_single_tuple_op(
+        self, capsys, tmp_path, monkeypatch, command, centralizers, restrictions
+    ):
+        path = write_json(tmp_path, "t.json", FOURPOINT2)
+        validate = count_calls(monkeypatch, local_systems, "validate")
+        closure = count_calls(monkeypatch, exact_linalg, "spans_full_algebra")
+        centralizer = count_calls(monkeypatch, exact_linalg, "centralizer_dimension")
+        restrict = count_calls(monkeypatch, exact_linalg, "restrict_to_image")
+        code, _, _ = run_cli(capsys, command, "--input", path)
+        assert code == 0
+        assert (len(validate), len(closure)) == (1, 1)
+        assert len(centralizer) == centralizers
+        assert len(restrict) == restrictions
+
+    def test_campaign_draw(self, capsys, monkeypatch):
+        draws = count_calls(monkeypatch, local_systems, "random_tuple")
+        validate = count_calls(monkeypatch, local_systems, "validate")
+        closure = count_calls(monkeypatch, exact_linalg, "spans_full_algebra")
+        code, _, _ = run_cli(capsys, "verify", "--random", "--trials", "10", "--seed", "5")
+        assert code == 0
+        assert len(validate) == len(closure) == len(draws) >= 10
 
 
 class TestCampaignInternals:

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigidity_lab import (
-    DimensionMismatchError,
-    InvalidMonodromyError,
+from rigidity_lab.errors import DimensionMismatchError, InvalidMonodromyError
+from rigidity_lab.exact_linalg import (
     QMatrix,
     UnitBlockPartition,
     block_diag,
@@ -27,8 +26,6 @@ from rigidity_lab import (
     similar,
     split_unit_part,
     unit_block_partition,
-)
-from rigidity_lab.exact_linalg import (
     _centralizer_dimension_from_factors,
     _pmul,
 )
@@ -49,6 +46,20 @@ small_matrices = st.integers(min_value=1, max_value=4).flatmap(
         st.lists(st.integers(min_value=-3, max_value=3), min_size=n, max_size=n),
         min_size=n,
         max_size=n,
+    )
+).map(QMatrix.from_rows)
+
+rational_matrices = st.tuples(
+    st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=5)
+).flatmap(
+    lambda shape: st.lists(
+        st.lists(
+            st.one_of(st.just(Fraction(0)), st.fractions(-3, 3, max_denominator=4)),
+            min_size=shape[1],
+            max_size=shape[1],
+        ),
+        min_size=shape[0],
+        max_size=shape[0],
     )
 ).map(QMatrix.from_rows)
 
@@ -90,6 +101,7 @@ class TestQMatrix:
         assert matrix_to_json(a)[0][0] == "1/2"
         assert format_rational(Fraction(-4)) == "-4"
         assert parse_rational("-3/6") == Fraction(-1, 2)
+        assert parse_rational("+4/2") == 2
 
     def test_matrix_from_json_rejects_garbage(self):
         with pytest.raises(ValueError):
@@ -132,6 +144,27 @@ class TestRref:
             [image.row_list(i) + m.row_list(i) for i in range(m.rows)]
         )
         assert matrix_rank(stacked) == rank
+
+    @settings(max_examples=80, deadline=None)
+    @given(rational_matrices)
+    def test_kernel_agrees_with_sympy(self, m):
+        from sympy import Matrix
+
+        def columns(q):
+            return [[q.entry(i, j) for i in range(q.rows)] for j in range(q.cols)]
+
+        oracle = Matrix(m.rows, m.cols, list(m.entries))
+        _, pivots = oracle.rref()
+        rank, kernel, image = rref_decompose(m)
+        assert matrix_rank(m) == rank == oracle.rank() == len(pivots)
+        assert columns(image) == [columns(m)[c] for c in pivots]
+        assert columns(kernel) == [list(v) for v in oracle.nullspace()]
+        if m.is_square:
+            if rank == m.rows:
+                assert list(m.inverse().entries) == list(oracle.inv())
+            else:
+                with pytest.raises(InvalidMonodromyError):
+                    m.inverse()
 
     def test_coordinates_in_basis(self):
         basis = QMatrix.from_rows([[1, 0], [1, 1], [0, 2]])
@@ -190,18 +223,28 @@ class TestCentralizer:
             assert centralizer_dimension(conjugate(m, p)) == centralizer_dimension(m)
 
     def test_large_matrix_route_matches_commutation_system(self):
-        # Sizes straddling the dispatch cutoff must agree between routes.
-        from rigidity_lab.exact_linalg import _commutation_rows, _rank_of_rows
+        # Sizes straddling the dispatch cutoff: the commutation system reduced
+        # by the library's kernel, the invariant-factor route and the dispatch
+        # must all match sympy's rank of A (x) I - I (x) A^T.
+        from sympy import QQ, Matrix, eye, kronecker_product
+        from sympy.polys.matrices import DomainMatrix
+
+        from rigidity_lab.exact_linalg import _commutation_rows
 
         rng = random.Random(23)
         for n in (7, 8, 9, 10):
             data, _ = random_jordan_data(rng, n)
-            m = conjugate(jordan_from_data(data), random_invertible(rng, sum(s for _, s in data)))
-            direct = m.rows**2 - _rank_of_rows(_commutation_rows(m), m.rows**2)
-            assert centralizer_dimension(m) == _centralizer_dimension_from_factors(
-                invariant_factors(m)
-            )
-            assert centralizer_dimension(m) == direct
+            while sum(s for _, s in data) != n:
+                data, _ = random_jordan_data(rng, n)
+            m = conjugate(jordan_from_data(data), random_invertible(rng, n))
+            size = m.rows
+            a = Matrix(size, size, list(m.entries))
+            system = kronecker_product(a, eye(size)) - kronecker_product(eye(size), a.T)
+            oracle = size**2 - DomainMatrix.from_Matrix(system).convert_to(QQ).rank()
+            kernel_route = size**2 - matrix_rank(QMatrix.from_rows(_commutation_rows(m)))
+            assert kernel_route == oracle
+            assert _centralizer_dimension_from_factors(invariant_factors(m)) == oracle
+            assert centralizer_dimension(m) == oracle
 
 
 class TestUnitStructure:

@@ -3,32 +3,29 @@ from fractions import Fraction
 
 import pytest
 
-from rigidity_lab import (
-    ExponentialComponent,
-    FourierLocalData,
-    HypothesisViolationError,
-    NonRealizableError,
+from rigidity_lab.errors import HypothesisViolationError, NonRealizableError
+from rigidity_lab.exact_linalg import (
     QMatrix,
-    ReducibleInputWarning,
     centralizer_dimension,
     fixed_space_dim,
-    formal_euler_end_min,
+    restrict_to_image,
+    similar,
+)
+from rigidity_lab.fourier import (
+    ExponentialComponent,
+    FourierLocalData,
+    ReducibleInputWarning,
     irregularity_end,
+    preservation_details,
+    preservation_report_to_json,
+    rig_fourier,
+    stationary_phase,
+)
+from rigidity_lab.local_systems import (
     is_irreducible,
     monodromy_tuple,
     random_tuple,
-    restrict_to_image,
-    rig_fourier,
     rigidity_index,
-    similar,
-    stationary_phase,
-    verify_preservation,
-)
-from rigidity_lab.fourier import (
-    fourier_data_from_json,
-    fourier_data_to_json,
-    preservation_details,
-    preservation_report_to_json,
 )
 
 from support import conjugate, random_invertible
@@ -105,12 +102,6 @@ class TestStationaryPhase:
         with pytest.raises(ValueError):
             FourierLocalData(3, QMatrix.identity(3), ())
 
-    def test_json_roundtrip(self):
-        data = stationary_phase(rank1("2", "3"))
-        payload = fourier_data_to_json(data)
-        assert payload["components"][0]["exp_coefficient"] == "0"
-        assert fourier_data_from_json(payload) == data
-
 
 class TestIndexFormulas:
     def test_rig_fourier_worked_example(self):
@@ -137,28 +128,17 @@ class TestIndexFormulas:
             data = stationary_phase(t, warn_reducible=False)
             assert (irregularity_end(data) == 0) == (len(data.components) == 1)
 
-    def test_formal_euler(self):
-        assert formal_euler_end_min(stationary_phase(rank1("2", "3"))) == 2
-        single_identity = FourierLocalData(
-            2, QMatrix.identity(2), (ExponentialComponent(Fraction(0), QMatrix.identity(2), 2),)
-        )
-        assert formal_euler_end_min(single_identity) == 4
-        single_jordan = FourierLocalData(
-            2, QMatrix.identity(2), (ExponentialComponent(Fraction(0), J2, 2),)
-        )
-        assert formal_euler_end_min(single_jordan) == 2
-
 
 class TestPreservation:
     def test_worked_example(self):
-        report = verify_preservation(rank1("2", "3"))
+        report = preservation_details(rank1("2", "3"))[0]
         assert (report.rig_source, report.rig_fourier, report.equal) == (2, 2, True)
         assert report.irregularity == 2
         assert [p.point for p in report.per_point_identities] == ["0", "1", "infinity"]
         assert all(p.lhs == p.rhs for p in report.per_point_identities)
 
     def test_kummer(self):
-        report = verify_preservation(rank1("2"))
+        report = preservation_details(rank1("2"))[0]
         assert report.equal and report.rig_source == 2
 
     def test_reducible_refused(self):
@@ -166,8 +146,8 @@ class TestPreservation:
             2, [(0, QMatrix.diagonal([2, 3])), (1, QMatrix.diagonal([5, 7]))]
         )
         with pytest.raises(HypothesisViolationError, match="theorem hypothesis violated"):
-            verify_preservation(t)
-        report = verify_preservation(t, force=True)
+            preservation_details(t)
+        report = preservation_details(t, force=True)[0]
         assert report.equal == (report.rig_source == report.rig_fourier)
 
     def test_random_irreducible_tuples_preserve(self):
@@ -208,7 +188,7 @@ class TestPreservation:
             done += 1
 
     def test_report_json_shape(self):
-        payload = preservation_report_to_json(verify_preservation(rank1("2")))
+        payload = preservation_report_to_json(preservation_details(rank1("2"))[0])
         assert list(payload) == [
             "rig_source",
             "rig_fourier",

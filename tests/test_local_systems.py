@@ -1,15 +1,11 @@
-import math
 import random
 
 import pytest
 
-from rigidity_lab import (
-    QMatrix,
-    ValidationError,
+from rigidity_lab.errors import ValidationError
+from rigidity_lab.exact_linalg import QMatrix
+from rigidity_lab.local_systems import (
     is_irreducible,
-    is_physically_rigid,
-    local_pair,
-    is_minimal,
     monodromy_tuple,
     random_tuple,
     rigidity_index,
@@ -173,46 +169,14 @@ class TestIrreducibility:
         assert is_irreducible(FOURPOINT2)
 
     def test_physical_rigidity(self):
-        assert is_physically_rigid(rank1("2", "3"))
-        assert is_physically_rigid(HYPERGEOMETRIC2)
-        assert not is_physically_rigid(FOURPOINT2)  # index 0
+        assert rigidity_report(rank1("2", "3")).physically_rigid
+        assert rigidity_report(HYPERGEOMETRIC2).physically_rigid
+        assert not rigidity_report(FOURPOINT2).physically_rigid  # index 0
         reducible = monodromy_tuple(
             2, [(0, QMatrix.diagonal([2, 3])), (1, QMatrix.diagonal([5, 7]))]
         )
-        assert not is_physically_rigid(reducible)
-
-
-class TestLocalPair:
-    def test_finite_point_pair(self):
-        from rigidity_lab import monodromy_F
-
-        t = monodromy_tuple(2, [(0, QMatrix.diagonal([2, 1]))])
-        pair = local_pair(t, 0)
-        assert pair.dim_F == 1
-        assert monodromy_F(pair) == QMatrix.from_rows([[2]])
-        assert is_minimal(pair)
-
-    def test_infinity_pair(self):
-        t = rank1("2", "1/2")
-        pair = local_pair(t, math.inf)
-        assert pair.dim_F == t.rank
-        assert pair.u == QMatrix.zeros(1, 1)  # infinity matrix is the identity
-        assert pair.v == QMatrix.identity(1)
-
-    def test_all_finite_pairs_minimal(self):
-        rng = random.Random(71)
-        for _ in range(5):
-            t = random_tuple(rng.randint(1, 3), rng.randint(1, 3), rng.getrandbits(32))
-            for i in range(t.num_finite_points):
-                assert is_minimal(local_pair(t, i))
-            assert local_pair(t, "inf").dim_F == t.rank
-
-    def test_out_of_range(self):
-        t = rank1("2")
-        with pytest.raises(IndexError):
-            local_pair(t, 1)
-        with pytest.raises(IndexError):
-            local_pair(t, "nowhere")
+        assert rigidity_index(reducible) == 2
+        assert not rigidity_report(reducible).physically_rigid
 
 
 class TestRandomTuple:

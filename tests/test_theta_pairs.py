@@ -2,11 +2,9 @@ import random
 
 import pytest
 
-from rigidity_lab import (
-    InvalidMonodromyError,
-    InvalidPairError,
-    PairPreconditionError,
-    QMatrix,
+from rigidity_lab.errors import InvalidMonodromyError, InvalidPairError, PairPreconditionError
+from rigidity_lab.exact_linalg import QMatrix, similar
+from rigidity_lab.theta_pairs import (
     ThetaPair,
     centralizer_identity_check,
     from_full_direct_image,
@@ -16,10 +14,7 @@ from rigidity_lab import (
     minimal_extension,
     monodromy_E,
     monodromy_F,
-    pairs_isomorphic,
-    similar,
 )
-from rigidity_lab.theta_pairs import pair_from_json, pair_to_json
 
 from support import random_invertible, random_unit_mixed_matrix
 
@@ -53,10 +48,6 @@ class TestPairInvariants:
         pair = ThetaPair(0, 0, QMatrix.zeros(0, 0), QMatrix.zeros(0, 0))
         assert monodromy_E(pair) == QMatrix.zeros(0, 0)
         assert is_minimal(pair)
-
-    def test_json_roundtrip(self):
-        pair = from_star(J2)
-        assert pair_from_json(pair_to_json(pair)) == pair
 
 
 class TestConstructions:
@@ -113,13 +104,12 @@ class TestMinimalExtension:
         assert minimal_extension(from_shriek(J2)).dim_F == 1
 
     def test_idempotence_up_to_isomorphism(self):
+        # minimal_extension is deterministic, so equal pairs are the strongest check
         rng = random.Random(17)
         for _ in range(15):
             t = random_invertible(rng, rng.randint(1, 4))
             pair = from_star(t)
-            again = minimal_extension(pair)
-            assert (again.dim_E, again.dim_F) == (pair.dim_E, pair.dim_F)
-            assert pairs_isomorphic(pair, again)
+            assert minimal_extension(pair) == pair
 
     def test_full_direct_image_with_invertible_difference(self):
         t = QMatrix.diagonal([2, 3])
@@ -133,7 +123,7 @@ class TestMinimalExtension:
             pair = random_valid_pair(rng)
             direct = minimal_extension(pair)
             via_monodromy = minimal_extension(from_full_direct_image(monodromy_E(pair)))
-            assert pairs_isomorphic(direct, via_monodromy)
+            assert direct == via_monodromy
 
     def test_intertwining_identities_exact(self):
         rng = random.Random(23)
