@@ -118,9 +118,9 @@ def _external_entries(directory: Path) -> list[CatalogEntry]:
             raise CatalogError(f"cannot read catalog file {path}: {exc}") from exc
         try:
             t = tuple_from_json(payload)
+            report = rigidity_report(t)  # validates, raising ValidationError
         except ValueError as exc:
             raise CatalogError(f"bad tuple in catalog file {path}: {exc}") from exc
-        report = rigidity_report(t)
         index, rigid = report.index, report.physically_rigid
         if "expected_index" in payload and payload["expected_index"] != index:
             raise CatalogError(

@@ -30,7 +30,7 @@ from .errors import (
     RigidityLabError,
     ValidationError,
 )
-from .exact_linalg import invariant_factors, polynomial_to_string
+from .exact_linalg import polynomial_to_string
 from .fourier import (
     TupleAnalysis,
     fourier_data_to_json,
@@ -272,8 +272,7 @@ def _cmd_fourier(args: argparse.Namespace) -> int:
         "rank_hat": base["rank_hat"],
         "zero_monodromy": base["zero_monodromy"],
         "zero_invariant_factors": [
-            polynomial_to_string(f)
-            for f in invariant_factors(data.zero_monodromy).invariant_factors
+            polynomial_to_string(f) for f in analysis.zero_invariants.invariant_factors
         ],
         "components": components,
         "irregularity": irregularity_end(data),

@@ -1,11 +1,12 @@
 """Exact dense linear algebra over the rational numbers.
 
 Matrices carry ``fractions.Fraction`` entries in row-major order and every
-computation is exact: ranks, kernels, centralizer dimensions and similarity
-invariants come out of rational elimination, never from floating point and
-never from eigenvalue factorization.  All bases are the deterministic ones
-produced by reduced row echelon form with leftmost pivots, so repeated runs
-are bit-identical.
+computation is exact, never from floating point and never from eigenvalue
+factorization.  Ranks, kernels, inverses and spans come out of rational
+elimination; centralizer dimensions, unit Jordan blocks and similarity are
+read off the invariant factors of xI - A, a Smith form over Q[x].  All bases
+are the deterministic ones produced by reduced row echelon form with
+leftmost pivots, so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -17,11 +18,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError, InvalidMonodromyError
-
-# Above this size the commutation-system route (an n^2 x n^2 elimination)
-# stops being reasonable and the centralizer dimension is read off the
-# invariant factors instead; both routes compute the same number.
-_COMMUTATION_SYSTEM_LIMIT = 8
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -395,103 +391,14 @@ def _require_square_invertible(matrix: QMatrix, what: str = "matrix") -> None:
 
 
 # ---------------------------------------------------------------------------
-# Centralizers and unit-eigenvalue structure
+# Unit-eigenvalue structure
 # ---------------------------------------------------------------------------
-
-
-def _commutation_rows(matrix: QMatrix) -> list[list[Fraction]]:
-    # Linear system A@X - X@A = 0 in the n^2 unknowns X[k][l]; the equation
-    # at position (i, j) has coefficient A[i][k] on X[k][j] and -A[l][j] on
-    # X[i][l].
-    n = matrix.rows
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            row = [_ZERO] * (n * n)
-            for k in range(n):
-                a = matrix.entry(i, k)
-                if a:
-                    row[k * n + j] += a
-            for l in range(n):
-                a = matrix.entry(l, j)
-                if a:
-                    row[i * n + l] -= a
-            rows.append(row)
-    return rows
-
-
-def centralizer_dimension(matrix: QMatrix) -> int:
-    """Dimension of the space of matrices commuting with ``matrix``.
-
-    Small sizes solve the commutation system directly; beyond the desk-scale
-    cutoff the same number is read off the invariant factor degrees, which
-    agree because both count Hom over the induced module structure.
-    """
-    if not matrix.is_square:
-        raise DimensionMismatchError("centralizer requires a square matrix")
-    n = matrix.rows
-    if n == 0:
-        return 0
-    if n <= _COMMUTATION_SYSTEM_LIMIT:
-        return n * n - len(_echelon(_commutation_rows(matrix), n * n))
-    return _centralizer_dimension_from_factors(invariant_factors(matrix))
-
-
-def _centralizer_dimension_from_factors(inv: "SimilarityInvariant") -> int:
-    # With factors f_1 | ... | f_m, dim Z = sum over (i, j) of
-    # deg gcd(f_i, f_j) = sum_i (2(m - i) + 1) deg f_i.
-    degrees = [len(f) - 1 for f in inv.invariant_factors]
-    m = len(degrees)
-    return sum((2 * (m - i) + 1) * d for i, d in enumerate(degrees, start=1))
 
 
 def fixed_space_dim(matrix: QMatrix) -> int:
     """Dimension of the eigenspace for eigenvalue 1 of an invertible matrix."""
     _require_square_invertible(matrix)
     return matrix.rows - matrix_rank(matrix - QMatrix.identity(matrix.rows))
-
-
-@dataclass(frozen=True)
-class UnitBlockPartition:
-    """Multiset of Jordan block sizes for eigenvalue 1, non-increasing."""
-
-    sizes: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(s <= 0 for s in self.sizes):
-            raise ValueError("block sizes must be positive")
-        if any(self.sizes[i] < self.sizes[i + 1] for i in range(len(self.sizes) - 1)):
-            raise ValueError("block sizes must be non-increasing")
-
-    @property
-    def total(self) -> int:
-        return sum(self.sizes)
-
-    @property
-    def block_count(self) -> int:
-        return len(self.sizes)
-
-
-def unit_block_partition(matrix: QMatrix) -> UnitBlockPartition:
-    """Jordan structure at eigenvalue 1 from the rank sequence of (A - I)^j.
-
-    The number of blocks of size >= j is rank((A-I)^(j-1)) - rank((A-I)^j);
-    no eigenvalue factorization is involved.
-    """
-    _require_square_invertible(matrix)
-    n = matrix.rows
-    diff = matrix - QMatrix.identity(n)
-    ranks = [n]
-    power = QMatrix.identity(n)
-    for _ in range(n):
-        power = power @ diff
-        ranks.append(matrix_rank(power))
-    at_least = [ranks[j - 1] - ranks[j] for j in range(1, n + 1)]
-    sizes: list[int] = []
-    for j in range(n, 0, -1):
-        exactly = at_least[j - 1] - (at_least[j] if j < n else 0)
-        sizes.extend([j] * exactly)
-    return UnitBlockPartition(tuple(sizes))
 
 
 def restrict_to_image(matrix: QMatrix) -> tuple[QMatrix, QMatrix]:
@@ -631,6 +538,37 @@ class SimilarityInvariant:
 
     invariant_factors: tuple[Poly, ...]
 
+    @property
+    def centralizer_dimension(self) -> int:
+        """Dimension of the space of matrices commuting with A.
+
+        With factors f_1 | ... | f_m, dim Z = sum over (i, j) of
+        deg gcd(f_i, f_j) = sum_i (2(m - i) + 1) deg f_i.
+        """
+        m = len(self.invariant_factors)
+        return sum(
+            (2 * (m - i) + 1) * _pdeg(f) for i, f in enumerate(self.invariant_factors, start=1)
+        )
+
+    @property
+    def unit_block_sizes(self) -> tuple[int, ...]:
+        """Jordan block sizes of A for eigenvalue 1, non-increasing.
+
+        Each factor with the root 1 contributes one block, of size the
+        root's multiplicity; along the divisibility chain these multiplicities
+        only grow, so the factors are read from the last one back.
+        """
+        sizes = []
+        for f in reversed(self.invariant_factors):
+            size = 0
+            while not sum(f):  # f(1) == 0
+                f = _pdivmod(f, (-_ONE, _ONE))[0]
+                size += 1
+            if not size:
+                break
+            sizes.append(size)
+        return tuple(sizes)
+
 
 def _min_degree_position(m: list[list[Poly]], start: int) -> tuple[int, int] | None:
     best: tuple[int, int] | None = None
@@ -653,7 +591,9 @@ def _smith_diagonal(m: list[list[Poly]]) -> list[Poly]:
     divide it into its row and column, and when a remainder or a
     non-divisible trailing entry shows up, fold it in and retry; the minimal
     degree strictly drops, so the loop terminates.  Pivots are normalized
-    monic.
+    monic.  A nonzero constant pivot divides everything, so it splits off a
+    1 and leaves the Schur complement as the trailing block; the rest of its
+    row is left as is, because finished rows are never read again.
     """
     size = len(m)
     t = 0
@@ -668,6 +608,19 @@ def _smith_diagonal(m: list[list[Poly]]) -> list[Poly]:
             for row in m:
                 row[t], row[j0] = row[j0], row[t]
         pivot = m[t][t]
+        if len(pivot) == 1:
+            inv = _ONE / pivot[0]
+            top = [(j, m[t][j]) for j in range(t + 1, size) if m[t][j]]
+            for i in range(t + 1, size):
+                row = m[i]
+                if row[t]:
+                    q = tuple(c * inv for c in row[t])
+                    row[t] = ()
+                    for j, b in top:
+                        row[j] = _psub(row[j], _pmul(q, b))
+            m[t][t] = (_ONE,)
+            t += 1
+            continue
         dirty = False
         for i in range(t + 1, size):
             if m[i][t]:
@@ -725,6 +678,12 @@ def invariant_factors(matrix: QMatrix) -> SimilarityInvariant:
         char.append(row)
     diag = _smith_diagonal(char)
     return SimilarityInvariant(tuple(f for f in diag if _pdeg(f) > 0))
+
+
+def centralizer_dimension(matrix: QMatrix) -> int:
+    """Dimension of the space of matrices commuting with ``matrix``, read off
+    its invariant factor degrees."""
+    return invariant_factors(matrix).centralizer_dimension
 
 
 def similar(a: QMatrix, b: QMatrix) -> bool:

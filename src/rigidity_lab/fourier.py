@@ -22,17 +22,17 @@ from typing import NamedTuple
 from .errors import HypothesisViolationError, NonRealizableError
 from .exact_linalg import (
     QMatrix,
+    SimilarityInvariant,
     block_diag,
     centralizer_dimension,
     fixed_space_dim,
     format_rational,
+    invariant_factors,
     jordan_block,
     matrix_to_json,
     restrict_to_image,
-    similar,
     spans_full_algebra,
     split_unit_part,
-    unit_block_partition,
 )
 from .local_systems import MonodromyTuple, RigidityReport, validate
 
@@ -100,7 +100,8 @@ class TupleAnalysis:
     Construction validates the tuple.  Every other attribute is computed on
     first use and cached, so asking for the rigidity index never pays for
     the transform, and the identities reuse the centralizer dimensions that
-    the two indices were summed from.
+    the two indices were summed from.  Invariant factors are computed once
+    per matrix role; those at infinity also give the unit Jordan blocks.
     """
 
     def __init__(self, t: MonodromyTuple):
@@ -112,9 +113,14 @@ class TupleAnalysis:
         return spans_full_algebra(self.tuple.matrices())
 
     @cached_property
+    def infinity_invariants(self) -> SimilarityInvariant:
+        return invariant_factors(self.tuple.infinity_matrix)
+
+    @cached_property
     def centralizer_dims(self) -> tuple[int, ...]:
         """Source centralizer dimensions, finite points first, infinity last."""
-        return tuple(centralizer_dimension(m) for m in self.tuple.matrices())
+        finite = (centralizer_dimension(a) for _, a in self.tuple.finite_points)
+        return (*finite, self.infinity_invariants.centralizer_dimension)
 
     @cached_property
     def index(self) -> int:
@@ -161,8 +167,8 @@ class TupleAnalysis:
         rank_hat = sum(c.dimension for c in components)
 
         _, non_unit = split_unit_part(t.infinity_matrix)
-        partition = unit_block_partition(t.infinity_matrix)
-        padding = rank_hat - n - partition.block_count
+        unit_blocks = self.infinity_invariants.unit_block_sizes
+        padding = rank_hat - n - len(unit_blocks)
         if padding < 0:
             raise NonRealizableError(
                 "non-realizable minimal pair: the sum of rank(A_i - 1) over the "
@@ -170,7 +176,7 @@ class TupleAnalysis:
                 "tuple cannot be irreducible"
             )
         blocks = [non_unit]
-        blocks.extend(jordan_block(size + 1, 1) for size in partition.sizes)
+        blocks.extend(jordan_block(size + 1, 1) for size in unit_blocks)
         if padding:
             blocks.append(QMatrix.identity(padding))
         zero_monodromy = block_diag(blocks)
@@ -178,7 +184,7 @@ class TupleAnalysis:
         if fixed_space_dim(zero_monodromy) != rank_hat - n:
             raise RuntimeError("reconstruction failed the kernel-dimension check")
         restricted_zero, _ = restrict_to_image(zero_monodromy)
-        if not similar(restricted_zero, t.infinity_matrix):
+        if invariant_factors(restricted_zero) != self.infinity_invariants:
             raise RuntimeError("reconstruction failed the restriction similarity check")
 
         return FourierLocalData(
@@ -194,8 +200,12 @@ class TupleAnalysis:
         )
 
     @cached_property
+    def zero_invariants(self) -> SimilarityInvariant:
+        return invariant_factors(self.local_data.zero_monodromy)
+
+    @cached_property
     def zero_centralizer_dim(self) -> int:
-        return centralizer_dimension(self.local_data.zero_monodromy)
+        return self.zero_invariants.centralizer_dimension
 
     @cached_property
     def preservation(self) -> PreservationReport:

@@ -2,7 +2,8 @@
 
 Everything here is deliberately written from first principles (Jordan data,
 characteristic polynomials via Faddeev-LeVerrier, the min(m_i, m_j)
-partition count) so library results are checked against a second route.
+partition count, the commutation system, the rank sequence of (A - I)^j) so
+library results are checked against a second route.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from rigidity_lab.exact_linalg import QMatrix, block_diag, jordan_block
+from rigidity_lab.exact_linalg import QMatrix, block_diag, jordan_block, matrix_rank
 
 
 def random_invertible(rng: random.Random, n: int, bound: int = 2, forbid_identity: bool = False) -> QMatrix:
@@ -99,3 +100,49 @@ def char_poly(matrix: QMatrix) -> tuple[Fraction, ...]:
         coeffs[n - k] = c
         m = am + c * QMatrix.identity(n)
     return tuple(coeffs)
+
+
+def commutation_rows(matrix: QMatrix) -> list[list[Fraction]]:
+    """The linear system A@X - X@A = 0 in the n^2 unknowns X[k][l].
+
+    The equation at position (i, j) has coefficient A[i][k] on X[k][j] and
+    -A[l][j] on X[i][l].
+    """
+    n = matrix.rows
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            row = [Fraction(0)] * (n * n)
+            for k in range(n):
+                row[k * n + j] += matrix.entry(i, k)
+            for l in range(n):
+                row[i * n + l] -= matrix.entry(l, j)
+            rows.append(row)
+    return rows
+
+
+def commutation_centralizer_dimension(matrix: QMatrix) -> int:
+    """Centralizer dimension as the nullity of the commutation system."""
+    n = matrix.rows
+    if n == 0:
+        return 0
+    return n * n - matrix_rank(QMatrix.from_rows(commutation_rows(matrix)))
+
+
+def unit_partition_by_ranks(matrix: QMatrix) -> tuple[int, ...]:
+    """Jordan block sizes for eigenvalue 1, non-increasing, from ranks.
+
+    The number of blocks of size >= j is rank((A-I)^(j-1)) - rank((A-I)^j).
+    """
+    n = matrix.rows
+    diff = matrix - QMatrix.identity(n)
+    ranks = [n]
+    power = QMatrix.identity(n)
+    for _ in range(n):
+        power = power @ diff
+        ranks.append(matrix_rank(power))
+    at_least = [ranks[j - 1] - ranks[j] for j in range(1, n + 1)] + [0]
+    sizes: list[int] = []
+    for j in range(n, 0, -1):
+        sizes.extend([j] * (at_least[j - 1] - at_least[j]))
+    return tuple(sizes)

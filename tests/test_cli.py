@@ -262,6 +262,20 @@ class TestCatalog:
         with pytest.raises(CatalogError, match="expected_index"):
             load_catalog()
 
+    def test_external_catalog_invalid_tuple(self, capsys, tmp_path, monkeypatch):
+        # Parses, but the stored infinity matrix breaks the product relation.
+        payload = dict(RANK1_TWOPOINT, infinity_matrix=[["1"]])
+        path = write_json(tmp_path, "broken.json", payload)
+        from rigidity_lab.errors import CatalogError
+
+        with pytest.raises(CatalogError, match="relation violated") as info:
+            load_catalog(tmp_path)
+        assert path in str(info.value)
+        monkeypatch.setenv(CATALOG_ENV_VAR, str(tmp_path))
+        code, _, err = run_cli(capsys, "catalog", "list")
+        assert code == 2
+        assert path in err and "relation violated" in err
+
     def test_list_text_format(self, capsys):
         code, out, _ = run_cli(capsys, "catalog", "list", "--format", "text")
         assert code == 0
@@ -297,26 +311,27 @@ def count_calls(monkeypatch, module, name):
 
 
 class TestComputeOnce:
-    # (command, centralizer calls, restrictions to im(A - 1)) for k finite
-    # points: rig needs the k + 1 source matrices and nothing of the
-    # transform; fourier the k components, each restricted once, plus the
-    # zero monodromy's self-check; verify every matrix role once.
+    # (command, invariant-factor calls, restrictions to im(A - 1)) for k
+    # finite points: rig needs the k + 1 source matrices and nothing of the
+    # transform; fourier the k components, each restricted once, A_inf for
+    # its unit blocks, the restricted zero monodromy of the self-check and the
+    # zero monodromy; verify every matrix role once, A_inf serving both sides.
     @pytest.mark.parametrize(
-        "command, centralizers, restrictions",
-        [("rig", 4, 0), ("fourier", 3, 4), ("verify", 8, 4)],
+        "command, factorizations, restrictions",
+        [("rig", 4, 0), ("fourier", 6, 4), ("verify", 9, 4)],
     )
     def test_single_tuple_op(
-        self, capsys, tmp_path, monkeypatch, command, centralizers, restrictions
+        self, capsys, tmp_path, monkeypatch, command, factorizations, restrictions
     ):
         path = write_json(tmp_path, "t.json", FOURPOINT2)
         validate = count_calls(monkeypatch, local_systems, "validate")
         closure = count_calls(monkeypatch, exact_linalg, "spans_full_algebra")
-        centralizer = count_calls(monkeypatch, exact_linalg, "centralizer_dimension")
+        factors = count_calls(monkeypatch, exact_linalg, "invariant_factors")
         restrict = count_calls(monkeypatch, exact_linalg, "restrict_to_image")
         code, _, _ = run_cli(capsys, command, "--input", path)
         assert code == 0
         assert (len(validate), len(closure)) == (1, 1)
-        assert len(centralizer) == centralizers
+        assert len(factors) == factorizations
         assert len(restrict) == restrictions
 
     def test_campaign_draw(self, capsys, monkeypatch):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from rigidity_lab.errors import DimensionMismatchError, InvalidMonodromyError
 from rigidity_lab.exact_linalg import (
     QMatrix,
-    UnitBlockPartition,
     block_diag,
     centralizer_dimension,
     coordinates_in_basis,
@@ -25,18 +24,19 @@ from rigidity_lab.exact_linalg import (
     rref_decompose,
     similar,
     split_unit_part,
-    unit_block_partition,
-    _centralizer_dimension_from_factors,
     _pmul,
 )
 
 from support import (
     char_poly,
+    commutation_centralizer_dimension,
     conjugate,
     jordan_from_data,
     partition_formula,
     random_invertible,
     random_jordan_data,
+    random_unit_mixed_matrix,
+    unit_partition_by_ranks,
 )
 
 J2 = QMatrix.from_rows([[1, 1], [0, 1]])
@@ -223,28 +223,40 @@ class TestCentralizer:
             assert centralizer_dimension(conjugate(m, p)) == centralizer_dimension(m)
 
     def test_large_matrix_route_matches_commutation_system(self):
-        # Sizes straddling the dispatch cutoff: the commutation system reduced
-        # by the library's kernel, the invariant-factor route and the dispatch
-        # must all match sympy's rank of A (x) I - I (x) A^T.
+        # The invariant-factor kernel, at every size 1..10, against the
+        # nullity of the commutation system, reduced once by the library's
+        # echelon kernel and once by sympy as A (x) I - I (x) A^T.  Per size:
+        # a Jordan block conjugated by the lower unitriangular matrix of ones
+        # (unit pivots), c*I (xI - A has no constant entry: the general
+        # pivot), diag(1, ..., n) (the general pivot with a non-divisible
+        # trailing entry), random Jordan data, and once a derogatory
+        # diag(J2(c), J2(c)).
         from sympy import QQ, Matrix, eye, kronecker_product
         from sympy.polys.matrices import DomainMatrix
 
-        from rigidity_lab.exact_linalg import _commutation_rows
+        def sympy_dimension(m):
+            a = Matrix(m.rows, m.rows, list(m.entries))
+            system = kronecker_product(a, eye(m.rows)) - kronecker_product(eye(m.rows), a.T)
+            return m.rows**2 - DomainMatrix.from_Matrix(system).convert_to(QQ).rank()
 
         rng = random.Random(23)
-        for n in (7, 8, 9, 10):
+        for n in range(1, 11):
             data, _ = random_jordan_data(rng, n)
             while sum(s for _, s in data) != n:
                 data, _ = random_jordan_data(rng, n)
-            m = conjugate(jordan_from_data(data), random_invertible(rng, n))
-            size = m.rows
-            a = Matrix(size, size, list(m.entries))
-            system = kronecker_product(a, eye(size)) - kronecker_product(eye(size), a.T)
-            oracle = size**2 - DomainMatrix.from_Matrix(system).convert_to(QQ).rank()
-            kernel_route = size**2 - matrix_rank(QMatrix.from_rows(_commutation_rows(m)))
-            assert kernel_route == oracle
-            assert _centralizer_dimension_from_factors(invariant_factors(m)) == oracle
-            assert centralizer_dimension(m) == oracle
+            c = rng.choice((2, -1, 3))
+            lower = QMatrix.from_rows([[int(j <= i) for j in range(n)] for i in range(n)])
+            cases = [
+                conjugate(jordan_block(n, c), lower),
+                c * QMatrix.identity(n),
+                QMatrix.diagonal(range(1, n + 1)),
+                conjugate(jordan_from_data(data), random_invertible(rng, n)),
+            ]
+            if n == 4:
+                cases.append(block_diag([jordan_block(2, c), jordan_block(2, c)]))
+            for m in cases:
+                dim = centralizer_dimension(m)
+                assert dim == commutation_centralizer_dimension(m) == sympy_dimension(m)
 
 
 class TestUnitStructure:
@@ -256,27 +268,28 @@ class TestUnitStructure:
             fixed_space_dim(QMatrix.zeros(2, 2))
 
     def test_partition_examples(self):
-        assert unit_block_partition(QMatrix.identity(2)).sizes == (1, 1)
-        assert unit_block_partition(QMatrix.diagonal([2, 3])).sizes == ()
-        assert unit_block_partition(J2).sizes == (2,)
-        with pytest.raises(InvalidMonodromyError):
-            unit_block_partition(QMatrix.from_rows([[0, 1], [0, 1]]))
-
-    def test_partition_type_invariants(self):
-        with pytest.raises(ValueError):
-            UnitBlockPartition((1, 2))
-        with pytest.raises(ValueError):
-            UnitBlockPartition((0,))
+        assert invariant_factors(QMatrix.identity(2)).unit_block_sizes == (1, 1)
+        assert invariant_factors(QMatrix.diagonal([2, 3])).unit_block_sizes == ()
+        assert invariant_factors(J2).unit_block_sizes == (2,)
+        m = block_diag([jordan_block(3, 1), J2, QMatrix.diagonal([1, 2])])
+        assert invariant_factors(m).unit_block_sizes == (3, 2, 1)
 
     def test_partition_counts_match_fixed_space(self):
         rng = random.Random(3)
         for _ in range(20):
             n = rng.randint(1, 5)
             m = random_invertible(rng, n)
-            part = unit_block_partition(m)
-            assert part.block_count == fixed_space_dim(m)
+            sizes = invariant_factors(m).unit_block_sizes
+            assert len(sizes) == fixed_space_dim(m)
             nilpotency = (m - QMatrix.identity(n)) ** n
-            assert part.total == n - matrix_rank(nilpotency)
+            assert sum(sizes) == n - matrix_rank(nilpotency)
+
+    def test_unit_blocks_match_prescribed_data(self):
+        rng = random.Random(59)
+        for _ in range(40):
+            m, sizes = random_unit_mixed_matrix(rng, 6)
+            found = invariant_factors(m).unit_block_sizes
+            assert found == tuple(sizes) == unit_partition_by_ranks(m)
 
     def test_restrict_to_image_examples(self):
         r, basis = restrict_to_image(QMatrix.diagonal([2, 1]))
@@ -365,8 +378,9 @@ class TestSimilarity:
             m = random_invertible(rng, n)
             mc = conjugate(m, random_invertible(rng, n))
             assert similar(m, mc)
-            assert unit_block_partition(m) == unit_block_partition(mc)
-            assert centralizer_dimension(m) == centralizer_dimension(mc)
+            inv, inv_c = invariant_factors(m), invariant_factors(mc)
+            assert inv.unit_block_sizes == inv_c.unit_block_sizes
+            assert inv.centralizer_dimension == inv_c.centralizer_dimension
 
     def test_empty_matrices_similar(self):
         assert similar(QMatrix.zeros(0, 0), QMatrix.zeros(0, 0))
