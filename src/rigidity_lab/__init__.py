@@ -5,6 +5,7 @@ from .errors import (
     DimensionMismatchError,
     GenerationError,
     HypothesisViolationError,
+    InternalError,
     InvalidMonodromyError,
     InvalidPairError,
     NonRealizableError,
@@ -34,6 +35,7 @@ __all__ = [
     "DimensionMismatchError",
     "GenerationError",
     "HypothesisViolationError",
+    "InternalError",
     "InvalidMonodromyError",
     "InvalidPairError",
     "NonRealizableError",

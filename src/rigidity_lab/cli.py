@@ -7,7 +7,9 @@ index preservation on one tuple or on a seeded randomized campaign, and
 (stable field order, byte-identical across runs) or ``--format text``.
 
 Exit codes: 0 success, 1 verification failure, 2 input or validation
-problem, 3 non-realizable reconstruction, 4 theorem hypothesis violated.
+problem, 3 non-realizable reconstruction, 4 theorem hypothesis violated,
+5 internal failure (a self-check on a computed result failed, or a random
+campaign exhausted its redraw budget).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .errors import (
     CatalogError,
     GenerationError,
     HypothesisViolationError,
+    InternalError,
     NonRealizableError,
     RigidityLabError,
     ValidationError,
@@ -44,6 +47,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INPUT = 2
 EXIT_NON_REALIZABLE = 3
 EXIT_HYPOTHESIS = 4
+EXIT_INTERNAL = 5
 
 _REDRAWS_PER_TRIAL = 200
 
@@ -407,6 +411,9 @@ def main(argv: list[str] | None = None) -> int:
     except NonRealizableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NON_REALIZABLE
+    except (InternalError, GenerationError) as exc:
+        print(f"error: internal failure: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except RigidityLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

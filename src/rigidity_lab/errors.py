@@ -29,6 +29,10 @@ class GenerationError(RigidityLabError, RuntimeError):
     """Randomized generation exhausted its rejection budget."""
 
 
+class InternalError(RigidityLabError, RuntimeError):
+    """A self-check on a computed result failed: a defect, not bad input."""
+
+
 class NonRealizableError(RigidityLabError, ValueError):
     """The transform's local data cannot be realized by a minimal pair."""
 

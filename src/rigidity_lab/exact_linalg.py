@@ -7,6 +7,11 @@ elimination; centralizer dimensions, unit Jordan blocks and similarity are
 read off the invariant factors of xI - A, a Smith form over Q[x].  All bases
 are the deterministic ones produced by reduced row echelon form with
 leftmost pivots, so repeated runs are bit-identical.
+
+The one computation on integers mod a prime is the irreducibility
+certificate in ``spans_full_algebra``: a full span closure mod the prime
+2^61 - 1 proves a full span over Q, so it can only confirm irreducibility;
+whenever it does not, the exact closure over Q decides.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import re
 from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError, InvalidMonodromyError
@@ -23,6 +29,9 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+# The Mersenne prime 2^61 - 1, modulus of the irreducibility certificate.
+_PRIME = (1 << 61) - 1
 
 
 def format_rational(value: Fraction) -> str:
@@ -232,11 +241,13 @@ def block_diag(blocks: Iterable[QMatrix]) -> QMatrix:
 class Echelon:
     """Row echelon basis of a growing span of vectors of a fixed width.
 
-    The single elimination kernel: every rank, kernel, inverse and span
-    computation feeds vectors through ``add``.  Rows are kept sorted by pivot
-    column with an implicit leading 1 and stored as (column, value) pairs of
-    their other nonzero entries, so a new vector is reduced in one forward
-    pass; stored rows are never touched again.
+    The single elimination kernel over Q: every rank, kernel, inverse and
+    span computation feeds vectors through ``add``.  Rows are kept sorted by
+    pivot column with an implicit leading 1 and stored as (column, value)
+    pairs of their other nonzero entries, so a new vector is reduced in one
+    forward pass; stored rows are never touched again.  ``_EchelonModP`` is
+    the same layout on residues mod a prime, for the irreducibility
+    certificate.
     """
 
     def __init__(self, width: int):
@@ -359,6 +370,84 @@ def coordinates_in_basis(basis: QMatrix, vectors: QMatrix) -> QMatrix:
     return QMatrix(basis.cols, vectors.cols, tuple(x for row in rows for x in row))
 
 
+class _EchelonModP:
+    """``Echelon``'s layout over the integers mod ``_PRIME``.
+
+    Rows are sorted by pivot with an implicit leading 1 and stored as
+    (column, residue) pairs, and a new vector is reduced in one forward pass.
+    Incoming entries may be any integers: they are reduced mod the prime only
+    where a pivot factor or the new pivot is read, and when a row is stored.
+    """
+
+    def __init__(self, width: int):
+        self.width = width
+        self.pivots: list[int] = []
+        self._rows: list[list[tuple[int, int]]] = []
+
+    def __len__(self) -> int:
+        return len(self.pivots)
+
+    def add(self, vector: Iterable[int]) -> bool:
+        """Extend the basis by ``vector`` mod the prime; False when it is
+        already in the span."""
+        vec = list(vector)
+        for p, row in zip(self.pivots, self._rows):
+            f = vec[p] % _PRIME
+            if f:
+                vec[p] = 0
+                for j, x in row:
+                    vec[j] -= f * x
+        pivot = next((j for j, x in enumerate(vec) if x % _PRIME), None)
+        if pivot is None:
+            return False
+        inv = pow(vec[pivot], -1, _PRIME)
+        at = bisect(self.pivots, pivot)
+        self.pivots.insert(at, pivot)
+        self._rows.insert(
+            at,
+            [(j, x * inv % _PRIME) for j in range(pivot + 1, self.width) if (x := vec[j] % _PRIME)],
+        )
+        return True
+
+
+def _full_span_mod_p(generators: Sequence[QMatrix]) -> bool:
+    """Whether the reductions of ``generators`` mod ``_PRIME`` generate all
+    n x n matrices over that prime field; False also when an entry's
+    denominator is divisible by the prime, so that it has no reduction.
+
+    The same closure as the exact one, on integer residues: products are
+    summed exactly and reduced once per entry.
+    """
+    n = generators[0].rows
+    target = n * n
+    reduced = []
+    for g in generators:
+        residues = []
+        for x in g.entries:
+            d = x.denominator
+            if d == 1:
+                residues.append(x.numerator % _PRIME)
+            elif d % _PRIME:
+                residues.append(x.numerator * pow(d, -1, _PRIME) % _PRIME)
+            else:
+                return False
+        reduced.append([residues[i * n : (i + 1) * n] for i in range(n)])
+    basis = _EchelonModP(target)
+    identity = [int(i == j) for i in range(n) for j in range(n)]
+    basis.add(identity)
+    queue = [identity]
+    while queue and len(basis) < target:
+        element = queue.pop()
+        columns = [element[j::n] for j in range(n)]
+        for rows in reduced:
+            product = [sum(map(mul, row, col)) % _PRIME for row in rows for col in columns]
+            if basis.add(product):
+                queue.append(product)
+                if len(basis) == target:
+                    return True
+    return len(basis) == target
+
+
 def spans_full_algebra(generators: Sequence[QMatrix]) -> bool:
     """Whether the n x n matrices ``generators`` generate all of M_n(Q).
 
@@ -366,7 +455,22 @@ def spans_full_algebra(generators: Sequence[QMatrix]) -> bool:
     under left multiplication by the generators until it stabilizes.  The
     dimension of a rational span does not change under field extension, so
     a full span is the same over any extension field.
+
+    The closure runs first on the generators reduced mod the prime
+    ``_PRIME``, as a certificate.  Reduction mod the prime is a ring map on
+    rationals whose denominators it does not divide, so a full span mod the
+    prime means n^2 of the reached products reduce to independent vectors:
+    their n^2 x n^2 matrix has a determinant that is nonzero mod the prime,
+    hence nonzero over Q, and the products span M_n(Q).  Only when that
+    closure stalls below n^2 (the span over Q is smaller, or only the span
+    mod the prime is) or an entry's denominator is divisible by the prime
+    does the exact closure over Q decide.
     """
+    return _full_span_mod_p(generators) or _spans_full_algebra_exact(generators)
+
+
+def _spans_full_algebra_exact(generators: Sequence[QMatrix]) -> bool:
+    """The span closure of ``spans_full_algebra`` in rational arithmetic."""
     n = generators[0].rows
     target = n * n
     basis = Echelon(target)

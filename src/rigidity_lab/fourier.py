@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-from .errors import HypothesisViolationError, NonRealizableError
+from .errors import HypothesisViolationError, InternalError, NonRealizableError
 from .exact_linalg import (
     QMatrix,
     SimilarityInvariant,
@@ -182,10 +182,10 @@ class TupleAnalysis:
         zero_monodromy = block_diag(blocks)
 
         if fixed_space_dim(zero_monodromy) != rank_hat - n:
-            raise RuntimeError("reconstruction failed the kernel-dimension check")
+            raise InternalError("reconstruction failed the kernel-dimension check")
         restricted_zero, _ = restrict_to_image(zero_monodromy)
         if invariant_factors(restricted_zero) != self.infinity_invariants:
-            raise RuntimeError("reconstruction failed the restriction similarity check")
+            raise InternalError("reconstruction failed the restriction similarity check")
 
         return FourierLocalData(
             rank_hat=rank_hat,

@@ -2,14 +2,17 @@
 
 Everything here is deliberately written from first principles (Jordan data,
 characteristic polynomials via Faddeev-LeVerrier, the min(m_i, m_j)
-partition count, the commutation system, the rank sequence of (A - I)^j) so
-library results are checked against a second route.
+partition count, the commutation system, the rank sequence of (A - I)^j,
+span closures ranked by sympy) so library results are checked against a
+second route.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+
+import sympy
 
 from rigidity_lab.exact_linalg import QMatrix, block_diag, jordan_block, matrix_rank
 
@@ -146,3 +149,23 @@ def unit_partition_by_ranks(matrix: QMatrix) -> tuple[int, ...]:
     for j in range(n, 0, -1):
         sizes.extend([j] * (at_least[j - 1] - at_least[j]))
     return tuple(sizes)
+
+
+def span_closure_dimension(generators: list[QMatrix]) -> int:
+    """Dimension of the algebra the matrices generate, by sympy ranks.
+
+    Level by level: the words of the current basis times each generator join
+    the basis, sympy's row echelon form keeps an independent subset, and the
+    closure ends at the first level that adds nothing.
+    """
+    n = generators[0].rows
+    gens = [sympy.Matrix(n, n, [sympy.Rational(x.numerator, x.denominator) for x in g.entries])
+            for g in generators]
+    basis = [sympy.eye(n)]
+    while True:
+        words = basis + [g * b for b in basis for g in gens]
+        stacked = sympy.Matrix([list(w) for w in words])
+        independent = stacked.T.rref()[1]
+        if len(independent) == len(basis):
+            return len(basis)
+        basis = [words[i] for i in independent]

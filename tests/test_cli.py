@@ -4,9 +4,10 @@ import sys
 
 import pytest
 
-from rigidity_lab import exact_linalg, local_systems
+from rigidity_lab import cli, exact_linalg, fourier, local_systems
 from rigidity_lab.catalog import CATALOG_ENV_VAR, load_catalog
 from rigidity_lab.cli import CampaignConfig, main, run_campaign
+from rigidity_lab.local_systems import tuple_from_json
 
 
 def run_cli(capsys, *argv):
@@ -326,21 +327,52 @@ class TestComputeOnce:
         path = write_json(tmp_path, "t.json", FOURPOINT2)
         validate = count_calls(monkeypatch, local_systems, "validate")
         closure = count_calls(monkeypatch, exact_linalg, "spans_full_algebra")
+        exact = count_calls(monkeypatch, exact_linalg, "_spans_full_algebra_exact")
         factors = count_calls(monkeypatch, exact_linalg, "invariant_factors")
         restrict = count_calls(monkeypatch, exact_linalg, "restrict_to_image")
         code, _, _ = run_cli(capsys, command, "--input", path)
         assert code == 0
         assert (len(validate), len(closure)) == (1, 1)
+        assert len(exact) == 0  # the mod-p certificate settles an irreducible tuple
         assert len(factors) == factorizations
         assert len(restrict) == restrictions
+
+    def test_reducible_runs_the_exact_closure_once(self, capsys, tmp_path, monkeypatch):
+        path = write_json(tmp_path, "red.json", REDUCIBLE_DIAGONAL)
+        closure = count_calls(monkeypatch, exact_linalg, "spans_full_algebra")
+        exact = count_calls(monkeypatch, exact_linalg, "_spans_full_algebra_exact")
+        code, _, _ = run_cli(capsys, "verify", "--input", path, "--force")
+        assert code == 0
+        assert (len(closure), len(exact)) == (1, 1)
 
     def test_campaign_draw(self, capsys, monkeypatch):
         draws = count_calls(monkeypatch, local_systems, "random_tuple")
         validate = count_calls(monkeypatch, local_systems, "validate")
         closure = count_calls(monkeypatch, exact_linalg, "spans_full_algebra")
+        exact = count_calls(monkeypatch, exact_linalg, "_spans_full_algebra_exact")
         code, _, _ = run_cli(capsys, "verify", "--random", "--trials", "10", "--seed", "5")
         assert code == 0
         assert len(validate) == len(closure) == len(draws) >= 10
+        # only the reducible draws, redrawn, need the exact closure
+        assert len(exact) == len(draws) - 10
+
+
+class TestInternalFailures:
+    def test_failed_self_check_exit_5(self, capsys, tmp_path, monkeypatch):
+        path = write_json(tmp_path, "t.json", FOURPOINT2)
+        monkeypatch.setattr(fourier, "fixed_space_dim", lambda matrix: -1)
+        code, out, err = run_cli(capsys, "fourier", "--input", path)
+        assert code == cli.EXIT_INTERNAL == 5
+        assert out == ""
+        assert err == "error: internal failure: reconstruction failed the kernel-dimension check\n"
+
+    def test_generation_exhausted_exit_5(self, capsys, monkeypatch):
+        reducible = tuple_from_json(REDUCIBLE_DIAGONAL)
+        monkeypatch.setattr(cli, "random_tuple", lambda rank, k, seed: reducible)
+        code, out, err = run_cli(capsys, "verify", "--random", "--trials", "1")
+        assert code == 5
+        assert out == ""
+        assert err == "error: internal failure: trial 0: no irreducible tuple found in 200 draws\n"
 
 
 class TestCampaignInternals:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rigidity_lab import exact_linalg
 from rigidity_lab.errors import DimensionMismatchError, InvalidMonodromyError
 from rigidity_lab.exact_linalg import (
     QMatrix,
@@ -23,6 +24,7 @@ from rigidity_lab.exact_linalg import (
     restrict_to_image,
     rref_decompose,
     similar,
+    spans_full_algebra,
     split_unit_part,
     _pmul,
 )
@@ -36,6 +38,7 @@ from support import (
     random_invertible,
     random_jordan_data,
     random_unit_mixed_matrix,
+    span_closure_dimension,
     unit_partition_by_ranks,
 )
 
@@ -385,6 +388,49 @@ class TestSimilarity:
     def test_empty_matrices_similar(self):
         assert similar(QMatrix.zeros(0, 0), QMatrix.zeros(0, 0))
         assert invariant_factors(QMatrix.zeros(0, 0)).invariant_factors == ()
+
+
+def _fixing_subspace(rng: random.Random, n: int, d: int) -> QMatrix:
+    """Invertible matrix mapping span(e_1, ..., e_d) into itself."""
+    while True:
+        m = QMatrix.from_rows(
+            [[0 if i >= d > j else rng.randint(-2, 2) for j in range(n)] for i in range(n)]
+        )
+        if m.is_invertible():
+            return m
+
+
+class TestSpanClosure:
+    def test_agrees_with_sympy_closure(self, monkeypatch):
+        exact = []
+        original = exact_linalg._spans_full_algebra_exact
+        monkeypatch.setattr(
+            exact_linalg,
+            "_spans_full_algebra_exact",
+            lambda gens: exact.append(gens) or original(gens),
+        )
+        rng = random.Random(4)
+        not_full = 0
+        for n in range(1, 6):
+            for trial in range(4):
+                k = rng.randint(1, 3)
+                if trial % 2:
+                    finite = [_fixing_subspace(rng, n, rng.randint(1, max(1, n - 1))) for _ in range(k)]
+                else:
+                    finite = [random_invertible(rng, n) for _ in range(k)]
+                product = finite[0]
+                for m in finite[1:]:
+                    product = product @ m
+                gens = finite + [product.inverse()]
+                if trial >= 2:  # entries with denominators
+                    p = random_invertible(rng, n)
+                    gens = [conjugate(g, p) for g in gens]
+                full = span_closure_dimension(gens) == n * n
+                assert spans_full_algebra(gens) == full
+                not_full += not full
+        assert 5 < not_full < 15
+        # the certificate settles every full span; only the others run exactly
+        assert len(exact) == not_full
 
 
 def test_polynomial_rendering():

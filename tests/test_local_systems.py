@@ -1,7 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from rigidity_lab import exact_linalg
 from rigidity_lab.errors import ValidationError
 from rigidity_lab.exact_linalg import QMatrix
 from rigidity_lab.local_systems import (
@@ -167,6 +169,28 @@ class TestIrreducibility:
     def test_irreducible_witness(self):
         assert is_irreducible(HYPERGEOMETRIC2)
         assert is_irreducible(FOURPOINT2)
+
+    def test_reducible_mod_the_certificate_prime(self):
+        # B is the identity mod p, so mod p the closure stalls on the algebra
+        # of A; over Q, A - 1 and B - 1 already span the off-diagonal units.
+        p = exact_linalg._PRIME
+        t = monodromy_tuple(
+            2,
+            [(0, QMatrix.from_rows([[1, 1], [0, 1]])), (1, QMatrix.from_rows([[1, 0], [p, 1]]))],
+        )
+        assert not exact_linalg._full_span_mod_p(t.matrices())
+        assert is_irreducible(t)
+
+    def test_denominator_divisible_by_the_certificate_prime(self):
+        p = exact_linalg._PRIME
+        t = monodromy_tuple(
+            2,
+            [
+                (0, QMatrix.from_rows([[1, Fraction(1, p)], [0, 1]])),
+                (1, QMatrix.from_rows([[1, 0], [1, 1]])),
+            ],
+        )
+        assert is_irreducible(t)
 
     def test_physical_rigidity(self):
         assert rigidity_report(rank1("2", "3")).physically_rigid
