@@ -1,17 +1,34 @@
-"""Time the irreducibility span closure: the mod-p certificate against the exact closure.
+"""Time the exact kernels: the irreducibility span closure, invariant factors and the product.
 
     python3 bench/kernels.py [--runs 3] [--out BENCH.json]
 
-Run from the repository root; the library is imported from ``src/``.  For
-each rank n = 2..8 it builds two fixed-seed tuples, a hypergeometric
-(Levelt) tuple (C_f, C_f^-1 C_g; C_g^-1) with g = (x - 1)^n and a dense
-random tuple on three finite points, and times
-``exact_linalg._full_span_mod_p`` (the certificate) and
-``exact_linalg._spans_full_algebra_exact`` on its matrices, reporting the
-median of ``--runs`` runs in milliseconds.  Both answers are recorded; on
-these tuples they agree.  With ``--out``, the result is written into that
-JSON file under the keys ``environment`` and ``kernels``; other keys
-already in the file are kept.
+Run from the repository root; the library is imported from ``src/`` and the
+reference routes from ``tests/support.py``.  Each figure is the median of
+``--runs`` runs in milliseconds.
+
+- ``kernels``: for each rank n = 2..8, two fixed-seed tuples, a
+  hypergeometric (Levelt) tuple (C_f, C_f^-1 C_g; C_g^-1) with
+  g = (x - 1)^n and a dense random tuple on three finite points, and the
+  times of ``exact_linalg._full_span_mod_p`` (the certificate) and
+  ``exact_linalg._spans_full_algebra_exact`` on its matrices.  Both answers
+  are recorded; on these tuples they agree.
+- ``invariant_factors``: ``exact_linalg.invariant_factors`` (the Krylov
+  kernel) against ``support.smith_invariant_factors`` (the Smith form of the
+  full xI - A), whose answers must agree, on fixed-seed n x n matrices for
+  n = 2..32 of two families: ``dense``, small rationals, and
+  ``zero_monodromy``, shaped like the transform's monodromy at zero: a dense
+  block of size about n/3, unit Jordan blocks of sizes 2 and 3, and identity
+  padding.  The oracle grows much faster than the kernel: a first oracle
+  run that passes ``ORACLE_CAP_S`` seconds is its only one at that size
+  (``smith_runs`` records the count), and the oracle is left out at the
+  larger sizes.
+- ``product``: ``QMatrix.__matmul__`` (on integers) against
+  ``support.loop_matmul`` (the schoolbook loop on fractions), whose answers
+  must agree, on the square of a fresh matrix of either family by another.
+
+With ``--out``, the result is written into that JSON file under the keys
+``environment``, ``kernels``, ``invariant_factors`` and ``product``; other
+keys already in the file are kept.
 """
 
 from __future__ import annotations
@@ -25,16 +42,20 @@ import statistics
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from math import comb
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MAX_RANK = 8  # the exact closure takes about a second at rank 8, and grows as n^6
-sys.path.insert(0, str(ROOT / "src"))
+SIZES = (2, 3, 4, 6, 8, 12, 16, 24, 32)
+ORACLE_CAP_S = 5.0
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from rigidity_lab import exact_linalg  # noqa: E402
-from rigidity_lab.exact_linalg import QMatrix  # noqa: E402
+from rigidity_lab.exact_linalg import QMatrix, block_diag, jordan_block  # noqa: E402
 from rigidity_lab.local_systems import random_tuple  # noqa: E402
+from support import loop_matmul, smith_invariant_factors  # noqa: E402
 
 
 def companion(coeffs: list[int]) -> QMatrix:
@@ -56,14 +77,89 @@ def levelt_generators(n: int, seed: int) -> list[QMatrix]:
     return [cf, cf.inverse() @ cg, cg.inverse()]
 
 
-def median_ms(function, generators: list[QMatrix], runs: int) -> tuple[float, bool]:
-    times, answers = [], set()
+def dense_matrix(rng: random.Random, n: int) -> QMatrix:
+    return QMatrix.from_rows(
+        [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
+    )
+
+
+def zero_monodromy_matrix(rng: random.Random, n: int) -> QMatrix:
+    """block_diag(dense, J_2(1), J_3(1), I_p), the parts that fit in n."""
+    rest = n - max(1, n // 3)
+    blocks = [dense_matrix(rng, n - rest)]
+    for size in (2, 3):
+        if rest >= size:
+            blocks.append(jordan_block(size, 1))
+            rest -= size
+    blocks.append(QMatrix.identity(rest))
+    return block_diag(blocks)
+
+
+FAMILIES = {"dense": dense_matrix, "zero_monodromy": zero_monodromy_matrix}
+
+
+def median_ms(function, argument, runs: int, cap_s: float = float("inf")):
+    """(median ms, the answer, the runs made) over ``runs`` calls, whose
+    answers must all agree; a first call that takes more than ``cap_s``
+    seconds is the only one."""
+    times, answers = [], []
     for _ in range(runs):
         begin = time.perf_counter()
-        answers.add(function(generators))
+        answers.append(function(argument))
         times.append((time.perf_counter() - begin) * 1e3)
-    (answer,) = answers
-    return statistics.median(times), answer
+        if times[0] > cap_s * 1e3:
+            break
+    if any(answer != answers[0] for answer in answers):
+        raise RuntimeError(f"{function.__name__} gave different answers on one input")
+    return statistics.median(times), answers[0], len(times)
+
+
+def invariant_factor_rows(runs: int) -> list[dict]:
+    rows = []
+    for family, make in FAMILIES.items():
+        oracle_open = True
+        for n in SIZES:
+            matrix = make(random.Random(f"{family}:{n}"), n)
+            krylov_ms, factors, _ = median_ms(exact_linalg.invariant_factors, matrix, runs)
+            row = {"family": family, "n": n, "krylov_ms": round(krylov_ms, 3)}
+            if oracle_open:
+                smith_ms, oracle, made = median_ms(
+                    smith_invariant_factors, matrix, runs, ORACLE_CAP_S
+                )
+                if oracle != factors:
+                    raise RuntimeError(f"{family} n={n}: the kernel disagrees with the oracle")
+                oracle_open = made == runs
+                row.update(
+                    smith_ms=round(smith_ms, 3),
+                    smith_runs=made,
+                    speedup=round(smith_ms / krylov_ms, 1),
+                )
+            row["factors"] = len(factors.invariant_factors)
+            print(json.dumps(row), flush=True)
+            rows.append(row)
+    return rows
+
+
+def product_rows(runs: int) -> list[dict]:
+    rows = []
+    for family, make in FAMILIES.items():
+        for n in SIZES:
+            rng = random.Random(f"product:{family}:{n}")
+            pair = make(rng, n), make(rng, n)
+            integer_ms, product, _ = median_ms(lambda ab: ab[0] @ ab[1], pair, runs)
+            loop_ms, reference, _ = median_ms(lambda ab: loop_matmul(*ab), pair, runs)
+            if product != reference:
+                raise RuntimeError(f"{family} n={n}: the product disagrees with the loop")
+            row = {
+                "family": family,
+                "n": n,
+                "integer_ms": round(integer_ms, 3),
+                "loop_ms": round(loop_ms, 3),
+                "speedup": round(loop_ms / integer_ms, 1),
+            }
+            print(json.dumps(row), flush=True)
+            rows.append(row)
+    return rows
 
 
 def environment() -> dict:
@@ -97,8 +193,12 @@ def main() -> None:
             "dense": random_tuple(n, 3, seed=n).matrices(),
         }
         for family, generators in families.items():
-            mod_p_ms, certified = median_ms(exact_linalg._full_span_mod_p, generators, args.runs)
-            exact_ms, full = median_ms(exact_linalg._spans_full_algebra_exact, generators, args.runs)
+            mod_p_ms, certified, _ = median_ms(
+                exact_linalg._full_span_mod_p, generators, args.runs
+            )
+            exact_ms, full, _ = median_ms(
+                exact_linalg._spans_full_algebra_exact, generators, args.runs
+            )
             row = {
                 "family": family,
                 "rank": n,
@@ -118,6 +218,18 @@ def main() -> None:
             "unit": "ms, median of runs",
             "runs": args.runs,
             "rows": rows,
+        },
+        "invariant_factors": {
+            "what": "invariant factors: Krylov kernel vs Smith form of the full xI - A (oracle)",
+            "unit": "ms, median of runs (smith_runs of them for the oracle)",
+            "runs": args.runs,
+            "rows": invariant_factor_rows(args.runs),
+        },
+        "product": {
+            "what": "n x n product: integer dot products vs the schoolbook loop on fractions",
+            "unit": "ms, median of runs",
+            "runs": args.runs,
+            "rows": product_rows(args.runs),
         },
     }
     if args.out:

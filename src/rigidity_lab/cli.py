@@ -40,7 +40,7 @@ from .fourier import (
     irregularity_end,
     preservation_report_to_json,
 )
-from .local_systems import MonodromyTuple, random_tuple, tuple_from_json, tuple_to_json
+from .local_systems import MAX_RANK, MonodromyTuple, random_tuple, tuple_from_json, tuple_to_json
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -352,6 +352,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _campaign_rank(text: str) -> int:
+    value = _positive_int(text)
+    if value > MAX_RANK:
+        raise argparse.ArgumentTypeError(f"expected a rank of at most {MAX_RANK}, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rigidity-lab",
@@ -376,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--input", help="tuple JSON file, or - for stdin")
     verify.add_argument("--random", action="store_true", help="run a randomized campaign")
     verify.add_argument("--trials", type=_positive_int, default=100)
-    verify.add_argument("--max-rank", type=_positive_int, default=4)
+    verify.add_argument("--max-rank", type=_campaign_rank, default=4)
     verify.add_argument(
         "--max-points", type=_positive_int, default=4, help="max number of finite points"
     )

@@ -3,10 +3,14 @@
 Matrices carry ``fractions.Fraction`` entries in row-major order and every
 computation is exact, never from floating point and never from eigenvalue
 factorization.  Ranks, kernels, inverses and spans come out of rational
-elimination; centralizer dimensions, unit Jordan blocks and similarity are
-read off the invariant factors of xI - A, a Smith form over Q[x].  All bases
-are the deterministic ones produced by reduced row echelon form with
-leftmost pivots, so repeated runs are bit-identical.
+elimination.  Centralizer dimensions, unit Jordan blocks and similarity are
+read off the invariant factors of xI - A: a Krylov basis of A, scaled to
+integers, splits Q^n into cyclic blocks, and a Smith form over Q[x] runs
+only on the small matrix of relations between those blocks.  Products are
+summed on integers, each factor scaled by the least common multiple of its
+denominators, with one division per entry.  All bases are the deterministic
+ones produced by reduced row echelon form with leftmost pivots, so repeated
+runs are bit-identical.
 
 The one computation on integers mod a prime is the irreducibility
 certificate in ``spans_full_algebra``: a full span closure mod the prime
@@ -20,6 +24,7 @@ import re
 from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -135,18 +140,15 @@ class QMatrix:
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         n, k, m = self.rows, self.cols, other.cols
-        out = [_ZERO] * (n * m)
-        for i in range(n):
-            base = i * k
-            for t in range(k):
-                a = self.entries[base + t]
-                if a:
-                    obase = t * m
-                    row = i * m
-                    for j in range(m):
-                        b = other.entries[obase + j]
-                        if b:
-                            out[row + j] += a * b
+        left, left_scale = _scaled_to_integers(self.entries)
+        right, right_scale = _scaled_to_integers(other.entries)
+        rows = [left[i * k : (i + 1) * k] for i in range(n)]
+        columns = [right[j::m] for j in range(m)]
+        scale = left_scale * right_scale
+        if scale == 1:
+            out = [Fraction(sum(map(mul, row, col))) for row in rows for col in columns]
+        else:
+            out = [Fraction(sum(map(mul, row, col)), scale) for row in rows for col in columns]
         return QMatrix(n, m, tuple(out))
 
     def __pow__(self, exponent: int) -> "QMatrix":
@@ -187,6 +189,15 @@ class QMatrix:
             for i in range(self.rows)
         )
         return f"[{body}]"
+
+
+def _scaled_to_integers(entries: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The integers d * x for the entries x, where d is the least common
+    multiple of their denominators, and d."""
+    scale = lcm(*(x.denominator for x in entries))
+    if scale == 1:
+        return [x.numerator for x in entries], 1
+    return [x.numerator * (scale // x.denominator) for x in entries], scale
 
 
 def matrix_to_json(matrix: QMatrix) -> list[list[str]]:
@@ -242,12 +253,14 @@ class Echelon:
     """Row echelon basis of a growing span of vectors of a fixed width.
 
     The single elimination kernel over Q: every rank, kernel, inverse and
-    span computation feeds vectors through ``add``.  Rows are kept sorted by
-    pivot column with an implicit leading 1 and stored as (column, value)
-    pairs of their other nonzero entries, so a new vector is reduced in one
-    forward pass; stored rows are never touched again.  ``_EchelonModP`` is
-    the same layout on residues mod a prime, for the irreducibility
-    certificate.
+    span computation feeds vectors through ``add``, and the Krylov spin of
+    ``invariant_factors`` through its two steps, ``reduce`` and ``insert``,
+    because it reads what a vector in the span reduces to.  Rows are kept
+    sorted by pivot column with an implicit leading 1 and stored as
+    (column, value) pairs of their other nonzero entries, so a new vector is
+    reduced in one forward pass; stored rows are never touched again.
+    ``_EchelonModP`` is the same layout on residues mod a prime, for the
+    irreducibility certificate.
     """
 
     def __init__(self, width: int):
@@ -260,6 +273,16 @@ class Echelon:
 
     def add(self, vector: Iterable[Fraction]) -> bool:
         """Extend the basis by ``vector``; False when it is already in the span."""
+        vec = self.reduce(vector)
+        pivot = next((j for j, x in enumerate(vec) if x), None)
+        if pivot is None:
+            return False
+        self.insert(vec, pivot)
+        return True
+
+    def reduce(self, vector: Iterable[Fraction]) -> list[Fraction]:
+        """``vector`` minus the combination of the basis rows that clears it
+        at every pivot column."""
         vec = list(vector)
         for p, row in zip(self.pivots, self._rows):
             f = vec[p]
@@ -267,14 +290,17 @@ class Echelon:
                 vec[p] = _ZERO
                 for j, x in row:
                     vec[j] -= f * x
-        pivot = next((j for j, x in enumerate(vec) if x), None)
-        if pivot is None:
-            return False
-        inv = _ONE / vec[pivot]
+        return vec
+
+    def insert(self, reduced: list[Fraction], pivot: int) -> None:
+        """Store a vector returned by ``reduce`` whose first nonzero entry is
+        at column ``pivot``."""
+        inv = _ONE / reduced[pivot]
         at = bisect(self.pivots, pivot)
         self.pivots.insert(at, pivot)
-        self._rows.insert(at, [(j, vec[j] * inv) for j in range(pivot + 1, self.width) if vec[j]])
-        return True
+        self._rows.insert(
+            at, [(j, reduced[j] * inv) for j in range(pivot + 1, self.width) if reduced[j]]
+        )
 
     def reduced_rows(self) -> list[list[Fraction]]:
         """The basis in reduced row echelon form, by back-substitution.
@@ -761,27 +787,88 @@ def _smith_diagonal(m: list[list[Poly]]) -> list[Poly]:
     return [m[i][i] for i in range(size)]
 
 
+def _relation_matrix(rows: list[list[int]]) -> list[list[Poly]]:
+    """Relation matrix over Q[y] of the Krylov blocks of the square integer
+    matrix B with rows ``rows``.
+
+    Spins e_n, e_{n-1}, ..., e_1 under B into one echelon basis: a start
+    vector v outside the span opens a block v, Bv, B^2 v, ..., which ends at
+    the first product in the span, the block's tail.  Starting from the last
+    basis vector keeps an upper Jordan block one block.  The basis rows
+    carry n more columns, a row's coordinates in the Krylov vectors K_k: the
+    k-th is stored with a 1 in column n + k.  Reducing a vector w with zeros
+    there leaves w + sum_k c_k K_k in the first n columns and the c_k in the
+    others, so a tail, which lies in the span, leaves zeros in the first n
+    columns and minus its coordinates in the others.  In row i of
+    the relation matrix, the entry in column j <= i is the polynomial whose
+    coefficients, in ascending powers of y, are those c_k of block j's
+    Krylov vectors, plus y^{d_i} on the diagonal; entries right of the
+    diagonal are zero.
+    """
+    n = len(rows)
+    basis = Echelon(2 * n)
+    blocks: list[tuple[int, int]] = []  # (offset, degree) per block
+    relations: list[list[Poly]] = []
+    start = n
+    while len(basis) < n:
+        start -= 1
+        vector = [0] * n
+        vector[start] = 1
+        offset = len(basis)
+        while True:
+            reduced = basis.reduce(vector + [_ZERO] * n)
+            pivot = next((j for j in range(n) if reduced[j]), None)
+            if pivot is None:
+                break
+            reduced[n + len(basis)] = _ONE
+            basis.insert(reduced, pivot)
+            vector = [sum(map(mul, row, vector)) for row in rows]
+        if len(basis) > offset:
+            coefficients = reduced[n:]
+            row = [_ptrim(coefficients[at : at + d]) for at, d in blocks]
+            row.append((*coefficients[offset : len(basis)], _ONE))
+            blocks.append((offset, len(basis) - offset))
+            relations.append(row)
+    for row in relations:
+        row.extend([()] * (len(relations) - len(row)))
+    return relations
+
+
 def invariant_factors(matrix: QMatrix) -> SimilarityInvariant:
     """Invariant factors of the characteristic matrix xI - A.
 
     Constant factors are dropped; the remaining monic factors form a
     divisibility chain whose product is the characteristic polynomial, which
     pins down the similarity class of A.
+
+    They are read off a Krylov basis of the integer matrix B = dA, d the
+    least common multiple of A's denominators.  ``_relation_matrix`` splits
+    Q^n into r cyclic blocks v_i, Bv_i, ..., B^{d_i - 1} v_i whose tails
+    B^{d_i} v_i lie in the span of blocks 1..i.  Writing block j's share of
+    tail i as p_ij(B) v_j, the rows y^{d_i} e_i - sum_{j <= i} p_ij(y) e_j
+    lie in the kernel of the Q[y]-module map Q[y]^r -> Q^n that takes e_i
+    to v_i, with y acting as B.  The map is onto, and the rows form a lower
+    triangular matrix with monic diagonal entries of degrees d_i, so the
+    quotient by them has dimension sum d_i = n over Q: they generate the
+    kernel.  This r x r relation matrix therefore presents Q^n with y acting
+    as B, as yI - B does, and the two have the same non-constant invariant
+    factors, read off its Smith form; with r = 1 its one entry is the only
+    factor.  As A = B / d, each factor f of B gives A's f(dx) / d^deg f.
     """
     if not matrix.is_square:
         raise DimensionMismatchError("invariant factors require a square matrix")
     n = matrix.rows
-    char: list[list[Poly]] = []
-    for i in range(n):
-        row: list[Poly] = []
-        for j in range(n):
-            if i == j:
-                row.append(_ptrim((-matrix.entry(i, j), _ONE)))
-            else:
-                row.append(_ptrim((-matrix.entry(i, j),)))
-        char.append(row)
-    diag = _smith_diagonal(char)
-    return SimilarityInvariant(tuple(f for f in diag if _pdeg(f) > 0))
+    if n == 1:  # the one factor x - a, without the set-up of a spin
+        return SimilarityInvariant(((-matrix.entries[0], _ONE),))
+    entries, scale = _scaled_to_integers(matrix.entries)
+    relations = _relation_matrix([entries[i * n : (i + 1) * n] for i in range(n)])
+    if len(relations) > 1:
+        factors = [f for f in _smith_diagonal(relations) if _pdeg(f) > 0]
+    else:
+        factors = [row[0] for row in relations]
+    if scale > 1:
+        factors = [tuple(c / scale ** (_pdeg(f) - k) for k, c in enumerate(f)) for f in factors]
+    return SimilarityInvariant(tuple(factors))
 
 
 def centralizer_dimension(matrix: QMatrix) -> int:

@@ -28,6 +28,11 @@ from .exact_linalg import (
 _RANDOM_ENTRY_BOUND = 2
 _MAX_DRAWS_PER_MATRIX = 200
 
+# Input bounds: the analysis costs about n^6 operations on entries whose
+# size grows with the input's, so these keep one input's work bounded.
+MAX_RANK = 16
+MAX_ENTRY_BITS = 256
+
 
 class FinitePoint(NamedTuple):
     location: Fraction
@@ -172,13 +177,33 @@ def tuple_to_json(t: MonodromyTuple) -> dict:
     }
 
 
+def _bounded_matrix(data: object) -> QMatrix:
+    matrix = matrix_from_json(data)
+    if max(matrix.rows, matrix.cols) > MAX_RANK:
+        raise ValueError(
+            f"a {matrix.rows}x{matrix.cols} matrix is larger than {MAX_RANK}x{MAX_RANK}"
+        )
+    if any(
+        max(x.numerator.bit_length(), x.denominator.bit_length()) > MAX_ENTRY_BITS
+        for x in matrix.entries
+    ):
+        raise ValueError(
+            f"a matrix entry has a numerator or denominator of more than {MAX_ENTRY_BITS} bits"
+        )
+    return matrix
+
+
 def tuple_from_json(data: object) -> MonodromyTuple:
-    """Parse the tuple schema, raising ValueError on any shape problem."""
+    """Parse the tuple schema, raising ValueError on any shape problem, on a
+    rank or a matrix side above ``MAX_RANK`` and on a matrix entry whose
+    numerator or denominator has more than ``MAX_ENTRY_BITS`` bits."""
     if not isinstance(data, dict):
         raise ValueError("tuple document must be a JSON object")
     if "rank" not in data or not isinstance(data["rank"], int) or isinstance(data["rank"], bool):
         raise ValueError('"rank" must be an integer')
     rank = data["rank"]
+    if rank > MAX_RANK:
+        raise ValueError(f'"rank" is {rank}, more than the maximum {MAX_RANK}')
     raw_points = data.get("finite_points")
     if not isinstance(raw_points, list) or not raw_points:
         raise ValueError('"finite_points" must be a non-empty array')
@@ -192,8 +217,8 @@ def tuple_from_json(data: object) -> MonodromyTuple:
             loc = parse_rational(item["location"])
         except ValueError as exc:
             raise ValueError(f"bad location at finite point #{idx}: {exc}") from exc
-        points.append((loc, matrix_from_json(item["matrix"])))
+        points.append((loc, _bounded_matrix(item["matrix"])))
     infinity = data.get("infinity_matrix")
     if infinity is not None:
-        return MonodromyTuple(rank, tuple(FinitePoint(*p) for p in points), matrix_from_json(infinity))
+        return MonodromyTuple(rank, tuple(FinitePoint(*p) for p in points), _bounded_matrix(infinity))
     return monodromy_tuple(rank, points)

@@ -3,8 +3,11 @@
 Everything here is deliberately written from first principles (Jordan data,
 characteristic polynomials via Faddeev-LeVerrier, the min(m_i, m_j)
 partition count, the commutation system, the rank sequence of (A - I)^j,
-span closures ranked by sympy) so library results are checked against a
-second route.
+span closures ranked by sympy, the schoolbook product on fractions) so
+library results are checked against a second route.  The one exception,
+``smith_invariant_factors``, reuses the library's Smith step, but on the
+full characteristic matrix xI - A, so it checks the Krylov front end of
+``invariant_factors``; the oracles above check the Smith step itself.
 """
 
 from __future__ import annotations
@@ -14,7 +17,15 @@ from fractions import Fraction
 
 import sympy
 
-from rigidity_lab.exact_linalg import QMatrix, block_diag, jordan_block, matrix_rank
+from rigidity_lab.exact_linalg import (
+    QMatrix,
+    SimilarityInvariant,
+    _ptrim,
+    _smith_diagonal,
+    block_diag,
+    jordan_block,
+    matrix_rank,
+)
 
 
 def random_invertible(rng: random.Random, n: int, bound: int = 2, forbid_identity: bool = False) -> QMatrix:
@@ -169,3 +180,30 @@ def span_closure_dimension(generators: list[QMatrix]) -> int:
         if len(independent) == len(basis):
             return len(basis)
         basis = [words[i] for i in independent]
+
+
+def smith_invariant_factors(matrix: QMatrix) -> SimilarityInvariant:
+    """Invariant factors from the Smith form of the full n x n matrix xI - A."""
+    n = matrix.rows
+    char = [
+        [_ptrim(((-matrix.entry(i, j), Fraction(1)) if i == j else (-matrix.entry(i, j),)))
+         for j in range(n)]
+        for i in range(n)
+    ]
+    return SimilarityInvariant(tuple(f for f in _smith_diagonal(char) if len(f) > 1))
+
+
+def loop_matmul(a: QMatrix, b: QMatrix) -> QMatrix:
+    """The product by the schoolbook loop in rational arithmetic, skipping
+    zero entries."""
+    n, k, m = a.rows, a.cols, b.cols
+    out = [Fraction(0)] * (n * m)
+    for i in range(n):
+        for t in range(k):
+            x = a.entries[i * k + t]
+            if x:
+                for j in range(m):
+                    y = b.entries[t * m + j]
+                    if y:
+                        out[i * m + j] += x * y
+    return QMatrix(n, m, tuple(out))

@@ -107,6 +107,60 @@ class TestRig:
         assert "schema violation" in err
 
 
+def rank_one(entry):
+    return {"rank": 1, "finite_points": [{"location": "0", "matrix": [[entry]]}]}
+
+
+class TestInputBounds:
+    # Rank, matrix sides and entry sizes are bounded, so that a small input
+    # cannot ask for an unbounded analysis.
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            (
+                {"rank": 17, "finite_points": [{"location": "0", "matrix": [["2"] * 17] * 17}]},
+                '"rank" is 17, more than the maximum 16',
+            ),
+            (
+                {"rank": 2, "finite_points": [{"location": "0", "matrix": [["2"] * 17] * 17}]},
+                "a 17x17 matrix is larger than 16x16",
+            ),
+            (rank_one(str(2**256)), "more than 256 bits"),
+            (rank_one(f"-1/{2**256}"), "more than 256 bits"),
+            (
+                dict(rank_one("2"), infinity_matrix=[[f"{2**256}/3"]]),
+                "more than 256 bits",
+            ),
+        ],
+        ids=["rank", "matrix-side", "numerator", "denominator", "infinity-entry"],
+    )
+    def test_oversized_input_exit_2(self, capsys, tmp_path, payload, message):
+        path = write_json(tmp_path, "big.json", payload)
+        code, out, err = run_cli(capsys, "verify", "--input", path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: schema violation: ") and err.count("\n") == 1
+        assert message in err
+
+    def test_largest_input_parses(self):
+        edge = f"-{2**256 - 1}/{2**256 - 1 - 2}"
+        matrix = [[edge if i == j else "0" for j in range(16)] for i in range(16)]
+        t = tuple_from_json(
+            {"rank": 16, "finite_points": [{"location": "0", "matrix": matrix}], "infinity_matrix": matrix}
+        )
+        assert t.rank == 16
+
+    def test_campaign_rank_is_bounded(self, capsys):
+        assert main(["verify", "--random", "--trials", "1", "--max-rank", "16", "--max-points", "1"]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--random", "--max-rank", "17"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and err.count("error:") == 1
+        assert "expected a rank of at most 16, got '17'" in err
+
+
 class TestFourier:
     def test_worked_example(self, capsys, tmp_path):
         path = write_json(tmp_path, "t.json", RANK1_TWOPOINT)

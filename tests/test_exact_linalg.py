@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rigidity_lab import exact_linalg
@@ -26,6 +26,7 @@ from rigidity_lab.exact_linalg import (
     similar,
     spans_full_algebra,
     split_unit_part,
+    _pdivmod,
     _pmul,
 )
 
@@ -34,10 +35,12 @@ from support import (
     commutation_centralizer_dimension,
     conjugate,
     jordan_from_data,
+    loop_matmul,
     partition_formula,
     random_invertible,
     random_jordan_data,
     random_unit_mixed_matrix,
+    smith_invariant_factors,
     span_closure_dimension,
     unit_partition_by_ranks,
 )
@@ -67,6 +70,24 @@ rational_matrices = st.tuples(
 ).map(QMatrix.from_rows)
 
 
+def _rational_block(shape: tuple[int, int]):
+    """Matrices of the given shape with small rational entries, some rows zero."""
+    rows, cols = shape
+    entry = st.one_of(st.just(Fraction(0)), st.fractions(-3, 3, max_denominator=4))
+    row = st.one_of(st.just([Fraction(0)] * cols), st.lists(entry, min_size=cols, max_size=cols))
+    return st.lists(row, min_size=rows, max_size=rows).map(
+        lambda r: QMatrix(rows, cols, tuple(x for line in r for x in line))
+    )
+
+
+# factors up to 4x5 @ 5x3, empty shapes included
+product_factors = st.tuples(
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=0, max_value=5),
+    st.integers(min_value=0, max_value=3),
+).flatmap(lambda s: st.tuples(_rational_block(s[:2]), _rational_block(s[1:])))
+
+
 class TestQMatrix:
     def test_arithmetic_roundtrip(self):
         a = QMatrix.from_rows([[1, 2], [3, 4]])
@@ -87,6 +108,20 @@ class TestQMatrix:
             a + QMatrix.identity(2)
         with pytest.raises(DimensionMismatchError):
             a @ a
+
+    @settings(max_examples=80, deadline=None)
+    @given(product_factors)
+    @example((QMatrix.zeros(0, 3), QMatrix.zeros(3, 0)))
+    @example((QMatrix.zeros(3, 0), QMatrix.zeros(0, 3)))
+    def test_product_agrees_with_sympy(self, factors):
+        from sympy import Matrix
+
+        a, b = factors
+        product = a @ b
+        oracle = Matrix(a.rows, a.cols, list(a.entries)) * Matrix(b.rows, b.cols, list(b.entries))
+        assert (product.rows, product.cols) == oracle.shape
+        assert list(product.entries) == list(oracle)
+        assert product == loop_matmul(a, b)
 
     def test_power(self):
         assert J2**3 == QMatrix.from_rows([[1, 3], [0, 1]])
@@ -388,6 +423,78 @@ class TestSimilarity:
     def test_empty_matrices_similar(self):
         assert similar(QMatrix.zeros(0, 0), QMatrix.zeros(0, 0))
         assert invariant_factors(QMatrix.zeros(0, 0)).invariant_factors == ()
+
+
+def _dense_rational(rng: random.Random, n: int) -> QMatrix:
+    return QMatrix.from_rows(
+        [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
+    )
+
+
+def _kernel_cases(rng: random.Random, n: int) -> list[QMatrix]:
+    """Dense rational, c*I, diag(1, ..., n), Jordan data with a repeated
+    eigenvalue, conjugated and transposed, and the zero monodromy's shape: a
+    dense block, unit Jordan blocks of sizes at least 2 and identity padding.
+
+    The transpose spins each Jordan block from an eigenvector, so its Krylov
+    blocks are coupled through their tails."""
+    data: list = []
+    while sum(size for _, size in data) != n:
+        data, _ = random_jordan_data(rng, n, eigenvalue_pool=(1, 2, Fraction(-1, 2)))
+    jordan = jordan_from_data(data)
+    c = Fraction(rng.choice((2, -1, 3)), rng.choice((1, 2)))
+    dense_size = rng.randint(0, n)
+    blocks = [_dense_rational(rng, dense_size)]
+    rest = n - dense_size
+    while rest > 1 and rng.random() < 0.6:
+        size = rng.randint(2, rest)
+        blocks.append(jordan_block(size, 1))
+        rest -= size
+    blocks.append(QMatrix.identity(rest))
+    return [
+        _dense_rational(rng, n),
+        c * QMatrix.identity(n),
+        QMatrix.diagonal(range(1, n + 1)),
+        conjugate(jordan, random_invertible(rng, n)),
+        QMatrix.from_rows([[jordan.entry(j, i) for j in range(n)] for i in range(n)]),
+        block_diag(blocks),
+    ]
+
+
+class TestKrylovKernel:
+    def test_matches_smith_oracle(self):
+        # The Krylov kernel against the Smith form of the full xI - A, at
+        # every size 0..12; the factors are monic, each divides the next and
+        # their product is the Faddeev-LeVerrier characteristic polynomial.
+        rng = random.Random(61)
+        for n in range(13):
+            for m in _kernel_cases(rng, n) if n else [QMatrix.zeros(0, 0)]:
+                factors = invariant_factors(m).invariant_factors
+                assert factors == smith_invariant_factors(m).invariant_factors
+                product = (Fraction(1),)
+                for f, g in zip(factors, factors[1:]):
+                    assert _pdivmod(g, f)[1] == ()
+                for f in factors:
+                    assert f[-1] == 1
+                    product = _pmul(product, f)
+                assert product == char_poly(m)
+
+    def test_smith_step_only_on_several_blocks(self, monkeypatch):
+        calls = []
+        original = exact_linalg._smith_diagonal
+        monkeypatch.setattr(
+            exact_linalg, "_smith_diagonal", lambda m: calls.append(len(m)) or original(m)
+        )
+        rng = random.Random(67)
+        dense = _dense_rational(rng, 8)
+        assert len(invariant_factors(dense).invariant_factors) == 1
+        assert calls == []  # nonderogatory: e_8 spins one block, read off directly
+        assert len(invariant_factors(jordan_block(6, "1/2")).invariant_factors) == 1
+        assert calls == []  # spun from its last basis vector, a Jordan block is one block
+        assert invariant_factors(3 * QMatrix.identity(4)).invariant_factors == (
+            (Fraction(-3), Fraction(1)),
+        ) * 4
+        assert calls == [4]
 
 
 def _fixing_subspace(rng: random.Random, n: int, d: int) -> QMatrix:
