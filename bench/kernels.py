@@ -1,4 +1,4 @@
-"""Time the exact kernels: the irreducibility span closure, invariant factors and the product.
+"""Time the exact kernels: the span closure, invariant factors, the product and restrictions.
 
     python3 bench/kernels.py [--runs 3] [--out BENCH.json]
 
@@ -25,10 +25,17 @@ reference routes from ``tests/support.py``.  Each figure is the median of
 - ``product``: ``QMatrix.__matmul__`` (on integers) against
   ``support.loop_matmul`` (the schoolbook loop on fractions), whose answers
   must agree, on the square of a fresh matrix of either family by another.
+- ``restriction``: ``exact_linalg.restrict_to_image`` (A on im(A - 1)) and
+  ``exact_linalg.non_unit_part`` (A on im((A - 1)^n)), one elimination and
+  one product each, against ``support.restriction_oracle`` (the pivot
+  columns B, then the solve B X = A B, both in sympy), whose answers must
+  agree, on a matrix of either family for n = 2..16.  The oracle is sympy,
+  not the library's former solve route, so the ratio is not a speed-up
+  over an earlier version.
 
 With ``--out``, the result is written into that JSON file under the keys
-``environment``, ``kernels``, ``invariant_factors`` and ``product``; other
-keys already in the file are kept.
+``environment``, ``kernels``, ``invariant_factors``, ``product`` and
+``restriction``; other keys already in the file are kept.
 """
 
 from __future__ import annotations
@@ -49,13 +56,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 MAX_RANK = 8  # the exact closure takes about a second at rank 8, and grows as n^6
 SIZES = (2, 3, 4, 6, 8, 12, 16, 24, 32)
+RESTRICTION_SIZES = (2, 3, 4, 6, 8, 12, 16)
 ORACLE_CAP_S = 5.0
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from rigidity_lab import exact_linalg  # noqa: E402
 from rigidity_lab.exact_linalg import QMatrix, block_diag, jordan_block  # noqa: E402
 from rigidity_lab.local_systems import random_tuple  # noqa: E402
-from support import loop_matmul, smith_invariant_factors  # noqa: E402
+from support import loop_matmul, restriction_oracle, smith_invariant_factors  # noqa: E402
 
 
 def companion(coeffs: list[int]) -> QMatrix:
@@ -162,6 +170,35 @@ def product_rows(runs: int) -> list[dict]:
     return rows
 
 
+def restriction_rows(runs: int) -> list[dict]:
+    rows = []
+    for family, make in FAMILIES.items():
+        for n in RESTRICTION_SIZES:
+            matrix = make(random.Random(f"restriction:{family}:{n}"), n)
+            cases = {
+                "restrict_to_image": (exact_linalg.restrict_to_image, 1),
+                "non_unit_part": (exact_linalg.non_unit_part, n),
+            }
+            for function, (library, power) in cases.items():
+                product_ms, restricted, _ = median_ms(library, matrix, runs)
+                solve_ms, oracle, _ = median_ms(
+                    lambda m: restriction_oracle(m, power), matrix, runs
+                )
+                if restricted != oracle:
+                    raise RuntimeError(f"{family} n={n}: {function} disagrees with the oracle")
+                row = {
+                    "family": family,
+                    "n": n,
+                    "function": function,
+                    "image_dim": restricted.rows,
+                    "product_ms": round(product_ms, 3),
+                    "sympy_solve_ms": round(solve_ms, 3),
+                }
+                print(json.dumps(row), flush=True)
+                rows.append(row)
+    return rows
+
+
 def environment() -> dict:
     # "-dirty" marks a working tree that differs from the commit
     sha = subprocess.run(
@@ -230,6 +267,13 @@ def main() -> None:
             "unit": "ms, median of runs",
             "runs": args.runs,
             "rows": product_rows(args.runs),
+        },
+        "restriction": {
+            "what": "A restricted to im(A - 1) and to im((A - 1)^n): W A[:, pivots] vs "
+            "pivot columns and a solve in sympy (oracle)",
+            "unit": "ms, median of runs",
+            "runs": args.runs,
+            "rows": restriction_rows(args.runs),
         },
     }
     if args.out:

@@ -114,7 +114,7 @@ def _external_entries(directory: Path) -> list[CatalogEntry]:
     for path in sorted(directory.glob("*.json")):
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # also not UTF-8, or too long an integer
             raise CatalogError(f"cannot read catalog file {path}: {exc}") from exc
         try:
             t = tuple_from_json(payload)

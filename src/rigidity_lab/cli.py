@@ -158,16 +158,12 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
 
 
 def _load_analysis(path: str) -> TupleAnalysis:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise _CliError(EXIT_INPUT, f"cannot read input file: {exc}")
     try:
+        text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise _CliError(EXIT_INPUT, f"cannot read input file: {exc}")
+    except ValueError as exc:  # not UTF-8, not JSON, or an integer past the digit limit
         raise _CliError(EXIT_INPUT, f"malformed JSON: {exc}")
     try:
         t = tuple_from_json(payload)

@@ -2,15 +2,16 @@
 
 Matrices carry ``fractions.Fraction`` entries in row-major order and every
 computation is exact, never from floating point and never from eigenvalue
-factorization.  Ranks, kernels, inverses and spans come out of rational
-elimination.  Centralizer dimensions, unit Jordan blocks and similarity are
-read off the invariant factors of xI - A: a Krylov basis of A, scaled to
-integers, splits Q^n into cyclic blocks, and a Smith form over Q[x] runs
-only on the small matrix of relations between those blocks.  Products are
-summed on integers, each factor scaled by the least common multiple of its
-denominators, with one division per entry.  All bases are the deterministic
-ones produced by reduced row echelon form with leftmost pivots, so repeated
-runs are bit-identical.
+factorization.  Ranks, inverses, spans and restrictions to invariant images
+come out of rational elimination, one per matrix.  Centralizer dimensions,
+unit Jordan blocks and similarity are read off the invariant factors of
+xI - A: a Krylov basis of A, scaled to integers, splits Q^n into cyclic
+blocks, and a Smith form over Q[x] runs only on the small matrix of
+relations between those blocks.  Products are summed on integers, each
+factor scaled by the least common multiple of its denominators, with one
+division per entry.  All bases are the deterministic ones produced by
+reduced row echelon form with leftmost pivots, so repeated runs are
+bit-identical.
 
 The one computation on integers mod a prime is the irreducibility
 certificate in ``spans_full_algebra``: a full span closure mod the prime
@@ -167,12 +168,21 @@ class QMatrix:
         return result
 
     def inverse(self) -> "QMatrix":
+        """The inverse, read off the reduced row echelon form [I | A^-1] of
+        [A | I]: A is invertible exactly when the pivots are A's columns."""
         if not self.is_square:
             raise DimensionMismatchError("only square matrices can be inverted")
-        rows = _solve(self, QMatrix.identity(self.rows))
-        if rows is None:
+        n = self.rows
+        identity = QMatrix.identity(n)
+        basis = _echelon((self.row_list(i) + identity.row_list(i) for i in range(n)), 2 * n)
+        if basis.pivots != list(range(n)):
             raise InvalidMonodromyError("matrix is singular")
-        return QMatrix(self.rows, self.rows, tuple(x for row in rows for x in row))
+        return QMatrix(n, n, tuple(x for row in basis.reduced_rows() for x in row[n:]))
+
+    def columns(self, indices: Sequence[int]) -> "QMatrix":
+        """The columns at ``indices``, in that order."""
+        entries = tuple(row[j] for row in map(self.row_list, range(self.rows)) for j in indices)
+        return QMatrix(self.rows, len(indices), entries)
 
     def is_invertible(self) -> bool:
         return self.is_square and matrix_rank(self) == self.rows
@@ -252,8 +262,8 @@ def block_diag(blocks: Iterable[QMatrix]) -> QMatrix:
 class Echelon:
     """Row echelon basis of a growing span of vectors of a fixed width.
 
-    The single elimination kernel over Q: every rank, kernel, inverse and
-    span computation feeds vectors through ``add``, and the Krylov spin of
+    The single elimination kernel over Q: every rank, restriction, inverse
+    and span computation feeds vectors through ``add``, and the Krylov spin of
     ``invariant_factors`` through its two steps, ``reduce`` and ``insert``,
     because it reads what a vector in the span reduces to.  Rows are kept
     sorted by pivot column with an implicit leading 1 and stored as
@@ -337,63 +347,18 @@ def matrix_rank(matrix: QMatrix) -> int:
     return len(_echelon(map(matrix.row_list, range(matrix.rows)), matrix.cols))
 
 
-def rref_decompose(matrix: QMatrix) -> tuple[int, QMatrix, QMatrix]:
-    """Rank, kernel basis and image basis of ``matrix``.
+def _rank_factorization(matrix: QMatrix) -> tuple[list[int], QMatrix]:
+    """The pivot columns of M and the nonzero rows W of its reduced row
+    echelon form, from one elimination.
 
-    The kernel basis columns are the standard free-variable vectors read off
-    the reduced echelon form (one per free column, ascending); the image
-    basis columns are the original matrix columns at the pivot positions.
+    The pivot columns B = M[:, pivots] are a basis of im(M) and W holds the
+    coordinates of M's columns in it: M = B W.  When AM = MA, as for any
+    polynomial M in A, A B = (MA)[:, pivots] = B (W A[:, pivots]), so A
+    restricted to im(M) is W A[:, pivots] in the basis B, singular A too.
     """
     basis = _echelon(map(matrix.row_list, range(matrix.rows)), matrix.cols)
-    pivots = basis.pivots
-    work = basis.reduced_rows()
-    rank = len(pivots)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(matrix.cols) if c not in pivot_set]
-    kernel_entries: list[Fraction] = []
-    for row_idx in range(matrix.cols):
-        for f in free_cols:
-            if row_idx == f:
-                kernel_entries.append(_ONE)
-            elif row_idx in pivot_set:
-                r = pivots.index(row_idx)
-                kernel_entries.append(-work[r][f])
-            else:
-                kernel_entries.append(_ZERO)
-    kernel = QMatrix(matrix.cols, len(free_cols), tuple(kernel_entries))
-    image = QMatrix(
-        matrix.rows,
-        rank,
-        tuple(matrix.entry(i, c) for i in range(matrix.rows) for c in pivots),
-    )
-    return rank, kernel, image
-
-
-def _solve(lhs: QMatrix, rhs: QMatrix) -> list[list[Fraction]] | None:
-    """The unique X with ``lhs @ X = rhs`` as rows, or None when there is none.
-
-    Reduces the augmented matrix [lhs | rhs]; a solution exists and is unique
-    exactly when the pivots are the columns of ``lhs``.
-    """
-    r, m = lhs.cols, rhs.cols
-    basis = _echelon((lhs.row_list(i) + rhs.row_list(i) for i in range(lhs.rows)), r + m)
-    if basis.pivots != list(range(r)):
-        return None
-    return [row[r:] for row in basis.reduced_rows()]
-
-
-def coordinates_in_basis(basis: QMatrix, vectors: QMatrix) -> QMatrix:
-    """Solve ``basis @ X = vectors`` for the unique ``X``.
-
-    ``basis`` must have full column rank and its column span must contain
-    every column of ``vectors``.
-    """
-    if basis.rows != vectors.rows:
-        raise DimensionMismatchError("basis and vectors live in different spaces")
-    rows = _solve(basis, vectors)
-    if rows is None:
-        raise DimensionMismatchError("columns are not in the span of the basis")
-    return QMatrix(basis.cols, vectors.cols, tuple(x for row in rows for x in row))
+    rows = basis.reduced_rows()
+    return basis.pivots, QMatrix(len(rows), matrix.cols, tuple(x for row in rows for x in row))
 
 
 class _EchelonModP:
@@ -513,13 +478,6 @@ def _spans_full_algebra_exact(generators: Sequence[QMatrix]) -> bool:
     return len(basis) == target
 
 
-def _require_square_invertible(matrix: QMatrix, what: str = "matrix") -> None:
-    if not matrix.is_square:
-        raise DimensionMismatchError(f"{what} must be square")
-    if matrix_rank(matrix) != matrix.rows:
-        raise InvalidMonodromyError(f"{what} must be invertible")
-
-
 # ---------------------------------------------------------------------------
 # Unit-eigenvalue structure
 # ---------------------------------------------------------------------------
@@ -527,39 +485,27 @@ def _require_square_invertible(matrix: QMatrix, what: str = "matrix") -> None:
 
 def fixed_space_dim(matrix: QMatrix) -> int:
     """Dimension of the eigenspace for eigenvalue 1 of an invertible matrix."""
-    _require_square_invertible(matrix)
-    return matrix.rows - matrix_rank(matrix - QMatrix.identity(matrix.rows))
-
-
-def restrict_to_image(matrix: QMatrix) -> tuple[QMatrix, QMatrix]:
-    """Restrict an invertible A to im(A - I).
-
-    Returns the restriction matrix in the deterministic image basis, and the
-    basis itself (as columns).  The subspace is A-invariant, so the
-    coordinate solve is always consistent.
-    """
-    _require_square_invertible(matrix)
-    diff = matrix - QMatrix.identity(matrix.rows)
-    _, _, basis = rref_decompose(diff)
-    restricted = coordinates_in_basis(basis, matrix @ basis)
-    return restricted, basis
-
-
-def split_unit_part(matrix: QMatrix) -> tuple[QMatrix, QMatrix]:
-    """Split A into its unit-eigenvalue part and the complement.
-
-    ker((A-I)^n) and im((A-I)^n) are complementary A-invariant subspaces;
-    the two restriction matrices are returned in the deterministic kernel
-    and image bases.  The first factor is unipotent up to similarity and the
-    second has no eigenvalue 1.
-    """
-    _require_square_invertible(matrix)
     n = matrix.rows
-    nil_power = (matrix - QMatrix.identity(n)) ** n
-    _, kernel, image = rref_decompose(nil_power)
-    unit = coordinates_in_basis(kernel, matrix @ kernel)
-    rest = coordinates_in_basis(image, matrix @ image)
-    return unit, rest
+    if not matrix.is_square:
+        raise DimensionMismatchError("matrix must be square")
+    if matrix_rank(matrix) != n:
+        raise InvalidMonodromyError("matrix must be invertible")
+    return n - matrix_rank(matrix - QMatrix.identity(n))
+
+
+def restrict_to_image(matrix: QMatrix) -> QMatrix:
+    """A restricted to im(A - 1), in the basis of the pivot columns of A - 1."""
+    pivots, coordinates = _rank_factorization(matrix - QMatrix.identity(matrix.rows))
+    return coordinates @ matrix.columns(pivots)
+
+
+def non_unit_part(matrix: QMatrix) -> QMatrix:
+    """A restricted to im((A - 1)^n), the A-invariant complement of the
+    generalized eigenspace for 1, in the basis of the pivot columns of
+    (A - 1)^n; it has no eigenvalue 1."""
+    n = matrix.rows
+    pivots, coordinates = _rank_factorization((matrix - QMatrix.identity(n)) ** n)
+    return coordinates @ matrix.columns(pivots)
 
 
 # ---------------------------------------------------------------------------

@@ -30,9 +30,9 @@ from .exact_linalg import (
     invariant_factors,
     jordan_block,
     matrix_to_json,
+    non_unit_part,
     restrict_to_image,
     spans_full_algebra,
-    split_unit_part,
 )
 from .local_systems import MonodromyTuple, RigidityReport, validate
 
@@ -110,7 +110,10 @@ class TupleAnalysis:
 
     @cached_property
     def irreducible(self) -> bool:
-        return spans_full_algebra(self.tuple.matrices())
+        """Whether the finite monodromies generate all n x n matrices.  By the
+        product relation A_inf is the inverse of their product, a polynomial
+        in it, so adding A_inf would not change the generated algebra."""
+        return spans_full_algebra([a for _, a in self.tuple.finite_points])
 
     @cached_property
     def infinity_invariants(self) -> SimilarityInvariant:
@@ -156,7 +159,7 @@ class TupleAnalysis:
         n = t.rank
         components = []
         for loc, a in t.finite_points:
-            restricted, _ = restrict_to_image(a)
+            restricted = restrict_to_image(a)
             components.append(
                 ExponentialComponent(
                     coefficient=loc,
@@ -166,7 +169,7 @@ class TupleAnalysis:
             )
         rank_hat = sum(c.dimension for c in components)
 
-        _, non_unit = split_unit_part(t.infinity_matrix)
+        non_unit = non_unit_part(t.infinity_matrix)
         unit_blocks = self.infinity_invariants.unit_block_sizes
         padding = rank_hat - n - len(unit_blocks)
         if padding < 0:
@@ -183,7 +186,7 @@ class TupleAnalysis:
 
         if fixed_space_dim(zero_monodromy) != rank_hat - n:
             raise InternalError("reconstruction failed the kernel-dimension check")
-        restricted_zero, _ = restrict_to_image(zero_monodromy)
+        restricted_zero = restrict_to_image(zero_monodromy)
         if invariant_factors(restricted_zero) != self.infinity_invariants:
             raise InternalError("reconstruction failed the restriction similarity check")
 

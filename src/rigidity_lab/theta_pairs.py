@@ -14,11 +14,10 @@ from dataclasses import dataclass
 from .errors import InvalidMonodromyError, InvalidPairError, PairPreconditionError
 from .exact_linalg import (
     QMatrix,
+    _rank_factorization,
     centralizer_dimension,
-    coordinates_in_basis,
     fixed_space_dim,
     matrix_rank,
-    rref_decompose,
 )
 
 
@@ -65,13 +64,15 @@ def from_shriek(monodromy: QMatrix) -> ThetaPair:
 
 
 def from_star(monodromy: QMatrix) -> ThetaPair:
-    """Middle-extension pair: F = im(T - 1), u the corestriction, v the inclusion."""
+    """Middle-extension pair: F = im(T - 1), u the corestriction, v the inclusion.
+
+    In the basis of the pivot columns of T - 1, v is those columns and u the
+    nonzero rows of the reduced row echelon form of T - 1."""
     _require_invertible_monodromy(monodromy)
     n = monodromy.rows
     diff = monodromy - QMatrix.identity(n)
-    _, _, basis = rref_decompose(diff)
-    u = coordinates_in_basis(basis, diff)
-    return ThetaPair(n, basis.cols, u, basis)
+    pivots, u = _rank_factorization(diff)
+    return ThetaPair(n, len(pivots), u, diff.columns(pivots))
 
 
 def from_full_direct_image(monodromy: QMatrix) -> ThetaPair:

@@ -3,11 +3,12 @@
 Everything here is deliberately written from first principles (Jordan data,
 characteristic polynomials via Faddeev-LeVerrier, the min(m_i, m_j)
 partition count, the commutation system, the rank sequence of (A - I)^j,
-span closures ranked by sympy, the schoolbook product on fractions) so
-library results are checked against a second route.  The one exception,
-``smith_invariant_factors``, reuses the library's Smith step, but on the
-full characteristic matrix xI - A, so it checks the Krylov front end of
-``invariant_factors``; the oracles above check the Smith step itself.
+span closures ranked by sympy, restrictions solved by sympy, the schoolbook
+product on fractions) so library results are checked against a second
+route.  The one exception, ``smith_invariant_factors``, reuses the
+library's Smith step, but on the full characteristic matrix xI - A, so it
+checks the Krylov front end of ``invariant_factors``; the oracles above
+check the Smith step itself.
 """
 
 from __future__ import annotations
@@ -39,6 +40,16 @@ def random_invertible(rng: random.Random, n: int, bound: int = 2, forbid_identit
         if forbid_identity and m == identity:
             continue
         return m
+
+
+def random_fixing_subspace(rng: random.Random, n: int, d: int) -> QMatrix:
+    """Invertible matrix mapping span(e_1, ..., e_d) into itself."""
+    while True:
+        m = QMatrix.from_rows(
+            [[0 if i >= d > j else rng.randint(-2, 2) for j in range(n)] for i in range(n)]
+        )
+        if m.is_invertible():
+            return m
 
 
 def conjugate(matrix: QMatrix, p: QMatrix) -> QMatrix:
@@ -180,6 +191,24 @@ def span_closure_dimension(generators: list[QMatrix]) -> int:
         if len(independent) == len(basis):
             return len(basis)
         basis = [words[i] for i in independent]
+
+
+def restriction_oracle(matrix: QMatrix, power: int) -> QMatrix:
+    """A restricted to im((A - 1)^power) by the solve route, in sympy: the
+    basis B is the pivot columns of (A - 1)^power, from sympy's rref, and
+    the restriction is the unique X with B X = A B, from sympy's exact
+    Gauss-Jordan solve."""
+    n = matrix.rows
+    a = sympy.Matrix(n, n, [sympy.Rational(x.numerator, x.denominator) for x in matrix.entries])
+    image = (a - sympy.eye(n)) ** power
+    pivots = list(image.rref()[1]) if n else []
+    if not pivots:
+        return QMatrix.zeros(0, 0)
+    basis = image[:, pivots]
+    solution, free = basis.gauss_jordan_solve(a * basis)
+    assert free.rows == 0  # B has full column rank
+    r = len(pivots)
+    return QMatrix(r, r, tuple(Fraction(int(x.p), int(x.q)) for x in solution))
 
 
 def smith_invariant_factors(matrix: QMatrix) -> SimilarityInvariant:

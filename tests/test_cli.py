@@ -337,6 +337,35 @@ class TestCatalog:
         assert "kummer" in out
 
 
+# A file that is not UTF-8, and JSON holding an integer of more digits than
+# int() converts by default (4300): neither raises json.JSONDecodeError.
+UNREADABLE = {
+    "not_utf8": b'{"rank": 1, "note": "\xff"}',
+    "long_integer": b'{"rank": ' + b"1" * 4301 + b"}",
+}
+
+
+class TestUnreadableInput:
+    @pytest.mark.parametrize("case", sorted(UNREADABLE))
+    def test_tuple_file_exit_2(self, capsys, tmp_path, case):
+        path = tmp_path / "t.json"
+        path.write_bytes(UNREADABLE[case])
+        code, out, err = run_cli(capsys, "rig", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: malformed JSON: ")
+
+    @pytest.mark.parametrize("case", sorted(UNREADABLE))
+    def test_catalog_file_exit_2(self, capsys, tmp_path, monkeypatch, case):
+        path = tmp_path / "t.json"
+        path.write_bytes(UNREADABLE[case])
+        monkeypatch.setenv(CATALOG_ENV_VAR, str(tmp_path))
+        code, out, err = run_cli(capsys, "catalog", "list")
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: cannot read catalog file {path}: ")
+
+
 class TestArguments:
     @pytest.mark.parametrize("flag", ["--trials", "--max-rank", "--max-points"])
     @pytest.mark.parametrize("value", ["0", "-1", "x"])

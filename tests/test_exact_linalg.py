@@ -11,7 +11,6 @@ from rigidity_lab.exact_linalg import (
     QMatrix,
     block_diag,
     centralizer_dimension,
-    coordinates_in_basis,
     fixed_space_dim,
     format_rational,
     invariant_factors,
@@ -19,16 +18,17 @@ from rigidity_lab.exact_linalg import (
     matrix_from_json,
     matrix_rank,
     matrix_to_json,
+    non_unit_part,
     parse_rational,
     polynomial_to_string,
     restrict_to_image,
-    rref_decompose,
     similar,
     spans_full_algebra,
-    split_unit_part,
     _pdivmod,
     _pmul,
+    _rank_factorization,
 )
+from rigidity_lab.local_systems import random_tuple
 
 from support import (
     char_poly,
@@ -37,9 +37,11 @@ from support import (
     jordan_from_data,
     loop_matmul,
     partition_formula,
+    random_fixing_subspace,
     random_invertible,
     random_jordan_data,
     random_unit_mixed_matrix,
+    restriction_oracle,
     smith_invariant_factors,
     span_closure_dimension,
     unit_partition_by_ranks,
@@ -150,67 +152,71 @@ class TestQMatrix:
             matrix_from_json([["1/0"]])
 
 
+def _kernel(pivots: list[int], w: QMatrix) -> QMatrix:
+    """The free-variable kernel basis read off the reduced rows W, one column
+    per free column, ascending."""
+    free = [c for c in range(w.cols) if c not in pivots]
+    rows = [
+        [Fraction(row == f) - (w.entry(pivots.index(row), f) if row in pivots else 0) for f in free]
+        for row in range(w.cols)
+    ]
+    return QMatrix(w.cols, len(free), tuple(x for row in rows for x in row))
+
+
 class TestRref:
     def test_identity(self):
-        rank, kernel, image = rref_decompose(QMatrix.identity(2))
-        assert rank == 2
-        assert kernel.cols == 0
-        assert image == QMatrix.identity(2)
+        pivots, w = _rank_factorization(QMatrix.identity(2))
+        assert pivots == [0, 1]
+        assert w == QMatrix.identity(2)
 
     def test_zero(self):
-        rank, kernel, image = rref_decompose(QMatrix.zeros(2, 2))
-        assert rank == 0
-        assert kernel == QMatrix.identity(2)
-        assert image.cols == 0
+        pivots, w = _rank_factorization(QMatrix.zeros(2, 2))
+        assert pivots == []
+        assert (w.rows, w.cols) == (0, 2)
+        assert _kernel(pivots, w) == QMatrix.identity(2)
 
     def test_rank_one_example(self):
         # Hand elimination: [[1,2],[2,4]] -> rref [[1,2],[0,0]], free column 1.
-        rank, kernel, image = rref_decompose(QMatrix.from_rows([[1, 2], [2, 4]]))
-        assert rank == 1
-        assert kernel == QMatrix.from_rows([[-2], [1]])
-        assert image == QMatrix.from_rows([[1], [2]])
+        m = QMatrix.from_rows([[1, 2], [2, 4]])
+        pivots, w = _rank_factorization(m)
+        assert pivots == [0]
+        assert w == QMatrix.from_rows([[1, 2]])
+        assert m.columns(pivots) == QMatrix.from_rows([[1], [2]])
+        assert _kernel(pivots, w) == QMatrix.from_rows([[-2], [1]])
 
     @settings(max_examples=60, deadline=None)
     @given(small_matrices)
     def test_rank_nullity_and_annihilation(self, m):
-        rank, kernel, image = rref_decompose(m)
-        assert rank + kernel.cols == m.cols
+        pivots, w = _rank_factorization(m)
+        kernel = _kernel(pivots, w)
+        assert len(pivots) == w.rows == matrix_rank(m)
+        assert w.rows + kernel.cols == m.cols
         assert m @ kernel == QMatrix.zeros(m.rows, kernel.cols)
-        assert image.cols == rank
-        # image columns really span the column space
-        stacked = QMatrix.from_rows(
-            [image.row_list(i) + m.row_list(i) for i in range(m.rows)]
-        )
-        assert matrix_rank(stacked) == rank
+        # the pivot columns are independent and W holds every column's coordinates
+        assert matrix_rank(m.columns(pivots)) == len(pivots)
+        assert m.columns(pivots) @ w == m
 
     @settings(max_examples=80, deadline=None)
     @given(rational_matrices)
     def test_kernel_agrees_with_sympy(self, m):
         from sympy import Matrix
 
-        def columns(q):
-            return [[q.entry(i, j) for i in range(q.rows)] for j in range(q.cols)]
-
         oracle = Matrix(m.rows, m.cols, list(m.entries))
-        _, pivots = oracle.rref()
-        rank, kernel, image = rref_decompose(m)
-        assert matrix_rank(m) == rank == oracle.rank() == len(pivots)
-        assert columns(image) == [columns(m)[c] for c in pivots]
-        assert columns(kernel) == [list(v) for v in oracle.nullspace()]
+        reduced, oracle_pivots = oracle.rref()
+        pivots, w = _rank_factorization(m)
+        assert pivots == list(oracle_pivots)
+        assert list(w.entries) == list(reduced[: len(pivots), :])
+        assert m.columns(pivots) @ w == m
+        kernel = _kernel(pivots, w)
+        assert [list(kernel.columns([j]).entries) for j in range(kernel.cols)] == [
+            list(v) for v in oracle.nullspace()
+        ]
         if m.is_square:
-            if rank == m.rows:
+            if len(pivots) == m.rows:
                 assert list(m.inverse().entries) == list(oracle.inv())
             else:
                 with pytest.raises(InvalidMonodromyError):
                     m.inverse()
-
-    def test_coordinates_in_basis(self):
-        basis = QMatrix.from_rows([[1, 0], [1, 1], [0, 2]])
-        vectors = basis @ QMatrix.from_rows([[3, "1/2"], [-1, 0]])
-        assert coordinates_in_basis(basis, vectors) == QMatrix.from_rows([[3, "1/2"], [-1, 0]])
-        outside = QMatrix.from_rows([[0], [0], [1]])
-        with pytest.raises(DimensionMismatchError):
-            coordinates_in_basis(basis, outside)
 
 
 class TestCentralizer:
@@ -330,34 +336,22 @@ class TestUnitStructure:
             assert found == tuple(sizes) == unit_partition_by_ranks(m)
 
     def test_restrict_to_image_examples(self):
-        r, basis = restrict_to_image(QMatrix.diagonal([2, 1]))
-        assert r == QMatrix.from_rows([[2]])
-        assert basis == QMatrix.from_rows([[1], [0]])
-        r, _ = restrict_to_image(QMatrix.identity(3))
-        assert r.rows == 0
-        r, _ = restrict_to_image(J2)
-        assert r == QMatrix.from_rows([[1]])
+        assert restrict_to_image(QMatrix.diagonal([2, 1])) == QMatrix.from_rows([[2]])
+        assert restrict_to_image(QMatrix.identity(3)).rows == 0
+        assert restrict_to_image(J2) == QMatrix.from_rows([[1]])
 
-    def test_split_unit_part_examples(self):
-        unit, rest = split_unit_part(QMatrix.identity(2))
-        assert unit == QMatrix.identity(2)
-        assert rest.rows == 0
-        unit, rest = split_unit_part(QMatrix.diagonal([2, 3]))
-        assert unit.rows == 0
-        assert similar(rest, QMatrix.diagonal([2, 3]))
-        unit, rest = split_unit_part(QMatrix.diagonal([1, 5]))
-        assert unit == QMatrix.from_rows([[1]])
-        assert rest == QMatrix.from_rows([[5]])
+    def test_non_unit_part_examples(self):
+        assert non_unit_part(QMatrix.identity(2)).rows == 0
+        assert similar(non_unit_part(QMatrix.diagonal([2, 3])), QMatrix.diagonal([2, 3]))
+        assert non_unit_part(QMatrix.diagonal([1, 5])) == QMatrix.from_rows([[5]])
 
     def test_split_properties(self):
         rng = random.Random(31)
         for _ in range(20):
             n = rng.randint(1, 5)
             m = random_invertible(rng, n)
-            unit, rest = split_unit_part(m)
-            assert unit.rows + rest.rows == n
-            d = unit.rows
-            assert (unit - QMatrix.identity(d)) ** d == QMatrix.zeros(d, d)
+            rest = non_unit_part(m)
+            assert rest.rows == n - sum(invariant_factors(m).unit_block_sizes)
             assert (rest - QMatrix.identity(rest.rows)).is_invertible()
 
     def test_covariance_under_conjugation(self):
@@ -367,12 +361,43 @@ class TestUnitStructure:
             m = random_invertible(rng, n)
             p = random_invertible(rng, n)
             mc = conjugate(m, p)
-            r1, _ = restrict_to_image(m)
-            r2, _ = restrict_to_image(mc)
-            assert similar(r1, r2)
-            u1, s1 = split_unit_part(m)
-            u2, s2 = split_unit_part(mc)
-            assert similar(u1, u2) and similar(s1, s2)
+            assert similar(restrict_to_image(m), restrict_to_image(mc))
+            assert similar(non_unit_part(m), non_unit_part(mc))
+
+
+def _restriction_cases(rng: random.Random) -> list[QMatrix]:
+    """The matrices of seeded tuples of rank 1..7, singular matrices, I_n
+    (empty image), J_n(1), matrices with prescribed unit blocks, and 0x0."""
+    cases = [QMatrix.zeros(0, 0)]
+    for n in range(1, 8):
+        cases += random_tuple(n, 2, rng.getrandbits(32)).matrices()
+        cases += [QMatrix.identity(n), jordan_block(n, 1), random_unit_mixed_matrix(rng, n)[0]]
+        singular = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        singular[-1] = [2 * x - y for x, y in zip(singular[0], singular[-2])] if n > 1 else [0]
+        cases += [QMatrix.from_rows(singular), QMatrix.zeros(n, n)]
+    return cases
+
+
+class TestRestriction:
+    def test_matches_solve_oracle(self):
+        # The product W A[:, pivots] against the old route: the pivot columns
+        # B of the image, then the coordinates of A B in B by sympy's solve.
+        cases = _restriction_cases(random.Random(71))
+        assert sum(matrix_rank(m) < m.rows for m in cases) >= 14
+        for m in cases:
+            assert restrict_to_image(m) == restriction_oracle(m, 1)
+            assert non_unit_part(m) == restriction_oracle(m, m.rows)
+
+    def test_one_elimination_per_restriction(self, monkeypatch):
+        m = random_unit_mixed_matrix(random.Random(73), 6)[0]
+        calls = []
+        original = exact_linalg._echelon
+        monkeypatch.setattr(
+            exact_linalg, "_echelon", lambda rows, width: calls.append(width) or original(rows, width)
+        )
+        restrict_to_image(m)
+        non_unit_part(m)
+        assert calls == [m.rows, m.rows]
 
 
 class TestSimilarity:
@@ -497,16 +522,6 @@ class TestKrylovKernel:
         assert calls == [4]
 
 
-def _fixing_subspace(rng: random.Random, n: int, d: int) -> QMatrix:
-    """Invertible matrix mapping span(e_1, ..., e_d) into itself."""
-    while True:
-        m = QMatrix.from_rows(
-            [[0 if i >= d > j else rng.randint(-2, 2) for j in range(n)] for i in range(n)]
-        )
-        if m.is_invertible():
-            return m
-
-
 class TestSpanClosure:
     def test_agrees_with_sympy_closure(self, monkeypatch):
         exact = []
@@ -522,7 +537,10 @@ class TestSpanClosure:
             for trial in range(4):
                 k = rng.randint(1, 3)
                 if trial % 2:
-                    finite = [_fixing_subspace(rng, n, rng.randint(1, max(1, n - 1))) for _ in range(k)]
+                    finite = [
+                        random_fixing_subspace(rng, n, rng.randint(1, max(1, n - 1)))
+                        for _ in range(k)
+                    ]
                 else:
                     finite = [random_invertible(rng, n) for _ in range(k)]
                 product = finite[0]

@@ -6,6 +6,7 @@ import pytest
 from rigidity_lab import exact_linalg
 from rigidity_lab.errors import ValidationError
 from rigidity_lab.exact_linalg import QMatrix
+from rigidity_lab.fourier import TupleAnalysis
 from rigidity_lab.local_systems import (
     is_irreducible,
     monodromy_tuple,
@@ -17,7 +18,7 @@ from rigidity_lab.local_systems import (
     validate,
 )
 
-from support import conjugate, random_invertible
+from support import conjugate, random_fixing_subspace, random_invertible, span_closure_dimension
 
 
 def rank1(*values):
@@ -191,6 +192,24 @@ class TestIrreducibility:
             ],
         )
         assert is_irreducible(t)
+
+    def test_finite_matrices_decide_like_all(self):
+        # The analysis closes the span of the finite matrices only; the oracle
+        # closes it with A_inf as well.  Odd trials fix span(e_1, ..., e_d).
+        rng = random.Random(19)
+        reducible = 0
+        for trial in range(20):
+            n, k = rng.randint(2, 4), rng.randint(1, 3)
+            if trial % 2:
+                d = rng.randint(1, n - 1)
+                finite = [random_fixing_subspace(rng, n, d) for _ in range(k)]
+                t = monodromy_tuple(n, list(enumerate(finite)))
+            else:
+                t = random_tuple(n, k, rng.getrandbits(32))
+            full = span_closure_dimension(t.matrices()) == n * n
+            assert TupleAnalysis(t).irreducible == full
+            reducible += not full
+        assert 10 <= reducible < 20
 
     def test_physical_rigidity(self):
         assert rigidity_report(rank1("2", "3")).physically_rigid
