@@ -1,4 +1,5 @@
-"""Time the exact kernels: the span closure, invariant factors, the product and restrictions.
+"""Time the exact kernels: the span closure, invariant factors, the product, restrictions,
+the composed zero-monodromy invariants and the invertibility certificate.
 
     python3 bench/kernels.py [--runs 3] [--out BENCH.json]
 
@@ -32,10 +33,25 @@ reference routes from ``tests/support.py``.  Each figure is the median of
   agree, on a matrix of either family for n = 2..16.  The oracle is sympy,
   not the library's former solve route, so the ratio is not a speed-up
   over an earlier version.
+- ``zero_invariants``: ``SimilarityInvariant.grow_unit_blocks`` (the zero
+  monodromy's invariants composed from those at infinity, as
+  ``TupleAnalysis.zero_invariants`` does) against
+  ``exact_linalg.invariant_factors`` of the assembled matrix, whose answers
+  must agree, on the ``zero_monodromy`` family of ``invariant_factors`` for
+  n = 2..32.  The source is the dense block with unit Jordan blocks one
+  smaller and no padding; its own invariant factors, which the analysis has
+  already computed for the point at infinity, are not timed.
+- ``is_invertible``: ``QMatrix.is_invertible`` (full rank mod 2^61 - 1,
+  then the exact rank only when that falls short) against the exact
+  ``matrix_rank(m) == n``, whose answers must agree, on fixed-seed n x n
+  matrices for n = 2..32 of two families: ``dense``, as above, and
+  ``singular``, the same with its last row the sum of the others, where
+  the certificate fails and the exact rank runs after it.
 
 With ``--out``, the result is written into that JSON file under the keys
-``environment``, ``kernels``, ``invariant_factors``, ``product`` and
-``restriction``; other keys already in the file are kept.
+``environment``, ``kernels``, ``invariant_factors``, ``product``,
+``restriction``, ``zero_invariants`` and ``is_invertible``; other keys
+already in the file are kept.
 """
 
 from __future__ import annotations
@@ -91,16 +107,30 @@ def dense_matrix(rng: random.Random, n: int) -> QMatrix:
     )
 
 
-def zero_monodromy_matrix(rng: random.Random, n: int) -> QMatrix:
-    """block_diag(dense, J_2(1), J_3(1), I_p), the parts that fit in n."""
+def zero_monodromy_parts(rng: random.Random, n: int) -> tuple[QMatrix, list[int], int]:
+    """The dense block, the unit Jordan block sizes (2 and 3, those that fit)
+    and the padding of ``zero_monodromy_matrix``."""
     rest = n - max(1, n // 3)
-    blocks = [dense_matrix(rng, n - rest)]
+    dense = dense_matrix(rng, n - rest)
+    sizes = []
     for size in (2, 3):
         if rest >= size:
-            blocks.append(jordan_block(size, 1))
+            sizes.append(size)
             rest -= size
-    blocks.append(QMatrix.identity(rest))
-    return block_diag(blocks)
+    return dense, sizes, rest
+
+
+def zero_monodromy_matrix(rng: random.Random, n: int) -> QMatrix:
+    """block_diag(dense, J_2(1), J_3(1), I_p), the parts that fit in n."""
+    dense, sizes, padding = zero_monodromy_parts(rng, n)
+    return block_diag([dense, *(jordan_block(s, 1) for s in sizes), QMatrix.identity(padding)])
+
+
+def singular_matrix(rng: random.Random, n: int) -> QMatrix:
+    """A ``dense_matrix`` with its last row replaced by the sum of the others."""
+    dense = dense_matrix(rng, n)
+    rows = [dense.row_list(i) for i in range(n - 1)]
+    return QMatrix.from_rows(rows + [[sum(column) for column in zip(*rows)]])
 
 
 FAMILIES = {"dense": dense_matrix, "zero_monodromy": zero_monodromy_matrix}
@@ -199,6 +229,57 @@ def restriction_rows(runs: int) -> list[dict]:
     return rows
 
 
+def zero_invariant_rows(runs: int) -> list[dict]:
+    rows = []
+    for n in SIZES:
+        seed = f"zero_monodromy:{n}"  # the zero_monodromy matrices of invariant_factor_rows
+        dense, sizes, padding = zero_monodromy_parts(random.Random(seed), n)
+        matrix = zero_monodromy_matrix(random.Random(seed), n)
+        source = block_diag([dense, *(jordan_block(s - 1, 1) for s in sizes)])
+        infinity = exact_linalg.invariant_factors(source)
+        compose_ms, composed, _ = median_ms(lambda inv: inv.grow_unit_blocks(n), infinity, runs)
+        krylov_ms, factors, _ = median_ms(exact_linalg.invariant_factors, matrix, runs)
+        if composed != factors:
+            raise RuntimeError(f"n={n}: the composed factors disagree with the matrix's")
+        row = {
+            "family": "zero_monodromy",
+            "n": n,
+            "unit_blocks": sizes,
+            "padding": padding,
+            "compose_ms": round(compose_ms, 3),
+            "krylov_ms": round(krylov_ms, 3),
+            "speedup": round(krylov_ms / compose_ms, 1),
+            "factors": len(factors.invariant_factors),
+        }
+        print(json.dumps(row), flush=True)
+        rows.append(row)
+    return rows
+
+
+def invertibility_rows(runs: int) -> list[dict]:
+    rows = []
+    for family, make in {"dense": dense_matrix, "singular": singular_matrix}.items():
+        for n in SIZES:
+            matrix = make(random.Random(f"is_invertible:{family}:{n}"), n)
+            certificate_ms, invertible, _ = median_ms(QMatrix.is_invertible, matrix, runs)
+            exact_ms, full_rank, _ = median_ms(
+                lambda m: exact_linalg.matrix_rank(m) == m.rows, matrix, runs
+            )
+            if invertible != full_rank:
+                raise RuntimeError(f"{family} n={n}: the certificate disagrees with the rank")
+            row = {
+                "family": family,
+                "n": n,
+                "invertible": invertible,
+                "certificate_ms": round(certificate_ms, 3),
+                "exact_rank_ms": round(exact_ms, 3),
+                "speedup": round(exact_ms / certificate_ms, 1),
+            }
+            print(json.dumps(row), flush=True)
+            rows.append(row)
+    return rows
+
+
 def environment() -> dict:
     # "-dirty" marks a working tree that differs from the commit
     sha = subprocess.run(
@@ -274,6 +355,20 @@ def main() -> None:
             "unit": "ms, median of runs",
             "runs": args.runs,
             "rows": restriction_rows(args.runs),
+        },
+        "zero_invariants": {
+            "what": "zero monodromy invariants: composed from those at infinity "
+            "(grow_unit_blocks) vs the Krylov kernel on the assembled matrix",
+            "unit": "ms, median of runs",
+            "runs": args.runs,
+            "rows": zero_invariant_rows(args.runs),
+        },
+        "is_invertible": {
+            "what": "invertibility: rank mod 2^61 - 1 with the exact rank as fallback "
+            "vs the exact rank alone",
+            "unit": "ms, median of runs",
+            "runs": args.runs,
+            "rows": invertibility_rows(args.runs),
         },
     }
     if args.out:

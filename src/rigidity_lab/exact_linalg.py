@@ -13,10 +13,10 @@ division per entry.  All bases are the deterministic ones produced by
 reduced row echelon form with leftmost pivots, so repeated runs are
 bit-identical.
 
-The one computation on integers mod a prime is the irreducibility
-certificate in ``spans_full_algebra``: a full span closure mod the prime
-2^61 - 1 proves a full span over Q, so it can only confirm irreducibility;
-whenever it does not, the exact closure over Q decides.
+Two certificates run on integers mod the prime 2^61 - 1 and can only
+confirm: a full span closure mod the prime proves irreducibility
+(``spans_full_algebra``), full rank mod the prime invertibility
+(``QMatrix.is_invertible``); otherwise the exact computation over Q decides.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ _ONE = Fraction(1)
 
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
-# The Mersenne prime 2^61 - 1, modulus of the irreducibility certificate.
+# The Mersenne prime 2^61 - 1, modulus of the certificates.
 _PRIME = (1 << 61) - 1
 
 
@@ -185,7 +185,13 @@ class QMatrix:
         return QMatrix(self.rows, len(indices), entries)
 
     def is_invertible(self) -> bool:
-        return self.is_square and matrix_rank(self) == self.rows
+        """Square of full rank.  Full rank of dA mod ``_PRIME``
+        (``_rows_mod_p``) proves it; otherwise the exact rank decides."""
+        if not self.is_square:
+            return False
+        if all(map(_EchelonModP(self.cols).add, _rows_mod_p(self))):
+            return True
+        return matrix_rank(self) == self.rows
 
     def _require_same_shape(self, other: "QMatrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
@@ -208,6 +214,15 @@ def _scaled_to_integers(entries: Sequence[Fraction]) -> tuple[list[int], int]:
     if scale == 1:
         return [x.numerator for x in entries], 1
     return [x.numerator * (scale // x.denominator) for x in entries], scale
+
+
+def _rows_mod_p(matrix: QMatrix) -> list[list[int]]:
+    """The rows mod ``_PRIME`` of the integer matrix dA of
+    ``_scaled_to_integers``.  A minor of dA that is nonzero mod the prime
+    is nonzero, so the rows or columns of A it meets are independent."""
+    integers, _ = _scaled_to_integers(matrix.entries)
+    k = matrix.cols
+    return [[x % _PRIME for x in integers[i * k : (i + 1) * k]] for i in range(matrix.rows)]
 
 
 def matrix_to_json(matrix: QMatrix) -> list[list[str]]:
@@ -270,7 +285,7 @@ class Echelon:
     (column, value) pairs of their other nonzero entries, so a new vector is
     reduced in one forward pass; stored rows are never touched again.
     ``_EchelonModP`` is the same layout on residues mod a prime, for the
-    irreducibility certificate.
+    certificates.
     """
 
     def __init__(self, width: int):
@@ -402,27 +417,15 @@ class _EchelonModP:
 
 
 def _full_span_mod_p(generators: Sequence[QMatrix]) -> bool:
-    """Whether the reductions of ``generators`` mod ``_PRIME`` generate all
-    n x n matrices over that prime field; False also when an entry's
-    denominator is divisible by the prime, so that it has no reduction.
+    """Whether ``generators``, scaled to integers and reduced mod ``_PRIME``
+    (``_rows_mod_p``), generate all n x n matrices over that prime field.
 
     The same closure as the exact one, on integer residues: products are
     summed exactly and reduced once per entry.
     """
     n = generators[0].rows
     target = n * n
-    reduced = []
-    for g in generators:
-        residues = []
-        for x in g.entries:
-            d = x.denominator
-            if d == 1:
-                residues.append(x.numerator % _PRIME)
-            elif d % _PRIME:
-                residues.append(x.numerator * pow(d, -1, _PRIME) % _PRIME)
-            else:
-                return False
-        reduced.append([residues[i * n : (i + 1) * n] for i in range(n)])
+    reduced = [_rows_mod_p(g) for g in generators]
     basis = _EchelonModP(target)
     identity = [int(i == j) for i in range(n) for j in range(n)]
     basis.add(identity)
@@ -447,15 +450,15 @@ def spans_full_algebra(generators: Sequence[QMatrix]) -> bool:
     dimension of a rational span does not change under field extension, so
     a full span is the same over any extension field.
 
-    The closure runs first on the generators reduced mod the prime
-    ``_PRIME``, as a certificate.  Reduction mod the prime is a ring map on
-    rationals whose denominators it does not divide, so a full span mod the
-    prime means n^2 of the reached products reduce to independent vectors:
-    their n^2 x n^2 matrix has a determinant that is nonzero mod the prime,
-    hence nonzero over Q, and the products span M_n(Q).  Only when that
-    closure stalls below n^2 (the span over Q is smaller, or only the span
-    mod the prime is) or an entry's denominator is divisible by the prime
-    does the exact closure over Q decide.
+    The closure runs first on the generators scaled to integers and reduced
+    mod the prime ``_PRIME``, as a certificate.  Each product it reaches is
+    the reduction of an integer matrix, a nonzero multiple of a product of
+    the generators, so a full span mod the prime means n^2 such integer
+    matrices reduce to independent vectors: their n^2 x n^2 matrix has a
+    determinant that is nonzero mod the prime, hence nonzero, and the
+    products span M_n(Q).  Only when that closure stalls below n^2 (the
+    span over Q is smaller, or only the span mod the prime is) does the
+    exact closure over Q decide.
     """
     return _full_span_mod_p(generators) or _spans_full_algebra_exact(generators)
 
@@ -488,7 +491,7 @@ def fixed_space_dim(matrix: QMatrix) -> int:
     n = matrix.rows
     if not matrix.is_square:
         raise DimensionMismatchError("matrix must be square")
-    if matrix_rank(matrix) != n:
+    if not matrix.is_invertible():
         raise InvalidMonodromyError("matrix must be invertible")
     return n - matrix_rank(matrix - QMatrix.identity(n))
 
@@ -626,24 +629,44 @@ class SimilarityInvariant:
             (2 * (m - i) + 1) * _pdeg(f) for i, f in enumerate(self.invariant_factors, start=1)
         )
 
-    @property
-    def unit_block_sizes(self) -> tuple[int, ...]:
-        """Jordan block sizes of A for eigenvalue 1, non-increasing.
-
-        Each factor with the root 1 contributes one block, of size the
-        root's multiplicity; along the divisibility chain these multiplicities
-        only grow, so the factors are read from the last one back.
-        """
-        sizes = []
-        for f in reversed(self.invariant_factors):
-            size = 0
+    def _unit_split(self) -> list[tuple[int, Poly]]:
+        """(e_i, g_i) with f_i = (x - 1)^{e_i} g_i, g_i(1) != 0, e_i rising."""
+        split = []
+        for f in self.invariant_factors:
+            e = 0
             while not sum(f):  # f(1) == 0
                 f = _pdivmod(f, (-_ONE, _ONE))[0]
-                size += 1
-            if not size:
-                break
-            sizes.append(size)
-        return tuple(sizes)
+                e += 1
+            split.append((e, f))
+        return split
+
+    @property
+    def unit_block_sizes(self) -> tuple[int, ...]:
+        """Jordan block sizes of A for eigenvalue 1, non-increasing: each
+        factor with the root 1 contributes one block, of size the root's
+        multiplicity."""
+        return tuple(e for e, _ in reversed(self._unit_split()) if e)
+
+    def grow_unit_blocks(self, dimension: int) -> "SimilarityInvariant":
+        """The invariants of A with each unit Jordan block grown by one and
+        1 x 1 unit blocks added up to ``dimension``.  The new exponents of
+        x - 1, ascending, and the g_i, both padded with constants at the
+        small end, pair along the chain: largest exponent with largest g_i.
+        """
+        split = self._unit_split()
+        grown = [e + 1 for e, _ in split if e]
+        padding = dimension - sum(map(_pdeg, self.invariant_factors)) - len(grown)
+        if padding < 0:
+            raise ValueError("dimension is too small for the grown unit blocks")
+        exponents = [1] * padding + grown
+        size = max(len(exponents), len(split))
+        others = [(_ONE,)] * (size - len(split)) + [g for _, g in split]
+        factors = []
+        for e, g in zip([0] * (size - len(exponents)) + exponents, others):
+            for _ in range(e):
+                g = _pmul(g, (-_ONE, _ONE))
+            factors.append(g)
+        return SimilarityInvariant(tuple(factors))
 
 
 def _min_degree_position(m: list[list[Poly]], start: int) -> tuple[int, int] | None:

@@ -25,7 +25,6 @@ from .exact_linalg import (
     SimilarityInvariant,
     block_diag,
     centralizer_dimension,
-    fixed_space_dim,
     format_rational,
     invariant_factors,
     jordan_block,
@@ -101,7 +100,8 @@ class TupleAnalysis:
     first use and cached, so asking for the rigidity index never pays for
     the transform, and the identities reuse the centralizer dimensions that
     the two indices were summed from.  Invariant factors are computed once
-    per matrix role; those at infinity also give the unit Jordan blocks.
+    per matrix role; those at infinity also give the unit Jordan blocks and
+    the invariants of the zero monodromy.
     """
 
     def __init__(self, t: MonodromyTuple):
@@ -184,9 +184,10 @@ class TupleAnalysis:
             blocks.append(QMatrix.identity(padding))
         zero_monodromy = block_diag(blocks)
 
-        if fixed_space_dim(zero_monodromy) != rank_hat - n:
-            raise InternalError("reconstruction failed the kernel-dimension check")
+        # one elimination of T - 1: dim ker(T - 1) = rank_hat - n iff rank n
         restricted_zero = restrict_to_image(zero_monodromy)
+        if restricted_zero.rows != n:
+            raise InternalError("reconstruction failed the kernel-dimension check")
         if invariant_factors(restricted_zero) != self.infinity_invariants:
             raise InternalError("reconstruction failed the restriction similarity check")
 
@@ -204,7 +205,7 @@ class TupleAnalysis:
 
     @cached_property
     def zero_invariants(self) -> SimilarityInvariant:
-        return invariant_factors(self.local_data.zero_monodromy)
+        return self.infinity_invariants.grow_unit_blocks(self.local_data.rank_hat)
 
     @cached_property
     def zero_centralizer_dim(self) -> int:

@@ -398,11 +398,13 @@ class TestComputeOnce:
     # (command, invariant-factor calls, restrictions to im(A - 1)) for k
     # finite points: rig needs the k + 1 source matrices and nothing of the
     # transform; fourier the k components, each restricted once, A_inf for
-    # its unit blocks, the restricted zero monodromy of the self-check and the
-    # zero monodromy; verify every matrix role once, A_inf serving both sides.
+    # its unit blocks and the restricted zero monodromy of the self-check,
+    # whose one restriction also gives the kernel-dimension check; the zero
+    # monodromy's invariants are composed from A_inf's, not factored; verify
+    # every matrix role once, A_inf serving both sides.
     @pytest.mark.parametrize(
         "command, factorizations, restrictions",
-        [("rig", 4, 0), ("fourier", 6, 4), ("verify", 9, 4)],
+        [("rig", 4, 0), ("fourier", 5, 4), ("verify", 8, 4)],
     )
     def test_single_tuple_op(
         self, capsys, tmp_path, monkeypatch, command, factorizations, restrictions
@@ -443,7 +445,9 @@ class TestComputeOnce:
 class TestInternalFailures:
     def test_failed_self_check_exit_5(self, capsys, tmp_path, monkeypatch):
         path = write_json(tmp_path, "t.json", FOURPOINT2)
-        monkeypatch.setattr(fourier, "fixed_space_dim", lambda matrix: -1)
+        # a "restriction" that keeps the whole space: the components stay
+        # valid, but the zero monodromy's has rank_hat rows, not rank
+        monkeypatch.setattr(fourier, "restrict_to_image", lambda matrix: matrix)
         code, out, err = run_cli(capsys, "fourier", "--input", path)
         assert code == cli.EXIT_INTERNAL == 5
         assert out == ""

@@ -72,6 +72,21 @@ rational_matrices = st.tuples(
 ).map(QMatrix.from_rows)
 
 
+# Jordan data of A for ``grow_unit_blocks``: blocks without the eigenvalue 1
+# (repeated eigenvalues, -1, non-integer rationals), unit block sizes, padding
+jordan_growth_data = st.tuples(
+    st.lists(
+        st.tuples(
+            st.sampled_from([Fraction(2), Fraction(-1), Fraction(1, 2), Fraction(-3, 2)]),
+            st.integers(min_value=1, max_value=3),
+        ),
+        max_size=3,
+    ),
+    st.lists(st.integers(min_value=1, max_value=4), max_size=3),
+    st.integers(min_value=0, max_value=4),
+)
+
+
 def _rational_block(shape: tuple[int, int]):
     """Matrices of the given shape with small rational entries, some rows zero."""
     rows, cols = shape
@@ -150,6 +165,58 @@ class TestQMatrix:
             matrix_from_json("nope")
         with pytest.raises(ValueError):
             matrix_from_json([["1/0"]])
+
+
+P = 2**61 - 1  # the certificates' modulus
+
+
+class TestInvertibleCertificate:
+    """``is_invertible`` against the exact rank, on the matrices the mod-p
+    certificate cannot settle as well as those it can."""
+
+    CASES = [
+        QMatrix.from_rows([[1, 2], [2, 4]]),  # singular over Q
+        QMatrix.from_rows([[1, "1/2", 3], [2, 1, 6], [0, 5, "-7/3"]]),  # singular over Q
+        QMatrix.zeros(3, 3),
+        QMatrix.diagonal([P, 1]),  # invertible over Q, singular mod P
+        QMatrix.from_rows([[1, 1], [1, 1 + P]]),  # determinant P
+        QMatrix.diagonal([f"1/{P}", 1]),  # denominator divisible by P, invertible
+        QMatrix.from_rows([[f"1/{P}", f"2/{P}"], [1, 2]]),  # the same, singular
+        QMatrix.from_rows([[f"1/{P}", 3], ["2/5", 1]]),  # the same, invertible
+        QMatrix.from_rows([["3/4", -2], [5, "1/3"]]),
+        QMatrix.zeros(0, 0),  # rank 0 of 0 rows: invertible, as the exact rank says
+        QMatrix.from_rows([[0]]),
+        QMatrix.from_rows([["-2/3"]]),
+    ]
+    NON_SQUARE = [
+        QMatrix.from_rows([[1, 0, 0], [0, 1, 0]]),  # full row rank
+        QMatrix.from_rows([[1, 0], [0, 1], [0, 0]]),  # full column rank
+        QMatrix.zeros(0, 2),
+    ]
+
+    def test_agrees_with_exact_rank(self):
+        for m in self.CASES:
+            assert m.is_invertible() == (matrix_rank(m) == m.rows), m
+        for m in self.NON_SQUARE:
+            assert not m.is_invertible()
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.one_of(small_matrices, rational_matrices))
+    def test_agrees_with_exact_rank_on_small_matrices(self, m):
+        assert m.is_invertible() == (m.is_square and matrix_rank(m) == m.rows)
+
+    def test_fallback_runs_only_when_mod_p_rank_is_short(self, monkeypatch):
+        ranks = []
+        original = exact_linalg.matrix_rank
+        monkeypatch.setattr(exact_linalg, "matrix_rank", lambda m: ranks.append(m) or original(m))
+        assert QMatrix.diagonal([P, 1]).is_invertible()
+        assert QMatrix.diagonal([f"1/{P}", 1]).is_invertible()
+        assert len(ranks) == 2
+        tuples = [random_tuple(4, 3, seed) for seed in range(20)]
+        ranks.clear()  # drawing rejects singular candidates by the exact rank
+        for t in tuples:
+            assert all(m.is_invertible() for m in t.matrices())
+        assert ranks == []
 
 
 def _kernel(pivots: list[int], w: QMatrix) -> QMatrix:
@@ -334,6 +401,39 @@ class TestUnitStructure:
             m, sizes = random_unit_mixed_matrix(rng, 6)
             found = invariant_factors(m).unit_block_sizes
             assert found == tuple(sizes) == unit_partition_by_ranks(m)
+
+    def test_grow_unit_blocks_examples(self):
+        # A = J_2(1) + diag(2): T = J_3(1) + diag(2) + I_1
+        grown = invariant_factors(block_diag([J2, QMatrix.diagonal([2])])).grow_unit_blocks(5)
+        assembled = block_diag([jordan_block(3, 1), QMatrix.diagonal([2, 1])])
+        assert grown == invariant_factors(assembled)
+        assert grown.unit_block_sizes == (3, 1)
+        assert invariant_factors(QMatrix.diagonal([2])).grow_unit_blocks(1).invariant_factors == (
+            (-2, 1),
+        )
+        with pytest.raises(ValueError):
+            invariant_factors(J2).grow_unit_blocks(2)  # J_3(1) needs 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(jordan_growth_data)
+    @example(([], [], 0))
+    @example(([], [1], 0))
+    @example(([(Fraction(-1), 2), (Fraction(-1), 1)], [4, 4, 1], 4))
+    def test_grow_unit_blocks_matches_the_assembled_matrix(self, data):
+        """The composed invariants equal the Smith form of the full xI - T,
+        T = non_unit + J_{s+1}(1) for each unit block s + I_padding."""
+        non_unit_data, sizes, padding = data
+        non_unit = jordan_from_data(non_unit_data)
+        source = block_diag([non_unit, *(jordan_block(s, 1) for s in sizes)])
+        assembled = block_diag(
+            [non_unit, *(jordan_block(s + 1, 1) for s in sizes), QMatrix.identity(padding)]
+        )
+        invariants = invariant_factors(source)
+        grown = invariants.grow_unit_blocks(assembled.rows)
+        assert grown == smith_invariant_factors(assembled)
+        assert invariants.unit_block_sizes == tuple(sorted(sizes, reverse=True))
+        assert invariants.unit_block_sizes == unit_partition_by_ranks(source)
+        assert grown.unit_block_sizes == unit_partition_by_ranks(assembled)
 
     def test_restrict_to_image_examples(self):
         assert restrict_to_image(QMatrix.diagonal([2, 1])) == QMatrix.from_rows([[2]])

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from rigidity_lab import exact_linalg, fourier
 from rigidity_lab.errors import HypothesisViolationError, NonRealizableError
 from rigidity_lab.exact_linalg import (
     QMatrix,
@@ -15,6 +16,7 @@ from rigidity_lab.fourier import (
     ExponentialComponent,
     FourierLocalData,
     ReducibleInputWarning,
+    TupleAnalysis,
     irregularity_end,
     preservation_details,
     preservation_report_to_json,
@@ -79,6 +81,56 @@ class TestStationaryPhase:
             data = stationary_phase(t, warn_reducible=False)
             assert fixed_space_dim(data.zero_monodromy) == data.rank_hat - t.rank
             assert similar(restrict_to_image(data.zero_monodromy), t.infinity_matrix)
+
+    def test_zero_invariants_are_composed(self, monkeypatch):
+        """The zero monodromy's invariants come from those at infinity with
+        no ``invariant_factors`` call, and equal the factors of the matrix."""
+        m = QMatrix.from_rows([[2, 1], [0, 3]])
+        # A_inf conjugate to J_2(1): a unit block of size 2, then padding 1
+        unipotent = monodromy_tuple(2, [(0, m), (1, m.inverse() @ J2.inverse())])
+        rng = random.Random(97)
+        tuples = [unipotent, rank1("2", "1/2"), rank1("2", "3")] + [
+            random_tuple(rng.randint(1, 4), rng.randint(1, 4), rng.getrandbits(32))
+            for _ in range(40)
+        ]
+        original = exact_linalg.invariant_factors
+        calls, grown, padded = [], 0, 0
+        for t in tuples:
+            analysis = TupleAnalysis(t)
+            try:
+                data = analysis.local_data
+            except NonRealizableError:
+                continue
+            units = analysis.infinity_invariants.unit_block_sizes
+            with monkeypatch.context() as patch:
+                patch.setattr(fourier, "invariant_factors", lambda a: calls.append(a))
+                patch.setattr(exact_linalg, "invariant_factors", lambda a: calls.append(a))
+                zero = analysis.zero_invariants
+            assert zero == original(data.zero_monodromy)
+            grown += bool(units)
+            padded += data.rank_hat > t.rank + len(units)
+        assert calls == []
+        assert grown >= 3 and padded >= 20
+
+    def test_local_data_eliminates_zero_monodromy_once(self, monkeypatch):
+        t = random_tuple(3, 3, 11)
+        analysis = TupleAnalysis(t)  # validation's checks run here
+        restricted, factored, inverted, ranked = [], [], [], []
+        for owner, name, calls in [
+            (fourier, "restrict_to_image", restricted),
+            (fourier, "invariant_factors", factored),
+            (QMatrix, "is_invertible", inverted),
+            (exact_linalg, "matrix_rank", ranked),
+        ]:
+            function = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda a, f=function, c=calls: c.append(a) or f(a))
+        data = analysis.local_data
+        k = t.num_finite_points
+        # T - 1 once, for both self-checks; T's own factors never
+        assert restricted.count(data.zero_monodromy) == 1 and len(restricted) == k + 1
+        assert len(factored) == 2 and data.zero_monodromy not in factored
+        # every invertibility check, components and T, settled mod p
+        assert len(inverted) == k + 1 and ranked == []
 
     def test_non_realizable_rejected(self):
         t = monodromy_tuple(2, [(0, J2)])
