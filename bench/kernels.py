@@ -10,9 +10,10 @@ reference routes from ``tests/support.py``.  Each figure is the median of
 - ``kernels``: for each rank n = 2..8, two fixed-seed tuples, a
   hypergeometric (Levelt) tuple (C_f, C_f^-1 C_g; C_g^-1) with
   g = (x - 1)^n and a dense random tuple on three finite points, and the
-  times of ``exact_linalg._full_span_mod_p`` (the certificate) and
-  ``exact_linalg._spans_full_algebra_exact`` on its matrices.  Both answers
-  are recorded; on these tuples they agree.
+  times of the two passes of ``exact_linalg._closes_full_span`` on the
+  integer rows of its matrices: mod 2^61 - 1 (the certificate) and over Q
+  (the exact pass); the conversion to integer rows, shared by both, is not
+  timed.  Both answers are recorded; on these tuples they agree.
 - ``invariant_factors``: ``exact_linalg.invariant_factors`` (the Krylov
   kernel) against ``support.smith_invariant_factors`` (the Smith form of the
   full xI - A), whose answers must agree, on fixed-seed n x n matrices for
@@ -26,9 +27,10 @@ reference routes from ``tests/support.py``.  Each figure is the median of
 - ``product``: ``QMatrix.__matmul__`` (on integers) against
   ``support.loop_matmul`` (the schoolbook loop on fractions), whose answers
   must agree, on the square of a fresh matrix of either family by another.
-- ``restriction``: ``exact_linalg.restrict_to_image`` (A on im(A - 1)) and
-  ``exact_linalg.non_unit_part`` (A on im((A - 1)^n)), one elimination and
-  one product each, against ``support.restriction_oracle`` (the pivot
+- ``restriction``: ``exact_linalg.restrict_to_image`` (A on
+  im((A - 1)^power)) at power 1, at power e, the largest unit Jordan block
+  of A, as the transform passes for A_inf, and at power n, one elimination
+  and one product each, against ``support.restriction_oracle`` (the pivot
   columns B, then the solve B X = A B, both in sympy), whose answers must
   agree, on a matrix of either family for n = 2..16.  The oracle is sympy,
   not the library's former solve route, so the ratio is not a speed-up
@@ -70,7 +72,7 @@ from math import comb
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MAX_RANK = 8  # the exact closure takes about a second at rank 8, and grows as n^6
+CLOSURE_RANKS = range(2, 9)  # the exact pass takes about a second at rank 8, and grows as n^6
 SIZES = (2, 3, 4, 6, 8, 12, 16, 24, 32)
 RESTRICTION_SIZES = (2, 3, 4, 6, 8, 12, 16)
 ORACLE_CAP_S = 5.0
@@ -200,26 +202,55 @@ def product_rows(runs: int) -> list[dict]:
     return rows
 
 
+def closure_rows(runs: int) -> list[dict]:
+    rows = []
+    for n in CLOSURE_RANKS:
+        families = {
+            "levelt": levelt_generators(n, seed=n),
+            "dense": random_tuple(n, 3, seed=n).matrices(),
+        }
+        for family, generators in families.items():
+            integer_rows = [exact_linalg._integer_rows(g)[0] for g in generators]
+            mod_p_ms, certified, _ = median_ms(
+                lambda g: exact_linalg._closes_full_span(g, n, True), integer_rows, runs
+            )
+            exact_ms, full, _ = median_ms(
+                lambda g: exact_linalg._closes_full_span(g, n, False), integer_rows, runs
+            )
+            row = {
+                "family": family,
+                "rank": n,
+                "mod_p_ms": round(mod_p_ms, 3),
+                "exact_ms": round(exact_ms, 3),
+                "speedup": round(exact_ms / mod_p_ms, 1),
+                "certified": certified,
+                "full_span": full,
+            }
+            print(json.dumps(row), flush=True)
+            rows.append(row)
+    return rows
+
+
 def restriction_rows(runs: int) -> list[dict]:
     rows = []
     for family, make in FAMILIES.items():
         for n in RESTRICTION_SIZES:
             matrix = make(random.Random(f"restriction:{family}:{n}"), n)
-            cases = {
-                "restrict_to_image": (exact_linalg.restrict_to_image, 1),
-                "non_unit_part": (exact_linalg.non_unit_part, n),
-            }
-            for function, (library, power) in cases.items():
-                product_ms, restricted, _ = median_ms(library, matrix, runs)
+            e = max(exact_linalg.invariant_factors(matrix).unit_block_sizes, default=0)
+            for power in sorted({1, e, n}):
+                product_ms, restricted, _ = median_ms(
+                    lambda m: exact_linalg.restrict_to_image(m, power), matrix, runs
+                )
                 solve_ms, oracle, _ = median_ms(
                     lambda m: restriction_oracle(m, power), matrix, runs
                 )
                 if restricted != oracle:
-                    raise RuntimeError(f"{family} n={n}: {function} disagrees with the oracle")
+                    raise RuntimeError(f"{family} n={n} power={power}: disagrees with the oracle")
                 row = {
                     "family": family,
                     "n": n,
-                    "function": function,
+                    "power": power,
+                    "largest_unit_block": e,
                     "image_dim": restricted.rows,
                     "product_ms": round(product_ms, 3),
                     "sympy_solve_ms": round(solve_ms, 3),
@@ -304,38 +335,14 @@ def main() -> None:
     if args.runs < 3:
         parser.error("--runs must be at least 3")
 
-    rows = []
-    for n in range(2, MAX_RANK + 1):
-        families = {
-            "levelt": levelt_generators(n, seed=n),
-            "dense": random_tuple(n, 3, seed=n).matrices(),
-        }
-        for family, generators in families.items():
-            mod_p_ms, certified, _ = median_ms(
-                exact_linalg._full_span_mod_p, generators, args.runs
-            )
-            exact_ms, full, _ = median_ms(
-                exact_linalg._spans_full_algebra_exact, generators, args.runs
-            )
-            row = {
-                "family": family,
-                "rank": n,
-                "mod_p_ms": round(mod_p_ms, 3),
-                "exact_ms": round(exact_ms, 3),
-                "speedup": round(exact_ms / mod_p_ms, 1),
-                "certified": certified,
-                "full_span": full,
-            }
-            print(json.dumps(row), flush=True)
-            rows.append(row)
-
     result = {
         "environment": environment(),
         "kernels": {
-            "what": "span closure of the tuple's matrices: mod-p certificate vs exact closure",
+            "what": "span closure of the tuple's integer matrices: the pass mod 2^61 - 1 "
+            "(certificate) vs the pass over Q",
             "unit": "ms, median of runs",
             "runs": args.runs,
-            "rows": rows,
+            "rows": closure_rows(args.runs),
         },
         "invariant_factors": {
             "what": "invariant factors: Krylov kernel vs Smith form of the full xI - A (oracle)",
@@ -350,8 +357,8 @@ def main() -> None:
             "rows": product_rows(args.runs),
         },
         "restriction": {
-            "what": "A restricted to im(A - 1) and to im((A - 1)^n): W A[:, pivots] vs "
-            "pivot columns and a solve in sympy (oracle)",
+            "what": "A restricted to im((A - 1)^power), power 1, e and n: W A[:, pivots] "
+            "vs pivot columns and a solve in sympy (oracle)",
             "unit": "ms, median of runs",
             "runs": args.runs,
             "rows": restriction_rows(args.runs),

@@ -13,10 +13,11 @@ division per entry.  All bases are the deterministic ones produced by
 reduced row echelon form with leftmost pivots, so repeated runs are
 bit-identical.
 
-Two certificates run on integers mod the prime 2^61 - 1 and can only
-confirm: a full span closure mod the prime proves irreducibility
-(``spans_full_algebra``), full rank mod the prime invertibility
-(``QMatrix.is_invertible``); otherwise the exact computation over Q decides.
+Irreducibility (``spans_full_algebra``) and invertibility
+(``QMatrix.is_invertible``) each run one routine on the integer rows of dA,
+d the least common multiple of A's denominators: first mod the prime
+2^61 - 1, as a certificate that can only confirm, then, only when that
+falls short, the same routine over Q decides.
 """
 
 from __future__ import annotations
@@ -157,15 +158,15 @@ class QMatrix:
             raise DimensionMismatchError("only square matrices can be raised to a power")
         if exponent < 0:
             raise ValueError("negative powers are not supported; invert explicitly")
-        result = QMatrix.identity(self.rows)
+        result = None
         base = self
         e = exponent
         while e:
             if e & 1:
-                result = result @ base
+                result = base if result is None else result @ base
             base = base @ base if e > 1 else base
             e >>= 1
-        return result
+        return QMatrix.identity(self.rows) if result is None else result
 
     def inverse(self) -> "QMatrix":
         """The inverse, read off the reduced row echelon form [I | A^-1] of
@@ -185,13 +186,13 @@ class QMatrix:
         return QMatrix(self.rows, len(indices), entries)
 
     def is_invertible(self) -> bool:
-        """Square of full rank.  Full rank of dA mod ``_PRIME``
-        (``_rows_mod_p``) proves it; otherwise the exact rank decides."""
+        """Square of full rank: the rows of dA are independent
+        (``_independent``), mod ``_PRIME`` or else over Q.  A minor of dA that
+        is nonzero mod the prime is nonzero, so full rank there proves it."""
         if not self.is_square:
             return False
-        if all(map(_EchelonModP(self.cols).add, _rows_mod_p(self))):
-            return True
-        return matrix_rank(self) == self.rows
+        rows, _ = _integer_rows(self)
+        return _independent(rows, self.cols, True) or _independent(rows, self.cols, False)
 
     def _require_same_shape(self, other: "QMatrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
@@ -216,13 +217,11 @@ def _scaled_to_integers(entries: Sequence[Fraction]) -> tuple[list[int], int]:
     return [x.numerator * (scale // x.denominator) for x in entries], scale
 
 
-def _rows_mod_p(matrix: QMatrix) -> list[list[int]]:
-    """The rows mod ``_PRIME`` of the integer matrix dA of
-    ``_scaled_to_integers``.  A minor of dA that is nonzero mod the prime
-    is nonzero, so the rows or columns of A it meets are independent."""
-    integers, _ = _scaled_to_integers(matrix.entries)
+def _integer_rows(matrix: QMatrix) -> tuple[list[list[int]], int]:
+    """The rows of the integer matrix dA of ``_scaled_to_integers``, and d."""
+    integers, scale = _scaled_to_integers(matrix.entries)
     k = matrix.cols
-    return [[x % _PRIME for x in integers[i * k : (i + 1) * k]] for i in range(matrix.rows)]
+    return [integers[i * k : (i + 1) * k] for i in range(matrix.rows)], scale
 
 
 def matrix_to_json(matrix: QMatrix) -> list[list[str]]:
@@ -284,8 +283,10 @@ class Echelon:
     sorted by pivot column with an implicit leading 1 and stored as
     (column, value) pairs of their other nonzero entries, so a new vector is
     reduced in one forward pass; stored rows are never touched again.
-    ``_EchelonModP`` is the same layout on residues mod a prime, for the
-    certificates.
+    Incoming entries may be Fractions or ints.  ``_EchelonModP`` is the same
+    layout mod a prime: the span closure and the rank test of
+    ``is_invertible`` run once on it as a certificate and, only when that
+    falls short, once more here on the same integer rows.
     """
 
     def __init__(self, width: int):
@@ -416,25 +417,30 @@ class _EchelonModP:
         return True
 
 
-def _full_span_mod_p(generators: Sequence[QMatrix]) -> bool:
-    """Whether ``generators``, scaled to integers and reduced mod ``_PRIME``
-    (``_rows_mod_p``), generate all n x n matrices over that prime field.
+def _independent(rows: list[list[int]], width: int, mod_p: bool) -> bool:
+    """Whether the integer ``rows`` are independent mod ``_PRIME`` (``mod_p``)
+    or over Q."""
+    return all(map((_EchelonModP if mod_p else Echelon)(width).add, rows))
 
-    The same closure as the exact one, on integer residues: products are
-    summed exactly and reduced once per entry.
-    """
-    n = generators[0].rows
+
+def _closes_full_span(generators: list[list[list[int]]], n: int, mod_p: bool) -> bool:
+    """Whether the products of the n x n integer matrices ``generators``
+    (their rows), closed from the identity under left multiplication, span
+    all n^2 entries: mod ``_PRIME``, each product reduced once per entry
+    (``mod_p``), or over Q, each product exact."""
     target = n * n
-    reduced = [_rows_mod_p(g) for g in generators]
-    basis = _EchelonModP(target)
+    basis = _EchelonModP(target) if mod_p else Echelon(target)
     identity = [int(i == j) for i in range(n) for j in range(n)]
     basis.add(identity)
     queue = [identity]
     while queue and len(basis) < target:
         element = queue.pop()
         columns = [element[j::n] for j in range(n)]
-        for rows in reduced:
-            product = [sum(map(mul, row, col)) % _PRIME for row in rows for col in columns]
+        for rows in generators:
+            if mod_p:
+                product = [sum(map(mul, row, col)) % _PRIME for row in rows for col in columns]
+            else:
+                product = [sum(map(mul, row, col)) for row in rows for col in columns]
             if basis.add(product):
                 queue.append(product)
                 if len(basis) == target:
@@ -448,37 +454,21 @@ def spans_full_algebra(generators: Sequence[QMatrix]) -> bool:
     Starting from the identity, the span of the reached products is closed
     under left multiplication by the generators until it stabilizes.  The
     dimension of a rational span does not change under field extension, so
-    a full span is the same over any extension field.
+    a full span is the same over any extension field.  The closure runs on
+    the integer matrices dA (``_integer_rows``): scaling a generator by a
+    nonzero d does not change the span of the products.
 
-    The closure runs first on the generators scaled to integers and reduced
-    mod the prime ``_PRIME``, as a certificate.  Each product it reaches is
-    the reduction of an integer matrix, a nonzero multiple of a product of
-    the generators, so a full span mod the prime means n^2 such integer
-    matrices reduce to independent vectors: their n^2 x n^2 matrix has a
-    determinant that is nonzero mod the prime, hence nonzero, and the
-    products span M_n(Q).  Only when that closure stalls below n^2 (the
-    span over Q is smaller, or only the span mod the prime is) does the
-    exact closure over Q decide.
+    It runs first mod the prime ``_PRIME``, as a certificate.  Each product
+    it reaches is the reduction of an integer matrix, a product of the dA,
+    so a full span mod the prime means n^2 such integer matrices reduce to
+    independent vectors: their n^2 x n^2 matrix has a determinant that is
+    nonzero mod the prime, hence nonzero, and the products span M_n(Q).
+    Only when that closure stalls below n^2 (the span over Q is smaller, or
+    only the span mod the prime is) does the same closure over Q decide.
     """
-    return _full_span_mod_p(generators) or _spans_full_algebra_exact(generators)
-
-
-def _spans_full_algebra_exact(generators: Sequence[QMatrix]) -> bool:
-    """The span closure of ``spans_full_algebra`` in rational arithmetic."""
     n = generators[0].rows
-    target = n * n
-    basis = Echelon(target)
-    queue = [QMatrix.identity(n)]
-    basis.add(queue[0].entries)
-    while queue and len(basis) < target:
-        element = queue.pop()
-        for g in generators:
-            product = g @ element
-            if basis.add(product.entries):
-                queue.append(product)
-                if len(basis) == target:
-                    return True
-    return len(basis) == target
+    rows = [_integer_rows(g)[0] for g in generators]
+    return _closes_full_span(rows, n, True) or _closes_full_span(rows, n, False)
 
 
 # ---------------------------------------------------------------------------
@@ -496,18 +486,16 @@ def fixed_space_dim(matrix: QMatrix) -> int:
     return n - matrix_rank(matrix - QMatrix.identity(n))
 
 
-def restrict_to_image(matrix: QMatrix) -> QMatrix:
-    """A restricted to im(A - 1), in the basis of the pivot columns of A - 1."""
-    pivots, coordinates = _rank_factorization(matrix - QMatrix.identity(matrix.rows))
-    return coordinates @ matrix.columns(pivots)
+def restrict_to_image(matrix: QMatrix, power: int = 1) -> QMatrix:
+    """A restricted to im((A - 1)^power), in the basis of the pivot columns
+    of (A - 1)^power.
 
-
-def non_unit_part(matrix: QMatrix) -> QMatrix:
-    """A restricted to im((A - 1)^n), the A-invariant complement of the
-    generalized eigenspace for 1, in the basis of the pivot columns of
-    (A - 1)^n; it has no eigenvalue 1."""
-    n = matrix.rows
-    pivots, coordinates = _rank_factorization((matrix - QMatrix.identity(n)) ** n)
+    From e on, the largest unit Jordan block of A, neither the image nor the
+    row space of (A - 1)^power changes, so neither does the result: A on the
+    A-invariant complement of the generalized eigenspace for 1, with no
+    eigenvalue 1.  At power 0 the result is A itself.
+    """
+    pivots, coordinates = _rank_factorization((matrix - QMatrix.identity(matrix.rows)) ** power)
     return coordinates @ matrix.columns(pivots)
 
 
@@ -829,8 +817,8 @@ def invariant_factors(matrix: QMatrix) -> SimilarityInvariant:
     n = matrix.rows
     if n == 1:  # the one factor x - a, without the set-up of a spin
         return SimilarityInvariant(((-matrix.entries[0], _ONE),))
-    entries, scale = _scaled_to_integers(matrix.entries)
-    relations = _relation_matrix([entries[i * n : (i + 1) * n] for i in range(n)])
+    rows, scale = _integer_rows(matrix)
+    relations = _relation_matrix(rows)
     if len(relations) > 1:
         factors = [f for f in _smith_diagonal(relations) if _pdeg(f) > 0]
     else:

@@ -29,7 +29,6 @@ from .exact_linalg import (
     invariant_factors,
     jordan_block,
     matrix_to_json,
-    non_unit_part,
     restrict_to_image,
     spans_full_algebra,
 )
@@ -150,8 +149,9 @@ class TupleAnalysis:
         to im(A - 1)) of dimension rank(A - 1).  The monodromy at zero is
         assembled so that its restriction to the image of (T - 1) reproduces
         the monodromy at infinity while the ambient dimension reaches
-        sum(n_i): the part of the infinity matrix without eigenvalue 1 is
-        kept as is, each of its unit Jordan blocks grows by one, and the
+        sum(n_i): the part of the infinity matrix without eigenvalue 1, its
+        restriction to im((A_inf - 1)^e) with e its largest unit Jordan block,
+        is kept as is, each of its unit Jordan blocks grows by one, and the
         remainder is padded with 1x1 unit blocks.  Both defining properties
         are checked before returning.
         """
@@ -169,8 +169,8 @@ class TupleAnalysis:
             )
         rank_hat = sum(c.dimension for c in components)
 
-        non_unit = non_unit_part(t.infinity_matrix)
         unit_blocks = self.infinity_invariants.unit_block_sizes
+        non_unit = restrict_to_image(t.infinity_matrix, max(unit_blocks, default=0))
         padding = rank_hat - n - len(unit_blocks)
         if padding < 0:
             raise NonRealizableError(

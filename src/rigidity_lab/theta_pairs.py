@@ -1,10 +1,9 @@
 """Pairs of vector spaces (E, F, u: E->F, v: F->E) with invertible 1 + vu.
 
-These pairs model germs of holonomic modules at a point.  The three
-canonical constructions build a pair from a single invertible monodromy
-matrix; minimal extension and the minimality test single out the pairs with
-no subobject or quotient concentrated at the point (v injective, u
-surjective).
+These pairs model germs of holonomic modules at a point.  ``from_star``
+builds the middle-extension pair of an invertible monodromy matrix; the
+minimality test singles out the pairs with no subobject or quotient
+concentrated at the point (v injective, u surjective).
 """
 
 from __future__ import annotations
@@ -49,42 +48,17 @@ def monodromy_F(pair: ThetaPair) -> QMatrix:
     return QMatrix.identity(pair.dim_F) + pair.u @ pair.v
 
 
-def _require_invertible_monodromy(matrix: QMatrix) -> None:
-    if not matrix.is_square:
-        raise InvalidMonodromyError("monodromy matrix must be square")
-    if not matrix.is_invertible():
-        raise InvalidMonodromyError("monodromy matrix must be invertible")
-
-
-def from_shriek(monodromy: QMatrix) -> ThetaPair:
-    """Extension-by-zero pair: E = F, u = 1, v = T - 1."""
-    _require_invertible_monodromy(monodromy)
-    n = monodromy.rows
-    return ThetaPair(n, n, QMatrix.identity(n), monodromy - QMatrix.identity(n))
-
-
 def from_star(monodromy: QMatrix) -> ThetaPair:
     """Middle-extension pair: F = im(T - 1), u the corestriction, v the inclusion.
 
     In the basis of the pivot columns of T - 1, v is those columns and u the
     nonzero rows of the reduced row echelon form of T - 1."""
-    _require_invertible_monodromy(monodromy)
+    if not monodromy.is_invertible():  # False for a non-square matrix too
+        raise InvalidMonodromyError("monodromy matrix must be square and invertible")
     n = monodromy.rows
     diff = monodromy - QMatrix.identity(n)
     pivots, u = _rank_factorization(diff)
     return ThetaPair(n, len(pivots), u, diff.columns(pivots))
-
-
-def from_full_direct_image(monodromy: QMatrix) -> ThetaPair:
-    """Localized-germ pair: E = F, u = T - 1, v = 1."""
-    _require_invertible_monodromy(monodromy)
-    n = monodromy.rows
-    return ThetaPair(n, n, monodromy - QMatrix.identity(n), QMatrix.identity(n))
-
-
-def minimal_extension(pair: ThetaPair) -> ThetaPair:
-    """The middle-extension pair of the same generic monodromy."""
-    return from_star(monodromy_E(pair))
 
 
 def is_minimal(pair: ThetaPair) -> bool:

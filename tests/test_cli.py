@@ -394,17 +394,23 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
+def exact_closures(calls):
+    """The calls to ``_closes_full_span`` that ran over Q, not mod p."""
+    return [args for args in calls if not args[2]]
+
+
 class TestComputeOnce:
-    # (command, invariant-factor calls, restrictions to im(A - 1)) for k
-    # finite points: rig needs the k + 1 source matrices and nothing of the
-    # transform; fourier the k components, each restricted once, A_inf for
-    # its unit blocks and the restricted zero monodromy of the self-check,
-    # whose one restriction also gives the kernel-dimension check; the zero
+    # (command, invariant-factor calls, restrictions) for k finite points:
+    # rig needs the k + 1 source matrices and nothing of the transform;
+    # fourier restricts the k components to im(A - 1), A_inf to its non-unit
+    # part and the zero monodromy of the self-check, whose one restriction
+    # also gives the kernel-dimension check, and factors the k components,
+    # A_inf for its unit blocks and the restricted zero monodromy; the zero
     # monodromy's invariants are composed from A_inf's, not factored; verify
-    # every matrix role once, A_inf serving both sides.
+    # factors every matrix role once, A_inf serving both sides.
     @pytest.mark.parametrize(
         "command, factorizations, restrictions",
-        [("rig", 4, 0), ("fourier", 5, 4), ("verify", 8, 4)],
+        [("rig", 4, 0), ("fourier", 5, 5), ("verify", 8, 5)],
     )
     def test_single_tuple_op(
         self, capsys, tmp_path, monkeypatch, command, factorizations, restrictions
@@ -412,42 +418,48 @@ class TestComputeOnce:
         path = write_json(tmp_path, "t.json", FOURPOINT2)
         validate = count_calls(monkeypatch, local_systems, "validate")
         closure = count_calls(monkeypatch, exact_linalg, "spans_full_algebra")
-        exact = count_calls(monkeypatch, exact_linalg, "_spans_full_algebra_exact")
+        passes = count_calls(monkeypatch, exact_linalg, "_closes_full_span")
         factors = count_calls(monkeypatch, exact_linalg, "invariant_factors")
         restrict = count_calls(monkeypatch, exact_linalg, "restrict_to_image")
         code, _, _ = run_cli(capsys, command, "--input", path)
         assert code == 0
         assert (len(validate), len(closure)) == (1, 1)
-        assert len(exact) == 0  # the mod-p certificate settles an irreducible tuple
+        assert len(passes) == 1 and exact_closures(passes) == []  # the certificate settles it
         assert len(factors) == factorizations
         assert len(restrict) == restrictions
 
     def test_reducible_runs_the_exact_closure_once(self, capsys, tmp_path, monkeypatch):
         path = write_json(tmp_path, "red.json", REDUCIBLE_DIAGONAL)
         closure = count_calls(monkeypatch, exact_linalg, "spans_full_algebra")
-        exact = count_calls(monkeypatch, exact_linalg, "_spans_full_algebra_exact")
+        passes = count_calls(monkeypatch, exact_linalg, "_closes_full_span")
         code, _, _ = run_cli(capsys, "verify", "--input", path, "--force")
         assert code == 0
-        assert (len(closure), len(exact)) == (1, 1)
+        assert (len(closure), len(exact_closures(passes))) == (1, 1)
 
     def test_campaign_draw(self, capsys, monkeypatch):
         draws = count_calls(monkeypatch, local_systems, "random_tuple")
         validate = count_calls(monkeypatch, local_systems, "validate")
         closure = count_calls(monkeypatch, exact_linalg, "spans_full_algebra")
-        exact = count_calls(monkeypatch, exact_linalg, "_spans_full_algebra_exact")
+        passes = count_calls(monkeypatch, exact_linalg, "_closes_full_span")
         code, _, _ = run_cli(capsys, "verify", "--random", "--trials", "10", "--seed", "5")
         assert code == 0
         assert len(validate) == len(closure) == len(draws) >= 10
         # only the reducible draws, redrawn, need the exact closure
-        assert len(exact) == len(draws) - 10
+        assert len(exact_closures(passes)) == len(draws) - 10
 
 
 class TestInternalFailures:
     def test_failed_self_check_exit_5(self, capsys, tmp_path, monkeypatch):
         path = write_json(tmp_path, "t.json", FOURPOINT2)
-        # a "restriction" that keeps the whole space: the components stay
+        # a restriction of T that keeps the whole space: the components stay
         # valid, but the zero monodromy's has rank_hat rows, not rank
-        monkeypatch.setattr(fourier, "restrict_to_image", lambda matrix: matrix)
+        restrict = fourier.restrict_to_image
+
+        def broken(matrix, power=1):
+            # T is the only matrix larger than the tuple's rank (rank_hat = 4)
+            return matrix if matrix.rows > FOURPOINT2["rank"] else restrict(matrix, power)
+
+        monkeypatch.setattr(fourier, "restrict_to_image", broken)
         code, out, err = run_cli(capsys, "fourier", "--input", path)
         assert code == cli.EXIT_INTERNAL == 5
         assert out == ""

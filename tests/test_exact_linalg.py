@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +19,6 @@ from rigidity_lab.exact_linalg import (
     matrix_from_json,
     matrix_rank,
     matrix_to_json,
-    non_unit_part,
     parse_rational,
     polynomial_to_string,
     restrict_to_image,
@@ -206,17 +206,21 @@ class TestInvertibleCertificate:
         assert m.is_invertible() == (m.is_square and matrix_rank(m) == m.rows)
 
     def test_fallback_runs_only_when_mod_p_rank_is_short(self, monkeypatch):
-        ranks = []
-        original = exact_linalg.matrix_rank
-        monkeypatch.setattr(exact_linalg, "matrix_rank", lambda m: ranks.append(m) or original(m))
+        passes = []
+        original = exact_linalg._independent
+        monkeypatch.setattr(
+            exact_linalg,
+            "_independent",
+            lambda rows, width, mod_p: passes.append(mod_p) or original(rows, width, mod_p),
+        )
         assert QMatrix.diagonal([P, 1]).is_invertible()
         assert QMatrix.diagonal([f"1/{P}", 1]).is_invertible()
-        assert len(ranks) == 2
+        assert passes == [True, False, True, False]
         tuples = [random_tuple(4, 3, seed) for seed in range(20)]
-        ranks.clear()  # drawing rejects singular candidates by the exact rank
+        passes.clear()  # drawing rejects singular candidates by the exact pass
         for t in tuples:
             assert all(m.is_invertible() for m in t.matrices())
-        assert ranks == []
+        assert passes and all(passes)  # no exact pass
 
 
 def _kernel(pivots: list[int], w: QMatrix) -> QMatrix:
@@ -441,16 +445,19 @@ class TestUnitStructure:
         assert restrict_to_image(J2) == QMatrix.from_rows([[1]])
 
     def test_non_unit_part_examples(self):
-        assert non_unit_part(QMatrix.identity(2)).rows == 0
-        assert similar(non_unit_part(QMatrix.diagonal([2, 3])), QMatrix.diagonal([2, 3]))
-        assert non_unit_part(QMatrix.diagonal([1, 5])) == QMatrix.from_rows([[5]])
+        # A on im((A - 1)^n), the complement of the generalized eigenspace for 1
+        assert restrict_to_image(QMatrix.identity(2), 2).rows == 0
+        diagonal = QMatrix.diagonal([2, 3])
+        assert similar(restrict_to_image(diagonal, 2), diagonal)
+        assert restrict_to_image(QMatrix.diagonal([1, 5]), 2) == QMatrix.from_rows([[5]])
+        assert restrict_to_image(diagonal, 0) == diagonal
 
     def test_split_properties(self):
         rng = random.Random(31)
         for _ in range(20):
             n = rng.randint(1, 5)
             m = random_invertible(rng, n)
-            rest = non_unit_part(m)
+            rest = restrict_to_image(m, n)
             assert rest.rows == n - sum(invariant_factors(m).unit_block_sizes)
             assert (rest - QMatrix.identity(rest.rows)).is_invertible()
 
@@ -462,7 +469,19 @@ class TestUnitStructure:
             p = random_invertible(rng, n)
             mc = conjugate(m, p)
             assert similar(restrict_to_image(m), restrict_to_image(mc))
-            assert similar(non_unit_part(m), non_unit_part(mc))
+            assert similar(restrict_to_image(m, n), restrict_to_image(mc, n))
+
+
+def _largest_unit_block(matrix: QMatrix) -> int:
+    return max(unit_partition_by_ranks(matrix), default=0)
+
+
+def _levelt_infinity(n: int) -> QMatrix:
+    """C_g^-1 for the companion matrix C_g of g = (x - 1)^n: one unipotent
+    Jordan block of size n, as at infinity of a Levelt tuple."""
+    g = [(-1) ** (n - k) * comb(n, k) for k in range(n)]
+    rows = [[int(j == i - 1) - (g[i] if j == n - 1 else 0) for j in range(n)] for i in range(n)]
+    return QMatrix.from_rows(rows).inverse()
 
 
 def _restriction_cases(rng: random.Random) -> list[QMatrix]:
@@ -485,8 +504,26 @@ class TestRestriction:
         cases = _restriction_cases(random.Random(71))
         assert sum(matrix_rank(m) < m.rows for m in cases) >= 14
         for m in cases:
-            assert restrict_to_image(m) == restriction_oracle(m, 1)
-            assert non_unit_part(m) == restriction_oracle(m, m.rows)
+            e = _largest_unit_block(m)
+            for power in sorted({0, 1, e, m.rows}):
+                assert restrict_to_image(m, power) == restriction_oracle(m, power), (m, power)
+
+    def test_largest_unit_block_power_equals_power_n(self):
+        # From the largest unit block e on, the image and the row space of
+        # (A - 1)^k stay put, so the RREF, the pivots and the product do too.
+        rng = random.Random(79)
+        cases = [random_unit_mixed_matrix(rng, 7) for _ in range(60)]
+        assert {max(sizes, default=0) for _, sizes in cases} >= {0, 1, 2, 3}
+        cases += [(_levelt_infinity(n), [n]) for n in range(1, 8)]
+        cases += [(QMatrix.diagonal([2, 3, "1/2"]), []), (jordan_block(4, -1), [])]
+        for m, sizes in cases:
+            e = max(sizes, default=0)
+            assert e == _largest_unit_block(m)
+            assert restrict_to_image(m, e) == restrict_to_image(m, m.rows), m
+            if e:
+                assert restrict_to_image(m, e - 1).rows > m.rows - sum(sizes)
+            else:
+                assert restrict_to_image(m, 0) == m
 
     def test_one_elimination_per_restriction(self, monkeypatch):
         m = random_unit_mixed_matrix(random.Random(73), 6)[0]
@@ -496,7 +533,7 @@ class TestRestriction:
             exact_linalg, "_echelon", lambda rows, width: calls.append(width) or original(rows, width)
         )
         restrict_to_image(m)
-        non_unit_part(m)
+        restrict_to_image(m, m.rows)
         assert calls == [m.rows, m.rows]
 
 
@@ -624,12 +661,12 @@ class TestKrylovKernel:
 
 class TestSpanClosure:
     def test_agrees_with_sympy_closure(self, monkeypatch):
-        exact = []
-        original = exact_linalg._spans_full_algebra_exact
+        passes = []
+        original = exact_linalg._closes_full_span
         monkeypatch.setattr(
             exact_linalg,
-            "_spans_full_algebra_exact",
-            lambda gens: exact.append(gens) or original(gens),
+            "_closes_full_span",
+            lambda gens, n, mod_p: passes.append(mod_p) or original(gens, n, mod_p),
         )
         rng = random.Random(4)
         not_full = 0
@@ -655,7 +692,7 @@ class TestSpanClosure:
                 not_full += not full
         assert 5 < not_full < 15
         # the certificate settles every full span; only the others run exactly
-        assert len(exact) == not_full
+        assert passes.count(True) == 20 and passes.count(False) == not_full
 
 
 def test_polynomial_rendering():

@@ -115,22 +115,29 @@ class TestStationaryPhase:
     def test_local_data_eliminates_zero_monodromy_once(self, monkeypatch):
         t = random_tuple(3, 3, 11)
         analysis = TupleAnalysis(t)  # validation's checks run here
-        restricted, factored, inverted, ranked = [], [], [], []
+        restricted, factored, inverted, independence = [], [], [], []
         for owner, name, calls in [
             (fourier, "restrict_to_image", restricted),
             (fourier, "invariant_factors", factored),
             (QMatrix, "is_invertible", inverted),
-            (exact_linalg, "matrix_rank", ranked),
+            (exact_linalg, "_independent", independence),
         ]:
             function = getattr(owner, name)
-            monkeypatch.setattr(owner, name, lambda a, f=function, c=calls: c.append(a) or f(a))
+            monkeypatch.setattr(
+                owner, name, lambda a, *rest, f=function, c=calls: c.append((a, *rest)) or f(a, *rest)
+            )
         data = analysis.local_data
         k = t.num_finite_points
-        # T - 1 once, for both self-checks; T's own factors never
-        assert restricted.count(data.zero_monodromy) == 1 and len(restricted) == k + 1
-        assert len(factored) == 2 and data.zero_monodromy not in factored
+        # the k components, A_inf's non-unit part, and T - 1 once for both
+        # self-checks; (A_inf - 1)^n never, T's own factors never
+        e = max(analysis.infinity_invariants.unit_block_sizes, default=0)
+        assert e < t.rank
+        assert [args[1:] for args in restricted] == [()] * k + [(e,), ()]
+        assert [args[0] for args in restricted].count(data.zero_monodromy) == 1
+        assert len(factored) == 2 and (data.zero_monodromy,) not in factored
         # every invertibility check, components and T, settled mod p
-        assert len(inverted) == k + 1 and ranked == []
+        assert len(inverted) == k + 1
+        assert [args[2] for args in independence] == [True] * (k + 1)
 
     def test_non_realizable_rejected(self):
         t = monodromy_tuple(2, [(0, J2)])

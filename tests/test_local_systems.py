@@ -179,7 +179,8 @@ class TestIrreducibility:
             2,
             [(0, QMatrix.from_rows([[1, 1], [0, 1]])), (1, QMatrix.from_rows([[1, 0], [p, 1]]))],
         )
-        assert not exact_linalg._full_span_mod_p(t.matrices())
+        rows = [exact_linalg._integer_rows(a)[0] for a in t.matrices()]
+        assert not exact_linalg._closes_full_span(rows, 2, True)
         assert is_irreducible(t)
 
     def test_denominator_divisible_by_the_certificate_prime(self):

