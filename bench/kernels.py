@@ -1,5 +1,5 @@
 """Time the exact kernels: the span closure, invariant factors, the product, restrictions,
-the composed zero-monodromy invariants and the invertibility certificate.
+the composed zero-monodromy invariants, the invertibility certificate and elimination.
 
     python3 bench/kernels.py [--runs 3] [--out BENCH.json]
 
@@ -50,10 +50,19 @@ reference routes from ``tests/support.py``.  Each figure is the median of
   ``singular``, the same with its last row the sum of the others, where
   the certificate fails and the exact rank runs after it.
 
+- ``echelon``: ``exact_linalg.matrix_rank``, ``_rank_factorization`` and
+  ``QMatrix.inverse`` (fraction-free elimination of the integer rows of dA)
+  against ``support.fraction_rank``, ``fraction_rank_factorization`` and
+  ``fraction_inverse`` (the same elimination on ``Fraction`` rows), whose
+  answers must agree, on fixed-seed n x n matrices for n = 4..12 of three
+  families: ``dense`` and ``zero_monodromy``, as above, and
+  ``large_entries``, whose numerators and denominators are random 64-bit
+  integers.
+
 With ``--out``, the result is written into that JSON file under the keys
 ``environment``, ``kernels``, ``invariant_factors``, ``product``,
-``restriction``, ``zero_invariants`` and ``is_invertible``; other keys
-already in the file are kept.
+``restriction``, ``zero_invariants``, ``is_invertible`` and ``echelon``;
+other keys already in the file are kept.
 """
 
 from __future__ import annotations
@@ -75,13 +84,22 @@ ROOT = Path(__file__).resolve().parent.parent
 CLOSURE_RANKS = range(2, 9)  # the exact pass takes about a second at rank 8, and grows as n^6
 SIZES = (2, 3, 4, 6, 8, 12, 16, 24, 32)
 RESTRICTION_SIZES = (2, 3, 4, 6, 8, 12, 16)
+ECHELON_SIZES = (4, 6, 8, 10, 12)
 ORACLE_CAP_S = 5.0
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from rigidity_lab import exact_linalg  # noqa: E402
+from rigidity_lab.errors import InvalidMonodromyError  # noqa: E402
 from rigidity_lab.exact_linalg import QMatrix, block_diag, jordan_block  # noqa: E402
 from rigidity_lab.local_systems import random_tuple  # noqa: E402
-from support import loop_matmul, restriction_oracle, smith_invariant_factors  # noqa: E402
+from support import (  # noqa: E402
+    fraction_inverse,
+    fraction_rank,
+    fraction_rank_factorization,
+    loop_matmul,
+    restriction_oracle,
+    smith_invariant_factors,
+)
 
 
 def companion(coeffs: list[int]) -> QMatrix:
@@ -133,6 +151,19 @@ def singular_matrix(rng: random.Random, n: int) -> QMatrix:
     dense = dense_matrix(rng, n)
     rows = [dense.row_list(i) for i in range(n - 1)]
     return QMatrix.from_rows(rows + [[sum(column) for column in zip(*rows)]])
+
+
+def large_entries_matrix(rng: random.Random, n: int) -> QMatrix:
+    """Entries with random 64-bit numerators (either sign) and denominators."""
+    return QMatrix.from_rows(
+        [
+            [
+                Fraction(rng.randint(-(2**64) + 1, 2**64 - 1), rng.randint(2**63, 2**64 - 1))
+                for _ in range(n)
+            ]
+            for _ in range(n)
+        ]
+    )
 
 
 FAMILIES = {"dense": dense_matrix, "zero_monodromy": zero_monodromy_matrix}
@@ -311,6 +342,46 @@ def invertibility_rows(runs: int) -> list[dict]:
     return rows
 
 
+def inverse_or_none(matrix: QMatrix) -> QMatrix | None:
+    """``QMatrix.inverse``, or None when the matrix is singular, as
+    ``fraction_inverse`` answers."""
+    try:
+        return matrix.inverse()
+    except InvalidMonodromyError:
+        return None
+
+
+ECHELON_KERNELS = {
+    "matrix_rank": (exact_linalg.matrix_rank, fraction_rank),
+    "rank_factorization": (exact_linalg._rank_factorization, fraction_rank_factorization),
+    "inverse": (inverse_or_none, fraction_inverse),
+}
+
+
+def echelon_rows(runs: int) -> list[dict]:
+    rows = []
+    families = {**FAMILIES, "large_entries": large_entries_matrix}
+    for family, make in families.items():
+        for n in ECHELON_SIZES:
+            matrix = make(random.Random(f"echelon:{family}:{n}"), n)
+            for kernel, (integer, oracle) in ECHELON_KERNELS.items():
+                integer_ms, answer, _ = median_ms(integer, matrix, runs)
+                fraction_ms, expected, _ = median_ms(oracle, matrix, runs)
+                if answer != expected:
+                    raise RuntimeError(f"{family} n={n} {kernel}: disagrees with the oracle")
+                row = {
+                    "family": family,
+                    "n": n,
+                    "kernel": kernel,
+                    "integer_ms": round(integer_ms, 3),
+                    "fraction_ms": round(fraction_ms, 3),
+                    "speedup": round(fraction_ms / integer_ms, 2),
+                }
+                print(json.dumps(row), flush=True)
+                rows.append(row)
+    return rows
+
+
 def environment() -> dict:
     # "-dirty" marks a working tree that differs from the commit
     sha = subprocess.run(
@@ -376,6 +447,13 @@ def main() -> None:
             "unit": "ms, median of runs",
             "runs": args.runs,
             "rows": invertibility_rows(args.runs),
+        },
+        "echelon": {
+            "what": "rank, rank factorization and inverse: fraction-free elimination of the "
+            "integer rows of dA vs the same elimination on Fraction rows (oracle)",
+            "unit": "ms, median of runs",
+            "runs": args.runs,
+            "rows": echelon_rows(args.runs),
         },
     }
     if args.out:

@@ -40,7 +40,14 @@ from .fourier import (
     irregularity_end,
     preservation_report_to_json,
 )
-from .local_systems import MAX_RANK, MonodromyTuple, random_tuple, tuple_from_json, tuple_to_json
+from .local_systems import (
+    MAX_POINTS,
+    MAX_RANK,
+    MonodromyTuple,
+    random_tuple,
+    tuple_from_json,
+    tuple_to_json,
+)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -348,11 +355,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _campaign_rank(text: str) -> int:
-    value = _positive_int(text)
-    if value > MAX_RANK:
-        raise argparse.ArgumentTypeError(f"expected a rank of at most {MAX_RANK}, got {text!r}")
-    return value
+def _at_most(limit: int, what: str):
+    """An argparse type: a positive integer of at most ``limit``."""
+
+    def parse(text: str) -> int:
+        value = _positive_int(text)
+        if value > limit:
+            raise argparse.ArgumentTypeError(f"expected {what} of at most {limit}, got {text!r}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -379,9 +391,12 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--input", help="tuple JSON file, or - for stdin")
     verify.add_argument("--random", action="store_true", help="run a randomized campaign")
     verify.add_argument("--trials", type=_positive_int, default=100)
-    verify.add_argument("--max-rank", type=_campaign_rank, default=4)
+    verify.add_argument("--max-rank", type=_at_most(MAX_RANK, "a rank"), default=4)
     verify.add_argument(
-        "--max-points", type=_positive_int, default=4, help="max number of finite points"
+        "--max-points",
+        type=_at_most(MAX_POINTS, "a point count"),
+        default=4,
+        help="max number of finite points",
     )
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--force", action="store_true", help="proceed on reducible input")

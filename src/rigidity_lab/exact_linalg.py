@@ -3,15 +3,17 @@
 Matrices carry ``fractions.Fraction`` entries in row-major order and every
 computation is exact, never from floating point and never from eigenvalue
 factorization.  Ranks, inverses, spans and restrictions to invariant images
-come out of rational elimination, one per matrix.  Centralizer dimensions,
-unit Jordan blocks and similarity are read off the invariant factors of
-xI - A: a Krylov basis of A, scaled to integers, splits Q^n into cyclic
-blocks, and a Smith form over Q[x] runs only on the small matrix of
-relations between those blocks.  Products are summed on integers, each
-factor scaled by the least common multiple of its denominators, with one
-division per entry.  All bases are the deterministic ones produced by
-reduced row echelon form with leftmost pivots, so repeated runs are
-bit-identical.
+come out of one fraction-free elimination per matrix (``Echelon``) on the
+integer rows of dA, d the least common multiple of A's denominators, which
+each matrix computes once; results become ``Fraction`` entries only at the
+end, one division per entry.  Centralizer dimensions, unit Jordan blocks
+and similarity are read off the invariant factors of xI - A: a Krylov
+basis of dA splits Q^n into cyclic blocks, and a Smith form over Q[x] runs
+only on the small matrix of relations between those blocks.  Products are
+summed on integers, each factor scaled by the least common multiple of its
+denominators, with one division per entry.  All bases are the
+deterministic ones produced by reduced row echelon form with leftmost
+pivots, so repeated runs are bit-identical.
 
 Irreducibility (``spans_full_algebra``) and invertibility
 (``QMatrix.is_invertible``) each run one routine on the integer rows of dA,
@@ -26,7 +28,8 @@ import re
 from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -142,15 +145,12 @@ class QMatrix:
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         n, k, m = self.rows, self.cols, other.cols
-        left, left_scale = _scaled_to_integers(self.entries)
-        right, right_scale = _scaled_to_integers(other.entries)
+        left, left_scale = self._integers
+        right, right_scale = other._integers
         rows = [left[i * k : (i + 1) * k] for i in range(n)]
         columns = [right[j::m] for j in range(m)]
         scale = left_scale * right_scale
-        if scale == 1:
-            out = [Fraction(sum(map(mul, row, col))) for row in rows for col in columns]
-        else:
-            out = [Fraction(sum(map(mul, row, col)), scale) for row in rows for col in columns]
+        out = [_ratio(sum(map(mul, row, col)), scale) for row in rows for col in columns]
         return QMatrix(n, m, tuple(out))
 
     def __pow__(self, exponent: int) -> "QMatrix":
@@ -170,15 +170,19 @@ class QMatrix:
 
     def inverse(self) -> "QMatrix":
         """The inverse, read off the reduced row echelon form [I | A^-1] of
-        [A | I]: A is invertible exactly when the pivots are A's columns."""
+        the integer matrix [dA | dI], d the least common multiple of A's
+        denominators: A is invertible exactly when the pivots are A's
+        columns."""
         if not self.is_square:
             raise DimensionMismatchError("only square matrices can be inverted")
         n = self.rows
-        identity = QMatrix.identity(n)
-        basis = _echelon((self.row_list(i) + identity.row_list(i) for i in range(n)), 2 * n)
+        rows, scale = _integer_rows(self)
+        augmented = ([*row, *(scale * (i == j) for j in range(n))] for i, row in enumerate(rows))
+        basis = _echelon(augmented, 2 * n)
         if basis.pivots != list(range(n)):
             raise InvalidMonodromyError("matrix is singular")
-        return QMatrix(n, n, tuple(x for row in basis.reduced_rows() for x in row[n:]))
+        inverse = (_ratio(x, lead) for lead, row in basis.reduced_rows() for x in row[n:])
+        return QMatrix(n, n, tuple(inverse))
 
     def columns(self, indices: Sequence[int]) -> "QMatrix":
         """The columns at ``indices``, in that order."""
@@ -194,6 +198,15 @@ class QMatrix:
         rows, _ = _integer_rows(self)
         return _independent(rows, self.cols, True) or _independent(rows, self.cols, False)
 
+    @cached_property
+    def _integers(self) -> tuple[tuple[int, ...], int]:
+        """The entries of dA, d the least common multiple of A's
+        denominators, and d: computed once per matrix."""
+        scale = lcm(*(x.denominator for x in self.entries))
+        if scale == 1:
+            return tuple(x.numerator for x in self.entries), 1
+        return tuple(x.numerator * (scale // x.denominator) for x in self.entries), scale
+
     def _require_same_shape(self, other: "QMatrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
             raise DimensionMismatchError(
@@ -208,18 +221,18 @@ class QMatrix:
         return f"[{body}]"
 
 
-def _scaled_to_integers(entries: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The integers d * x for the entries x, where d is the least common
-    multiple of their denominators, and d."""
-    scale = lcm(*(x.denominator for x in entries))
-    if scale == 1:
-        return [x.numerator for x in entries], 1
-    return [x.numerator * (scale // x.denominator) for x in entries], scale
+def _ratio(numerator: int, denominator: int) -> Fraction:
+    """numerator / denominator, without a gcd when one is not needed."""
+    if not numerator:
+        return _ZERO
+    if denominator == 1:
+        return Fraction(numerator)
+    return Fraction(numerator, denominator)
 
 
-def _integer_rows(matrix: QMatrix) -> tuple[list[list[int]], int]:
-    """The rows of the integer matrix dA of ``_scaled_to_integers``, and d."""
-    integers, scale = _scaled_to_integers(matrix.entries)
+def _integer_rows(matrix: QMatrix) -> tuple[list[tuple[int, ...]], int]:
+    """The rows of the integer matrix dA (``QMatrix._integers``), and d."""
+    integers, scale = matrix._integers
     k = matrix.cols
     return [integers[i * k : (i + 1) * k] for i in range(matrix.rows)], scale
 
@@ -274,30 +287,36 @@ def block_diag(blocks: Iterable[QMatrix]) -> QMatrix:
 
 
 class Echelon:
-    """Row echelon basis of a growing span of vectors of a fixed width.
+    """Row echelon basis of a growing span of integer vectors of a fixed width.
 
-    The single elimination kernel over Q: every rank, restriction, inverse
-    and span computation feeds vectors through ``add``, and the Krylov spin of
-    ``invariant_factors`` through its two steps, ``reduce`` and ``insert``,
-    because it reads what a vector in the span reduces to.  Rows are kept
-    sorted by pivot column with an implicit leading 1 and stored as
-    (column, value) pairs of their other nonzero entries, so a new vector is
-    reduced in one forward pass; stored rows are never touched again.
-    Incoming entries may be Fractions or ints.  ``_EchelonModP`` is the same
-    layout mod a prime: the span closure and the rank test of
-    ``is_invertible`` run once on it as a certificate and, only when that
-    falls short, once more here on the same integer rows.
+    The single elimination kernel over Q, fraction-free: every rank,
+    restriction, inverse and span computation feeds it integer rows, those
+    of dA (``_integer_rows``) or rows built from them, through ``add``, and
+    the Krylov spin of ``invariant_factors`` through its two steps,
+    ``reduce`` and ``insert``, because it reads what a vector in the span
+    reduces to.  Rows are kept sorted by pivot column, each a primitive
+    integer vector with a positive pivot value, its lead, stored as the lead
+    and the (column, value) pairs of its other nonzero entries.  A vector v
+    is reduced in one forward pass, at each pivot p by
+    v <- (lead/g) v - (v[p]/g) row with g = gcd(lead, v[p]), and its content
+    (the gcd of its entries) is divided out when it enters and after every
+    step that scaled it, so its entries stay the size of the span's minors;
+    stored rows are never touched again.  ``_EchelonModP`` is the same layout
+    mod a prime: the span closure and the rank test of ``is_invertible`` run
+    once on it as a certificate and, only when that falls short, once more
+    here on the same integer rows.
     """
 
     def __init__(self, width: int):
         self.width = width
         self.pivots: list[int] = []
-        self._rows: list[list[tuple[int, Fraction]]] = []
+        self._leads: list[int] = []
+        self._rows: list[list[tuple[int, int]]] = []
 
     def __len__(self) -> int:
         return len(self.pivots)
 
-    def add(self, vector: Iterable[Fraction]) -> bool:
+    def add(self, vector: Iterable[int]) -> bool:
         """Extend the basis by ``vector``; False when it is already in the span."""
         vec = self.reduce(vector)
         pivot = next((j for j, x in enumerate(vec) if x), None)
@@ -306,53 +325,83 @@ class Echelon:
         self.insert(vec, pivot)
         return True
 
-    def reduce(self, vector: Iterable[Fraction]) -> list[Fraction]:
-        """``vector`` minus the combination of the basis rows that clears it
-        at every pivot column."""
+    def reduce(self, vector: Iterable[int]) -> list[int]:
+        """A nonzero multiple of ``vector`` minus the combination of the
+        basis rows that clears it at every pivot column, with no content."""
         vec = list(vector)
-        for p, row in zip(self.pivots, self._rows):
+        content = gcd(*vec)
+        if content > 1:
+            vec = [x // content for x in vec]
+        for p, lead, row in zip(self.pivots, self._leads, self._rows):
             f = vec[p]
             if f:
-                vec[p] = _ZERO
+                g = gcd(lead, f)
+                if g != lead:
+                    scale = lead // g
+                    vec = [scale * x for x in vec]
+                f //= g
+                vec[p] = 0
                 for j, x in row:
                     vec[j] -= f * x
+                if g != lead:
+                    content = gcd(*vec)
+                    if content > 1:
+                        vec = [x // content for x in vec]
         return vec
 
-    def insert(self, reduced: list[Fraction], pivot: int) -> None:
+    def insert(self, reduced: list[int], pivot: int) -> None:
         """Store a vector returned by ``reduce`` whose first nonzero entry is
         at column ``pivot``."""
-        inv = _ONE / reduced[pivot]
+        content = gcd(*reduced)
+        if reduced[pivot] < 0:
+            content = -content
         at = bisect(self.pivots, pivot)
         self.pivots.insert(at, pivot)
+        self._leads.insert(at, reduced[pivot] // content)
         self._rows.insert(
-            at, [(j, reduced[j] * inv) for j in range(pivot + 1, self.width) if reduced[j]]
+            at,
+            [(j, x // content) for j in range(pivot + 1, self.width) if (x := reduced[j])],
         )
 
-    def reduced_rows(self) -> list[list[Fraction]]:
-        """The basis in reduced row echelon form, by back-substitution.
+    def reduced_rows(self) -> list[tuple[int, list[int]]]:
+        """The basis in reduced row echelon form, by back-substitution on
+        integers: (L, r) per row, the row being r / L.
 
-        The reduced form depends only on the span, so it is the same whatever
+        From the last row up, each row is cleared at the pivots below it in
+        one step, against the rows already reduced there, which are zero at
+        every other pivot: it is scaled once by a common multiple D of their
+        leads over the gcds, so each of its entries f at a pivot takes away
+        D f / lead times that row, and its content is then divided out.  The
+        reduced form depends only on the span, so it is the same whatever
         order the vectors arrived in.
         """
-        rows = []
-        for p, sparse in zip(self.pivots, self._rows):
-            row = [_ZERO] * self.width
-            row[p] = _ONE
+        done: list[tuple[int, int, list[tuple[int, int]]]] = []  # (pivot, lead, entries)
+        out = []
+        stored = zip(self.pivots, self._leads, self._rows)
+        for p, lead, sparse in reversed(list(stored)):
+            row = [0] * self.width
+            row[p] = lead
             for j, x in sparse:
                 row[j] = x
-            rows.append(row)
-        for i in range(len(rows) - 1, 0, -1):
-            p, prow = self.pivots[i], rows[i]
-            for above in rows[:i]:
-                f = above[p]
-                if f:
-                    for j in range(p, self.width):
-                        if prow[j]:
-                            above[j] -= f * prow[j]
-        return rows
+            hits = [(f, below_lead, entries) for q, below_lead, entries in done if (f := row[q])]
+            if hits:
+                scale = lcm(*(below_lead // gcd(below_lead, f) for f, below_lead, _ in hits))
+                if scale > 1:
+                    row = [scale * x for x in row]
+                for f, below_lead, entries in hits:
+                    c = scale * f // below_lead
+                    for j, x in entries:
+                        row[j] -= c * x
+                content = gcd(*row)
+                if content > 1:
+                    row = [x // content for x in row]
+            done.append((p, row[p], [(j, x) for j in range(p, self.width) if (x := row[j])]))
+            out.append((row[p], row))
+        out.reverse()
+        return out
 
 
-def _echelon(rows: Iterable[Sequence[Fraction]], width: int) -> Echelon:
+def _echelon(rows: Iterable[Sequence[int]], width: int) -> Echelon:
     basis = Echelon(width)
     for row in rows:
         basis.add(row)
@@ -360,7 +409,7 @@ def _echelon(rows: Iterable[Sequence[Fraction]], width: int) -> Echelon:
 
 
 def matrix_rank(matrix: QMatrix) -> int:
-    return len(_echelon(map(matrix.row_list, range(matrix.rows)), matrix.cols))
+    return len(_echelon(_integer_rows(matrix)[0], matrix.cols))
 
 
 def _rank_factorization(matrix: QMatrix) -> tuple[list[int], QMatrix]:
@@ -372,9 +421,9 @@ def _rank_factorization(matrix: QMatrix) -> tuple[list[int], QMatrix]:
     polynomial M in A, A B = (MA)[:, pivots] = B (W A[:, pivots]), so A
     restricted to im(M) is W A[:, pivots] in the basis B, singular A too.
     """
-    basis = _echelon(map(matrix.row_list, range(matrix.rows)), matrix.cols)
-    rows = basis.reduced_rows()
-    return basis.pivots, QMatrix(len(rows), matrix.cols, tuple(x for row in rows for x in row))
+    basis = _echelon(_integer_rows(matrix)[0], matrix.cols)
+    entries = tuple(_ratio(x, lead) for lead, row in basis.reduced_rows() for x in row)
+    return basis.pivots, QMatrix(len(basis), matrix.cols, entries)
 
 
 class _EchelonModP:
@@ -417,13 +466,13 @@ class _EchelonModP:
         return True
 
 
-def _independent(rows: list[list[int]], width: int, mod_p: bool) -> bool:
+def _independent(rows: Sequence[Sequence[int]], width: int, mod_p: bool) -> bool:
     """Whether the integer ``rows`` are independent mod ``_PRIME`` (``mod_p``)
     or over Q."""
     return all(map((_EchelonModP if mod_p else Echelon)(width).add, rows))
 
 
-def _closes_full_span(generators: list[list[list[int]]], n: int, mod_p: bool) -> bool:
+def _closes_full_span(generators: list[Sequence[Sequence[int]]], n: int, mod_p: bool) -> bool:
     """Whether the products of the n x n integer matrices ``generators``
     (their rows), closed from the identity under left multiplication, span
     all n^2 entries: mod ``_PRIME``, each product reduced once per entry
@@ -494,9 +543,29 @@ def restrict_to_image(matrix: QMatrix, power: int = 1) -> QMatrix:
     row space of (A - 1)^power changes, so neither does the result: A on the
     A-invariant complement of the generalized eigenspace for 1, with no
     eigenvalue 1.  At power 0 the result is A itself.
+
+    With d the least common multiple of A's denominators, (dA - dI)^power is
+    a nonzero multiple of (A - 1)^power, formed and eliminated on integers;
+    each RREF row r / L of it times the columns of dA at the pivots gives one
+    entry of the result, divided by L d.
     """
-    pivots, coordinates = _rank_factorization((matrix - QMatrix.identity(matrix.rows)) ** power)
-    return coordinates @ matrix.columns(pivots)
+    if not power:
+        return matrix
+    rows, scale = _integer_rows(matrix)
+    shifted = [
+        [x - scale if i == j else x for j, x in enumerate(row)] for i, row in enumerate(rows)
+    ]
+    image, shifted_columns = shifted, list(zip(*shifted))
+    for _ in range(power - 1):
+        image = [[sum(map(mul, row, column)) for column in shifted_columns] for row in image]
+    basis = _echelon(image, matrix.cols)
+    columns = [[row[p] for row in rows] for p in basis.pivots]
+    entries = (
+        _ratio(sum(map(mul, row, column)), lead * scale)
+        for lead, row in basis.reduced_rows()
+        for column in columns
+    )
+    return QMatrix(len(columns), len(columns), tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -744,7 +813,7 @@ def _smith_diagonal(m: list[list[Poly]]) -> list[Poly]:
     return [m[i][i] for i in range(size)]
 
 
-def _relation_matrix(rows: list[list[int]]) -> list[list[Poly]]:
+def _relation_matrix(rows: Sequence[Sequence[int]]) -> list[list[Poly]]:
     """Relation matrix over Q[y] of the Krylov blocks of the square integer
     matrix B with rows ``rows``.
 
@@ -752,18 +821,22 @@ def _relation_matrix(rows: list[list[int]]) -> list[list[Poly]]:
     vector v outside the span opens a block v, Bv, B^2 v, ..., which ends at
     the first product in the span, the block's tail.  Starting from the last
     basis vector keeps an upper Jordan block one block.  The basis rows
-    carry n more columns, a row's coordinates in the Krylov vectors K_k: the
-    k-th is stored with a 1 in column n + k.  Reducing a vector w with zeros
-    there leaves w + sum_k c_k K_k in the first n columns and the c_k in the
-    others, so a tail, which lies in the span, leaves zeros in the first n
-    columns and minus its coordinates in the others.  In row i of
-    the relation matrix, the entry in column j <= i is the polynomial whose
-    coefficients, in ascending powers of y, are those c_k of block j's
+    carry n + 1 more columns, a row's coordinates in the Krylov vectors K_k,
+    so that a row's first n columns are the combination of the K_k with
+    those coefficients.  The k-th Krylov vector enters with a 1 in column
+    n + k, which the integer reduction scales with the vector: it leaves
+    s (K_k + sum_j c_j K_j) in the first n columns, s c_j in the others and
+    the scale s in column n + k, where it stays when the row is stored.  A
+    tail, which lies in the span, leaves zeros in the first n columns and s
+    times minus its coordinates in the others, read as Fraction(c, s); the
+    last column is the scale of the tail that completes the basis.  In row i
+    of the relation matrix, the entry in column j <= i is the polynomial
+    whose coefficients, in ascending powers of y, are those c_j of block j's
     Krylov vectors, plus y^{d_i} on the diagonal; entries right of the
     diagonal are zero.
     """
     n = len(rows)
-    basis = Echelon(2 * n)
+    basis = Echelon(2 * n + 1)
     blocks: list[tuple[int, int]] = []  # (offset, degree) per block
     relations: list[list[Poly]] = []
     start = n
@@ -773,17 +846,18 @@ def _relation_matrix(rows: list[list[int]]) -> list[list[Poly]]:
         vector[start] = 1
         offset = len(basis)
         while True:
-            reduced = basis.reduce(vector + [_ZERO] * n)
+            k = n + len(basis)
+            reduced = basis.reduce(vector + [int(j == k) for j in range(n, 2 * n + 1)])
             pivot = next((j for j in range(n) if reduced[j]), None)
             if pivot is None:
                 break
-            reduced[n + len(basis)] = _ONE
             basis.insert(reduced, pivot)
             vector = [sum(map(mul, row, vector)) for row in rows]
         if len(basis) > offset:
-            coefficients = reduced[n:]
+            scale = reduced[k]
+            coefficients = [_ratio(c, scale) for c in reduced[n:k]]
             row = [_ptrim(coefficients[at : at + d]) for at, d in blocks]
-            row.append((*coefficients[offset : len(basis)], _ONE))
+            row.append((*coefficients[offset:], _ONE))
             blocks.append((offset, len(basis) - offset))
             relations.append(row)
     for row in relations:

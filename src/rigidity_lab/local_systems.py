@@ -29,9 +29,12 @@ _RANDOM_ENTRY_BOUND = 2
 _MAX_DRAWS_PER_MATRIX = 200
 
 # Input bounds: the analysis costs about n^6 operations on entries whose
-# size grows with the input's, so these keep one input's work bounded.
+# size grows with the input's, and the transform's zero monodromy has side
+# sum(rank(A_i - 1)) over the finite points, so these keep one input's work
+# bounded.
 MAX_RANK = 16
 MAX_ENTRY_BITS = 256
+MAX_POINTS = 16
 
 
 class FinitePoint(NamedTuple):
@@ -195,8 +198,9 @@ def _bounded_matrix(data: object) -> QMatrix:
 
 def tuple_from_json(data: object) -> MonodromyTuple:
     """Parse the tuple schema, raising ValueError on any shape problem, on a
-    rank or a matrix side above ``MAX_RANK`` and on a matrix entry whose
-    numerator or denominator has more than ``MAX_ENTRY_BITS`` bits."""
+    rank or a matrix side above ``MAX_RANK``, on more than ``MAX_POINTS``
+    finite points and on a matrix entry whose numerator or denominator has
+    more than ``MAX_ENTRY_BITS`` bits."""
     if not isinstance(data, dict):
         raise ValueError("tuple document must be a JSON object")
     if "rank" not in data or not isinstance(data["rank"], int) or isinstance(data["rank"], bool):
@@ -207,6 +211,10 @@ def tuple_from_json(data: object) -> MonodromyTuple:
     raw_points = data.get("finite_points")
     if not isinstance(raw_points, list) or not raw_points:
         raise ValueError('"finite_points" must be a non-empty array')
+    if len(raw_points) > MAX_POINTS:
+        raise ValueError(
+            f'"finite_points" has {len(raw_points)} points, more than the maximum {MAX_POINTS}'
+        )
     points: list[tuple[Fraction, QMatrix]] = []
     for idx, item in enumerate(raw_points):
         if not isinstance(item, dict) or "location" not in item or "matrix" not in item:

@@ -4,17 +4,19 @@ Everything here is deliberately written from first principles (Jordan data,
 characteristic polynomials via Faddeev-LeVerrier, the min(m_i, m_j)
 partition count, the commutation system, the rank sequence of (A - I)^j,
 span closures ranked by sympy, restrictions solved by sympy, the schoolbook
-product on fractions) so library results are checked against a second
-route.  The one exception, ``smith_invariant_factors``, reuses the
-library's Smith step, but on the full characteristic matrix xI - A, so it
-checks the Krylov front end of ``invariant_factors``; the oracles above
-check the Smith step itself.
+product on fractions, elimination on ``Fraction`` rows) so library results
+are checked against a second route.  The one exception,
+``smith_invariant_factors``, reuses the library's Smith step, but on the
+full characteristic matrix xI - A, so it checks the Krylov front end of
+``invariant_factors``; the oracles above check the Smith step itself.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect
 from fractions import Fraction
+from typing import Iterable
 
 import sympy
 
@@ -236,3 +238,92 @@ def loop_matmul(a: QMatrix, b: QMatrix) -> QMatrix:
                     if y:
                         out[i * m + j] += x * y
     return QMatrix(n, m, tuple(out))
+
+
+class FractionEchelon:
+    """Row echelon basis of a growing span, in ``Fraction`` arithmetic: the
+    library's ``Echelon`` before it moved to integer rows, kept as its oracle.
+
+    Rows are kept sorted by pivot column with an implicit leading 1 and
+    stored as (column, value) pairs of their other nonzero entries, so a new
+    vector is reduced in one forward pass; stored rows are never touched
+    again.
+    """
+
+    def __init__(self, width: int):
+        self.width = width
+        self.pivots: list[int] = []
+        self._rows: list[list[tuple[int, Fraction]]] = []
+
+    def __len__(self) -> int:
+        return len(self.pivots)
+
+    def add(self, vector: Iterable[Fraction]) -> bool:
+        """Extend the basis by ``vector``; False when it is already in the span."""
+        vec = list(vector)
+        for p, row in zip(self.pivots, self._rows):
+            f = vec[p]
+            if f:
+                vec[p] = Fraction(0)
+                for j, x in row:
+                    vec[j] -= f * x
+        pivot = next((j for j, x in enumerate(vec) if x), None)
+        if pivot is None:
+            return False
+        inv = 1 / Fraction(vec[pivot])
+        at = bisect(self.pivots, pivot)
+        self.pivots.insert(at, pivot)
+        self._rows.insert(
+            at, [(j, vec[j] * inv) for j in range(pivot + 1, self.width) if vec[j]]
+        )
+        return True
+
+    def reduced_rows(self) -> list[list[Fraction]]:
+        """The basis in reduced row echelon form, by back-substitution."""
+        rows = []
+        for p, sparse in zip(self.pivots, self._rows):
+            row = [Fraction(0)] * self.width
+            row[p] = Fraction(1)
+            for j, x in sparse:
+                row[j] = x
+            rows.append(row)
+        for i in range(len(rows) - 1, 0, -1):
+            p, prow = self.pivots[i], rows[i]
+            for above in rows[:i]:
+                f = above[p]
+                if f:
+                    for j in range(p, self.width):
+                        if prow[j]:
+                            above[j] -= f * prow[j]
+        return rows
+
+
+def fraction_echelon(matrix: QMatrix) -> FractionEchelon:
+    """The ``FractionEchelon`` of the rows of A."""
+    basis = FractionEchelon(matrix.cols)
+    for i in range(matrix.rows):
+        basis.add(matrix.row_list(i))
+    return basis
+
+
+def fraction_rank(matrix: QMatrix) -> int:
+    return len(fraction_echelon(matrix))
+
+
+def fraction_rank_factorization(matrix: QMatrix) -> tuple[list[int], QMatrix]:
+    """The pivot columns and the nonzero RREF rows of A, in ``Fraction``."""
+    basis = fraction_echelon(matrix)
+    rows = basis.reduced_rows()
+    return basis.pivots, QMatrix(len(rows), matrix.cols, tuple(x for row in rows for x in row))
+
+
+def fraction_inverse(matrix: QMatrix) -> QMatrix | None:
+    """A^-1 read off the RREF [I | A^-1] of [A | I] in ``Fraction``, or None
+    when A is singular."""
+    n = matrix.rows
+    basis = FractionEchelon(2 * n)
+    for i in range(n):
+        basis.add(matrix.row_list(i) + [Fraction(int(i == j)) for j in range(n)])
+    if basis.pivots != list(range(n)):
+        return None
+    return QMatrix(n, n, tuple(x for row in basis.reduced_rows() for x in row[n:]))

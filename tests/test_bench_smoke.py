@@ -24,6 +24,7 @@ ROW_FUNCTIONS = [
     "restriction_rows",
     "zero_invariant_rows",
     "invertibility_rows",
+    "echelon_rows",
 ]
 
 
@@ -33,7 +34,7 @@ def test_every_row_function_is_listed(kernels):
 
 @pytest.mark.parametrize("name", ROW_FUNCTIONS)
 def test_rows_at_small_sizes(kernels, monkeypatch, capsys, name):
-    for sizes in ("SIZES", "RESTRICTION_SIZES", "CLOSURE_RANKS"):
+    for sizes in ("SIZES", "RESTRICTION_SIZES", "CLOSURE_RANKS", "ECHELON_SIZES"):
         monkeypatch.setattr(kernels, sizes, (2, 3))
     rows = getattr(kernels, name)(1)
     assert rows and len(capsys.readouterr().out.splitlines()) == len(rows)

@@ -111,9 +111,21 @@ def rank_one(entry):
     return {"rank": 1, "finite_points": [{"location": "0", "matrix": [[entry]]}]}
 
 
+def rank_one_points(count):
+    """``count`` rank-1 points alternating 2 and 1/2, and A_inf = [1] when
+    the count is even, so that the relation holds."""
+    return {
+        "rank": 1,
+        "finite_points": [
+            {"location": str(i), "matrix": [["2" if i % 2 == 0 else "1/2"]]} for i in range(count)
+        ],
+        "infinity_matrix": [["1" if count % 2 == 0 else "1/2"]],
+    }
+
+
 class TestInputBounds:
-    # Rank, matrix sides and entry sizes are bounded, so that a small input
-    # cannot ask for an unbounded analysis.
+    # Rank, matrix sides, entry sizes and the number of finite points are
+    # bounded, so that a small input cannot ask for an unbounded analysis.
     @pytest.mark.parametrize(
         "payload, message",
         [
@@ -131,8 +143,9 @@ class TestInputBounds:
                 dict(rank_one("2"), infinity_matrix=[[f"{2**256}/3"]]),
                 "more than 256 bits",
             ),
+            (rank_one_points(17), '"finite_points" has 17 points, more than the maximum 16'),
         ],
-        ids=["rank", "matrix-side", "numerator", "denominator", "infinity-entry"],
+        ids=["rank", "matrix-side", "numerator", "denominator", "infinity-entry", "points"],
     )
     def test_oversized_input_exit_2(self, capsys, tmp_path, payload, message):
         path = write_json(tmp_path, "big.json", payload)
@@ -149,6 +162,26 @@ class TestInputBounds:
             {"rank": 16, "finite_points": [{"location": "0", "matrix": matrix}], "infinity_matrix": matrix}
         )
         assert t.rank == 16
+
+    def test_most_points_accepted(self, capsys, tmp_path):
+        # 16 rank-1 points: the transform has rank 16, a 16 x 16 zero monodromy
+        path = write_json(tmp_path, "points.json", rank_one_points(16))
+        code, out, _ = run_cli(capsys, "fourier", "--input", path)
+        assert code == 0
+        assert json.loads(out)["rank_hat"] == 16
+        code, out, _ = run_cli(capsys, "verify", "--input", path)
+        assert code == 0
+        assert json.loads(out)["equal"]
+
+    def test_campaign_points_are_bounded(self, capsys):
+        assert main(["verify", "--random", "--trials", "1", "--max-rank", "1", "--max-points", "16"]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--random", "--max-points", "17"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and err.count("error:") == 1
+        assert "expected a point count of at most 16, got '17'" in err
 
     def test_campaign_rank_is_bounded(self, capsys):
         assert main(["verify", "--random", "--trials", "1", "--max-rank", "16", "--max-points", "1"]) == 0

@@ -34,6 +34,9 @@ from support import (
     char_poly,
     commutation_centralizer_dimension,
     conjugate,
+    fraction_inverse,
+    fraction_rank,
+    fraction_rank_factorization,
     jordan_from_data,
     loop_matmul,
     partition_formula,
@@ -221,6 +224,51 @@ class TestInvertibleCertificate:
         for t in tuples:
             assert all(m.is_invertible() for m in t.matrices())
         assert passes and all(passes)  # no exact pass
+
+
+def _sized_matrices(max_rows: int, max_cols: int, square: bool = False):
+    """Rational matrices up to max_rows x max_cols (0 x k shapes included),
+    whose numerators and denominators have up to 3..256 bits, some rows zero."""
+
+    def block(rows: int, cols: int, bits: int):
+        entry = st.one_of(
+            st.just(Fraction(0)),
+            st.builds(
+                Fraction,
+                st.integers(-(2**bits) + 1, 2**bits - 1),
+                st.integers(1, 2**bits - 1),
+            ),
+        )
+        row = st.one_of(st.just([Fraction(0)] * cols), st.lists(entry, min_size=cols, max_size=cols))
+        return st.lists(row, min_size=rows, max_size=rows).map(
+            lambda r: QMatrix(rows, cols, tuple(x for line in r for x in line))
+        )
+
+    size = st.integers(min_value=0, max_value=max_rows)
+    shapes = size.map(lambda n: (n, n)) if square else st.tuples(size, st.integers(0, max_cols))
+    bits = st.integers(min_value=3, max_value=256)
+    return st.tuples(shapes, bits).flatmap(lambda s: block(*s[0], s[1]))
+
+
+class TestIntegerEchelon:
+    """The fraction-free ``Echelon`` on the integer rows of dA against the
+    same elimination on ``Fraction`` rows (``support.FractionEchelon``)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_sized_matrices(5, 6))
+    def test_rank_pivots_and_reduced_rows_match_oracle(self, m):
+        assert matrix_rank(m) == fraction_rank(m)
+        assert _rank_factorization(m) == fraction_rank_factorization(m)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_sized_matrices(5, 5, square=True))
+    def test_inverse_matches_oracle(self, m):
+        expected = fraction_inverse(m)
+        if expected is None:
+            with pytest.raises(InvalidMonodromyError):
+                m.inverse()
+        else:
+            assert m.inverse() == expected
 
 
 def _kernel(pivots: list[int], w: QMatrix) -> QMatrix:
@@ -534,6 +582,9 @@ class TestRestriction:
         )
         restrict_to_image(m)
         restrict_to_image(m, m.rows)
+        assert calls == [m.rows, m.rows]
+        # at power 0 the image is everything and the result is A itself
+        assert restrict_to_image(m, 0) is m
         assert calls == [m.rows, m.rows]
 
 

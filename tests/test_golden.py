@@ -7,13 +7,16 @@ single per-tuple analysis, so any change to a printed byte or an exit code
 fails here.
 """
 
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
 from rigidity_lab import QMatrix, monodromy_tuple, random_tuple
-from rigidity_lab.cli import main
+from rigidity_lab.cli import CampaignConfig, campaign_tuples, main
+from rigidity_lab.exact_linalg import polynomial_to_string
+from rigidity_lab.fourier import TupleAnalysis, fourier_data_to_json, preservation_report_to_json
 from rigidity_lab.local_systems import tuple_to_json
 
 CATALOG = ("kummer", "rank1_twopoint", "unipotent_infinity", "hypergeometric2", "nonrigid4")
@@ -55,6 +58,7 @@ GOLDEN = {
     "special:reducible": "714fd25e8bf1458d59d836316e30ac5e0d8a50c086ea4857a316931fc444fa0b",
     "special:nonrealizable": "6f40cbae7a63b1e07fa87218bbad8a050c1fcefb8a60a85c93756446781587f8",
     "campaign": "b8aedfd1624af26139c2600220bc8fd6a9e66f5362f44e854d499f5730e545ba",
+    "campaign-arithmetic": "c2d6981a34e4006367696890c4103761934be1efaa6deee4b0fe62dd94fb18c7",
 }
 
 
@@ -106,3 +110,26 @@ def test_campaign_output_is_golden(capsys):
         for fmt in ("json", "text")
     ]
     assert _digest(capsys, runs) == GOLDEN["campaign"]
+
+
+def test_campaign_arithmetic_is_golden():
+    """Every per-trial quantity of ``verify --random --trials 30 --seed 7``:
+    the tuple, its rigidity report, the transform's local data, the zero
+    monodromy's invariant factors and the preservation report.  The CLI
+    prints only the campaign's totals, so the case above pins none of these."""
+    config = CampaignConfig(trials=30, max_rank=4, max_points=4, seed=7)
+    h = hashlib.sha256()
+    for index, t in campaign_tuples(config):
+        analysis = TupleAnalysis(t)
+        record = {
+            "trial": index,
+            "tuple": tuple_to_json(t),
+            "report": dataclasses.asdict(analysis.report),
+            "local_data": fourier_data_to_json(analysis.local_data),
+            "zero_invariant_factors": [
+                polynomial_to_string(f) for f in analysis.zero_invariants.invariant_factors
+            ],
+            "preservation": preservation_report_to_json(analysis.preservation),
+        }
+        h.update(json.dumps(record).encode() + b"\0")
+    assert h.hexdigest() == GOLDEN["campaign-arithmetic"]
