@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import CatalogError
-from .exact_linalg import QMatrix
-from .local_systems import MonodromyTuple, monodromy_tuple, rigidity_report, tuple_from_json
+from .local_systems import MonodromyTuple, rigidity_report, tuple_from_json
 
 CATALOG_ENV_VAR = "RIGIDITY_LAB_CATALOG"
 
@@ -28,85 +27,77 @@ class CatalogEntry:
     expected_rigid: bool
 
 
-def _builtin_entries() -> list[CatalogEntry]:
-    entries = []
-    entries.append(
-        CatalogEntry(
-            name="kummer",
-            description="Rank-1 system with a single finite singular point",
-            tuple=monodromy_tuple(1, [(0, QMatrix.from_rows([[2]]))]),
-            expected_index=2,
-            expected_rigid=True,
-        )
-    )
-    entries.append(
-        CatalogEntry(
-            name="rank1_twopoint",
-            description="Rank-1 system singular at 0, 1 and infinity",
-            tuple=monodromy_tuple(
-                1,
-                [(0, QMatrix.from_rows([[2]])), (1, QMatrix.from_rows([[3]]))],
-            ),
-            expected_index=2,
-            expected_rigid=True,
-        )
-    )
-    entries.append(
-        CatalogEntry(
-            name="unipotent_infinity",
-            description="Rank-1 system whose monodromy at infinity is trivial",
-            tuple=monodromy_tuple(
-                1,
-                [(0, QMatrix.from_rows([[2]])), (1, QMatrix.from_rows([["1/2"]]))],
-            ),
-            expected_index=2,
-            expected_rigid=True,
-        )
-    )
-    entries.append(
-        CatalogEntry(
-            name="hypergeometric2",
-            description="Rigid rank-2 system on three singular points",
-            tuple=monodromy_tuple(
-                2,
-                [
-                    (0, QMatrix.from_rows([[2, 0], [0, 1]])),
-                    (1, QMatrix.from_rows([[1, 1], [1, 0]])),
-                ],
-            ),
-            expected_index=2,
-            expected_rigid=True,
-        )
-    )
-    entries.append(
-        CatalogEntry(
-            name="nonrigid4",
-            description="Irreducible rank-2 system on four points, index 0",
-            tuple=monodromy_tuple(
-                2,
-                [
-                    (0, QMatrix.from_rows([[2, 0], [0, 1]])),
-                    (1, QMatrix.from_rows([[1, 1], [1, 0]])),
-                    (2, QMatrix.from_rows([[1, 1], [0, 1]])),
-                ],
-            ),
-            expected_index=0,
-            expected_rigid=False,
-        )
-    )
-    return entries
+def _point(location: str, matrix: list[list[str]]) -> dict:
+    return {"location": location, "matrix": matrix}
 
 
-def _check_entry(entry: CatalogEntry) -> CatalogEntry:
-    report = rigidity_report(entry.tuple)
+# The shipped entries, as tuple documents in the external-file format.
+_BUILTIN = {
+    "kummer": {
+        "rank": 1,
+        "finite_points": [_point("0", [["2"]])],
+        "expected_index": 2,
+        "expected_rigid": True,
+        "description": "Rank-1 system with a single finite singular point",
+    },
+    "rank1_twopoint": {
+        "rank": 1,
+        "finite_points": [_point("0", [["2"]]), _point("1", [["3"]])],
+        "expected_index": 2,
+        "expected_rigid": True,
+        "description": "Rank-1 system singular at 0, 1 and infinity",
+    },
+    "unipotent_infinity": {
+        "rank": 1,
+        "finite_points": [_point("0", [["2"]]), _point("1", [["1/2"]])],
+        "expected_index": 2,
+        "expected_rigid": True,
+        "description": "Rank-1 system whose monodromy at infinity is trivial",
+    },
+    "hypergeometric2": {
+        "rank": 2,
+        "finite_points": [
+            _point("0", [["2", "0"], ["0", "1"]]),
+            _point("1", [["1", "1"], ["1", "0"]]),
+        ],
+        "expected_index": 2,
+        "expected_rigid": True,
+        "description": "Rigid rank-2 system on three singular points",
+    },
+    "nonrigid4": {
+        "rank": 2,
+        "finite_points": [
+            _point("0", [["2", "0"], ["0", "1"]]),
+            _point("1", [["1", "1"], ["1", "0"]]),
+            _point("2", [["1", "1"], ["0", "1"]]),
+        ],
+        "expected_index": 0,
+        "expected_rigid": False,
+        "description": "Irreducible rank-2 system on four points, index 0",
+    },
+}
+
+
+def _entry(name: str, payload: object, source: str) -> CatalogEntry:
+    """The entry of one tuple document, its index and rigidity recomputed
+    and checked against any stored ``expected_index`` and ``expected_rigid``;
+    ``source`` names the document in errors."""
+    try:
+        t = tuple_from_json(payload)
+        report = rigidity_report(t)  # validates, raising ValidationError
+    except ValueError as exc:
+        raise CatalogError(f"bad tuple in {source}: {exc}") from exc
     index, rigid = report.index, report.physically_rigid
-    if index != entry.expected_index or rigid != entry.expected_rigid:
-        raise CatalogError(
-            f"catalog entry {entry.name!r}: stored expectations "
-            f"(index={entry.expected_index}, rigid={entry.expected_rigid}) do not "
-            f"match recomputation (index={index}, rigid={rigid})"
-        )
-    return entry
+    for key, value in (("expected_index", index), ("expected_rigid", rigid)):
+        if key in payload and payload[key] != value:
+            raise CatalogError(f"{source}: {key}={payload[key]} but recomputation gives {value}")
+    return CatalogEntry(
+        name=name,
+        description=str(payload.get("description", f"external tuple from {name}.json")),
+        tuple=t,
+        expected_index=index,
+        expected_rigid=rigid,
+    )
 
 
 def _external_entries(directory: Path) -> list[CatalogEntry]:
@@ -116,31 +107,7 @@ def _external_entries(directory: Path) -> list[CatalogEntry]:
             payload = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, ValueError) as exc:  # also not UTF-8, or too long an integer
             raise CatalogError(f"cannot read catalog file {path}: {exc}") from exc
-        try:
-            t = tuple_from_json(payload)
-            report = rigidity_report(t)  # validates, raising ValidationError
-        except ValueError as exc:
-            raise CatalogError(f"bad tuple in catalog file {path}: {exc}") from exc
-        index, rigid = report.index, report.physically_rigid
-        if "expected_index" in payload and payload["expected_index"] != index:
-            raise CatalogError(
-                f"catalog file {path}: expected_index={payload['expected_index']} "
-                f"but recomputation gives {index}"
-            )
-        if "expected_rigid" in payload and payload["expected_rigid"] != rigid:
-            raise CatalogError(
-                f"catalog file {path}: expected_rigid={payload['expected_rigid']} "
-                f"but recomputation gives {rigid}"
-            )
-        entries.append(
-            CatalogEntry(
-                name=path.stem,
-                description=str(payload.get("description", f"external tuple from {path.name}")),
-                tuple=t,
-                expected_index=index,
-                expected_rigid=rigid,
-            )
-        )
+        entries.append(_entry(path.stem, payload, f"catalog file {path}"))
     return entries
 
 
@@ -150,7 +117,10 @@ def load_catalog(external_dir: str | os.PathLike | None = None) -> dict[str, Cat
     The external directory defaults to the RIGIDITY_LAB_CATALOG environment
     variable; external entries shadow built-ins of the same name.
     """
-    catalog = {e.name: _check_entry(e) for e in _builtin_entries()}
+    catalog = {
+        name: _entry(name, payload, f"built-in catalog entry {name!r}")
+        for name, payload in _BUILTIN.items()
+    }
     if external_dir is None:
         external_dir = os.environ.get(CATALOG_ENV_VAR)
     if external_dir:

@@ -388,8 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
     fourier.set_defaults(func=_cmd_fourier)
 
     verify = sub.add_parser("verify", help="check that the index is preserved")
-    verify.add_argument("--input", help="tuple JSON file, or - for stdin")
-    verify.add_argument("--random", action="store_true", help="run a randomized campaign")
+    source = verify.add_mutually_exclusive_group()
+    source.add_argument("--input", help="tuple JSON file, or - for stdin")
+    source.add_argument("--random", action="store_true", help="run a randomized campaign")
     verify.add_argument("--trials", type=_positive_int, default=100)
     verify.add_argument("--max-rank", type=_at_most(MAX_RANK, "a rank"), default=4)
     verify.add_argument(

@@ -15,11 +15,11 @@ denominators, with one division per entry.  All bases are the
 deterministic ones produced by reduced row echelon form with leftmost
 pivots, so repeated runs are bit-identical.
 
-Irreducibility (``spans_full_algebra``) and invertibility
-(``QMatrix.is_invertible``) each run one routine on the integer rows of dA,
-d the least common multiple of A's denominators: first mod the prime
-2^61 - 1, as a certificate that can only confirm, then, only when that
-falls short, the same routine over Q decides.
+Invertibility (``QMatrix.is_invertible``) is the exact rank of dA.
+Irreducibility (``spans_full_algebra``) runs one span closure on the
+integer rows of dA: first mod the prime 2^61 - 1, as a certificate that can
+only confirm, then, only when that falls short, the same closure over Q
+decides.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ _ONE = Fraction(1)
 
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
-# The Mersenne prime 2^61 - 1, modulus of the certificates.
+# The Mersenne prime 2^61 - 1, modulus of the irreducibility certificate.
 _PRIME = (1 << 61) - 1
 
 
@@ -153,21 +153,6 @@ class QMatrix:
         out = [_ratio(sum(map(mul, row, col)), scale) for row in rows for col in columns]
         return QMatrix(n, m, tuple(out))
 
-    def __pow__(self, exponent: int) -> "QMatrix":
-        if not self.is_square:
-            raise DimensionMismatchError("only square matrices can be raised to a power")
-        if exponent < 0:
-            raise ValueError("negative powers are not supported; invert explicitly")
-        result = None
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = base if result is None else result @ base
-            base = base @ base if e > 1 else base
-            e >>= 1
-        return QMatrix.identity(self.rows) if result is None else result
-
     def inverse(self) -> "QMatrix":
         """The inverse, read off the reduced row echelon form [I | A^-1] of
         the integer matrix [dA | dI], d the least common multiple of A's
@@ -190,13 +175,8 @@ class QMatrix:
         return QMatrix(self.rows, len(indices), entries)
 
     def is_invertible(self) -> bool:
-        """Square of full rank: the rows of dA are independent
-        (``_independent``), mod ``_PRIME`` or else over Q.  A minor of dA that
-        is nonzero mod the prime is nonzero, so full rank there proves it."""
-        if not self.is_square:
-            return False
-        rows, _ = _integer_rows(self)
-        return _independent(rows, self.cols, True) or _independent(rows, self.cols, False)
+        """Square of full rank: one fraction-free elimination of dA."""
+        return self.is_square and matrix_rank(self) == self.rows
 
     @cached_property
     def _integers(self) -> tuple[tuple[int, ...], int]:
@@ -212,13 +192,6 @@ class QMatrix:
             raise DimensionMismatchError(
                 f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
             )
-
-    def __str__(self) -> str:
-        body = "; ".join(
-            " ".join(format_rational(self.entry(i, j)) for j in range(self.cols))
-            for i in range(self.rows)
-        )
-        return f"[{body}]"
 
 
 def _ratio(numerator: int, denominator: int) -> Fraction:
@@ -302,9 +275,9 @@ class Echelon:
     (the gcd of its entries) is divided out when it enters and after every
     step that scaled it, so its entries stay the size of the span's minors;
     stored rows are never touched again.  ``_EchelonModP`` is the same layout
-    mod a prime: the span closure and the rank test of ``is_invertible`` run
-    once on it as a certificate and, only when that falls short, once more
-    here on the same integer rows.
+    mod a prime: the span closure of ``spans_full_algebra`` runs once on it
+    as a certificate and, only when that falls short, once more here on the
+    same integer rows.
     """
 
     def __init__(self, width: int):
@@ -464,12 +437,6 @@ class _EchelonModP:
             [(j, x * inv % _PRIME) for j in range(pivot + 1, self.width) if (x := vec[j] % _PRIME)],
         )
         return True
-
-
-def _independent(rows: Sequence[Sequence[int]], width: int, mod_p: bool) -> bool:
-    """Whether the integer ``rows`` are independent mod ``_PRIME`` (``mod_p``)
-    or over Q."""
-    return all(map((_EchelonModP if mod_p else Echelon)(width).add, rows))
 
 
 def _closes_full_span(generators: list[Sequence[Sequence[int]]], n: int, mod_p: bool) -> bool:
@@ -644,8 +611,8 @@ def _pmonic(p: Poly) -> Poly:
     return tuple(c / lead for c in p)
 
 
-def polynomial_to_string(p: Poly, var: str = "x") -> str:
-    """Human-readable rendering, highest power first."""
+def polynomial_to_string(p: Poly) -> str:
+    """Human-readable rendering in x, highest power first."""
     if not p:
         return "0"
     parts: list[str] = []
@@ -658,7 +625,7 @@ def polynomial_to_string(p: Poly, var: str = "x") -> str:
         if power == 0:
             body = format_rational(mag)
         else:
-            xs = var if power == 1 else f"{var}^{power}"
+            xs = "x" if power == 1 else f"x^{power}"
             body = xs if mag == 1 else f"{format_rational(mag)}*{xs}"
         parts.append((sign, body))
     first_sign, first_body = parts[0]

@@ -97,23 +97,26 @@ def validate(t: MonodromyTuple) -> None:
             )
     if t.infinity_matrix.rows != n or t.infinity_matrix.cols != n:
         raise ValidationError(f"matrix at infinity must be {n}x{n}")
-    for loc, m in t.finite_points:
-        if not m.is_invertible():
-            raise ValidationError(
-                f"non-invertible matrix at point {format_rational(loc)}"
-            )
-    if not t.infinity_matrix.is_invertible():
-        raise ValidationError("non-invertible matrix at infinity")
+    identity = QMatrix.identity(n)
+    product = reduce(lambda a, b: a @ b, t.matrices())
+    # A product equal to 1 has factors whose determinants multiply to 1, so
+    # each is invertible; only a broken relation needs the checks one by one.
+    if product != identity:
+        for loc, m in t.finite_points:
+            if not m.is_invertible():
+                raise ValidationError(
+                    f"non-invertible matrix at point {format_rational(loc)}"
+                )
+        if not t.infinity_matrix.is_invertible():
+            raise ValidationError("non-invertible matrix at infinity")
     locations = [loc for loc, _ in t.finite_points]
     if len(set(locations)) != len(locations):
         raise ValidationError("duplicate singular locations")
-    identity = QMatrix.identity(n)
     for loc, m in t.finite_points:
         if m == identity:
             raise ValidationError(
                 f"trivial local monodromy at finite point {format_rational(loc)}"
             )
-    product = reduce(lambda a, b: a @ b, t.matrices())
     if product != identity:
         raise ValidationError("monodromy relation violated")
 

@@ -34,10 +34,9 @@ class ThetaPair:
             raise InvalidPairError("u must be a dim_F x dim_E matrix")
         if (self.v.rows, self.v.cols) != (self.dim_E, self.dim_F):
             raise InvalidPairError("v must be a dim_E x dim_F matrix")
+        # det(1 + vu) = det(1 + uv) (Sylvester), so one side decides both.
         if not (QMatrix.identity(self.dim_E) + self.v @ self.u).is_invertible():
             raise InvalidPairError("1 + v@u must be invertible")
-        if not (QMatrix.identity(self.dim_F) + self.u @ self.v).is_invertible():
-            raise InvalidPairError("1 + u@v must be invertible")
 
 
 def monodromy_E(pair: ThetaPair) -> QMatrix:

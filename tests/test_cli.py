@@ -409,6 +409,13 @@ class TestArguments:
         err = capsys.readouterr().err
         assert "usage:" in err and "positive integer" in err
 
+    def test_input_and_random_exclude_each_other(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--random", "--trials", "2", "--input", str(tmp_path / "absent.json")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "not allowed with argument" in err
+
 
 def count_calls(monkeypatch, module, name):
     """Record the calls to ``module.name`` made under any name in the library."""

@@ -143,10 +143,6 @@ class TestQMatrix:
         assert list(product.entries) == list(oracle)
         assert product == loop_matmul(a, b)
 
-    def test_power(self):
-        assert J2**3 == QMatrix.from_rows([[1, 3], [0, 1]])
-        assert J2**0 == QMatrix.identity(2)
-
     def test_empty_matrix_is_legal(self):
         empty = QMatrix.zeros(0, 0)
         assert empty @ empty == empty
@@ -170,12 +166,13 @@ class TestQMatrix:
             matrix_from_json([["1/0"]])
 
 
-P = 2**61 - 1  # the certificates' modulus
+P = 2**61 - 1  # the irreducibility certificate's modulus
 
 
-class TestInvertibleCertificate:
-    """``is_invertible`` against the exact rank, on the matrices the mod-p
-    certificate cannot settle as well as those it can."""
+class TestInvertible:
+    """``is_invertible`` against the ``Fraction`` rank, on matrices whose
+    determinant, or a denominator, is divisible by the prime 2^61 - 1 as
+    well as on ordinary ones."""
 
     CASES = [
         QMatrix.from_rows([[1, 2], [2, 4]]),  # singular over Q
@@ -187,7 +184,7 @@ class TestInvertibleCertificate:
         QMatrix.from_rows([[f"1/{P}", f"2/{P}"], [1, 2]]),  # the same, singular
         QMatrix.from_rows([[f"1/{P}", 3], ["2/5", 1]]),  # the same, invertible
         QMatrix.from_rows([["3/4", -2], [5, "1/3"]]),
-        QMatrix.zeros(0, 0),  # rank 0 of 0 rows: invertible, as the exact rank says
+        QMatrix.zeros(0, 0),  # rank 0 of 0 rows: invertible, as the rank says
         QMatrix.from_rows([[0]]),
         QMatrix.from_rows([["-2/3"]]),
     ]
@@ -199,31 +196,14 @@ class TestInvertibleCertificate:
 
     def test_agrees_with_exact_rank(self):
         for m in self.CASES:
-            assert m.is_invertible() == (matrix_rank(m) == m.rows), m
+            assert m.is_invertible() == (fraction_rank(m) == m.rows), m
         for m in self.NON_SQUARE:
             assert not m.is_invertible()
 
     @settings(max_examples=120, deadline=None)
     @given(st.one_of(small_matrices, rational_matrices))
     def test_agrees_with_exact_rank_on_small_matrices(self, m):
-        assert m.is_invertible() == (m.is_square and matrix_rank(m) == m.rows)
-
-    def test_fallback_runs_only_when_mod_p_rank_is_short(self, monkeypatch):
-        passes = []
-        original = exact_linalg._independent
-        monkeypatch.setattr(
-            exact_linalg,
-            "_independent",
-            lambda rows, width, mod_p: passes.append(mod_p) or original(rows, width, mod_p),
-        )
-        assert QMatrix.diagonal([P, 1]).is_invertible()
-        assert QMatrix.diagonal([f"1/{P}", 1]).is_invertible()
-        assert passes == [True, False, True, False]
-        tuples = [random_tuple(4, 3, seed) for seed in range(20)]
-        passes.clear()  # drawing rejects singular candidates by the exact pass
-        for t in tuples:
-            assert all(m.is_invertible() for m in t.matrices())
-        assert passes and all(passes)  # no exact pass
+        assert m.is_invertible() == (m.is_square and fraction_rank(m) == m.rows)
 
 
 def _sized_matrices(max_rows: int, max_cols: int, square: bool = False):
@@ -444,7 +424,10 @@ class TestUnitStructure:
             m = random_invertible(rng, n)
             sizes = invariant_factors(m).unit_block_sizes
             assert len(sizes) == fixed_space_dim(m)
-            nilpotency = (m - QMatrix.identity(n)) ** n
+            shifted = m - QMatrix.identity(n)
+            nilpotency = shifted
+            for _ in range(n - 1):
+                nilpotency = nilpotency @ shifted
             assert sum(sizes) == n - matrix_rank(nilpotency)
 
     def test_unit_blocks_match_prescribed_data(self):

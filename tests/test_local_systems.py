@@ -101,6 +101,62 @@ class TestValidate:
         assert t.infinity_matrix == QMatrix.identity(1)
         validate(t)
 
+    # Tuples that break several invariants at once, each with the one error
+    # that wins: shapes, then invertibility point by point, then duplicate
+    # locations, then trivial finite monodromies, then the relation.
+    ERROR_ORDER = [
+        (
+            "singular at a duplicate location",
+            [(0, QMatrix.diagonal([2, 1])), (0, QMatrix.from_rows([[1, 2], [2, 4]]))],
+            QMatrix.identity(2),
+            "non-invertible matrix at point 0",
+        ),
+        (
+            "singular infinity, broken relation",
+            [(0, QMatrix.diagonal([2, 1])), (1, QMatrix.identity(2))],
+            QMatrix.zeros(2, 2),
+            "non-invertible matrix at infinity",
+        ),
+        (
+            "identity, broken relation",
+            [(0, QMatrix.diagonal([2, 3])), (1, QMatrix.identity(2))],
+            QMatrix.identity(2),
+            "trivial local monodromy at finite point 1",
+        ),
+        (
+            "duplicate location, valid relation",
+            [(0, QMatrix.diagonal([2, 3])), (0, QMatrix.identity(2))],
+            QMatrix.diagonal(["1/2", "1/3"]),
+            "duplicate singular locations",
+        ),
+        (
+            "non-square matrix",
+            [(0, QMatrix.zeros(2, 3)), (0, QMatrix.zeros(2, 2))],
+            QMatrix.zeros(2, 2),
+            "matrix at point 0 must be 2x2",
+        ),
+    ]
+
+    @pytest.mark.parametrize(
+        "points, infinity, message",
+        [case[1:] for case in ERROR_ORDER],
+        ids=[case[0] for case in ERROR_ORDER],
+    )
+    def test_first_error_wins(self, points, infinity, message):
+        t = monodromy_tuple(2, points, infinity_matrix=infinity)
+        with pytest.raises(ValidationError) as info:
+            validate(t)
+        assert str(info.value) == message
+
+    def test_valid_tuple_checks_no_matrix_for_invertibility(self, monkeypatch):
+        tuples = [HYPERGEOMETRIC2, FOURPOINT2, rank1("2", "1/2"), random_tuple(4, 3, 5)]
+        calls = []
+        original = QMatrix.is_invertible
+        monkeypatch.setattr(QMatrix, "is_invertible", lambda m: calls.append(m) or original(m))
+        for t in tuples:
+            TupleAnalysis(t)
+        assert calls == []
+
 
 class TestRigidityIndex:
     def test_rank1_example(self):

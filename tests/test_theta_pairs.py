@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rigidity_lab.errors import InvalidMonodromyError, InvalidPairError, PairPreconditionError
 from rigidity_lab.exact_linalg import QMatrix, similar
@@ -44,10 +46,35 @@ def random_valid_pair(rng: random.Random, max_dim: int = 4) -> ThetaPair:
             continue
 
 
+def integer_matrix(rows: int, cols: int):
+    return st.lists(st.integers(-1, 1), min_size=rows * cols, max_size=rows * cols).map(
+        lambda entries: QMatrix(rows, cols, tuple(entries))
+    )
+
+
+# (u, v) with u a dim_F x dim_E and v a dim_E x dim_F integer matrix, either
+# dimension possibly 0.
+integer_pairs = st.tuples(st.integers(0, 3), st.integers(0, 3)).flatmap(
+    lambda dims: st.tuples(integer_matrix(dims[1], dims[0]), integer_matrix(dims[0], dims[1]))
+)
+
+
 class TestPairInvariants:
     def test_invertibility_enforced(self):
         with pytest.raises(InvalidPairError):
             ThetaPair(1, 1, QMatrix.from_rows([[1]]), QMatrix.from_rows([[-1]]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(integer_pairs)
+    @example((QMatrix.from_rows([[1, 0]]), QMatrix.from_rows([[-1], [0]])))
+    @example((QMatrix.zeros(0, 2), QMatrix.zeros(2, 0)))
+    @example((QMatrix.zeros(2, 0), QMatrix.zeros(0, 2)))
+    def test_one_side_decides_both(self, pair):
+        # Sylvester: det(1 + vu) = det(1 + uv), so checking 1 + vu suffices.
+        u, v = pair
+        on_e = QMatrix.identity(u.cols) + v @ u
+        on_f = QMatrix.identity(u.rows) + u @ v
+        assert on_e.is_invertible() == on_f.is_invertible()
 
     def test_shape_enforced(self):
         with pytest.raises(InvalidPairError):
