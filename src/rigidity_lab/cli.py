@@ -20,6 +20,7 @@ import json
 import random
 import sys
 from dataclasses import dataclass, field
+from functools import cache
 from pathlib import Path
 from typing import Iterator
 
@@ -174,6 +175,8 @@ def _load_analysis(path: str) -> TupleAnalysis:
         raise _CliError(EXIT_INPUT, f"malformed JSON: {exc}")
     try:
         t = tuple_from_json(payload)
+    except ValidationError:
+        raise  # a tuple deriving A_inf fails its checks as ``validate`` does
     except (ValueError, RigidityLabError) as exc:
         raise _CliError(EXIT_INPUT, f"schema violation: {exc}")
     return TupleAnalysis(t)
@@ -367,6 +370,7 @@ def _at_most(limit: int, what: str):
     return parse
 
 
+@cache  # built on the first call, not at import; parsing leaves no state in it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rigidity-lab",

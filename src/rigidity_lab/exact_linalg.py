@@ -16,10 +16,12 @@ deterministic ones produced by reduced row echelon form with leftmost
 pivots, so repeated runs are bit-identical.
 
 Invertibility (``QMatrix.is_invertible``) is the exact rank of dA.
-Irreducibility (``spans_full_algebra``) runs one span closure on the
-integer rows of dA: first mod the prime 2^61 - 1, as a certificate that can
-only confirm, then, only when that falls short, the same closure over Q
-decides.
+Irreducibility (``spans_full_algebra``) closes the span of the words in the
+integer matrices dA: first mod the prime p = 2^31 - 1, each vector packed
+into one integer, as a certificate, and over Q only when that falls short.
+The certificate is sound for any prime: a word in the dA reduces to the
+same word in their reductions, so if the reductions generate M_n(F_p),
+n^2 integer words have a determinant nonzero mod p, hence nonzero over Q.
 """
 
 from __future__ import annotations
@@ -40,15 +42,14 @@ _ONE = Fraction(1)
 
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
-# The Mersenne prime 2^61 - 1, modulus of the irreducibility certificate.
-_PRIME = (1 << 61) - 1
+# The Mersenne prime 2^31 - 1, modulus of the irreducibility certificate.
+_PRIME_BITS = 31
+_PRIME = (1 << _PRIME_BITS) - 1
 
 
 def format_rational(value: Fraction) -> str:
     """Render ``p/q``, or just ``p`` when the denominator is 1."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return str(value)
 
 
 def parse_rational(value: Fraction | int | str) -> Fraction:
@@ -225,33 +226,22 @@ def matrix_from_json(data: object) -> QMatrix:
 
 def jordan_block(size: int, eigenvalue: Fraction | int | str = 1) -> QMatrix:
     """Jordan block with the eigenvalue on the diagonal and 1 above it."""
-    lam = parse_rational(eigenvalue)
-    entries = []
-    for i in range(size):
-        for j in range(size):
-            if i == j:
-                entries.append(lam)
-            elif j == i + 1:
-                entries.append(_ONE)
-            else:
-                entries.append(_ZERO)
+    entries = [_ZERO] * (size * size)
+    entries[:: size + 1] = [parse_rational(eigenvalue)] * size
+    entries[1 :: size + 1] = [_ONE] * (size - 1)
     return QMatrix(size, size, tuple(entries))
 
 
 def block_diag(blocks: Iterable[QMatrix]) -> QMatrix:
     blocks = list(blocks)
-    for b in blocks:
-        if not b.is_square:
-            raise DimensionMismatchError("block_diag expects square blocks")
-    total = sum(b.rows for b in blocks)
-    out = [[_ZERO] * total for _ in range(total)]
-    offset = 0
+    if not all(b.is_square for b in blocks):
+        raise DimensionMismatchError("block_diag expects square blocks")
+    total, offset, out = sum(b.rows for b in blocks), 0, []
     for b in blocks:
         for i in range(b.rows):
-            for j in range(b.cols):
-                out[offset + i][offset + j] = b.entry(i, j)
+            out += [_ZERO] * offset + b.row_list(i) + [_ZERO] * (total - offset - b.cols)
         offset += b.rows
-    return QMatrix.from_rows(out)
+    return QMatrix(total, total, tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -274,10 +264,10 @@ class Echelon:
     v <- (lead/g) v - (v[p]/g) row with g = gcd(lead, v[p]), and its content
     (the gcd of its entries) is divided out when it enters and after every
     step that scaled it, so its entries stay the size of the span's minors;
-    stored rows are never touched again.  ``_EchelonModP`` is the same layout
-    mod a prime: the span closure of ``spans_full_algebra`` runs once on it
-    as a certificate and, only when that falls short, once more here on the
-    same integer rows.
+    stored rows are never touched again.  The span closure of
+    ``spans_full_algebra`` runs here only when its certificate mod a prime
+    (``_closes_mod_p``) falls short: a full span mod p has n^2 integer words
+    whose determinant is nonzero mod p, so nonzero over Q, for any prime.
     """
 
     def __init__(self, width: int):
@@ -399,68 +389,77 @@ def _rank_factorization(matrix: QMatrix) -> tuple[list[int], QMatrix]:
     return basis.pivots, QMatrix(len(basis), matrix.cols, entries)
 
 
-class _EchelonModP:
-    """``Echelon``'s layout over the integers mod ``_PRIME``.
-
-    Rows are sorted by pivot with an implicit leading 1 and stored as
-    (column, residue) pairs, and a new vector is reduced in one forward pass.
-    Incoming entries may be any integers: they are reduced mod the prime only
-    where a pivot factor or the new pivot is read, and when a row is stored.
-    """
-
-    def __init__(self, width: int):
-        self.width = width
-        self.pivots: list[int] = []
-        self._rows: list[list[tuple[int, int]]] = []
-
-    def __len__(self) -> int:
-        return len(self.pivots)
-
-    def add(self, vector: Iterable[int]) -> bool:
-        """Extend the basis by ``vector`` mod the prime; False when it is
-        already in the span."""
-        vec = list(vector)
-        for p, row in zip(self.pivots, self._rows):
-            f = vec[p] % _PRIME
-            if f:
-                vec[p] = 0
-                for j, x in row:
-                    vec[j] -= f * x
-        pivot = next((j for j, x in enumerate(vec) if x % _PRIME), None)
-        if pivot is None:
-            return False
-        inv = pow(vec[pivot], -1, _PRIME)
-        at = bisect(self.pivots, pivot)
-        self.pivots.insert(at, pivot)
-        self._rows.insert(
-            at,
-            [(j, x * inv % _PRIME) for j in range(pivot + 1, self.width) if (x := vec[j] % _PRIME)],
-        )
-        return True
-
-
 def _closes_full_span(generators: list[Sequence[Sequence[int]]], n: int, mod_p: bool) -> bool:
     """Whether the products of the n x n integer matrices ``generators``
     (their rows), closed from the identity under left multiplication, span
-    all n^2 entries: mod ``_PRIME``, each product reduced once per entry
-    (``mod_p``), or over Q, each product exact."""
-    target = n * n
-    basis = _EchelonModP(target) if mod_p else Echelon(target)
-    identity = [int(i == j) for i in range(n) for j in range(n)]
-    basis.add(identity)
-    queue = [identity]
+    all n^2 entries: mod ``_PRIME`` (``mod_p``: ``_closes_mod_p``) or over Q."""
+    if mod_p:
+        return _closes_mod_p(generators, n)
+    target, identity = n * n, [int(i == j) for i in range(n) for j in range(n)]
+    basis, queue = _echelon([identity], target), [identity]
     while queue and len(basis) < target:
         element = queue.pop()
         columns = [element[j::n] for j in range(n)]
         for rows in generators:
-            if mod_p:
-                product = [sum(map(mul, row, col)) % _PRIME for row in rows for col in columns]
-            else:
-                product = [sum(map(mul, row, col)) for row in rows for col in columns]
+            product = [sum(map(mul, row, col)) for row in rows for col in columns]
             if basis.add(product):
                 queue.append(product)
                 if len(basis) == target:
                     return True
+    return len(basis) == target
+
+
+def _closes_mod_p(generators: list[Sequence[Sequence[int]]], n: int) -> bool:
+    """``_closes_full_span`` mod p = ``_PRIME``, one int per vector of
+    F_p^{n^2}, entry j in the B-bit slot at bit jB.  A product G E is the
+    sum over l of G's column l, packed once at a stride of n slots, times
+    row l of E; clearing a basis row's pivot slot, of value 1, is
+    v += (p - c) row.  Products' slots are below n p^2 and each of at most
+    n^2 clearings adds less than p^2, so slots stay below (n + n^2 + 2) p^2
+    <= 2^B: no carries.  As p = 2^31 - 1, folding the bits of each slot
+    above 31 onto its low ones keeps it mod p; once every slot is at most
+    p, a +1 carrying into bit 31 marks the slots equal to p, set to 0.  The
+    basis rows, canonical with pivot 1, are the elements multiplied on.
+    """
+    p, bits, target = _PRIME, _PRIME_BITS, n * n
+    width = ((n + target + 2) * p * p).bit_length()  # B
+    slot, stride, line = (1 << width) - 1, n * width, (1 << n * width) - 1  # line: n slots
+    ones = ((1 << width * target) - 1) // slot  # 1 in every slot
+    low, high, above = ones * p, ones * ((1 << width - bits) - 1), ~(ones * p)
+
+    def canonical(v: int) -> int:
+        while v & above:
+            v = (v & low) + (v >> bits & high)
+        marks = (v + ones) >> bits & ones
+        return v - (marks << bits) + marks
+
+    packed = [
+        [sum(row[j] % p << i * stride for i, row in enumerate(rows)) for j in range(n)]
+        for rows in generators
+    ]
+    identity = sum(1 << i * (n + 1) * width for i in range(n))
+    offsets, basis, queue = [0], [identity], [identity]  # offsets: pivot slots' bits
+    while queue and len(basis) < target:
+        element = queue.pop()
+        lines = [element >> l * stride & line for l in range(n)]
+        for columns in packed:
+            v = sum(map(mul, columns, lines))
+            for offset, row in zip(offsets, basis):
+                c = (v >> offset & slot) % p
+                if c:
+                    v += (p - c) * row
+            v = canonical(v)
+            if not v:
+                continue
+            pivot = (v & -v).bit_length() - 1
+            pivot -= pivot % width
+            v = canonical(v * pow(v >> pivot & slot, -1, p))
+            at = bisect(offsets, pivot)
+            offsets.insert(at, pivot)
+            basis.insert(at, v)
+            if len(basis) == target:
+                return True
+            queue.append(v)
     return len(basis) == target
 
 
@@ -474,13 +473,13 @@ def spans_full_algebra(generators: Sequence[QMatrix]) -> bool:
     the integer matrices dA (``_integer_rows``): scaling a generator by a
     nonzero d does not change the span of the products.
 
-    It runs first mod the prime ``_PRIME``, as a certificate.  Each product
-    it reaches is the reduction of an integer matrix, a product of the dA,
-    so a full span mod the prime means n^2 such integer matrices reduce to
-    independent vectors: their n^2 x n^2 matrix has a determinant that is
-    nonzero mod the prime, hence nonzero, and the products span M_n(Q).
-    Only when that closure stalls below n^2 (the span over Q is smaller, or
-    only the span mod the prime is) does the same closure over Q decide.
+    It runs first mod the prime ``_PRIME``, as a certificate.  A word in the
+    dA reduces mod the prime to the same word in their reductions, so when
+    the reductions generate M_n(F_p), n^2 integer words reduce to
+    independent vectors: their n^2 x n^2 determinant is nonzero mod the
+    prime, hence nonzero, and the words span M_n(Q), for any prime and
+    whichever spanning elements the closure multiplies on.  Only when that
+    closure stalls below n^2 does the closure over Q decide.
     """
     n = generators[0].rows
     rows = [_integer_rows(g)[0] for g in generators]
@@ -600,15 +599,6 @@ def _pdivmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
                 if c:
                     rem[i + k] -= coef * c
     return _ptrim(quo), _ptrim(rem)
-
-
-def _pmonic(p: Poly) -> Poly:
-    if not p:
-        return p
-    lead = p[-1]
-    if lead == 1:
-        return p
-    return tuple(c / lead for c in p)
 
 
 def polynomial_to_string(p: Poly) -> str:
@@ -775,7 +765,7 @@ def _smith_diagonal(m: list[list[Poly]]) -> list[Poly]:
         if offender is not None:
             m[t] = [_padd(a, b) for a, b in zip(m[t], m[offender])]
             continue
-        m[t][t] = _pmonic(pivot)
+        m[t][t] = tuple(c / pivot[-1] for c in pivot)  # monic
         t += 1
     return [m[i][i] for i in range(size)]
 

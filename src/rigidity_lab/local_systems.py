@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import Iterable, NamedTuple
 
-from .errors import GenerationError, ValidationError
+from .errors import GenerationError, InvalidMonodromyError, ValidationError
 from .exact_linalg import (
     QMatrix,
     format_rational,
@@ -73,28 +73,39 @@ def monodromy_tuple(
     infinity_matrix: QMatrix | None = None,
 ) -> MonodromyTuple:
     """Assemble a tuple; when the infinity matrix is omitted it is the exact
-    inverse of the product of the finite ones, so the relation holds."""
+    inverse of the product of the finite ones, so the relation holds.  That
+    product fails as ``validate`` would with A_inf given (shape, then point)."""
     points = tuple(FinitePoint(parse_rational(loc), m) for loc, m in finite_points)
     if infinity_matrix is None:
-        if not points:
-            raise ValidationError("at least one finite singular point is required")
-        product = reduce(lambda a, b: a @ b, (p.matrix for p in points))
-        infinity_matrix = product.inverse()
+        _check_shapes(rank, points)
+        try:
+            infinity_matrix = reduce(lambda a, b: a @ b, (p.matrix for p in points)).inverse()
+        except InvalidMonodromyError:
+            _check_invertible(points)
+            raise  # a singular product has a singular factor, found above
     return MonodromyTuple(rank, points, infinity_matrix)
+
+
+def _check_shapes(n: int, finite_points: tuple[FinitePoint, ...]) -> None:
+    if n < 1:
+        raise ValidationError("rank must be at least 1")
+    if not finite_points:
+        raise ValidationError("at least one finite singular point is required")
+    for loc, m in finite_points:
+        if m.rows != n or m.cols != n:
+            raise ValidationError(f"matrix at point {format_rational(loc)} must be {n}x{n}")
+
+
+def _check_invertible(finite_points: tuple[FinitePoint, ...]) -> None:
+    for loc, m in finite_points:
+        if not m.is_invertible():
+            raise ValidationError(f"non-invertible matrix at point {format_rational(loc)}")
 
 
 def validate(t: MonodromyTuple) -> None:
     """Check every structural invariant, raising with the violated one."""
     n = t.rank
-    if n < 1:
-        raise ValidationError("rank must be at least 1")
-    if not t.finite_points:
-        raise ValidationError("at least one finite singular point is required")
-    for loc, m in t.finite_points:
-        if m.rows != n or m.cols != n:
-            raise ValidationError(
-                f"matrix at point {format_rational(loc)} must be {n}x{n}"
-            )
+    _check_shapes(n, t.finite_points)
     if t.infinity_matrix.rows != n or t.infinity_matrix.cols != n:
         raise ValidationError(f"matrix at infinity must be {n}x{n}")
     identity = QMatrix.identity(n)
@@ -102,11 +113,7 @@ def validate(t: MonodromyTuple) -> None:
     # A product equal to 1 has factors whose determinants multiply to 1, so
     # each is invertible; only a broken relation needs the checks one by one.
     if product != identity:
-        for loc, m in t.finite_points:
-            if not m.is_invertible():
-                raise ValidationError(
-                    f"non-invertible matrix at point {format_rational(loc)}"
-                )
+        _check_invertible(t.finite_points)
         if not t.infinity_matrix.is_invertible():
             raise ValidationError("non-invertible matrix at infinity")
     locations = [loc for loc, _ in t.finite_points]
@@ -114,9 +121,7 @@ def validate(t: MonodromyTuple) -> None:
         raise ValidationError("duplicate singular locations")
     for loc, m in t.finite_points:
         if m == identity:
-            raise ValidationError(
-                f"trivial local monodromy at finite point {format_rational(loc)}"
-            )
+            raise ValidationError(f"trivial local monodromy at finite point {format_rational(loc)}")
     if product != identity:
         raise ValidationError("monodromy relation violated")
 

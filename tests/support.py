@@ -4,8 +4,9 @@ Everything here is deliberately written from first principles (Jordan data,
 characteristic polynomials via Faddeev-LeVerrier, the min(m_i, m_j)
 partition count, the commutation system, the rank sequence of (A - I)^j,
 span closures ranked by sympy, restrictions solved by sympy, the schoolbook
-product on fractions, elimination on ``Fraction`` rows) so library results
-are checked against a second route.  The one exception,
+product on fractions, elimination on ``Fraction`` rows, the span closure mod
+a prime one entry at a time) so library results are checked against a
+second route.  The one exception,
 ``smith_invariant_factors``, reuses the library's Smith step, but on the
 full characteristic matrix xI - A, so it checks the Krylov front end of
 ``invariant_factors``; the oracles above check the Smith step itself.
@@ -16,7 +17,8 @@ from __future__ import annotations
 import random
 from bisect import bisect
 from fractions import Fraction
-from typing import Iterable
+from operator import mul
+from typing import Iterable, Sequence
 
 import sympy
 
@@ -327,3 +329,68 @@ def fraction_inverse(matrix: QMatrix) -> QMatrix | None:
     if basis.pivots != list(range(n)):
         return None
     return QMatrix(n, n, tuple(x for row in basis.reduced_rows() for x in row[n:]))
+
+
+class EchelonModP:
+    """Row echelon basis of a growing span of integer vectors mod a prime,
+    one entry at a time: the library's span-closure certificate before its
+    vectors were packed into single integers, kept as its oracle.
+
+    Rows are sorted by pivot with an implicit leading 1 and stored as
+    (column, residue) pairs, and a new vector is reduced in one forward pass.
+    Incoming entries may be any integers: they are reduced mod the prime only
+    where a pivot factor or the new pivot is read, and when a row is stored.
+    """
+
+    def __init__(self, width: int, prime: int):
+        self.width = width
+        self.prime = prime
+        self.pivots: list[int] = []
+        self._rows: list[list[tuple[int, int]]] = []
+
+    def __len__(self) -> int:
+        return len(self.pivots)
+
+    def add(self, vector: Iterable[int]) -> bool:
+        """Extend the basis by ``vector`` mod the prime; False when it is
+        already in the span."""
+        p = self.prime
+        vec = list(vector)
+        for q, row in zip(self.pivots, self._rows):
+            f = vec[q] % p
+            if f:
+                vec[q] = 0
+                for j, x in row:
+                    vec[j] -= f * x
+        pivot = next((j for j, x in enumerate(vec) if x % p), None)
+        if pivot is None:
+            return False
+        inv = pow(vec[pivot], -1, p)
+        at = bisect(self.pivots, pivot)
+        self.pivots.insert(at, pivot)
+        self._rows.insert(
+            at, [(j, x * inv % p) for j in range(pivot + 1, self.width) if (x := vec[j] % p)]
+        )
+        return True
+
+
+def closes_full_span_mod_p(generators: list[Sequence[Sequence[int]]], n: int, prime: int) -> bool:
+    """Whether the products of the n x n integer matrices ``generators``
+    (their rows), closed from the identity under left multiplication, span
+    all n^2 entries mod ``prime``, by ``EchelonModP``, each product reduced
+    once per entry."""
+    target = n * n
+    basis = EchelonModP(target, prime)
+    identity = [int(i == j) for i in range(n) for j in range(n)]
+    basis.add(identity)
+    queue = [identity]
+    while queue and len(basis) < target:
+        element = queue.pop()
+        columns = [element[j::n] for j in range(n)]
+        for rows in generators:
+            product = [sum(map(mul, row, col)) % prime for row in rows for col in columns]
+            if basis.add(product):
+                queue.append(product)
+                if len(basis) == target:
+                    return True
+    return len(basis) == target

@@ -34,7 +34,13 @@ def test_every_row_function_is_listed(kernels):
 
 @pytest.mark.parametrize("name", ROW_FUNCTIONS)
 def test_rows_at_small_sizes(kernels, monkeypatch, capsys, name):
-    for sizes in ("SIZES", "RESTRICTION_SIZES", "CLOSURE_RANKS", "ECHELON_SIZES"):
+    for sizes in (
+        "SIZES",
+        "RESTRICTION_SIZES",
+        "CLOSURE_RANKS",
+        "EXACT_CLOSURE_RANKS",
+        "ECHELON_SIZES",
+    ):
         monkeypatch.setattr(kernels, sizes, (2, 3))
     rows = getattr(kernels, name)(1)
     assert rows and len(capsys.readouterr().out.splitlines()) == len(rows)

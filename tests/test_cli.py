@@ -417,6 +417,65 @@ class TestArguments:
         assert "usage:" in err and "not allowed with argument" in err
 
 
+    def test_parser_is_reused_after_a_usage_error(self, capsys, tmp_path):
+        # main builds the parser once per process; a usage error in between
+        # leaves the output and exit codes of every call as they were
+        path = write_json(tmp_path, "t.json", RANK1_TWOPOINT)
+        calls = [["rig", "--input", path], ["verify", "--random", "--trials", "0"]] * 2
+        results = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            results.append((code, *capsys.readouterr()))
+        assert results[2:] == results[:2]
+        assert [code for code, _, _ in results] == [0, 2, 0, 2]
+        assert cli.build_parser() is cli.build_parser()
+
+
+def with_identity_at_infinity(payload):
+    n = payload["rank"]
+    return dict(payload, infinity_matrix=[[str(int(i == j)) for j in range(n)] for i in range(n)])
+
+
+def points(*matrices):
+    return [{"location": str(i), "matrix": m} for i, m in enumerate(matrices)]
+
+
+class TestDerivedInfinity:
+    # With A_inf omitted, the inverse of the product is formed only after the
+    # shape checks, and a singular product names the first singular point:
+    # the same error as with A_inf given.
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"rank": 1, "finite_points": points([["1", "2"]])}, "matrix at point 0 must be 1x1"),
+            (
+                {"rank": 1, "finite_points": points([["1", "2"], ["3", "4"]], [["2"]])},
+                "matrix at point 0 must be 1x1",
+            ),
+            (
+                {"rank": 2, "finite_points": points([["2", "0"], ["0", "1"]], [["1", "2"], ["2", "4"]])},
+                "non-invertible matrix at point 1",
+            ),
+            (
+                {"rank": 2, "finite_points": points([["0", "0"], ["0", "1"]], [["1", "2"], ["2", "4"]])},
+                "non-invertible matrix at point 0",
+            ),
+            ({"rank": 0, "finite_points": points([["2"]])}, "rank must be at least 1"),
+        ],
+        ids=["non-square", "wrong-side", "singular", "first-singular", "rank-0"],
+    )
+    def test_same_error_with_and_without_infinity(self, capsys, tmp_path, payload, message):
+        errors = []
+        for document in (payload, with_identity_at_infinity(payload)):
+            code, out, err = run_cli(capsys, "verify", "--input", write_json(tmp_path, "t.json", document))
+            assert (code, out) == (2, "")
+            errors.append(err)
+        assert errors == [f"error: validation failure: {message}\n"] * 2
+
+
 def count_calls(monkeypatch, module, name):
     """Record the calls to ``module.name`` made under any name in the library."""
     original = getattr(module, name)

@@ -32,6 +32,7 @@ from rigidity_lab.local_systems import random_tuple
 
 from support import (
     char_poly,
+    closes_full_span_mod_p,
     commutation_centralizer_dimension,
     conjugate,
     fraction_inverse,
@@ -166,13 +167,13 @@ class TestQMatrix:
             matrix_from_json([["1/0"]])
 
 
-P = 2**61 - 1  # the irreducibility certificate's modulus
+P = exact_linalg._PRIME  # 2^31 - 1, the irreducibility certificate's modulus
 
 
 class TestInvertible:
     """``is_invertible`` against the ``Fraction`` rank, on matrices whose
-    determinant, or a denominator, is divisible by the prime 2^61 - 1 as
-    well as on ordinary ones."""
+    determinant, or a denominator, is divisible by the certificate's prime
+    P as well as on ordinary ones."""
 
     CASES = [
         QMatrix.from_rows([[1, 2], [2, 4]]),  # singular over Q
@@ -727,6 +728,77 @@ class TestSpanClosure:
         assert 5 < not_full < 15
         # the certificate settles every full span; only the others run exactly
         assert passes.count(True) == 20 and passes.count(False) == not_full
+
+
+def _generator_sets(entries, reducible: bool = False):
+    """(n, the rows of k integer n x n generators) for n = 1..6 and k = 1..4.
+    A reducible set has n >= 2 and maps span(e_1, ..., e_d) into itself, for
+    some 0 < d < n: its generators are zero in rows d.. of columns ..d."""
+
+    @st.composite
+    def build(draw):
+        n = draw(st.integers(2 if reducible else 1, 6))
+        d = draw(st.integers(1, n - 1)) if reducible else 0
+        k = draw(st.integers(1, 4))
+        generators = [
+            [[0 if i >= d > j else draw(entries) for j in range(n)] for i in range(n)]
+            for _ in range(k)
+        ]
+        return n, generators
+
+    return build()
+
+
+# entries of 2^64 and more, of either sign, and multiples of P, among small ones
+wide_entries = st.one_of(
+    st.integers(-3, 3),
+    st.integers(2**64, 2**80),
+    st.integers(-(2**80), -(2**64)),
+    st.integers(-4, 4).map(lambda c: c * P),
+    st.sampled_from([P - 1, 1 - P, P + 1]),
+)
+
+
+class TestPackedClosure:
+    """The certificate, ``_closes_full_span(..., mod_p=True)``, packs each
+    vector mod P into one integer; ``support.closes_full_span_mod_p`` is the
+    same closure mod P one entry at a time."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(st.one_of(_generator_sets(st.integers(-2, 2)), _generator_sets(wide_entries)))
+    def test_agrees_with_the_unpacked_closure(self, case):
+        n, generators = case
+        assert exact_linalg._closes_full_span(generators, n, True) == closes_full_span_mod_p(
+            generators, n, P
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(_generator_sets(wide_entries, reducible=True))
+    def test_block_triangular_sets_stall(self, case):
+        n, generators = case
+        assert not exact_linalg._closes_full_span(generators, n, True)
+        assert not closes_full_span_mod_p(generators, n, P)
+
+    def test_every_entry_p_minus_1_at_the_largest_shape(self):
+        # n = MAX_RANK with 16 generators, all entries P - 1: (P - 1) J with
+        # J all ones generates span(1, J).
+        generators = [[[P - 1] * 16] * 16] * 16
+        assert not exact_linalg._closes_full_span(generators, 16, True)
+        assert not closes_full_span_mod_p(generators, 16, P)
+
+    def test_no_carry_at_the_largest_shape(self):
+        # n = 16 and 16 generators with entries +-(P - 1) that map the span of
+        # the odd basis vectors into itself, zero at (even row, odd column):
+        # their algebra has dimension 256 - 8 * 8, that zero pattern.  The
+        # stored rows' residues are arbitrary, so slots reach 2^68 of the 2^71
+        # the bound allows, and a carry out of an (even, even) slot lands in a
+        # zero one and closes the span: slots 4 bits narrower fail here.
+        rng, signs = random.Random(16), [P - 1, 1 - P]
+        generators = [
+            [[0 if i % 2 < j % 2 else rng.choice(signs) for j in range(16)] for i in range(16)]
+            for _ in range(16)
+        ]
+        assert not exact_linalg._closes_full_span(generators, 16, True)
 
 
 def test_polynomial_rendering():
