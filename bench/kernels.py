@@ -1,22 +1,24 @@
 """Time the exact kernels: the span closure, invariant factors, the product, restrictions,
-the composed zero-monodromy invariants, the invertibility test and elimination.
+the composed zero-monodromy invariants, the invertibility test and elimination, and
+``verify`` on the two worst-case inputs.
 
     python3 bench/kernels.py [--runs 3] [--out BENCH.json]
+    python3 bench/kernels.py --worst-cases DIR
 
 Run from the repository root; the library is imported from ``src/`` and the
 reference routes from ``tests/support.py``.  Each figure is the median of
-``--runs`` runs in milliseconds.
+``--runs`` runs in milliseconds, except where CPU seconds are named.
 
 - ``kernels``: for each rank n = 2..16, two fixed-seed tuples, a
   hypergeometric (Levelt) tuple (C_f, C_f^-1 C_g; C_g^-1) with
   g = (x - 1)^n and a dense random tuple on three finite points, and the
-  times of ``exact_linalg._closes_full_span`` on the integer rows of its
-  matrices: the certificate mod 2^31 - 1 (vectors packed into integers)
-  against ``support.closes_full_span_mod_p`` (the same closure mod the same
-  prime, one entry at a time), whose answers must agree, and, for
-  n = 2..8 only, the exact pass over Q, which grows as n^6; the conversion
-  to integer rows, shared by all, is not timed.  The answers are recorded;
-  on these tuples they agree.
+  times of the closures of ``exact_linalg`` on the integer rows of its
+  matrices: the certificate mod 2^31 - 1 (``_closes_mod_p``, vectors packed
+  into integers) against ``support.closes_full_span_mod_p`` (the same
+  closure mod the same prime, one entry at a time), whose answers must
+  agree, and, for n = 2..8 only, the exact pass over Q (``_closes_exact``),
+  which grows as n^6; the conversion to integer rows, shared by all, is not
+  timed.  The answers are recorded; on these tuples they agree.
 - ``invariant_factors``: ``exact_linalg.invariant_factors`` (the Krylov
   kernel) against ``support.smith_invariant_factors`` (the Smith form of the
   full xI - A), whose answers must agree, on fixed-seed n x n matrices for
@@ -61,16 +63,29 @@ reference routes from ``tests/support.py``.  Each figure is the median of
   families: ``dense`` and ``zero_monodromy``, as above, and
   ``large_entries``, whose numerators and denominators are random 64-bit
   integers.
+- ``worst_cases``: CPU seconds of ``verify --input FILE``, run in process
+  with stdout captured, on the two inputs of ``worst_case_documents``, each
+  on 16 finite points with A_inf omitted: ``small_entries``,
+  ``random_tuple(16, 16, 2026)``, and ``large_entries``, rank 4 with
+  numerators and denominators of 256 bits drawn from
+  ``random.Random('worst:256')``.  The exit code and the sha256 of stdout
+  are recorded, so runs of two versions can be compared.
 
 With ``--out``, the result is written into that JSON file under the keys
 ``environment``, ``kernels``, ``invariant_factors``, ``product``,
-``restriction``, ``zero_invariants``, ``is_invertible`` and ``echelon``;
-other keys already in the file are kept.
+``restriction``, ``zero_invariants``, ``is_invertible``, ``echelon`` and
+``worst_cases``; other keys already in the file are kept.  With
+``--worst-cases DIR``, the two worst-case inputs are written to
+``DIR/small_entries.json`` and ``DIR/large_entries.json`` and nothing is
+timed.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import hashlib
+import io
 import json
 import os
 import platform
@@ -78,6 +93,7 @@ import random
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from math import comb
@@ -89,13 +105,14 @@ EXACT_CLOSURE_RANKS = range(2, 9)  # the exact pass grows as n^6: 0.07-0.2 s at 
 SIZES = (2, 3, 4, 6, 8, 12, 16, 24, 32)
 RESTRICTION_SIZES = (2, 3, 4, 6, 8, 12, 16)
 ECHELON_SIZES = (4, 6, 8, 10, 12)
+WORST_CASE_POINTS = (16,)  # MAX_POINTS
 ORACLE_CAP_S = 5.0
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from rigidity_lab import exact_linalg  # noqa: E402
+from rigidity_lab import cli, exact_linalg  # noqa: E402
 from rigidity_lab.errors import InvalidMonodromyError  # noqa: E402
 from rigidity_lab.exact_linalg import QMatrix, block_diag, jordan_block  # noqa: E402
-from rigidity_lab.local_systems import random_tuple  # noqa: E402
+from rigidity_lab.local_systems import random_tuple, tuple_to_json  # noqa: E402
 from support import (  # noqa: E402
     closes_full_span_mod_p,
     fraction_inverse,
@@ -248,7 +265,7 @@ def closure_rows(runs: int) -> list[dict]:
         for family, generators in families.items():
             integer_rows = [exact_linalg._integer_rows(g)[0] for g in generators]
             packed_ms, certified, _ = median_ms(
-                lambda g: exact_linalg._closes_full_span(g, n, True), integer_rows, runs
+                lambda g: exact_linalg._closes_mod_p(g, n), integer_rows, runs
             )
             unpacked_ms, oracle, _ = median_ms(
                 lambda g: closes_full_span_mod_p(g, n, exact_linalg._PRIME), integer_rows, runs
@@ -265,7 +282,7 @@ def closure_rows(runs: int) -> list[dict]:
             }
             if n in EXACT_CLOSURE_RANKS:
                 exact_ms, full, _ = median_ms(
-                    lambda g: exact_linalg._closes_full_span(g, n, False), integer_rows, runs
+                    lambda g: exact_linalg._closes_exact(g, n), integer_rows, runs
                 )
                 row.update(exact_ms=round(exact_ms, 3), full_span=full)
             print(json.dumps(row), flush=True)
@@ -391,6 +408,69 @@ def echelon_rows(runs: int) -> list[dict]:
     return rows
 
 
+def large_entry(rng: random.Random) -> Fraction:
+    """A numerator (either sign) and a denominator of 256 bits each."""
+    numerator = rng.choice((-1, 1)) * rng.randint(2**255, 2**256 - 1)
+    return Fraction(numerator, rng.randint(2**255, 2**256 - 1))
+
+
+def worst_case_documents(points: int) -> dict[str, dict]:
+    """The two worst-case ``verify`` inputs on ``points`` finite points, as
+    tuple documents with A_inf omitted: ``small_entries`` is
+    ``random_tuple(16, points, 2026)``; ``large_entries`` has rank 4 and
+    invertible non-identity matrices of ``large_entry`` entries, drawn in
+    order from ``random.Random('worst:256')``, at locations 0..points-1."""
+    small = tuple_to_json(random_tuple(16, points, 2026))
+    del small["infinity_matrix"]
+    rng, matrices = random.Random("worst:256"), []
+    while len(matrices) < points:
+        candidate = QMatrix.from_rows([[large_entry(rng) for _ in range(4)] for _ in range(4)])
+        if candidate != QMatrix.identity(4) and candidate.is_invertible():
+            matrices.append(candidate)
+    large = {
+        "rank": 4,
+        "finite_points": [
+            {"location": str(i), "matrix": exact_linalg.matrix_to_json(m)}
+            for i, m in enumerate(matrices)
+        ],
+    }
+    return {"small_entries": small, "large_entries": large}
+
+
+def verify_cpu_s(path: str) -> tuple[float, int, str]:
+    """(CPU seconds, exit code, sha256 of stdout) of one in-process
+    ``verify --input path``."""
+    out = io.StringIO()
+    begin = time.process_time()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["verify", "--input", path])
+    seconds = time.process_time() - begin
+    return seconds, code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def worst_case_rows(runs: int) -> list[dict]:
+    rows = []
+    with tempfile.TemporaryDirectory() as directory:
+        for points in WORST_CASE_POINTS:
+            for name, document in worst_case_documents(points).items():
+                path = Path(directory) / f"{name}.json"
+                path.write_text(json.dumps(document))
+                results = [verify_cpu_s(str(path)) for _ in range(runs)]
+                if len({result[1:] for result in results}) != 1:
+                    raise RuntimeError(f"{name} points={points}: runs disagree")
+                row = {
+                    "input": name,
+                    "rank": document["rank"],
+                    "points": points,
+                    "cpu_s": round(statistics.median(r[0] for r in results), 3),
+                    "exit_code": results[0][1],
+                    "stdout_sha256": results[0][2],
+                }
+                print(json.dumps(row), flush=True)
+                rows.append(row)
+    return rows
+
+
 def environment() -> dict:
     # "-dirty" marks a working tree that differs from the commit
     sha = subprocess.run(
@@ -411,9 +491,15 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--runs", type=int, default=3)
     parser.add_argument("--out", type=Path)
+    parser.add_argument("--worst-cases", type=Path, metavar="DIR")
     args = parser.parse_args()
     if args.runs < 3:
         parser.error("--runs must be at least 3")
+    if args.worst_cases:
+        args.worst_cases.mkdir(parents=True, exist_ok=True)
+        for name, document in worst_case_documents(WORST_CASE_POINTS[-1]).items():
+            (args.worst_cases / f"{name}.json").write_text(json.dumps(document) + "\n")
+        return
 
     result = {
         "environment": environment(),
@@ -464,6 +550,13 @@ def main() -> None:
             "unit": "ms, median of runs",
             "runs": args.runs,
             "rows": echelon_rows(args.runs),
+        },
+        "worst_cases": {
+            "what": "verify --input on the two worst-case inputs of worst_case_documents, "
+            "A_inf omitted, in process with stdout captured",
+            "unit": "CPU s, median of runs",
+            "runs": args.runs,
+            "rows": worst_case_rows(args.runs),
         },
     }
     if args.out:

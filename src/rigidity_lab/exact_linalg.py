@@ -73,7 +73,8 @@ def parse_rational(value: Fraction | int | str) -> Fraction:
 
 @dataclass(frozen=True)
 class QMatrix:
-    """Dense matrix of rationals, stored row-major and immutable."""
+    """Dense matrix of rationals, stored row-major and immutable: the
+    entries are always a tuple of ``Fraction``, whatever sequence built it."""
 
     rows: int
     cols: int
@@ -86,10 +87,8 @@ class QMatrix:
             raise DimensionMismatchError(
                 f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
             )
-        if any(type(e) is not Fraction for e in self.entries):
-            object.__setattr__(
-                self, "entries", tuple(parse_rational(e) for e in self.entries)
-            )
+        if type(self.entries) is not tuple or any(type(e) is not Fraction for e in self.entries):
+            object.__setattr__(self, "entries", tuple(map(parse_rational, self.entries)))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Fraction | int | str]]) -> "QMatrix":
@@ -389,12 +388,10 @@ def _rank_factorization(matrix: QMatrix) -> tuple[list[int], QMatrix]:
     return basis.pivots, QMatrix(len(basis), matrix.cols, entries)
 
 
-def _closes_full_span(generators: list[Sequence[Sequence[int]]], n: int, mod_p: bool) -> bool:
+def _closes_exact(generators: list[Sequence[Sequence[int]]], n: int) -> bool:
     """Whether the products of the n x n integer matrices ``generators``
     (their rows), closed from the identity under left multiplication, span
-    all n^2 entries: mod ``_PRIME`` (``mod_p``: ``_closes_mod_p``) or over Q."""
-    if mod_p:
-        return _closes_mod_p(generators, n)
+    all n^2 entries over Q."""
     target, identity = n * n, [int(i == j) for i in range(n) for j in range(n)]
     basis, queue = _echelon([identity], target), [identity]
     while queue and len(basis) < target:
@@ -410,7 +407,7 @@ def _closes_full_span(generators: list[Sequence[Sequence[int]]], n: int, mod_p: 
 
 
 def _closes_mod_p(generators: list[Sequence[Sequence[int]]], n: int) -> bool:
-    """``_closes_full_span`` mod p = ``_PRIME``, one int per vector of
+    """``_closes_exact`` mod p = ``_PRIME``, one int per vector of
     F_p^{n^2}, entry j in the B-bit slot at bit jB.  A product G E is the
     sum over l of G's column l, packed once at a stride of n slots, times
     row l of E; clearing a basis row's pivot slot, of value 1, is
@@ -483,7 +480,7 @@ def spans_full_algebra(generators: Sequence[QMatrix]) -> bool:
     """
     n = generators[0].rows
     rows = [_integer_rows(g)[0] for g in generators]
-    return _closes_full_span(rows, n, True) or _closes_full_span(rows, n, False)
+    return _closes_mod_p(rows, n) or _closes_exact(rows, n)
 
 
 # ---------------------------------------------------------------------------

@@ -41,40 +41,26 @@ class ReducibleInputWarning(UserWarning):
 
 @dataclass(frozen=True)
 class ExponentialComponent:
-    """One exponential factor at infinity: coefficient, regular part, size."""
+    """One exponential factor at infinity: coefficient, regular part, size.
+    ``TupleAnalysis.local_data`` makes the regular part A on im(A - 1):
+    square of side rank(A - 1) >= 1, as ``validate`` rejects A = 1, and
+    invertible, as A is and im(A - 1) is A-invariant.  Nothing to check."""
 
     coefficient: Fraction
     regular_monodromy: QMatrix
     dimension: int
 
-    def __post_init__(self) -> None:
-        if self.dimension < 1:
-            raise ValueError("component dimension must be at least 1")
-        if (self.regular_monodromy.rows, self.regular_monodromy.cols) != (
-            self.dimension,
-            self.dimension,
-        ):
-            raise ValueError("regular monodromy size must match the component dimension")
-        if not self.regular_monodromy.is_invertible():
-            raise ValueError("regular monodromy must be invertible")
-
 
 @dataclass(frozen=True)
 class FourierLocalData:
+    """Built by ``TupleAnalysis.local_data`` only: rank_hat sums the
+    component dimensions, and T at zero is block-diagonal (A_inf on its part
+    without eigenvalue 1, unipotent Jordan blocks, identity padding) of side
+    rank_hat, so invertible; a self-check there proves rank(T - 1) = n."""
+
     rank_hat: int
     zero_monodromy: QMatrix
     components: tuple[ExponentialComponent, ...]
-
-    def __post_init__(self) -> None:
-        if self.rank_hat != sum(c.dimension for c in self.components):
-            raise ValueError("rank_hat must equal the sum of component dimensions")
-        if (self.zero_monodromy.rows, self.zero_monodromy.cols) != (
-            self.rank_hat,
-            self.rank_hat,
-        ):
-            raise ValueError("zero monodromy must be rank_hat x rank_hat")
-        if not self.zero_monodromy.is_invertible():
-            raise ValueError("zero monodromy must be invertible")
 
 
 class PointIdentity(NamedTuple):
@@ -160,13 +146,7 @@ class TupleAnalysis:
         components = []
         for loc, a in t.finite_points:
             restricted = restrict_to_image(a)
-            components.append(
-                ExponentialComponent(
-                    coefficient=loc,
-                    regular_monodromy=restricted,
-                    dimension=restricted.rows,
-                )
-            )
+            components.append(ExponentialComponent(loc, restricted, restricted.rows))
         rank_hat = sum(c.dimension for c in components)
 
         unit_blocks = self.infinity_invariants.unit_block_sizes

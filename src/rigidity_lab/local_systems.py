@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Iterable, NamedTuple
 
 from .errors import GenerationError, InvalidMonodromyError, ValidationError
@@ -56,6 +56,17 @@ class MonodromyTuple:
         """All local monodromies, finite points first, infinity last."""
         return [p.matrix for p in self.finite_points] + [self.infinity_matrix]
 
+    @cached_property
+    def relation_product(self) -> QMatrix:
+        """A_1 ... A_k A_inf, after the shape checks that define it.  When
+        ``monodromy_tuple`` derives A_inf it stores 1 here; any other tuple,
+        one from ``dataclasses.replace`` too, multiplies on first use."""
+        n = self.rank
+        _check_shapes(n, self.finite_points)
+        if self.infinity_matrix.rows != n or self.infinity_matrix.cols != n:
+            raise ValidationError(f"matrix at infinity must be {n}x{n}")
+        return reduce(lambda a, b: a @ b, self.matrices())
+
 
 @dataclass(frozen=True)
 class RigidityReport:
@@ -72,18 +83,22 @@ def monodromy_tuple(
     finite_points: Iterable[tuple[Fraction | int | str, QMatrix]],
     infinity_matrix: QMatrix | None = None,
 ) -> MonodromyTuple:
-    """Assemble a tuple; when the infinity matrix is omitted it is the exact
-    inverse of the product of the finite ones, so the relation holds.  That
-    product fails as ``validate`` would with A_inf given (shape, then point)."""
+    """Assemble a tuple.  An omitted infinity matrix is the exact inverse of
+    the finite ones' product, so the relation holds: 1 is stored as the
+    tuple's ``relation_product``.  That product fails as ``validate`` would
+    with A_inf given (shape, then point)."""
     points = tuple(FinitePoint(parse_rational(loc), m) for loc, m in finite_points)
-    if infinity_matrix is None:
-        _check_shapes(rank, points)
-        try:
-            infinity_matrix = reduce(lambda a, b: a @ b, (p.matrix for p in points)).inverse()
-        except InvalidMonodromyError:
-            _check_invertible(points)
-            raise  # a singular product has a singular factor, found above
-    return MonodromyTuple(rank, points, infinity_matrix)
+    if infinity_matrix is not None:
+        return MonodromyTuple(rank, points, infinity_matrix)
+    _check_shapes(rank, points)
+    try:
+        infinity_matrix = reduce(lambda a, b: a @ b, (p.matrix for p in points)).inverse()
+    except InvalidMonodromyError:
+        _check_invertible(points)
+        raise  # a singular product has a singular factor, found above
+    t = MonodromyTuple(rank, points, infinity_matrix)
+    vars(t)["relation_product"] = QMatrix.identity(rank)
+    return t
 
 
 def _check_shapes(n: int, finite_points: tuple[FinitePoint, ...]) -> None:
@@ -103,13 +118,11 @@ def _check_invertible(finite_points: tuple[FinitePoint, ...]) -> None:
 
 
 def validate(t: MonodromyTuple) -> None:
-    """Check every structural invariant, raising with the violated one."""
-    n = t.rank
-    _check_shapes(n, t.finite_points)
-    if t.infinity_matrix.rows != n or t.infinity_matrix.cols != n:
-        raise ValidationError(f"matrix at infinity must be {n}x{n}")
-    identity = QMatrix.identity(n)
-    product = reduce(lambda a, b: a @ b, t.matrices())
+    """Check every structural invariant, raising with the violated one.
+    ``t.relation_product`` checks the shapes and multiplies the k + 1
+    matrices, unless ``monodromy_tuple`` derived A_inf and stored 1 there."""
+    product = t.relation_product
+    identity = QMatrix.identity(t.rank)
     # A product equal to 1 has factors whose determinants multiply to 1, so
     # each is invertible; only a broken relation needs the checks one by one.
     if product != identity:

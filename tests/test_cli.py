@@ -493,11 +493,6 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
-def exact_closures(calls):
-    """The calls to ``_closes_full_span`` that ran over Q, not mod p."""
-    return [args for args in calls if not args[2]]
-
-
 class TestComputeOnce:
     # (command, invariant-factor calls, restrictions) for k finite points:
     # rig needs the k + 1 source matrices and nothing of the transform;
@@ -517,34 +512,55 @@ class TestComputeOnce:
         path = write_json(tmp_path, "t.json", FOURPOINT2)
         validate = count_calls(monkeypatch, local_systems, "validate")
         closure = count_calls(monkeypatch, exact_linalg, "spans_full_algebra")
-        passes = count_calls(monkeypatch, exact_linalg, "_closes_full_span")
+        certificates = count_calls(monkeypatch, exact_linalg, "_closes_mod_p")
+        exact = count_calls(monkeypatch, exact_linalg, "_closes_exact")
         factors = count_calls(monkeypatch, exact_linalg, "invariant_factors")
         restrict = count_calls(monkeypatch, exact_linalg, "restrict_to_image")
         code, _, _ = run_cli(capsys, command, "--input", path)
         assert code == 0
         assert (len(validate), len(closure)) == (1, 1)
-        assert len(passes) == 1 and exact_closures(passes) == []  # the certificate settles it
+        assert (len(certificates), len(exact)) == (1, 0)  # the certificate settles it
         assert len(factors) == factorizations
         assert len(restrict) == restrictions
 
     def test_reducible_runs_the_exact_closure_once(self, capsys, tmp_path, monkeypatch):
         path = write_json(tmp_path, "red.json", REDUCIBLE_DIAGONAL)
         closure = count_calls(monkeypatch, exact_linalg, "spans_full_algebra")
-        passes = count_calls(monkeypatch, exact_linalg, "_closes_full_span")
+        exact = count_calls(monkeypatch, exact_linalg, "_closes_exact")
         code, _, _ = run_cli(capsys, "verify", "--input", path, "--force")
         assert code == 0
-        assert (len(closure), len(exact_closures(passes))) == (1, 1)
+        assert (len(closure), len(exact)) == (1, 1)
+
+    @pytest.mark.parametrize("given", [False, True])
+    def test_relation_product_formed_once(self, capsys, tmp_path, monkeypatch, given):
+        # omitted, A_inf is the inverse of the k - 1 products of the finite
+        # matrices, and validate knows the relation holds; given, validate
+        # forms the k products of all k + 1 matrices
+        payload = dict(FOURPOINT2)
+        if given:
+            infinity = tuple_from_json(FOURPOINT2).infinity_matrix
+            payload["infinity_matrix"] = exact_linalg.matrix_to_json(infinity)
+        path = write_json(tmp_path, "t.json", payload)
+        products = []
+        original = exact_linalg.QMatrix.__matmul__
+        monkeypatch.setattr(
+            exact_linalg.QMatrix, "__matmul__", lambda a, b: products.append(a) or original(a, b)
+        )
+        code, _, _ = run_cli(capsys, "verify", "--input", path)
+        assert code == 0
+        k = len(FOURPOINT2["finite_points"])
+        assert len(products) == (k if given else k - 1)
 
     def test_campaign_draw(self, capsys, monkeypatch):
         draws = count_calls(monkeypatch, local_systems, "random_tuple")
         validate = count_calls(monkeypatch, local_systems, "validate")
         closure = count_calls(monkeypatch, exact_linalg, "spans_full_algebra")
-        passes = count_calls(monkeypatch, exact_linalg, "_closes_full_span")
+        exact = count_calls(monkeypatch, exact_linalg, "_closes_exact")
         code, _, _ = run_cli(capsys, "verify", "--random", "--trials", "10", "--seed", "5")
         assert code == 0
         assert len(validate) == len(closure) == len(draws) >= 10
         # only the reducible draws, redrawn, need the exact closure
-        assert len(exact_closures(passes)) == len(draws) - 10
+        assert len(exact) == len(draws) - 10
 
 
 class TestInternalFailures:

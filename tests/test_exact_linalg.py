@@ -123,6 +123,15 @@ class TestQMatrix:
         with pytest.raises(InvalidMonodromyError):
             QMatrix.from_rows([[1, 2], [2, 4]]).inverse()
 
+    def test_entries_from_a_list_are_stored_as_a_tuple(self):
+        entries = [Fraction(2), Fraction(3)]
+        m = QMatrix(1, 2, entries)
+        assert m == QMatrix.from_rows([[2, 3]])
+        assert hash(m) == hash(QMatrix.from_rows([[2, 3]]))
+        entries[0] = Fraction(5)  # the caller's list is not the matrix's
+        assert m.entries == (Fraction(2), Fraction(3))
+        assert m @ QMatrix.identity(2) == QMatrix.from_rows([[2, 3]])
+
     def test_shape_errors(self):
         a = QMatrix.from_rows([[1, 2]])
         with pytest.raises(DimensionMismatchError):
@@ -697,12 +706,13 @@ class TestKrylovKernel:
 class TestSpanClosure:
     def test_agrees_with_sympy_closure(self, monkeypatch):
         passes = []
-        original = exact_linalg._closes_full_span
-        monkeypatch.setattr(
-            exact_linalg,
-            "_closes_full_span",
-            lambda gens, n, mod_p: passes.append(mod_p) or original(gens, n, mod_p),
-        )
+        for name in ("_closes_mod_p", "_closes_exact"):
+            original = getattr(exact_linalg, name)
+            monkeypatch.setattr(
+                exact_linalg,
+                name,
+                lambda gens, n, f=original: passes.append(f.__name__) or f(gens, n),
+            )
         rng = random.Random(4)
         not_full = 0
         for n in range(1, 6):
@@ -727,7 +737,8 @@ class TestSpanClosure:
                 not_full += not full
         assert 5 < not_full < 15
         # the certificate settles every full span; only the others run exactly
-        assert passes.count(True) == 20 and passes.count(False) == not_full
+        assert passes.count("_closes_mod_p") == 20
+        assert passes.count("_closes_exact") == not_full
 
 
 def _generator_sets(entries, reducible: bool = False):
@@ -760,15 +771,15 @@ wide_entries = st.one_of(
 
 
 class TestPackedClosure:
-    """The certificate, ``_closes_full_span(..., mod_p=True)``, packs each
-    vector mod P into one integer; ``support.closes_full_span_mod_p`` is the
-    same closure mod P one entry at a time."""
+    """The certificate, ``_closes_mod_p``, packs each vector mod P into one
+    integer; ``support.closes_full_span_mod_p`` is the same closure mod P one
+    entry at a time."""
 
     @settings(max_examples=250, deadline=None)
     @given(st.one_of(_generator_sets(st.integers(-2, 2)), _generator_sets(wide_entries)))
     def test_agrees_with_the_unpacked_closure(self, case):
         n, generators = case
-        assert exact_linalg._closes_full_span(generators, n, True) == closes_full_span_mod_p(
+        assert exact_linalg._closes_mod_p(generators, n) == closes_full_span_mod_p(
             generators, n, P
         )
 
@@ -776,14 +787,14 @@ class TestPackedClosure:
     @given(_generator_sets(wide_entries, reducible=True))
     def test_block_triangular_sets_stall(self, case):
         n, generators = case
-        assert not exact_linalg._closes_full_span(generators, n, True)
+        assert not exact_linalg._closes_mod_p(generators, n)
         assert not closes_full_span_mod_p(generators, n, P)
 
     def test_every_entry_p_minus_1_at_the_largest_shape(self):
         # n = MAX_RANK with 16 generators, all entries P - 1: (P - 1) J with
         # J all ones generates span(1, J).
         generators = [[[P - 1] * 16] * 16] * 16
-        assert not exact_linalg._closes_full_span(generators, 16, True)
+        assert not exact_linalg._closes_mod_p(generators, 16)
         assert not closes_full_span_mod_p(generators, 16, P)
 
     def test_no_carry_at_the_largest_shape(self):
@@ -798,7 +809,7 @@ class TestPackedClosure:
             [[0 if i % 2 < j % 2 else rng.choice(signs) for j in range(16)] for i in range(16)]
             for _ in range(16)
         ]
-        assert not exact_linalg._closes_full_span(generators, 16, True)
+        assert not exact_linalg._closes_mod_p(generators, 16)
 
 
 def test_polynomial_rendering():

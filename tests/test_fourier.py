@@ -30,7 +30,7 @@ from rigidity_lab.local_systems import (
     rigidity_index,
 )
 
-from support import conjugate, random_invertible
+from support import conjugate, fraction_rank, random_invertible
 
 J2 = QMatrix.from_rows([[1, 1], [0, 1]])
 
@@ -81,6 +81,26 @@ class TestStationaryPhase:
             data = stationary_phase(t, warn_reducible=False)
             assert fixed_space_dim(data.zero_monodromy) == data.rank_hat - t.rank
             assert similar(restrict_to_image(data.zero_monodromy), t.infinity_matrix)
+
+    def test_records_hold_by_construction(self):
+        """What the records no longer check, against the ``Fraction`` rank:
+        each component is square, of side its dimension >= 1, and
+        invertible; T is rank_hat x rank_hat and invertible."""
+        rng = random.Random(89)
+        for t in [rank1("2", "1/2")] + [
+            random_tuple(rng.randint(1, 4), rng.randint(1, 4), rng.getrandbits(32))
+            for _ in range(20)
+        ]:
+            try:
+                data = stationary_phase(t, warn_reducible=False)
+            except NonRealizableError:
+                continue
+            for c in data.components:
+                m = c.regular_monodromy
+                assert c.dimension >= 1 and m.rows == m.cols == fraction_rank(m) == c.dimension
+            assert data.rank_hat == sum(c.dimension for c in data.components)
+            zero = data.zero_monodromy
+            assert zero.rows == zero.cols == fraction_rank(zero) == data.rank_hat
 
     def test_zero_invariants_are_composed(self, monkeypatch):
         """The zero monodromy's invariants come from those at infinity with
@@ -134,8 +154,8 @@ class TestStationaryPhase:
         assert [args[1:] for args in restricted] == [()] * k + [(e,), ()]
         assert [args[0] for args in restricted].count(data.zero_monodromy) == 1
         assert len(factored) == 2 and (data.zero_monodromy,) not in factored
-        # one invertibility check per component and one for T
-        assert len(inverted) == k + 1
+        # the components and T are invertible by construction: no check
+        assert inverted == []
 
     def test_non_realizable_rejected(self):
         t = monodromy_tuple(2, [(0, J2)])
@@ -149,14 +169,6 @@ class TestStationaryPhase:
         with pytest.warns(ReducibleInputWarning):
             data = stationary_phase(t)
         assert data.rank_hat == 4
-
-    def test_component_invariants(self):
-        with pytest.raises(ValueError):
-            ExponentialComponent(Fraction(0), QMatrix.identity(2), 1)
-        with pytest.raises(ValueError):
-            ExponentialComponent(Fraction(0), QMatrix.zeros(1, 1), 1)
-        with pytest.raises(ValueError):
-            FourierLocalData(3, QMatrix.identity(3), ())
 
 
 class TestIndexFormulas:

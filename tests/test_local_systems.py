@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -148,6 +149,18 @@ class TestValidate:
             validate(t)
         assert str(info.value) == message
 
+    def test_replaced_infinity_is_checked(self):
+        # the derived tuple's relation is known; a copy with another A_inf
+        # must multiply its matrices out again
+        derived = HYPERGEOMETRIC2
+        wrong = dataclasses.replace(derived, infinity_matrix=QMatrix.diagonal([2, 1]))
+        validate(derived)
+        with pytest.raises(ValidationError, match="^monodromy relation violated$"):
+            validate(wrong)
+        shapes = dataclasses.replace(derived, infinity_matrix=QMatrix.identity(3))
+        with pytest.raises(ValidationError, match="^matrix at infinity must be 2x2$"):
+            validate(shapes)
+
     def test_valid_tuple_checks_no_matrix_for_invertibility(self, monkeypatch):
         tuples = [HYPERGEOMETRIC2, FOURPOINT2, rank1("2", "1/2"), random_tuple(4, 3, 5)]
         calls = []
@@ -236,7 +249,7 @@ class TestIrreducibility:
             [(0, QMatrix.from_rows([[1, 1], [0, 1]])), (1, QMatrix.from_rows([[1, 0], [p, 1]]))],
         )
         rows = [exact_linalg._integer_rows(a)[0] for a in t.matrices()]
-        assert not exact_linalg._closes_full_span(rows, 2, True)
+        assert not exact_linalg._closes_mod_p(rows, 2)
         assert is_irreducible(t)
 
     def test_denominator_divisible_by_the_certificate_prime(self):
