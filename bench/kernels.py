@@ -63,6 +63,14 @@ reference routes from ``tests/support.py``.  Each figure is the median of
   families: ``dense`` and ``zero_monodromy``, as above, and
   ``large_entries``, whose numerators and denominators are random 64-bit
   integers.
+- ``matrix``: the producers of ``QMatrix`` on its stored integers:
+  ``QMatrix.from_rows`` of the entries, ``@`` (the square of the matrix by
+  a second one of its family), ``QMatrix.inverse`` and ``restrict_to_image``
+  at power 1, against ``support``'s ``Fraction`` routes, whose answers must
+  agree: the entries as ``Fraction``s, ``loop_matmul``, ``fraction_inverse``
+  and ``fraction_restriction``, on fixed-seed n x n matrices for n = 2..16
+  of two families: ``integer``, invertible with entries in [-2, 2], as
+  ``random_tuple`` draws them, and ``dense``, as above.
 - ``worst_cases``: CPU seconds of ``verify --input FILE``, run in process
   with stdout captured, on the two inputs of ``worst_case_documents``, each
   on 16 finite points with A_inf omitted: ``small_entries``,
@@ -73,8 +81,8 @@ reference routes from ``tests/support.py``.  Each figure is the median of
 
 With ``--out``, the result is written into that JSON file under the keys
 ``environment``, ``kernels``, ``invariant_factors``, ``product``,
-``restriction``, ``zero_invariants``, ``is_invertible``, ``echelon`` and
-``worst_cases``; other keys already in the file are kept.  With
+``restriction``, ``zero_invariants``, ``is_invertible``, ``echelon``,
+``matrix`` and ``worst_cases``; other keys already in the file are kept.  With
 ``--worst-cases DIR``, the two worst-case inputs are written to
 ``DIR/small_entries.json`` and ``DIR/large_entries.json`` and nothing is
 timed.
@@ -105,6 +113,7 @@ EXACT_CLOSURE_RANKS = range(2, 9)  # the exact pass grows as n^6: 0.07-0.2 s at 
 SIZES = (2, 3, 4, 6, 8, 12, 16, 24, 32)
 RESTRICTION_SIZES = (2, 3, 4, 6, 8, 12, 16)
 ECHELON_SIZES = (4, 6, 8, 10, 12)
+MATRIX_SIZES = (2, 3, 4, 6, 8, 12, 16)
 WORST_CASE_POINTS = (16,)  # MAX_POINTS
 ORACLE_CAP_S = 5.0
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
@@ -118,7 +127,9 @@ from support import (  # noqa: E402
     fraction_inverse,
     fraction_rank,
     fraction_rank_factorization,
+    fraction_restriction,
     loop_matmul,
+    random_invertible,
     restriction_oracle,
     smith_invariant_factors,
 )
@@ -263,7 +274,7 @@ def closure_rows(runs: int) -> list[dict]:
             "dense": random_tuple(n, 3, seed=n).matrices(),
         }
         for family, generators in families.items():
-            integer_rows = [exact_linalg._integer_rows(g)[0] for g in generators]
+            integer_rows = [g.numerators for g in generators]
             packed_ms, certified, _ = median_ms(
                 lambda g: exact_linalg._closes_mod_p(g, n), integer_rows, runs
             )
@@ -401,6 +412,53 @@ def echelon_rows(runs: int) -> list[dict]:
                     "kernel": kernel,
                     "integer_ms": round(integer_ms, 3),
                     "fraction_ms": round(fraction_ms, 3),
+                    "speedup": round(fraction_ms / integer_ms, 2),
+                }
+                print(json.dumps(row), flush=True)
+                rows.append(row)
+    return rows
+
+
+def matrix_kernels(matrix: QMatrix, other: QMatrix, literal: list[list]) -> dict:
+    """(library, oracle) calls per kernel of ``matrix_rows``."""
+    return {
+        "from_rows": (
+            lambda: QMatrix.from_rows(literal),
+            lambda: tuple(Fraction(x) for row in literal for x in row),
+        ),
+        "matmul": (lambda: matrix @ other, lambda: loop_matmul(matrix, other)),
+        "inverse": (lambda: inverse_or_none(matrix), lambda: fraction_inverse(matrix)),
+        "restrict_to_image": (
+            lambda: exact_linalg.restrict_to_image(matrix),
+            lambda: fraction_restriction(matrix),
+        ),
+    }
+
+
+def matrix_rows(runs: int) -> list[dict]:
+    rows = []
+    # integer: invertible with entries in [-2, 2], as random_tuple draws them
+    for family, make in {"integer": random_invertible, "dense": dense_matrix}.items():
+        for n in MATRIX_SIZES:
+            rng = random.Random(f"matrix:{family}:{n}")
+            matrix, other = make(rng, n), make(rng, n)
+            literal = [
+                [int(x) if family == "integer" else x for x in matrix.row_list(i)]
+                for i in range(n)
+            ]
+            for kernel, (integer, oracle) in matrix_kernels(matrix, other, literal).items():
+                integer_ms, answer, _ = median_ms(lambda call: call(), integer, runs)
+                fraction_ms, expected, _ = median_ms(lambda call: call(), oracle, runs)
+                if kernel == "from_rows":
+                    answer = answer.entries
+                if answer != expected:
+                    raise RuntimeError(f"{family} n={n} {kernel}: disagrees with the oracle")
+                row = {
+                    "family": family,
+                    "n": n,
+                    "kernel": kernel,
+                    "integer_ms": round(integer_ms, 4),
+                    "fraction_ms": round(fraction_ms, 4),
                     "speedup": round(fraction_ms / integer_ms, 2),
                 }
                 print(json.dumps(row), flush=True)
@@ -550,6 +608,13 @@ def main() -> None:
             "unit": "ms, median of runs",
             "runs": args.runs,
             "rows": echelon_rows(args.runs),
+        },
+        "matrix": {
+            "what": "QMatrix producers on the stored integers (from_rows, @, inverse, "
+            "restrict_to_image at power 1) vs support's Fraction routes (oracle)",
+            "unit": "ms, median of runs",
+            "runs": args.runs,
+            "rows": matrix_rows(args.runs),
         },
         "worst_cases": {
             "what": "verify --input on the two worst-case inputs of worst_case_documents, "

@@ -105,7 +105,7 @@ def _external_entries(directory: Path) -> list[CatalogEntry]:
     for path in sorted(directory.glob("*.json")):
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:  # also not UTF-8, or too long an integer
+        except (OSError, ValueError, RecursionError) as exc:  # not UTF-8, too deep, too long
             raise CatalogError(f"cannot read catalog file {path}: {exc}") from exc
         entries.append(_entry(path.stem, payload, f"catalog file {path}"))
     return entries

@@ -9,7 +9,8 @@ index preservation on one tuple or on a seeded randomized campaign, and
 Exit codes: 0 success, 1 verification failure, 2 input or validation
 problem, 3 non-realizable reconstruction, 4 theorem hypothesis violated,
 5 internal failure (a self-check on a computed result failed, or a random
-campaign exhausted its redraw budget).
+campaign exhausted its redraw budget), and, from ``entrypoint`` only, 141
+when the reader closes stdout.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import random
 import sys
 from dataclasses import dataclass, field
@@ -56,6 +58,7 @@ EXIT_INPUT = 2
 EXIT_NON_REALIZABLE = 3
 EXIT_HYPOTHESIS = 4
 EXIT_INTERNAL = 5
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: what a shell reports for a process it killed
 
 _REDRAWS_PER_TRIAL = 200
 
@@ -171,7 +174,7 @@ def _load_analysis(path: str) -> TupleAnalysis:
         payload = json.loads(text)
     except OSError as exc:
         raise _CliError(EXIT_INPUT, f"cannot read input file: {exc}")
-    except ValueError as exc:  # not UTF-8, not JSON, or an integer past the digit limit
+    except (ValueError, RecursionError) as exc:  # not UTF-8 or JSON, too deep, too long
         raise _CliError(EXIT_INPUT, f"malformed JSON: {exc}")
     try:
         t = tuple_from_json(payload)
@@ -443,7 +446,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout: keep the final flush quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -1,19 +1,21 @@
 """Exact dense linear algebra over the rational numbers.
 
-Matrices carry ``fractions.Fraction`` entries in row-major order and every
-computation is exact, never from floating point and never from eigenvalue
-factorization.  Ranks, inverses, spans and restrictions to invariant images
-come out of one fraction-free elimination per matrix (``Echelon``) on the
-integer rows of dA, d the least common multiple of A's denominators, which
-each matrix computes once; results become ``Fraction`` entries only at the
-end, one division per entry.  Centralizer dimensions, unit Jordan blocks
-and similarity are read off the invariant factors of xI - A: a Krylov
-basis of dA splits Q^n into cyclic blocks, and a Smith form over Q[x] runs
-only on the small matrix of relations between those blocks.  Products are
-summed on integers, each factor scaled by the least common multiple of its
-denominators, with one division per entry.  All bases are the
-deterministic ones produced by reduced row echelon form with leftmost
-pivots, so repeated runs are bit-identical.
+A matrix A is stored as the integer matrix dA and the integer d > 0, in
+canonical form: d is coprime to the content of dA, so equal matrices store
+equal integers.  Every computation is exact, never from floating point and
+never from eigenvalue factorization, and runs on these integers: each
+producer (products, sums, inverses, restrictions, block sums) forms its
+result's integer matrix over one common denominator and divides out one gcd.
+``Fraction``s are made only at the edges: when parsing entries, for
+``QMatrix.entries`` (printing, and callers that read entries), and in the
+polynomials of similarity invariants.  Ranks, inverses, spans and
+restrictions to invariant images come out of one fraction-free elimination
+per matrix (``Echelon``) on the rows of dA.  Centralizer dimensions, unit
+Jordan blocks and similarity are read off the invariant factors of xI - A:
+a Krylov basis of dA splits Q^n into cyclic blocks, and a Smith form over
+Q[x] runs only on the small matrix of relations between those blocks.  All
+bases are the deterministic ones produced by reduced row echelon form with
+leftmost pivots, so repeated runs are bit-identical.
 
 Invertibility (``QMatrix.is_invertible``) is the exact rank of dA.
 Irreducibility (``spans_full_algebra``) closes the span of the words in the
@@ -31,14 +33,16 @@ from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate, chain
 from math import gcd, lcm
-from operator import mul
+from operator import mul, sub
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError, InvalidMonodromyError
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_EXACT = (int, Fraction)  # entry types taken as they are; bool is parsed, and refused
 
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
@@ -71,49 +75,72 @@ def parse_rational(value: Fraction | int | str) -> Fraction:
     return Fraction(int(numerator), int(denominator or 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class QMatrix:
-    """Dense matrix of rationals, stored row-major and immutable: the
-    entries are always a tuple of ``Fraction``, whatever sequence built it."""
+    """Dense rational matrix A, immutable, stored as the rows of the integer
+    matrix dA (``numerators``) and d (``denominator``), with d > 0 and
+    gcd(d, content(dA)) = 1: each matrix has one stored form, so ``==`` and
+    ``hash`` are value equality.  ``QMatrix(rows, cols, entries)`` takes the
+    entries row-major as ``Fraction``, ``int`` or ``p/q`` strings, and
+    ``entries`` gives them back as ``Fraction``s, made on first use."""
 
     rows: int
     cols: int
-    entries: tuple[Fraction, ...]
+    numerators: tuple[tuple[int, ...], ...]
+    denominator: int
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: Sequence[Fraction | int | str]):
+        if rows < 0 or cols < 0:
             raise DimensionMismatchError("matrix dimensions must be non-negative")
-        if len(self.entries) != self.rows * self.cols:
-            raise DimensionMismatchError(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
-        if type(self.entries) is not tuple or any(type(e) is not Fraction for e in self.entries):
-            object.__setattr__(self, "entries", tuple(map(parse_rational, self.entries)))
+        if len(entries) != rows * cols:
+            raise DimensionMismatchError(f"expected {rows * cols} entries, got {len(entries)}")
+        exact = [x if type(x) in _EXACT else parse_rational(x) for x in entries]
+        ratios = [x.as_integer_ratio() for x in exact]
+        scale = lcm(*(q for _, q in ratios))
+        flat = [p * (scale // q) for p, q in ratios]
+        self._store(rows, cols, [flat[i * cols : (i + 1) * cols] for i in range(rows)], scale)
+
+    @classmethod
+    def _integral(
+        cls, rows: int, cols: int, numerators: list[Sequence[int]], denominator: int = 1
+    ) -> "QMatrix":
+        """The matrix with the rows ``numerators`` / ``denominator`` > 0."""
+        matrix = object.__new__(cls)
+        matrix._store(rows, cols, numerators, denominator)
+        return matrix
+
+    def _store(self, rows: int, cols: int, numerators: list[Sequence[int]], denominator: int):
+        """Set the fields once, in canonical form: one gcd over dA and d."""
+        if denominator > 1 and (g := gcd(denominator, *chain.from_iterable(numerators))) > 1:
+            numerators = [[x // g for x in row] for row in numerators]
+            denominator //= g
+        numerators = tuple(map(tuple, numerators))
+        vars(self).update(rows=rows, cols=cols, numerators=numerators, denominator=denominator)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Fraction | int | str]]) -> "QMatrix":
         n_rows = len(rows)
         n_cols = len(rows[0]) if n_rows else 0
-        flat: list[Fraction] = []
-        for row in rows:
+        flat: list[Fraction | int] = []
+        for row in rows:  # row by row: a bad entry is reported before a later ragged row
             if len(row) != n_cols:
                 raise DimensionMismatchError("ragged rows in matrix literal")
-            flat.extend(parse_rational(x) for x in row)
-        return cls(n_rows, n_cols, tuple(flat))
+            flat.extend(x if type(x) in _EXACT else parse_rational(x) for x in row)
+        return cls(n_rows, n_cols, flat)
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
-        return cls(n, n, tuple(_ONE if i == j else _ZERO for i in range(n) for j in range(n)))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "QMatrix":
-        return cls(rows, cols, (_ZERO,) * (rows * cols))
+        return cls._integral(n, n, [[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
     def diagonal(cls, values: Sequence[Fraction | int | str]) -> "QMatrix":
-        vals = [parse_rational(v) for v in values]
-        n = len(vals)
-        return cls(n, n, tuple(vals[i] if i == j else _ZERO for i in range(n) for j in range(n)))
+        n = len(values)
+        return cls(n, n, [values[i] if i == j else 0 for i in range(n) for j in range(n)])
+
+    @cached_property
+    def entries(self) -> tuple[Fraction, ...]:
+        d = self.denominator
+        return tuple(_ratio(x, d) for row in self.numerators for x in row)
 
     @property
     def is_square(self) -> bool:
@@ -125,67 +152,63 @@ class QMatrix:
     def row_list(self, i: int) -> list[Fraction]:
         return list(self.entries[i * self.cols : (i + 1) * self.cols])
 
-    def __add__(self, other: "QMatrix") -> "QMatrix":
+    def _combine(self, other: "QMatrix", sign: int) -> "QMatrix":
+        """self + sign * other, over the lcm of the two denominators."""
         self._require_same_shape(other)
-        return QMatrix(self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries)))
+        d = lcm(self.denominator, other.denominator)
+        s, t = d // self.denominator, sign * (d // other.denominator)
+        rows = [
+            [s * x + t * y for x, y in zip(a, b)] for a, b in zip(self.numerators, other.numerators)
+        ]
+        return QMatrix._integral(self.rows, self.cols, rows, d)
+
+    def __add__(self, other: "QMatrix") -> "QMatrix":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "QMatrix") -> "QMatrix":
-        self._require_same_shape(other)
-        return QMatrix(self.rows, self.cols, tuple(a - b for a, b in zip(self.entries, other.entries)))
+        return self._combine(other, -1)
 
     def __mul__(self, scalar: Fraction | int) -> "QMatrix":
         c = parse_rational(scalar)
-        return QMatrix(self.rows, self.cols, tuple(a * c for a in self.entries))
+        rows = [[c.numerator * x for x in row] for row in self.numerators]
+        return QMatrix._integral(self.rows, self.cols, rows, c.denominator * self.denominator)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
+        """(dA)(d'B) / (d d'), summed on integers."""
         if self.cols != other.rows:
             raise DimensionMismatchError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        n, k, m = self.rows, self.cols, other.cols
-        left, left_scale = self._integers
-        right, right_scale = other._integers
-        rows = [left[i * k : (i + 1) * k] for i in range(n)]
-        columns = [right[j::m] for j in range(m)]
-        scale = left_scale * right_scale
-        out = [_ratio(sum(map(mul, row, col)), scale) for row in rows for col in columns]
-        return QMatrix(n, m, tuple(out))
+        columns = list(zip(*other.numerators)) or [()] * other.cols
+        rows = [[sum(map(mul, row, column)) for column in columns] for row in self.numerators]
+        return QMatrix._integral(self.rows, other.cols, rows, self.denominator * other.denominator)
 
     def inverse(self) -> "QMatrix":
         """The inverse, read off the reduced row echelon form [I | A^-1] of
-        the integer matrix [dA | dI], d the least common multiple of A's
-        denominators: A is invertible exactly when the pivots are A's
-        columns."""
+        the integer matrix [dA | dI]: A is invertible exactly when the
+        pivots are A's columns."""
         if not self.is_square:
             raise DimensionMismatchError("only square matrices can be inverted")
-        n = self.rows
-        rows, scale = _integer_rows(self)
-        augmented = ([*row, *(scale * (i == j) for j in range(n))] for i, row in enumerate(rows))
+        n, scale = self.rows, self.denominator
+        augmented = (
+            [*row, *(scale * (i == j) for j in range(n))] for i, row in enumerate(self.numerators)
+        )
         basis = _echelon(augmented, 2 * n)
         if basis.pivots != list(range(n)):
             raise InvalidMonodromyError("matrix is singular")
-        inverse = (_ratio(x, lead) for lead, row in basis.reduced_rows() for x in row[n:])
-        return QMatrix(n, n, tuple(inverse))
+        common, reduced = basis.reduced_rows()
+        return QMatrix._integral(n, n, [row[n:] for row in reduced], common)
 
     def columns(self, indices: Sequence[int]) -> "QMatrix":
         """The columns at ``indices``, in that order."""
-        entries = tuple(row[j] for row in map(self.row_list, range(self.rows)) for j in indices)
-        return QMatrix(self.rows, len(indices), entries)
+        rows = [[row[j] for j in indices] for row in self.numerators]
+        return QMatrix._integral(self.rows, len(indices), rows, self.denominator)
 
     def is_invertible(self) -> bool:
         """Square of full rank: one fraction-free elimination of dA."""
         return self.is_square and matrix_rank(self) == self.rows
-
-    @cached_property
-    def _integers(self) -> tuple[tuple[int, ...], int]:
-        """The entries of dA, d the least common multiple of A's
-        denominators, and d: computed once per matrix."""
-        scale = lcm(*(x.denominator for x in self.entries))
-        if scale == 1:
-            return tuple(x.numerator for x in self.entries), 1
-        return tuple(x.numerator * (scale // x.denominator) for x in self.entries), scale
 
     def _require_same_shape(self, other: "QMatrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
@@ -203,13 +226,6 @@ def _ratio(numerator: int, denominator: int) -> Fraction:
     return Fraction(numerator, denominator)
 
 
-def _integer_rows(matrix: QMatrix) -> tuple[list[tuple[int, ...]], int]:
-    """The rows of the integer matrix dA (``QMatrix._integers``), and d."""
-    integers, scale = matrix._integers
-    k = matrix.cols
-    return [integers[i * k : (i + 1) * k] for i in range(matrix.rows)], scale
-
-
 def matrix_to_json(matrix: QMatrix) -> list[list[str]]:
     return [[format_rational(matrix.entry(i, j)) for j in range(matrix.cols)] for i in range(matrix.rows)]
 
@@ -224,23 +240,25 @@ def matrix_from_json(data: object) -> QMatrix:
 
 
 def jordan_block(size: int, eigenvalue: Fraction | int | str = 1) -> QMatrix:
-    """Jordan block with the eigenvalue on the diagonal and 1 above it."""
-    entries = [_ZERO] * (size * size)
-    entries[:: size + 1] = [parse_rational(eigenvalue)] * size
-    entries[1 :: size + 1] = [_ONE] * (size - 1)
-    return QMatrix(size, size, tuple(entries))
+    """Jordan block with the eigenvalue p/q on the diagonal and 1 above it:
+    p on the diagonal and q above it, over q."""
+    p, q = parse_rational(eigenvalue).as_integer_ratio()
+    rows = [[p if j == i else q * (j == i + 1) for j in range(size)] for i in range(size)]
+    return QMatrix._integral(size, size, rows, q)
 
 
 def block_diag(blocks: Iterable[QMatrix]) -> QMatrix:
     blocks = list(blocks)
     if not all(b.is_square for b in blocks):
         raise DimensionMismatchError("block_diag expects square blocks")
-    total, offset, out = sum(b.rows for b in blocks), 0, []
+    total, offset, rows = sum(b.rows for b in blocks), 0, []
+    scale = lcm(*(b.denominator for b in blocks))
     for b in blocks:
-        for i in range(b.rows):
-            out += [_ZERO] * offset + b.row_list(i) + [_ZERO] * (total - offset - b.cols)
+        f = scale // b.denominator
+        for row in b.numerators:
+            rows.append([0] * offset + [f * x for x in row] + [0] * (total - offset - b.cols))
         offset += b.rows
-    return QMatrix(total, total, tuple(out))
+    return QMatrix._integral(total, total, rows, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -252,14 +270,14 @@ class Echelon:
     """Row echelon basis of a growing span of integer vectors of a fixed width.
 
     The single elimination kernel over Q, fraction-free: every rank,
-    restriction, inverse and span computation feeds it integer rows, those
-    of dA (``_integer_rows``) or rows built from them, through ``add``, and
-    the Krylov spin of ``invariant_factors`` through its two steps,
-    ``reduce`` and ``insert``, because it reads what a vector in the span
-    reduces to.  Rows are kept sorted by pivot column, each a primitive
-    integer vector with a positive pivot value, its lead, stored as the lead
-    and the (column, value) pairs of its other nonzero entries.  A vector v
-    is reduced in one forward pass, at each pivot p by
+    restriction, inverse and span computation feeds it integer rows, the
+    stored rows of dA (``QMatrix.numerators``) or rows built from them,
+    through ``add``, and the Krylov spin of ``invariant_factors`` through
+    its two steps, ``reduce`` and ``insert``, because it reads what a vector
+    in the span reduces to.  Rows are kept sorted by pivot column, each a
+    primitive integer vector with a positive pivot value, its lead, stored
+    as the lead and the (column, value) pairs of its other nonzero entries.
+    A vector v is reduced in one forward pass, at each pivot p by
     v <- (lead/g) v - (v[p]/g) row with g = gcd(lead, v[p]), and its content
     (the gcd of its entries) is divided out when it enters and after every
     step that scaled it, so its entries stay the size of the span's minors;
@@ -325,9 +343,9 @@ class Echelon:
             [(j, x // content) for j in range(pivot + 1, self.width) if (x := reduced[j])],
         )
 
-    def reduced_rows(self) -> list[tuple[int, list[int]]]:
+    def reduced_rows(self) -> tuple[int, list[list[int]]]:
         """The basis in reduced row echelon form, by back-substitution on
-        integers: (L, r) per row, the row being r / L.
+        integers, over one denominator: (D, rows), the RREF being rows / D.
 
         From the last row up, each row is cleared at the pivots below it in
         one step, against the rows already reduced there, which are zero at
@@ -335,7 +353,8 @@ class Echelon:
         leads over the gcds, so each of its entries f at a pivot takes away
         D f / lead times that row, and its content is then divided out.  The
         reduced form depends only on the span, so it is the same whatever
-        order the vectors arrived in.
+        order the vectors arrived in.  Each row r / L is then brought to D,
+        the least common multiple of the leads L.
         """
         done: list[tuple[int, int, list[tuple[int, int]]]] = []  # (pivot, lead, entries)
         out = []
@@ -360,7 +379,8 @@ class Echelon:
             done.append((p, row[p], [(j, x) for j in range(p, self.width) if (x := row[j])]))
             out.append((row[p], row))
         out.reverse()
-        return out
+        common = lcm(*(lead for lead, _ in out))
+        return common, [[common // lead * x for x in row] for lead, row in out]
 
 
 def _echelon(rows: Iterable[Sequence[int]], width: int) -> Echelon:
@@ -371,7 +391,7 @@ def _echelon(rows: Iterable[Sequence[int]], width: int) -> Echelon:
 
 
 def matrix_rank(matrix: QMatrix) -> int:
-    return len(_echelon(_integer_rows(matrix)[0], matrix.cols))
+    return len(_echelon(matrix.numerators, matrix.cols))
 
 
 def _rank_factorization(matrix: QMatrix) -> tuple[list[int], QMatrix]:
@@ -383,9 +403,9 @@ def _rank_factorization(matrix: QMatrix) -> tuple[list[int], QMatrix]:
     polynomial M in A, A B = (MA)[:, pivots] = B (W A[:, pivots]), so A
     restricted to im(M) is W A[:, pivots] in the basis B, singular A too.
     """
-    basis = _echelon(_integer_rows(matrix)[0], matrix.cols)
-    entries = tuple(_ratio(x, lead) for lead, row in basis.reduced_rows() for x in row)
-    return basis.pivots, QMatrix(len(basis), matrix.cols, entries)
+    basis = _echelon(matrix.numerators, matrix.cols)
+    common, reduced = basis.reduced_rows()
+    return basis.pivots, QMatrix._integral(len(basis), matrix.cols, reduced, common)
 
 
 def _closes_exact(generators: list[Sequence[Sequence[int]]], n: int) -> bool:
@@ -467,8 +487,8 @@ def spans_full_algebra(generators: Sequence[QMatrix]) -> bool:
     under left multiplication by the generators until it stabilizes.  The
     dimension of a rational span does not change under field extension, so
     a full span is the same over any extension field.  The closure runs on
-    the integer matrices dA (``_integer_rows``): scaling a generator by a
-    nonzero d does not change the span of the products.
+    the stored integer matrices dA (``QMatrix.numerators``): scaling a
+    generator by a nonzero d does not change the span of the products.
 
     It runs first mod the prime ``_PRIME``, as a certificate.  A word in the
     dA reduces mod the prime to the same word in their reductions, so when
@@ -479,7 +499,7 @@ def spans_full_algebra(generators: Sequence[QMatrix]) -> bool:
     closure stalls below n^2 does the closure over Q decide.
     """
     n = generators[0].rows
-    rows = [_integer_rows(g)[0] for g in generators]
+    rows = [g.numerators for g in generators]
     return _closes_mod_p(rows, n) or _closes_exact(rows, n)
 
 
@@ -507,14 +527,13 @@ def restrict_to_image(matrix: QMatrix, power: int = 1) -> QMatrix:
     A-invariant complement of the generalized eigenspace for 1, with no
     eigenvalue 1.  At power 0 the result is A itself.
 
-    With d the least common multiple of A's denominators, (dA - dI)^power is
-    a nonzero multiple of (A - 1)^power, formed and eliminated on integers;
-    each RREF row r / L of it times the columns of dA at the pivots gives one
-    entry of the result, divided by L d.
+    (dA - dI)^power is a nonzero multiple of (A - 1)^power, formed and
+    eliminated on integers; its RREF rows / D times the columns of dA at the
+    pivots give the result, over D d.
     """
     if not power:
         return matrix
-    rows, scale = _integer_rows(matrix)
+    rows, scale = matrix.numerators, matrix.denominator
     shifted = [
         [x - scale if i == j else x for j, x in enumerate(row)] for i, row in enumerate(rows)
     ]
@@ -523,12 +542,9 @@ def restrict_to_image(matrix: QMatrix, power: int = 1) -> QMatrix:
         image = [[sum(map(mul, row, column)) for column in shifted_columns] for row in image]
     basis = _echelon(image, matrix.cols)
     columns = [[row[p] for row in rows] for p in basis.pivots]
-    entries = (
-        _ratio(sum(map(mul, row, column)), lead * scale)
-        for lead, row in basis.reduced_rows()
-        for column in columns
-    )
-    return QMatrix(len(columns), len(columns), tuple(entries))
+    common, reduced = basis.reduced_rows()
+    entries = [[sum(map(mul, row, column)) for column in columns] for row in reduced]
+    return QMatrix._integral(len(columns), len(columns), entries, common * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -640,13 +656,16 @@ class SimilarityInvariant:
             (2 * (m - i) + 1) * _pdeg(f) for i, f in enumerate(self.invariant_factors, start=1)
         )
 
+    @cached_property
     def _unit_split(self) -> list[tuple[int, Poly]]:
-        """(e_i, g_i) with f_i = (x - 1)^{e_i} g_i, g_i(1) != 0, e_i rising."""
+        """(e_i, g_i) with f_i = (x - 1)^{e_i} g_i, g_i(1) != 0, e_i rising,
+        once per invariant.  When f(1) = 0, f / (x - 1) is exact and its
+        coefficient of x^k is minus the running sum c_0 + ... + c_k of f's."""
         split = []
         for f in self.invariant_factors:
             e = 0
             while not sum(f):  # f(1) == 0
-                f = _pdivmod(f, (-_ONE, _ONE))[0]
+                f = tuple(-s for s in accumulate(f[:-1]))
                 e += 1
             split.append((e, f))
         return split
@@ -656,7 +675,7 @@ class SimilarityInvariant:
         """Jordan block sizes of A for eigenvalue 1, non-increasing: each
         factor with the root 1 contributes one block, of size the root's
         multiplicity."""
-        return tuple(e for e, _ in reversed(self._unit_split()) if e)
+        return tuple(e for e, _ in reversed(self._unit_split) if e)
 
     def grow_unit_blocks(self, dimension: int) -> "SimilarityInvariant":
         """The invariants of A with each unit Jordan block grown by one and
@@ -664,7 +683,7 @@ class SimilarityInvariant:
         x - 1, ascending, and the g_i, both padded with constants at the
         small end, pair along the chain: largest exponent with largest g_i.
         """
-        split = self._unit_split()
+        split = self._unit_split
         grown = [e + 1 for e, _ in split if e]
         padding = dimension - sum(map(_pdeg, self.invariant_factors)) - len(grown)
         if padding < 0:
@@ -674,8 +693,8 @@ class SimilarityInvariant:
         others = [(_ONE,)] * (size - len(split)) + [g for _, g in split]
         factors = []
         for e, g in zip([0] * (size - len(exponents)) + exponents, others):
-            for _ in range(e):
-                g = _pmul(g, (-_ONE, _ONE))
+            for _ in range(e):  # (x - 1) g = x g - g
+                g = tuple(map(sub, (_ZERO, *g), (*g, _ZERO)))
             factors.append(g)
         return SimilarityInvariant(tuple(factors))
 
@@ -826,8 +845,8 @@ def invariant_factors(matrix: QMatrix) -> SimilarityInvariant:
     divisibility chain whose product is the characteristic polynomial, which
     pins down the similarity class of A.
 
-    They are read off a Krylov basis of the integer matrix B = dA, d the
-    least common multiple of A's denominators.  ``_relation_matrix`` splits
+    They are read off a Krylov basis of the stored integer matrix B = dA
+    (``QMatrix.numerators``).  ``_relation_matrix`` splits
     Q^n into r cyclic blocks v_i, Bv_i, ..., B^{d_i - 1} v_i whose tails
     B^{d_i} v_i lie in the span of blocks 1..i.  Writing block j's share of
     tail i as p_ij(B) v_j, the rows y^{d_i} e_i - sum_{j <= i} p_ij(y) e_j
@@ -845,7 +864,7 @@ def invariant_factors(matrix: QMatrix) -> SimilarityInvariant:
     n = matrix.rows
     if n == 1:  # the one factor x - a, without the set-up of a spin
         return SimilarityInvariant(((-matrix.entries[0], _ONE),))
-    rows, scale = _integer_rows(matrix)
+    rows, scale = matrix.numerators, matrix.denominator
     relations = _relation_matrix(rows)
     if len(relations) > 1:
         factors = [f for f in _smith_diagonal(relations) if _pdeg(f) > 0]

@@ -33,6 +33,11 @@ from rigidity_lab.exact_linalg import (
 )
 
 
+def zeros(rows: int, cols: int) -> QMatrix:
+    """The zero matrix of a shape."""
+    return QMatrix(rows, cols, [0] * (rows * cols))
+
+
 def random_invertible(rng: random.Random, n: int, bound: int = 2, forbid_identity: bool = False) -> QMatrix:
     identity = QMatrix.identity(n)
     while True:
@@ -207,7 +212,7 @@ def restriction_oracle(matrix: QMatrix, power: int) -> QMatrix:
     image = (a - sympy.eye(n)) ** power
     pivots = list(image.rref()[1]) if n else []
     if not pivots:
-        return QMatrix.zeros(0, 0)
+        return zeros(0, 0)
     basis = image[:, pivots]
     solution, free = basis.gauss_jordan_solve(a * basis)
     assert free.rows == 0  # B has full column rank
@@ -317,6 +322,17 @@ def fraction_rank_factorization(matrix: QMatrix) -> tuple[list[int], QMatrix]:
     basis = fraction_echelon(matrix)
     rows = basis.reduced_rows()
     return basis.pivots, QMatrix(len(rows), matrix.cols, tuple(x for row in rows for x in row))
+
+
+def fraction_restriction(matrix: QMatrix) -> QMatrix:
+    """A restricted to im(A - 1) in ``Fraction``: W A[:, pivots], W the
+    nonzero RREF rows of A - 1 from ``fraction_rank_factorization``, by
+    ``loop_matmul``."""
+    n = matrix.rows
+    shifted = [matrix.entry(i, j) - (i == j) for i in range(n) for j in range(n)]
+    pivots, w = fraction_rank_factorization(QMatrix(n, n, shifted))
+    columns = [matrix.entry(i, p) for i in range(n) for p in pivots]
+    return loop_matmul(w, QMatrix(n, len(pivots), columns))
 
 
 def fraction_inverse(matrix: QMatrix) -> QMatrix | None:

@@ -25,6 +25,7 @@ ROW_FUNCTIONS = [
     "zero_invariant_rows",
     "invertibility_rows",
     "echelon_rows",
+    "matrix_rows",
     "worst_case_rows",
 ]
 
@@ -41,6 +42,7 @@ def test_rows_at_small_sizes(kernels, monkeypatch, capsys, name):
         "CLOSURE_RANKS",
         "EXACT_CLOSURE_RANKS",
         "ECHELON_SIZES",
+        "MATRIX_SIZES",
         "WORST_CASE_POINTS",
     ):
         monkeypatch.setattr(kernels, sizes, (2, 3))

@@ -1,13 +1,16 @@
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from rigidity_lab import cli, exact_linalg, fourier, local_systems
 from rigidity_lab.catalog import CATALOG_ENV_VAR, load_catalog
 from rigidity_lab.cli import CampaignConfig, main, run_campaign
-from rigidity_lab.local_systems import tuple_from_json
+from rigidity_lab.local_systems import random_tuple, tuple_from_json, tuple_to_json
 
 
 def run_cli(capsys, *argv):
@@ -375,6 +378,7 @@ class TestCatalog:
 UNREADABLE = {
     "not_utf8": b'{"rank": 1, "note": "\xff"}',
     "long_integer": b'{"rank": ' + b"1" * 4301 + b"}",
+    "deep_nesting": b"[" * 100000 + b"]" * 100000,
 }
 
 
@@ -397,6 +401,34 @@ class TestUnreadableInput:
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1
         assert err.startswith(f"error: cannot read catalog file {path}: ")
+
+
+class TestClosedStdout:
+    # the reading end of the pipe is closed before the CLI writes: a short
+    # output (the catalog listing) and a long one (a transform whose zero
+    # monodromy is 64 x 64) both meet the closed pipe
+    @pytest.mark.parametrize("command", ["catalog", "fourier"])
+    def test_exit_141_without_a_traceback(self, tmp_path, command):
+        argv = ["catalog", "list"]
+        if command == "fourier":
+            document = tuple_to_json(random_tuple(4, 16, seed=1))
+            argv = ["fourier", "--input", write_json(tmp_path, "t.json", document)]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "rigidity_lab.cli", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert result.returncode == cli.EXIT_BROKEN_PIPE == 141
+        assert result.stderr == b""  # no traceback, and no message either
 
 
 class TestArguments:

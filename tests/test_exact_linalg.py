@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -49,6 +49,7 @@ from support import (
     smith_invariant_factors,
     span_closure_dimension,
     unit_partition_by_ranks,
+    zeros,
 )
 
 J2 = QMatrix.from_rows([[1, 1], [0, 1]])
@@ -141,8 +142,8 @@ class TestQMatrix:
 
     @settings(max_examples=80, deadline=None)
     @given(product_factors)
-    @example((QMatrix.zeros(0, 3), QMatrix.zeros(3, 0)))
-    @example((QMatrix.zeros(3, 0), QMatrix.zeros(0, 3)))
+    @example((zeros(0, 3), zeros(3, 0)))
+    @example((zeros(3, 0), zeros(0, 3)))
     def test_product_agrees_with_sympy(self, factors):
         from sympy import Matrix
 
@@ -154,7 +155,7 @@ class TestQMatrix:
         assert product == loop_matmul(a, b)
 
     def test_empty_matrix_is_legal(self):
-        empty = QMatrix.zeros(0, 0)
+        empty = zeros(0, 0)
         assert empty @ empty == empty
         assert empty.inverse() == empty
         assert matrix_rank(empty) == 0
@@ -176,6 +177,68 @@ class TestQMatrix:
             matrix_from_json([["1/0"]])
 
 
+# a shape up to 4 x 4 (0 x 0 and 1 x 1 included) and the entries of two
+# matrices A and B of that shape, numerators and denominators up to 2^70
+_wide_fractions = st.builds(Fraction, st.integers(-(2**70), 2**70), st.integers(1, 2**70))
+_canonical_entries = st.one_of(
+    st.just(Fraction(0)), st.integers(-3, 3).map(Fraction), _wide_fractions
+)
+
+
+def _entry_lists(shape: tuple[int, int]):
+    size = shape[0] * shape[1]
+    return st.lists(_canonical_entries, min_size=size, max_size=size)
+
+
+same_shape_pairs = st.tuples(st.integers(0, 4), st.integers(0, 4)).flatmap(
+    lambda shape: st.tuples(st.just(shape), _entry_lists(shape), _entry_lists(shape))
+)
+
+
+class TestCanonicalForm:
+    """A matrix is stored as dA and d > 0 with gcd(d, content(dA)) = 1, so
+    it has one stored form, whatever built it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(same_shape_pairs)
+    @example(((0, 0), [], []))
+    @example(((1, 1), [Fraction(1, 2**70)], [Fraction(-3)]))
+    @example(((1, 1), [Fraction(0)], [Fraction(2**70 - 1, 2**70)]))
+    @example(((2, 2), [Fraction(1, 6), Fraction(1, 10), 0, Fraction(1, 15)], [Fraction(0)] * 4))
+    def test_one_stored_form(self, case):
+        (rows, cols), a_entries, b_entries = case
+        a, b = QMatrix(rows, cols, a_entries), QMatrix(rows, cols, b_entries)
+        d = a.denominator
+        assert d > 0 and gcd(d, *(x for row in a.numerators for x in row)) == 1
+        assert [len(row) for row in a.numerators] == [cols] * rows
+        assert [x for row in a.numerators for x in row] == [x * d for x in a_entries]
+        assert a.entries == tuple(a_entries)
+        built = [
+            QMatrix(rows, cols, [str(x) for x in a_entries]),
+            QMatrix(rows, cols, [x.numerator if x.denominator == 1 else x for x in a_entries]),
+            QMatrix(rows, cols, a.entries),
+            a @ QMatrix.identity(cols),
+            QMatrix.identity(rows) @ a,
+            (a + b) - b,
+        ]
+        if rows == cols:
+            built += [restrict_to_image(a, 0), block_diag([a])]
+            if a.is_invertible():
+                built.append(a.inverse().inverse())
+        for m in built:
+            assert m == a and hash(m) == hash(a)
+            assert (m.numerators, m.denominator) == (a.numerators, d)
+            assert all(type(x) is int for row in m.numerators for x in row)
+
+    def test_integer_producers_are_canonical(self):
+        half = QMatrix.from_rows([["1/2", 0], [0, "1/2"]])
+        assert (half @ half.inverse()).denominator == 1
+        assert half - half == zeros(2, 2) and (half - half).denominator == 1
+        assert (2 * half).numerators == ((1, 0), (0, 1)) and (2 * half).denominator == 1
+        assert jordan_block(2, "-2/4").numerators == ((-1, 2), (0, -1))
+        assert jordan_block(2, "-2/4").denominator == 2
+
+
 P = exact_linalg._PRIME  # 2^31 - 1, the irreducibility certificate's modulus
 
 
@@ -187,21 +250,21 @@ class TestInvertible:
     CASES = [
         QMatrix.from_rows([[1, 2], [2, 4]]),  # singular over Q
         QMatrix.from_rows([[1, "1/2", 3], [2, 1, 6], [0, 5, "-7/3"]]),  # singular over Q
-        QMatrix.zeros(3, 3),
+        zeros(3, 3),
         QMatrix.diagonal([P, 1]),  # invertible over Q, singular mod P
         QMatrix.from_rows([[1, 1], [1, 1 + P]]),  # determinant P
         QMatrix.diagonal([f"1/{P}", 1]),  # denominator divisible by P, invertible
         QMatrix.from_rows([[f"1/{P}", f"2/{P}"], [1, 2]]),  # the same, singular
         QMatrix.from_rows([[f"1/{P}", 3], ["2/5", 1]]),  # the same, invertible
         QMatrix.from_rows([["3/4", -2], [5, "1/3"]]),
-        QMatrix.zeros(0, 0),  # rank 0 of 0 rows: invertible, as the rank says
+        zeros(0, 0),  # rank 0 of 0 rows: invertible, as the rank says
         QMatrix.from_rows([[0]]),
         QMatrix.from_rows([["-2/3"]]),
     ]
     NON_SQUARE = [
         QMatrix.from_rows([[1, 0, 0], [0, 1, 0]]),  # full row rank
         QMatrix.from_rows([[1, 0], [0, 1], [0, 0]]),  # full column rank
-        QMatrix.zeros(0, 2),
+        zeros(0, 2),
     ]
 
     def test_agrees_with_exact_rank(self):
@@ -279,7 +342,7 @@ class TestRref:
         assert w == QMatrix.identity(2)
 
     def test_zero(self):
-        pivots, w = _rank_factorization(QMatrix.zeros(2, 2))
+        pivots, w = _rank_factorization(zeros(2, 2))
         assert pivots == []
         assert (w.rows, w.cols) == (0, 2)
         assert _kernel(pivots, w) == QMatrix.identity(2)
@@ -300,7 +363,7 @@ class TestRref:
         kernel = _kernel(pivots, w)
         assert len(pivots) == w.rows == matrix_rank(m)
         assert w.rows + kernel.cols == m.cols
-        assert m @ kernel == QMatrix.zeros(m.rows, kernel.cols)
+        assert m @ kernel == zeros(m.rows, kernel.cols)
         # the pivot columns are independent and W holds every column's coordinates
         assert matrix_rank(m.columns(pivots)) == len(pivots)
         assert m.columns(pivots) @ w == m
@@ -345,10 +408,10 @@ class TestCentralizer:
 
     def test_non_square_rejected(self):
         with pytest.raises(DimensionMismatchError):
-            centralizer_dimension(QMatrix.zeros(2, 3))
+            centralizer_dimension(zeros(2, 3))
 
     def test_empty(self):
-        assert centralizer_dimension(QMatrix.zeros(0, 0)) == 0
+        assert centralizer_dimension(zeros(0, 0)) == 0
 
     def test_partition_formula_oracle(self):
         rng = random.Random(101)
@@ -418,7 +481,7 @@ class TestUnitStructure:
         assert fixed_space_dim(QMatrix.diagonal([2, 3])) == 0
         assert fixed_space_dim(J2) == 1
         with pytest.raises(InvalidMonodromyError):
-            fixed_space_dim(QMatrix.zeros(2, 2))
+            fixed_space_dim(zeros(2, 2))
 
     def test_partition_examples(self):
         assert invariant_factors(QMatrix.identity(2)).unit_block_sizes == (1, 1)
@@ -479,6 +542,20 @@ class TestUnitStructure:
         assert invariants.unit_block_sizes == tuple(sorted(sizes, reverse=True))
         assert invariants.unit_block_sizes == unit_partition_by_ranks(source)
         assert grown.unit_block_sizes == unit_partition_by_ranks(assembled)
+        # the synthetic split and growth against _pdivmod and _pmul: each
+        # factor f is (x - 1)^e g, g(1) != 0, and growth keeps the g's
+        x_minus_1 = (Fraction(-1), Fraction(1))
+        for inv in (invariants, grown):
+            for (e, g), f in zip(inv._unit_split, inv.invariant_factors):
+                power = (Fraction(1),)
+                for _ in range(e):
+                    power = _pmul(power, x_minus_1)
+                assert _pdivmod(f, power) == (g, ()) and sum(g)
+                assert _pmul(g, power) == f
+        padding = len(grown.invariant_factors) - len(invariants.invariant_factors)
+        assert [g for _, g in grown._unit_split] == [(1,)] * padding + [
+            g for _, g in invariants._unit_split
+        ]
 
     def test_restrict_to_image_examples(self):
         assert restrict_to_image(QMatrix.diagonal([2, 1])) == QMatrix.from_rows([[2]])
@@ -528,13 +605,13 @@ def _levelt_infinity(n: int) -> QMatrix:
 def _restriction_cases(rng: random.Random) -> list[QMatrix]:
     """The matrices of seeded tuples of rank 1..7, singular matrices, I_n
     (empty image), J_n(1), matrices with prescribed unit blocks, and 0x0."""
-    cases = [QMatrix.zeros(0, 0)]
+    cases = [zeros(0, 0)]
     for n in range(1, 8):
         cases += random_tuple(n, 2, rng.getrandbits(32)).matrices()
         cases += [QMatrix.identity(n), jordan_block(n, 1), random_unit_mixed_matrix(rng, n)[0]]
         singular = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
         singular[-1] = [2 * x - y for x, y in zip(singular[0], singular[-2])] if n > 1 else [0]
-        cases += [QMatrix.from_rows(singular), QMatrix.zeros(n, n)]
+        cases += [QMatrix.from_rows(singular), zeros(n, n)]
     return cases
 
 
@@ -627,8 +704,8 @@ class TestSimilarity:
             assert inv.centralizer_dimension == inv_c.centralizer_dimension
 
     def test_empty_matrices_similar(self):
-        assert similar(QMatrix.zeros(0, 0), QMatrix.zeros(0, 0))
-        assert invariant_factors(QMatrix.zeros(0, 0)).invariant_factors == ()
+        assert similar(zeros(0, 0), zeros(0, 0))
+        assert invariant_factors(zeros(0, 0)).invariant_factors == ()
 
 
 def _dense_rational(rng: random.Random, n: int) -> QMatrix:
@@ -674,7 +751,7 @@ class TestKrylovKernel:
         # their product is the Faddeev-LeVerrier characteristic polynomial.
         rng = random.Random(61)
         for n in range(13):
-            for m in _kernel_cases(rng, n) if n else [QMatrix.zeros(0, 0)]:
+            for m in _kernel_cases(rng, n) if n else [zeros(0, 0)]:
                 factors = invariant_factors(m).invariant_factors
                 assert factors == smith_invariant_factors(m).invariant_factors
                 product = (Fraction(1),)

@@ -19,7 +19,13 @@ from rigidity_lab.local_systems import (
     validate,
 )
 
-from support import conjugate, random_fixing_subspace, random_invertible, span_closure_dimension
+from support import (
+    conjugate,
+    random_fixing_subspace,
+    random_invertible,
+    span_closure_dimension,
+    zeros,
+)
 
 
 def rank1(*values):
@@ -76,7 +82,7 @@ class TestValidate:
     def test_singular_matrix(self):
         t = monodromy_tuple(
             2,
-            [(0, QMatrix.zeros(2, 2))],
+            [(0, zeros(2, 2))],
             infinity_matrix=QMatrix.identity(2),
         )
         with pytest.raises(ValidationError, match="non-invertible matrix at point 0"):
@@ -115,7 +121,7 @@ class TestValidate:
         (
             "singular infinity, broken relation",
             [(0, QMatrix.diagonal([2, 1])), (1, QMatrix.identity(2))],
-            QMatrix.zeros(2, 2),
+            zeros(2, 2),
             "non-invertible matrix at infinity",
         ),
         (
@@ -132,8 +138,8 @@ class TestValidate:
         ),
         (
             "non-square matrix",
-            [(0, QMatrix.zeros(2, 3)), (0, QMatrix.zeros(2, 2))],
-            QMatrix.zeros(2, 2),
+            [(0, zeros(2, 3)), (0, zeros(2, 2))],
+            zeros(2, 2),
             "matrix at point 0 must be 2x2",
         ),
     ]
@@ -248,7 +254,7 @@ class TestIrreducibility:
             2,
             [(0, QMatrix.from_rows([[1, 1], [0, 1]])), (1, QMatrix.from_rows([[1, 0], [p, 1]]))],
         )
-        rows = [exact_linalg._integer_rows(a)[0] for a in t.matrices()]
+        rows = [a.numerators for a in t.matrices()]
         assert not exact_linalg._closes_mod_p(rows, 2)
         assert is_irreducible(t)
 

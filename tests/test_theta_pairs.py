@@ -15,7 +15,7 @@ from rigidity_lab.theta_pairs import (
     monodromy_F,
 )
 
-from support import random_invertible, random_unit_mixed_matrix
+from support import random_invertible, random_unit_mixed_matrix, zeros
 
 J2 = QMatrix.from_rows([[1, 1], [0, 1]])
 
@@ -37,9 +37,9 @@ def random_valid_pair(rng: random.Random, max_dim: int = 4) -> ThetaPair:
         dim_e = rng.randint(0, max_dim)
         dim_f = rng.randint(0, max_dim)
         u = QMatrix.from_rows([[rng.randint(-2, 2) for _ in range(dim_e)] for _ in range(dim_f)]) \
-            if dim_e and dim_f else QMatrix.zeros(dim_f, dim_e)
+            if dim_e and dim_f else zeros(dim_f, dim_e)
         v = QMatrix.from_rows([[rng.randint(-2, 2) for _ in range(dim_f)] for _ in range(dim_e)]) \
-            if dim_e and dim_f else QMatrix.zeros(dim_e, dim_f)
+            if dim_e and dim_f else zeros(dim_e, dim_f)
         try:
             return ThetaPair(dim_e, dim_f, u, v)
         except InvalidPairError:
@@ -67,8 +67,8 @@ class TestPairInvariants:
     @settings(max_examples=150, deadline=None)
     @given(integer_pairs)
     @example((QMatrix.from_rows([[1, 0]]), QMatrix.from_rows([[-1], [0]])))
-    @example((QMatrix.zeros(0, 2), QMatrix.zeros(2, 0)))
-    @example((QMatrix.zeros(2, 0), QMatrix.zeros(0, 2)))
+    @example((zeros(0, 2), zeros(2, 0)))
+    @example((zeros(2, 0), zeros(0, 2)))
     def test_one_side_decides_both(self, pair):
         # Sylvester: det(1 + vu) = det(1 + uv), so checking 1 + vu suffices.
         u, v = pair
@@ -78,11 +78,11 @@ class TestPairInvariants:
 
     def test_shape_enforced(self):
         with pytest.raises(InvalidPairError):
-            ThetaPair(2, 1, QMatrix.zeros(2, 2), QMatrix.zeros(2, 1))
+            ThetaPair(2, 1, zeros(2, 2), zeros(2, 1))
 
     def test_zero_pair_is_legal(self):
-        pair = ThetaPair(0, 0, QMatrix.zeros(0, 0), QMatrix.zeros(0, 0))
-        assert monodromy_E(pair) == QMatrix.zeros(0, 0)
+        pair = ThetaPair(0, 0, zeros(0, 0), zeros(0, 0))
+        assert monodromy_E(pair) == zeros(0, 0)
         assert is_minimal(pair)
 
 
@@ -106,7 +106,7 @@ class TestConstructions:
 
     def test_singular_input_rejected(self):
         with pytest.raises(InvalidMonodromyError):
-            from_star(QMatrix.zeros(2, 2))
+            from_star(zeros(2, 2))
         with pytest.raises(InvalidMonodromyError):
             from_star(QMatrix.from_rows([[1, 0]]))
 
@@ -129,7 +129,7 @@ class TestMinimalExtension:
         assert not is_minimal(shriek(J2))
 
     def test_edge_pair_with_no_f(self):
-        pair = ThetaPair(1, 0, QMatrix.zeros(0, 1), QMatrix.zeros(1, 0))
+        pair = ThetaPair(1, 0, zeros(0, 1), zeros(1, 0))
         assert is_minimal(pair)
 
     def test_full_direct_image_with_invertible_difference(self):
@@ -162,7 +162,7 @@ class TestCentralizerIdentity:
         with pytest.raises(PairPreconditionError):
             centralizer_identity_check(shriek(J2))
         with pytest.raises(PairPreconditionError):
-            centralizer_identity_check(ThetaPair(0, 0, QMatrix.zeros(0, 0), QMatrix.zeros(0, 0)))
+            centralizer_identity_check(ThetaPair(0, 0, zeros(0, 0), zeros(0, 0)))
 
     def test_random_minimal_pairs(self):
         rng = random.Random(29)
