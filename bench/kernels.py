@@ -1,6 +1,6 @@
-"""Time the exact kernels: the span closure, invariant factors, the product, restrictions,
-the composed zero-monodromy invariants, the invertibility test and elimination, and
-``verify`` on the two worst-case inputs.
+"""Time the exact kernels: the span closure, invariant factors, restrictions, the
+composed zero-monodromy invariants, a table of matrix kernels against their oracles,
+and ``verify`` on the two worst-case inputs.
 
     python3 bench/kernels.py [--runs 3] [--out BENCH.json]
     python3 bench/kernels.py --worst-cases DIR
@@ -29,9 +29,6 @@ reference routes from ``tests/support.py``.  Each figure is the median of
   run that passes ``ORACLE_CAP_S`` seconds is its only one at that size
   (``smith_runs`` records the count), and the oracle is left out at the
   larger sizes.
-- ``product``: ``QMatrix.__matmul__`` (on integers) against
-  ``support.loop_matmul`` (the schoolbook loop on fractions), whose answers
-  must agree, on the square of a fresh matrix of either family by another.
 - ``restriction``: ``exact_linalg.restrict_to_image`` (A on
   im((A - 1)^power)) at power 1, at power e, the largest unit Jordan block
   of A, as the transform passes for A_inf, and at power n, one elimination
@@ -48,29 +45,16 @@ reference routes from ``tests/support.py``.  Each figure is the median of
   n = 2..32.  The source is the dense block with unit Jordan blocks one
   smaller and no padding; its own invariant factors, which the analysis has
   already computed for the point at infinity, are not timed.
-- ``is_invertible``: ``QMatrix.is_invertible`` (the fraction-free rank of
-  the integer rows of dA) against ``support.fraction_rank(m) == n`` (the
-  same elimination on ``Fraction`` rows), whose answers must agree, on
-  fixed-seed n x n matrices for n = 2..32 of two families: ``dense``, as
-  above, and ``singular``, the same with its last row the sum of the
-  others.
-
-- ``echelon``: ``exact_linalg.matrix_rank``, ``_rank_factorization`` and
-  ``QMatrix.inverse`` (fraction-free elimination of the integer rows of dA)
-  against ``support.fraction_rank``, ``fraction_rank_factorization`` and
-  ``fraction_inverse`` (the same elimination on ``Fraction`` rows), whose
-  answers must agree, on fixed-seed n x n matrices for n = 4..12 of three
-  families: ``dense`` and ``zero_monodromy``, as above, and
-  ``large_entries``, whose numerators and denominators are random 64-bit
-  integers.
-- ``matrix``: the producers of ``QMatrix`` on its stored integers:
-  ``QMatrix.from_rows`` of the entries, ``@`` (the square of the matrix by
-  a second one of its family), ``QMatrix.inverse`` and ``restrict_to_image``
-  at power 1, against ``support``'s ``Fraction`` routes, whose answers must
-  agree: the entries as ``Fraction``s, ``loop_matmul``, ``fraction_inverse``
-  and ``fraction_restriction``, on fixed-seed n x n matrices for n = 2..16
-  of two families: ``integer``, invertible with entries in [-2, 2], as
-  ``random_tuple`` draws them, and ``dense``, as above.
+- ``kernel_table``: each kernel of ``KERNELS`` (``QMatrix.from_rows``,
+  ``@``, ``matrix_rank``, which ``is_invertible`` compares with n,
+  ``_rank_factorization``, ``QMatrix.inverse`` and ``restrict_to_image`` at
+  power 1) against its oracle in ``support``, the same job on ``Fraction``
+  entries, whose answer must agree, on its families at their sizes in
+  ``TABLE_FAMILIES``: ``dense`` and ``zero_monodromy``, as above,
+  ``singular``, a dense matrix whose last row is the sum of the others,
+  ``large_entries``, with 64-bit numerators and denominators, and
+  ``integer``, invertible with entries in [-2, 2], as ``random_tuple``
+  draws them, each drawn from ``random.Random(f'echelon:{family}:{n}')``.
 - ``worst_cases``: CPU seconds of ``verify --input FILE``, run in process
   with stdout captured, on the two inputs of ``worst_case_documents``, each
   on 16 finite points with A_inf omitted: ``small_entries``,
@@ -80,12 +64,11 @@ reference routes from ``tests/support.py``.  Each figure is the median of
   are recorded, so runs of two versions can be compared.
 
 With ``--out``, the result is written into that JSON file under the keys
-``environment``, ``kernels``, ``invariant_factors``, ``product``,
-``restriction``, ``zero_invariants``, ``is_invertible``, ``echelon``,
-``matrix`` and ``worst_cases``; other keys already in the file are kept.  With
-``--worst-cases DIR``, the two worst-case inputs are written to
-``DIR/small_entries.json`` and ``DIR/large_entries.json`` and nothing is
-timed.
+``environment``, ``kernels``, ``invariant_factors``, ``restriction``,
+``zero_invariants``, ``kernel_table`` and ``worst_cases``; other keys
+already in the file are kept.  With ``--worst-cases DIR``, the two
+worst-case inputs are written to ``DIR/small_entries.json`` and
+``DIR/large_entries.json`` and nothing is timed.
 """
 
 from __future__ import annotations
@@ -95,6 +78,7 @@ import contextlib
 import hashlib
 import io
 import json
+import operator
 import os
 import platform
 import random
@@ -112,8 +96,7 @@ CLOSURE_RANKS = range(2, 17)
 EXACT_CLOSURE_RANKS = range(2, 9)  # the exact pass grows as n^6: 0.07-0.2 s at rank 8
 SIZES = (2, 3, 4, 6, 8, 12, 16, 24, 32)
 RESTRICTION_SIZES = (2, 3, 4, 6, 8, 12, 16)
-ECHELON_SIZES = (4, 6, 8, 10, 12)
-MATRIX_SIZES = (2, 3, 4, 6, 8, 12, 16)
+TABLE_SIZES = (2, 3, 4, 6, 8, 10, 12, 16, 24, 32)
 WORST_CASE_POINTS = (16,)  # MAX_POINTS
 ORACLE_CAP_S = 5.0
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
@@ -244,28 +227,6 @@ def invariant_factor_rows(runs: int) -> list[dict]:
     return rows
 
 
-def product_rows(runs: int) -> list[dict]:
-    rows = []
-    for family, make in FAMILIES.items():
-        for n in SIZES:
-            rng = random.Random(f"product:{family}:{n}")
-            pair = make(rng, n), make(rng, n)
-            integer_ms, product, _ = median_ms(lambda ab: ab[0] @ ab[1], pair, runs)
-            loop_ms, reference, _ = median_ms(lambda ab: loop_matmul(*ab), pair, runs)
-            if product != reference:
-                raise RuntimeError(f"{family} n={n}: the product disagrees with the loop")
-            row = {
-                "family": family,
-                "n": n,
-                "integer_ms": round(integer_ms, 3),
-                "loop_ms": round(loop_ms, 3),
-                "speedup": round(loop_ms / integer_ms, 1),
-            }
-            print(json.dumps(row), flush=True)
-            rows.append(row)
-    return rows
-
-
 def closure_rows(runs: int) -> list[dict]:
     rows = []
     for n in CLOSURE_RANKS:
@@ -357,113 +318,83 @@ def zero_invariant_rows(runs: int) -> list[dict]:
     return rows
 
 
-def invertibility_rows(runs: int) -> list[dict]:
-    rows = []
-    for family, make in {"dense": dense_matrix, "singular": singular_matrix}.items():
-        for n in SIZES:
-            matrix = make(random.Random(f"is_invertible:{family}:{n}"), n)
-            kernel_ms, invertible, _ = median_ms(QMatrix.is_invertible, matrix, runs)
-            oracle_ms, full_rank, _ = median_ms(lambda m: fraction_rank(m) == m.rows, matrix, runs)
-            if invertible != full_rank:
-                raise RuntimeError(f"{family} n={n}: is_invertible disagrees with the Fraction rank")
-            row = {
-                "family": family,
-                "n": n,
-                "invertible": invertible,
-                "is_invertible_ms": round(kernel_ms, 3),
-                "fraction_rank_ms": round(oracle_ms, 3),
-                "speedup": round(oracle_ms / kernel_ms, 1),
-            }
-            print(json.dumps(row), flush=True)
-            rows.append(row)
-    return rows
+def fraction_entries(rows: list[list]) -> tuple[Fraction, ...]:
+    return tuple(Fraction(x) for row in rows for x in row)
 
 
 def inverse_or_none(matrix: QMatrix) -> QMatrix | None:
-    """``QMatrix.inverse``, or None when the matrix is singular, as
-    ``fraction_inverse`` answers."""
+    """``QMatrix.inverse``, or None for a singular matrix, as ``fraction_inverse``."""
     try:
         return matrix.inverse()
     except InvalidMonodromyError:
         return None
 
 
-ECHELON_KERNELS = {
-    "matrix_rank": (exact_linalg.matrix_rank, fraction_rank),
-    "rank_factorization": (exact_linalg._rank_factorization, fraction_rank_factorization),
-    "inverse": (inverse_or_none, fraction_inverse),
+# family: (matrix maker, sizes n); integer: invertible with entries in
+# [-2, 2], as random_tuple draws them
+TABLE_FAMILIES = {
+    "dense": (dense_matrix, TABLE_SIZES),
+    "zero_monodromy": (zero_monodromy_matrix, TABLE_SIZES),
+    "singular": (singular_matrix, TABLE_SIZES),
+    "large_entries": (large_entries_matrix, (4, 6, 8, 10, 12)),
+    "integer": (random_invertible, (2, 3, 4, 6, 8, 12, 16)),
+}
+ECHELON_FAMILIES = ("dense", "zero_monodromy", "large_entries")
+# name: (kind, library call, oracle call, families); both calls take, by kind,
+# the matrix, the matrix and a second draw, or the matrix's entries as rows
+KERNELS = {
+    "from_rows": ("rows", QMatrix.from_rows, fraction_entries, ("integer", "dense")),
+    "matmul": ("pair", operator.matmul, loop_matmul, ("dense", "zero_monodromy", "integer")),
+    "matrix_rank": (
+        "matrix", exact_linalg.matrix_rank, fraction_rank, (*ECHELON_FAMILIES, "singular")
+    ),
+    "rank_factorization": (
+        "matrix", exact_linalg._rank_factorization, fraction_rank_factorization, ECHELON_FAMILIES
+    ),
+    "inverse": ("matrix", inverse_or_none, fraction_inverse, (*ECHELON_FAMILIES, "integer")),
+    "restrict_to_image": (
+        "matrix", exact_linalg.restrict_to_image, fraction_restriction, ("integer", "dense")
+    ),
 }
 
 
-def echelon_rows(runs: int) -> list[dict]:
-    rows = []
-    families = {**FAMILIES, "large_entries": large_entries_matrix}
-    for family, make in families.items():
-        for n in ECHELON_SIZES:
-            matrix = make(random.Random(f"echelon:{family}:{n}"), n)
-            for kernel, (integer, oracle) in ECHELON_KERNELS.items():
-                integer_ms, answer, _ = median_ms(integer, matrix, runs)
-                fraction_ms, expected, _ = median_ms(oracle, matrix, runs)
-                if answer != expected:
-                    raise RuntimeError(f"{family} n={n} {kernel}: disagrees with the oracle")
-                row = {
-                    "family": family,
-                    "n": n,
-                    "kernel": kernel,
-                    "integer_ms": round(integer_ms, 3),
-                    "fraction_ms": round(fraction_ms, 3),
-                    "speedup": round(fraction_ms / integer_ms, 2),
-                }
-                print(json.dumps(row), flush=True)
-                rows.append(row)
-    return rows
-
-
-def matrix_kernels(matrix: QMatrix, other: QMatrix, literal: list[list]) -> dict:
-    """(library, oracle) calls per kernel of ``matrix_rows``."""
-    return {
-        "from_rows": (
-            lambda: QMatrix.from_rows(literal),
-            lambda: tuple(Fraction(x) for row in literal for x in row),
-        ),
-        "matmul": (lambda: matrix @ other, lambda: loop_matmul(matrix, other)),
-        "inverse": (lambda: inverse_or_none(matrix), lambda: fraction_inverse(matrix)),
-        "restrict_to_image": (
-            lambda: exact_linalg.restrict_to_image(matrix),
-            lambda: fraction_restriction(matrix),
-        ),
+def kernel_row(kernel: str, family: str, n: int, runs: int) -> dict:
+    kind, library, oracle, _ = KERNELS[kernel]
+    rng = random.Random(f"echelon:{family}:{n}")
+    make = TABLE_FAMILIES[family][0]
+    matrix = make(rng, n)
+    if kind == "pair":
+        arguments = (matrix, make(rng, n))
+    elif kind == "rows":  # ints for the integer family, as random_tuple passes them
+        cast = int if family == "integer" else Fraction
+        arguments = ([[cast(x) for x in matrix.row_list(i)] for i in range(n)],)
+    else:
+        arguments = (matrix,)
+    integer_ms, answer, _ = median_ms(lambda a: library(*a), arguments, runs)
+    fraction_ms, expected, _ = median_ms(lambda a: oracle(*a), arguments, runs)
+    if kernel == "from_rows":
+        answer = answer.entries
+    if answer != expected:
+        raise RuntimeError(f"{family} n={n} {kernel}: disagrees with the oracle")
+    row = {
+        "kernel": kernel,
+        "family": family,
+        "n": n,
+        "integer_ms": round(integer_ms, 4),
+        "fraction_ms": round(fraction_ms, 4),
+        "speedup": round(fraction_ms / integer_ms, 2),
     }
+    print(json.dumps(row), flush=True)
+    return row
 
 
-def matrix_rows(runs: int) -> list[dict]:
-    rows = []
-    # integer: invertible with entries in [-2, 2], as random_tuple draws them
-    for family, make in {"integer": random_invertible, "dense": dense_matrix}.items():
-        for n in MATRIX_SIZES:
-            rng = random.Random(f"matrix:{family}:{n}")
-            matrix, other = make(rng, n), make(rng, n)
-            literal = [
-                [int(x) if family == "integer" else x for x in matrix.row_list(i)]
-                for i in range(n)
-            ]
-            for kernel, (integer, oracle) in matrix_kernels(matrix, other, literal).items():
-                integer_ms, answer, _ = median_ms(lambda call: call(), integer, runs)
-                fraction_ms, expected, _ = median_ms(lambda call: call(), oracle, runs)
-                if kernel == "from_rows":
-                    answer = answer.entries
-                if answer != expected:
-                    raise RuntimeError(f"{family} n={n} {kernel}: disagrees with the oracle")
-                row = {
-                    "family": family,
-                    "n": n,
-                    "kernel": kernel,
-                    "integer_ms": round(integer_ms, 4),
-                    "fraction_ms": round(fraction_ms, 4),
-                    "speedup": round(fraction_ms / integer_ms, 2),
-                }
-                print(json.dumps(row), flush=True)
-                rows.append(row)
-    return rows
+def kernel_rows(runs: int) -> list[dict]:
+    return [
+        kernel_row(kernel, family, n, runs)
+        for kernel, (*_, families) in KERNELS.items()
+        for family in families
+        for n in TABLE_FAMILIES[family][1]
+    ]
 
 
 def large_entry(rng: random.Random) -> Fraction:
@@ -575,12 +506,6 @@ def main() -> None:
             "runs": args.runs,
             "rows": invariant_factor_rows(args.runs),
         },
-        "product": {
-            "what": "n x n product: integer dot products vs the schoolbook loop on fractions",
-            "unit": "ms, median of runs",
-            "runs": args.runs,
-            "rows": product_rows(args.runs),
-        },
         "restriction": {
             "what": "A restricted to im((A - 1)^power), power 1, e and n: W A[:, pivots] "
             "vs pivot columns and a solve in sympy (oracle)",
@@ -595,26 +520,13 @@ def main() -> None:
             "runs": args.runs,
             "rows": zero_invariant_rows(args.runs),
         },
-        "is_invertible": {
-            "what": "invertibility: fraction-free rank of the integer rows of dA "
-            "vs the same elimination on Fraction rows (oracle)",
+        "kernel_table": {
+            "what": "matrix kernels of KERNELS on the stored integers (from_rows, @, rank, "
+            "rank factorization, inverse, restrict_to_image at power 1) vs support's "
+            "Fraction routes (oracle)",
             "unit": "ms, median of runs",
             "runs": args.runs,
-            "rows": invertibility_rows(args.runs),
-        },
-        "echelon": {
-            "what": "rank, rank factorization and inverse: fraction-free elimination of the "
-            "integer rows of dA vs the same elimination on Fraction rows (oracle)",
-            "unit": "ms, median of runs",
-            "runs": args.runs,
-            "rows": echelon_rows(args.runs),
-        },
-        "matrix": {
-            "what": "QMatrix producers on the stored integers (from_rows, @, inverse, "
-            "restrict_to_image at power 1) vs support's Fraction routes (oracle)",
-            "unit": "ms, median of runs",
-            "runs": args.runs,
-            "rows": matrix_rows(args.runs),
+            "rows": kernel_rows(args.runs),
         },
         "worst_cases": {
             "what": "verify --input on the two worst-case inputs of worst_case_documents, "

@@ -131,9 +131,3 @@ def load_catalog(external_dir: str | os.PathLike | None = None) -> dict[str, Cat
             catalog[entry.name] = entry
     return catalog
 
-
-def get_entry(name: str, external_dir: str | os.PathLike | None = None) -> CatalogEntry:
-    catalog = load_catalog(external_dir)
-    if name not in catalog:
-        raise CatalogError(f"unknown catalog entry {name!r}")
-    return catalog[name]

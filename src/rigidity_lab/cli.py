@@ -26,7 +26,7 @@ from functools import cache
 from pathlib import Path
 from typing import Iterator
 
-from .catalog import CatalogEntry, get_entry, load_catalog
+from .catalog import CatalogEntry, load_catalog
 from .errors import (
     CatalogError,
     GenerationError,
@@ -321,22 +321,22 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_catalog(args: argparse.Namespace) -> int:
+    if args.action == "list" and args.name is not None:
+        raise _CliError(EXIT_INPUT, "catalog list takes no entry name")
+    if args.action == "show" and not args.name:
+        raise _CliError(EXIT_INPUT, "catalog show needs an entry name")
     try:
-        if args.action == "list":
-            entries = load_catalog()
-            payload = [_entry_summary(e) for e in entries.values()]
-            _print_payload(payload, args.format, _catalog_list_text)
-            return EXIT_OK
-        if not args.name:
-            raise _CliError(EXIT_INPUT, "catalog show needs an entry name")
-        entry = get_entry(args.name)
+        catalog = load_catalog()
     except CatalogError as exc:
         raise _CliError(EXIT_INPUT, str(exc))
-    _print_payload(
-        tuple_to_json(entry.tuple),
-        args.format,
-        lambda payload: iter([json.dumps(payload)]),
-    )
+    if args.action == "list":
+        payload = [_entry_summary(e) for e in catalog.values()]
+        _print_payload(payload, args.format, _catalog_list_text)
+    elif args.name in catalog:
+        payload = tuple_to_json(catalog[args.name].tuple)
+        _print_payload(payload, args.format, lambda p: iter([json.dumps(p)]))
+    else:
+        raise _CliError(EXIT_INPUT, f"unknown catalog entry {args.name!r}")
     return EXIT_OK
 
 

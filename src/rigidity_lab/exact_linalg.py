@@ -20,10 +20,8 @@ leftmost pivots, so repeated runs are bit-identical.
 Invertibility (``QMatrix.is_invertible``) is the exact rank of dA.
 Irreducibility (``spans_full_algebra``) closes the span of the words in the
 integer matrices dA: first mod the prime p = 2^31 - 1, each vector packed
-into one integer, as a certificate, and over Q only when that falls short.
-The certificate is sound for any prime: a word in the dA reduces to the
-same word in their reductions, so if the reductions generate M_n(F_p),
-n^2 integer words have a determinant nonzero mod p, hence nonzero over Q.
+into one integer, as a certificate, and over Q only when that falls short;
+``spans_full_algebra`` says why the certificate is sound.
 """
 
 from __future__ import annotations
@@ -49,11 +47,6 @@ _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 # The Mersenne prime 2^31 - 1, modulus of the irreducibility certificate.
 _PRIME_BITS = 31
 _PRIME = (1 << _PRIME_BITS) - 1
-
-
-def format_rational(value: Fraction) -> str:
-    """Render ``p/q``, or just ``p`` when the denominator is 1."""
-    return str(value)
 
 
 def parse_rational(value: Fraction | int | str) -> Fraction:
@@ -227,16 +220,7 @@ def _ratio(numerator: int, denominator: int) -> Fraction:
 
 
 def matrix_to_json(matrix: QMatrix) -> list[list[str]]:
-    return [[format_rational(matrix.entry(i, j)) for j in range(matrix.cols)] for i in range(matrix.rows)]
-
-
-def matrix_from_json(data: object) -> QMatrix:
-    if not isinstance(data, list) or any(not isinstance(row, list) for row in data):
-        raise ValueError("matrix must be a JSON array of row arrays")
-    try:
-        return QMatrix.from_rows(data)
-    except ValueError as exc:
-        raise ValueError(f"bad matrix entry: {exc}") from exc
+    return [[str(x) for x in matrix.row_list(i)] for i in range(matrix.rows)]
 
 
 def jordan_block(size: int, eigenvalue: Fraction | int | str = 1) -> QMatrix:
@@ -283,8 +267,7 @@ class Echelon:
     step that scaled it, so its entries stay the size of the span's minors;
     stored rows are never touched again.  The span closure of
     ``spans_full_algebra`` runs here only when its certificate mod a prime
-    (``_closes_mod_p``) falls short: a full span mod p has n^2 integer words
-    whose determinant is nonzero mod p, so nonzero over Q, for any prime.
+    (``_closes_mod_p``) falls short.
     """
 
     def __init__(self, width: int):
@@ -626,10 +609,10 @@ def polynomial_to_string(p: Poly) -> str:
         sign = "-" if c < 0 else "+"
         mag = abs(c)
         if power == 0:
-            body = format_rational(mag)
+            body = str(mag)
         else:
             xs = "x" if power == 1 else f"x^{power}"
-            body = xs if mag == 1 else f"{format_rational(mag)}*{xs}"
+            body = xs if mag == 1 else f"{mag}*{xs}"
         parts.append((sign, body))
     first_sign, first_body = parts[0]
     text = ("-" if first_sign == "-" else "") + first_body

@@ -25,7 +25,6 @@ from .exact_linalg import (
     SimilarityInvariant,
     block_diag,
     centralizer_dimension,
-    format_rational,
     invariant_factors,
     jordan_block,
     matrix_to_json,
@@ -202,7 +201,7 @@ class TupleAnalysis:
             self.zero_centralizer_dim + sum(self.component_centralizer_dims) - irregularity
         )
         identities = [
-            PointIdentity(format_rational(loc), source - regular, (n - component.dimension) ** 2)
+            PointIdentity(str(loc), source - regular, (n - component.dimension) ** 2)
             for (loc, _), component, source, regular in zip(
                 self.tuple.finite_points,
                 data.components,
@@ -279,7 +278,7 @@ def fourier_data_to_json(data: FourierLocalData) -> dict:
         "zero_monodromy": matrix_to_json(data.zero_monodromy),
         "components": [
             {
-                "exp_coefficient": format_rational(c.coefficient),
+                "exp_coefficient": str(c.coefficient),
                 "dimension": c.dimension,
                 "regular_monodromy": matrix_to_json(c.regular_monodromy),
             }

@@ -14,16 +14,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
+from itertools import chain
+from math import gcd
 from typing import Iterable, NamedTuple
 
 from .errors import GenerationError, InvalidMonodromyError, ValidationError
-from .exact_linalg import (
-    QMatrix,
-    format_rational,
-    matrix_from_json,
-    matrix_to_json,
-    parse_rational,
-)
+from .exact_linalg import QMatrix, matrix_to_json, parse_rational
 
 _RANDOM_ENTRY_BOUND = 2
 _MAX_DRAWS_PER_MATRIX = 200
@@ -108,13 +104,13 @@ def _check_shapes(n: int, finite_points: tuple[FinitePoint, ...]) -> None:
         raise ValidationError("at least one finite singular point is required")
     for loc, m in finite_points:
         if m.rows != n or m.cols != n:
-            raise ValidationError(f"matrix at point {format_rational(loc)} must be {n}x{n}")
+            raise ValidationError(f"matrix at point {loc} must be {n}x{n}")
 
 
 def _check_invertible(finite_points: tuple[FinitePoint, ...]) -> None:
     for loc, m in finite_points:
         if not m.is_invertible():
-            raise ValidationError(f"non-invertible matrix at point {format_rational(loc)}")
+            raise ValidationError(f"non-invertible matrix at point {loc}")
 
 
 def validate(t: MonodromyTuple) -> None:
@@ -134,7 +130,7 @@ def validate(t: MonodromyTuple) -> None:
         raise ValidationError("duplicate singular locations")
     for loc, m in t.finite_points:
         if m == identity:
-            raise ValidationError(f"trivial local monodromy at finite point {format_rational(loc)}")
+            raise ValidationError(f"trivial local monodromy at finite point {loc}")
     if product != identity:
         raise ValidationError("monodromy relation violated")
 
@@ -194,22 +190,30 @@ def tuple_to_json(t: MonodromyTuple) -> dict:
     return {
         "rank": t.rank,
         "finite_points": [
-            {"location": format_rational(loc), "matrix": matrix_to_json(m)}
-            for loc, m in t.finite_points
+            {"location": str(loc), "matrix": matrix_to_json(m)} for loc, m in t.finite_points
         ],
         "infinity_matrix": matrix_to_json(t.infinity_matrix),
     }
 
 
 def _bounded_matrix(data: object) -> QMatrix:
-    matrix = matrix_from_json(data)
+    if not isinstance(data, list) or any(not isinstance(row, list) for row in data):
+        raise ValueError("matrix must be a JSON array of row arrays")
+    try:
+        matrix = QMatrix.from_rows(data)
+    except ValueError as exc:
+        raise ValueError(f"bad matrix entry: {exc}") from exc
     if max(matrix.rows, matrix.cols) > MAX_RANK:
         raise ValueError(
             f"a {matrix.rows}x{matrix.cols} matrix is larger than {MAX_RANK}x{MAX_RANK}"
         )
+    # Entry x/d of the stored dA and d is (x/g)/(d/g) in lowest terms, with
+    # g = gcd(x, d), no part above |x| or d: a gcd only where one is too large.
+    d = matrix.denominator
     if any(
-        max(x.numerator.bit_length(), x.denominator.bit_length()) > MAX_ENTRY_BITS
-        for x in matrix.entries
+        (top // gcd(x, d)).bit_length() > MAX_ENTRY_BITS
+        for x in chain.from_iterable(matrix.numerators)
+        if (top := max(abs(x), d)).bit_length() > MAX_ENTRY_BITS
     ):
         raise ValueError(
             f"a matrix entry has a numerator or denominator of more than {MAX_ENTRY_BITS} bits"
@@ -220,8 +224,8 @@ def _bounded_matrix(data: object) -> QMatrix:
 def tuple_from_json(data: object) -> MonodromyTuple:
     """Parse the tuple schema, raising ValueError on any shape problem, on a
     rank or a matrix side above ``MAX_RANK``, on more than ``MAX_POINTS``
-    finite points and on a matrix entry whose numerator or denominator has
-    more than ``MAX_ENTRY_BITS`` bits."""
+    finite points and on a matrix entry whose numerator or denominator, in
+    lowest terms, has more than ``MAX_ENTRY_BITS`` bits."""
     if not isinstance(data, dict):
         raise ValueError("tuple document must be a JSON object")
     if "rank" not in data or not isinstance(data["rank"], int) or isinstance(data["rank"], bool):
@@ -248,6 +252,4 @@ def tuple_from_json(data: object) -> MonodromyTuple:
             raise ValueError(f"bad location at finite point #{idx}: {exc}") from exc
         points.append((loc, _bounded_matrix(item["matrix"])))
     infinity = data.get("infinity_matrix")
-    if infinity is not None:
-        return MonodromyTuple(rank, tuple(FinitePoint(*p) for p in points), _bounded_matrix(infinity))
-    return monodromy_tuple(rank, points)
+    return monodromy_tuple(rank, points, None if infinity is None else _bounded_matrix(infinity))

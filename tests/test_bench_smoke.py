@@ -1,5 +1,7 @@
-"""Every row function of ``bench/kernels.py`` runs at the smallest sizes, so
-a renamed or re-signed library function cannot break the bench unnoticed."""
+"""Every section of ``bench/kernels.py`` runs at the smallest sizes, so a
+renamed or re-signed library function cannot break the bench unnoticed:
+each entry of its kernel table, read from the table, at n = 2 and 3, and
+each other row function with its size constants shrunk."""
 
 import importlib.util
 from pathlib import Path
@@ -9,42 +11,52 @@ import pytest
 KERNELS = Path(__file__).resolve().parents[1] / "bench" / "kernels.py"
 
 
-@pytest.fixture(scope="module")
-def kernels():
+def _load():
     spec = importlib.util.spec_from_file_location("bench_kernels", KERNELS)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
+bench = _load()
+
+# The sections outside the kernel table, which ``kernel_rows`` runs.
 ROW_FUNCTIONS = [
     "closure_rows",
     "invariant_factor_rows",
-    "product_rows",
     "restriction_rows",
     "zero_invariant_rows",
-    "invertibility_rows",
-    "echelon_rows",
-    "matrix_rows",
     "worst_case_rows",
 ]
 
 
-def test_every_row_function_is_listed(kernels):
-    assert sorted(name for name in vars(kernels) if name.endswith("_rows")) == sorted(ROW_FUNCTIONS)
+def test_every_row_function_is_listed():
+    rows = sorted(name for name in vars(bench) if name.endswith("_rows"))
+    assert rows == sorted(ROW_FUNCTIONS + ["kernel_rows"])
 
 
 @pytest.mark.parametrize("name", ROW_FUNCTIONS)
-def test_rows_at_small_sizes(kernels, monkeypatch, capsys, name):
+def test_rows_at_small_sizes(monkeypatch, capsys, name):
     for sizes in (
         "SIZES",
         "RESTRICTION_SIZES",
         "CLOSURE_RANKS",
         "EXACT_CLOSURE_RANKS",
-        "ECHELON_SIZES",
-        "MATRIX_SIZES",
         "WORST_CASE_POINTS",
     ):
-        monkeypatch.setattr(kernels, sizes, (2, 3))
-    rows = getattr(kernels, name)(1)
+        monkeypatch.setattr(bench, sizes, (2, 3))
+    rows = getattr(bench, name)(1)
     assert rows and len(capsys.readouterr().out.splitlines()) == len(rows)
+
+
+@pytest.mark.parametrize(
+    "kernel, family",
+    [(kernel, family) for kernel, (*_, families) in bench.KERNELS.items() for family in families],
+)
+def test_kernel_table_at_small_sizes(capsys, kernel, family):
+    rows = [bench.kernel_row(kernel, family, n, 1) for n in (2, 3)]
+    assert [(row["kernel"], row["family"], row["n"]) for row in rows] == [
+        (kernel, family, 2),
+        (kernel, family, 3),
+    ]
+    assert len(capsys.readouterr().out.splitlines()) == 2

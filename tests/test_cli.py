@@ -147,8 +147,18 @@ class TestInputBounds:
                 "more than 256 bits",
             ),
             (rank_one_points(17), '"finite_points" has 17 points, more than the maximum 16'),
+            # 3 * 2^256 / 3 is 2^256 in lowest terms, a 257-bit numerator
+            (rank_one(f"{3 * 2**256}/3"), "more than 256 bits"),
         ],
-        ids=["rank", "matrix-side", "numerator", "denominator", "infinity-entry", "points"],
+        ids=[
+            "rank",
+            "matrix-side",
+            "numerator",
+            "denominator",
+            "infinity-entry",
+            "points",
+            "reduced-numerator",
+        ],
     )
     def test_oversized_input_exit_2(self, capsys, tmp_path, payload, message):
         path = write_json(tmp_path, "big.json", payload)
@@ -165,6 +175,24 @@ class TestInputBounds:
             {"rank": 16, "finite_points": [{"location": "0", "matrix": matrix}], "infinity_matrix": matrix}
         )
         assert t.rank == 16
+
+    @pytest.mark.parametrize(
+        "entries, stored_bits",
+        [
+            # 2^300 / 2^301 is 1/2 in lowest terms
+            ([f"{2**300}/{2**301}"], 2),
+            # coprime denominators: the stored common denominator d has 400 bits
+            ([f"1/{2**200 + 1}", f"1/{2**199 + 1}"], 400),
+        ],
+        ids=["unreduced-entry", "large-common-denominator"],
+    )
+    def test_bounds_are_on_entries_in_lowest_terms(self, entries, stored_bits):
+        n = len(entries)
+        matrix = [[entries[i] if i == j else "0" for j in range(n)] for i in range(n)]
+        t = tuple_from_json({"rank": n, "finite_points": [{"location": "0", "matrix": matrix}]})
+        parsed = t.finite_points[0].matrix
+        assert parsed == exact_linalg.QMatrix.diagonal(entries)
+        assert parsed.denominator.bit_length() == stored_bits
 
     def test_most_points_accepted(self, capsys, tmp_path):
         # 16 rank-1 points: the transform has rank 16, a 16 x 16 zero monodromy
@@ -328,6 +356,12 @@ class TestCatalog:
         code, _, err = run_cli(capsys, "catalog", "show", "nope")
         assert code == 2
         assert "unknown catalog entry" in err
+
+    def test_list_takes_no_name(self, capsys):
+        code, out, err = run_cli(capsys, "catalog", "list", "kummer")
+        assert code == 2
+        assert out == ""
+        assert err == "error: catalog list takes no entry name\n"
 
     def test_show_needs_name(self, capsys):
         code, _, err = run_cli(capsys, "catalog", "show")

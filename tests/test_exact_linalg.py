@@ -13,10 +13,8 @@ from rigidity_lab.exact_linalg import (
     block_diag,
     centralizer_dimension,
     fixed_space_dim,
-    format_rational,
     invariant_factors,
     jordan_block,
-    matrix_from_json,
     matrix_rank,
     matrix_to_json,
     parse_rational,
@@ -28,7 +26,7 @@ from rigidity_lab.exact_linalg import (
     _pmul,
     _rank_factorization,
 )
-from rigidity_lab.local_systems import random_tuple
+from rigidity_lab.local_systems import _bounded_matrix, random_tuple
 
 from support import (
     char_poly,
@@ -162,19 +160,19 @@ class TestQMatrix:
 
     def test_serialization_roundtrip(self):
         a = QMatrix.from_rows([["1/2", -3], [0, "7/3"]])
-        assert matrix_from_json(matrix_to_json(a)) == a
+        assert _bounded_matrix(matrix_to_json(a)) == a
         assert matrix_to_json(a)[0][0] == "1/2"
-        assert format_rational(Fraction(-4)) == "-4"
+        assert matrix_to_json(QMatrix.from_rows([[-4]])) == [["-4"]]
         assert parse_rational("-3/6") == Fraction(-1, 2)
         assert parse_rational("+4/2") == 2
 
     def test_matrix_from_json_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            matrix_from_json([["1", "2"], ["3"]])
-        with pytest.raises(ValueError):
-            matrix_from_json("nope")
-        with pytest.raises(ValueError):
-            matrix_from_json([["1/0"]])
+        with pytest.raises(ValueError, match="^bad matrix entry: ragged rows in matrix literal$"):
+            _bounded_matrix([["1", "2"], ["3"]])
+        with pytest.raises(ValueError, match="^matrix must be a JSON array of row arrays$"):
+            _bounded_matrix("nope")
+        with pytest.raises(ValueError, match="^bad matrix entry: zero denominator in '1/0'$"):
+            _bounded_matrix([["1/0"]])
 
 
 # a shape up to 4 x 4 (0 x 0 and 1 x 1 included) and the entries of two
