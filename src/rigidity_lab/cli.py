@@ -1,34 +1,32 @@
-"""Command-line front end: reports, the example catalog and verification campaigns.
+"""Command-line front end: argument parsing, rendering and exit codes.
 
 Four subcommands cover the workflow: ``rig`` prints the rigidity report of a
 tuple file, ``fourier`` prints the transform's local data, ``verify`` checks
-index preservation on one tuple or on a seeded randomized campaign, and
-``catalog`` lists or emits the shipped examples.  Output is JSON by default
-(stable field order, byte-identical across runs) or ``--format text``.
+index preservation on one tuple or on a seeded randomized campaign (see
+``campaign``), and ``catalog`` lists or emits the shipped examples.  Output
+is JSON by default (stable field order, byte-identical across runs) or
+``--format text``.
 
 Exit codes: 0 success, 1 verification failure, 2 input or validation
 problem, 3 non-realizable reconstruction, 4 theorem hypothesis violated,
 5 internal failure (a self-check on a computed result failed, or a random
 campaign exhausted its redraw budget), and, from ``entrypoint`` only, 141
-when the reader closes stdout.
+when the reader closes stdout.  ``main`` is the one place that maps an
+error to its exit code.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
-import random
 import sys
-from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
-from typing import Iterator
 
+from .campaign import CampaignConfig, run_campaign
 from .catalog import CatalogEntry, load_catalog
 from .errors import (
-    CatalogError,
     GenerationError,
     HypothesisViolationError,
     InternalError,
@@ -37,20 +35,8 @@ from .errors import (
     ValidationError,
 )
 from .exact_linalg import polynomial_to_string
-from .fourier import (
-    TupleAnalysis,
-    fourier_data_to_json,
-    irregularity_end,
-    preservation_report_to_json,
-)
-from .local_systems import (
-    MAX_POINTS,
-    MAX_RANK,
-    MonodromyTuple,
-    random_tuple,
-    tuple_from_json,
-    tuple_to_json,
-)
+from .fourier import TupleAnalysis, fourier_data_to_json, irregularity_end
+from .local_systems import MAX_POINTS, MAX_RANK, tuple_from_json, tuple_to_json
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -59,108 +45,6 @@ EXIT_NON_REALIZABLE = 3
 EXIT_HYPOTHESIS = 4
 EXIT_INTERNAL = 5
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: what a shell reports for a process it killed
-
-_REDRAWS_PER_TRIAL = 200
-
-
-class _CliError(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
-
-
-@dataclass(frozen=True)
-class CampaignConfig:
-    trials: int
-    max_rank: int
-    max_points: int
-    seed: int
-
-    def __post_init__(self) -> None:
-        if self.trials < 1 or self.max_rank < 1 or self.max_points < 1:
-            raise ValueError("trials, max_rank and max_points must be positive")
-
-
-@dataclass
-class CampaignResult:
-    trials_run: int
-    all_equal: bool
-    failures: list[dict] = field(default_factory=list)
-    identity_checks: int = 0
-
-    def to_json(self) -> dict:
-        return {
-            "trials_run": self.trials_run,
-            "all_equal": self.all_equal,
-            "failures": self.failures,
-        }
-
-
-def _trial_seed(seed: int, index: int) -> int:
-    # Stable across interpreter versions, unlike built-in tuple hashing.
-    digest = hashlib.blake2b(f"{seed}:{index}".encode(), digest_size=8).digest()
-    return int.from_bytes(digest, "big")
-
-
-def _campaign_analyses(config: CampaignConfig) -> Iterator[tuple[int, TupleAnalysis]]:
-    for index in range(config.trials):
-        rng = random.Random(_trial_seed(config.seed, index))
-        for _ in range(_REDRAWS_PER_TRIAL):
-            rank = rng.randint(1, config.max_rank)
-            k = rng.randint(1, config.max_points)
-            analysis = TupleAnalysis(random_tuple(rank, k, rng.getrandbits(63)))
-            if analysis.irreducible:
-                yield index, analysis
-                break
-        else:
-            raise GenerationError(
-                f"trial {index}: no irreducible tuple found in {_REDRAWS_PER_TRIAL} draws"
-            )
-
-
-def campaign_tuples(config: CampaignConfig) -> Iterator[tuple[int, MonodromyTuple]]:
-    """Deterministic irreducible tuples, one per trial.
-
-    Each trial is seeded independently from (seed, index); reducible draws
-    are discarded and redrawn with fresh dimensions so ranks stay unbiased.
-    """
-    return ((index, analysis.tuple) for index, analysis in _campaign_analyses(config))
-
-
-def run_campaign(config: CampaignConfig) -> CampaignResult:
-    """Verify preservation on every campaign tuple and collect anomalies."""
-    result = CampaignResult(trials_run=0, all_equal=True)
-    for index, analysis in _campaign_analyses(config):
-        t = analysis.tuple
-        report = analysis.preservation
-        result.trials_run += 1
-        if not report.equal:
-            result.all_equal = False
-            result.failures.append(
-                {
-                    "trial": index,
-                    "kind": "index_mismatch",
-                    "rig_source": report.rig_source,
-                    "rig_fourier": report.rig_fourier,
-                    "tuple": tuple_to_json(t),
-                }
-            )
-        for identity in report.per_point_identities:
-            result.identity_checks += 1
-            if identity.lhs != identity.rhs:
-                result.failures.append(
-                    {
-                        "trial": index,
-                        "kind": "centralizer_identity",
-                        "point": identity.point,
-                        "lhs": identity.lhs,
-                        "rhs": identity.rhs,
-                        "tuple": tuple_to_json(t),
-                    }
-                )
-        # the kernel-dimension rule, which the local data enforced when built
-        result.identity_checks += 1
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -173,15 +57,15 @@ def _load_analysis(path: str) -> TupleAnalysis:
         text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
         payload = json.loads(text)
     except OSError as exc:
-        raise _CliError(EXIT_INPUT, f"cannot read input file: {exc}")
+        raise RigidityLabError(f"cannot read input file: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # not UTF-8 or JSON, too deep, too long
-        raise _CliError(EXIT_INPUT, f"malformed JSON: {exc}")
+        raise RigidityLabError(f"malformed JSON: {exc}") from exc
     try:
         t = tuple_from_json(payload)
     except ValidationError:
         raise  # a tuple deriving A_inf fails its checks as ``validate`` does
     except (ValueError, RigidityLabError) as exc:
-        raise _CliError(EXIT_INPUT, f"schema violation: {exc}")
+        raise RigidityLabError(f"schema violation: {exc}") from exc
     return TupleAnalysis(t)
 
 
@@ -260,16 +144,7 @@ def _catalog_list_text(payload: list):
 
 
 def _cmd_rig(args: argparse.Namespace) -> int:
-    report = _load_analysis(args.input).report
-    payload = {
-        "rank": report.rank,
-        "num_points": report.num_points,
-        "centralizer_dims": list(report.centralizer_dims),
-        "index": report.index,
-        "irreducible": report.irreducible,
-        "physically_rigid": report.physically_rigid,
-    }
-    _print_payload(payload, args.format, _rig_text)
+    _print_payload(vars(_load_analysis(args.input).report), args.format, _rig_text)
     return EXIT_OK
 
 
@@ -306,14 +181,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         )
         result = run_campaign(config)
         _print_payload(result.to_json(), args.format, _campaign_text)
-        return EXIT_OK if result.all_equal and not result.failures else EXIT_VERIFY_FAILED
+        return EXIT_VERIFY_FAILED if result.failures else EXIT_OK
     if not args.input:
-        raise _CliError(EXIT_INPUT, "verify needs --input PATH or --random")
+        raise RigidityLabError("verify needs --input PATH or --random")
     analysis = _load_analysis(args.input)
     if not analysis.irreducible and not args.force:
-        raise _CliError(EXIT_HYPOTHESIS, "theorem hypothesis violated: tuple is reducible")
+        raise HypothesisViolationError("theorem hypothesis violated: tuple is reducible")
     report = analysis.preservation
-    payload = preservation_report_to_json(report)
+    identities = [identity._asdict() for identity in report.per_point_identities]
+    payload = {**vars(report), "per_point_identities": identities}  # a copy: report is frozen
     if not analysis.irreducible:
         payload["warning"] = "tuple is reducible: equality is reported but not asserted"
     _print_payload(payload, args.format, _verify_text)
@@ -322,13 +198,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_catalog(args: argparse.Namespace) -> int:
     if args.action == "list" and args.name is not None:
-        raise _CliError(EXIT_INPUT, "catalog list takes no entry name")
+        raise RigidityLabError("catalog list takes no entry name")
     if args.action == "show" and not args.name:
-        raise _CliError(EXIT_INPUT, "catalog show needs an entry name")
-    try:
-        catalog = load_catalog()
-    except CatalogError as exc:
-        raise _CliError(EXIT_INPUT, str(exc))
+        raise RigidityLabError("catalog show needs an entry name")
+    catalog = load_catalog()
     if args.action == "list":
         payload = [_entry_summary(e) for e in catalog.values()]
         _print_payload(payload, args.format, _catalog_list_text)
@@ -336,7 +209,7 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
         payload = tuple_to_json(catalog[args.name].tuple)
         _print_payload(payload, args.format, lambda p: iter([json.dumps(p)]))
     else:
-        raise _CliError(EXIT_INPUT, f"unknown catalog entry {args.name!r}")
+        raise RigidityLabError(f"unknown catalog entry {args.name!r}")
     return EXIT_OK
 
 
@@ -425,9 +298,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except ValidationError as exc:
         print(f"error: validation failure: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -6,16 +6,17 @@ equal integers.  Every computation is exact, never from floating point and
 never from eigenvalue factorization, and runs on these integers: each
 producer (products, sums, inverses, restrictions, block sums) forms its
 result's integer matrix over one common denominator and divides out one gcd.
-``Fraction``s are made only at the edges: when parsing entries, for
-``QMatrix.entries`` (printing, and callers that read entries), and in the
-polynomials of similarity invariants.  Ranks, inverses, spans and
-restrictions to invariant images come out of one fraction-free elimination
-per matrix (``Echelon``) on the rows of dA.  Centralizer dimensions, unit
-Jordan blocks and similarity are read off the invariant factors of xI - A:
-a Krylov basis of dA splits Q^n into cyclic blocks, and a Smith form over
-Q[x] runs only on the small matrix of relations between those blocks.  All
-bases are the deterministic ones produced by reduced row echelon form with
-leftmost pivots, so repeated runs are bit-identical.
+Entries are read as integer pairs (p, q); ``Fraction``s are made only at
+the edges: for parsed locations, for ``QMatrix.entries`` (printing, and
+callers that read entries), and in the polynomials of similarity
+invariants.  Ranks, inverses, spans and restrictions to invariant images
+come out of one fraction-free elimination per matrix (``Echelon``) on the
+rows of dA.  Centralizer dimensions, unit Jordan blocks and similarity are
+read off the invariant factors of xI - A: a Krylov basis of dA splits Q^n
+into cyclic blocks, and a Smith form over Q[x] runs only on the small
+matrix of relations between those blocks.  All bases are the deterministic
+ones produced by reduced row echelon form with leftmost pivots, so repeated
+runs are bit-identical.
 
 Invertibility (``QMatrix.is_invertible``) is the exact rank of dA.
 Irreducibility (``spans_full_algebra``) closes the span of the words in the
@@ -40,7 +41,6 @@ from .errors import DimensionMismatchError, InvalidMonodromyError
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-_EXACT = (int, Fraction)  # entry types taken as they are; bool is parsed, and refused
 
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
@@ -49,23 +49,30 @@ _PRIME_BITS = 31
 _PRIME = (1 << _PRIME_BITS) - 1
 
 
-def parse_rational(value: Fraction | int | str) -> Fraction:
-    """Parse the ``p/q`` serialization format: an optional sign, digits and an
-    optional ``/digits`` with a nonzero denominator, or a non-bool ``int``.
+def rational_pair(value: Fraction | int | str) -> tuple[int, int]:
+    """Read the ``p/q`` serialization format: an optional sign, digits and an
+    optional ``/digits`` with a nonzero denominator, or a ``Fraction`` or a
+    non-bool ``int``, as the integers (p, q) in lowest terms with q > 0.
 
-    Fractions pass through unchanged; anything else raises ``ValueError``.
+    Anything else raises ``ValueError``.
     """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return value.as_integer_ratio()
     match = _RATIONAL.fullmatch(value) if isinstance(value, str) else None
     if match is None:
         raise ValueError(f"not a p/q rational: {value!r}")
     numerator, denominator = match.groups()
-    if denominator is not None and not int(denominator):
+    q = int(denominator or 1)
+    if not q:
         raise ValueError(f"zero denominator in {value!r}")
-    return Fraction(int(numerator), int(denominator or 1))
+    p = int(numerator)
+    g = gcd(p, q) if q > 1 else 1  # lowest terms keep a matrix's common scale small
+    return p // g, q // g
+
+
+def parse_rational(value: Fraction | int | str) -> Fraction:
+    """``rational_pair`` as a ``Fraction``; Fractions pass through unchanged."""
+    return value if isinstance(value, Fraction) else Fraction(*rational_pair(value))
 
 
 @dataclass(frozen=True, init=False)
@@ -87,11 +94,7 @@ class QMatrix:
             raise DimensionMismatchError("matrix dimensions must be non-negative")
         if len(entries) != rows * cols:
             raise DimensionMismatchError(f"expected {rows * cols} entries, got {len(entries)}")
-        exact = [x if type(x) in _EXACT else parse_rational(x) for x in entries]
-        ratios = [x.as_integer_ratio() for x in exact]
-        scale = lcm(*(q for _, q in ratios))
-        flat = [p * (scale // q) for p, q in ratios]
-        self._store(rows, cols, [flat[i * cols : (i + 1) * cols] for i in range(rows)], scale)
+        self._store_ratios(rows, cols, [rational_pair(x) for x in entries])
 
     @classmethod
     def _integral(
@@ -110,16 +113,24 @@ class QMatrix:
         numerators = tuple(map(tuple, numerators))
         vars(self).update(rows=rows, cols=cols, numerators=numerators, denominator=denominator)
 
+    def _store_ratios(self, rows: int, cols: int, ratios: list[tuple[int, int]]):
+        """Set the fields from the entries p/q, row-major, over their lcm."""
+        scale = lcm(*(q for _, q in ratios))
+        flat = [p * (scale // q) for p, q in ratios]
+        self._store(rows, cols, [flat[i * cols : (i + 1) * cols] for i in range(rows)], scale)
+
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Fraction | int | str]]) -> "QMatrix":
         n_rows = len(rows)
         n_cols = len(rows[0]) if n_rows else 0
-        flat: list[Fraction | int] = []
+        ratios: list[tuple[int, int]] = []
         for row in rows:  # row by row: a bad entry is reported before a later ragged row
             if len(row) != n_cols:
                 raise DimensionMismatchError("ragged rows in matrix literal")
-            flat.extend(x if type(x) in _EXACT else parse_rational(x) for x in row)
-        return cls(n_rows, n_cols, flat)
+            ratios.extend(map(rational_pair, row))
+        matrix = object.__new__(cls)
+        matrix._store_ratios(n_rows, n_cols, ratios)
+        return matrix
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
@@ -162,9 +173,9 @@ class QMatrix:
         return self._combine(other, -1)
 
     def __mul__(self, scalar: Fraction | int) -> "QMatrix":
-        c = parse_rational(scalar)
-        rows = [[c.numerator * x for x in row] for row in self.numerators]
-        return QMatrix._integral(self.rows, self.cols, rows, c.denominator * self.denominator)
+        p, q = rational_pair(scalar)
+        rows = [[p * x for x in row] for row in self.numerators]
+        return QMatrix._integral(self.rows, self.cols, rows, q * self.denominator)
 
     __rmul__ = __mul__
 
@@ -226,7 +237,7 @@ def matrix_to_json(matrix: QMatrix) -> list[list[str]]:
 def jordan_block(size: int, eigenvalue: Fraction | int | str = 1) -> QMatrix:
     """Jordan block with the eigenvalue p/q on the diagonal and 1 above it:
     p on the diagonal and q above it, over q."""
-    p, q = parse_rational(eigenvalue).as_integer_ratio()
+    p, q = rational_pair(eigenvalue)
     rows = [[p if j == i else q * (j == i + 1) for j in range(size)] for i in range(size)]
     return QMatrix._integral(size, size, rows, q)
 

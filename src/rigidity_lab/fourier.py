@@ -285,16 +285,3 @@ def fourier_data_to_json(data: FourierLocalData) -> dict:
             for c in data.components
         ],
     }
-
-
-def preservation_report_to_json(report: PreservationReport) -> dict:
-    return {
-        "rig_source": report.rig_source,
-        "rig_fourier": report.rig_fourier,
-        "equal": report.equal,
-        "per_point_identities": [
-            {"point": p.point, "lhs": p.lhs, "rhs": p.rhs}
-            for p in report.per_point_identities
-        ],
-        "irregularity": report.irregularity,
-    }

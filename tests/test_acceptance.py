@@ -24,7 +24,7 @@ from rigidity_lab import (
     stationary_phase,
 )
 from rigidity_lab.catalog import load_catalog
-from rigidity_lab.cli import CampaignConfig, campaign_tuples, run_campaign
+from rigidity_lab.campaign import CampaignConfig, campaign_tuples, run_campaign
 from rigidity_lab.fourier import preservation_details
 
 from support import (

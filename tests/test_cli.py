@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from rigidity_lab import cli, exact_linalg, fourier, local_systems
+from rigidity_lab import campaign, cli, exact_linalg, fourier, local_systems
+from rigidity_lab.campaign import CampaignConfig, run_campaign
 from rigidity_lab.catalog import CATALOG_ENV_VAR, load_catalog
-from rigidity_lab.cli import CampaignConfig, main, run_campaign
+from rigidity_lab.cli import main
 from rigidity_lab.local_systems import random_tuple, tuple_from_json, tuple_to_json
 
 
@@ -437,6 +438,12 @@ class TestUnreadableInput:
         assert err.startswith(f"error: cannot read catalog file {path}: ")
 
 
+def source_env() -> dict:
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 class TestClosedStdout:
     # the reading end of the pipe is closed before the CLI writes: a short
     # output (the catalog listing) and a long one (a transform whose zero
@@ -447,8 +454,6 @@ class TestClosedStdout:
         if command == "fourier":
             document = tuple_to_json(random_tuple(4, 16, seed=1))
             argv = ["fourier", "--input", write_json(tmp_path, "t.json", document)]
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
@@ -456,7 +461,7 @@ class TestClosedStdout:
                 [sys.executable, "-m", "rigidity_lab.cli", *argv],
                 stdout=write_end,
                 stderr=subprocess.PIPE,
-                env=env,
+                env=source_env(),
                 timeout=120,
             )
         finally:
@@ -498,6 +503,51 @@ class TestArguments:
         assert results[2:] == results[:2]
         assert [code for code, _, _ in results] == [0, 2, 0, 2]
         assert cli.build_parser() is cli.build_parser()
+
+
+# (argv, catalog directory, start of stderr, exit code); "{tmp}" is the test's
+# directory, and a start that ends in a newline is the whole stderr line
+ERROR_LINES = {
+    "verify-without-source": (
+        ["verify"], None, "error: verify needs --input PATH or --random\n", 2
+    ),
+    "show-without-name": (
+        ["catalog", "show"], None, "error: catalog show needs an entry name\n", 2
+    ),
+    "show-unknown-name": (
+        ["catalog", "show", "nosuch"], None, "error: unknown catalog entry 'nosuch'\n", 2
+    ),
+    "missing-catalog-directory": (
+        ["catalog", "list"],
+        "{tmp}/missing",
+        "error: catalog directory {tmp}/missing does not exist\n",
+        2,
+    ),
+    "unreadable-input": (
+        ["rig", "--input", "{tmp}/absent.json"], None, "error: cannot read input file: ", 2
+    ),
+    "reducible-without-force": (
+        ["verify", "--input", "{tmp}/red.json"],
+        None,
+        "error: theorem hypothesis violated: tuple is reducible\n",
+        4,
+    ),
+}
+
+
+class TestErrorLines:
+    @pytest.mark.parametrize("case", list(ERROR_LINES))
+    def test_one_line_and_exit_code(self, capsys, tmp_path, monkeypatch, case):
+        argv, directory, start, expected_code = ERROR_LINES[case]
+        write_json(tmp_path, "red.json", REDUCIBLE_DIAGONAL)
+        monkeypatch.delenv(CATALOG_ENV_VAR, raising=False)
+        if directory is not None:
+            monkeypatch.setenv(CATALOG_ENV_VAR, directory.format(tmp=tmp_path))
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (expected_code, "")
+        assert err.startswith(start.format(tmp=tmp_path))
+        assert err.endswith("\n") and err.count("\n") == 1
 
 
 def with_identity_at_infinity(payload):
@@ -648,7 +698,7 @@ class TestInternalFailures:
 
     def test_generation_exhausted_exit_5(self, capsys, monkeypatch):
         reducible = tuple_from_json(REDUCIBLE_DIAGONAL)
-        monkeypatch.setattr(cli, "random_tuple", lambda rank, k, seed: reducible)
+        monkeypatch.setattr(campaign, "random_tuple", lambda rank, k, seed: reducible)
         code, out, err = run_cli(capsys, "verify", "--random", "--trials", "1")
         assert code == 5
         assert out == ""
@@ -666,3 +716,20 @@ class TestCampaignInternals:
         assert result.all_equal
         # each trial checks every finite point, infinity, and the kernel rule
         assert result.identity_checks >= 5 * 3
+
+    def test_campaign_runs_without_the_cli(self):
+        script = (
+            "import sys\n"
+            "from rigidity_lab.campaign import CampaignConfig, run_campaign\n"
+            "result = run_campaign(CampaignConfig(trials=2, max_rank=2, max_points=2, seed=0))\n"
+            "print(result.trials_run, 'rigidity_lab.cli' in sys.modules)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=source_env(),
+            timeout=120,
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout == "2 False\n"

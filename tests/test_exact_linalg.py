@@ -19,6 +19,7 @@ from rigidity_lab.exact_linalg import (
     matrix_to_json,
     parse_rational,
     polynomial_to_string,
+    rational_pair,
     restrict_to_image,
     similar,
     spans_full_algebra,
@@ -166,6 +167,15 @@ class TestQMatrix:
         assert parse_rational("-3/6") == Fraction(-1, 2)
         assert parse_rational("+4/2") == 2
 
+    def test_rational_pairs_are_in_lowest_terms(self):
+        assert rational_pair("-6/4") == (-3, 2)
+        assert rational_pair("+4/2") == (2, 1)
+        assert rational_pair("0/7") == (0, 1)
+        assert rational_pair(Fraction(3, 6)) == (1, 2)
+        assert rational_pair(-5) == (-5, 1)
+        with pytest.raises(ValueError, match="^not a p/q rational: True$"):
+            rational_pair(True)
+
     def test_matrix_from_json_rejects_garbage(self):
         with pytest.raises(ValueError, match="^bad matrix entry: ragged rows in matrix literal$"):
             _bounded_matrix([["1", "2"], ["3"]])
@@ -173,6 +183,9 @@ class TestQMatrix:
             _bounded_matrix("nope")
         with pytest.raises(ValueError, match="^bad matrix entry: zero denominator in '1/0'$"):
             _bounded_matrix([["1/0"]])
+        # a bad entry is reported before a later ragged row
+        with pytest.raises(ValueError, match="^bad matrix entry: not a p/q rational: 'x'$"):
+            _bounded_matrix([["x", "2"], ["3"]])
 
 
 # a shape up to 4 x 4 (0 x 0 and 1 x 1 included) and the entries of two
