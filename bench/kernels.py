@@ -47,10 +47,12 @@ reference routes from ``tests/support.py``.  Each figure is the median of
   already computed for the point at infinity, are not timed.
 - ``kernel_table``: each kernel of ``KERNELS`` (``QMatrix.from_rows``,
   ``@``, ``matrix_rank``, which ``is_invertible`` compares with n,
-  ``_rank_factorization``, ``QMatrix.inverse`` and ``restrict_to_image`` at
-  power 1) against its oracle in ``support``, the same job on ``Fraction``
-  entries, whose answer must agree, on its families at their sizes in
-  ``TABLE_FAMILIES``: ``dense`` and ``zero_monodromy``, as above,
+  ``_rank_factorization``, ``QMatrix.inverse``, ``restrict_to_image`` at
+  power 1 and ``centralizer_dimension``) against its oracle in ``support``,
+  the same job on ``Fraction`` entries (for ``centralizer_dimension``, the
+  nullity of the n^2 x n^2 commutation system), whose answer must agree, on
+  its families at their sizes in ``TABLE_FAMILIES``, up to
+  ``KERNEL_MAX_N``: ``dense`` and ``zero_monodromy``, as above,
   ``singular``, a dense matrix whose last row is the sum of the others,
   ``large_entries``, with 64-bit numerators and denominators, and
   ``integer``, invertible with entries in [-2, 2], as ``random_tuple``
@@ -107,6 +109,7 @@ from rigidity_lab.exact_linalg import QMatrix, block_diag, jordan_block  # noqa:
 from rigidity_lab.local_systems import random_tuple, tuple_to_json  # noqa: E402
 from support import (  # noqa: E402
     closes_full_span_mod_p,
+    commutation_centralizer_dimension,
     fraction_inverse,
     fraction_rank,
     fraction_rank_factorization,
@@ -355,7 +358,16 @@ KERNELS = {
     "restrict_to_image": (
         "matrix", exact_linalg.restrict_to_image, fraction_restriction, ("integer", "dense")
     ),
+    "centralizer_dimension": (
+        "matrix",
+        exact_linalg.centralizer_dimension,
+        commutation_centralizer_dimension,
+        ("integer", "dense", "zero_monodromy"),
+    ),
 }
+# kernel: largest n, where the oracle grows too fast for TABLE_SIZES; the
+# commutation system has n^2 unknowns, and its rank took 15 s at dense n = 16
+KERNEL_MAX_N = {"centralizer_dimension": 16}
 
 
 def kernel_row(kernel: str, family: str, n: int, runs: int) -> dict:
@@ -394,6 +406,7 @@ def kernel_rows(runs: int) -> list[dict]:
         for kernel, (*_, families) in KERNELS.items()
         for family in families
         for n in TABLE_FAMILIES[family][1]
+        if n <= KERNEL_MAX_N.get(kernel, n)
     ]
 
 
@@ -522,8 +535,8 @@ def main() -> None:
         },
         "kernel_table": {
             "what": "matrix kernels of KERNELS on the stored integers (from_rows, @, rank, "
-            "rank factorization, inverse, restrict_to_image at power 1) vs support's "
-            "Fraction routes (oracle)",
+            "rank factorization, inverse, restrict_to_image at power 1, centralizer_dimension) "
+            "vs support's Fraction routes and the commutation system (oracles)",
             "unit": "ms, median of runs",
             "runs": args.runs,
             "rows": kernel_rows(args.runs),

@@ -185,8 +185,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if not args.input:
         raise RigidityLabError("verify needs --input PATH or --random")
     analysis = _load_analysis(args.input)
-    if not analysis.irreducible and not args.force:
-        raise HypothesisViolationError("theorem hypothesis violated: tuple is reducible")
+    analysis.require_irreducible(args.force)
     report = analysis.preservation
     identities = [identity._asdict() for identity in report.per_point_identities]
     payload = {**vars(report), "per_point_identities": identities}  # a copy: report is frozen

@@ -11,12 +11,12 @@ the edges: for parsed locations, for ``QMatrix.entries`` (printing, and
 callers that read entries), and in the polynomials of similarity
 invariants.  Ranks, inverses, spans and restrictions to invariant images
 come out of one fraction-free elimination per matrix (``Echelon``) on the
-rows of dA.  Centralizer dimensions, unit Jordan blocks and similarity are
-read off the invariant factors of xI - A: a Krylov basis of dA splits Q^n
-into cyclic blocks, and a Smith form over Q[x] runs only on the small
-matrix of relations between those blocks.  All bases are the deterministic
-ones produced by reduced row echelon form with leftmost pivots, so repeated
-runs are bit-identical.
+rows of dA.  A centralizer dimension is n when one Krylov spin of dA
+reaches n vectors; otherwise it, unit Jordan blocks and similarity are read
+off the invariant factors of xI - A: a Krylov basis of dA splits Q^n into
+cyclic blocks, and a Smith form over Q[x] runs only on the small matrix of
+relations between those blocks.  All bases are the deterministic ones from
+reduced row echelon form with leftmost pivots, so runs are bit-identical.
 
 Invertibility (``QMatrix.is_invertible``) is the exact rank of dA.
 Irreducibility (``spans_full_algebra``) closes the span of the words in the
@@ -493,6 +493,8 @@ def spans_full_algebra(generators: Sequence[QMatrix]) -> bool:
     closure stalls below n^2 does the closure over Q decide.
     """
     n = generators[0].rows
+    if len(generators) == 1:  # Q[A] has dimension at most n < n^2 once n > 1
+        return n <= 1
     rows = [g.numerators for g in generators]
     return _closes_mod_p(rows, n) or _closes_exact(rows, n)
 
@@ -519,7 +521,7 @@ def restrict_to_image(matrix: QMatrix, power: int = 1) -> QMatrix:
     From e on, the largest unit Jordan block of A, neither the image nor the
     row space of (A - 1)^power changes, so neither does the result: A on the
     A-invariant complement of the generalized eigenspace for 1, with no
-    eigenvalue 1.  At power 0 the result is A itself.
+    eigenvalue 1.  At power 0 or full rank of (A - 1)^power it is A itself.
 
     (dA - dI)^power is a nonzero multiple of (A - 1)^power, formed and
     eliminated on integers; its RREF rows / D times the columns of dA at the
@@ -535,6 +537,8 @@ def restrict_to_image(matrix: QMatrix, power: int = 1) -> QMatrix:
     for _ in range(power - 1):
         image = [[sum(map(mul, row, column)) for column in shifted_columns] for row in image]
     basis = _echelon(image, matrix.cols)
+    if len(basis) == matrix.cols:  # pivots at every column, W = I: the result is A
+        return matrix
     columns = [[row[p] for row in rows] for p in basis.pivots]
     common, reduced = basis.reduced_rows()
     entries = [[sum(map(mul, row, column)) for column in columns] for row in reduced]
@@ -870,8 +874,16 @@ def invariant_factors(matrix: QMatrix) -> SimilarityInvariant:
 
 
 def centralizer_dimension(matrix: QMatrix) -> int:
-    """Dimension of the space of matrices commuting with ``matrix``, read off
-    its invariant factor degrees."""
+    """Dimension of the space of matrices commuting with ``matrix``: n if one
+    Krylov spin of e_n under dA, as ``_relation_matrix`` starts, reaches n
+    vectors (A is cyclic), else read off the invariant factor degrees."""
+    n, rows = matrix.rows, matrix.numerators
+    if matrix.is_square:
+        basis, vector = Echelon(n), [int(j == n - 1) for j in range(n)]
+        while basis.add(vector) and len(basis) < n:
+            vector = [sum(map(mul, row, vector)) for row in rows]
+        if len(basis) == n:
+            return n
     return invariant_factors(matrix).centralizer_dimension
 
 

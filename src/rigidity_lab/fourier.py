@@ -83,14 +83,21 @@ class TupleAnalysis:
     Construction validates the tuple.  Every other attribute is computed on
     first use and cached, so asking for the rigidity index never pays for
     the transform, and the identities reuse the centralizer dimensions that
-    the two indices were summed from.  Invariant factors are computed once
-    per matrix role; those at infinity also give the unit Jordan blocks and
-    the invariants of the zero monodromy.
+    the two indices were summed from.  Invariant factors are computed at most
+    once per matrix; those at infinity also give the unit Jordan blocks and
+    the zero monodromy's.  A component equal to its point's matrix, as when
+    rank(A - 1) = n, reuses its centralizer dimension, and T on im(T - 1), if
+    equal to A_inf, is similar to it without being factored.
     """
 
     def __init__(self, t: MonodromyTuple):
         validate(t)
         self.tuple = t
+
+    def require_irreducible(self, force: bool = False) -> None:
+        """The theorem's hypothesis: refuse a reducible tuple unless forced."""
+        if not force and not self.irreducible:
+            raise HypothesisViolationError("theorem hypothesis violated: tuple is reducible")
 
     @cached_property
     def irreducible(self) -> bool:
@@ -167,7 +174,8 @@ class TupleAnalysis:
         restricted_zero = restrict_to_image(zero_monodromy)
         if restricted_zero.rows != n:
             raise InternalError("reconstruction failed the kernel-dimension check")
-        if invariant_factors(restricted_zero) != self.infinity_invariants:
+        similar = restricted_zero == t.infinity_matrix  # as when A_inf has no eigenvalue 1
+        if not similar and invariant_factors(restricted_zero) != self.infinity_invariants:
             raise InternalError("reconstruction failed the restriction similarity check")
 
         return FourierLocalData(
@@ -178,8 +186,10 @@ class TupleAnalysis:
 
     @cached_property
     def component_centralizer_dims(self) -> tuple[int, ...]:
+        points = zip(self.tuple.finite_points, self.local_data.components, self.centralizer_dims)
         return tuple(
-            centralizer_dimension(c.regular_monodromy) for c in self.local_data.components
+            source if c.regular_monodromy == a else centralizer_dimension(c.regular_monodromy)
+            for (_, a), c, source in points
         )
 
     @cached_property
@@ -267,8 +277,7 @@ def preservation_details(
     together with the local data it was computed from.
     """
     analysis = TupleAnalysis(t)
-    if not force and not analysis.irreducible:
-        raise HypothesisViolationError("theorem hypothesis violated: tuple is reducible")
+    analysis.require_irreducible(force)
     return analysis.preservation, analysis.local_data
 
 

@@ -13,6 +13,8 @@ from rigidity_lab.catalog import CATALOG_ENV_VAR, load_catalog
 from rigidity_lab.cli import main
 from rigidity_lab.local_systems import random_tuple, tuple_from_json, tuple_to_json
 
+from support import span_closure_dimension
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -610,17 +612,24 @@ def count_calls(monkeypatch, module, name):
 
 
 class TestComputeOnce:
-    # (command, invariant-factor calls, restrictions) for k finite points:
+    # (command, invariant-factor calls, restrictions) for k = 3 finite points:
     # rig needs the k + 1 source matrices and nothing of the transform;
     # fourier restricts the k components to im(A - 1), A_inf to its non-unit
     # part and the zero monodromy of the self-check, whose one restriction
-    # also gives the kernel-dimension check, and factors the k components,
-    # A_inf for its unit blocks and the restricted zero monodromy; the zero
-    # monodromy's invariants are composed from A_inf's, not factored; verify
-    # factors every matrix role once, A_inf serving both sides.
+    # also gives the kernel-dimension check; verify does both.  Only two
+    # matrices are factored, each once: diag(2, 1), whose e_2 is an
+    # eigenvector, so the cyclic certificate's spin stops early, and A_inf,
+    # whose factors serve both sides.  The other two points are certified
+    # cyclic; the components are 1 x 1, so cyclic, or equal to their point's
+    # matrix (rank(A - 1) = n), which lends its dimension; the restricted
+    # zero monodromy equals A_inf, which has no eigenvalue 1, so the
+    # similarity self-check factors nothing; the zero monodromy's invariants
+    # are composed from A_inf's.  Before these shortcuts the counts were 4, 5
+    # and 8: one factorization per matrix role.
     @pytest.mark.parametrize(
         "command, factorizations, restrictions",
-        [("rig", 4, 0), ("fourier", 5, 5), ("verify", 8, 5)],
+        [("rig", 2, 0), ("fourier", 2, 5), ("verify", 2, 5)],
+        ids=["rig", "fourier", "verify"],
     )
     def test_single_tuple_op(
         self, capsys, tmp_path, monkeypatch, command, factorizations, restrictions
@@ -672,11 +681,19 @@ class TestComputeOnce:
         validate = count_calls(monkeypatch, local_systems, "validate")
         closure = count_calls(monkeypatch, exact_linalg, "spans_full_algebra")
         exact = count_calls(monkeypatch, exact_linalg, "_closes_exact")
-        code, _, _ = run_cli(capsys, "verify", "--random", "--trials", "10", "--seed", "5")
+        # seed 43 draws reducible tuples on one finite point and on several
+        code, _, _ = run_cli(capsys, "verify", "--random", "--trials", "10", "--seed", "43")
         assert code == 0
         assert len(validate) == len(closure) == len(draws) >= 10
-        # only the reducible draws, redrawn, need the exact closure
-        assert len(exact) == len(draws) - 10
+        reducible = [
+            k
+            for rank, k, seed in draws
+            if span_closure_dimension(random_tuple(rank, k, seed).matrices()) < rank * rank
+        ]
+        assert len(reducible) == len(draws) - 10
+        # one generator spans at most Q[A], so no closure runs for it; only
+        # the reducible draws on several points need the exact closure
+        assert 0 < len(exact) == sum(k >= 2 for k in reducible) < len(reducible)
 
 
 class TestInternalFailures:
@@ -695,6 +712,24 @@ class TestInternalFailures:
         assert code == cli.EXIT_INTERNAL == 5
         assert out == ""
         assert err == "error: internal failure: reconstruction failed the kernel-dimension check\n"
+
+    def test_failed_similarity_check_exit_5(self, capsys, tmp_path, monkeypatch):
+        path = write_json(tmp_path, "t.json", FOURPOINT2)
+        # a restriction of T of the right size, rank x rank, with twice the
+        # eigenvalues, so not similar to A_inf
+        restrict = fourier.restrict_to_image
+
+        def broken(matrix, power=1):
+            restricted = restrict(matrix, power)
+            return 2 * restricted if matrix.rows > FOURPOINT2["rank"] else restricted
+
+        monkeypatch.setattr(fourier, "restrict_to_image", broken)
+        code, out, err = run_cli(capsys, "fourier", "--input", path)
+        assert code == cli.EXIT_INTERNAL == 5
+        assert out == ""
+        assert err == (
+            "error: internal failure: reconstruction failed the restriction similarity check\n"
+        )
 
     def test_generation_exhausted_exit_5(self, capsys, monkeypatch):
         reducible = tuple_from_json(REDUCIBLE_DIAGONAL)

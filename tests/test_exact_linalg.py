@@ -449,6 +449,41 @@ class TestCentralizer:
             p = random_invertible(rng, n)
             assert centralizer_dimension(conjugate(m, p)) == centralizer_dimension(m)
 
+    def test_cyclic_certificate_matches_commutation_system(self, monkeypatch):
+        # The spin of e_n certifies dimension n without invariant factors;
+        # every other matrix falls back to them.  Derogatory matrices, and
+        # cyclic ones whose e_n spins to fewer than n vectors, fall back.
+        rng = random.Random(29)
+        upper = lambda n: QMatrix.from_rows([[int(j >= i) for j in range(n)] for i in range(n)])
+        cyclic = [zeros(0, 0), QMatrix.from_rows([[3]]), QMatrix.from_rows([["-1/2"]])]
+        cyclic += [conjugate(jordan_block(n, 2), upper(n)) for n in range(2, 7)]
+        # prescribed unit blocks, derogatory in 8 of 30; these and plain
+        # draws take either route
+        derogatory = [random_unit_mixed_matrix(rng, 6)[0] for _ in range(30)]
+        drawn = [random_invertible(rng, n) for n in (2, 3, 4, 5) for _ in range(5)]
+        # cyclic, but e_n is an eigenvector (distinct diagonal entries, a
+        # lower Jordan block) or spins to fewer than n vectors (5 + J_2(2))
+        early = [QMatrix.diagonal(range(1, n + 1)) for n in (2, 3, 5)]
+        lower_jordan = [[int(i == j + 1) + 2 * (i == j) for j in range(4)] for i in range(4)]
+        early += [QMatrix.from_rows(lower_jordan)]
+        early += [block_diag([QMatrix.from_rows([[5]]), jordan_block(2, 2)])]
+        calls = []
+        original = exact_linalg.invariant_factors
+        monkeypatch.setattr(
+            exact_linalg, "invariant_factors", lambda m: calls.append(m) or original(m)
+        )
+        for m in cyclic + derogatory + early + drawn:
+            calls.clear()
+            expected = commutation_centralizer_dimension(m)
+            assert centralizer_dimension(m) == expected, m
+            if m in cyclic:
+                assert expected == m.rows and calls == []
+            elif m in early:
+                assert expected == m.rows and calls == [m]
+            elif expected > m.rows:  # derogatory: no spin reaches n
+                assert calls == [m]
+        assert sum(commutation_centralizer_dimension(m) > m.rows for m in derogatory) >= 5
+
     def test_large_matrix_route_matches_commutation_system(self):
         # The invariant-factor kernel, at every size 1..10, against the
         # nullity of the commutation system, reduced once by the library's
@@ -654,6 +689,23 @@ class TestRestriction:
             else:
                 assert restrict_to_image(m, 0) == m
 
+    def test_full_rank_returns_the_argument(self):
+        # rank((A - 1)^power) = n: the pivots are every column, W = I, and
+        # W A[:, pivots] is A, returned without a product
+        rng = random.Random(83)
+        cases = [QMatrix.diagonal([2, 3, "1/2"]), jordan_block(4, -1), QMatrix.from_rows([[5]])]
+        while len(cases) < 20:
+            m = random_invertible(rng, rng.randint(2, 6))
+            if (m - QMatrix.identity(m.rows)).is_invertible():
+                cases.append(m)
+        for m in cases:
+            for power in (1, 2, m.rows):
+                assert restrict_to_image(m, power) is m
+                assert m == restriction_oracle(m, power)
+        # rank(A - 1) < n keeps the product route
+        m = block_diag([J2, QMatrix.from_rows([[3]])])
+        assert restrict_to_image(m).rows == 2 and restrict_to_image(m) == restriction_oracle(m, 1)
+
     def test_one_elimination_per_restriction(self, monkeypatch):
         m = random_unit_mixed_matrix(random.Random(73), 6)[0]
         calls = []
@@ -827,6 +879,20 @@ class TestSpanClosure:
         # the certificate settles every full span; only the others run exactly
         assert passes.count("_closes_mod_p") == 20
         assert passes.count("_closes_exact") == not_full
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_single_generator_needs_no_closure(self, monkeypatch, n):
+        # one matrix generates Q[A], of dimension at most n < n^2 once n > 1
+        passes = []
+        for name in ("_closes_mod_p", "_closes_exact"):
+            monkeypatch.setattr(exact_linalg, name, lambda *args, f=name: passes.append(f))
+        rng = random.Random(n)
+        cases = [QMatrix.identity(n), jordan_block(n, 2)]
+        cases += [random_invertible(rng, n) for _ in range(5)]
+        for m in cases:
+            assert spans_full_algebra([m]) is (n <= 1)
+            assert span_closure_dimension([m]) <= n
+        assert passes == []
 
 
 def _generator_sets(entries, reducible: bool = False):

@@ -29,7 +29,12 @@ from rigidity_lab.local_systems import (
     rigidity_index,
 )
 
-from support import conjugate, fraction_rank, random_invertible
+from support import (
+    commutation_centralizer_dimension,
+    conjugate,
+    fraction_rank,
+    random_invertible,
+)
 
 J2 = QMatrix.from_rows([[1, 1], [0, 1]])
 
@@ -152,9 +157,48 @@ class TestStationaryPhase:
         assert e < t.rank
         assert [args[1:] for args in restricted] == [()] * k + [(e,), ()]
         assert [args[0] for args in restricted].count(data.zero_monodromy) == 1
-        assert len(factored) == 2 and (data.zero_monodromy,) not in factored
+        # A_inf only: it has no eigenvalue 1 here (e = 0), so T restricted to
+        # im(T - 1) is A_inf itself, similar without being factored
+        assert e == 0
+        assert factored == [(t.infinity_matrix,)]
         # the components and T are invertible by construction: no check
         assert inverted == []
+
+    def test_tuple_decided_shortcuts(self, monkeypatch):
+        """The similarity self-check factors T restricted to im(T - 1) only
+        when it is not A_inf itself, and a component equal to its point's
+        matrix, which ``restrict_to_image`` then returns as is, takes that
+        point's centralizer dimension; both against the commutation system."""
+        m = QMatrix.from_rows([[2, 1], [0, 3]])
+        # A_inf = J_2(1), which T restricted to im(T - 1) equals, and a conjugate
+        unipotent = [
+            monodromy_tuple(2, [(0, m), (1, m.inverse() @ conjugate(J2, p).inverse())])
+            for p in (QMatrix.identity(2), QMatrix.from_rows([[1, 0], [1, 1]]))
+        ]
+        rng = random.Random(103)
+        tuples = [*unipotent, rank1("2", "1/2")] + [
+            random_tuple(rng.randint(1, 4), rng.randint(1, 4), rng.getrandbits(32))
+            for _ in range(30)
+        ]
+        calls, original = [], fourier.invariant_factors
+        monkeypatch.setattr(fourier, "invariant_factors", lambda a: calls.append(a) or original(a))
+        factored_zero, reused = 0, 0
+        for t in tuples:
+            analysis = TupleAnalysis(t)
+            calls.clear()
+            try:
+                data = analysis.local_data
+            except NonRealizableError:
+                continue
+            restricted = restrict_to_image(data.zero_monodromy)
+            similar_unfactored = restricted == t.infinity_matrix
+            assert calls == [t.infinity_matrix] + ([] if similar_unfactored else [restricted])
+            factored_zero += len(calls) - 1
+            dims = analysis.component_centralizer_dims
+            for (_, a), c, dim in zip(t.finite_points, data.components, dims):
+                assert dim == commutation_centralizer_dimension(c.regular_monodromy)
+                reused += c.regular_monodromy is a
+        assert factored_zero >= 1 and reused >= 10
 
     def test_non_realizable_rejected(self):
         t = monodromy_tuple(2, [(0, J2)])
@@ -214,6 +258,13 @@ class TestPreservation:
         )
         with pytest.raises(HypothesisViolationError, match="theorem hypothesis violated"):
             preservation_details(t)
+        # the one home of the refusal, which the CLI's verify calls too
+        analysis = TupleAnalysis(t)
+        message = "^theorem hypothesis violated: tuple is reducible$"
+        with pytest.raises(HypothesisViolationError, match=message):
+            analysis.require_irreducible()
+        analysis.require_irreducible(force=True)
+        TupleAnalysis(rank1("2", "3")).require_irreducible()
         report = preservation_details(t, force=True)[0]
         assert report.equal == (report.rig_source == report.rig_fourier)
 
