@@ -11,10 +11,12 @@ reference routes from ``tests/support.py``.  Each figure is the median of
 
 - ``kernels``: for each rank n = 2..16, two fixed-seed tuples, a
   hypergeometric (Levelt) tuple (C_f, C_f^-1 C_g; C_g^-1) with
-  g = (x - 1)^n and a dense random tuple on three finite points, and the
-  times of the closures of ``exact_linalg`` on the integer rows of its
-  matrices: the certificate mod 2^31 - 1 (``_closes_mod_p``, vectors packed
-  into integers) against ``support.closes_full_span_mod_p`` (the same
+  g = (x - 1)^n (``support.levelt_tuple``) and a dense random tuple on three
+  finite points, and the times of the closures of ``exact_linalg`` on the
+  integer rows of its matrices: the certificate mod the Mersenne prime
+  2^19 - 1, the largest below CPython's 2^30 digit, so that residues and
+  pivot inverses are single digits (``_closes_mod_p``, vectors packed into
+  integers) against ``support.closes_full_span_mod_p`` (the same
   closure mod the same prime, one entry at a time), whose answers must
   agree, and, for n = 2..8 only, the exact pass over Q (``_closes_exact``),
   which grows as n^6; the conversion to integer rows, shared by all, is not
@@ -90,7 +92,6 @@ import sys
 import tempfile
 import time
 from fractions import Fraction
-from math import comb
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -114,30 +115,12 @@ from support import (  # noqa: E402
     fraction_rank,
     fraction_rank_factorization,
     fraction_restriction,
+    levelt_tuple,
     loop_matmul,
     random_invertible,
     restriction_oracle,
     smith_invariant_factors,
 )
-
-
-def companion(coeffs: list[int]) -> QMatrix:
-    """Companion matrix of x^n + c_{n-1} x^{n-1} + ... + c_0."""
-    n = len(coeffs)
-    return QMatrix.from_rows(
-        [[int(j == i - 1) - (coeffs[i] if j == n - 1 else 0) for j in range(n)] for i in range(n)]
-    )
-
-
-def levelt_generators(n: int, seed: int) -> list[QMatrix]:
-    rng = random.Random(seed)
-    while True:
-        f = [rng.randint(-3, 3) for _ in range(n)]
-        if f[0] and 1 + sum(f):  # C_f invertible, f and (x - 1)^n coprime
-            break
-    g = [(-1) ** (n - k) * comb(n, k) for k in range(n)]
-    cf, cg = companion(f), companion(g)
-    return [cf, cf.inverse() @ cg, cg.inverse()]
 
 
 def dense_matrix(rng: random.Random, n: int) -> QMatrix:
@@ -234,7 +217,7 @@ def closure_rows(runs: int) -> list[dict]:
     rows = []
     for n in CLOSURE_RANKS:
         families = {
-            "levelt": levelt_generators(n, seed=n),
+            "levelt": levelt_tuple(n, seed=n).matrices(),
             "dense": random_tuple(n, 3, seed=n).matrices(),
         }
         for family, generators in families.items():
@@ -506,7 +489,7 @@ def main() -> None:
     result = {
         "environment": environment(),
         "kernels": {
-            "what": "span closure of the tuple's integer matrices: the certificate mod 2^31 - 1 "
+            "what": "span closure of the tuple's integer matrices: the certificate mod 2^19 - 1 "
             "on packed vectors vs the same closure entry by entry (oracle), and the pass "
             "over Q up to rank 8",
             "unit": "ms, median of runs",

@@ -20,9 +20,11 @@ reduced row echelon form with leftmost pivots, so runs are bit-identical.
 
 Invertibility (``QMatrix.is_invertible``) is the exact rank of dA.
 Irreducibility (``spans_full_algebra``) closes the span of the words in the
-integer matrices dA: first mod the prime p = 2^31 - 1, each vector packed
-into one integer, as a certificate, and over Q only when that falls short;
-``spans_full_algebra`` says why the certificate is sound.
+integer matrices dA: first mod the Mersenne prime p = 2^19 - 1, each vector
+packed into one integer, as a certificate, and over Q only when that falls
+short; ``spans_full_algebra`` says why the certificate is sound.  p is the
+largest Mersenne prime below 2^30, CPython's digit size, so each residue
+and pivot inverse is one digit and each packed slot stays narrow.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ _ONE = Fraction(1)
 
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
-# The Mersenne prime 2^31 - 1, modulus of the irreducibility certificate.
-_PRIME_BITS = 31
+# The Mersenne prime 2^19 - 1, modulus of the irreducibility certificate.
+_PRIME_BITS = 19
 _PRIME = (1 << _PRIME_BITS) - 1
 
 
@@ -427,10 +429,12 @@ def _closes_mod_p(generators: list[Sequence[Sequence[int]]], n: int) -> bool:
     row l of E; clearing a basis row's pivot slot, of value 1, is
     v += (p - c) row.  Products' slots are below n p^2 and each of at most
     n^2 clearings adds less than p^2, so slots stay below (n + n^2 + 2) p^2
-    <= 2^B: no carries.  As p = 2^31 - 1, folding the bits of each slot
-    above 31 onto its low ones keeps it mod p; once every slot is at most
-    p, a +1 carrying into bit 31 marks the slots equal to p, set to 0.  The
-    basis rows, canonical with pivot 1, are the elements multiplied on.
+    <= 2^B: no carries.  For p = 2^bits - 1, 2^bits = 1 mod p, so folding
+    the bits of each slot above ``bits`` onto its low ones keeps it mod p;
+    once every slot is at most p, a +1 carrying into bit ``bits`` marks the
+    slots equal to p, set to 0.  With bits = 19, c, p - c and the pivot
+    inverses are single CPython digits, and B is 45 at n = 8, 47 at n = 16.
+    The basis rows, canonical with pivot 1, are the elements multiplied on.
     """
     p, bits, target = _PRIME, _PRIME_BITS, n * n
     width = ((n + target + 2) * p * p).bit_length()  # B

@@ -85,14 +85,21 @@ class TupleAnalysis:
     the transform, and the identities reuse the centralizer dimensions that
     the two indices were summed from.  Invariant factors are computed at most
     once per matrix; those at infinity also give the unit Jordan blocks and
-    the zero monodromy's.  A component equal to its point's matrix, as when
-    rank(A - 1) = n, reuses its centralizer dimension, and T on im(T - 1), if
-    equal to A_inf, is similar to it without being factored.
+    the zero monodromy's.  A centralizer dimension is computed once per
+    distinct matrix, shared by equal points and by a component equal to its
+    point's matrix (rank(A - 1) = n), and T on im(T - 1), if equal to A_inf,
+    is similar to it without being factored.
     """
 
     def __init__(self, t: MonodromyTuple):
         validate(t)
         self.tuple = t
+        self._centralizer_dims: dict[QMatrix, int] = {}
+
+    def _centralizer_dim(self, a: QMatrix) -> int:
+        if a not in self._centralizer_dims:
+            self._centralizer_dims[a] = centralizer_dimension(a)
+        return self._centralizer_dims[a]
 
     def require_irreducible(self, force: bool = False) -> None:
         """The theorem's hypothesis: refuse a reducible tuple unless forced."""
@@ -113,7 +120,7 @@ class TupleAnalysis:
     @cached_property
     def centralizer_dims(self) -> tuple[int, ...]:
         """Source centralizer dimensions, finite points first, infinity last."""
-        finite = (centralizer_dimension(a) for _, a in self.tuple.finite_points)
+        finite = (self._centralizer_dim(a) for _, a in self.tuple.finite_points)
         return (*finite, self.infinity_invariants.centralizer_dimension)
 
     @cached_property
@@ -186,11 +193,7 @@ class TupleAnalysis:
 
     @cached_property
     def component_centralizer_dims(self) -> tuple[int, ...]:
-        points = zip(self.tuple.finite_points, self.local_data.components, self.centralizer_dims)
-        return tuple(
-            source if c.regular_monodromy == a else centralizer_dimension(c.regular_monodromy)
-            for (_, a), c, source in points
-        )
+        return tuple(self._centralizer_dim(c.regular_monodromy) for c in self.local_data.components)
 
     @cached_property
     def zero_invariants(self) -> SimilarityInvariant:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from bisect import bisect
 from fractions import Fraction
+from math import comb
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -31,6 +32,7 @@ from rigidity_lab.exact_linalg import (
     jordan_block,
     matrix_rank,
 )
+from rigidity_lab.local_systems import MonodromyTuple, monodromy_tuple
 
 
 def zeros(rows: int, cols: int) -> QMatrix:
@@ -119,6 +121,31 @@ def random_unit_mixed_matrix(rng: random.Random, max_size: int) -> tuple[QMatrix
     base = block_diag(blocks)
     p = random_invertible(rng, n)
     return conjugate(base, p), sorted(sizes, reverse=True)
+
+
+def companion(coeffs: Sequence[int]) -> QMatrix:
+    """Companion matrix of x^n + c_{n-1} x^{n-1} + ... + c_0."""
+    n = len(coeffs)
+    return QMatrix.from_rows(
+        [[int(j == i - 1) - (coeffs[i] if j == n - 1 else 0) for j in range(n)] for i in range(n)]
+    )
+
+
+def levelt_tuple(n: int, seed: int) -> MonodromyTuple:
+    """The hypergeometric (Levelt) tuple (C_f, C_f^-1 C_g; C_g^-1) of rank n
+    (Beukers-Heckman, Invent. Math. 95, 1989) with g = (x - 1)^n, so A_inf
+    is one unipotent Jordan block.  f has coefficients in [-3, 3], drawn from
+    ``random.Random(seed)`` until f(0) f(1) != 0: C_f is invertible and f is
+    coprime to g, which makes the tuple irreducible.  A_inf is derived from
+    the relation, so it equals C_g^-1."""
+    rng = random.Random(seed)
+    while True:
+        f = [rng.randint(-3, 3) for _ in range(n)]
+        if f[0] and 1 + sum(f):
+            break
+    g = [(-1) ** (n - k) * comb(n, k) for k in range(n)]
+    cf, cg = companion(f), companion(g)
+    return monodromy_tuple(n, [(0, cf), (1, cf.inverse() @ cg)])
 
 
 def char_poly(matrix: QMatrix) -> tuple[Fraction, ...]:

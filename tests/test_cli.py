@@ -13,7 +13,7 @@ from rigidity_lab.catalog import CATALOG_ENV_VAR, load_catalog
 from rigidity_lab.cli import main
 from rigidity_lab.local_systems import random_tuple, tuple_from_json, tuple_to_json
 
-from support import span_closure_dimension
+from support import levelt_tuple, span_closure_dimension
 
 
 def run_cli(capsys, *argv):
@@ -616,19 +616,21 @@ class TestComputeOnce:
     # rig needs the k + 1 source matrices and nothing of the transform;
     # fourier restricts the k components to im(A - 1), A_inf to its non-unit
     # part and the zero monodromy of the self-check, whose one restriction
-    # also gives the kernel-dimension check; verify does both.  Only two
-    # matrices are factored, each once: diag(2, 1), whose e_2 is an
-    # eigenvector, so the cyclic certificate's spin stops early, and A_inf,
-    # whose factors serve both sides.  The other two points are certified
-    # cyclic; the components are 1 x 1, so cyclic, or equal to their point's
-    # matrix (rank(A - 1) = n), which lends its dimension; the restricted
-    # zero monodromy equals A_inf, which has no eigenvalue 1, so the
-    # similarity self-check factors nothing; the zero monodromy's invariants
-    # are composed from A_inf's.  Before these shortcuts the counts were 4, 5
-    # and 8: one factorization per matrix role.
+    # also gives the kernel-dimension check; verify does both.  At most two
+    # matrices are factored, each once: A_inf, whose factors serve both
+    # sides, and, for rig and verify, diag(2, 1), whose e_2 is an
+    # eigenvector, so the cyclic certificate's spin stops early.  fourier
+    # never needs diag(2, 1)'s own dimension: its component is 1 x 1, so
+    # cyclic.  The other two points are certified cyclic; the other
+    # components are 1 x 1 too, or equal to their point's matrix
+    # (rank(A - 1) = n), whose dimension is computed once for both; the
+    # restricted zero monodromy equals A_inf, which has no eigenvalue 1, so
+    # the similarity self-check factors nothing; the zero monodromy's
+    # invariants are composed from A_inf's.  Before these shortcuts the
+    # counts were 4, 5 and 8: one factorization per matrix role.
     @pytest.mark.parametrize(
         "command, factorizations, restrictions",
-        [("rig", 2, 0), ("fourier", 2, 5), ("verify", 2, 5)],
+        [("rig", 2, 0), ("fourier", 1, 5), ("verify", 2, 5)],
         ids=["rig", "fourier", "verify"],
     )
     def test_single_tuple_op(
@@ -647,6 +649,42 @@ class TestComputeOnce:
         assert (len(certificates), len(exact)) == (1, 0)  # the certificate settles it
         assert len(factors) == factorizations
         assert len(restrict) == restrictions
+
+    @pytest.mark.parametrize("command, pseudo_reflections", [("fourier", 0), ("verify", 1)])
+    def test_levelt_factors_what_the_command_prints(
+        self, capsys, tmp_path, monkeypatch, command, pseudo_reflections
+    ):
+        # rank 5: C_f is certified cyclic; C_f^-1 C_g is 1 plus rank one, so
+        # derogatory, and its component is 1 x 1; A_inf = C_g^-1 serves both
+        # sides, and T on im(T - 1), similar to J_5(1) but not A_inf itself,
+        # is factored by the self-check.  Only verify prints C_f^-1 C_g's
+        # own dimension, so only verify factors it, once.
+        t = levelt_tuple(5, 5)
+        (_, cf), (_, pseudo_reflection) = t.finite_points
+        path = write_json(tmp_path, "levelt.json", tuple_to_json(t))
+        factors = count_calls(monkeypatch, exact_linalg, "invariant_factors")
+        code, _, _ = run_cli(capsys, command, "--input", path)
+        assert code == 0
+        factored = [args[0] for args in factors]
+        assert factored.count(t.infinity_matrix) == 1
+        assert factored.count(pseudo_reflection) == pseudo_reflections
+        assert len(factored) == 2 + pseudo_reflections and cf not in factored
+
+    def test_equal_points_share_one_centralizer_dimension(self, capsys, tmp_path, monkeypatch):
+        # M at two points, and as its own component (rank(M - 1) = 2): one call
+        m, j2 = [["1", "1"], ["1", "0"]], [["1", "1"], ["0", "1"]]
+        payload = {
+            "rank": 2,
+            "finite_points": [
+                {"location": str(i), "matrix": matrix} for i, matrix in enumerate([m, m, j2])
+            ],
+        }
+        path = write_json(tmp_path, "t.json", payload)
+        calls = count_calls(monkeypatch, exact_linalg, "centralizer_dimension")
+        code, _, _ = run_cli(capsys, "verify", "--input", path)
+        assert code == 0
+        matrix = tuple_from_json(payload).finite_points[0][1]
+        assert [args[0] for args in calls].count(matrix) == 1
 
     def test_reducible_runs_the_exact_closure_once(self, capsys, tmp_path, monkeypatch):
         path = write_json(tmp_path, "red.json", REDUCIBLE_DIAGONAL)

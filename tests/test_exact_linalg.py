@@ -1,12 +1,15 @@
 import random
+import sys
 from fractions import Fraction
 from math import comb, gcd
 
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rigidity_lab import exact_linalg
+from rigidity_lab.campaign import CampaignConfig, campaign_tuples
 from rigidity_lab.errors import DimensionMismatchError, InvalidMonodromyError
 from rigidity_lab.exact_linalg import (
     QMatrix,
@@ -38,6 +41,7 @@ from support import (
     fraction_rank,
     fraction_rank_factorization,
     jordan_from_data,
+    levelt_tuple,
     loop_matmul,
     partition_formula,
     random_fixing_subspace,
@@ -250,7 +254,7 @@ class TestCanonicalForm:
         assert jordan_block(2, "-2/4").denominator == 2
 
 
-P = exact_linalg._PRIME  # 2^31 - 1, the irreducibility certificate's modulus
+P = exact_linalg._PRIME  # 2^19 - 1, the irreducibility certificate's modulus
 
 
 class TestInvertible:
@@ -929,6 +933,12 @@ class TestPackedClosure:
     integer; ``support.closes_full_span_mod_p`` is the same closure mod P one
     entry at a time."""
 
+    def test_modulus_is_a_mersenne_prime_of_one_digit(self):
+        # the Mersenne fold needs P = 2^bits - 1; one CPython digit per residue
+        assert P == 2**exact_linalg._PRIME_BITS - 1
+        assert sympy.isprime(P)
+        assert P < 2**sys.int_info.bits_per_digit
+
     @settings(max_examples=250, deadline=None)
     @given(st.one_of(_generator_sets(st.integers(-2, 2)), _generator_sets(wide_entries)))
     def test_agrees_with_the_unpacked_closure(self, case):
@@ -944,6 +954,29 @@ class TestPackedClosure:
         assert not exact_linalg._closes_mod_p(generators, n)
         assert not closes_full_span_mod_p(generators, n, P)
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_levelt_tuples_are_certified(self, monkeypatch, n):
+        # irreducible (f(1) != 0), and the certificate alone says so
+        exact = []
+        monkeypatch.setattr(exact_linalg, "_closes_exact", lambda *args: exact.append(args))
+        for seed in range(5):
+            t = levelt_tuple(n, seed)
+            assert spans_full_algebra([a for _, a in t.finite_points])
+        assert exact == []
+
+    def test_no_false_stall_in_a_campaign(self, monkeypatch):
+        # the certificate stalls only where the span is not full: on the
+        # reducible draws of a 100-trial seed-7 campaign, exact says False
+        answers, exact = [], exact_linalg._closes_exact
+        monkeypatch.setattr(
+            exact_linalg,
+            "_closes_exact",
+            lambda *args: answers.append(exact(*args)) or answers[-1],
+        )
+        config = CampaignConfig(trials=100, max_rank=4, max_points=4, seed=7)
+        assert sum(1 for _ in campaign_tuples(config)) == 100
+        assert answers and not any(answers)
+
     def test_every_entry_p_minus_1_at_the_largest_shape(self):
         # n = MAX_RANK with 16 generators, all entries P - 1: (P - 1) J with
         # J all ones generates span(1, J).
@@ -955,9 +988,10 @@ class TestPackedClosure:
         # n = 16 and 16 generators with entries +-(P - 1) that map the span of
         # the odd basis vectors into itself, zero at (even row, odd column):
         # their algebra has dimension 256 - 8 * 8, that zero pattern.  The
-        # stored rows' residues are arbitrary, so slots reach 2^68 of the 2^71
-        # the bound allows, and a carry out of an (even, even) slot lands in a
-        # zero one and closes the span: slots 4 bits narrower fail here.
+        # stored rows' residues are arbitrary, so the largest slot reached is
+        # 44 bits wide (about 1.66e13) of the 47 the bound allows, and a carry
+        # out of an (even, even) slot lands in a zero one and closes the span:
+        # slots 4 bits narrower fail here.
         rng, signs = random.Random(16), [P - 1, 1 - P]
         generators = [
             [[0 if i % 2 < j % 2 else rng.choice(signs) for j in range(16)] for i in range(16)]
