@@ -1,6 +1,6 @@
 """Time the exact kernels: the span closure, invariant factors, restrictions, the
 composed zero-monodromy invariants, a table of matrix kernels against their oracles,
-and ``verify`` on the two worst-case inputs.
+the first and a repeated catalog load, and ``verify`` on the two worst-case inputs.
 
     python3 bench/kernels.py [--runs 3] [--out BENCH.json]
     python3 bench/kernels.py --worst-cases DIR
@@ -59,6 +59,11 @@ reference routes from ``tests/support.py``.  Each figure is the median of
   ``large_entries``, with 64-bit numerators and denominators, and
   ``integer``, invertible with entries in [-2, 2], as ``random_tuple``
   draws them, each drawn from ``random.Random(f'echelon:{family}:{n}')``.
+- ``catalog``: ``catalog.load_catalog()`` of the built-in entries alone,
+  the first load in a process, which parses and checks the five entries
+  (the cache of ``_builtin_entries`` is cleared before each run), and a
+  repeated load, which copies the checked entries (the mean of
+  ``CATALOG_REPEATS`` loads per run).
 - ``worst_cases``: CPU seconds of ``verify --input FILE``, run in process
   with stdout captured, on the two inputs of ``worst_case_documents``, each
   on 16 finite points with A_inf omitted: ``small_entries``,
@@ -69,7 +74,7 @@ reference routes from ``tests/support.py``.  Each figure is the median of
 
 With ``--out``, the result is written into that JSON file under the keys
 ``environment``, ``kernels``, ``invariant_factors``, ``restriction``,
-``zero_invariants``, ``kernel_table`` and ``worst_cases``; other keys
+``zero_invariants``, ``kernel_table``, ``catalog`` and ``worst_cases``; other keys
 already in the file are kept.  With ``--worst-cases DIR``, the two
 worst-case inputs are written to ``DIR/small_entries.json`` and
 ``DIR/large_entries.json`` and nothing is timed.
@@ -102,9 +107,10 @@ RESTRICTION_SIZES = (2, 3, 4, 6, 8, 12, 16)
 TABLE_SIZES = (2, 3, 4, 6, 8, 10, 12, 16, 24, 32)
 WORST_CASE_POINTS = (16,)  # MAX_POINTS
 ORACLE_CAP_S = 5.0
+CATALOG_REPEATS = 100
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from rigidity_lab import cli, exact_linalg  # noqa: E402
+from rigidity_lab import catalog, cli, exact_linalg  # noqa: E402
 from rigidity_lab.errors import InvalidMonodromyError  # noqa: E402
 from rigidity_lab.exact_linalg import QMatrix, block_diag, jordan_block  # noqa: E402
 from rigidity_lab.local_systems import random_tuple, tuple_to_json  # noqa: E402
@@ -393,6 +399,28 @@ def kernel_rows(runs: int) -> list[dict]:
     ]
 
 
+def first_catalog_load(_) -> dict:
+    catalog._builtin_entries.cache_clear()  # so this load checks the built-in entries again
+    return catalog.load_catalog(external_dir="")
+
+
+def catalog_rows(runs: int) -> list[dict]:
+    first_ms, entries, _ = median_ms(first_catalog_load, None, runs)
+    repeated_ms, loads, _ = median_ms(
+        lambda _: [catalog.load_catalog(external_dir="") for _ in range(CATALOG_REPEATS)],
+        None,
+        runs,
+    )
+    if any(load != entries for load in loads):
+        raise RuntimeError("a repeated load differs from the first")
+    rows = []
+    for load, ms in (("first", first_ms), ("repeated", repeated_ms / CATALOG_REPEATS)):
+        row = {"load": load, "entries": len(entries), "ms": round(ms, 4)}
+        print(json.dumps(row), flush=True)
+        rows.append(row)
+    return rows
+
+
 def large_entry(rng: random.Random) -> Fraction:
     """A numerator (either sign) and a denominator of 256 bits each."""
     numerator = rng.choice((-1, 1)) * rng.randint(2**255, 2**256 - 1)
@@ -523,6 +551,13 @@ def main() -> None:
             "unit": "ms, median of runs",
             "runs": args.runs,
             "rows": kernel_rows(args.runs),
+        },
+        "catalog": {
+            "what": "load_catalog() of the built-in entries: the first load in a process, "
+            "which checks them, and a repeated load, which copies them",
+            "unit": f"ms, median of runs (repeated: the mean of {CATALOG_REPEATS} loads a run)",
+            "runs": args.runs,
+            "rows": catalog_rows(args.runs),
         },
         "worst_cases": {
             "what": "verify --input on the two worst-case inputs of worst_case_documents, "

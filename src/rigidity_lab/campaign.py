@@ -60,7 +60,10 @@ def _campaign_analyses(config: CampaignConfig) -> Iterator[tuple[int, TupleAnaly
         for _ in range(_REDRAWS_PER_TRIAL):
             rank = rng.randint(1, config.max_rank)
             k = rng.randint(1, config.max_points)
-            analysis = TupleAnalysis(random_tuple(rank, k, rng.getrandbits(63)))
+            seed = rng.getrandbits(63)  # drawn for every draw, so the stream stays the same
+            if k == 1 and rank > 1:
+                continue  # Q[A] has dimension at most n < n^2: always reducible
+            analysis = TupleAnalysis(random_tuple(rank, k, seed))
             if analysis.irreducible:
                 yield index, analysis
                 break

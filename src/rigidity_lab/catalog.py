@@ -1,8 +1,10 @@
 """Shipped example tuples plus optional external catalog loading.
 
 Every entry stores the expected rigidity index and rigidity flag; both are
-recomputed whenever the catalog is loaded, so a stale expectation fails
-loudly instead of silently shipping wrong reference values.
+recomputed and checked, so a stale expectation fails loudly instead of
+silently shipping wrong reference values.  The built-in entries depend only
+on this module, so they are checked once per process, on the first load;
+external files can change, so they are read and checked on every load.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 from .errors import CatalogError
@@ -100,6 +103,14 @@ def _entry(name: str, payload: object, source: str) -> CatalogEntry:
     )
 
 
+@cache  # built on the first load, not at import
+def _builtin_entries() -> dict[str, CatalogEntry]:
+    return {
+        name: _entry(name, payload, f"built-in catalog entry {name!r}")
+        for name, payload in _BUILTIN.items()
+    }
+
+
 def _external_entries(directory: Path) -> list[CatalogEntry]:
     entries = []
     for path in sorted(directory.glob("*.json")):
@@ -117,10 +128,7 @@ def load_catalog(external_dir: str | os.PathLike | None = None) -> dict[str, Cat
     The external directory defaults to the RIGIDITY_LAB_CATALOG environment
     variable; external entries shadow built-ins of the same name.
     """
-    catalog = {
-        name: _entry(name, payload, f"built-in catalog entry {name!r}")
-        for name, payload in _BUILTIN.items()
-    }
+    catalog = dict(_builtin_entries())  # a new dict: callers may change it
     if external_dir is None:
         external_dir = os.environ.get(CATALOG_ENV_VAR)
     if external_dir:

@@ -30,10 +30,11 @@ and pivot inverse is one digit and each packed slot stays narrow.
 from __future__ import annotations
 
 import re
+import sys
 from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import accumulate, chain
 from math import gcd, lcm
 from operator import mul, sub
@@ -232,6 +233,25 @@ def _ratio(numerator: int, denominator: int) -> Fraction:
     return Fraction(numerator, denominator)
 
 
+def _any_int_length(render):
+    """``render`` with CPython's limit on the digits of an int turned into text
+    (4300 by default) lifted while it runs: exact results, such as the
+    transform's zero monodromy, can have tens of thousands.  The limit is
+    process-global, so it is restored however ``render`` ends."""
+
+    @wraps(render)
+    def unlimited(*args):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return render(*args)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    return unlimited
+
+
+@_any_int_length
 def matrix_to_json(matrix: QMatrix) -> list[list[str]]:
     return [[str(x) for x in matrix.row_list(i)] for i in range(matrix.rows)]
 
@@ -616,6 +636,7 @@ def _pdivmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     return _ptrim(quo), _ptrim(rem)
 
 
+@_any_int_length
 def polynomial_to_string(p: Poly) -> str:
     """Human-readable rendering in x, highest power first."""
     if not p:

@@ -22,6 +22,7 @@ bench = _load()
 
 # The sections outside the kernel table, which ``kernel_rows`` runs.
 ROW_FUNCTIONS = [
+    "catalog_rows",
     "closure_rows",
     "invariant_factor_rows",
     "restriction_rows",

@@ -1,16 +1,18 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from rigidity_lab import campaign, cli, exact_linalg, fourier, local_systems
+from rigidity_lab import campaign, catalog, cli, exact_linalg, fourier, local_systems
 from rigidity_lab.campaign import CampaignConfig, run_campaign
 from rigidity_lab.catalog import CATALOG_ENV_VAR, load_catalog
 from rigidity_lab.cli import main
+from rigidity_lab.errors import CatalogError
 from rigidity_lab.local_systems import random_tuple, tuple_from_json, tuple_to_json
 
 from support import levelt_tuple, span_closure_dimension
@@ -263,6 +265,55 @@ class TestFourier:
         assert "irregularity at infinity: 2" in out
 
 
+def large_entry_document(rank, count, seed):
+    """``count`` invertible rank x rank matrices whose entries have numerators
+    (either sign) and denominators of 256 bits, the most the reader accepts,
+    at locations 0..count-1, with A_inf omitted."""
+    rng = random.Random(seed)
+
+    def part():
+        return rng.getrandbits(256) | 1 << 255
+
+    matrices = []
+    while len(matrices) < count:
+        rows = [[f"{rng.choice('-+')}{part()}/{part()}" for _ in range(rank)] for _ in range(rank)]
+        if exact_linalg.QMatrix.from_rows(rows).is_invertible():
+            matrices.append(rows)
+    return {"rank": rank, "finite_points": points(*matrices)}
+
+
+class TestLargeEntries:
+    # A_inf derived from 256-bit entries gives a zero monodromy and invariant
+    # factors with integers of more digits than CPython turns into text by
+    # default (4300): rendering lifts that limit and restores it, and the
+    # reader keeps it
+    @pytest.mark.parametrize("rank, count", [(2, 16), (3, 8), (4, 4)])
+    def test_fourier_prints_what_it_computes(self, capsys, tmp_path, rank, count):
+        document = large_entry_document(rank, count, seed=f"large:{rank}:{count}")
+        path = write_json(tmp_path, "t.json", document)
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run_cli(capsys, "fourier", "--input", path)
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == limit
+        rows = json.loads(out)["zero_monodromy"]
+        assert max(len(part) for row in rows for x in row for part in x.split("/")) > limit
+        expected = fourier.TupleAnalysis(tuple_from_json(document)).local_data.zero_monodromy
+        sys.set_int_max_str_digits(0)  # reading the output back needs it lifted too
+        try:
+            assert exact_linalg.QMatrix.from_rows(rows) == expected
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_reader_still_refuses_long_integers(self, capsys, tmp_path):
+        path = write_json(tmp_path, "t.json", large_entry_document(2, 16, seed="large:2:16"))
+        assert run_cli(capsys, "fourier", "--input", path)[0] == 0
+        path = tmp_path / "long.json"
+        path.write_bytes(b'{"rank": ' + b"1" * 5000 + b"}")
+        code, out, err = run_cli(capsys, "fourier", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: malformed JSON: ") and err.count("\n") == 1
+
+
 class TestVerify:
     def test_single_tuple(self, capsys, tmp_path):
         path = write_json(tmp_path, "t.json", RANK1_TWOPOINT)
@@ -385,8 +436,6 @@ class TestCatalog:
         payload = dict(RANK1_TWOPOINT, expected_index=7)
         write_json(tmp_path, "liar.json", payload)
         monkeypatch.setenv(CATALOG_ENV_VAR, str(tmp_path))
-        from rigidity_lab.errors import CatalogError
-
         with pytest.raises(CatalogError, match="expected_index"):
             load_catalog()
 
@@ -394,8 +443,6 @@ class TestCatalog:
         # Parses, but the stored infinity matrix breaks the product relation.
         payload = dict(RANK1_TWOPOINT, infinity_matrix=[["1"]])
         path = write_json(tmp_path, "broken.json", payload)
-        from rigidity_lab.errors import CatalogError
-
         with pytest.raises(CatalogError, match="relation violated") as info:
             load_catalog(tmp_path)
         assert path in str(info.value)
@@ -408,6 +455,55 @@ class TestCatalog:
         code, out, _ = run_cli(capsys, "catalog", "list", "--format", "text")
         assert code == 0
         assert "kummer" in out
+
+
+@pytest.fixture
+def fresh_builtins():
+    """The built-in entries are checked again on the next load, and after the test."""
+    catalog._builtin_entries.cache_clear()
+    yield
+    catalog._builtin_entries.cache_clear()
+
+
+class TestCatalogCache:
+    # The built-in entries are checked once per process; external files on every load.
+    def test_stale_builtin_expectation_still_raises(self, monkeypatch, fresh_builtins):
+        stale = dict(catalog._BUILTIN["kummer"], expected_index=7)
+        monkeypatch.setitem(catalog._BUILTIN, "kummer", stale)
+        message = "built-in catalog entry 'kummer': expected_index=7 but recomputation gives 2"
+        for _ in range(2):  # a failed check is not cached
+            with pytest.raises(CatalogError, match=message):
+                load_catalog(external_dir="")
+
+    def test_loads_return_distinct_dicts(self):
+        first, second = load_catalog(external_dir=""), load_catalog(external_dir="")
+        assert first is not second and first == second
+        del first["kummer"]
+        first["extra"] = second["nonrigid4"]
+        assert "kummer" in second and "extra" not in second
+        assert load_catalog(external_dir="") == second
+
+    def test_external_file_is_read_on_every_load(self, tmp_path):
+        write_json(tmp_path, "extra.json", dict(RANK1_TWOPOINT, description="first"))
+        assert load_catalog(tmp_path)["extra"].description == "first"
+        write_json(tmp_path, "extra.json", dict(FOURPOINT2, description="second"))
+        entry = load_catalog(tmp_path)["extra"]
+        assert (entry.description, entry.tuple.rank, entry.expected_index) == ("second", 2, 0)
+
+    def test_import_builds_nothing(self):
+        script = (
+            "import rigidity_lab.cli\n"
+            "from rigidity_lab.catalog import _builtin_entries\n"
+            "print(_builtin_entries.cache_info().currsize)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=source_env(),
+            timeout=120,
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (0, "0\n", "")
 
 
 # A file that is not UTF-8, and JSON holding an integer of more digits than
@@ -719,9 +815,20 @@ class TestComputeOnce:
         validate = count_calls(monkeypatch, local_systems, "validate")
         closure = count_calls(monkeypatch, exact_linalg, "spans_full_algebra")
         exact = count_calls(monkeypatch, exact_linalg, "_closes_exact")
-        # seed 43 draws reducible tuples on one finite point and on several
+        # seed 43's stream has shapes of rank > 1 on one finite point, which
+        # are reducible and never built, and reducible draws on several points
         code, _, _ = run_cli(capsys, "verify", "--random", "--trials", "10", "--seed", "43")
         assert code == 0
+        stream = []
+        for index in range(10):
+            rng = random.Random(campaign._trial_seed(43, index))
+            while True:
+                rank, k = rng.randint(1, 4), rng.randint(1, 4)
+                stream.append((rank, k, rng.getrandbits(63)))
+                if span_closure_dimension(random_tuple(*stream[-1]).matrices()) == rank * rank:
+                    break
+        skipped = [(rank, k, seed) for rank, k, seed in stream if k == 1 and rank > 1]
+        assert skipped and draws == [draw for draw in stream if draw not in skipped]
         assert len(validate) == len(closure) == len(draws) >= 10
         reducible = [
             k
@@ -729,9 +836,9 @@ class TestComputeOnce:
             if span_closure_dimension(random_tuple(rank, k, seed).matrices()) < rank * rank
         ]
         assert len(reducible) == len(draws) - 10
-        # one generator spans at most Q[A], so no closure runs for it; only
-        # the reducible draws on several points need the exact closure
-        assert 0 < len(exact) == sum(k >= 2 for k in reducible) < len(reducible)
+        # rank 1 is irreducible, so every reducible draw built has several
+        # points, and only there does the certificate fall short
+        assert 0 < len(exact) == sum(k >= 2 for k in reducible) == len(reducible)
 
 
 class TestInternalFailures:
