@@ -1,6 +1,7 @@
 """Time the exact kernels: the span closure, invariant factors, restrictions, the
 composed zero-monodromy invariants, a table of matrix kernels against their oracles,
-the first and a repeated catalog load, and ``verify`` on the two worst-case inputs.
+the first and a repeated catalog load, the rendering of zero monodromies as text,
+and ``verify`` on the two worst-case inputs.
 
     python3 bench/kernels.py [--runs 3] [--out BENCH.json]
     python3 bench/kernels.py --worst-cases DIR
@@ -64,6 +65,15 @@ reference routes from ``tests/support.py``.  Each figure is the median of
   (the cache of ``_builtin_entries`` is cleared before each run), and a
   repeated load, which copies the checked entries (the mean of
   ``CATALOG_REPEATS`` loads per run).
+- ``render``: ``exact_linalg.matrix_to_json`` of the transform's zero
+  monodromy plus ``polynomial_to_string`` of its invariant factors, as
+  ``fourier`` prints them, on the three large-entry shapes of the CLI tests
+  (``support.large_entry_document`` at rank 2 with 16 points, rank 3 with 8
+  and rank 4 with 4, whose integers run to thousands of digits) and
+  on the dense ``random_tuple(7, 3, 2026)``.  Each run renders a fresh copy
+  of the matrix, so no entry cache carries over; the analysis is not timed.
+  The longest integer's digits and the sha256 of the rendered JSON are
+  recorded, so runs of two versions can be compared byte for byte.
 - ``worst_cases``: CPU seconds of ``verify --input FILE``, run in process
   with stdout captured, on the two inputs of ``worst_case_documents``, each
   on 16 finite points with A_inf omitted: ``small_entries``,
@@ -74,8 +84,8 @@ reference routes from ``tests/support.py``.  Each figure is the median of
 
 With ``--out``, the result is written into that JSON file under the keys
 ``environment``, ``kernels``, ``invariant_factors``, ``restriction``,
-``zero_invariants``, ``kernel_table``, ``catalog`` and ``worst_cases``; other keys
-already in the file are kept.  With ``--worst-cases DIR``, the two
+``zero_invariants``, ``kernel_table``, ``catalog``, ``render`` and ``worst_cases``;
+other keys already in the file are kept.  With ``--worst-cases DIR``, the two
 worst-case inputs are written to ``DIR/small_entries.json`` and
 ``DIR/large_entries.json`` and nothing is timed.
 """
@@ -91,6 +101,7 @@ import operator
 import os
 import platform
 import random
+import re
 import statistics
 import subprocess
 import sys
@@ -108,12 +119,13 @@ TABLE_SIZES = (2, 3, 4, 6, 8, 10, 12, 16, 24, 32)
 WORST_CASE_POINTS = (16,)  # MAX_POINTS
 ORACLE_CAP_S = 5.0
 CATALOG_REPEATS = 100
+RENDER_SHAPES = ((2, 16), (3, 8), (4, 4))  # (rank, finite points), A_inf omitted
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from rigidity_lab import catalog, cli, exact_linalg  # noqa: E402
+from rigidity_lab import catalog, cli, exact_linalg, fourier  # noqa: E402
 from rigidity_lab.errors import InvalidMonodromyError  # noqa: E402
 from rigidity_lab.exact_linalg import QMatrix, block_diag, jordan_block  # noqa: E402
-from rigidity_lab.local_systems import random_tuple, tuple_to_json  # noqa: E402
+from rigidity_lab.local_systems import random_tuple, tuple_from_json, tuple_to_json  # noqa: E402
 from support import (  # noqa: E402
     closes_full_span_mod_p,
     commutation_centralizer_dimension,
@@ -121,6 +133,7 @@ from support import (  # noqa: E402
     fraction_rank,
     fraction_rank_factorization,
     fraction_restriction,
+    large_entry_document,
     levelt_tuple,
     loop_matmul,
     random_invertible,
@@ -421,6 +434,45 @@ def catalog_rows(runs: int) -> list[dict]:
     return rows
 
 
+def render_rows(runs: int) -> list[dict]:
+    tuples = {
+        f"large_{rank}x{count}": tuple_from_json(
+            large_entry_document(rank, count, seed=f"large:{rank}:{count}")
+        )
+        for rank, count in RENDER_SHAPES
+    }
+    tuples["dense_7x3"] = random_tuple(7, 3, 2026)
+    rows = []
+    for name, t in tuples.items():
+        analysis = fourier.TupleAnalysis(t)
+        zero = analysis.local_data.zero_monodromy
+        factors = analysis.zero_invariants.invariant_factors
+        times, outputs = [], set()
+        for _ in range(runs):
+            fresh = QMatrix._integral(zero.rows, zero.cols, zero.numerators, zero.denominator)
+            begin = time.perf_counter()
+            rendered = (
+                exact_linalg.matrix_to_json(fresh),
+                [exact_linalg.polynomial_to_string(f) for f in factors],
+            )
+            times.append((time.perf_counter() - begin) * 1e3)
+            outputs.add(json.dumps(rendered))
+        if len(outputs) != 1:
+            raise RuntimeError(f"{name}: runs rendered different text")
+        (text,) = outputs
+        row = {
+            "input": name,
+            "rank_hat": zero.rows,
+            "digits": max(map(len, re.findall("[0-9]+", text))),
+            "chars": len(text),
+            "ms": round(statistics.median(times), 3),
+            "sha256": hashlib.sha256(text.encode()).hexdigest(),
+        }
+        print(json.dumps(row), flush=True)
+        rows.append(row)
+    return rows
+
+
 def large_entry(rng: random.Random) -> Fraction:
     """A numerator (either sign) and a denominator of 256 bits each."""
     numerator = rng.choice((-1, 1)) * rng.randint(2**255, 2**256 - 1)
@@ -558,6 +610,13 @@ def main() -> None:
             "unit": f"ms, median of runs (repeated: the mean of {CATALOG_REPEATS} loads a run)",
             "runs": args.runs,
             "rows": catalog_rows(args.runs),
+        },
+        "render": {
+            "what": "matrix_to_json of the zero monodromy plus polynomial_to_string of its "
+            "invariant factors, on the three large-entry shapes and a dense rank-7 tuple",
+            "unit": "ms, median of runs",
+            "runs": args.runs,
+            "rows": render_rows(args.runs),
         },
         "worst_cases": {
             "what": "verify --input on the two worst-case inputs of worst_case_documents, "

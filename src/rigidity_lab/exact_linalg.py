@@ -7,9 +7,10 @@ never from eigenvalue factorization, and runs on these integers: each
 producer (products, sums, inverses, restrictions, block sums) forms its
 result's integer matrix over one common denominator and divides out one gcd.
 Entries are read as integer pairs (p, q); ``Fraction``s are made only at
-the edges: for parsed locations, for ``QMatrix.entries`` (printing, and
-callers that read entries), and in the polynomials of similarity
-invariants.  Ranks, inverses, spans and restrictions to invariant images
+the edges: for parsed locations, for ``QMatrix.entries`` (callers that read
+entries), and in the polynomials of similarity invariants.  Printing makes
+none: every number becomes text through ``rational_text``, from its
+integers.  Ranks, inverses, spans and restrictions to invariant images
 come out of one fraction-free elimination per matrix (``Echelon``) on the
 rows of dA.  A centralizer dimension is n when one Krylov spin of dA
 reaches n vectors; otherwise it, unit Jordan blocks and similarity are read
@@ -30,11 +31,11 @@ and pivot inverse is one digit and each packed slot stays narrow.
 from __future__ import annotations
 
 import re
-import sys
 from bisect import bisect
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
-from functools import cached_property, wraps
+from functools import cached_property
 from itertools import accumulate, chain
 from math import gcd, lcm
 from operator import mul, sub
@@ -65,10 +66,12 @@ def rational_pair(value: Fraction | int | str) -> tuple[int, int]:
     if match is None:
         raise ValueError(f"not a p/q rational: {value!r}")
     numerator, denominator = match.groups()
-    q = int(denominator or 1)
+    try:
+        p, q = int(numerator), int(denominator or 1)
+    except ValueError:  # more digits than CPython reads into an int (4300 by default)
+        raise ValueError(f"too many digits in a p/q rational of {len(value)} characters") from None
     if not q:
         raise ValueError(f"zero denominator in {value!r}")
-    p = int(numerator)
     g = gcd(p, q) if q > 1 else 1  # lowest terms keep a matrix's common scale small
     return p // g, q // g
 
@@ -233,27 +236,24 @@ def _ratio(numerator: int, denominator: int) -> Fraction:
     return Fraction(numerator, denominator)
 
 
-def _any_int_length(render):
-    """``render`` with CPython's limit on the digits of an int turned into text
-    (4300 by default) lifted while it runs: exact results, such as the
-    transform's zero monodromy, can have tens of thousands.  The limit is
-    process-global, so it is restored however ``render`` ends."""
-
-    @wraps(render)
-    def unlimited(*args):
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            return render(*args)
-        finally:
-            sys.set_int_max_str_digits(limit)
-
-    return unlimited
+def rational_text(p: Fraction | int, q: int = 1) -> str:
+    """p/q, for coprime ints p and q > 0, or the rational p, written as the
+    ``p/q`` format writes it: ``Decimal`` writes an int of any length, where
+    ``str`` refuses more digits than CPython's process-global limit (4300 by
+    default), and it leaves that limit alone."""
+    if q == 1:
+        p, q = p.as_integer_ratio()
+    return str(Decimal(p)) if q == 1 else f"{Decimal(p)!s}/{Decimal(q)!s}"
 
 
-@_any_int_length
 def matrix_to_json(matrix: QMatrix) -> list[list[str]]:
-    return [[str(x) for x in matrix.row_list(i)] for i in range(matrix.rows)]
+    """Entry x/d of the stored dA and d written as (x/g)/(d/g), g = gcd(x, d),
+    and a zero entry as 0 with no division of d, which can be long."""
+    d = matrix.denominator
+    return [
+        [rational_text(x // (g := gcd(x, d)), d // g) if x else "0" for x in row]
+        for row in matrix.numerators
+    ]
 
 
 def jordan_block(size: int, eigenvalue: Fraction | int | str = 1) -> QMatrix:
@@ -636,29 +636,18 @@ def _pdivmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     return _ptrim(quo), _ptrim(rem)
 
 
-@_any_int_length
 def polynomial_to_string(p: Poly) -> str:
     """Human-readable rendering in x, highest power first."""
-    if not p:
-        return "0"
-    parts: list[str] = []
+    text = ""
     for power in range(len(p) - 1, -1, -1):
-        c = p[power]
-        if not c:
-            continue
-        sign = "-" if c < 0 else "+"
-        mag = abs(c)
-        if power == 0:
-            body = str(mag)
-        else:
+        if c := p[power]:
+            mag = abs(c)
+            digits = rational_text(mag)
             xs = "x" if power == 1 else f"x^{power}"
-            body = xs if mag == 1 else f"{mag}*{xs}"
-        parts.append((sign, body))
-    first_sign, first_body = parts[0]
-    text = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in parts[1:]:
-        text += f" {sign} {body}"
-    return text
+            body = digits if not power else xs if mag == 1 else f"{digits}*{xs}"
+            sign = "-" if c < 0 else "+"
+            text = f"{text} {sign} {body}" if text else body if sign == "+" else f"-{body}"
+    return text or "0"
 
 
 @dataclass(frozen=True)

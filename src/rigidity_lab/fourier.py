@@ -28,6 +28,7 @@ from .exact_linalg import (
     invariant_factors,
     jordan_block,
     matrix_to_json,
+    rational_text,
     restrict_to_image,
     spans_full_algebra,
 )
@@ -214,7 +215,7 @@ class TupleAnalysis:
             self.zero_centralizer_dim + sum(self.component_centralizer_dims) - irregularity
         )
         identities = [
-            PointIdentity(str(loc), source - regular, (n - component.dimension) ** 2)
+            PointIdentity(rational_text(loc), source - regular, (n - component.dimension) ** 2)
             for (loc, _), component, source, regular in zip(
                 self.tuple.finite_points,
                 data.components,
@@ -290,7 +291,7 @@ def fourier_data_to_json(data: FourierLocalData) -> dict:
         "zero_monodromy": matrix_to_json(data.zero_monodromy),
         "components": [
             {
-                "exp_coefficient": str(c.coefficient),
+                "exp_coefficient": rational_text(c.coefficient),
                 "dimension": c.dimension,
                 "regular_monodromy": matrix_to_json(c.regular_monodromy),
             }

@@ -19,7 +19,7 @@ from math import gcd
 from typing import Iterable, NamedTuple
 
 from .errors import GenerationError, InvalidMonodromyError, ValidationError
-from .exact_linalg import QMatrix, matrix_to_json, parse_rational
+from .exact_linalg import QMatrix, matrix_to_json, parse_rational, rational_text
 
 _RANDOM_ENTRY_BOUND = 2
 _MAX_DRAWS_PER_MATRIX = 200
@@ -104,13 +104,13 @@ def _check_shapes(n: int, finite_points: tuple[FinitePoint, ...]) -> None:
         raise ValidationError("at least one finite singular point is required")
     for loc, m in finite_points:
         if m.rows != n or m.cols != n:
-            raise ValidationError(f"matrix at point {loc} must be {n}x{n}")
+            raise ValidationError(f"matrix at point {rational_text(loc)} must be {n}x{n}")
 
 
 def _check_invertible(finite_points: tuple[FinitePoint, ...]) -> None:
     for loc, m in finite_points:
         if not m.is_invertible():
-            raise ValidationError(f"non-invertible matrix at point {loc}")
+            raise ValidationError(f"non-invertible matrix at point {rational_text(loc)}")
 
 
 def validate(t: MonodromyTuple) -> None:
@@ -130,7 +130,7 @@ def validate(t: MonodromyTuple) -> None:
         raise ValidationError("duplicate singular locations")
     for loc, m in t.finite_points:
         if m == identity:
-            raise ValidationError(f"trivial local monodromy at finite point {loc}")
+            raise ValidationError(f"trivial local monodromy at finite point {rational_text(loc)}")
     if product != identity:
         raise ValidationError("monodromy relation violated")
 
@@ -190,7 +190,8 @@ def tuple_to_json(t: MonodromyTuple) -> dict:
     return {
         "rank": t.rank,
         "finite_points": [
-            {"location": str(loc), "matrix": matrix_to_json(m)} for loc, m in t.finite_points
+            {"location": rational_text(loc), "matrix": matrix_to_json(m)}
+            for loc, m in t.finite_points
         ],
         "infinity_matrix": matrix_to_json(t.infinity_matrix),
     }

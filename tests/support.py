@@ -15,7 +15,9 @@ full characteristic matrix xI - A, so it checks the Krylov front end of
 from __future__ import annotations
 
 import random
+import sys
 from bisect import bisect
+from decimal import Decimal
 from fractions import Fraction
 from math import comb
 from operator import mul
@@ -146,6 +148,41 @@ def levelt_tuple(n: int, seed: int) -> MonodromyTuple:
     g = [(-1) ** (n - k) * comb(n, k) for k in range(n)]
     cf, cg = companion(f), companion(g)
     return monodromy_tuple(n, [(0, cf), (1, cf.inverse() @ cg)])
+
+
+def large_entry_document(rank: int, count: int, seed: str) -> dict:
+    """``count`` invertible rank x rank matrices whose entries have numerators
+    (either sign) and denominators of 256 bits, the most the reader accepts,
+    at locations 0..count-1, as a tuple document with A_inf omitted."""
+    rng = random.Random(seed)
+
+    def part():
+        return rng.getrandbits(256) | 1 << 255
+
+    matrices = []
+    while len(matrices) < count:
+        rows = [[f"{rng.choice('-+')}{part()}/{part()}" for _ in range(rank)] for _ in range(rank)]
+        if QMatrix.from_rows(rows).is_invertible():
+            matrices.append(rows)
+    return {
+        "rank": rank,
+        "finite_points": [{"location": str(i), "matrix": m} for i, m in enumerate(matrices)],
+    }
+
+
+def read_rational(text: str) -> Fraction:
+    """A ``p/q`` string read through ``Decimal``, which reads digits of any
+    length, so output longer than ``int`` reads from text can be compared."""
+    return Fraction(*(int(Decimal(part)) for part in text.split("/")))
+
+
+def forbid_digit_limit_changes(monkeypatch) -> None:
+    """Fail on any change of CPython's process-global int-to-text digit limit."""
+
+    def refuse(_):
+        raise AssertionError("sys.set_int_max_str_digits was called")
+
+    monkeypatch.setattr(sys, "set_int_max_str_digits", refuse, raising=False)
 
 
 def char_poly(matrix: QMatrix) -> tuple[Fraction, ...]:

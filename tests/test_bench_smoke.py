@@ -25,6 +25,7 @@ ROW_FUNCTIONS = [
     "catalog_rows",
     "closure_rows",
     "invariant_factor_rows",
+    "render_rows",
     "restriction_rows",
     "zero_invariant_rows",
     "worst_case_rows",

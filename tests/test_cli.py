@@ -15,7 +15,13 @@ from rigidity_lab.cli import main
 from rigidity_lab.errors import CatalogError
 from rigidity_lab.local_systems import random_tuple, tuple_from_json, tuple_to_json
 
-from support import levelt_tuple, span_closure_dimension
+from support import (
+    forbid_digit_limit_changes,
+    large_entry_document,
+    levelt_tuple,
+    read_rational,
+    span_closure_dimension,
+)
 
 
 def run_cli(capsys, *argv):
@@ -265,44 +271,28 @@ class TestFourier:
         assert "irregularity at infinity: 2" in out
 
 
-def large_entry_document(rank, count, seed):
-    """``count`` invertible rank x rank matrices whose entries have numerators
-    (either sign) and denominators of 256 bits, the most the reader accepts,
-    at locations 0..count-1, with A_inf omitted."""
-    rng = random.Random(seed)
-
-    def part():
-        return rng.getrandbits(256) | 1 << 255
-
-    matrices = []
-    while len(matrices) < count:
-        rows = [[f"{rng.choice('-+')}{part()}/{part()}" for _ in range(rank)] for _ in range(rank)]
-        if exact_linalg.QMatrix.from_rows(rows).is_invertible():
-            matrices.append(rows)
-    return {"rank": rank, "finite_points": points(*matrices)}
-
-
 class TestLargeEntries:
     # A_inf derived from 256-bit entries gives a zero monodromy and invariant
-    # factors with integers of more digits than CPython turns into text by
-    # default (4300): rendering lifts that limit and restores it, and the
-    # reader keeps it
+    # factors with integers of more digits than CPython turns into text with
+    # str by default (4300): the renderers write them from their integers
+    # and never change that process-global limit, and the reader keeps it
     @pytest.mark.parametrize("rank, count", [(2, 16), (3, 8), (4, 4)])
-    def test_fourier_prints_what_it_computes(self, capsys, tmp_path, rank, count):
+    def test_fourier_prints_what_it_computes(self, capsys, tmp_path, monkeypatch, rank, count):
         document = large_entry_document(rank, count, seed=f"large:{rank}:{count}")
         path = write_json(tmp_path, "t.json", document)
         limit = sys.get_int_max_str_digits()
+        forbid_digit_limit_changes(monkeypatch)
         code, out, err = run_cli(capsys, "fourier", "--input", path)
         assert (code, err) == (0, "")
         assert sys.get_int_max_str_digits() == limit
         rows = json.loads(out)["zero_monodromy"]
         assert max(len(part) for row in rows for x in row for part in x.split("/")) > limit
         expected = fourier.TupleAnalysis(tuple_from_json(document)).local_data.zero_monodromy
-        sys.set_int_max_str_digits(0)  # reading the output back needs it lifted too
-        try:
-            assert exact_linalg.QMatrix.from_rows(rows) == expected
-        finally:
-            sys.set_int_max_str_digits(limit)
+        read = exact_linalg.QMatrix.from_rows([[read_rational(x) for x in row] for row in rows])
+        assert read == expected
+        code, out, err = run_cli(capsys, "fourier", "--input", path, "--format", "text")
+        assert (code, err) == (0, "")
+        assert f"zero monodromy: [{'; '.join(' '.join(row) for row in rows)}]" in out.splitlines()
 
     def test_reader_still_refuses_long_integers(self, capsys, tmp_path):
         path = write_json(tmp_path, "t.json", large_entry_document(2, 16, seed="large:2:16"))
@@ -630,6 +620,21 @@ ERROR_LINES = {
         "error: theorem hypothesis violated: tuple is reducible\n",
         4,
     ),
+    # more digits than int reads from text: the reader's own line, not CPython's advice
+    "long-entry": (
+        ["rig", "--input", "{tmp}/long-entry.json"],
+        None,
+        "error: schema violation: bad matrix entry: "
+        "too many digits in a p/q rational of 5000 characters\n",
+        2,
+    ),
+    "long-location": (
+        ["rig", "--input", "{tmp}/long-location.json"],
+        None,
+        "error: schema violation: bad location at finite point #0: "
+        "too many digits in a p/q rational of 5000 characters\n",
+        2,
+    ),
 }
 
 
@@ -638,6 +643,9 @@ class TestErrorLines:
     def test_one_line_and_exit_code(self, capsys, tmp_path, monkeypatch, case):
         argv, directory, start, expected_code = ERROR_LINES[case]
         write_json(tmp_path, "red.json", REDUCIBLE_DIAGONAL)
+        write_json(tmp_path, "long-entry.json", rank_one("1" * 5000))
+        long_location = {"rank": 1, "finite_points": [{"location": "1" * 5000, "matrix": [["2"]]}]}
+        write_json(tmp_path, "long-location.json", long_location)
         monkeypatch.delenv(CATALOG_ENV_VAR, raising=False)
         if directory is not None:
             monkeypatch.setenv(CATALOG_ENV_VAR, directory.format(tmp=tmp_path))

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from rigidity_lab.fourier import (
     FourierLocalData,
     ReducibleInputWarning,
     TupleAnalysis,
+    fourier_data_to_json,
     irregularity_end,
     preservation_details,
     rig_fourier,
@@ -32,6 +34,7 @@ from rigidity_lab.local_systems import (
 from support import (
     commutation_centralizer_dimension,
     conjugate,
+    forbid_digit_limit_changes,
     fraction_rank,
     random_invertible,
 )
@@ -247,6 +250,18 @@ class TestPreservation:
         assert report.irregularity == 2
         assert [p.point for p in report.per_point_identities] == ["0", "1", "infinity"]
         assert all(p.lhs == p.rhs for p in report.per_point_identities)
+
+    def test_long_location_written_in_full(self, monkeypatch):
+        # 5000 digits: more than str writes by default, and the limit stays
+        limit = sys.get_int_max_str_digits()
+        forbid_digit_limit_changes(monkeypatch)
+        text = "1" + "0" * 5000
+        t = monodromy_tuple(1, [(10**5000, QMatrix.from_rows([[2]])), (0, QMatrix.from_rows([[3]]))])
+        report, data = preservation_details(t)
+        assert [p.point for p in report.per_point_identities] == [text, "0", "infinity"]
+        components = fourier_data_to_json(data)["components"]
+        assert [c["exp_coefficient"] for c in components] == [text, "0"]
+        assert sys.get_int_max_str_digits() == limit
 
     def test_kummer(self):
         report = preservation_details(rank1("2"))[0]

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from rigidity_lab.local_systems import (
 
 from support import (
     conjugate,
+    forbid_digit_limit_changes,
     random_fixing_subspace,
     random_invertible,
     span_closure_dimension,
@@ -337,6 +339,20 @@ class TestJson:
         }
         t = tuple_from_json(payload)
         assert t.infinity_matrix == QMatrix.from_rows([["1/6"]])
+
+    def test_long_location_written_in_full(self, monkeypatch):
+        # 5000 digits: more than str writes by default, and the limit stays
+        limit = sys.get_int_max_str_digits()
+        forbid_digit_limit_changes(monkeypatch)
+        text = "-1" + "0" * 5000 + "/3"
+        location = Fraction(-(10**5000), 3)
+        t = monodromy_tuple(1, [(location, QMatrix.from_rows([[2]])), (0, QMatrix.from_rows([[3]]))])
+        assert tuple_to_json(t)["finite_points"][0]["location"] == text
+        trivial = monodromy_tuple(1, [(location, QMatrix.identity(1)), (0, QMatrix.from_rows([[3]]))])
+        with pytest.raises(ValidationError) as exc:
+            validate(trivial)
+        assert str(exc.value) == f"trivial local monodromy at finite point {text}"
+        assert sys.get_int_max_str_digits() == limit
 
     def test_schema_errors(self):
         with pytest.raises(ValueError, match='"rank"'):
