@@ -20,14 +20,15 @@ from .exact_linalg import (
     invariant_factors,
     similar,
 )
-from .fourier import preservation_details, rig_fourier, stationary_phase
-from .local_systems import (
+from .fourier import (
     is_irreducible,
-    monodromy_tuple,
-    random_tuple,
+    preservation_details,
+    rig_fourier,
     rigidity_index,
     rigidity_report,
+    stationary_phase,
 )
+from .local_systems import monodromy_tuple, random_tuple
 from .theta_pairs import centralizer_identity_check, from_star
 
 __all__ = [

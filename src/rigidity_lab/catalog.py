@@ -9,14 +9,14 @@ external files can change, so they are read and checked on every load.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
 
 from .errors import CatalogError
-from .local_systems import MonodromyTuple, rigidity_report, tuple_from_json
+from .fourier import rigidity_report
+from .local_systems import MonodromyTuple, json_document, tuple_from_json
 
 CATALOG_ENV_VAR = "RIGIDITY_LAB_CATALOG"
 
@@ -115,7 +115,7 @@ def _external_entries(directory: Path) -> list[CatalogEntry]:
     entries = []
     for path in sorted(directory.glob("*.json")):
         try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
+            payload = json_document(path.read_text(encoding="utf-8"))
         except (OSError, ValueError, RecursionError) as exc:  # not UTF-8, too deep, too long
             raise CatalogError(f"cannot read catalog file {path}: {exc}") from exc
         entries.append(_entry(path.stem, payload, f"catalog file {path}"))

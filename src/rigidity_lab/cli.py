@@ -36,7 +36,7 @@ from .errors import (
 )
 from .exact_linalg import polynomial_to_string
 from .fourier import TupleAnalysis, fourier_data_to_json, irregularity_end
-from .local_systems import MAX_POINTS, MAX_RANK, tuple_from_json, tuple_to_json
+from .local_systems import MAX_POINTS, MAX_RANK, json_document, tuple_from_json, tuple_to_json
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -55,7 +55,7 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: what a shell reports for a process it k
 def _load_analysis(path: str) -> TupleAnalysis:
     try:
         text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
-        payload = json.loads(text)
+        payload = json_document(text)
     except OSError as exc:
         raise RigidityLabError(f"cannot read input file: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # not UTF-8 or JSON, too deep, too long

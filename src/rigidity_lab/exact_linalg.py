@@ -48,9 +48,22 @@ _ONE = Fraction(1)
 
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
+# Longest quotation of rejected input that an error message writes in full.
+_QUOTE_CHARS = 60
+
 # The Mersenne prime 2^19 - 1, modulus of the irreducibility certificate.
 _PRIME_BITS = 19
 _PRIME = (1 << _PRIME_BITS) - 1
+
+
+def quote_input(value: object) -> str:
+    """``repr(value)`` for an error message, an int written by
+    ``rational_text``; past ``_QUOTE_CHARS`` characters, the first of them
+    and the total length, so a message stays one short line."""
+    text = rational_text(value) if type(value) is int else repr(value)
+    if len(text) <= _QUOTE_CHARS:
+        return text
+    return f"{text[:_QUOTE_CHARS]}... ({len(text)} characters)"
 
 
 def rational_pair(value: Fraction | int | str) -> tuple[int, int]:
@@ -64,14 +77,14 @@ def rational_pair(value: Fraction | int | str) -> tuple[int, int]:
         return value.as_integer_ratio()
     match = _RATIONAL.fullmatch(value) if isinstance(value, str) else None
     if match is None:
-        raise ValueError(f"not a p/q rational: {value!r}")
+        raise ValueError(f"not a p/q rational: {quote_input(value)}")
     numerator, denominator = match.groups()
     try:
         p, q = int(numerator), int(denominator or 1)
     except ValueError:  # more digits than CPython reads into an int (4300 by default)
         raise ValueError(f"too many digits in a p/q rational of {len(value)} characters") from None
     if not q:
-        raise ValueError(f"zero denominator in {value!r}")
+        raise ValueError(f"zero denominator in {quote_input(value)}")
     g = gcd(p, q) if q > 1 else 1  # lowest terms keep a matrix's common scale small
     return p // g, q // g
 

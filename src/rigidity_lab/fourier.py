@@ -1,14 +1,15 @@
-"""Stationary-phase local data of the Fourier transform and the preservation check.
+"""Everything computed about a monodromy tuple: the rigidity index and
+irreducibility, and the stationary-phase local data of the Fourier transform.
 
-For a regular tuple the transform keeps one exponential component per finite
-singular point (slope one, coefficient equal to the location) whose regular
-part is the source monodromy restricted to im(A - 1), and acquires a regular
+The rigidity index is (2 - #points) * n^2 plus the sum of the centralizer
+dimensions; with irreducibility it decides physical rigidity.  For a regular
+tuple the transform keeps one exponential component per finite singular
+point (slope one, coefficient equal to the location) whose regular part is
+the source monodromy restricted to im(A - 1), and acquires a regular
 singularity at zero whose monodromy is reconstructed as the unique minimal
 pair over the monodromy at infinity with total dimension sum(n_i).
-
-``TupleAnalysis`` computes everything reported about one tuple, each
-quantity once; the public functions here and in ``local_systems`` are views
-on it.
+``TupleAnalysis`` computes each quantity once; the public functions are
+views on it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .exact_linalg import (
     restrict_to_image,
     spans_full_algebra,
 )
-from .local_systems import MonodromyTuple, RigidityReport, validate
+from .local_systems import MonodromyTuple, validate
 
 
 class ReducibleInputWarning(UserWarning):
@@ -61,6 +62,16 @@ class FourierLocalData:
     rank_hat: int
     zero_monodromy: QMatrix
     components: tuple[ExponentialComponent, ...]
+
+
+@dataclass(frozen=True)
+class RigidityReport:
+    rank: int
+    num_points: int
+    centralizer_dims: tuple[int, ...]
+    index: int
+    irreducible: bool
+    physically_rigid: bool
 
 
 class PointIdentity(NamedTuple):
@@ -237,6 +248,20 @@ class TupleAnalysis:
             per_point_identities=tuple(identities),
             irregularity=irregularity,
         )
+
+
+def rigidity_index(t: MonodromyTuple) -> int:
+    return TupleAnalysis(t).index
+
+
+def is_irreducible(t: MonodromyTuple) -> bool:
+    """Absolute irreducibility: the local monodromies generate all n x n
+    matrices (see ``exact_linalg.spans_full_algebra``)."""
+    return TupleAnalysis(t).irreducible
+
+
+def rigidity_report(t: MonodromyTuple) -> RigidityReport:
+    return TupleAnalysis(t).report
 
 
 def stationary_phase(t: MonodromyTuple, *, warn_reducible: bool = True) -> FourierLocalData:

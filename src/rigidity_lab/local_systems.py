@@ -1,15 +1,14 @@
-"""Monodromy tuples on the projective line and their rigidity index.
+"""Monodromy tuples on the projective line: the tuple, ``validate``, seeded
+random tuples and the JSON schema.
 
 A tuple stores one invertible matrix per finite singular point plus one at
-infinity, subject to the product-one relation in the listed order.  The
-rigidity index is (2 - #points) * n^2 plus the sum of the centralizer
-dimensions; combined with irreducibility it decides physical rigidity.
-The index, irreducibility and the report are read off one
-``fourier.TupleAnalysis`` of the tuple.
+infinity, subject to the product-one relation in the listed order.  What is
+computed about a tuple, its rigidity index included, lives in ``fourier``.
 """
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,7 +18,7 @@ from math import gcd
 from typing import Iterable, NamedTuple
 
 from .errors import GenerationError, InvalidMonodromyError, ValidationError
-from .exact_linalg import QMatrix, matrix_to_json, parse_rational, rational_text
+from .exact_linalg import QMatrix, matrix_to_json, parse_rational, quote_input, rational_text
 
 _RANDOM_ENTRY_BOUND = 2
 _MAX_DRAWS_PER_MATRIX = 200
@@ -62,16 +61,6 @@ class MonodromyTuple:
         if self.infinity_matrix.rows != n or self.infinity_matrix.cols != n:
             raise ValidationError(f"matrix at infinity must be {n}x{n}")
         return reduce(lambda a, b: a @ b, self.matrices())
-
-
-@dataclass(frozen=True)
-class RigidityReport:
-    rank: int
-    num_points: int
-    centralizer_dims: tuple[int, ...]
-    index: int
-    irreducible: bool
-    physically_rigid: bool
 
 
 def monodromy_tuple(
@@ -135,27 +124,6 @@ def validate(t: MonodromyTuple) -> None:
         raise ValidationError("monodromy relation violated")
 
 
-def _analysis(t: MonodromyTuple):
-    # The analysis lives with the transform, which builds on this module.
-    from .fourier import TupleAnalysis
-
-    return TupleAnalysis(t)
-
-
-def rigidity_index(t: MonodromyTuple) -> int:
-    return _analysis(t).index
-
-
-def is_irreducible(t: MonodromyTuple) -> bool:
-    """Absolute irreducibility: the local monodromies generate all n x n
-    matrices (see ``exact_linalg.spans_full_algebra``)."""
-    return _analysis(t).irreducible
-
-
-def rigidity_report(t: MonodromyTuple) -> RigidityReport:
-    return _analysis(t).report
-
-
 def random_tuple(rank: int, k: int, seed: int) -> MonodromyTuple:
     """Deterministic random tuple with the relation enforced exactly.
 
@@ -197,6 +165,25 @@ def tuple_to_json(t: MonodromyTuple) -> dict:
     }
 
 
+def _json_int(literal: str) -> int:
+    try:
+        return int(literal)
+    except ValueError:  # more digits than CPython reads into an int (4300 by default)
+        digits = len(literal.lstrip("-"))
+        raise ValueError(f"an integer of {digits} digits is too long to read") from None
+
+
+_JSON_DECODER = json.JSONDecoder(parse_int=_json_int)
+
+
+def json_document(text: str) -> object:
+    """``json.loads(text)``, through one decoder built at import, with the
+    reader's own message for an integer literal too long for ``int``."""
+    if text.startswith("\ufeff"):  # refused as json.loads refuses it
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    return _JSON_DECODER.decode(text)
+
+
 def _bounded_matrix(data: object) -> QMatrix:
     if not isinstance(data, list) or any(not isinstance(row, list) for row in data):
         raise ValueError("matrix must be a JSON array of row arrays")
@@ -233,7 +220,7 @@ def tuple_from_json(data: object) -> MonodromyTuple:
         raise ValueError('"rank" must be an integer')
     rank = data["rank"]
     if rank > MAX_RANK:
-        raise ValueError(f'"rank" is {rank}, more than the maximum {MAX_RANK}')
+        raise ValueError(f'"rank" is {quote_input(rank)}, more than the maximum {MAX_RANK}')
     raw_points = data.get("finite_points")
     if not isinstance(raw_points, list) or not raw_points:
         raise ValueError('"finite_points" must be a non-empty array')

@@ -526,6 +526,41 @@ class TestUnreadableInput:
         assert err.startswith(f"error: cannot read catalog file {path}: ")
 
 
+LONG_RANK = b'{"rank": ' + b"7" * 5000 + b"}"
+
+
+class TestReaderMessages:
+    # the reader's own words: no advice from CPython, and no unbounded quote
+    def test_long_integer_in_a_tuple_file(self, capsys, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_bytes(LONG_RANK)
+        code, out, err = run_cli(capsys, "rig", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: malformed JSON: an integer of 5000 digits is too long to read\n"
+
+    def test_long_integer_in_a_catalog_file(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "t.json"
+        path.write_bytes(LONG_RANK)
+        monkeypatch.setenv(CATALOG_ENV_VAR, str(tmp_path))
+        code, out, err = run_cli(capsys, "catalog", "list")
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: cannot read catalog file {path}: "
+            "an integer of 5000 digits is too long to read\n"
+        )
+
+    @pytest.mark.parametrize(
+        "entry", ["1/" + "x" * 200000, [[1, 2, 3]] * 20000], ids=["long-string", "long-list"]
+    )
+    def test_long_entry_quoted_in_short(self, capsys, tmp_path, entry):
+        path = write_json(tmp_path, "t.json", rank_one(entry))
+        code, out, err = run_cli(capsys, "rig", "--input", path)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: schema violation: bad matrix entry: not a p/q rational: ")
+        assert err.count("\n") == 1 and len(err.encode()) < 200
+        assert err.endswith(f"... ({len(repr(entry))} characters)\n")
+
+
 def source_env() -> dict:
     """The environment with this checkout's ``src`` first on PYTHONPATH."""
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -22,6 +22,7 @@ from rigidity_lab.exact_linalg import (
     matrix_to_json,
     parse_rational,
     polynomial_to_string,
+    quote_input,
     rational_pair,
     restrict_to_image,
     similar,
@@ -190,6 +191,20 @@ class TestQMatrix:
         # a bad entry is reported before a later ragged row
         with pytest.raises(ValueError, match="^bad matrix entry: not a p/q rational: 'x'$"):
             _bounded_matrix([["x", "2"], ["3"]])
+
+    def test_quotes_of_input_are_bounded(self):
+        # up to 60 characters a quote is repr itself; past them, its start and length
+        assert quote_input("1/0") == "'1/0'"
+        assert quote_input(True) == "True"
+        assert quote_input("x" * 58) == repr("x" * 58)
+        assert quote_input("x" * 59) == "'" + "x" * 59 + "... (61 characters)"
+        assert quote_input([[1, 2]] * 100) == repr([[1, 2]] * 100)[:60] + "... (800 characters)"
+        # an int past the int-to-text digit limit is written all the same
+        assert quote_input(10**5000) == "1" + "0" * 59 + "... (5001 characters)"
+        with pytest.raises(ValueError, match=r"^not a p/q rational: '1/x{57}\.\.\. \(200004 "):
+            rational_pair("1/" + "x" * 200000)
+        with pytest.raises(ValueError, match=r"^zero denominator in '1/0{57}\.\.\. \(4004 "):
+            rational_pair("1/" + "0" * 4000)
 
 
 # a shape up to 4 x 4 (0 x 0 and 1 x 1 included) and the entries of two

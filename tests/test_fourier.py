@@ -20,16 +20,13 @@ from rigidity_lab.fourier import (
     TupleAnalysis,
     fourier_data_to_json,
     irregularity_end,
+    is_irreducible,
     preservation_details,
     rig_fourier,
+    rigidity_index,
     stationary_phase,
 )
-from rigidity_lab.local_systems import (
-    is_irreducible,
-    monodromy_tuple,
-    random_tuple,
-    rigidity_index,
-)
+from rigidity_lab.local_systems import monodromy_tuple, random_tuple
 
 from support import (
     commutation_centralizer_dimension,

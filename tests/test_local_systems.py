@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 import sys
 from fractions import Fraction
@@ -8,13 +9,11 @@ import pytest
 from rigidity_lab import exact_linalg
 from rigidity_lab.errors import ValidationError
 from rigidity_lab.exact_linalg import QMatrix
-from rigidity_lab.fourier import TupleAnalysis
+from rigidity_lab.fourier import TupleAnalysis, is_irreducible, rigidity_index, rigidity_report
 from rigidity_lab.local_systems import (
-    is_irreducible,
+    json_document,
     monodromy_tuple,
     random_tuple,
-    rigidity_index,
-    rigidity_report,
     tuple_from_json,
     tuple_to_json,
     validate,
@@ -365,3 +364,25 @@ class TestJson:
             tuple_from_json({"rank": True, "finite_points": [{"location": 0, "matrix": [["2"]]}]})
         with pytest.raises(ValueError):
             tuple_from_json([1, 2, 3])
+
+    def test_long_rank_quoted_in_short(self):
+        with pytest.raises(ValueError) as exc:
+            tuple_from_json({"rank": 10**5000, "finite_points": []})
+        assert str(exc.value) == (
+            '"rank" is 1' + "0" * 59 + "... (5001 characters), more than the maximum 16"
+        )
+
+    def test_json_document_reads_as_json_loads(self):
+        text = '{"rank": -12, "x": [1.5, "7/2", null, true], "y": {}}'
+        assert json_document(text) == json.loads(text)
+        for bad in ("\ufeff{}", "{", "[1,]"):
+            with pytest.raises(json.JSONDecodeError) as ours:
+                json_document(bad)
+            with pytest.raises(json.JSONDecodeError) as theirs:
+                json.loads(bad)
+            assert str(ours.value) == str(theirs.value)
+
+    def test_json_document_refuses_a_long_integer_in_its_own_words(self):
+        with pytest.raises(ValueError) as exc:
+            json_document('{"rank": -' + "1" * 5000 + "}")
+        assert str(exc.value) == "an integer of 5000 digits is too long to read"
