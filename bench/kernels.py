@@ -21,7 +21,12 @@ reference routes from ``tests/support.py``.  Each figure is the median of
   closure mod the same prime, one entry at a time), whose answers must
   agree, and, for n = 2..8 only, the exact pass over Q (``_closes_exact``),
   which grows as n^6; the conversion to integer rows, shared by all, is not
-  timed.  The answers are recorded; on these tuples they agree.
+  timed.  The answers are recorded; on these tuples they agree.  Then the
+  library's routed decision, ``spans_full_algebra`` on the finite matrices
+  as ``TupleAnalysis.irreducible`` passes them (``routed_ms``), whose answer
+  must be the oracle's full span or, where that stalls, the exact pass's;
+  ``route`` says whether a pseudo-reflection (rank(A - 1) = 1) among them
+  sent it to the two vector spins or it ran the closures.
 - ``invariant_factors``: ``exact_linalg.invariant_factors`` (the Krylov
   kernel) against ``support.smith_invariant_factors`` (the Smith form of the
   full xI - A), whose answers must agree, on fixed-seed n x n matrices for
@@ -235,11 +240,9 @@ def invariant_factor_rows(runs: int) -> list[dict]:
 def closure_rows(runs: int) -> list[dict]:
     rows = []
     for n in CLOSURE_RANKS:
-        families = {
-            "levelt": levelt_tuple(n, seed=n).matrices(),
-            "dense": random_tuple(n, 3, seed=n).matrices(),
-        }
-        for family, generators in families.items():
+        families = {"levelt": levelt_tuple(n, seed=n), "dense": random_tuple(n, 3, seed=n)}
+        for family, t in families.items():
+            generators, finite = t.matrices(), [a for _, a in t.finite_points]
             integer_rows = [g.numerators for g in generators]
             packed_ms, certified, _ = median_ms(
                 lambda g: exact_linalg._closes_mod_p(g, n), integer_rows, runs
@@ -262,6 +265,12 @@ def closure_rows(runs: int) -> list[dict]:
                     lambda g: exact_linalg._closes_exact(g, n), integer_rows, runs
                 )
                 row.update(exact_ms=round(exact_ms, 3), full_span=full)
+            routed_ms, routed, _ = median_ms(exact_linalg.spans_full_algebra, finite, runs)
+            expected = oracle or row.get("full_span")
+            if expected is None or routed != expected:
+                raise RuntimeError(f"{family} rank={n}: the routed decision is not confirmed")
+            spins = any(map(exact_linalg._rank_one_shift, finite))
+            row.update(route="spins" if spins else "closure", routed_ms=round(routed_ms, 3))
             print(json.dumps(row), flush=True)
             rows.append(row)
     return rows
@@ -570,8 +579,8 @@ def main() -> None:
         "environment": environment(),
         "kernels": {
             "what": "span closure of the tuple's integer matrices: the certificate mod 2^19 - 1 "
-            "on packed vectors vs the same closure entry by entry (oracle), and the pass "
-            "over Q up to rank 8",
+            "on packed vectors vs the same closure entry by entry (oracle), the pass "
+            "over Q up to rank 8, and the routed spans_full_algebra on the finite matrices",
             "unit": "ms, median of runs",
             "runs": args.runs,
             "rows": closure_rows(args.runs),

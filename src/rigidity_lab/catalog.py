@@ -15,6 +15,7 @@ from functools import cache
 from pathlib import Path
 
 from .errors import CatalogError
+from .exact_linalg import shorten
 from .fourier import rigidity_report
 from .local_systems import MonodromyTuple, json_document, tuple_from_json
 
@@ -93,7 +94,8 @@ def _entry(name: str, payload: object, source: str) -> CatalogEntry:
     index, rigid = report.index, report.physically_rigid
     for key, value in (("expected_index", index), ("expected_rigid", rigid)):
         if key in payload and payload[key] != value:
-            raise CatalogError(f"{source}: {key}={payload[key]} but recomputation gives {value}")
+            stored = shorten(str(payload[key]))  # str, not repr: expected_index=7 stays 7
+            raise CatalogError(f"{source}: {key}={stored} but recomputation gives {value}")
     return CatalogEntry(
         name=name,
         description=str(payload.get("description", f"external tuple from {name}.json")),

@@ -20,12 +20,12 @@ relations between those blocks.  All bases are the deterministic ones from
 reduced row echelon form with leftmost pivots, so runs are bit-identical.
 
 Invertibility (``QMatrix.is_invertible``) is the exact rank of dA.
-Irreducibility (``spans_full_algebra``) closes the span of the words in the
-integer matrices dA: first mod the Mersenne prime p = 2^19 - 1, each vector
-packed into one integer, as a certificate, and over Q only when that falls
-short; ``spans_full_algebra`` says why the certificate is sound.  p is the
-largest Mersenne prime below 2^30, CPython's digit size, so each residue
-and pivot inverse is one digit and each packed slot stays narrow.
+Irreducibility (``spans_full_algebra``) is two vector spins when a generator
+is 1 plus a rank-one matrix; otherwise it closes the span of the words in
+the integer matrices dA: first mod the Mersenne prime p = 2^19 - 1, each
+vector packed into one integer, as a certificate, and over Q only when that
+falls short; ``spans_full_algebra`` says why both routes are exact.  Each
+residue and pivot inverse mod p is one CPython digit (p < 2^30).
 """
 
 from __future__ import annotations
@@ -57,13 +57,15 @@ _PRIME = (1 << _PRIME_BITS) - 1
 
 
 def quote_input(value: object) -> str:
-    """``repr(value)`` for an error message, an int written by
-    ``rational_text``; past ``_QUOTE_CHARS`` characters, the first of them
-    and the total length, so a message stays one short line."""
-    text = rational_text(value) if type(value) is int else repr(value)
-    if len(text) <= _QUOTE_CHARS:
-        return text
-    return f"{text[:_QUOTE_CHARS]}... ({len(text)} characters)"
+    """``shorten(repr(value))``, an int written by ``rational_text``."""
+    return shorten(rational_text(value) if type(value) is int else repr(value))
+
+
+def shorten(text: str) -> str:
+    """``text`` for an error message; past ``_QUOTE_CHARS`` characters, the
+    first of them and the total length, so a message stays one short line."""
+    n = _QUOTE_CHARS
+    return text if len(text) <= n else f"{text[:n]}... ({len(text)} characters)"
 
 
 def rational_pair(value: Fraction | int | str) -> tuple[int, int]:
@@ -511,28 +513,63 @@ def _closes_mod_p(generators: list[Sequence[Sequence[int]]], n: int) -> bool:
     return len(basis) == target
 
 
+def _spin(generators: list[Sequence[Sequence[int]]], start: list[int], n: int) -> int:
+    """Dimension of the span of ``start``'s images under the words in the
+    integer matrices ``generators`` (their rows); it stops once it is n."""
+    basis, queue = _echelon([start], n), [start]
+    while queue and len(basis) < n:
+        vector = queue.pop()
+        for rows in generators:  # no product once the span is full
+            if len(basis) < n and basis.add(image := [sum(map(mul, row, vector)) for row in rows]):
+                queue.append(image)
+    return len(basis)
+
+
+def _rank_one_shift(matrix: QMatrix) -> tuple[list[int], list[int]] | None:
+    """For n >= 2, (u, w) with dA - dI a multiple of u w^T if rank(A - 1) = 1,
+    else None: w is dA - dI's first nonzero row and u its column at w's
+    pivot; a nonzero leading 2 x 2 minor or a row not proportional to w ends it."""
+    d, rows, w = matrix.denominator, matrix.numerators, None
+    if (rows[0][0] - d) * (rows[1][1] - d) != rows[0][1] * rows[1][0]:
+        return None
+    for i, row in enumerate(rows):
+        shifted = list(row)
+        shifted[i] -= d
+        if w is None:
+            if any(shifted):
+                w, j = shifted, shifted.index(next(filter(None, shifted)))
+        elif [w[j] * x for x in shifted] != [shifted[j] * y for y in w]:
+            return None
+    return None if w is None else ([row[j] - d * (i == j) for i, row in enumerate(rows)], w)
+
+
 def spans_full_algebra(generators: Sequence[QMatrix]) -> bool:
     """Whether the n x n matrices ``generators`` generate all of M_n(Q).
 
-    Starting from the identity, the span of the reached products is closed
-    under left multiplication by the generators until it stabilizes.  The
-    dimension of a rational span does not change under field extension, so
-    a full span is the same over any extension field.  The closure runs on
-    the stored integer matrices dA (``QMatrix.numerators``): scaling a
-    generator by a nonzero d does not change the span of the products.
+    If a generator A has rank(A - 1) = 1, the algebra holds A - 1 ~ u w^T,
+    hence each (xu)(w^T y) for x, y in it: it is M_n(Q) exactly when the
+    spins of u under the generators and of w under their transposes reach n.
+    Otherwise, starting from the identity, the span of the reached products
+    is closed under left multiplication by the generators until it
+    stabilizes; a span's dimension is the same over any extension field.
+    Both run on the stored integer matrices dA (``QMatrix.numerators``):
+    scaling a generator by a nonzero d changes no span.
 
-    It runs first mod the prime ``_PRIME``, as a certificate.  A word in the
-    dA reduces mod the prime to the same word in their reductions, so when
-    the reductions generate M_n(F_p), n^2 integer words reduce to
-    independent vectors: their n^2 x n^2 determinant is nonzero mod the
-    prime, hence nonzero, and the words span M_n(Q), for any prime and
-    whichever spanning elements the closure multiplies on.  Only when that
-    closure stalls below n^2 does the closure over Q decide.
+    The closure runs first mod the prime ``_PRIME``, as a certificate.  A
+    word in the dA reduces mod the prime to the same word in their
+    reductions, so when the reductions generate M_n(F_p), n^2 integer words
+    reduce to independent vectors: their n^2 x n^2 determinant is nonzero
+    mod the prime, hence nonzero, and the words span M_n(Q), for any prime
+    and whichever spanning elements the closure multiplies on.  Only when
+    that closure stalls below n^2 does the closure over Q decide.
     """
     n = generators[0].rows
-    if len(generators) == 1:  # Q[A] has dimension at most n < n^2 once n > 1
+    if n <= 1 or len(generators) == 1:  # M_1 = Q; Q[A] has dimension < n^2 once n > 1
         return n <= 1
     rows = [g.numerators for g in generators]
+    if shift := next(filter(None, map(_rank_one_shift, generators)), None):
+        u, w = shift
+        return _spin(rows, u, n) == n and _spin([list(zip(*r)) for r in rows], w, n) == n
     return _closes_mod_p(rows, n) or _closes_exact(rows, n)
 
 
@@ -904,13 +941,9 @@ def centralizer_dimension(matrix: QMatrix) -> int:
     """Dimension of the space of matrices commuting with ``matrix``: n if one
     Krylov spin of e_n under dA, as ``_relation_matrix`` starts, reaches n
     vectors (A is cyclic), else read off the invariant factor degrees."""
-    n, rows = matrix.rows, matrix.numerators
-    if matrix.is_square:
-        basis, vector = Echelon(n), [int(j == n - 1) for j in range(n)]
-        while basis.add(vector) and len(basis) < n:
-            vector = [sum(map(mul, row, vector)) for row in rows]
-        if len(basis) == n:
-            return n
+    n = matrix.rows
+    if matrix.is_square and _spin([matrix.numerators], [int(j == n - 1) for j in range(n)], n) == n:
+        return n
     return invariant_factors(matrix).centralizer_dimension
 
 

@@ -120,9 +120,9 @@ class TupleAnalysis:
 
     @cached_property
     def irreducible(self) -> bool:
-        """Whether the finite monodromies generate all n x n matrices.  By the
-        product relation A_inf is the inverse of their product, a polynomial
-        in it, so adding A_inf would not change the generated algebra."""
+        """Whether the finite monodromies generate all n x n matrices; A_inf,
+        the inverse of their product, adds nothing.  A pseudo-reflection among
+        them, as C_f^-1 C_g of a Levelt tuple, decides it by two vector spins."""
         return spans_full_algebra([a for _, a in self.tuple.finite_points])
 
     @cached_property

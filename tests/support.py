@@ -246,6 +246,21 @@ def unit_partition_by_ranks(matrix: QMatrix) -> tuple[int, ...]:
     return tuple(sizes)
 
 
+def is_pseudo_reflection(matrix: QMatrix) -> bool:
+    """rank(A - 1) = 1, by sympy: the generators that let ``spans_full_algebra``
+    decide by two vector spins instead of a span closure."""
+    n = matrix.rows
+    entries = [sympy.Rational(x.numerator, x.denominator) for x in matrix.entries]
+    return (sympy.Matrix(n, n, entries) - sympy.eye(n)).rank() == 1
+
+
+def spin_route(generators: list[QMatrix]) -> bool:
+    """Whether ``spans_full_algebra`` decides these generators by the spins:
+    n >= 2, more than one generator, and one of them a pseudo-reflection."""
+    n, several = generators[0].rows, len(generators) > 1
+    return n > 1 and several and any(map(is_pseudo_reflection, generators))
+
+
 def span_closure_dimension(generators: list[QMatrix]) -> int:
     """Dimension of the algebra the matrices generate, by sympy ranks.
 

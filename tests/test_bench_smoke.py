@@ -62,3 +62,15 @@ def test_kernel_table_at_small_sizes(capsys, kernel, family):
         (kernel, family, 3),
     ]
     assert len(capsys.readouterr().out.splitlines()) == 2
+
+
+def test_closure_rows_record_the_routed_decision(monkeypatch, capsys):
+    # the Levelt tuple's pseudo-reflection takes the spins; the dense tuple the closures
+    for sizes in ("CLOSURE_RANKS", "EXACT_CLOSURE_RANKS"):
+        monkeypatch.setattr(bench, sizes, (2, 3))
+    rows = bench.closure_rows(1)
+    assert all(row["routed_ms"] >= 0 for row in rows)
+    assert {(row["family"], row["route"]) for row in rows} == {
+        ("levelt", "spins"),
+        ("dense", "closure"),
+    }

@@ -21,6 +21,7 @@ from support import (
     levelt_tuple,
     read_rational,
     span_closure_dimension,
+    spin_route,
 )
 
 
@@ -560,6 +561,21 @@ class TestReaderMessages:
         assert err.count("\n") == 1 and len(err.encode()) < 200
         assert err.endswith(f"... ({len(repr(entry))} characters)\n")
 
+    @pytest.mark.parametrize("key", ["expected_index", "expected_rigid"])
+    def test_long_stored_expectation_quoted_in_short(self, capsys, tmp_path, monkeypatch, key):
+        # the stored value is quoted as str text, as a short one is, cut at 60 characters
+        write_json(tmp_path, "liar.json", dict(RANK1_TWOPOINT, **{key: "x" * 200000}))
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv(CATALOG_ENV_VAR, ".")
+        code, out, err = run_cli(capsys, "catalog", "list")
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and len(err.encode()) < 200
+        recomputed = {"expected_index": 2, "expected_rigid": True}[key]
+        assert err == (
+            f"error: catalog file liar.json: {key}={'x' * 60}... (200000 characters) "
+            f"but recomputation gives {recomputed}\n"
+        )
+
 
 def source_env() -> dict:
     """The environment with this checkout's ``src`` first on PYTHONPATH."""
@@ -780,12 +796,20 @@ class TestComputeOnce:
         closure = count_calls(monkeypatch, exact_linalg, "spans_full_algebra")
         certificates = count_calls(monkeypatch, exact_linalg, "_closes_mod_p")
         exact = count_calls(monkeypatch, exact_linalg, "_closes_exact")
+        spins = count_calls(monkeypatch, exact_linalg, "_spin")
+        dims = count_calls(monkeypatch, exact_linalg, "centralizer_dimension")
         factors = count_calls(monkeypatch, exact_linalg, "invariant_factors")
         restrict = count_calls(monkeypatch, exact_linalg, "restrict_to_image")
         code, _, _ = run_cli(capsys, command, "--input", path)
         assert code == 0
         assert (len(validate), len(closure)) == (1, 1)
-        assert (len(certificates), len(exact)) == (1, 0)  # the certificate settles it
+        # diag(2, 1) - 1 has rank one, so the irreducibility is two spins
+        # under the three finite matrices, of u = e_1 and of w = e_1, which
+        # both reach 2, and neither closure runs; every other spin is under
+        # one matrix, the cyclic certificate of a centralizer dimension
+        assert (len(certificates), len(exact)) == (0, 0)
+        spun = [len(args[0]) for args in spins]
+        assert spun.count(3) == 2 and spun.count(1) == len(dims) == len(spun) - 2
         assert len(factors) == factorizations
         assert len(restrict) == restrictions
 
@@ -857,6 +881,7 @@ class TestComputeOnce:
         draws = count_calls(monkeypatch, local_systems, "random_tuple")
         validate = count_calls(monkeypatch, local_systems, "validate")
         closure = count_calls(monkeypatch, exact_linalg, "spans_full_algebra")
+        certificates = count_calls(monkeypatch, exact_linalg, "_closes_mod_p")
         exact = count_calls(monkeypatch, exact_linalg, "_closes_exact")
         # seed 43's stream has shapes of rank > 1 on one finite point, which
         # are reducible and never built, and reducible draws on several points
@@ -873,15 +898,23 @@ class TestComputeOnce:
         skipped = [(rank, k, seed) for rank, k, seed in stream if k == 1 and rank > 1]
         assert skipped and draws == [draw for draw in stream if draw not in skipped]
         assert len(validate) == len(closure) == len(draws) >= 10
+        tuples = [random_tuple(*draw) for draw in draws]
         reducible = [
-            k
-            for rank, k, seed in draws
-            if span_closure_dimension(random_tuple(rank, k, seed).matrices()) < rank * rank
+            t for t in tuples if span_closure_dimension(t.matrices()) < t.rank * t.rank
         ]
         assert len(reducible) == len(draws) - 10
         # rank 1 is irreducible, so every reducible draw built has several
-        # points, and only there does the certificate fall short
-        assert 0 < len(exact) == sum(k >= 2 for k in reducible) == len(reducible)
+        # points.  A draw of rank > 1 with a finite matrix A of rank(A - 1) = 1
+        # (by sympy) is decided by spins; the certificate runs on every other
+        # draw of rank > 1, and the exact closure on the reducible ones of
+        # those.  Seed 43's one reducible draw has such an A, as has one
+        # irreducible draw, so the spins meet both answers and no exact
+        # closure runs.
+        spun = [spin_route([a for _, a in t.finite_points]) for t in tuples]
+        closed = [t for t, s in zip(tuples, spun) if t.rank > 1 and not s]
+        assert len(certificates) == len(closed) > 0
+        assert len(exact) == sum(t in reducible for t in closed) == 0
+        assert sorted(t in reducible for t, s in zip(tuples, spun) if s) == [False, True]
 
 
 class TestInternalFailures:

@@ -52,6 +52,7 @@ from support import (
     restriction_oracle,
     smith_invariant_factors,
     span_closure_dimension,
+    spin_route,
     unit_partition_by_ranks,
     zeros,
 )
@@ -865,15 +866,15 @@ class TestKrylovKernel:
 class TestSpanClosure:
     def test_agrees_with_sympy_closure(self, monkeypatch):
         passes = []
-        for name in ("_closes_mod_p", "_closes_exact"):
+        for name in ("_spin", "_closes_mod_p", "_closes_exact"):
             original = getattr(exact_linalg, name)
             monkeypatch.setattr(
                 exact_linalg,
                 name,
-                lambda gens, n, f=original: passes.append(f.__name__) or f(gens, n),
+                lambda *args, f=original: passes.append(f.__name__) or f(*args),
             )
         rng = random.Random(4)
-        not_full = 0
+        routes = []
         for n in range(1, 6):
             for trial in range(4):
                 k = rng.randint(1, 3)
@@ -892,12 +893,30 @@ class TestSpanClosure:
                     p = random_invertible(rng, n)
                     gens = [conjugate(g, p) for g in gens]
                 full = span_closure_dimension(gens) == n * n
+                passes.clear()
                 assert spans_full_algebra(gens) == full
-                not_full += not full
-        assert 5 < not_full < 15
-        # the certificate settles every full span; only the others run exactly
-        assert passes.count("_closes_mod_p") == 20
-        assert passes.count("_closes_exact") == not_full
+                # the route, from sympy's rank(A - 1): M_1 = Q needs none; a
+                # pseudo-reflection decides by the spin of u, then, if that
+                # reaches n, of w; otherwise the certificate settles every
+                # full span, and only the others run exactly
+                if n == 1:
+                    route, allowed = "none", [()]
+                elif spin_route(gens):
+                    route = "spin"
+                    allowed = [("_spin", "_spin")] if full else [("_spin",), ("_spin", "_spin")]
+                else:
+                    route = "closure"
+                    allowed = [("_closes_mod_p",) if full else ("_closes_mod_p", "_closes_exact")]
+                assert tuple(passes) in allowed
+                routes.append((route, full))
+        assert 5 < [full for _, full in routes].count(False) < 15
+        counts = {route: [] for route in ("none", "spin", "closure")}
+        for route, full in routes:
+            counts[route].append(full)
+        assert len(counts["none"]) == 4 and all(counts["none"])
+        assert len(counts["spin"]) + len(counts["closure"]) == 16
+        # both routes are taken, and each meets a full span and a reducible set
+        assert all(set(fulls) == {True, False} for r, fulls in counts.items() if r != "none")
 
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_single_generator_needs_no_closure(self, monkeypatch, n):
@@ -914,14 +933,14 @@ class TestSpanClosure:
         assert passes == []
 
 
-def _generator_sets(entries, reducible: bool = False):
-    """(n, the rows of k integer n x n generators) for n = 1..6 and k = 1..4.
+def _generator_sets(entries, reducible: bool = False, max_n: int = 6):
+    """(n, the rows of k integer n x n generators) for n = 1..max_n and k = 1..4.
     A reducible set has n >= 2 and maps span(e_1, ..., e_d) into itself, for
     some 0 < d < n: its generators are zero in rows d.. of columns ..d."""
 
     @st.composite
     def build(draw):
-        n = draw(st.integers(2 if reducible else 1, 6))
+        n = draw(st.integers(2 if reducible else 1, max_n))
         d = draw(st.integers(1, n - 1)) if reducible else 0
         k = draw(st.integers(1, 4))
         generators = [
@@ -969,15 +988,17 @@ class TestPackedClosure:
         assert not exact_linalg._closes_mod_p(generators, n)
         assert not closes_full_span_mod_p(generators, n, P)
 
-    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("n", range(2, 17))
     def test_levelt_tuples_are_certified(self, monkeypatch, n):
-        # irreducible (f(1) != 0), and the certificate alone says so
-        exact = []
-        monkeypatch.setattr(exact_linalg, "_closes_exact", lambda *args: exact.append(args))
+        # irreducible (f(1) != 0), and decided by the spins alone: C_f^-1 C_g
+        # is 1 plus a rank-one matrix, so neither closure runs
+        closures = []
+        for name in ("_closes_mod_p", "_closes_exact"):
+            monkeypatch.setattr(exact_linalg, name, lambda *args, f=name: closures.append(f))
         for seed in range(5):
             t = levelt_tuple(n, seed)
             assert spans_full_algebra([a for _, a in t.finite_points])
-        assert exact == []
+        assert closures == []
 
     def test_no_false_stall_in_a_campaign(self, monkeypatch):
         # the certificate stalls only where the span is not full: on the
@@ -1014,6 +1035,102 @@ class TestPackedClosure:
         ]
         assert not exact_linalg._closes_mod_p(generators, 16)
 
+
+
+def _pseudo_reflection_sets(entries, reducible: bool = False, max_n: int = 6):
+    """(n, generators as QMatrix) from ``_generator_sets``, with
+    1 + u w^T / q, u and w nonzero and q >= 1, inserted among them.  In a
+    reducible set, span(e_1, ..., e_d) stays invariant: u lies in it or w is
+    zero on it.  d is read off the generators' zero block."""
+
+    @st.composite
+    def build(draw):
+        n, generators = draw(_generator_sets(entries, reducible, max_n))
+        d = 0
+        if reducible:  # the largest d with every generator zero in rows d.. of columns ..d
+            d = max(
+                j
+                for j in range(1, n)
+                if not any(g[i][c] for g in generators for i in range(j, n) for c in range(j))
+            )
+        nonzero = entries.filter(bool)  # u_1 and w_n: u and w are never zero
+        u = [draw(nonzero) if i < max(d, 1) else draw(entries) for i in range(n)]
+        w = [draw(nonzero) if j == n - 1 else draw(entries) for j in range(n)]
+        if reducible:
+            if draw(st.booleans()):
+                u = [x if i < d else 0 for i, x in enumerate(u)]
+            else:
+                w = [x if j >= d else 0 for j, x in enumerate(w)]
+        q = draw(st.sampled_from([1, 2, 7, P]))
+        pseudo = QMatrix._integral(
+            n, n, [[q * (i == j) + u[i] * w[j] for j in range(n)] for i in range(n)], q
+        )
+        matrices = [QMatrix._integral(n, n, rows) for rows in generators]
+        matrices.insert(draw(st.integers(0, len(matrices))), pseudo)
+        return n, matrices
+
+    return build()
+
+
+class TestRankOneRoute:
+    """A generator A with rank(A - 1) = 1 decides irreducibility by two spins;
+    ``support.span_closure_dimension`` (sympy) is the oracle."""
+
+    @staticmethod
+    def _is_a_multiple_of_the_shift(matrix: QMatrix, u: list[int], w: list[int]) -> bool:
+        """dA - dI = c u w^T for a nonzero rational c."""
+        n, d, rows = matrix.rows, matrix.denominator, matrix.numerators
+        shifted = [[x - d * (i == j) for j, x in enumerate(row)] for i, row in enumerate(rows)]
+        outer = [[x * y for y in w] for x in u]
+        i, j = next((i, j) for i in range(n) for j in range(n) if outer[i][j])
+        c = Fraction(shifted[i][j], outer[i][j])
+        return c != 0 and all(shifted[i][j] == c * outer[i][j] for i in range(n) for j in range(n))
+
+    def test_detection(self):
+        shift = exact_linalg._rank_one_shift
+        for n in (2, 3, 5):
+            # the identity and other scalars: rank 0 or n
+            for c in (1, Fraction(-2, 3), 3):
+                assert shift(QMatrix.diagonal([c] * n)) is None
+            # J_2(1), and diagonals with one entry other than 1, first or last
+            cases = [
+                block_diag([jordan_block(2, 1), QMatrix.identity(n - 2)]),
+                QMatrix.diagonal([1] * (n - 1) + [Fraction(5, 2)]),
+                QMatrix.diagonal([-1] + [1] * (n - 1)),
+            ]
+            for m in cases:
+                assert matrix_rank(m - QMatrix.identity(n)) == 1
+                assert self._is_a_multiple_of_the_shift(m, *shift(m))
+            # rank two, with a leading 2 x 2 minor that is nonzero, then zero
+            assert shift(QMatrix.diagonal([2, 3] + [1] * (n - 2))) is None
+            assert shift(QMatrix.diagonal([2] + [1] * (n - 2) + [3])) is None
+        assert shift(jordan_block(2, 1)) == ([1, 0], [0, 1])
+
+    # the sympy closure grows fast with n and with wide entries: n <= 4 here
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.one_of(
+            _pseudo_reflection_sets(st.integers(-2, 2), max_n=4),
+            _pseudo_reflection_sets(st.integers(-2, 2), reducible=True, max_n=4),
+            _pseudo_reflection_sets(wide_entries, max_n=4),
+            _pseudo_reflection_sets(wide_entries, reducible=True, max_n=4),
+        )
+    )
+    def test_spins_agree_with_the_closure(self, case):
+        n, generators = case
+        closures = []
+        with pytest.MonkeyPatch.context() as patch:  # neither closure runs
+            for name in ("_closes_mod_p", "_closes_exact"):
+                patch.setattr(exact_linalg, name, lambda *args, f=name: closures.append(f))
+            answer = spans_full_algebra(generators)
+        assert answer == (span_closure_dimension(generators) == n * n)
+        assert closures == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(_pseudo_reflection_sets(wide_entries, reducible=True))
+    def test_block_triangular_sets_are_reducible(self, case):
+        _, generators = case
+        assert not spans_full_algebra(generators)
 
 def test_polynomial_rendering():
     assert polynomial_to_string(()) == "0"
