@@ -514,15 +514,15 @@ def _closes_mod_p(generators: list[Sequence[Sequence[int]]], n: int) -> bool:
 
 
 def _spin(generators: list[Sequence[Sequence[int]]], start: list[int], n: int) -> int:
-    """Dimension of the span of ``start``'s images under the words in the
-    integer matrices ``generators`` (their rows); it stops once it is n."""
+    """Dimension, up to n, of the span of the words in ``generators`` (their rows) on ``start``."""
     basis, queue = _echelon([start], n), [start]
-    while queue and len(basis) < n:
+    pivots = basis.pivots  # grows with the basis; its len is cheaper than the basis's
+    while queue and len(pivots) < n:
         vector = queue.pop()
         for rows in generators:  # no product once the span is full
-            if len(basis) < n and basis.add(image := [sum(map(mul, row, vector)) for row in rows]):
+            if len(pivots) < n and basis.add(image := [sum(map(mul, row, vector)) for row in rows]):
                 queue.append(image)
-    return len(basis)
+    return len(pivots)
 
 
 def _rank_one_shift(matrix: QMatrix) -> tuple[list[int], list[int]] | None:
