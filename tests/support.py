@@ -257,8 +257,9 @@ def is_pseudo_reflection(matrix: QMatrix) -> bool:
 def spin_route(generators: list[QMatrix]) -> bool:
     """Whether ``spans_full_algebra`` decides these generators by the spins:
     n >= 2, more than one generator, and one of them a pseudo-reflection."""
-    n, several = generators[0].rows, len(generators) > 1
-    return n > 1 and several and any(map(is_pseudo_reflection, generators))
+    return (
+        generators[0].rows > 1 and len(generators) > 1 and any(map(is_pseudo_reflection, generators))
+    )
 
 
 def span_closure_dimension(generators: list[QMatrix]) -> int:

@@ -899,9 +899,7 @@ class TestComputeOnce:
         assert skipped and draws == [draw for draw in stream if draw not in skipped]
         assert len(validate) == len(closure) == len(draws) >= 10
         tuples = [random_tuple(*draw) for draw in draws]
-        reducible = [
-            t for t in tuples if span_closure_dimension(t.matrices()) < t.rank * t.rank
-        ]
+        reducible = [t for t in tuples if span_closure_dimension(t.matrices()) < t.rank * t.rank]
         assert len(reducible) == len(draws) - 10
         # rank 1 is irreducible, so every reducible draw built has several
         # points.  A draw of rank > 1 with a finite matrix A of rank(A - 1) = 1
