@@ -55,9 +55,12 @@ reference routes from ``tests/support.py``.  Each figure is the median of
   already computed for the point at infinity, are not timed.
 - ``kernel_table``: each kernel of ``KERNELS`` (``QMatrix.from_rows``,
   ``@``, ``matrix_rank``, which ``is_invertible`` compares with n,
-  ``_rank_factorization``, ``QMatrix.inverse``, ``restrict_to_image`` at
-  power 1 and ``centralizer_dimension``) against its oracle in ``support``,
-  the same job on ``Fraction`` entries (for ``centralizer_dimension``, the
+  ``rank_factorization``, the pivots and reduced rows of A - 1 from the
+  elimination that ``restrict_to_image`` and ``from_star`` share
+  (``support.shift_factorization``), ``QMatrix.inverse``,
+  ``restrict_to_image`` at power 1 and ``centralizer_dimension``) against
+  its oracle in ``support``, the same job on ``Fraction`` entries (for
+  ``rank_factorization``, on A - 1; for ``centralizer_dimension``, the
   nullity of the n^2 x n^2 commutation system), whose answer must agree, on
   its families at their sizes in ``TABLE_FAMILIES``, up to
   ``KERNEL_MAX_N``: ``dense`` and ``zero_monodromy``, as above,
@@ -143,6 +146,7 @@ from support import (  # noqa: E402
     loop_matmul,
     random_invertible,
     restriction_oracle,
+    shift_factorization,
     smith_invariant_factors,
 )
 
@@ -175,7 +179,7 @@ def zero_monodromy_matrix(rng: random.Random, n: int) -> QMatrix:
 def singular_matrix(rng: random.Random, n: int) -> QMatrix:
     """A ``dense_matrix`` with its last row replaced by the sum of the others."""
     dense = dense_matrix(rng, n)
-    rows = [dense.row_list(i) for i in range(n - 1)]
+    rows = [dense.entries[i * n : (i + 1) * n] for i in range(n - 1)]
     return QMatrix.from_rows(rows + [[sum(column) for column in zip(*rows)]])
 
 
@@ -344,6 +348,11 @@ def inverse_or_none(matrix: QMatrix) -> QMatrix | None:
         return None
 
 
+def fraction_shift_factorization(matrix: QMatrix) -> tuple[list[int], QMatrix]:
+    """``fraction_rank_factorization`` of A - 1, the oracle of ``shift_factorization``."""
+    return fraction_rank_factorization(matrix - QMatrix.identity(matrix.rows))
+
+
 # family: (matrix maker, sizes n); integer: invertible with entries in
 # [-2, 2], as random_tuple draws them
 TABLE_FAMILIES = {
@@ -363,7 +372,7 @@ KERNELS = {
         "matrix", exact_linalg.matrix_rank, fraction_rank, (*ECHELON_FAMILIES, "singular")
     ),
     "rank_factorization": (
-        "matrix", exact_linalg._rank_factorization, fraction_rank_factorization, ECHELON_FAMILIES
+        "matrix", shift_factorization, fraction_shift_factorization, ECHELON_FAMILIES
     ),
     "inverse": ("matrix", inverse_or_none, fraction_inverse, (*ECHELON_FAMILIES, "integer")),
     "restrict_to_image": (
@@ -390,7 +399,7 @@ def kernel_row(kernel: str, family: str, n: int, runs: int) -> dict:
         arguments = (matrix, make(rng, n))
     elif kind == "rows":  # ints for the integer family, as random_tuple passes them
         cast = int if family == "integer" else Fraction
-        arguments = ([[cast(x) for x in matrix.row_list(i)] for i in range(n)],)
+        arguments = ([[cast(x) for x in matrix.entries[i * n : (i + 1) * n]] for i in range(n)],)
     else:
         arguments = (matrix,)
     integer_ms, answer, _ = median_ms(lambda a: library(*a), arguments, runs)

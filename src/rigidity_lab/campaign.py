@@ -16,7 +16,7 @@ from typing import Iterator
 
 from .errors import GenerationError
 from .fourier import TupleAnalysis
-from .local_systems import MonodromyTuple, random_tuple, tuple_to_json
+from .local_systems import random_tuple, tuple_to_json
 
 _REDRAWS_PER_TRIAL = 200
 
@@ -55,6 +55,7 @@ def _trial_seed(seed: int, index: int) -> int:
 
 
 def _campaign_analyses(config: CampaignConfig) -> Iterator[tuple[int, TupleAnalysis]]:
+    """One irreducible tuple per trial, redrawn with fresh dimensions if reducible."""
     for index in range(config.trials):
         rng = random.Random(_trial_seed(config.seed, index))
         for _ in range(_REDRAWS_PER_TRIAL):
@@ -71,15 +72,6 @@ def _campaign_analyses(config: CampaignConfig) -> Iterator[tuple[int, TupleAnaly
             raise GenerationError(
                 f"trial {index}: no irreducible tuple found in {_REDRAWS_PER_TRIAL} draws"
             )
-
-
-def campaign_tuples(config: CampaignConfig) -> Iterator[tuple[int, MonodromyTuple]]:
-    """Deterministic irreducible tuples, one per trial.
-
-    Each trial is seeded independently from (seed, index); reducible draws
-    are discarded and redrawn with fresh dimensions so ranks stay unbiased.
-    """
-    return ((index, analysis.tuple) for index, analysis in _campaign_analyses(config))
 
 
 def run_campaign(config: CampaignConfig) -> CampaignResult:

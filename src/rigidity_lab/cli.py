@@ -34,8 +34,7 @@ from .errors import (
     RigidityLabError,
     ValidationError,
 )
-from .exact_linalg import polynomial_to_string
-from .fourier import TupleAnalysis, fourier_data_to_json, irregularity_end
+from .fourier import TupleAnalysis, fourier_data_to_json
 from .local_systems import MAX_POINTS, MAX_RANK, json_document, tuple_from_json, tuple_to_json
 
 EXIT_OK = 0
@@ -149,25 +148,7 @@ def _cmd_rig(args: argparse.Namespace) -> int:
 
 
 def _cmd_fourier(args: argparse.Namespace) -> int:
-    analysis = _load_analysis(args.input)
-    data = analysis.local_data
-    base = fourier_data_to_json(data)
-    components = [
-        {**rendered, "centralizer_dim": dim}
-        for rendered, dim in zip(base["components"], analysis.component_centralizer_dims)
-    ]
-    payload: dict = {
-        "rank_hat": base["rank_hat"],
-        "zero_monodromy": base["zero_monodromy"],
-        "zero_invariant_factors": [
-            polynomial_to_string(f) for f in analysis.zero_invariants.invariant_factors
-        ],
-        "components": components,
-        "irregularity": irregularity_end(data),
-    }
-    if not analysis.irreducible:
-        payload["warning"] = "tuple is reducible: preservation is not asserted for this data"
-    _print_payload(payload, args.format, _fourier_text)
+    _print_payload(fourier_data_to_json(_load_analysis(args.input)), args.format, _fourier_text)
     return EXIT_OK
 
 

@@ -12,7 +12,8 @@ entries), and in the polynomials of similarity invariants.  Printing makes
 none: every number becomes text through ``rational_text``, from its
 integers.  Ranks, inverses, spans and restrictions to invariant images
 come out of one fraction-free elimination per matrix (``Echelon``) on the
-rows of dA.  A centralizer dimension is n when one Krylov spin of dA
+rows of dA, or of dA - dI where ``restrict_to_image`` and ``from_star`` read
+A on im(A - 1).  A centralizer dimension is n when one Krylov spin of dA
 reaches n vectors; otherwise it, unit Jordan blocks and similarity are read
 off the invariant factors of xI - A: a Krylov basis of dA splits Q^n into
 cyclic blocks, and a Smith form over Q[x] runs only on the small matrix of
@@ -157,11 +158,6 @@ class QMatrix:
     def identity(cls, n: int) -> "QMatrix":
         return cls._integral(n, n, [[int(i == j) for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def diagonal(cls, values: Sequence[Fraction | int | str]) -> "QMatrix":
-        n = len(values)
-        return cls(n, n, [values[i] if i == j else 0 for i in range(n) for j in range(n)])
-
     @cached_property
     def entries(self) -> tuple[Fraction, ...]:
         d = self.denominator
@@ -170,12 +166,6 @@ class QMatrix:
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.cols + j]
-
-    def row_list(self, i: int) -> list[Fraction]:
-        return list(self.entries[i * self.cols : (i + 1) * self.cols])
 
     def _combine(self, other: "QMatrix", sign: int) -> "QMatrix":
         """self + sign * other, over the lcm of the two denominators."""
@@ -192,13 +182,6 @@ class QMatrix:
 
     def __sub__(self, other: "QMatrix") -> "QMatrix":
         return self._combine(other, -1)
-
-    def __mul__(self, scalar: Fraction | int) -> "QMatrix":
-        p, q = rational_pair(scalar)
-        rows = [[p * x for x in row] for row in self.numerators]
-        return QMatrix._integral(self.rows, self.cols, rows, q * self.denominator)
-
-    __rmul__ = __mul__
 
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         """(dA)(d'B) / (d d'), summed on integers."""
@@ -425,20 +408,6 @@ def matrix_rank(matrix: QMatrix) -> int:
     return len(_echelon(matrix.numerators, matrix.cols))
 
 
-def _rank_factorization(matrix: QMatrix) -> tuple[list[int], QMatrix]:
-    """The pivot columns of M and the nonzero rows W of its reduced row
-    echelon form, from one elimination.
-
-    The pivot columns B = M[:, pivots] are a basis of im(M) and W holds the
-    coordinates of M's columns in it: M = B W.  When AM = MA, as for any
-    polynomial M in A, A B = (MA)[:, pivots] = B (W A[:, pivots]), so A
-    restricted to im(M) is W A[:, pivots] in the basis B, singular A too.
-    """
-    basis = _echelon(matrix.numerators, matrix.cols)
-    common, reduced = basis.reduced_rows()
-    return basis.pivots, QMatrix._integral(len(basis), matrix.cols, reduced, common)
-
-
 def _closes_exact(generators: list[Sequence[Sequence[int]]], n: int) -> bool:
     """Whether the products of the n x n integer matrices ``generators``
     (their rows), closed from the identity under left multiplication, span
@@ -588,6 +557,19 @@ def fixed_space_dim(matrix: QMatrix) -> int:
     return n - matrix_rank(matrix - QMatrix.identity(n))
 
 
+def _shift_echelon(matrix: QMatrix, power: int) -> Echelon:
+    """The elimination of the rows of (dA - dI)^power, an integer multiple of
+    M = (A - 1)^power: M's pivots, and the nonzero rows W of its RREF as the
+    reduced rows over D.  B = M[:, pivots] is a basis of im(M) and M = B W;
+    as AM = MA, A B = B (W A[:, pivots]): A on im(M) is W A[:, pivots]."""
+    rows, d = matrix.numerators, matrix.denominator
+    shifted = [[x - d if i == j else x for j, x in enumerate(row)] for i, row in enumerate(rows)]
+    image, shifted_columns = shifted, list(zip(*shifted))
+    for _ in range(power - 1):
+        image = [[sum(map(mul, row, column)) for column in shifted_columns] for row in image]
+    return _echelon(image, matrix.cols)
+
+
 def restrict_to_image(matrix: QMatrix, power: int = 1) -> QMatrix:
     """A restricted to im((A - 1)^power), in the basis of the pivot columns
     of (A - 1)^power.
@@ -595,28 +577,18 @@ def restrict_to_image(matrix: QMatrix, power: int = 1) -> QMatrix:
     From e on, the largest unit Jordan block of A, neither the image nor the
     row space of (A - 1)^power changes, so neither does the result: A on the
     A-invariant complement of the generalized eigenspace for 1, with no
-    eigenvalue 1.  At power 0 or full rank of (A - 1)^power it is A itself.
-
-    (dA - dI)^power is a nonzero multiple of (A - 1)^power, formed and
-    eliminated on integers; its RREF rows / D times the columns of dA at the
-    pivots give the result, over D d.
+    eigenvalue 1.  At power 0 or full rank of (A - 1)^power it is A itself,
+    and otherwise W A[:, pivots] (``_shift_echelon``) over D d.
     """
     if not power:
         return matrix
-    rows, scale = matrix.numerators, matrix.denominator
-    shifted = [
-        [x - scale if i == j else x for j, x in enumerate(row)] for i, row in enumerate(rows)
-    ]
-    image, shifted_columns = shifted, list(zip(*shifted))
-    for _ in range(power - 1):
-        image = [[sum(map(mul, row, column)) for column in shifted_columns] for row in image]
-    basis = _echelon(image, matrix.cols)
+    basis = _shift_echelon(matrix, power)
     if len(basis) == matrix.cols:  # pivots at every column, W = I: the result is A
         return matrix
-    columns = [[row[p] for row in rows] for p in basis.pivots]
+    columns = [[row[p] for row in matrix.numerators] for p in basis.pivots]
     common, reduced = basis.reduced_rows()
     entries = [[sum(map(mul, row, column)) for column in columns] for row in reduced]
-    return QMatrix._integral(len(columns), len(columns), entries, common * scale)
+    return QMatrix._integral(len(columns), len(columns), entries, common * matrix.denominator)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from .exact_linalg import (
     invariant_factors,
     jordan_block,
     matrix_to_json,
+    polynomial_to_string,
     rational_text,
     restrict_to_image,
     spans_full_algebra,
@@ -310,16 +311,26 @@ def preservation_details(
     return analysis.preservation, analysis.local_data
 
 
-def fourier_data_to_json(data: FourierLocalData) -> dict:
-    return {
+def fourier_data_to_json(analysis: TupleAnalysis) -> dict:
+    """The transform's local data, as the ``fourier`` subcommand prints it."""
+    data = analysis.local_data
+    payload: dict = {
         "rank_hat": data.rank_hat,
         "zero_monodromy": matrix_to_json(data.zero_monodromy),
+        "zero_invariant_factors": [
+            polynomial_to_string(f) for f in analysis.zero_invariants.invariant_factors
+        ],
         "components": [
             {
                 "exp_coefficient": rational_text(c.coefficient),
                 "dimension": c.dimension,
                 "regular_monodromy": matrix_to_json(c.regular_monodromy),
+                "centralizer_dim": dim,
             }
-            for c in data.components
+            for c, dim in zip(data.components, analysis.component_centralizer_dims)
         ],
+        "irregularity": irregularity_end(data),
     }
+    if not analysis.irreducible:
+        payload["warning"] = "tuple is reducible: preservation is not asserted for this data"
+    return payload

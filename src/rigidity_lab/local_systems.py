@@ -18,7 +18,9 @@ from math import gcd
 from typing import Iterable, NamedTuple
 
 from .errors import GenerationError, InvalidMonodromyError, ValidationError
-from .exact_linalg import QMatrix, matrix_to_json, parse_rational, quote_input, rational_text
+from .exact_linalg import (
+    QMatrix, matrix_to_json, parse_rational, quote_input, rational_text, shorten,
+)
 
 _RANDOM_ENTRY_BOUND = 2
 _MAX_DRAWS_PER_MATRIX = 200
@@ -93,13 +95,13 @@ def _check_shapes(n: int, finite_points: tuple[FinitePoint, ...]) -> None:
         raise ValidationError("at least one finite singular point is required")
     for loc, m in finite_points:
         if m.rows != n or m.cols != n:
-            raise ValidationError(f"matrix at point {rational_text(loc)} must be {n}x{n}")
+            raise ValidationError(f"matrix at point {shorten(rational_text(loc))} must be {n}x{n}")
 
 
 def _check_invertible(finite_points: tuple[FinitePoint, ...]) -> None:
     for loc, m in finite_points:
         if not m.is_invertible():
-            raise ValidationError(f"non-invertible matrix at point {rational_text(loc)}")
+            raise ValidationError(f"non-invertible matrix at point {shorten(rational_text(loc))}")
 
 
 def validate(t: MonodromyTuple) -> None:
@@ -119,7 +121,8 @@ def validate(t: MonodromyTuple) -> None:
         raise ValidationError("duplicate singular locations")
     for loc, m in t.finite_points:
         if m == identity:
-            raise ValidationError(f"trivial local monodromy at finite point {rational_text(loc)}")
+            where = shorten(rational_text(loc))
+            raise ValidationError(f"trivial local monodromy at finite point {where}")
     if product != identity:
         raise ValidationError("monodromy relation violated")
 

@@ -1,9 +1,9 @@
 """Pairs of vector spaces (E, F, u: E->F, v: F->E) with invertible 1 + vu.
 
 These pairs model germs of holonomic modules at a point.  ``from_star``
-builds the middle-extension pair of an invertible monodromy matrix; the
-minimality test singles out the pairs with no subobject or quotient
-concentrated at the point (v injective, u surjective).
+builds the middle-extension pair of an invertible monodromy matrix with
+``restrict_to_image``'s elimination; minimality singles out the pairs with
+no subobject or quotient concentrated at the point (v injective, u surjective).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .errors import InvalidMonodromyError, InvalidPairError, PairPreconditionError
 from .exact_linalg import (
     QMatrix,
-    _rank_factorization,
+    _shift_echelon,
     centralizer_dimension,
     fixed_space_dim,
     matrix_rank,
@@ -51,13 +51,14 @@ def from_star(monodromy: QMatrix) -> ThetaPair:
     """Middle-extension pair: F = im(T - 1), u the corestriction, v the inclusion.
 
     In the basis of the pivot columns of T - 1, v is those columns and u the
-    nonzero rows of the reduced row echelon form of T - 1."""
+    nonzero rows of its RREF, so 1 + uv is ``restrict_to_image(T)``."""
     if not monodromy.is_invertible():  # False for a non-square matrix too
         raise InvalidMonodromyError("monodromy matrix must be square and invertible")
     n = monodromy.rows
-    diff = monodromy - QMatrix.identity(n)
-    pivots, u = _rank_factorization(diff)
-    return ThetaPair(n, len(pivots), u, diff.columns(pivots))
+    basis = _shift_echelon(monodromy, 1)
+    common, reduced = basis.reduced_rows()
+    v = (monodromy - QMatrix.identity(n)).columns(basis.pivots)
+    return ThetaPair(n, len(basis), QMatrix._integral(len(basis), n, reduced, common), v)
 
 
 def is_minimal(pair: ThetaPair) -> bool:

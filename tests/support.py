@@ -21,14 +21,16 @@ from decimal import Decimal
 from fractions import Fraction
 from math import comb
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import sympy
 
+from rigidity_lab.campaign import CampaignConfig, _campaign_analyses
 from rigidity_lab.exact_linalg import (
     QMatrix,
     SimilarityInvariant,
     _ptrim,
+    _shift_echelon,
     _smith_diagonal,
     block_diag,
     jordan_block,
@@ -40,6 +42,19 @@ from rigidity_lab.local_systems import MonodromyTuple, monodromy_tuple
 def zeros(rows: int, cols: int) -> QMatrix:
     """The zero matrix of a shape."""
     return QMatrix(rows, cols, [0] * (rows * cols))
+
+
+def diagonal(values: Iterable[Fraction | int | str]) -> QMatrix:
+    """The diagonal matrix with ``values`` on its diagonal."""
+    values = list(values)
+    n = len(values)
+    return QMatrix(n, n, [values[i] if i == j else 0 for i in range(n) for j in range(n)])
+
+
+def campaign_tuples(config: CampaignConfig) -> Iterator[tuple[int, MonodromyTuple]]:
+    """(trial, tuple) for each trial of a campaign: the first irreducible
+    draw of the trial's own seed, as ``run_campaign`` checks it."""
+    return ((index, analysis.tuple) for index, analysis in _campaign_analyses(config))
 
 
 def random_invertible(rng: random.Random, n: int, bound: int = 2, forbid_identity: bool = False) -> QMatrix:
@@ -193,10 +208,10 @@ def char_poly(matrix: QMatrix) -> tuple[Fraction, ...]:
     m = QMatrix.identity(n)
     for k in range(1, n + 1):
         am = matrix @ m
-        trace = sum(am.entry(i, i) for i in range(n))
+        trace = sum(am.entries[:: n + 1])
         c = -trace / k
         coeffs[n - k] = c
-        m = am + c * QMatrix.identity(n)
+        m = am + diagonal([c] * n)
     return tuple(coeffs)
 
 
@@ -206,15 +221,15 @@ def commutation_rows(matrix: QMatrix) -> list[list[Fraction]]:
     The equation at position (i, j) has coefficient A[i][k] on X[k][j] and
     -A[l][j] on X[i][l].
     """
-    n = matrix.rows
+    n, entries = matrix.rows, matrix.entries
     rows = []
     for i in range(n):
         for j in range(n):
             row = [Fraction(0)] * (n * n)
             for k in range(n):
-                row[k * n + j] += matrix.entry(i, k)
+                row[k * n + j] += entries[i * n + k]
             for l in range(n):
-                row[i * n + l] -= matrix.entry(l, j)
+                row[i * n + l] -= entries[l * n + j]
             rows.append(row)
     return rows
 
@@ -302,9 +317,9 @@ def restriction_oracle(matrix: QMatrix, power: int) -> QMatrix:
 
 def smith_invariant_factors(matrix: QMatrix) -> SimilarityInvariant:
     """Invariant factors from the Smith form of the full n x n matrix xI - A."""
-    n = matrix.rows
+    n, entries = matrix.rows, matrix.entries
     char = [
-        [_ptrim(((-matrix.entry(i, j), Fraction(1)) if i == j else (-matrix.entry(i, j),)))
+        [_ptrim(((-entries[i * n + j], Fraction(1)) if i == j else (-entries[i * n + j],)))
          for j in range(n)]
         for i in range(n)
     ]
@@ -389,7 +404,7 @@ def fraction_echelon(matrix: QMatrix) -> FractionEchelon:
     """The ``FractionEchelon`` of the rows of A."""
     basis = FractionEchelon(matrix.cols)
     for i in range(matrix.rows):
-        basis.add(matrix.row_list(i))
+        basis.add(list(matrix.entries[i * matrix.cols : (i + 1) * matrix.cols]))
     return basis
 
 
@@ -404,14 +419,25 @@ def fraction_rank_factorization(matrix: QMatrix) -> tuple[list[int], QMatrix]:
     return basis.pivots, QMatrix(len(rows), matrix.cols, tuple(x for row in rows for x in row))
 
 
+def shift_factorization(matrix: QMatrix) -> tuple[list[int], QMatrix]:
+    """The library's pivot columns and nonzero RREF rows of A - 1, from the
+    one elimination (``_shift_echelon``) that ``restrict_to_image`` and
+    ``from_star`` share; ``fraction_rank_factorization`` of A - 1 is its
+    oracle."""
+    basis = _shift_echelon(matrix, 1)
+    common, reduced = basis.reduced_rows()
+    return basis.pivots, QMatrix._integral(len(basis), matrix.cols, reduced, common)
+
+
 def fraction_restriction(matrix: QMatrix) -> QMatrix:
     """A restricted to im(A - 1) in ``Fraction``: W A[:, pivots], W the
     nonzero RREF rows of A - 1 from ``fraction_rank_factorization``, by
     ``loop_matmul``."""
     n = matrix.rows
-    shifted = [matrix.entry(i, j) - (i == j) for i in range(n) for j in range(n)]
+    entries = matrix.entries
+    shifted = [entries[i * n + j] - (i == j) for i in range(n) for j in range(n)]
     pivots, w = fraction_rank_factorization(QMatrix(n, n, shifted))
-    columns = [matrix.entry(i, p) for i in range(n) for p in pivots]
+    columns = [entries[i * n + p] for i in range(n) for p in pivots]
     return loop_matmul(w, QMatrix(n, len(pivots), columns))
 
 
@@ -421,7 +447,8 @@ def fraction_inverse(matrix: QMatrix) -> QMatrix | None:
     n = matrix.rows
     basis = FractionEchelon(2 * n)
     for i in range(n):
-        basis.add(matrix.row_list(i) + [Fraction(int(i == j)) for j in range(n)])
+        unit = [Fraction(int(i == j)) for j in range(n)]
+        basis.add([*matrix.entries[i * n : (i + 1) * n], *unit])
     if basis.pivots != list(range(n)):
         return None
     return QMatrix(n, n, tuple(x for row in basis.reduced_rows() for x in row[n:]))

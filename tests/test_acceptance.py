@@ -24,11 +24,13 @@ from rigidity_lab import (
     stationary_phase,
 )
 from rigidity_lab.catalog import load_catalog
-from rigidity_lab.campaign import CampaignConfig, campaign_tuples, run_campaign
+from rigidity_lab.campaign import CampaignConfig, run_campaign
 from rigidity_lab.fourier import preservation_details
 
 from support import (
+    campaign_tuples,
     conjugate,
+    diagonal,
     jordan_from_data,
     partition_formula,
     random_invertible,
@@ -91,7 +93,7 @@ def test_criterion_3_worked_example_end_to_end():
     data = stationary_phase(t)
     checks["component dimensions"] = [c.dimension for c in data.components] == [1, 1]
     checks["rank_hat"] = data.rank_hat == 2
-    checks["zero monodromy class"] = similar(data.zero_monodromy, QMatrix.diagonal(["1/6", 1]))
+    checks["zero monodromy class"] = similar(data.zero_monodromy, diagonal(["1/6", 1]))
     report3, _ = preservation_details(t)
     checks["irregularity"] = report3.irregularity == 2
     checks["rig_source"] = report3.rig_source == 2

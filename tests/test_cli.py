@@ -16,6 +16,7 @@ from rigidity_lab.errors import CatalogError
 from rigidity_lab.local_systems import random_tuple, tuple_from_json, tuple_to_json
 
 from support import (
+    diagonal,
     forbid_digit_limit_changes,
     large_entry_document,
     levelt_tuple,
@@ -203,7 +204,7 @@ class TestInputBounds:
         matrix = [[entries[i] if i == j else "0" for j in range(n)] for i in range(n)]
         t = tuple_from_json({"rank": n, "finite_points": [{"location": "0", "matrix": matrix}]})
         parsed = t.finite_points[0].matrix
-        assert parsed == exact_linalg.QMatrix.diagonal(entries)
+        assert parsed == diagonal(entries)
         assert parsed.denominator.bit_length() == stored_bits
 
     def test_most_points_accepted(self, capsys, tmp_path):
@@ -644,6 +645,16 @@ class TestArguments:
         assert cli.build_parser() is cli.build_parser()
 
 
+LONG_LOCATION = "1" * 4001 + "/" + "2" * 4000
+LONG_LOCATION_QUOTE = "1" * 60 + "... (8002 characters)"
+# (location, matrix) of each finite point of a document with its first point at
+# LONG_LOCATION and one flaw there
+LONG_LOCATION_DOCUMENTS = {
+    "long-location-shape.json": [[LONG_LOCATION, [["1", "2"]]]],
+    "long-location-singular.json": [[LONG_LOCATION, [["0"]]]],
+    "long-location-trivial.json": [[LONG_LOCATION, [["1"]]], ["0", [["2"]]]],
+}
+
 # (argv, catalog directory, start of stderr, exit code); "{tmp}" is the test's
 # directory, and a start that ends in a newline is the whole stderr line
 ERROR_LINES = {
@@ -686,7 +697,29 @@ ERROR_LINES = {
         "too many digits in a p/q rational of 5000 characters\n",
         2,
     ),
+    # a location that reads (4001/4000 digits) is quoted by its start and length
+    "long-location-shape": (
+        ["rig", "--input", "{tmp}/long-location-shape.json"],
+        None,
+        f"error: validation failure: matrix at point {LONG_LOCATION_QUOTE} must be 1x1\n",
+        2,
+    ),
+    "long-location-singular": (
+        ["rig", "--input", "{tmp}/long-location-singular.json"],
+        None,
+        f"error: validation failure: non-invertible matrix at point {LONG_LOCATION_QUOTE}\n",
+        2,
+    ),
+    "long-location-trivial": (
+        ["rig", "--input", "{tmp}/long-location-trivial.json"],
+        None,
+        "error: validation failure: trivial local monodromy at finite point "
+        f"{LONG_LOCATION_QUOTE}\n",
+        2,
+    ),
 }
+# the longest error line, not counting the test's temporary directory
+MAX_ERROR_LINE_BYTES = 200
 
 
 class TestErrorLines:
@@ -697,6 +730,9 @@ class TestErrorLines:
         write_json(tmp_path, "long-entry.json", rank_one("1" * 5000))
         long_location = {"rank": 1, "finite_points": [{"location": "1" * 5000, "matrix": [["2"]]}]}
         write_json(tmp_path, "long-location.json", long_location)
+        for name, found in LONG_LOCATION_DOCUMENTS.items():
+            finite = [{"location": loc, "matrix": m} for loc, m in found]
+            write_json(tmp_path, name, {"rank": 1, "finite_points": finite})
         monkeypatch.delenv(CATALOG_ENV_VAR, raising=False)
         if directory is not None:
             monkeypatch.setenv(CATALOG_ENV_VAR, directory.format(tmp=tmp_path))
@@ -705,6 +741,7 @@ class TestErrorLines:
         assert (code, out) == (expected_code, "")
         assert err.startswith(start.format(tmp=tmp_path))
         assert err.endswith("\n") and err.count("\n") == 1
+        assert len(err.replace(str(tmp_path), "{tmp}").encode()) < MAX_ERROR_LINE_BYTES
 
 
 def with_identity_at_infinity(payload):
@@ -940,7 +977,7 @@ class TestInternalFailures:
 
         def broken(matrix, power=1):
             restricted = restrict(matrix, power)
-            return 2 * restricted if matrix.rows > FOURPOINT2["rank"] else restricted
+            return restricted + restricted if matrix.rows > FOURPOINT2["rank"] else restricted
 
         monkeypatch.setattr(fourier, "restrict_to_image", broken)
         code, out, err = run_cli(capsys, "fourier", "--input", path)

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rigidity_lab import exact_linalg
-from rigidity_lab.campaign import CampaignConfig, campaign_tuples
+from rigidity_lab.campaign import CampaignConfig
 from rigidity_lab.errors import DimensionMismatchError, InvalidMonodromyError
 from rigidity_lab.exact_linalg import (
     QMatrix,
@@ -29,15 +29,16 @@ from rigidity_lab.exact_linalg import (
     spans_full_algebra,
     _pdivmod,
     _pmul,
-    _rank_factorization,
 )
 from rigidity_lab.local_systems import _bounded_matrix, random_tuple
 
 from support import (
+    campaign_tuples,
     char_poly,
     closes_full_span_mod_p,
     commutation_centralizer_dimension,
     conjugate,
+    diagonal,
     fraction_inverse,
     fraction_rank,
     fraction_rank_factorization,
@@ -50,6 +51,7 @@ from support import (
     random_jordan_data,
     random_unit_mixed_matrix,
     restriction_oracle,
+    shift_factorization,
     smith_invariant_factors,
     span_closure_dimension,
     spin_route,
@@ -107,6 +109,10 @@ def _rational_block(shape: tuple[int, int]):
     )
 
 
+# square matrices up to 4x4 with small rational entries, some rows zero
+square_rational_matrices = st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: _rational_block((n, n))
+)
 # factors up to 4x5 @ 5x3, empty shapes included
 product_factors = st.tuples(
     st.integers(min_value=0, max_value=4),
@@ -121,7 +127,6 @@ class TestQMatrix:
         b = QMatrix.from_rows([["1/2", 0], [1, "-2"]])
         assert (a + b) - b == a
         assert a @ QMatrix.identity(2) == a
-        assert (2 * a).entry(1, 1) == 8
 
     def test_inverse_exact(self):
         a = QMatrix.from_rows([[1, 2], [3, 5]])
@@ -265,7 +270,7 @@ class TestCanonicalForm:
         half = QMatrix.from_rows([["1/2", 0], [0, "1/2"]])
         assert (half @ half.inverse()).denominator == 1
         assert half - half == zeros(2, 2) and (half - half).denominator == 1
-        assert (2 * half).numerators == ((1, 0), (0, 1)) and (2 * half).denominator == 1
+        assert (half + half).numerators == ((1, 0), (0, 1)) and (half + half).denominator == 1
         assert jordan_block(2, "-2/4").numerators == ((-1, 2), (0, -1))
         assert jordan_block(2, "-2/4").denominator == 2
 
@@ -282,9 +287,9 @@ class TestInvertible:
         QMatrix.from_rows([[1, 2], [2, 4]]),  # singular over Q
         QMatrix.from_rows([[1, "1/2", 3], [2, 1, 6], [0, 5, "-7/3"]]),  # singular over Q
         zeros(3, 3),
-        QMatrix.diagonal([P, 1]),  # invertible over Q, singular mod P
+        diagonal([P, 1]),  # invertible over Q, singular mod P
         QMatrix.from_rows([[1, 1], [1, 1 + P]]),  # determinant P
-        QMatrix.diagonal([f"1/{P}", 1]),  # denominator divisible by P, invertible
+        diagonal([f"1/{P}", 1]),  # denominator divisible by P, invertible
         QMatrix.from_rows([[f"1/{P}", f"2/{P}"], [1, 2]]),  # the same, singular
         QMatrix.from_rows([[f"1/{P}", 3], ["2/5", 1]]),  # the same, invertible
         QMatrix.from_rows([["3/4", -2], [5, "1/3"]]),
@@ -339,10 +344,10 @@ class TestIntegerEchelon:
     same elimination on ``Fraction`` rows (``support.FractionEchelon``)."""
 
     @settings(max_examples=150, deadline=None)
-    @given(_sized_matrices(5, 6))
-    def test_rank_pivots_and_reduced_rows_match_oracle(self, m):
+    @given(_sized_matrices(5, 6), _sized_matrices(5, 5, square=True))
+    def test_rank_pivots_and_reduced_rows_match_oracle(self, m, a):
         assert matrix_rank(m) == fraction_rank(m)
-        assert _rank_factorization(m) == fraction_rank_factorization(m)
+        assert shift_factorization(a) == fraction_rank_factorization(a - QMatrix.identity(a.rows))
 
     @settings(max_examples=100, deadline=None)
     @given(_sized_matrices(5, 5, square=True))
@@ -359,21 +364,24 @@ def _kernel(pivots: list[int], w: QMatrix) -> QMatrix:
     """The free-variable kernel basis read off the reduced rows W, one column
     per free column, ascending."""
     free = [c for c in range(w.cols) if c not in pivots]
-    rows = [
-        [Fraction(row == f) - (w.entry(pivots.index(row), f) if row in pivots else 0) for f in free]
-        for row in range(w.cols)
-    ]
+    def entry(row: int, f: int) -> Fraction:
+        return w.entries[pivots.index(row) * w.cols + f] if row in pivots else Fraction(0)
+
+    rows = [[Fraction(row == f) - entry(row, f) for f in free] for row in range(w.cols)]
     return QMatrix(w.cols, len(free), tuple(x for row in rows for x in row))
 
 
 class TestRref:
+    """The rank factorization M = M[:, pivots] W of M = A - 1, from
+    ``support.shift_factorization`` on A = M + 1."""
+
     def test_identity(self):
-        pivots, w = _rank_factorization(QMatrix.identity(2))
+        pivots, w = shift_factorization(diagonal([2, 2]))
         assert pivots == [0, 1]
         assert w == QMatrix.identity(2)
 
     def test_zero(self):
-        pivots, w = _rank_factorization(zeros(2, 2))
+        pivots, w = shift_factorization(QMatrix.identity(2))
         assert pivots == []
         assert (w.rows, w.cols) == (0, 2)
         assert _kernel(pivots, w) == QMatrix.identity(2)
@@ -381,7 +389,7 @@ class TestRref:
     def test_rank_one_example(self):
         # Hand elimination: [[1,2],[2,4]] -> rref [[1,2],[0,0]], free column 1.
         m = QMatrix.from_rows([[1, 2], [2, 4]])
-        pivots, w = _rank_factorization(m)
+        pivots, w = shift_factorization(QMatrix.from_rows([[2, 2], [2, 5]]))
         assert pivots == [0]
         assert w == QMatrix.from_rows([[1, 2]])
         assert m.columns(pivots) == QMatrix.from_rows([[1], [2]])
@@ -390,7 +398,7 @@ class TestRref:
     @settings(max_examples=60, deadline=None)
     @given(small_matrices)
     def test_rank_nullity_and_annihilation(self, m):
-        pivots, w = _rank_factorization(m)
+        pivots, w = shift_factorization(m + QMatrix.identity(m.rows))
         kernel = _kernel(pivots, w)
         assert len(pivots) == w.rows == matrix_rank(m)
         assert w.rows + kernel.cols == m.cols
@@ -400,13 +408,13 @@ class TestRref:
         assert m.columns(pivots) @ w == m
 
     @settings(max_examples=80, deadline=None)
-    @given(rational_matrices)
+    @given(square_rational_matrices)
     def test_kernel_agrees_with_sympy(self, m):
         from sympy import Matrix
 
         oracle = Matrix(m.rows, m.cols, list(m.entries))
         reduced, oracle_pivots = oracle.rref()
-        pivots, w = _rank_factorization(m)
+        pivots, w = shift_factorization(m + QMatrix.identity(m.rows))
         assert pivots == list(oracle_pivots)
         assert list(w.entries) == list(reduced[: len(pivots), :])
         assert m.columns(pivots) @ w == m
@@ -414,12 +422,11 @@ class TestRref:
         assert [list(kernel.columns([j]).entries) for j in range(kernel.cols)] == [
             list(v) for v in oracle.nullspace()
         ]
-        if m.is_square:
-            if len(pivots) == m.rows:
-                assert list(m.inverse().entries) == list(oracle.inv())
-            else:
-                with pytest.raises(InvalidMonodromyError):
-                    m.inverse()
+        if len(pivots) == m.rows:
+            assert list(m.inverse().entries) == list(oracle.inv())
+        else:
+            with pytest.raises(InvalidMonodromyError):
+                m.inverse()
 
 
 class TestCentralizer:
@@ -427,7 +434,7 @@ class TestCentralizer:
         assert centralizer_dimension(QMatrix.identity(3)) == 9
 
     def test_distinct_diagonal(self):
-        assert centralizer_dimension(QMatrix.diagonal([1, 2])) == 2
+        assert centralizer_dimension(diagonal([1, 2])) == 2
 
     def test_jordan_block(self):
         # Brute force on the 4-unknown system: commutants are a*I + b*N.
@@ -458,7 +465,7 @@ class TestCentralizer:
             m = random_invertible(rng, n)
             dim = centralizer_dimension(m)
             assert n <= dim <= n * n
-            is_scalar = m == m.entry(0, 0) * QMatrix.identity(n)
+            is_scalar = m == diagonal([m.entries[0]] * n)
             assert (dim == n * n) == is_scalar
 
     def test_conjugation_invariance(self):
@@ -483,7 +490,7 @@ class TestCentralizer:
         drawn = [random_invertible(rng, n) for n in (2, 3, 4, 5) for _ in range(5)]
         # cyclic, but e_n is an eigenvector (distinct diagonal entries, a
         # lower Jordan block) or spins to fewer than n vectors (5 + J_2(2))
-        early = [QMatrix.diagonal(range(1, n + 1)) for n in (2, 3, 5)]
+        early = [diagonal(range(1, n + 1)) for n in (2, 3, 5)]
         lower_jordan = [[int(i == j + 1) + 2 * (i == j) for j in range(4)] for i in range(4)]
         early += [QMatrix.from_rows(lower_jordan)]
         early += [block_diag([QMatrix.from_rows([[5]]), jordan_block(2, 2)])]
@@ -530,8 +537,8 @@ class TestCentralizer:
             lower = QMatrix.from_rows([[int(j <= i) for j in range(n)] for i in range(n)])
             cases = [
                 conjugate(jordan_block(n, c), lower),
-                c * QMatrix.identity(n),
-                QMatrix.diagonal(range(1, n + 1)),
+                diagonal([c] * n),
+                diagonal(range(1, n + 1)),
                 conjugate(jordan_from_data(data), random_invertible(rng, n)),
             ]
             if n == 4:
@@ -544,16 +551,16 @@ class TestCentralizer:
 class TestUnitStructure:
     def test_fixed_space_examples(self):
         assert fixed_space_dim(QMatrix.identity(3)) == 3
-        assert fixed_space_dim(QMatrix.diagonal([2, 3])) == 0
+        assert fixed_space_dim(diagonal([2, 3])) == 0
         assert fixed_space_dim(J2) == 1
         with pytest.raises(InvalidMonodromyError):
             fixed_space_dim(zeros(2, 2))
 
     def test_partition_examples(self):
         assert invariant_factors(QMatrix.identity(2)).unit_block_sizes == (1, 1)
-        assert invariant_factors(QMatrix.diagonal([2, 3])).unit_block_sizes == ()
+        assert invariant_factors(diagonal([2, 3])).unit_block_sizes == ()
         assert invariant_factors(J2).unit_block_sizes == (2,)
-        m = block_diag([jordan_block(3, 1), J2, QMatrix.diagonal([1, 2])])
+        m = block_diag([jordan_block(3, 1), J2, diagonal([1, 2])])
         assert invariant_factors(m).unit_block_sizes == (3, 2, 1)
 
     def test_partition_counts_match_fixed_space(self):
@@ -578,11 +585,11 @@ class TestUnitStructure:
 
     def test_grow_unit_blocks_examples(self):
         # A = J_2(1) + diag(2): T = J_3(1) + diag(2) + I_1
-        grown = invariant_factors(block_diag([J2, QMatrix.diagonal([2])])).grow_unit_blocks(5)
-        assembled = block_diag([jordan_block(3, 1), QMatrix.diagonal([2, 1])])
+        grown = invariant_factors(block_diag([J2, diagonal([2])])).grow_unit_blocks(5)
+        assembled = block_diag([jordan_block(3, 1), diagonal([2, 1])])
         assert grown == invariant_factors(assembled)
         assert grown.unit_block_sizes == (3, 1)
-        assert invariant_factors(QMatrix.diagonal([2])).grow_unit_blocks(1).invariant_factors == (
+        assert invariant_factors(diagonal([2])).grow_unit_blocks(1).invariant_factors == (
             (-2, 1),
         )
         with pytest.raises(ValueError):
@@ -624,17 +631,17 @@ class TestUnitStructure:
         ]
 
     def test_restrict_to_image_examples(self):
-        assert restrict_to_image(QMatrix.diagonal([2, 1])) == QMatrix.from_rows([[2]])
+        assert restrict_to_image(diagonal([2, 1])) == QMatrix.from_rows([[2]])
         assert restrict_to_image(QMatrix.identity(3)).rows == 0
         assert restrict_to_image(J2) == QMatrix.from_rows([[1]])
 
     def test_non_unit_part_examples(self):
         # A on im((A - 1)^n), the complement of the generalized eigenspace for 1
         assert restrict_to_image(QMatrix.identity(2), 2).rows == 0
-        diagonal = QMatrix.diagonal([2, 3])
-        assert similar(restrict_to_image(diagonal, 2), diagonal)
-        assert restrict_to_image(QMatrix.diagonal([1, 5]), 2) == QMatrix.from_rows([[5]])
-        assert restrict_to_image(diagonal, 0) == diagonal
+        d = diagonal([2, 3])
+        assert similar(restrict_to_image(d, 2), d)
+        assert restrict_to_image(diagonal([1, 5]), 2) == QMatrix.from_rows([[5]])
+        assert restrict_to_image(d, 0) == d
 
     def test_split_properties(self):
         rng = random.Random(31)
@@ -699,7 +706,7 @@ class TestRestriction:
         cases = [random_unit_mixed_matrix(rng, 7) for _ in range(60)]
         assert {max(sizes, default=0) for _, sizes in cases} >= {0, 1, 2, 3}
         cases += [(_levelt_infinity(n), [n]) for n in range(1, 8)]
-        cases += [(QMatrix.diagonal([2, 3, "1/2"]), []), (jordan_block(4, -1), [])]
+        cases += [(diagonal([2, 3, "1/2"]), []), (jordan_block(4, -1), [])]
         for m, sizes in cases:
             e = max(sizes, default=0)
             assert e == _largest_unit_block(m)
@@ -713,7 +720,7 @@ class TestRestriction:
         # rank((A - 1)^power) = n: the pivots are every column, W = I, and
         # W A[:, pivots] is A, returned without a product
         rng = random.Random(83)
-        cases = [QMatrix.diagonal([2, 3, "1/2"]), jordan_block(4, -1), QMatrix.from_rows([[5]])]
+        cases = [diagonal([2, 3, "1/2"]), jordan_block(4, -1), QMatrix.from_rows([[5]])]
         while len(cases) < 20:
             m = random_invertible(rng, rng.randint(2, 6))
             if (m - QMatrix.identity(m.rows)).is_invertible():
@@ -747,7 +754,7 @@ class TestSimilarity:
         assert similar(m, m)
 
     def test_cyclic_pair(self):
-        a = QMatrix.diagonal([1, 2])
+        a = diagonal([1, 2])
         b = QMatrix.from_rows([[1, 1], [0, 2]])
         inv = invariant_factors(a)
         assert inv.invariant_factors == (
@@ -819,10 +826,10 @@ def _kernel_cases(rng: random.Random, n: int) -> list[QMatrix]:
     blocks.append(QMatrix.identity(rest))
     return [
         _dense_rational(rng, n),
-        c * QMatrix.identity(n),
-        QMatrix.diagonal(range(1, n + 1)),
+        diagonal([c] * n),
+        diagonal(range(1, n + 1)),
         conjugate(jordan, random_invertible(rng, n)),
-        QMatrix.from_rows([[jordan.entry(j, i) for j in range(n)] for i in range(n)]),
+        QMatrix.from_rows([jordan.entries[i::n] for i in range(n)]),
         block_diag(blocks),
     ]
 
@@ -857,7 +864,7 @@ class TestKrylovKernel:
         assert calls == []  # nonderogatory: e_8 spins one block, read off directly
         assert len(invariant_factors(jordan_block(6, "1/2")).invariant_factors) == 1
         assert calls == []  # spun from its last basis vector, a Jordan block is one block
-        assert invariant_factors(3 * QMatrix.identity(4)).invariant_factors == (
+        assert invariant_factors(diagonal([3] * 4)).invariant_factors == (
             (Fraction(-3), Fraction(1)),
         ) * 4
         assert calls == [4]
@@ -1091,19 +1098,19 @@ class TestRankOneRoute:
         for n in (2, 3, 5):
             # the identity and other scalars: rank 0 or n
             for c in (1, Fraction(-2, 3), 3):
-                assert shift(QMatrix.diagonal([c] * n)) is None
+                assert shift(diagonal([c] * n)) is None
             # J_2(1), and diagonals with one entry other than 1, first or last
             cases = [
                 block_diag([jordan_block(2, 1), QMatrix.identity(n - 2)]),
-                QMatrix.diagonal([1] * (n - 1) + [Fraction(5, 2)]),
-                QMatrix.diagonal([-1] + [1] * (n - 1)),
+                diagonal([1] * (n - 1) + [Fraction(5, 2)]),
+                diagonal([-1] + [1] * (n - 1)),
             ]
             for m in cases:
                 assert matrix_rank(m - QMatrix.identity(n)) == 1
                 assert self._is_a_multiple_of_the_shift(m, *shift(m))
             # rank two, with a leading 2 x 2 minor that is nonzero, then zero
-            assert shift(QMatrix.diagonal([2, 3] + [1] * (n - 2))) is None
-            assert shift(QMatrix.diagonal([2] + [1] * (n - 2) + [3])) is None
+            assert shift(diagonal([2, 3] + [1] * (n - 2))) is None
+            assert shift(diagonal([2] + [1] * (n - 2) + [3])) is None
         assert shift(jordan_block(2, 1)) == ([1, 0], [0, 1])
 
     # the sympy closure grows fast with n and with wide entries: n <= 4 here
@@ -1141,4 +1148,4 @@ def test_polynomial_rendering():
 
 def test_jordan_block_layout():
     assert jordan_block(3, 2) == QMatrix.from_rows([[2, 1, 0], [0, 2, 1], [0, 0, 2]])
-    assert block_diag([jordan_block(1, 5), QMatrix.identity(1)]) == QMatrix.diagonal([5, 1])
+    assert block_diag([jordan_block(1, 5), QMatrix.identity(1)]) == diagonal([5, 1])

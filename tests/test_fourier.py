@@ -31,6 +31,7 @@ from rigidity_lab.local_systems import monodromy_tuple, random_tuple
 from support import (
     commutation_centralizer_dimension,
     conjugate,
+    diagonal,
     forbid_digit_limit_changes,
     fraction_rank,
     random_invertible,
@@ -63,7 +64,7 @@ class TestStationaryPhase:
         assert data.components[1].coefficient == 1
         assert data.components[1].regular_monodromy == QMatrix.from_rows([[3]])
         assert data.rank_hat == 2
-        assert similar(data.zero_monodromy, QMatrix.diagonal(["1/6", 1]))
+        assert similar(data.zero_monodromy, diagonal(["1/6", 1]))
 
     def test_unipotent_infinity_grows_unit_block(self):
         data = stationary_phase(rank1("2", "1/2"))
@@ -207,7 +208,7 @@ class TestStationaryPhase:
 
     def test_reducible_input_warns(self):
         t = monodromy_tuple(
-            2, [(0, QMatrix.diagonal([2, 3])), (1, QMatrix.diagonal([5, 7]))]
+            2, [(0, diagonal([2, 3])), (1, diagonal([5, 7]))]
         )
         with pytest.warns(ReducibleInputWarning):
             data = stationary_phase(t)
@@ -256,7 +257,7 @@ class TestPreservation:
         t = monodromy_tuple(1, [(10**5000, QMatrix.from_rows([[2]])), (0, QMatrix.from_rows([[3]]))])
         report, data = preservation_details(t)
         assert [p.point for p in report.per_point_identities] == [text, "0", "infinity"]
-        components = fourier_data_to_json(data)["components"]
+        components = fourier_data_to_json(TupleAnalysis(t))["components"]
         assert [c["exp_coefficient"] for c in components] == [text, "0"]
         assert sys.get_int_max_str_digits() == limit
 
@@ -266,7 +267,7 @@ class TestPreservation:
 
     def test_reducible_refused(self):
         t = monodromy_tuple(
-            2, [(0, QMatrix.diagonal([2, 3])), (1, QMatrix.diagonal([5, 7]))]
+            2, [(0, diagonal([2, 3])), (1, diagonal([5, 7]))]
         )
         with pytest.raises(HypothesisViolationError, match="theorem hypothesis violated"):
             preservation_details(t)

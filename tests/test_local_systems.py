@@ -21,6 +21,7 @@ from rigidity_lab.local_systems import (
 
 from support import (
     conjugate,
+    diagonal,
     forbid_digit_limit_changes,
     random_fixing_subspace,
     random_invertible,
@@ -115,26 +116,26 @@ class TestValidate:
     ERROR_ORDER = [
         (
             "singular at a duplicate location",
-            [(0, QMatrix.diagonal([2, 1])), (0, QMatrix.from_rows([[1, 2], [2, 4]]))],
+            [(0, diagonal([2, 1])), (0, QMatrix.from_rows([[1, 2], [2, 4]]))],
             QMatrix.identity(2),
             "non-invertible matrix at point 0",
         ),
         (
             "singular infinity, broken relation",
-            [(0, QMatrix.diagonal([2, 1])), (1, QMatrix.identity(2))],
+            [(0, diagonal([2, 1])), (1, QMatrix.identity(2))],
             zeros(2, 2),
             "non-invertible matrix at infinity",
         ),
         (
             "identity, broken relation",
-            [(0, QMatrix.diagonal([2, 3])), (1, QMatrix.identity(2))],
+            [(0, diagonal([2, 3])), (1, QMatrix.identity(2))],
             QMatrix.identity(2),
             "trivial local monodromy at finite point 1",
         ),
         (
             "duplicate location, valid relation",
-            [(0, QMatrix.diagonal([2, 3])), (0, QMatrix.identity(2))],
-            QMatrix.diagonal(["1/2", "1/3"]),
+            [(0, diagonal([2, 3])), (0, QMatrix.identity(2))],
+            diagonal(["1/2", "1/3"]),
             "duplicate singular locations",
         ),
         (
@@ -160,7 +161,7 @@ class TestValidate:
         # the derived tuple's relation is known; a copy with another A_inf
         # must multiply its matrices out again
         derived = HYPERGEOMETRIC2
-        wrong = dataclasses.replace(derived, infinity_matrix=QMatrix.diagonal([2, 1]))
+        wrong = dataclasses.replace(derived, infinity_matrix=diagonal([2, 1]))
         validate(derived)
         with pytest.raises(ValidationError, match="^monodromy relation violated$"):
             validate(wrong)
@@ -230,7 +231,7 @@ class TestIrreducibility:
     def test_simultaneously_diagonal_reducible(self):
         t = monodromy_tuple(
             2,
-            [(0, QMatrix.diagonal([2, 3])), (1, QMatrix.diagonal([5, 7]))],
+            [(0, diagonal([2, 3])), (1, diagonal([5, 7]))],
         )
         assert not is_irreducible(t)
 
@@ -239,7 +240,7 @@ class TestIrreducibility:
         # span closure stalls at the lower-triangular algebra (dimension 3).
         t = monodromy_tuple(
             2,
-            [(0, QMatrix.diagonal([2, 1])), (1, QMatrix.from_rows([[1, 0], [1, 1]]))],
+            [(0, diagonal([2, 1])), (1, QMatrix.from_rows([[1, 0], [1, 1]]))],
         )
         assert not is_irreducible(t)
 
@@ -293,7 +294,7 @@ class TestIrreducibility:
         assert rigidity_report(HYPERGEOMETRIC2).physically_rigid
         assert not rigidity_report(FOURPOINT2).physically_rigid  # index 0
         reducible = monodromy_tuple(
-            2, [(0, QMatrix.diagonal([2, 3])), (1, QMatrix.diagonal([5, 7]))]
+            2, [(0, diagonal([2, 3])), (1, diagonal([5, 7]))]
         )
         assert rigidity_index(reducible) == 2
         assert not rigidity_report(reducible).physically_rigid
@@ -350,7 +351,9 @@ class TestJson:
         trivial = monodromy_tuple(1, [(location, QMatrix.identity(1)), (0, QMatrix.from_rows([[3]]))])
         with pytest.raises(ValidationError) as exc:
             validate(trivial)
-        assert str(exc.value) == f"trivial local monodromy at finite point {text}"
+        # the message quotes the location's first 60 characters and its length
+        quoted = f"{text[:60]}... ({len(text)} characters)"
+        assert str(exc.value) == f"trivial local monodromy at finite point {quoted}"
         assert sys.get_int_max_str_digits() == limit
 
     def test_schema_errors(self):

@@ -1,4 +1,5 @@
-"""The package's internal import graph, read from the source with ``ast``.
+"""The package's internal import graph and its unused definitions, read
+from the source with ``ast``.
 
 Importing ``rigidity_lab`` loads every module, so a cycle cannot be seen by
 importing one module in a fresh process; the source shows every import,
@@ -6,6 +7,7 @@ function-level ones too.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import rigidity_lab
@@ -67,6 +69,43 @@ def import_graph() -> dict[str, set[str]]:
     }
 
 
+def names_used(tree: ast.AST) -> Counter:
+    """Every name that code in ``tree`` reads, calls, imports or defines as
+    an attribute: bare names, attribute names and imported names."""
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            names[node.name.rpartition(".")[2]] += 1
+    return names
+
+
+def unused_definitions(sources: dict[str, str], exported: set[str]) -> list[str]:
+    """``module.name`` of each function, method or class in ``sources``
+    (module name: source) that no code names outside its own definition,
+    unless it is a dunder or in ``exported``.
+
+    The scan matches by name alone, not by what a name refers to: a
+    definition escapes it when any other code uses the same name, as a
+    loop variable named ``entry`` would hide a method ``entry``."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    everywhere = sum((names_used(tree) for tree in trees.values()), Counter())
+    unused = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name in exported or (name.startswith("__") and name.endswith("__")):
+                continue
+            if everywhere[name] == names_used(node)[name]:
+                unused.append(f"{module}.{name}")
+    return unused
+
+
 def find_cycle(graph: dict[str, set[str]]) -> list[str] | None:
     """One cycle of the graph as a path of modules, or None."""
     done: set[str] = set()
@@ -117,3 +156,20 @@ class TestImportGraph:
         assert rigidity_lab.rigidity_index is fourier.rigidity_index
         assert rigidity_lab.is_irreducible is fourier.is_irreducible
         assert rigidity_lab.rigidity_report is fourier.rigidity_report
+
+
+class TestNoTestOnlyApi:
+    """Each function and class of ``src/`` is named by other code in ``src/``,
+    so the library carries no API that only tests use."""
+
+    def test_the_scan_finds_a_definition_nothing_names(self):
+        sources = {
+            "a": "def used():\n    pass\n\ndef unused():\n    return unused()\n",
+            "b": "from .a import used\n\nclass Box:\n    def __len__(self):\n        return 0\n",
+        }
+        assert unused_definitions(sources, set()) == ["a.unused", "b.Box"]
+        assert unused_definitions(sources, {"Box", "unused"}) == []
+
+    def test_every_definition_is_used_in_the_library(self):
+        sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+        assert unused_definitions(sources, set(rigidity_lab.__all__)) == []

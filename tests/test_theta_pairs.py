@@ -4,8 +4,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rigidity_lab.campaign import CampaignConfig
 from rigidity_lab.errors import InvalidMonodromyError, InvalidPairError, PairPreconditionError
-from rigidity_lab.exact_linalg import QMatrix, similar
+from rigidity_lab.exact_linalg import QMatrix, restrict_to_image, similar
+from rigidity_lab.fourier import TupleAnalysis
+from rigidity_lab.local_systems import monodromy_tuple
 from rigidity_lab.theta_pairs import (
     ThetaPair,
     centralizer_identity_check,
@@ -15,7 +18,13 @@ from rigidity_lab.theta_pairs import (
     monodromy_F,
 )
 
-from support import random_invertible, random_unit_mixed_matrix, zeros
+from support import (
+    campaign_tuples,
+    diagonal,
+    random_invertible,
+    random_unit_mixed_matrix,
+    zeros,
+)
 
 J2 = QMatrix.from_rows([[1, 1], [0, 1]])
 
@@ -134,7 +143,7 @@ class TestMinimalExtension:
 
     def test_full_direct_image_with_invertible_difference(self):
         # the minimal extension of a pair is the star pair of its monodromy
-        t = QMatrix.diagonal([2, 3])
+        t = diagonal([2, 3])
         pair = from_star(monodromy_E(full_direct_image(t)))
         assert pair.dim_F == pair.dim_E == 2
         assert similar(monodromy_F(pair), t)
@@ -153,7 +162,7 @@ class TestCentralizerIdentity:
         assert centralizer_identity_check(from_star(J2)) == (1, 1)
 
     def test_semisimple_example(self):
-        assert centralizer_identity_check(from_star(QMatrix.diagonal([2, 3]))) == (0, 0)
+        assert centralizer_identity_check(from_star(diagonal([2, 3]))) == (0, 0)
 
     def test_identity_example(self):
         assert centralizer_identity_check(from_star(QMatrix.identity(3))) == (9, 9)
@@ -170,3 +179,42 @@ class TestCentralizerIdentity:
             t, _ = random_unit_mixed_matrix(rng, 5)
             lhs, rhs = centralizer_identity_check(from_star(t))
             assert lhs == rhs
+
+
+def assert_star_pair_is_the_point_data(a: QMatrix, identity) -> None:
+    """``from_star(A)`` against what ``TupleAnalysis`` computes for a finite
+    point with monodromy A: its F side is the component's regular part
+    ``restrict_to_image(A)``, its E side is A, and its centralizer identity
+    is the point's row ``identity`` of ``TupleAnalysis.preservation``."""
+    pair = from_star(a)
+    assert monodromy_F(pair) == restrict_to_image(a)
+    assert monodromy_E(pair) == a
+    assert centralizer_identity_check(pair) == (identity.lhs, identity.rhs)
+
+
+class TestStarPairIsTheLocalData:
+    """``from_star`` and ``TupleAnalysis.local_data`` read the same
+    elimination of A - 1, so the pair and the point's local data agree as
+    stored matrices."""
+
+    def test_unit_mixed_matrices(self):
+        # at 1 with A, at 2 with 2: im(A - 1) contains A's eigenspace for
+        # 1/2 = ker(A_inf - 1), so the pair is realizable for every A
+        rng = random.Random(26)
+        for _ in range(100):
+            a, _ = random_unit_mixed_matrix(rng, 6)
+            n = a.rows
+            if a == QMatrix.identity(n):  # not a finite point's monodromy
+                continue
+            t = monodromy_tuple(n, [(1, a), (2, diagonal([2] * n))])
+            identity = TupleAnalysis(t).preservation.per_point_identities[0]
+            assert identity.point == "1"
+            assert_star_pair_is_the_point_data(a, identity)
+
+    def test_seed_7_campaign(self):
+        config = CampaignConfig(trials=100, max_rank=4, max_points=4, seed=7)
+        for _, t in campaign_tuples(config):
+            identities = TupleAnalysis(t).preservation.per_point_identities
+            assert len(identities) == len(t.finite_points) + 1
+            for (_, a), identity in zip(t.finite_points, identities):
+                assert_star_pair_is_the_point_data(a, identity)
