@@ -564,7 +564,7 @@ def _shift_echelon(matrix: QMatrix, power: int) -> Echelon:
     as AM = MA, A B = B (W A[:, pivots]): A on im(M) is W A[:, pivots]."""
     rows, d = matrix.numerators, matrix.denominator
     shifted = [[x - d if i == j else x for j, x in enumerate(row)] for i, row in enumerate(rows)]
-    image, shifted_columns = shifted, list(zip(*shifted))
+    image, shifted_columns = shifted, list(zip(*shifted)) if power > 1 else ()
     for _ in range(power - 1):
         image = [[sum(map(mul, row, column)) for column in shifted_columns] for row in image]
     return _echelon(image, matrix.cols)
