@@ -113,6 +113,7 @@ def _rational_block(shape: tuple[int, int]):
 square_rational_matrices = st.integers(min_value=1, max_value=4).flatmap(
     lambda n: _rational_block((n, n))
 )
+
 # factors up to 4x5 @ 5x3, empty shapes included
 product_factors = st.tuples(
     st.integers(min_value=0, max_value=4),
@@ -364,10 +365,11 @@ def _kernel(pivots: list[int], w: QMatrix) -> QMatrix:
     """The free-variable kernel basis read off the reduced rows W, one column
     per free column, ascending."""
     free = [c for c in range(w.cols) if c not in pivots]
-    def entry(row: int, f: int) -> Fraction:
-        return w.entries[pivots.index(row) * w.cols + f] if row in pivots else Fraction(0)
-
-    rows = [[Fraction(row == f) - entry(row, f) for f in free] for row in range(w.cols)]
+    rows = [
+        [Fraction(row == f) - (w.entries[pivots.index(row) * w.cols + f] if row in pivots else 0)
+         for f in free]
+        for row in range(w.cols)
+    ]
     return QMatrix(w.cols, len(free), tuple(x for row in rows for x in row))
 
 
