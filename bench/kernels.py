@@ -19,11 +19,12 @@ reference routes from ``tests/support.py``.  Each figure is the median of
   pivot inverses are single digits (``_closes_mod_p``, vectors packed into
   integers) against ``support.closes_full_span_mod_p`` (the same
   closure mod the same prime, one entry at a time), whose answers must
-  agree, and, for n = 2..8 only, the exact pass over Q (``_closes_exact``),
-  which grows as n^6; the conversion to integer rows, shared by all, is not
-  timed.  The answers are recorded; on these tuples they agree.  Then the
-  library's routed decision, ``spans_full_algebra`` on the finite matrices
-  as ``TupleAnalysis.irreducible`` passes them (``routed_ms``), whose answer
+  agree, and, for n = 2..8 only, the exact pass over Q, ``_spin`` from the
+  n x n identity stored as n^2 entries, which grows as n^6; the conversion
+  to integer rows, shared by all, is not timed.  The answers are recorded;
+  on these tuples they agree.  Then the library's routed decision,
+  ``spans_full_algebra`` on the finite matrices as
+  ``TupleAnalysis.irreducible`` passes them (``routed_ms``), whose answer
   must be the oracle's full span or, where that stalls, the exact pass's;
   ``route`` says whether a pseudo-reflection (rank(A - 1) = 1) among them
   sent it to the two vector spins or it ran the closures.
@@ -265,8 +266,9 @@ def closure_rows(runs: int) -> list[dict]:
                 "certified": certified,
             }
             if n in EXACT_CLOSURE_RANKS:
+                identity = [int(i == j) for i in range(n) for j in range(n)]
                 exact_ms, full, _ = median_ms(
-                    lambda g: exact_linalg._closes_exact(g, n), integer_rows, runs
+                    lambda g: exact_linalg._spin(g, identity) == n * n, integer_rows, runs
                 )
                 row.update(exact_ms=round(exact_ms, 3), full_span=full)
             routed_ms, routed, _ = median_ms(exact_linalg.spans_full_algebra, finite, runs)

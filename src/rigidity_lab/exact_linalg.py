@@ -12,21 +12,24 @@ entries), and in the polynomials of similarity invariants.  Printing makes
 none: every number becomes text through ``rational_text``, from its
 integers.  Ranks, inverses, spans and restrictions to invariant images
 come out of one fraction-free elimination per matrix (``Echelon``) on the
-rows of dA, or of dA - dI where ``restrict_to_image`` and ``from_star`` read
-A on im(A - 1).  A centralizer dimension is n when one Krylov spin of dA
-reaches n vectors; otherwise it, unit Jordan blocks and similarity are read
-off the invariant factors of xI - A: a Krylov basis of dA splits Q^n into
-cyclic blocks, and a Smith form over Q[x] runs only on the small matrix of
-relations between those blocks.  All bases are the deterministic ones from
-reduced row echelon form with leftmost pivots, so runs are bit-identical.
+rows of dA, or of dA - dI, whose rank gives ``fixed_space_dim`` and where
+``restrict_to_image`` and ``from_star`` read A on im(A - 1).  One Krylov
+kernel (``_spin``) spans every set of words over Q.  A centralizer
+dimension is n when its spin of dA reaches n vectors; otherwise it, unit
+Jordan blocks and similarity are read off the invariant factors of xI - A:
+a Krylov basis of dA splits Q^n into cyclic blocks, and a Smith form over
+Q[x] runs only on the small matrix of relations between those blocks.
+All bases are the deterministic ones from reduced row echelon form with
+leftmost pivots, so runs are bit-identical.
 
 Invertibility (``QMatrix.is_invertible``) is the exact rank of dA.
 Irreducibility (``spans_full_algebra``) is two vector spins when a generator
 is 1 plus a rank-one matrix; otherwise it closes the span of the words in
 the integer matrices dA: first mod the Mersenne prime p = 2^19 - 1, each
 vector packed into one integer, as a certificate, and over Q only when that
-falls short; ``spans_full_algebra`` says why both routes are exact.  Each
-residue and pivot inverse mod p is one CPython digit (p < 2^30).
+falls short, as the spin of the identity in M_n(Q); ``spans_full_algebra``
+says why both routes are exact.  Each residue and pivot inverse mod p is
+one CPython digit (p < 2^30).
 """
 
 from __future__ import annotations
@@ -209,11 +212,6 @@ class QMatrix:
         common, reduced = basis.reduced_rows()
         return QMatrix._integral(n, n, [row[n:] for row in reduced], common)
 
-    def columns(self, indices: Sequence[int]) -> "QMatrix":
-        """The columns at ``indices``, in that order."""
-        rows = [[row[j] for j in indices] for row in self.numerators]
-        return QMatrix._integral(self.rows, len(indices), rows, self.denominator)
-
     def is_invertible(self) -> bool:
         """Square of full rank: one fraction-free elimination of dA."""
         return self.is_square and matrix_rank(self) == self.rows
@@ -296,8 +294,9 @@ class Echelon:
     v <- (lead/g) v - (v[p]/g) row with g = gcd(lead, v[p]), and its content
     (the gcd of its entries) is divided out when it enters and after every
     step that scaled it, so its entries stay the size of the span's minors;
-    stored rows are never touched again.  The span closure of
-    ``spans_full_algebra`` runs here only when its certificate mod a prime
+    stored rows are never touched again.  Spans of words, on a vector or on
+    a matrix, grow here only in ``_spin``: the span closure of
+    ``spans_full_algebra`` runs as one when its certificate mod a prime
     (``_closes_mod_p``) falls short.
     """
 
@@ -408,26 +407,8 @@ def matrix_rank(matrix: QMatrix) -> int:
     return len(_echelon(matrix.numerators, matrix.cols))
 
 
-def _closes_exact(generators: list[Sequence[Sequence[int]]], n: int) -> bool:
-    """Whether the products of the n x n integer matrices ``generators``
-    (their rows), closed from the identity under left multiplication, span
-    all n^2 entries over Q."""
-    target, identity = n * n, [int(i == j) for i in range(n) for j in range(n)]
-    basis, queue = _echelon([identity], target), [identity]
-    while queue and len(basis) < target:
-        element = queue.pop()
-        columns = [element[j::n] for j in range(n)]
-        for rows in generators:
-            product = [sum(map(mul, row, col)) for row in rows for col in columns]
-            if basis.add(product):
-                queue.append(product)
-                if len(basis) == target:
-                    return True
-    return len(basis) == target
-
-
 def _closes_mod_p(generators: list[Sequence[Sequence[int]]], n: int) -> bool:
-    """``_closes_exact`` mod p = ``_PRIME``, one int per vector of
+    """The closure from the identity mod p = ``_PRIME``, one int per vector of
     F_p^{n^2}, entry j in the B-bit slot at bit jB.  A product G E is the
     sum over l of G's column l, packed once at a stride of n slots, times
     row l of E; clearing a basis row's pivot slot, of value 1, is
@@ -482,14 +463,20 @@ def _closes_mod_p(generators: list[Sequence[Sequence[int]]], n: int) -> bool:
     return len(basis) == target
 
 
-def _spin(generators: list[Sequence[Sequence[int]]], start: list[int], n: int) -> int:
-    """Dimension, up to n, of the span of the words in ``generators`` (their rows) on ``start``."""
-    basis, queue = _echelon([start], n), [start]
+def _spin(generators: list[Sequence[Sequence[int]]], start: list[int]) -> int:
+    """Dimension of the span of the words in the n x n integer matrices
+    ``generators`` (their rows) on ``start``: a vector of n entries, or of
+    n^2, a matrix E stored column after column, on which G acts as G E."""
+    n, width = len(generators[0]), len(start)
+    basis, queue = _echelon([start], width), [start]
     pivots = basis.pivots  # grows with the basis; its len is cheaper than the basis's
-    while queue and len(pivots) < n:
+    while queue and len(pivots) < width:
         vector = queue.pop()
+        columns = [vector[j : j + n] for j in range(0, width, n)]
         for rows in generators:  # no product once the span is full
-            if len(pivots) < n and basis.add(image := [sum(map(mul, row, vector)) for row in rows]):
+            if len(pivots) < width and basis.add(
+                image := [sum(map(mul, row, column)) for column in columns for row in rows]
+            ):
                 queue.append(image)
     return len(pivots)
 
@@ -520,7 +507,8 @@ def spans_full_algebra(generators: Sequence[QMatrix]) -> bool:
     spins of u under the generators and of w under their transposes reach n.
     Otherwise, starting from the identity, the span of the reached products
     is closed under left multiplication by the generators until it
-    stabilizes; a span's dimension is the same over any extension field.
+    stabilizes (the spin of the identity, by rows or columns alike); a
+    span's dimension is the same over any extension field.
     Both run on the stored integer matrices dA (``QMatrix.numerators``):
     scaling a generator by a nonzero d changes no span.
 
@@ -538,8 +526,9 @@ def spans_full_algebra(generators: Sequence[QMatrix]) -> bool:
     rows = [g.numerators for g in generators]
     if shift := next(filter(None, map(_rank_one_shift, generators)), None):
         u, w = shift
-        return _spin(rows, u, n) == n and _spin([list(zip(*r)) for r in rows], w, n) == n
-    return _closes_mod_p(rows, n) or _closes_exact(rows, n)
+        return _spin(rows, u) == n and _spin([list(zip(*r)) for r in rows], w) == n
+    identity = [int(i == j) for i in range(n) for j in range(n)]
+    return _closes_mod_p(rows, n) or _spin(rows, identity) == n * n
 
 
 # ---------------------------------------------------------------------------
@@ -548,13 +537,13 @@ def spans_full_algebra(generators: Sequence[QMatrix]) -> bool:
 
 
 def fixed_space_dim(matrix: QMatrix) -> int:
-    """Dimension of the eigenspace for eigenvalue 1 of an invertible matrix."""
-    n = matrix.rows
+    """Dimension of the eigenspace for eigenvalue 1 of an invertible matrix:
+    n minus the rank of dA - dI."""
     if not matrix.is_square:
         raise DimensionMismatchError("matrix must be square")
     if not matrix.is_invertible():
         raise InvalidMonodromyError("matrix must be invertible")
-    return n - matrix_rank(matrix - QMatrix.identity(n))
+    return matrix.rows - len(_shift_echelon(matrix, 1))
 
 
 def _shift_echelon(matrix: QMatrix, power: int) -> Echelon:
@@ -914,7 +903,7 @@ def centralizer_dimension(matrix: QMatrix) -> int:
     Krylov spin of e_n under dA, as ``_relation_matrix`` starts, reaches n
     vectors (A is cyclic), else read off the invariant factor degrees."""
     n = matrix.rows
-    if matrix.is_square and _spin([matrix.numerators], [int(j == n - 1) for j in range(n)], n) == n:
+    if matrix.is_square and _spin([matrix.numerators], [int(j == n - 1) for j in range(n)]) == n:
         return n
     return invariant_factors(matrix).centralizer_dimension
 

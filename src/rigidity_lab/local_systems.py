@@ -136,17 +136,13 @@ def random_tuple(rank: int, k: int, seed: int) -> MonodromyTuple:
     """
     if rank < 1 or k < 1:
         raise ValueError("rank and k must be at least 1")
-    rng = random.Random(seed)
+    rng, bound = random.Random(seed), _RANDOM_ENTRY_BOUND
     identity = QMatrix.identity(rank)
     matrices: list[QMatrix] = []
     for _ in range(k):
         for _attempt in range(_MAX_DRAWS_PER_MATRIX):
-            candidate = QMatrix.from_rows(
-                [
-                    [rng.randint(-_RANDOM_ENTRY_BOUND, _RANDOM_ENTRY_BOUND) for _ in range(rank)]
-                    for _ in range(rank)
-                ]
-            )
+            rows = [[rng.randint(-bound, bound) for _ in range(rank)] for _ in range(rank)]
+            candidate = QMatrix._integral(rank, rank, rows)
             if candidate != identity and candidate.is_invertible():
                 matrices.append(candidate)
                 break

@@ -50,15 +50,17 @@ def monodromy_F(pair: ThetaPair) -> QMatrix:
 def from_star(monodromy: QMatrix) -> ThetaPair:
     """Middle-extension pair: F = im(T - 1), u the corestriction, v the inclusion.
 
-    In the basis of the pivot columns of T - 1, v is those columns and u the
-    nonzero rows of its RREF, so 1 + uv is ``restrict_to_image(T)``."""
+    In the basis of the pivot columns of T - 1, v is those columns, cut from
+    the stored dT - dI over d, and u the nonzero rows of its RREF, both from
+    the one elimination of ``restrict_to_image``, so 1 + uv is
+    ``restrict_to_image(T)``."""
     if not monodromy.is_invertible():  # False for a non-square matrix too
         raise InvalidMonodromyError("monodromy matrix must be square and invertible")
-    n = monodromy.rows
-    basis = _shift_echelon(monodromy, 1)
-    common, reduced = basis.reduced_rows()
-    v = (monodromy - QMatrix.identity(n)).columns(basis.pivots)
-    return ThetaPair(n, len(basis), QMatrix._integral(len(basis), n, reduced, common), v)
+    n, d, basis = monodromy.rows, monodromy.denominator, _shift_echelon(monodromy, 1)
+    (common, reduced), pivots = basis.reduced_rows(), basis.pivots
+    v = [[row[p] - d * (i == p) for p in pivots] for i, row in enumerate(monodromy.numerators)]
+    u = QMatrix._integral(len(pivots), n, reduced, common)
+    return ThetaPair(n, len(pivots), u, QMatrix._integral(n, len(pivots), v, d))
 
 
 def is_minimal(pair: ThetaPair) -> bool:

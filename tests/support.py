@@ -51,6 +51,12 @@ def diagonal(values: Iterable[Fraction | int | str]) -> QMatrix:
     return QMatrix(n, n, [values[i] if i == j else 0 for i in range(n) for j in range(n)])
 
 
+def columns(matrix: QMatrix, indices: Sequence[int]) -> QMatrix:
+    """The columns of ``matrix`` at ``indices``, in that order."""
+    rows = [[row[j] for j in indices] for row in matrix.numerators]
+    return QMatrix._integral(matrix.rows, len(indices), rows, matrix.denominator)
+
+
 def campaign_tuples(config: CampaignConfig) -> Iterator[tuple[int, MonodromyTuple]]:
     """(trial, tuple) for each trial of a campaign: the first irreducible
     draw of the trial's own seed, as ``run_campaign`` checks it."""

@@ -4,9 +4,13 @@ import os
 import random
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigidity_lab import campaign, catalog, cli, exact_linalg, fourier, local_systems
 from rigidity_lab.campaign import CampaignConfig, run_campaign
@@ -744,6 +748,113 @@ class TestErrorLines:
         assert len(err.replace(str(tmp_path), "{tmp}").encode()) < MAX_ERROR_LINE_BYTES
 
 
+class Obj:
+    """A JSON object as its (key, value) pairs, so a key can appear twice."""
+
+    def __init__(self, pairs):
+        self.pairs = pairs
+
+
+class Raw:
+    """A JSON token written as it is: a numeral too long for ``json.dumps``."""
+
+    def __init__(self, text):
+        self.text = text
+
+
+def as_tree(node):
+    """A parsed JSON document with every object as an ``Obj``."""
+    if isinstance(node, dict):
+        return Obj([(key, as_tree(value)) for key, value in node.items()])
+    if isinstance(node, list):
+        return [as_tree(item) for item in node]
+    return node
+
+
+def dump(node) -> str:
+    if isinstance(node, Obj):
+        return "{" + ", ".join(f"{json.dumps(k)}: {dump(v)}" for k, v in node.pairs) + "}"
+    if isinstance(node, list):
+        return "[" + ", ".join(map(dump, node)) + "]"
+    return node.text if isinstance(node, Raw) else json.dumps(node)
+
+
+def slots(node):
+    """(list, index) of every value below ``node``: the pairs of an object,
+    the items of an array."""
+    items = node.pairs if isinstance(node, Obj) else node if isinstance(node, list) else []
+    for index, item in enumerate(items):
+        yield items, index
+        yield from slots(item[1] if isinstance(node, Obj) else item)
+
+
+# the built-in catalog's documents, small random tuples and the documents
+# above, which exit 0, 3 or 4 as written
+VALID_DOCUMENTS = [*catalog._BUILTIN.values(), REDUCIBLE_DIAGONAL, NON_REALIZABLE] + [
+    tuple_to_json(random_tuple(rank, k, seed))
+    for seed, (rank, k) in enumerate([(1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3)])
+]
+ODD_RATIONALS = ["+1", "1_0", "\u0661", "1/0", " 1", "1 ", "-0", "1/-2", "", "0.5", "1e3"]
+ODD_RATIONALS += ["\u00bd", "1//2", "\u0663/\u0664", "-" + "9" * 80, "1" * 90 + "/" + "2" * 90]
+# half the swaps put in a p/q string, as written or repeated past any quote
+JSON_ATOMS = st.one_of(
+    st.sampled_from(ODD_RATIONALS).flatmap(lambda text: st.sampled_from([text, text * 40])),
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-(2**70), 2**70),
+        st.integers(-3, 3).map(lambda c: c * 10**300),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.text(max_size=8),
+        st.sampled_from([[], [[]], {}, Raw("1" * 5000), Raw("-" + "2" * 4400), Raw("1e400")]),
+    ),
+)
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid document with one to three mutations: a value swapped for a
+    JSON atom, or an object's key or an array's item deleted or repeated."""
+    tree = as_tree(draw(st.sampled_from(VALID_DOCUMENTS)))
+    for _ in range(draw(st.integers(1, 3))):
+        found = list(slots(tree))
+        if not found:
+            break
+        items, index = draw(st.sampled_from(found))
+        action = draw(st.sampled_from(["swap", "delete", "repeat"]))
+        if action == "delete":
+            del items[index]
+        elif action == "repeat":
+            items.insert(index, items[index])
+        elif isinstance(items[index], tuple):  # an object's pair: swap its value
+            items[index] = (items[index][0], as_tree(draw(JSON_ATOMS)))
+        else:
+            items[index] = as_tree(draw(JSON_ATOMS))
+    return dump(tree)
+
+
+class TestPromise:
+    """Any document gives exit 0, 2, 3 or 4, never a traceback: no exception
+    escapes ``main``, stderr is empty on exit 0 and otherwise one line of
+    less than ``MAX_ERROR_LINE_BYTES``.  A document that breaks it shrinks
+    to a minimal one, to be pinned among ``ERROR_LINES``."""
+
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(mutated_documents(), st.sampled_from(["rig", "fourier", "verify"]))
+    def test_mutated_documents(self, document, command):
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.object(sys, "stdin", io.StringIO(document)):
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main([command, "--input", "-"])
+        assert code in (0, 2, 3, 4)
+        err = err.getvalue()
+        if code == 0:
+            assert err == ""
+        else:
+            assert err.endswith("\n") and err.count("\n") == 1
+            assert len(err.encode()) < MAX_ERROR_LINE_BYTES
+
+
 def with_identity_at_infinity(payload):
     n = payload["rank"]
     return dict(payload, infinity_matrix=[[str(int(i == j)) for j in range(n)] for i in range(n)])
@@ -803,6 +914,12 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
+def exact_closures(spins: list) -> list:
+    """The recorded ``_spin`` calls that close a span over Q: a start of n^2
+    entries, the identity matrix, where a vector spin starts from n."""
+    return [(generators, start) for generators, start in spins if len(start) > len(generators[0])]
+
+
 class TestComputeOnce:
     # (command, invariant-factor calls, restrictions) for k = 3 finite points:
     # rig needs the k + 1 source matrices and nothing of the transform;
@@ -832,7 +949,6 @@ class TestComputeOnce:
         validate = count_calls(monkeypatch, local_systems, "validate")
         closure = count_calls(monkeypatch, exact_linalg, "spans_full_algebra")
         certificates = count_calls(monkeypatch, exact_linalg, "_closes_mod_p")
-        exact = count_calls(monkeypatch, exact_linalg, "_closes_exact")
         spins = count_calls(monkeypatch, exact_linalg, "_spin")
         dims = count_calls(monkeypatch, exact_linalg, "centralizer_dimension")
         factors = count_calls(monkeypatch, exact_linalg, "invariant_factors")
@@ -844,7 +960,7 @@ class TestComputeOnce:
         # under the three finite matrices, of u = e_1 and of w = e_1, which
         # both reach 2, and neither closure runs; every other spin is under
         # one matrix, the cyclic certificate of a centralizer dimension
-        assert (len(certificates), len(exact)) == (0, 0)
+        assert (len(certificates), len(exact_closures(spins))) == (0, 0)
         spun = [len(args[0]) for args in spins]
         assert spun.count(3) == 2 and spun.count(1) == len(dims) == len(spun) - 2
         assert len(factors) == factorizations
@@ -889,10 +1005,10 @@ class TestComputeOnce:
     def test_reducible_runs_the_exact_closure_once(self, capsys, tmp_path, monkeypatch):
         path = write_json(tmp_path, "red.json", REDUCIBLE_DIAGONAL)
         closure = count_calls(monkeypatch, exact_linalg, "spans_full_algebra")
-        exact = count_calls(monkeypatch, exact_linalg, "_closes_exact")
+        spins = count_calls(monkeypatch, exact_linalg, "_spin")
         code, _, _ = run_cli(capsys, "verify", "--input", path, "--force")
         assert code == 0
-        assert (len(closure), len(exact)) == (1, 1)
+        assert (len(closure), len(exact_closures(spins))) == (1, 1)
 
     @pytest.mark.parametrize("given", [False, True])
     def test_relation_product_formed_once(self, capsys, tmp_path, monkeypatch, given):
@@ -919,7 +1035,7 @@ class TestComputeOnce:
         validate = count_calls(monkeypatch, local_systems, "validate")
         closure = count_calls(monkeypatch, exact_linalg, "spans_full_algebra")
         certificates = count_calls(monkeypatch, exact_linalg, "_closes_mod_p")
-        exact = count_calls(monkeypatch, exact_linalg, "_closes_exact")
+        spins = count_calls(monkeypatch, exact_linalg, "_spin")
         # seed 43's stream has shapes of rank > 1 on one finite point, which
         # are reducible and never built, and reducible draws on several points
         code, _, _ = run_cli(capsys, "verify", "--random", "--trials", "10", "--seed", "43")
@@ -948,7 +1064,7 @@ class TestComputeOnce:
         spun = [spin_route([a for _, a in t.finite_points]) for t in tuples]
         closed = [t for t, s in zip(tuples, spun) if t.rank > 1 and not s]
         assert len(certificates) == len(closed) > 0
-        assert len(exact) == sum(t in reducible for t in closed) == 0
+        assert len(exact_closures(spins)) == sum(t in reducible for t in closed) == 0
         assert sorted(t in reducible for t, s in zip(tuples, spun) if s) == [False, True]
 
 

@@ -36,6 +36,7 @@ from support import (
     campaign_tuples,
     char_poly,
     closes_full_span_mod_p,
+    columns,
     commutation_centralizer_dimension,
     conjugate,
     diagonal,
@@ -394,7 +395,7 @@ class TestRref:
         pivots, w = shift_factorization(QMatrix.from_rows([[2, 2], [2, 5]]))
         assert pivots == [0]
         assert w == QMatrix.from_rows([[1, 2]])
-        assert m.columns(pivots) == QMatrix.from_rows([[1], [2]])
+        assert columns(m, pivots) == QMatrix.from_rows([[1], [2]])
         assert _kernel(pivots, w) == QMatrix.from_rows([[-2], [1]])
 
     @settings(max_examples=60, deadline=None)
@@ -406,8 +407,8 @@ class TestRref:
         assert w.rows + kernel.cols == m.cols
         assert m @ kernel == zeros(m.rows, kernel.cols)
         # the pivot columns are independent and W holds every column's coordinates
-        assert matrix_rank(m.columns(pivots)) == len(pivots)
-        assert m.columns(pivots) @ w == m
+        assert matrix_rank(columns(m, pivots)) == len(pivots)
+        assert columns(m, pivots) @ w == m
 
     @settings(max_examples=80, deadline=None)
     @given(square_rational_matrices)
@@ -419,9 +420,9 @@ class TestRref:
         pivots, w = shift_factorization(m + QMatrix.identity(m.rows))
         assert pivots == list(oracle_pivots)
         assert list(w.entries) == list(reduced[: len(pivots), :])
-        assert m.columns(pivots) @ w == m
+        assert columns(m, pivots) @ w == m
         kernel = _kernel(pivots, w)
-        assert [list(kernel.columns([j]).entries) for j in range(kernel.cols)] == [
+        assert [list(columns(kernel, [j]).entries) for j in range(kernel.cols)] == [
             list(v) for v in oracle.nullspace()
         ]
         if len(pivots) == m.rows:
@@ -872,16 +873,29 @@ class TestKrylovKernel:
         assert calls == [4]
 
 
+def _record_passes(patch, passes: list) -> None:
+    """Append each pass of ``spans_full_algebra`` to ``passes``, as it runs:
+    ``_closes_mod_p``, the certificate; ``_spin`` from a vector; or
+    ``exact_closure``, ``_spin`` from a matrix of n^2 entries, the closure
+    over Q.  ``patch`` is a ``pytest.MonkeyPatch``."""
+    certificate, spin = exact_linalg._closes_mod_p, exact_linalg._spin
+
+    def certify(generators, n):
+        passes.append("_closes_mod_p")
+        return certificate(generators, n)
+
+    def spinning(generators, start):
+        passes.append("exact_closure" if len(start) > len(generators[0]) else "_spin")
+        return spin(generators, start)
+
+    patch.setattr(exact_linalg, "_closes_mod_p", certify)
+    patch.setattr(exact_linalg, "_spin", spinning)
+
+
 class TestSpanClosure:
     def test_agrees_with_sympy_closure(self, monkeypatch):
         passes = []
-        for name in ("_spin", "_closes_mod_p", "_closes_exact"):
-            original = getattr(exact_linalg, name)
-            monkeypatch.setattr(
-                exact_linalg,
-                name,
-                lambda *args, f=original: passes.append(f.__name__) or f(*args),
-            )
+        _record_passes(monkeypatch, passes)
         rng = random.Random(4)
         routes = []
         for n in range(1, 6):
@@ -915,7 +929,7 @@ class TestSpanClosure:
                     allowed = [("_spin", "_spin")] if full else [("_spin",), ("_spin", "_spin")]
                 else:
                     route = "closure"
-                    allowed = [("_closes_mod_p",) if full else ("_closes_mod_p", "_closes_exact")]
+                    allowed = [("_closes_mod_p",) if full else ("_closes_mod_p", "exact_closure")]
                 assert tuple(passes) in allowed
                 routes.append((route, full))
         assert 5 < [full for _, full in routes].count(False) < 15
@@ -931,8 +945,7 @@ class TestSpanClosure:
     def test_single_generator_needs_no_closure(self, monkeypatch, n):
         # one matrix generates Q[A], of dimension at most n < n^2 once n > 1
         passes = []
-        for name in ("_closes_mod_p", "_closes_exact"):
-            monkeypatch.setattr(exact_linalg, name, lambda *args, f=name: passes.append(f))
+        _record_passes(monkeypatch, passes)
         rng = random.Random(n)
         cases = [QMatrix.identity(n), jordan_block(n, 2)]
         cases += [random_invertible(rng, n) for _ in range(5)]
@@ -1001,23 +1014,25 @@ class TestPackedClosure:
     def test_levelt_tuples_are_certified(self, monkeypatch, n):
         # irreducible (f(1) != 0), and decided by the spins alone: C_f^-1 C_g
         # is 1 plus a rank-one matrix, so neither closure runs
-        closures = []
-        for name in ("_closes_mod_p", "_closes_exact"):
-            monkeypatch.setattr(exact_linalg, name, lambda *args, f=name: closures.append(f))
+        passes = []
+        _record_passes(monkeypatch, passes)
         for seed in range(5):
             t = levelt_tuple(n, seed)
             assert spans_full_algebra([a for _, a in t.finite_points])
-        assert closures == []
+        assert set(passes) == {"_spin"}
 
     def test_no_false_stall_in_a_campaign(self, monkeypatch):
         # the certificate stalls only where the span is not full: on the
         # reducible draws of a 100-trial seed-7 campaign, exact says False
-        answers, exact = [], exact_linalg._closes_exact
-        monkeypatch.setattr(
-            exact_linalg,
-            "_closes_exact",
-            lambda *args: answers.append(exact(*args)) or answers[-1],
-        )
+        answers, spin = [], exact_linalg._spin
+
+        def spinning(generators, start):
+            dimension = spin(generators, start)
+            if len(start) > len(generators[0]):  # the exact closure
+                answers.append(dimension == len(start))
+            return dimension
+
+        monkeypatch.setattr(exact_linalg, "_spin", spinning)
         config = CampaignConfig(trials=100, max_rank=4, max_points=4, seed=7)
         assert sum(1 for _ in campaign_tuples(config)) == 100
         assert answers and not any(answers)
@@ -1127,13 +1142,12 @@ class TestRankOneRoute:
     )
     def test_spins_agree_with_the_closure(self, case):
         n, generators = case
-        closures = []
+        passes = []
         with pytest.MonkeyPatch.context() as patch:  # neither closure runs
-            for name in ("_closes_mod_p", "_closes_exact"):
-                patch.setattr(exact_linalg, name, lambda *args, f=name: closures.append(f))
+            _record_passes(patch, passes)
             answer = spans_full_algebra(generators)
         assert answer == (span_closure_dimension(generators) == n * n)
-        assert closures == []
+        assert set(passes) <= {"_spin"}  # none at n = 1
 
     @settings(max_examples=40, deadline=None)
     @given(_pseudo_reflection_sets(wide_entries, reducible=True))
