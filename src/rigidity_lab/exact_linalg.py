@@ -294,10 +294,9 @@ class Echelon:
     v <- (lead/g) v - (v[p]/g) row with g = gcd(lead, v[p]), and its content
     (the gcd of its entries) is divided out when it enters and after every
     step that scaled it, so its entries stay the size of the span's minors;
-    stored rows are never touched again.  Spans of words, on a vector or on
-    a matrix, grow here only in ``_spin``: the span closure of
-    ``spans_full_algebra`` runs as one when its certificate mod a prime
-    (``_closes_mod_p``) falls short.
+    stored rows are never touched again.  Spans of words grow here only in
+    ``_spin``, also the span closure of ``spans_full_algebra`` when its
+    certificate mod a prime (``_closes_mod_p``) falls short.
     """
 
     def __init__(self, width: int):
@@ -466,16 +465,17 @@ def _closes_mod_p(generators: list[Sequence[Sequence[int]]], n: int) -> bool:
 def _spin(generators: list[Sequence[Sequence[int]]], start: list[int]) -> int:
     """Dimension of the span of the words in the n x n integer matrices
     ``generators`` (their rows) on ``start``: a vector of n entries, or of
-    n^2, a matrix E stored column after column, on which G acts as G E."""
+    n^2, a matrix E stored row after row (a vector is its one column), on
+    which G acts as G E."""
     n, width = len(generators[0]), len(start)
     basis, queue = _echelon([start], width), [start]
     pivots = basis.pivots  # grows with the basis; its len is cheaper than the basis's
     while queue and len(pivots) < width:
         vector = queue.pop()
-        columns = [vector[j : j + n] for j in range(0, width, n)]
+        columns = [vector[j::n] for j in range(n)] if width > n else (vector,)
         for rows in generators:  # no product once the span is full
             if len(pivots) < width and basis.add(
-                image := [sum(map(mul, row, column)) for column in columns for row in rows]
+                image := [sum(map(mul, row, column)) for row in rows for column in columns]
             ):
                 queue.append(image)
     return len(pivots)
