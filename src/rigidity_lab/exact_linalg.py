@@ -600,15 +600,6 @@ def _pdeg(p: Poly) -> int:
     return len(p) - 1
 
 
-def _padd(a: Poly, b: Poly) -> Poly:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
-    return _ptrim(out)
-
-
 def _psub(a: Poly, b: Poly) -> Poly:
     out = list(a) + [_ZERO] * (len(b) - len(a))
     for i, c in enumerate(b):
@@ -629,22 +620,20 @@ def _pmul(a: Poly, b: Poly) -> Poly:
 
 
 def _pdivmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    if _pdeg(a) < _pdeg(b):
-        return (), a
+    """(q, r) with a = q b + r and deg r < deg b, for b nonzero; each step
+    clears a's top coefficient, so only the ones below it are updated."""
     rem = list(a)
     db = _pdeg(b)
-    lead = b[-1]
-    quo = [_ZERO] * (len(a) - len(b) + 1)
+    lead, low = b[-1], b[:-1]
+    quo = [_ZERO] * (len(a) - db)
     for k in range(len(quo) - 1, -1, -1):
         coef = rem[db + k] / lead
         if coef:
             quo[k] = coef
-            for i, c in enumerate(b):
+            for i, c in enumerate(low):
                 if c:
                     rem[i + k] -= coef * c
-    return _ptrim(quo), _ptrim(rem)
+    return _ptrim(quo), _ptrim(rem[:db])
 
 
 def polynomial_to_string(p: Poly) -> str:
@@ -737,76 +726,57 @@ def _min_degree_position(m: list[list[Poly]], start: int) -> tuple[int, int] | N
 
 
 def _smith_diagonal(m: list[list[Poly]]) -> list[Poly]:
-    """Diagonalize a square polynomial matrix by unimodular row/column moves.
+    """The diagonal of the Smith form of a square polynomial matrix of
+    nonzero determinant, by unimodular row and column moves, each pivot
+    monic.
 
-    Classic reduction: pull the minimal-degree entry into the pivot slot,
-    divide it into its row and column, and when a remainder or a
-    non-divisible trailing entry shows up, fold it in and retry; the minimal
-    degree strictly drops, so the loop terminates.  Pivots are normalized
-    monic.  A nonzero constant pivot divides everything, so it splits off a
-    1 and leaves the Schur complement as the trailing block; the rest of its
-    row is left as is, because finished rows are never read again.
+    Step t pulls a minimal-degree entry of the trailing block to (t, t);
+    rows and columns before t are zero there, so row t is zero left of the
+    pivot.  Each row below takes away q times row t, q its quotient at
+    column t, which touches only row t's nonzero entries right of the
+    pivot.  Once column t is zero below the pivot, each entry of row t right
+    of it becomes its own remainder.  A remainder, below the pivot or right
+    of it, is of lower degree than the pivot: the step restarts on it.  When
+    row t then holds only the pivot, a trailing entry that the pivot does
+    not divide has its row folded into row t, and the step restarts.  Each
+    restart lowers the minimal degree, so the loop ends.  A constant pivot
+    divides everything: it leaves no remainder and needs no row phase, and
+    its row is left as is, because finished rows are never read again.
     """
     size = len(m)
     t = 0
     while t < size:
-        pos = _min_degree_position(m, t)
-        if pos is None:
-            break
-        i0, j0 = pos
+        i0, j0 = _min_degree_position(m, t)
         if i0 != t:
             m[t], m[i0] = m[i0], m[t]
         if j0 != t:
             for row in m:
                 row[t], row[j0] = row[j0], row[t]
-        pivot = m[t][t]
-        if len(pivot) == 1:
-            inv = _ONE / pivot[0]
-            top = [(j, m[t][j]) for j in range(t + 1, size) if m[t][j]]
-            for i in range(t + 1, size):
-                row = m[i]
-                if row[t]:
-                    q = tuple(c * inv for c in row[t])
-                    row[t] = ()
-                    for j, b in top:
-                        row[j] = _psub(row[j], _pmul(q, b))
-            m[t][t] = (_ONE,)
-            t += 1
+        top = m[t]
+        pivot = top[t]
+        right = [(j, b) for j in range(t + 1, size) if (b := top[j])]
+        for row in m[t + 1 :]:
+            if row[t]:
+                q, row[t] = _pdivmod(row[t], pivot)
+                for j, b in right:
+                    row[j] = _psub(row[j], _pmul(q, b))
+        if any(row[t] for row in m[t + 1 :]):
             continue
-        dirty = False
-        for i in range(t + 1, size):
-            if m[i][t]:
-                q, r = _pdivmod(m[i][t], pivot)
-                if q:
-                    m[i] = [_psub(a, _pmul(q, b)) for a, b in zip(m[i], m[t])]
-                if r:
-                    dirty = True
-        if dirty:
-            continue
-        for j in range(t + 1, size):
-            if m[t][j]:
-                q, r = _pdivmod(m[t][j], pivot)
-                if q:
-                    for i in range(t, size):
-                        m[i][j] = _psub(m[i][j], _pmul(q, m[i][t]))
-                if r:
-                    dirty = True
-        if dirty:
-            continue
-        offender = None
-        for i in range(t + 1, size):
-            for j in range(t + 1, size):
-                if m[i][j] and _pdivmod(m[i][j], pivot)[1]:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            m[t] = [_padd(a, b) for a, b in zip(m[t], m[offender])]
-            continue
-        m[t][t] = tuple(c / pivot[-1] for c in pivot)  # monic
+        if len(pivot) > 1:
+            for j, b in right:
+                top[j] = _pdivmod(b, pivot)[1]
+            if any(top[t + 1 :]):
+                continue
+            trailing = (
+                row for row in m[t + 1 :] if any(_pdivmod(a, pivot)[1] for a in row[t + 1 :] if a)
+            )
+            if offender := next(trailing, None):
+                m[t] = [a or b for a, b in zip(top, offender)]
+                continue
+        if pivot[-1] != 1:
+            top[t] = tuple(c / pivot[-1] for c in pivot)
         t += 1
-    return [m[i][i] for i in range(size)]
+    return [row[i] for i, row in enumerate(m)]
 
 
 def _relation_matrix(rows: Sequence[Sequence[int]]) -> list[list[Poly]]:

@@ -5,11 +5,12 @@ characteristic polynomials via Faddeev-LeVerrier, the min(m_i, m_j)
 partition count, the commutation system, the rank sequence of (A - I)^j,
 span closures ranked by sympy, restrictions solved by sympy, the schoolbook
 product on fractions, elimination on ``Fraction`` rows, the span closure mod
-a prime one entry at a time) so library results are checked against a
-second route.  The one exception,
+a prime one entry at a time, invariant factors and Smith forms by sympy)
+so library results are checked against a second route.  The one exception,
 ``smith_invariant_factors``, reuses the library's Smith step, but on the
-full characteristic matrix xI - A, so it checks the Krylov front end of
-``invariant_factors``; the oracles above check the Smith step itself.
+full characteristic matrix xI - A; ``bench/kernels.py`` times it as the
+oracle of the Krylov front end of ``invariant_factors``, and the tests
+check against sympy instead.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 import sympy
+from sympy.matrices import normalforms
 
 from rigidity_lab.campaign import CampaignConfig, _campaign_analyses
 from rigidity_lab.exact_linalg import (
@@ -322,7 +324,8 @@ def restriction_oracle(matrix: QMatrix, power: int) -> QMatrix:
 
 
 def smith_invariant_factors(matrix: QMatrix) -> SimilarityInvariant:
-    """Invariant factors from the Smith form of the full n x n matrix xI - A."""
+    """Invariant factors from the library's Smith step on the full n x n
+    matrix xI - A."""
     n, entries = matrix.rows, matrix.entries
     char = [
         [_ptrim(((-entries[i * n + j], Fraction(1)) if i == j else (-entries[i * n + j],)))
@@ -330,6 +333,39 @@ def smith_invariant_factors(matrix: QMatrix) -> SimilarityInvariant:
         for i in range(n)
     ]
     return SimilarityInvariant(tuple(f for f in _smith_diagonal(char) if len(f) > 1))
+
+
+_X = sympy.Symbol("x")
+
+
+def _monic(f: sympy.Expr) -> tuple[Fraction, ...]:
+    """A nonzero polynomial in x, made monic, as ascending ``Fraction``s."""
+    return tuple(
+        Fraction(int(c.p), int(c.q)) for c in reversed(sympy.Poly(f, _X).monic().all_coeffs())
+    )
+
+
+def sympy_invariant_factors(matrix: QMatrix) -> SimilarityInvariant:
+    """The non-constant invariant factors of xI - A, monic, by sympy's Smith
+    normal form over Q[x]."""
+    n = matrix.rows
+    if not n:
+        return SimilarityInvariant(())
+    a = sympy.Matrix(n, n, [sympy.Rational(x.numerator, x.denominator) for x in matrix.entries])
+    factors = normalforms.invariant_factors(_X * sympy.eye(n) - a, domain=sympy.QQ[_X])
+    return SimilarityInvariant(tuple(f for f in map(_monic, factors) if len(f) > 1))
+
+
+def sympy_smith_diagonal(m: list[list[tuple[Fraction, ...]]]) -> list[tuple[Fraction, ...]]:
+    """The diagonal of the Smith form over Q[x] of a square matrix of
+    nonzero determinant whose entries are ascending coefficient tuples,
+    each entry monic, by sympy."""
+    entries = [
+        [sum(sympy.Rational(*c.as_integer_ratio()) * _X**k for k, c in enumerate(p)) for p in row]
+        for row in m
+    ]
+    factors = normalforms.invariant_factors(sympy.Matrix(entries), domain=sympy.QQ[_X])
+    return list(map(_monic, factors))
 
 
 def loop_matmul(a: QMatrix, b: QMatrix) -> QMatrix:

@@ -1,24 +1,26 @@
 """Every section of ``bench/kernels.py`` runs at the smallest sizes, so a
 renamed or re-signed library function cannot break the bench unnoticed:
 each entry of its kernel table, read from the table, at n = 2 and 3, and
-each other row function with its size constants shrunk."""
+each other row function with its size constants shrunk.  ``bench/ab.py``
+compares this tree with itself on a few smoke-sized ops."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
-KERNELS = Path(__file__).resolve().parents[1] / "bench" / "kernels.py"
+ROOT = Path(__file__).resolve().parents[1]
 
 
-def _load():
-    spec = importlib.util.spec_from_file_location("bench_kernels", KERNELS)
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-bench = _load()
+bench = _load("kernels")
 
 # The sections outside the kernel table, which ``kernel_rows`` runs.
 ROW_FUNCTIONS = [
@@ -74,3 +76,14 @@ def test_closure_rows_record_the_routed_decision(monkeypatch, capsys):
         ("levelt", "spins"),
         ("dense", "closure"),
     }
+
+
+def test_ab_compares_a_tree_with_itself(capsys):
+    ab = _load("ab")
+    argv = ["--parent", str(ROOT), "--change", str(ROOT), "--ops", "4", "--rounds", "2", "--smoke"]
+    result = ab.main(argv + ["--workloads", "campaign", "levelt", "requests"])
+    assert list(result["ops"]) == ["campaign", "levelt", "requests"]
+    assert [row["matrices"] > 0 for row in result["invariant_factors"].values()] == [True, True]
+    for row in [*result["ops"].values(), *result["invariant_factors"].values()]:
+        assert row["rounds"] == 2 and row["parent_ms"] > 0 and row["change_ms"] > 0
+    assert json.loads(capsys.readouterr().out.splitlines()[-1]) == result

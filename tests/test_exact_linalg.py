@@ -53,9 +53,10 @@ from support import (
     random_unit_mixed_matrix,
     restriction_oracle,
     shift_factorization,
-    smith_invariant_factors,
     span_closure_dimension,
     spin_route,
+    sympy_invariant_factors,
+    sympy_smith_diagonal,
     unit_partition_by_ranks,
     zeros,
 )
@@ -604,8 +605,8 @@ class TestUnitStructure:
     @example(([], [1], 0))
     @example(([(Fraction(-1), 2), (Fraction(-1), 1)], [4, 4, 1], 4))
     def test_grow_unit_blocks_matches_the_assembled_matrix(self, data):
-        """The composed invariants equal the Smith form of the full xI - T,
-        T = non_unit + J_{s+1}(1) for each unit block s + I_padding."""
+        """The composed invariants equal sympy's Smith form of the full
+        xI - T, T = non_unit + J_{s+1}(1) for each unit block s + I_padding."""
         non_unit_data, sizes, padding = data
         non_unit = jordan_from_data(non_unit_data)
         source = block_diag([non_unit, *(jordan_block(s, 1) for s in sizes)])
@@ -614,7 +615,7 @@ class TestUnitStructure:
         )
         invariants = invariant_factors(source)
         grown = invariants.grow_unit_blocks(assembled.rows)
-        assert grown == smith_invariant_factors(assembled)
+        assert grown == sympy_invariant_factors(assembled)
         assert invariants.unit_block_sizes == tuple(sorted(sizes, reverse=True))
         assert invariants.unit_block_sizes == unit_partition_by_ranks(source)
         assert grown.unit_block_sizes == unit_partition_by_ranks(assembled)
@@ -839,14 +840,14 @@ def _kernel_cases(rng: random.Random, n: int) -> list[QMatrix]:
 
 class TestKrylovKernel:
     def test_matches_smith_oracle(self):
-        # The Krylov kernel against the Smith form of the full xI - A, at
+        # The Krylov kernel against sympy's Smith form of the full xI - A, at
         # every size 0..12; the factors are monic, each divides the next and
         # their product is the Faddeev-LeVerrier characteristic polynomial.
         rng = random.Random(61)
         for n in range(13):
             for m in _kernel_cases(rng, n) if n else [zeros(0, 0)]:
                 factors = invariant_factors(m).invariant_factors
-                assert factors == smith_invariant_factors(m).invariant_factors
+                assert factors == sympy_invariant_factors(m).invariant_factors
                 product = (Fraction(1),)
                 for f, g in zip(factors, factors[1:]):
                     assert _pdivmod(g, f)[1] == ()
@@ -871,6 +872,61 @@ class TestKrylovKernel:
             (Fraction(-3), Fraction(1)),
         ) * 4
         assert calls == [4]
+
+
+def _poly(*coefficients: int) -> tuple[Fraction, ...]:
+    return tuple(map(Fraction, coefficients))
+
+
+X, X2, X3 = _poly(0, 1), _poly(0, 0, 1), _poly(0, 0, 0, 1)
+
+
+class TestSmithStep:
+    """``_smith_diagonal`` on hand-built matrices that take each restart of
+    its loop, against sympy's Smith form; the divisions it makes, as
+    (dividend, divisor, remainder), show which way it went."""
+
+    @staticmethod
+    def divisions(monkeypatch, m: list) -> list:
+        calls = []
+        original = exact_linalg._pdivmod
+
+        def recorded(a, b):
+            q, r = original(a, b)
+            calls.append((a, b, r))
+            return q, r
+
+        monkeypatch.setattr(exact_linalg, "_pdivmod", recorded)
+        assert exact_linalg._smith_diagonal([list(row) for row in m]) == sympy_smith_diagonal(m)
+        return calls
+
+    def test_remainder_below_the_pivot(self, monkeypatch):
+        # pivot x; x^2 + 1 below it leaves 1 and the step restarts on it
+        calls = self.divisions(monkeypatch, [[X, X2], [_poly(1, 0, 1), X3]])
+        assert calls[0] == (_poly(1, 0, 1), X, _poly(1))
+
+    def test_remainder_right_of_the_pivot(self, monkeypatch):
+        # x^2 below the pivot x divides; x^2 + 1 right of it leaves 1
+        calls = self.divisions(monkeypatch, [[X, _poly(1, 0, 1)], [X2, X3]])
+        assert calls[:2] == [(X2, X, ()), (_poly(1, 0, 1), X, _poly(1))]
+
+    def test_non_divisible_trailing_entry_is_folded(self, monkeypatch):
+        # diag(x, x + 1): x does not divide x + 1, whose row is folded into
+        # the pivot's, where x + 1 is then a remainder right of the pivot
+        calls = self.divisions(monkeypatch, [[X, ()], [(), _poly(1, 1)]])
+        assert calls[:2] == [(_poly(1, 1), X, _poly(1))] * 2
+
+    def test_constant_pivot(self, monkeypatch):
+        # the pivot 2 clears x below it; its row, x + 3, and the trailing
+        # x^2 are never divided by it, and x^2 - 3x is made monic
+        calls = self.divisions(monkeypatch, [[_poly(3, 1), _poly(2)], [X2, X]])
+        assert calls == [(X, _poly(2), ())]
+
+    def test_relations_of_a_scalar_matrix(self, monkeypatch):
+        relations = exact_linalg._relation_matrix(diagonal([3] * 4).numerators)
+        assert relations == [[_poly(-3, 1) if i == j else () for j in range(4)] for i in range(4)]
+        calls = self.divisions(monkeypatch, relations)
+        assert calls and not any(r for *_, r in calls)
 
 
 def _record_passes(patch, passes: list) -> None:
