@@ -23,7 +23,8 @@ defaults to the checkout this script is in.
   tree and factored by each, split by r, the number of Krylov blocks of
   the relation matrix (``_relation_matrix``): r = 1 is read off directly,
   r > 1 runs the Smith step.  Both trees' factors must be equal.  In each
-  round both trees factor each group once, in alternating order.
+  round each matrix is factored once per tree, as the ops are run, and a
+  round's figure for a tree is the CPU time of its calls, summed per group.
 
 For each figure: the median over rounds of each tree in ms, the ratio of
 the medians (change over parent), the rounds the change was faster in
@@ -147,8 +148,8 @@ def time_ops(trees: dict, streams: dict, rounds: int) -> dict:
 
 def time_factors(trees: dict, factored: list, rounds: int) -> tuple[dict, dict]:
     """The factored matrices of each group (r = 1, r > 1) rebuilt in each
-    tree, and per group and tree the CPU ns of factoring all of them, each
-    round; the trees' factors must agree."""
+    tree, and per group and tree the CPU ns of each round's calls; the
+    trees' factors must agree."""
     groups: dict = {"r1": {tree: [] for tree in TREES}, "r_many": {tree: [] for tree in TREES}}
     relation_matrix = trees["change"][1]._relation_matrix
     for matrix in factored:
@@ -166,12 +167,12 @@ def time_factors(trees: dict, factored: list, rounds: int) -> tuple[dict, dict]:
     times = {name: {tree: [0] * rounds for tree in TREES} for name in groups}
     for r in range(rounds):
         for name, group in groups.items():
-            for tree in TREES if r % 2 == 0 else TREES[::-1]:
-                factor = trees[tree][1].invariant_factors
-                start = CLOCK()
-                for m in group[tree]:
-                    factor(m)
-                times[name][tree][r] = CLOCK() - start
+            for i in range(len(group["change"])):
+                for tree in TREES if (r + i) % 2 == 0 else TREES[::-1]:
+                    factor, matrix = trees[tree][1].invariant_factors, group[tree][i]
+                    start = CLOCK()
+                    factor(matrix)
+                    times[name][tree][r] += CLOCK() - start
     return groups, times
 
 
