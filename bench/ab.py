@@ -106,7 +106,9 @@ def summary(parent: list[float], change: list[float]) -> dict:
     }
 
 
-def record_ops(trees: dict, names: list[str], ops: int, seed: int, sizes, scratch: Path):
+def record_ops(
+    trees: dict, names: list[str], ops: int, seed: int, sizes: workloads.Sizes, scratch: Path
+):
     """Each workload's ops as (kind, argv, (exit code, stdout, escaped)),
     the same for both trees, and the matrices the change tree factored."""
     factored: list = []

@@ -361,7 +361,8 @@ def sympy_smith_diagonal(m: list[list[tuple[Fraction, ...]]]) -> list[tuple[Frac
     nonzero determinant whose entries are ascending coefficient tuples,
     each entry monic, by sympy."""
     entries = [
-        [sum(sympy.Rational(*c.as_integer_ratio()) * _X**k for k, c in enumerate(p)) for p in row]
+        [sum(sympy.Rational(c.numerator, c.denominator) * _X**k for k, c in enumerate(p))
+         for p in row]
         for row in m
     ]
     factors = normalforms.invariant_factors(sympy.Matrix(entries), domain=sympy.QQ[_X])
