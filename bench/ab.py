@@ -1,36 +1,29 @@
 """Compare two source trees of the library in one process, op by op.
 
-    python3 bench/ab.py --parent DIR [--change DIR] [--workloads campaign levelt requests]
-                        [--ops 40] [--rounds 30] [--seed 1] [--smoke] [--out FILE]
+    python3 bench/ab.py --parent DIR --change DIR [--workloads campaign levelt requests]
+                        [--ops 40] [--rounds 30] [--seed 1] [--smoke]
 
 Each DIR is a checkout whose ``src/rigidity_lab`` is loaded as its own
 package (``ab_parent``, ``ab_change``), so the two trees share one
 interpreter, one heap and one stretch of machine time, and a difference of a
-few percent stays above the noise that separate processes add.  ``--change``
-defaults to the checkout this script is in.
+few percent stays above the noise that separate processes add.
 
-- Ops are ``perfbench/workloads.build_op``'s: op i of each workload at
-  ``--seed``, with the full sizes (``--smoke``: the smoke sizes).  Each op
-  is run through ``cli.main`` of both trees, by ``perfbench/child.execute``
-  with stdout and stderr captured; an op whose exit code or stdout differs
-  between the trees, or from its first run, stops the comparison.
-- ``ops``: in each of ``--rounds`` rounds, every op runs once per tree, the
-  two back to back, the tree that goes first alternating from op to op and
-  from round to round; a round's figure for a tree is the CPU time of its
-  calls, summed per workload.
-- ``invariant_factors``: the matrices that the change tree's ops pass to
-  ``invariant_factors`` (every call, repeats included), rebuilt in each
-  tree and factored by each, split by r, the number of Krylov blocks of
-  the relation matrix (``_relation_matrix``): r = 1 is read off directly,
-  r > 1 runs the Smith step.  Both trees' factors must be equal.  In each
-  round each matrix is factored once per tree, as the ops are run, and a
-  round's figure for a tree is the CPU time of its calls, summed per group.
+Ops are ``perfbench/workloads.build_op``'s: op i of each workload at
+``--seed``, with the full sizes (``--smoke``: the smoke sizes).  Each op is
+run through ``cli.main`` of both trees, by ``perfbench/child.execute`` with
+stdout and stderr captured; an op whose exit code or stdout differs between
+the trees, or from its first run, stops the comparison.  In each of
+``--rounds`` rounds, every op runs once per tree, the two back to back, the
+tree that goes first alternating from op to op and from round to round; a
+round's figure for a tree is the CPU time of its calls, summed per workload.
 
-For each figure: the median over rounds of each tree in ms, the ratio of
-the medians (change over parent), the rounds the change was faster in
-(``wins``), the parent's interquartile range, and ``inside_iqr``, whether
-the two medians are closer than that range.  The last line of stdout is the
-JSON result, which ``--out`` also writes.
+For each workload: the median over rounds of each tree in ms, the rounds the
+change was faster in (``wins``), and the median and quartiles of the paired
+per-round ratios (change over parent).  Pairing cancels the drift of the
+host between rounds, which a spread taken across rounds would hold.  The
+``verdict`` is ``faster`` when the upper quartile of the ratios is below 1,
+``slower`` when the lower one is above 1, and ``parity`` otherwise.  The
+last line of stdout is the JSON result.
 """
 
 from __future__ import annotations
@@ -58,9 +51,8 @@ CLOCK = time.process_time_ns
 
 
 def load_tree(root: Path, name: str):
-    """``root/src/rigidity_lab`` imported as the package ``name``: its
-    (cli, exact_linalg) modules.  The package imports itself relatively, so
-    the name is free."""
+    """``root/src/rigidity_lab`` imported as the package ``name``: its cli
+    module.  The package imports itself relatively, so the name is free."""
     package = Path(root).resolve() / "src" / "rigidity_lab"
     spec = importlib.util.spec_from_file_location(
         name, package / "__init__.py", submodule_search_locations=[str(package)]
@@ -68,70 +60,47 @@ def load_tree(root: Path, name: str):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
-    return importlib.import_module(f"{name}.cli"), importlib.import_module(f"{name}.exact_linalg")
+    return importlib.import_module(f"{name}.cli")
 
 
-def record_factored(name: str, exact_linalg, calls: list):
-    """Route every binding of ``invariant_factors`` in the package ``name``
-    through a wrapper that appends each matrix to ``calls``; returns the undo."""
-    original = exact_linalg.invariant_factors
-
-    def recorded(matrix):
-        calls.append(matrix)
-        return original(matrix)
-
-    bound = [
-        module
-        for key, module in sys.modules.items()
-        if key.startswith(f"{name}.") and getattr(module, "invariant_factors", None) is original
-    ]
-    for module in bound:
-        module.invariant_factors = recorded
-    return lambda: [setattr(module, "invariant_factors", original) for module in bound]
-
-
-def summary(parent: list[float], change: list[float]) -> dict:
-    """Medians in ms, their ratio, wins of the change and the parent's
-    interquartile range, of per-round figures in ns."""
-    p, c = statistics.median(parent), statistics.median(change)
-    q1, _, q3 = statistics.quantiles(parent, n=4) if len(parent) > 1 else (p, p, p)
+def summary(parent: list[int], change: list[int]) -> dict:
+    """Medians in ms, wins of the change, and the median, quartiles and
+    verdict of the paired ratios, of per-round figures in ns."""
+    ratios = [c / p for p, c in zip(parent, change)]
+    q1, median, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
     return {
-        "parent_ms": round(p / 1e6, 3),
-        "change_ms": round(c / 1e6, 3),
-        "ratio": round(c / p, 3) if p else None,
-        "wins": sum(b < a for a, b in zip(parent, change)),
+        "parent_ms": round(statistics.median(parent) / 1e6, 3),
+        "change_ms": round(statistics.median(change) / 1e6, 3),
+        "wins": sum(c < p for p, c in zip(parent, change)),
         "rounds": len(parent),
-        "parent_iqr_ms": round((q3 - q1) / 1e6, 3),
-        "inside_iqr": abs(c - p) <= q3 - q1,
+        "ratio": round(median, 3),
+        "ratio_q1": round(q1, 3),
+        "ratio_q3": round(q3, 3),
+        "verdict": "faster" if q3 < 1 else "slower" if q1 > 1 else "parity",
     }
 
 
 def record_ops(
     trees: dict, names: list[str], ops: int, seed: int, sizes: workloads.Sizes, scratch: Path
-):
+) -> dict:
     """Each workload's ops as (kind, argv, (exit code, stdout, escaped)),
-    the same for both trees, and the matrices the change tree factored."""
-    factored: list = []
-    undo = record_factored("ab_change", trees["change"][1], factored)
+    the same for both trees."""
     streams = {}
-    try:
-        for workload in names:
-            streams[workload] = []
-            for i in range(ops):
-                op = workloads.build_op(workload, seed, i, sizes)
-                run_dir = scratch / f"{workload}-{i}"
-                run_dir.mkdir()
-                argv = child.materialize(op, run_dir)
-                seen = []
-                for tree in TREES:
-                    code, out, _, escaped = child.execute(trees[tree][0], argv)
-                    seen.append((code, out, escaped))
-                if seen[0] != seen[1]:
-                    raise SystemExit(f"{workload} op {i} ({op.kind}): the trees' outputs differ")
-                streams[workload].append((op.kind, argv, seen[0]))
-    finally:
-        undo()
-    return streams, factored
+    for workload in names:
+        streams[workload] = []
+        for i in range(ops):
+            op = workloads.build_op(workload, seed, i, sizes)
+            run_dir = scratch / f"{workload}-{i}"
+            run_dir.mkdir()
+            argv = child.materialize(op, run_dir)
+            seen = []
+            for tree in TREES:
+                code, out, _, escaped = child.execute(trees[tree], argv)
+                seen.append((code, out, escaped))
+            if seen[0] != seen[1]:
+                raise SystemExit(f"{workload} op {i} ({op.kind}): the trees' outputs differ")
+            streams[workload].append((op.kind, argv, seen[0]))
+    return streams
 
 
 def time_ops(trees: dict, streams: dict, rounds: int) -> dict:
@@ -141,41 +110,11 @@ def time_ops(trees: dict, streams: dict, rounds: int) -> dict:
         for workload, stream in streams.items():
             for i, (kind, argv, expected) in enumerate(stream):
                 for tree in TREES if (r + i) % 2 == 0 else TREES[::-1]:
-                    code, out, elapsed, escaped = child.execute(trees[tree][0], argv, CLOCK)
+                    code, out, elapsed, escaped = child.execute(trees[tree], argv, CLOCK)
                     if (code, out, escaped) != expected:
                         raise SystemExit(f"{workload} op {i} ({kind}) changed on a rerun")
                     times[workload][tree][r] += round(elapsed * 1e9)
     return times
-
-
-def time_factors(trees: dict, factored: list, rounds: int) -> tuple[dict, dict]:
-    """The factored matrices of each group (r = 1, r > 1) rebuilt in each
-    tree, and per group and tree the CPU ns of each round's calls; the
-    trees' factors must agree."""
-    groups: dict = {"r1": {tree: [] for tree in TREES}, "r_many": {tree: [] for tree in TREES}}
-    relation_matrix = trees["change"][1]._relation_matrix
-    for matrix in factored:
-        n, rows, d = matrix.rows, matrix.numerators, matrix.denominator
-        group = groups["r1" if n == 1 or len(relation_matrix(rows)) == 1 else "r_many"]
-        for tree in TREES:
-            group[tree].append(trees[tree][1].QMatrix._integral(n, n, rows, d))
-    for name, group in groups.items():
-        factors = [
-            [trees[tree][1].invariant_factors(m).invariant_factors for m in group[tree]]
-            for tree in TREES
-        ]
-        if factors[0] != factors[1]:
-            raise SystemExit(f"invariant factors differ between the trees ({name})")
-    times = {name: {tree: [0] * rounds for tree in TREES} for name in groups}
-    for r in range(rounds):
-        for name, group in groups.items():
-            for i in range(len(group["change"])):
-                for tree in TREES if (r + i) % 2 == 0 else TREES[::-1]:
-                    factor, matrix = trees[tree][1].invariant_factors, group[tree][i]
-                    start = CLOCK()
-                    factor(matrix)
-                    times[name][tree][r] += CLOCK() - start
-    return groups, times
 
 
 def run(
@@ -189,18 +128,13 @@ def run(
 ) -> dict:
     trees = {tree: load_tree(root, f"ab_{tree}") for tree, root in zip(TREES, (parent, change))}
     with tempfile.TemporaryDirectory() as scratch:
-        streams, factored = record_ops(trees, names, ops, seed, sizes, Path(scratch))
-        op_times = time_ops(trees, streams, rounds)
-    groups, factor_times = time_factors(trees, factored, rounds)
+        streams = record_ops(trees, names, ops, seed, sizes, Path(scratch))
+        times = time_ops(trees, streams, rounds)
     return {
         "seed": seed,
         "ops": {
-            workload: {"count": len(stream), **summary(*op_times[workload].values())}
+            workload: {"count": len(stream), **summary(*times[workload].values())}
             for workload, stream in streams.items()
-        },
-        "invariant_factors": {
-            name: {"matrices": len(group["change"]), **summary(*factor_times[name].values())}
-            for name, group in groups.items()
         },
     }
 
@@ -208,7 +142,7 @@ def run(
 def main(argv: list[str] | None = None) -> dict:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True)
-    parser.add_argument("--change", type=Path, default=ROOT)
+    parser.add_argument("--change", type=Path, required=True)
     parser.add_argument(
         "--workloads",
         nargs="+",
@@ -219,21 +153,16 @@ def main(argv: list[str] | None = None) -> dict:
     parser.add_argument("--rounds", type=int, default=30)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--smoke", action="store_true")
-    parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
     sizes = workloads.SMOKE if args.smoke else workloads.FULL
     result = run(args.parent, args.change, args.workloads, args.ops, args.rounds, args.seed, sizes)
-    for section in ("ops", "invariant_factors"):
-        for key, row in result[section].items():
-            print(
-                f"{section} {key}: parent {row['parent_ms']} ms, change {row['change_ms']} ms, "
-                f"ratio {row['ratio']}, wins {row['wins']}/{row['rounds']}, "
-                f"parent iqr {row['parent_iqr_ms']} ms, inside iqr {row['inside_iqr']}"
-            )
-    text = json.dumps(result)
-    print(text)
-    if args.out:
-        args.out.write_text(text + "\n", encoding="utf-8")
+    for workload, row in result["ops"].items():
+        print(
+            f"{workload}: parent {row['parent_ms']} ms, change {row['change_ms']} ms, "
+            f"wins {row['wins']}/{row['rounds']}, ratio {row['ratio']} "
+            f"[{row['ratio_q1']}, {row['ratio_q3']}], {row['verdict']}"
+        )
+    print(json.dumps(result))
     return result
 
 

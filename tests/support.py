@@ -323,37 +323,24 @@ def restriction_oracle(matrix: QMatrix, power: int) -> QMatrix:
     return QMatrix(r, r, tuple(Fraction(int(x.p), int(x.q)) for x in solution))
 
 
-def smith_invariant_factors(matrix: QMatrix) -> SimilarityInvariant:
-    """Invariant factors from the library's Smith step on the full n x n
-    matrix xI - A."""
+def _characteristic_matrix(matrix: QMatrix) -> list[list[tuple[Fraction, ...]]]:
+    """xI - A, its entries ascending coefficient tuples."""
     n, entries = matrix.rows, matrix.entries
-    char = [
+    return [
         [_ptrim(((-entries[i * n + j], Fraction(1)) if i == j else (-entries[i * n + j],)))
          for j in range(n)]
         for i in range(n)
     ]
-    return SimilarityInvariant(tuple(f for f in _smith_diagonal(char) if len(f) > 1))
+
+
+def smith_invariant_factors(matrix: QMatrix) -> SimilarityInvariant:
+    """Invariant factors from the library's Smith step on the full n x n
+    matrix xI - A."""
+    diagonal = _smith_diagonal(_characteristic_matrix(matrix))
+    return SimilarityInvariant(tuple(f for f in diagonal if len(f) > 1))
 
 
 _X = sympy.Symbol("x")
-
-
-def _monic(f: sympy.Expr) -> tuple[Fraction, ...]:
-    """A nonzero polynomial in x, made monic, as ascending ``Fraction``s."""
-    return tuple(
-        Fraction(int(c.p), int(c.q)) for c in reversed(sympy.Poly(f, _X).monic().all_coeffs())
-    )
-
-
-def sympy_invariant_factors(matrix: QMatrix) -> SimilarityInvariant:
-    """The non-constant invariant factors of xI - A, monic, by sympy's Smith
-    normal form over Q[x]."""
-    n = matrix.rows
-    if not n:
-        return SimilarityInvariant(())
-    a = sympy.Matrix(n, n, [sympy.Rational(x.numerator, x.denominator) for x in matrix.entries])
-    factors = normalforms.invariant_factors(_X * sympy.eye(n) - a, domain=sympy.QQ[_X])
-    return SimilarityInvariant(tuple(f for f in map(_monic, factors) if len(f) > 1))
 
 
 def sympy_smith_diagonal(m: list[list[tuple[Fraction, ...]]]) -> list[tuple[Fraction, ...]]:
@@ -366,7 +353,15 @@ def sympy_smith_diagonal(m: list[list[tuple[Fraction, ...]]]) -> list[tuple[Frac
         for row in m
     ]
     factors = normalforms.invariant_factors(sympy.Matrix(entries), domain=sympy.QQ[_X])
-    return list(map(_monic, factors))
+    monic = [reversed(sympy.Poly(f, _X).monic().all_coeffs()) for f in factors]
+    return [tuple(Fraction(int(c.p), int(c.q)) for c in f) for f in monic]
+
+
+def sympy_invariant_factors(matrix: QMatrix) -> SimilarityInvariant:
+    """The non-constant invariant factors of xI - A, monic, by sympy's Smith
+    normal form over Q[x]."""
+    diagonal = sympy_smith_diagonal(_characteristic_matrix(matrix))
+    return SimilarityInvariant(tuple(f for f in diagonal if len(f) > 1))
 
 
 def loop_matmul(a: QMatrix, b: QMatrix) -> QMatrix:

@@ -83,7 +83,8 @@ def test_ab_compares_a_tree_with_itself(capsys):
     argv = ["--parent", str(ROOT), "--change", str(ROOT), "--ops", "4", "--rounds", "2", "--smoke"]
     result = ab.main(argv + ["--workloads", "campaign", "levelt", "requests"])
     assert list(result["ops"]) == ["campaign", "levelt", "requests"]
-    assert [row["matrices"] > 0 for row in result["invariant_factors"].values()] == [True, True]
-    for row in [*result["ops"].values(), *result["invariant_factors"].values()]:
+    for row in result["ops"].values():
         assert row["rounds"] == 2 and row["parent_ms"] > 0 and row["change_ms"] > 0
+        assert row["ratio_q1"] <= row["ratio"] <= row["ratio_q3"]
+        assert row["verdict"] in {"faster", "parity", "slower"}
     assert json.loads(capsys.readouterr().out.splitlines()[-1]) == result
