@@ -1,6 +1,6 @@
 """Compare two source trees of the library in one process, op by op.
 
-    python3 bench/ab.py --parent DIR --change DIR [--workloads campaign levelt requests]
+    python3 bench/ab.py --parent DIR --change DIR [--workloads campaign wide levelt requests]
                         [--ops 40] [--rounds 30] [--seed 1] [--smoke]
 
 Each DIR is a checkout whose ``src/rigidity_lab`` is loaded as its own
@@ -9,7 +9,8 @@ interpreter, one heap and one stretch of machine time, and a difference of a
 few percent stays above the noise that separate processes add.
 
 Ops are ``perfbench/workloads.build_op``'s: op i of each workload at
-``--seed``, with the full sizes (``--smoke``: the smoke sizes).  Each op is
+``--seed``, with the full sizes (``--smoke``: the smoke sizes), of every
+workload unless ``--workloads`` names some.  Each op is
 run through ``cli.main`` of both trees, by ``perfbench/child.execute`` with
 stdout and stderr captured; an op whose exit code or stdout differs between
 the trees, or from its first run, stops the comparison.  In each of
@@ -147,7 +148,7 @@ def main(argv: list[str] | None = None) -> dict:
         "--workloads",
         nargs="+",
         choices=workloads.WORKLOADS,
-        default=["campaign", "levelt", "requests"],
+        default=list(workloads.WORKLOADS),
     )
     parser.add_argument("--ops", type=int, default=40)
     parser.add_argument("--rounds", type=int, default=30)

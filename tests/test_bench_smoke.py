@@ -2,7 +2,7 @@
 renamed or re-signed library function cannot break the bench unnoticed:
 each entry of its kernel table, read from the table, at n = 2 and 3, and
 each other row function with its size constants shrunk.  ``bench/ab.py``
-compares this tree with itself on a few smoke-sized ops."""
+compares this tree with itself on a few smoke-sized ops of every workload."""
 
 import importlib.util
 import json
@@ -81,8 +81,8 @@ def test_closure_rows_record_the_routed_decision(monkeypatch, capsys):
 def test_ab_compares_a_tree_with_itself(capsys):
     ab = _load("ab")
     argv = ["--parent", str(ROOT), "--change", str(ROOT), "--ops", "4", "--rounds", "2", "--smoke"]
-    result = ab.main(argv + ["--workloads", "campaign", "levelt", "requests"])
-    assert list(result["ops"]) == ["campaign", "levelt", "requests"]
+    result = ab.main(argv)
+    assert list(result["ops"]) == ["campaign", "wide", "levelt", "requests"]
     for row in result["ops"].values():
         assert row["rounds"] == 2 and row["parent_ms"] > 0 and row["change_ms"] > 0
         assert row["ratio_q1"] <= row["ratio"] <= row["ratio_q3"]

@@ -925,13 +925,11 @@ class TestComputeOnce:
     # rig needs the k + 1 source matrices and nothing of the transform;
     # fourier restricts the k components to im(A - 1), A_inf to its non-unit
     # part and the zero monodromy of the self-check, whose one restriction
-    # also gives the kernel-dimension check; verify does both.  At most two
-    # matrices are factored, each once: A_inf, whose factors serve both
-    # sides, and, for rig and verify, diag(2, 1), whose e_2 is an
-    # eigenvector, so the cyclic certificate's spin stops early.  fourier
-    # never needs diag(2, 1)'s own dimension: its component is 1 x 1, so
-    # cyclic.  The other two points are certified cyclic; the other
-    # components are 1 x 1 too, or equal to their point's matrix
+    # also gives the kernel-dimension check; verify does both.  One matrix
+    # is factored, once: A_inf, whose factors serve both sides.  All three
+    # points are certified cyclic, also diag(2, 1), of which e_2 is an
+    # eigenvector, so that a spin of e_n would not certify it; the
+    # components are 1 x 1, or equal to their point's matrix
     # (rank(A - 1) = n), whose dimension is computed once for both; the
     # restricted zero monodromy equals A_inf, which has no eigenvalue 1, so
     # the similarity self-check factors nothing; the zero monodromy's
@@ -939,7 +937,7 @@ class TestComputeOnce:
     # counts were 4, 5 and 8: one factorization per matrix role.
     @pytest.mark.parametrize(
         "command, factorizations, restrictions",
-        [("rig", 2, 0), ("fourier", 1, 5), ("verify", 2, 5)],
+        [("rig", 1, 0), ("fourier", 1, 5), ("verify", 1, 5)],
         ids=["rig", "fourier", "verify"],
     )
     def test_single_tuple_op(

@@ -9,9 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rigidity_lab import exact_linalg
-from rigidity_lab.campaign import CampaignConfig
+from rigidity_lab.campaign import CampaignConfig, run_campaign
 from rigidity_lab.errors import DimensionMismatchError, InvalidMonodromyError
 from rigidity_lab.exact_linalg import (
+    Echelon,
     QMatrix,
     block_diag,
     centralizer_dimension,
@@ -27,8 +28,10 @@ from rigidity_lab.exact_linalg import (
     restrict_to_image,
     similar,
     spans_full_algebra,
+    _echelon,
     _pdivmod,
     _pmul,
+    _shift_echelon,
 )
 from rigidity_lab.local_systems import _bounded_matrix, random_tuple
 
@@ -38,8 +41,10 @@ from support import (
     closes_full_span_mod_p,
     columns,
     commutation_centralizer_dimension,
+    companion,
     conjugate,
     diagonal,
+    FractionEchelon,
     fraction_inverse,
     fraction_rank,
     fraction_rank_factorization,
@@ -346,6 +351,45 @@ class TestIntegerEchelon:
     """The fraction-free ``Echelon`` on the integer rows of dA against the
     same elimination on ``Fraction`` rows (``support.FractionEchelon``)."""
 
+    @staticmethod
+    def _matches_oracle(rows: list[list[int]], width: int) -> Echelon:
+        """The ``Echelon`` of ``rows``, added one by one, after checking each
+        answer of ``add``, the rank, the pivots and the reduced rows against
+        the oracle and against ``_echelon``, which skips zero rows."""
+        basis, oracle = Echelon(width), FractionEchelon(width)
+        for row in rows:
+            assert basis.add(row) == oracle.add(list(map(Fraction, row)))
+        common, reduced = basis.reduced_rows()
+        assert (len(basis), basis.pivots) == (len(oracle), oracle.pivots)
+        assert [[Fraction(x, common) for x in row] for row in reduced] == oracle.reduced_rows()
+        skipped = _echelon(rows, width)
+        assert (skipped.pivots, skipped.reduced_rows()) == (basis.pivots, (common, reduced))
+        return basis
+
+    def test_zero_vector_leaves_the_basis(self):
+        assert len(self._matches_oracle([[0, 0, 0]], 3)) == 0
+        basis = self._matches_oracle([[0, 2, 4], [1, 0, 3]], 3)
+        before = (list(basis.pivots), basis.reduced_rows())
+        assert not basis.add([0, 0, 0])
+        assert not basis.add(iter([0, 0, 0]))
+        assert (basis.pivots, basis.reduced_rows()) == before
+
+    def test_zero_rows(self):
+        assert len(self._matches_oracle([[0, 0, 0], [0, 0, 0]], 3)) == 0
+        rows = [[0, 0, 0], [2, 4, 0], [0, 0, 0], [3, 6, 1], [0, 0, 0], [1, 2, -5], [0, 0, 0]]
+        assert self._matches_oracle(rows, 3).pivots == [0, 2]
+
+    def test_width_one(self):
+        assert len(self._matches_oracle([[0]], 1)) == 0
+        assert self._matches_oracle([[0], [-6], [0], [4]], 1).pivots == [0]
+        assert self._matches_oracle([[-6]], 1).reduced_rows() == (1, [[1]])
+
+    def test_shift_of_the_identity_is_empty(self):
+        for n in (1, 2, 5):
+            basis = _shift_echelon(QMatrix.identity(n), 1)
+            assert (len(basis), basis.pivots, basis.reduced_rows()) == (0, [], (1, []))
+            assert len(self._matches_oracle([[0] * n] * n, n)) == 0
+
     @settings(max_examples=150, deadline=None)
     @given(_sized_matrices(5, 6), _sized_matrices(5, 5, square=True))
     def test_rank_pivots_and_reduced_rows_match_oracle(self, m, a):
@@ -481,39 +525,64 @@ class TestCentralizer:
             assert centralizer_dimension(conjugate(m, p)) == centralizer_dimension(m)
 
     def test_cyclic_certificate_matches_commutation_system(self, monkeypatch):
-        # The spin of e_n certifies dimension n without invariant factors;
-        # every other matrix falls back to them.  Derogatory matrices, and
-        # cyclic ones whose e_n spins to fewer than n vectors, fall back.
+        # The spin of the cubes (1, 8, ..., n^3) certifies dimension n
+        # without invariant factors; every other matrix falls back to them.
+        # Derogatory matrices, and cyclic ones for which the cubes are not a
+        # cyclic vector, fall back.
         rng = random.Random(29)
         upper = lambda n: QMatrix.from_rows([[int(j >= i) for j in range(n)] for i in range(n)])
-        cyclic = [zeros(0, 0), QMatrix.from_rows([[3]]), QMatrix.from_rows([["-1/2"]])]
+        cyclic = [zeros(0, 0), QMatrix.from_rows([["-1/2"]]), QMatrix.from_rows([[3]])]
         cyclic += [conjugate(jordan_block(n, 2), upper(n)) for n in range(2, 7)]
+        # where e_n is an eigenvector (distinct diagonal entries, a lower
+        # Jordan block) or spins to fewer than n vectors (5 + J_2(2))
+        cyclic += [diagonal(range(1, n + 1)) for n in (2, 3, 5)]
+        lower_jordan = [[int(i == j + 1) + 2 * (i == j) for j in range(4)] for i in range(4)]
+        cyclic += [QMatrix.from_rows(lower_jordan)]
+        cyclic += [block_diag([QMatrix.from_rows([[5]]), jordan_block(2, 2)])]
+        cyclic += [companion(c) for c in ([1, 0], [-1, 0, 0], [1, 2, 3, 4], [0, 0, 0, 0, 1])]
+        cycle = lambda n: QMatrix.from_rows([[int(j == (i + 1) % n) for j in range(n)] for i in range(n)])
+        cyclic += [cycle(n) for n in (2, 3, 4, 6)]
+        # cyclic, but the cubes are an eigenvector: P diag(1, ..., n) P^-1,
+        # P the identity with the cubes as its first column
+        cubes_first = lambda n: QMatrix.from_rows(
+            [[(i + 1) ** 3 if j == 0 else int(i == j) for j in range(n)] for i in range(n)]
+        )
+        blind = [conjugate(diagonal(range(1, n + 1)), cubes_first(n)) for n in (2, 3, 5)]
         # prescribed unit blocks, derogatory in 8 of 30; these and plain
         # draws take either route
         derogatory = [random_unit_mixed_matrix(rng, 6)[0] for _ in range(30)]
         drawn = [random_invertible(rng, n) for n in (2, 3, 4, 5) for _ in range(5)]
-        # cyclic, but e_n is an eigenvector (distinct diagonal entries, a
-        # lower Jordan block) or spins to fewer than n vectors (5 + J_2(2))
-        early = [diagonal(range(1, n + 1)) for n in (2, 3, 5)]
-        lower_jordan = [[int(i == j + 1) + 2 * (i == j) for j in range(4)] for i in range(4)]
-        early += [QMatrix.from_rows(lower_jordan)]
-        early += [block_diag([QMatrix.from_rows([[5]]), jordan_block(2, 2)])]
         calls = []
         original = exact_linalg.invariant_factors
         monkeypatch.setattr(
             exact_linalg, "invariant_factors", lambda m: calls.append(m) or original(m)
         )
-        for m in cyclic + derogatory + early + drawn:
+        for m in cyclic + blind + derogatory + drawn:
             calls.clear()
             expected = commutation_centralizer_dimension(m)
             assert centralizer_dimension(m) == expected, m
             if m in cyclic:
                 assert expected == m.rows and calls == []
-            elif m in early:
+            elif m in blind:
                 assert expected == m.rows and calls == [m]
             elif expected > m.rows:  # derogatory: no spin reaches n
                 assert calls == [m]
         assert sum(commutation_centralizer_dimension(m) > m.rows for m in derogatory) >= 5
+
+    def test_campaign_certificate_rarely_falls_back(self, monkeypatch):
+        # The centralizer dimensions of a 100-trial seed-7 campaign are
+        # certified by the spin, with at most 3 falling back to invariant
+        # factors (e_n as the start fell back 21 times, all on cyclic
+        # matrices), and each fallback is still right.
+        fallbacks = []
+        original = exact_linalg.invariant_factors
+        monkeypatch.setattr(
+            exact_linalg, "invariant_factors", lambda m: fallbacks.append(m) or original(m)
+        )
+        run_campaign(CampaignConfig(trials=100, max_rank=4, max_points=4, seed=7))
+        assert len(fallbacks) <= 3
+        for m in fallbacks:
+            assert original(m).centralizer_dimension == commutation_centralizer_dimension(m)
 
     def test_large_matrix_route_matches_commutation_system(self):
         # The invariant-factor kernel, at every size 1..10, against the
