@@ -531,7 +531,7 @@ class TestCentralizer:
         # cyclic vector, fall back.
         rng = random.Random(29)
         upper = lambda n: QMatrix.from_rows([[int(j >= i) for j in range(n)] for i in range(n)])
-        cyclic = [zeros(0, 0), QMatrix.from_rows([["-1/2"]]), QMatrix.from_rows([[3]])]
+        cyclic = [zeros(0, 0), QMatrix.from_rows([[3]]), QMatrix.from_rows([["-1/2"]])]
         cyclic += [conjugate(jordan_block(n, 2), upper(n)) for n in range(2, 7)]
         # where e_n is an eigenvector (distinct diagonal entries, a lower
         # Jordan block) or spins to fewer than n vectors (5 + J_2(2))
@@ -540,7 +540,9 @@ class TestCentralizer:
         cyclic += [QMatrix.from_rows(lower_jordan)]
         cyclic += [block_diag([QMatrix.from_rows([[5]]), jordan_block(2, 2)])]
         cyclic += [companion(c) for c in ([1, 0], [-1, 0, 0], [1, 2, 3, 4], [0, 0, 0, 0, 1])]
-        cycle = lambda n: QMatrix.from_rows([[int(j == (i + 1) % n) for j in range(n)] for i in range(n)])
+        cycle = lambda n: QMatrix.from_rows(
+            [[int(j == (i + 1) % n) for j in range(n)] for i in range(n)]
+        )
         cyclic += [cycle(n) for n in (2, 3, 4, 6)]
         # cyclic, but the cubes are an eigenvector: P diag(1, ..., n) P^-1,
         # P the identity with the cubes as its first column
