@@ -1,14 +1,16 @@
 """Time the exact kernels: the span closure, invariant factors, restrictions, the
 composed zero-monodromy invariants, a table of matrix kernels against their oracles,
 the first and a repeated catalog load, the rendering of zero monodromies as text,
-and ``verify`` on the two worst-case inputs.
+the ``Fraction`` calls of the seed-7 campaign and ``verify`` on the two worst-case
+inputs.
 
     python3 bench/kernels.py [--runs 3] [--out BENCH.json]
     python3 bench/kernels.py --worst-cases DIR
 
 Run from the repository root; the library is imported from ``src/`` and the
 reference routes from ``tests/support.py``.  Each figure is the median of
-``--runs`` runs in milliseconds, except where CPU seconds are named.
+``--runs`` runs in milliseconds, except where CPU seconds or call counts are
+named.
 
 - ``kernels``: for each rank n = 2..16, two fixed-seed tuples, a
   hypergeometric (Levelt) tuple (C_f, C_f^-1 C_g; C_g^-1) with
@@ -83,6 +85,12 @@ reference routes from ``tests/support.py``.  Each figure is the median of
   of the matrix, so no entry cache carries over; the analysis is not timed.
   The longest integer's digits and the sha256 of the rendered JSON are
   recorded, so runs of two versions can be compared byte for byte.
+- ``fractions``: the ``Fraction`` constructions (``Fraction.__new__``) and
+  divisions (``Fraction._div``) of ``verify --random --trials 500
+  --max-rank 4 --max-points 4 --seed 7`` (``FRACTION_TRIALS`` trials), run
+  in process under ``cProfile`` with stdout captured: call counts, which do
+  not drift with the host, and no time.  The exit code and the sha256 of
+  stdout are recorded, so runs of two versions can be compared.
 - ``worst_cases``: CPU seconds of ``verify --input FILE``, run in process
   with stdout captured, on the two inputs of ``worst_case_documents``, each
   on 16 finite points with A_inf omitted: ``small_entries``,
@@ -93,7 +101,8 @@ reference routes from ``tests/support.py``.  Each figure is the median of
 
 With ``--out``, the result is written into that JSON file under the keys
 ``environment``, ``kernels``, ``invariant_factors``, ``restriction``,
-``zero_invariants``, ``kernel_table``, ``catalog``, ``render`` and ``worst_cases``;
+``zero_invariants``, ``kernel_table``, ``catalog``, ``render``, ``fractions`` and
+``worst_cases``;
 other keys already in the file are kept.  With ``--worst-cases DIR``, the two
 worst-case inputs are written to ``DIR/small_entries.json`` and
 ``DIR/large_entries.json`` and nothing is timed.
@@ -103,12 +112,15 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import cProfile
+import fractions
 import hashlib
 import io
 import json
 import operator
 import os
 import platform
+import pstats
 import random
 import re
 import statistics
@@ -128,6 +140,7 @@ TABLE_SIZES = (2, 3, 4, 6, 8, 10, 12, 16, 24, 32)
 WORST_CASE_POINTS = (16,)  # MAX_POINTS
 ORACLE_CAP_S = 5.0
 CATALOG_REPEATS = 100
+FRACTION_TRIALS = 500  # the seed-7 campaign
 RENDER_SHAPES = ((2, 16), (3, 8), (4, 4))  # (rank, finite points), A_inf omitted
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
@@ -493,6 +506,30 @@ def render_rows(runs: int) -> list[dict]:
     return rows
 
 
+def fraction_rows(_runs: int) -> list[dict]:
+    """One row of ``Fraction`` call counts of the seed-7 campaign; counts do
+    not vary from run to run, so the campaign runs once."""
+    argv = ["verify", "--random", "--trials", str(FRACTION_TRIALS)]
+    argv += ["--max-rank", "4", "--max-points", "4", "--seed", "7"]
+    out, profile = io.StringIO(), cProfile.Profile()
+    with contextlib.redirect_stdout(out):
+        code = profile.runcall(cli.main, argv)
+    calls = {
+        name: count
+        for (path, _, name), (_, count, *_) in pstats.Stats(profile).stats.items()
+        if path == fractions.__file__
+    }
+    row = {
+        "command": " ".join(argv),
+        "constructions": calls.get("__new__", 0),
+        "divisions": calls.get("_div", 0),
+        "exit_code": code,
+        "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(),
+    }
+    print(json.dumps(row), flush=True)
+    return [row]
+
+
 def large_entry(rng: random.Random) -> Fraction:
     """A numerator (either sign) and a denominator of 256 bits each."""
     numerator = rng.choice((-1, 1)) * rng.randint(2**255, 2**256 - 1)
@@ -637,6 +674,12 @@ def main() -> None:
             "unit": "ms, median of runs",
             "runs": args.runs,
             "rows": render_rows(args.runs),
+        },
+        "fractions": {
+            "what": "Fraction constructions (__new__) and divisions (_div) of the seed-7 "
+            "campaign, in process under cProfile",
+            "unit": "calls",
+            "rows": fraction_rows(args.runs),
         },
         "worst_cases": {
             "what": "verify --input on the two worst-case inputs of worst_case_documents, "

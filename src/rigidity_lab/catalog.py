@@ -84,8 +84,9 @@ _BUILTIN = {
 
 def _entry(name: str, payload: object, source: str) -> CatalogEntry:
     """The entry of one tuple document, its index and rigidity recomputed
-    and checked against any stored ``expected_index`` and ``expected_rigid``;
-    ``source`` names the document in errors."""
+    and checked against any stored ``expected_index``, a JSON integer, and
+    ``expected_rigid``, a JSON boolean; ``source`` names the document in
+    errors."""
     try:
         t = tuple_from_json(payload)
         report = rigidity_report(t)  # validates, raising ValidationError
@@ -93,7 +94,8 @@ def _entry(name: str, payload: object, source: str) -> CatalogEntry:
         raise CatalogError(f"bad tuple in {source}: {exc}") from exc
     index, rigid = report.index, report.physically_rigid
     for key, value in (("expected_index", index), ("expected_rigid", rigid)):
-        if key in payload and payload[key] != value:
+        # of the recomputed type too: Python finds false == 0 and 2.0 == 2
+        if key in payload and (type(payload[key]) is not type(value) or payload[key] != value):
             stored = shorten(str(payload[key]))  # str, not repr: expected_index=7 stays 7
             raise CatalogError(f"{source}: {key}={stored} but recomputation gives {value}")
     return CatalogEntry(

@@ -17,10 +17,11 @@ and where ``restrict_to_image`` and ``from_star`` read A on im(A - 1).  One
 Krylov kernel (``_spin``) spans every set of words over Q.  A centralizer
 dimension is n when its spin of dA from (1, 8, ..., n^3) reaches n vectors;
 otherwise it, unit Jordan blocks and similarity are read off the invariant
-factors of xI - A: a Krylov basis of dA splits Q^n into cyclic blocks, and a
-Smith form over Q[x] runs only on the small matrix of relations between
-those blocks.  All bases are the deterministic ones from reduced row echelon
-form with leftmost pivots, so runs are bit-identical.
+factors of xI - A: a Krylov basis of dA splits Q^n into cyclic blocks of A,
+and a Smith form over Q[x] runs on the small matrix of A's relations
+between those blocks, one ``Fraction`` per coefficient.  All bases are the
+deterministic ones from reduced row echelon form with leftmost pivots, so
+runs are bit-identical.
 
 Invertibility (``QMatrix.is_invertible``) is the exact rank of dA.
 Irreducibility (``spans_full_algebra``) is two vector spins when a generator
@@ -164,7 +165,7 @@ class QMatrix:
     @cached_property
     def entries(self) -> tuple[Fraction, ...]:
         d = self.denominator
-        return tuple(_ratio(x, d) for row in self.numerators for x in row)
+        return tuple(Fraction(x, d) for row in self.numerators for x in row)
 
     @property
     def is_square(self) -> bool:
@@ -206,7 +207,7 @@ class QMatrix:
         augmented = (
             [*row, *(scale * (i == j) for j in range(n))] for i, row in enumerate(self.numerators)
         )
-        basis = _echelon(augmented, 2 * n)
+        basis = _echelon(augmented)
         if basis.pivots != list(range(n)):
             raise InvalidMonodromyError("matrix is singular")
         common, reduced = basis.reduced_rows()
@@ -221,15 +222,6 @@ class QMatrix:
             raise DimensionMismatchError(
                 f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
             )
-
-
-def _ratio(numerator: int, denominator: int) -> Fraction:
-    """numerator / denominator, without a gcd when one is not needed."""
-    if not numerator:
-        return _ZERO
-    if denominator == 1:
-        return Fraction(numerator)
-    return Fraction(numerator, denominator)
 
 
 def rational_text(p: Fraction | int, q: int = 1) -> str:
@@ -299,8 +291,7 @@ class Echelon:
     its certificate mod a prime (``_closes_mod_p``) falls short.
     """
 
-    def __init__(self, width: int):
-        self.width = width
+    def __init__(self):
         self.pivots: list[int] = []
         self._rows: list[list[int]] = []
 
@@ -318,8 +309,10 @@ class Echelon:
 
     def reduce(self, vector: Iterable[int]) -> list[int]:
         """A nonzero multiple of ``vector`` minus the combination of the
-        basis rows that clears it at every pivot column, with no content;
-        a zero vector as it is."""
+        basis rows that clears it at every pivot column; a zero vector as it
+        is.  Its content is divided out on entry and after each step that
+        scaled it, but a step that did not can leave one: with the row
+        [1, 1], [1, 3] reduces to [0, 2].  ``insert`` divides it out."""
         vec = list(vector)
         content = gcd(*vec)
         if not content:
@@ -384,9 +377,9 @@ class Echelon:
         return common, [[common // row[p] * x for x in row] for p, row in done]
 
 
-def _echelon(rows: Iterable[Sequence[int]], width: int) -> Echelon:
+def _echelon(rows: Iterable[Sequence[int]]) -> Echelon:
     """The ``Echelon`` of ``rows``, zero rows skipped."""
-    basis = Echelon(width)
+    basis = Echelon()
     for row in rows:
         if any(row):
             basis.add(row)
@@ -394,7 +387,7 @@ def _echelon(rows: Iterable[Sequence[int]], width: int) -> Echelon:
 
 
 def matrix_rank(matrix: QMatrix) -> int:
-    return len(_echelon(matrix.numerators, matrix.cols))
+    return len(_echelon(matrix.numerators))
 
 
 def _closes_mod_p(generators: list[Sequence[Sequence[int]]], n: int) -> bool:
@@ -459,7 +452,7 @@ def _spin(generators: list[Sequence[Sequence[int]]], start: list[int]) -> int:
     n^2, a matrix E stored row after row (a vector is its one column), on
     which G acts as G E."""
     n, width = len(generators[0]), len(start)
-    basis, queue = _echelon([start], width), [start]
+    basis, queue = _echelon([start]), [start]
     pivots = basis.pivots  # grows with the basis; its len is cheaper than the basis's
     while queue and len(pivots) < width:
         vector = queue.pop()
@@ -548,7 +541,7 @@ def _shift_echelon(matrix: QMatrix, power: int) -> Echelon:
     image, shifted_columns = shifted, list(zip(*shifted)) if power > 1 else ()
     for _ in range(power - 1):
         image = [[sum(map(mul, row, column)) for column in shifted_columns] for row in image]
-    return _echelon(image, matrix.cols)
+    return _echelon(image)
 
 
 def restrict_to_image(matrix: QMatrix, power: int = 1) -> QMatrix:
@@ -770,9 +763,9 @@ def _smith_diagonal(m: list[list[Poly]]) -> list[Poly]:
     return [row[i] for i, row in enumerate(m)]
 
 
-def _relation_matrix(rows: Sequence[Sequence[int]]) -> list[list[Poly]]:
-    """Relation matrix over Q[y] of the Krylov blocks of the square integer
-    matrix B with rows ``rows``.
+def _relation_matrix(matrix: QMatrix) -> list[list[Poly]]:
+    """Relation matrix over Q[y] of the Krylov blocks of the square matrix
+    A, spun as the stored integer matrix B = dA (``QMatrix.numerators``).
 
     Spins e_n, e_{n-1}, ..., e_1 under B into one echelon basis: a start
     vector v outside the span opens a block v, Bv, B^2 v, ..., which ends at
@@ -785,15 +778,19 @@ def _relation_matrix(rows: Sequence[Sequence[int]]) -> list[list[Poly]]:
     s (K_k + sum_j c_j K_j) in the first n columns, s c_j in the others and
     the scale s in column n + k, where it stays when the row is stored.  A
     tail, which lies in the span, leaves zeros in the first n columns and s
-    times minus its coordinates in the others, read as Fraction(c, s); the
-    last column is the scale of the tail that completes the basis.  In row i
-    of the relation matrix, the entry in column j <= i is the polynomial
-    whose coefficients, in ascending powers of y, are those c_j of block j's
-    Krylov vectors, plus y^{d_i} on the diagonal; entries right of the
-    diagonal are zero.
+    times minus its coordinates in the others; the last column is the scale
+    of the tail that completes the basis.  A Krylov vector B^m v_j is
+    d^m A^m v_j, so the tail of block i, of degree d_i, gives A^{d_i} v_i
+    the coordinate c d^m / (s d^{d_i}) on A^m v_j: one ``Fraction`` per
+    nonzero c.  In row i of the relation matrix, the entry in column j <= i
+    is the polynomial whose coefficients, in ascending powers of y, are
+    those of block j's Krylov vectors, plus y^{d_i} on the diagonal; entries
+    right of the diagonal are zero.
     """
+    rows, d = matrix.numerators, matrix.denominator
     n = len(rows)
-    basis = Echelon(2 * n + 1)
+    basis = Echelon()
+    powers: list[int] = []  # d^m for each Krylov vector B^m v, in basis order
     blocks: list[tuple[int, int]] = []  # (offset, degree) per block
     relations: list[list[Poly]] = []
     start = n
@@ -801,7 +798,7 @@ def _relation_matrix(rows: Sequence[Sequence[int]]) -> list[list[Poly]]:
         start -= 1
         vector = [0] * n
         vector[start] = 1
-        offset = len(basis)
+        offset, power = len(basis), 1
         while True:
             k = n + len(basis)
             reduced = basis.reduce(vector + [int(j == k) for j in range(n, 2 * n + 1)])
@@ -809,11 +806,15 @@ def _relation_matrix(rows: Sequence[Sequence[int]]) -> list[list[Poly]]:
             if not lead:
                 break
             basis.insert(reduced, reduced.index(lead))
+            powers.append(power)
+            power *= d
             vector = [sum(map(mul, row, vector)) for row in rows]
         if len(basis) > offset:
-            scale = reduced[k]
-            coefficients = [_ratio(c, scale) for c in reduced[n:k]]
-            row = [_ptrim(coefficients[at : at + d]) for at, d in blocks]
+            scale = reduced[k] * power  # s d^{d_i}
+            coefficients = [
+                Fraction(c * m, scale) if c else _ZERO for c, m in zip(reduced[n:k], powers)
+            ]
+            row = [_ptrim(coefficients[at : at + degree]) for at, degree in blocks]
             row.append((*coefficients[offset:], _ONE))
             blocks.append((offset, len(basis) - offset))
             relations.append(row)
@@ -829,34 +830,24 @@ def invariant_factors(matrix: QMatrix) -> SimilarityInvariant:
     divisibility chain whose product is the characteristic polynomial, which
     pins down the similarity class of A.
 
-    They are read off a Krylov basis of the stored integer matrix B = dA
-    (``QMatrix.numerators``).  ``_relation_matrix`` splits
-    Q^n into r cyclic blocks v_i, Bv_i, ..., B^{d_i - 1} v_i whose tails
-    B^{d_i} v_i lie in the span of blocks 1..i.  Writing block j's share of
-    tail i as p_ij(B) v_j, the rows y^{d_i} e_i - sum_{j <= i} p_ij(y) e_j
+    They are read off a Krylov basis of A.  ``_relation_matrix`` splits
+    Q^n into r cyclic blocks v_i, Av_i, ..., A^{d_i - 1} v_i whose tails
+    A^{d_i} v_i lie in the span of blocks 1..i.  Writing block j's share of
+    tail i as p_ij(A) v_j, the rows y^{d_i} e_i - sum_{j <= i} p_ij(y) e_j
     lie in the kernel of the Q[y]-module map Q[y]^r -> Q^n that takes e_i
-    to v_i, with y acting as B.  The map is onto, and the rows form a lower
+    to v_i, with y acting as A.  The map is onto, and the rows form a lower
     triangular matrix with monic diagonal entries of degrees d_i, so the
     quotient by them has dimension sum d_i = n over Q: they generate the
     kernel.  This r x r relation matrix therefore presents Q^n with y acting
-    as B, as yI - B does, and the two have the same non-constant invariant
-    factors, read off its Smith form; with r = 1 its one entry is the only
-    factor.  As A = B / d, each factor f of B gives A's f(dx) / d^deg f.
+    as A, as yI - A does, and the two have the same non-constant invariant
+    factors, read off its Smith form (at r = 1, its one entry).
     """
     if not matrix.is_square:
         raise DimensionMismatchError("invariant factors require a square matrix")
-    n = matrix.rows
-    if n == 1:  # the one factor x - a, without the set-up of a spin
+    if matrix.rows == 1:  # the one factor x - a, without the set-up of a spin
         return SimilarityInvariant(((-matrix.entries[0], _ONE),))
-    rows, scale = matrix.numerators, matrix.denominator
-    relations = _relation_matrix(rows)
-    if len(relations) > 1:
-        factors = [f for f in _smith_diagonal(relations) if _pdeg(f) > 0]
-    else:
-        factors = [row[0] for row in relations]
-    if scale > 1:
-        factors = [tuple(c / scale ** (_pdeg(f) - k) for k, c in enumerate(f)) for f in factors]
-    return SimilarityInvariant(tuple(factors))
+    factors = _smith_diagonal(_relation_matrix(matrix))
+    return SimilarityInvariant(tuple(f for f in factors if _pdeg(f) > 0))
 
 
 def centralizer_dimension(matrix: QMatrix) -> int:

@@ -26,6 +26,7 @@ bench = _load("kernels")
 ROW_FUNCTIONS = [
     "catalog_rows",
     "closure_rows",
+    "fraction_rows",
     "invariant_factor_rows",
     "render_rows",
     "restriction_rows",
@@ -49,6 +50,7 @@ def test_rows_at_small_sizes(monkeypatch, capsys, name):
         "WORST_CASE_POINTS",
     ):
         monkeypatch.setattr(bench, sizes, (2, 3))
+    monkeypatch.setattr(bench, "FRACTION_TRIALS", 10)
     rows = getattr(bench, name)(1)
     assert rows and len(capsys.readouterr().out.splitlines()) == len(rows)
 
@@ -64,6 +66,14 @@ def test_kernel_table_at_small_sizes(capsys, kernel, family):
         (kernel, family, 3),
     ]
     assert len(capsys.readouterr().out.splitlines()) == 2
+
+
+def test_fraction_rows_count_the_same_calls_twice(monkeypatch, capsys):
+    # counts, not times: a second run of the same campaign makes the same calls
+    monkeypatch.setattr(bench, "FRACTION_TRIALS", 10)
+    (first,), (second,) = bench.fraction_rows(1), bench.fraction_rows(1)
+    assert first == second and first["exit_code"] == 0
+    assert first["constructions"] > first["divisions"] > 0
 
 
 def test_closure_rows_record_the_routed_decision(monkeypatch, capsys):

@@ -581,6 +581,29 @@ class TestReaderMessages:
             f"but recomputation gives {recomputed}\n"
         )
 
+    @pytest.mark.parametrize(
+        "name, key, stored, recomputed",
+        [
+            ("nonrigid4", "expected_index", False, 0),
+            ("nonrigid4", "expected_rigid", 0, False),
+            ("rank1_twopoint", "expected_index", 2.0, 2),
+            ("rank1_twopoint", "expected_rigid", 1, True),
+        ],
+    )
+    def test_stored_expectation_of_another_json_type(
+        self, capsys, tmp_path, monkeypatch, name, key, stored, recomputed
+    ):
+        # equal in Python but not the JSON integer or boolean the entry stores
+        write_json(tmp_path, "liar.json", dict(catalog._BUILTIN[name], **{key: stored}))
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv(CATALOG_ENV_VAR, ".")
+        code, out, err = run_cli(capsys, "catalog", "list")
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: catalog file liar.json: {key}={stored} "
+            f"but recomputation gives {recomputed}\n"
+        )
+
 
 def source_env() -> dict:
     """The environment with this checkout's ``src`` first on PYTHONPATH."""

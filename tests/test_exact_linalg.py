@@ -356,13 +356,13 @@ class TestIntegerEchelon:
         """The ``Echelon`` of ``rows``, added one by one, after checking each
         answer of ``add``, the rank, the pivots and the reduced rows against
         the oracle and against ``_echelon``, which skips zero rows."""
-        basis, oracle = Echelon(width), FractionEchelon(width)
+        basis, oracle = Echelon(), FractionEchelon(width)
         for row in rows:
             assert basis.add(row) == oracle.add(list(map(Fraction, row)))
         common, reduced = basis.reduced_rows()
         assert (len(basis), basis.pivots) == (len(oracle), oracle.pivots)
         assert [[Fraction(x, common) for x in row] for row in reduced] == oracle.reduced_rows()
-        skipped = _echelon(rows, width)
+        skipped = _echelon(rows)
         assert (skipped.pivots, skipped.reduced_rows()) == (basis.pivots, (common, reduced))
         return basis
 
@@ -373,6 +373,18 @@ class TestIntegerEchelon:
         assert not basis.add([0, 0, 0])
         assert not basis.add(iter([0, 0, 0]))
         assert (basis.pivots, basis.reduced_rows()) == before
+
+    def test_an_unscaled_step_leaves_a_content_to_insert(self):
+        # [1, 3] less the row [1, 1] is [0, 2]: no step scaled it, so its
+        # content 2 stays until ``insert`` divides it out
+        basis = self._matches_oracle([[1, 1]], 2)
+        reduced = basis.reduce([1, 3])
+        assert reduced == [0, 2]
+        basis.insert(reduced, 1)
+        oracle = self._matches_oracle([[1, 1], [1, 3]], 2)
+        assert basis.pivots == oracle.pivots == [0, 1]
+        assert basis.reduced_rows() == oracle.reduced_rows() == (1, [[1, 0], [0, 1]])
+        assert basis._rows == oracle._rows == [[1, 1], [0, 1]]
 
     def test_zero_rows(self):
         assert len(self._matches_oracle([[0, 0, 0], [0, 0, 0]], 3)) == 0
@@ -812,8 +824,8 @@ class TestRestriction:
         m = random_unit_mixed_matrix(random.Random(73), 6)[0]
         calls = []
         original = exact_linalg._echelon
-        monkeypatch.setattr(
-            exact_linalg, "_echelon", lambda rows, width: calls.append(width) or original(rows, width)
+        monkeypatch.setattr(  # each call's row width
+            exact_linalg, "_echelon", lambda rows: calls.append(len(rows[0])) or original(rows)
         )
         restrict_to_image(m)
         restrict_to_image(m, m.rows)
@@ -927,22 +939,45 @@ class TestKrylovKernel:
                     product = _pmul(product, f)
                 assert product == char_poly(m)
 
-    def test_smith_step_only_on_several_blocks(self, monkeypatch):
+    @staticmethod
+    def smith_sizes(monkeypatch) -> list:
+        """The sizes r of the relation matrices ``_smith_diagonal`` gets, as
+        they come."""
         calls = []
         original = exact_linalg._smith_diagonal
         monkeypatch.setattr(
             exact_linalg, "_smith_diagonal", lambda m: calls.append(len(m)) or original(m)
         )
+        return calls
+
+    def test_smith_step_sizes_are_the_block_counts(self, monkeypatch):
+        calls = self.smith_sizes(monkeypatch)
         rng = random.Random(67)
         dense = _dense_rational(rng, 8)
         assert len(invariant_factors(dense).invariant_factors) == 1
-        assert calls == []  # nonderogatory: e_8 spins one block, read off directly
+        assert calls == [1]  # nonderogatory: e_8 spins one block
         assert len(invariant_factors(jordan_block(6, "1/2")).invariant_factors) == 1
-        assert calls == []  # spun from its last basis vector, a Jordan block is one block
+        assert calls == [1, 1]  # spun from its last basis vector, a Jordan block is one block
         assert invariant_factors(diagonal([3] * 4)).invariant_factors == (
             (Fraction(-3), Fraction(1)),
         ) * 4
-        assert calls == [4]
+        assert calls == [1, 1, 4]
+
+    def test_rational_derogatory_matches_sympy(self, monkeypatch):
+        # d > 1 and r >= 2: the relations of A itself, coupled through their
+        # tails in the conjugate and the transpose, against sympy
+        calls = self.smith_sizes(monkeypatch)
+        rng = random.Random(71)
+        jordan = jordan_from_data([("1/2", 2), ("1/2", 1), ("-2/3", 2), ("-2/3", 2), ("3", 1)])
+        n = jordan.rows
+        conjugated = conjugate(jordan, random_invertible(rng, n))
+        transposed = QMatrix.from_rows([conjugated.entries[i::n] for i in range(n)])
+        for m in (jordan, conjugated, transposed):
+            assert m.denominator > 1
+            factors = invariant_factors(m).invariant_factors
+            assert factors == sympy_invariant_factors(m).invariant_factors
+            assert len(factors) == 2 and all(type(c) is Fraction for f in factors for c in f)
+        assert len(calls) == 3 and min(calls) >= 2
 
 
 def _poly(*coefficients: int) -> tuple[Fraction, ...]:
@@ -994,10 +1029,17 @@ class TestSmithStep:
         assert calls == [(X, _poly(2), ())]
 
     def test_relations_of_a_scalar_matrix(self, monkeypatch):
-        relations = exact_linalg._relation_matrix(diagonal([3] * 4).numerators)
+        relations = exact_linalg._relation_matrix(diagonal([3] * 4))
         assert relations == [[_poly(-3, 1) if i == j else () for j in range(4)] for i in range(4)]
         calls = self.divisions(monkeypatch, relations)
         assert calls and not any(r for *_, r in calls)
+
+    def test_relations_of_a_rational_scalar_matrix(self):
+        # d = 2: the relations are those of A = 3/2 I, not of dA = 3 I
+        relations = exact_linalg._relation_matrix(diagonal(["3/2"] * 4))
+        minus = (Fraction(-3, 2), Fraction(1))
+        assert relations == [[minus if i == j else () for j in range(4)] for i in range(4)]
+        assert all(type(c) is Fraction for row in relations for f in row for c in f)
 
 
 def _record_passes(patch, passes: list) -> None:
