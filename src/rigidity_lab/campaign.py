@@ -9,9 +9,7 @@ the ones before it.
 
 from __future__ import annotations
 
-import hashlib
 import random
-from dataclasses import dataclass, field
 from typing import Iterator
 
 from .errors import GenerationError
@@ -21,24 +19,24 @@ from .local_systems import random_tuple, tuple_to_json
 _REDRAWS_PER_TRIAL = 200
 
 
-@dataclass(frozen=True)
 class CampaignConfig:
-    trials: int
-    max_rank: int
-    max_points: int
-    seed: int
-
-    def __post_init__(self) -> None:
-        if self.trials < 1 or self.max_rank < 1 or self.max_points < 1:
+    def __init__(self, trials: int, max_rank: int, max_points: int, seed: int):
+        if trials < 1 or max_rank < 1 or max_points < 1:
             raise ValueError("trials, max_rank and max_points must be positive")
+        self.trials, self.max_rank, self.max_points, self.seed = trials, max_rank, max_points, seed
 
 
-@dataclass
 class CampaignResult:
-    trials_run: int
-    all_equal: bool
-    failures: list[dict] = field(default_factory=list)
-    identity_checks: int = 0
+    def __init__(
+        self,
+        trials_run: int,
+        all_equal: bool,
+        failures: list[dict] | None = None,
+        identity_checks: int = 0,
+    ):
+        self.trials_run, self.all_equal = trials_run, all_equal
+        self.failures = [] if failures is None else failures  # a new list per result
+        self.identity_checks = identity_checks
 
     def to_json(self) -> dict:
         return {
@@ -49,7 +47,10 @@ class CampaignResult:
 
 
 def _trial_seed(seed: int, index: int) -> int:
-    # Stable across interpreter versions, unlike built-in tuple hashing.
+    # Stable across interpreter versions, unlike built-in tuple hashing.  Imported
+    # here, as only campaigns seed trials: other commands start without it.
+    import hashlib
+
     digest = hashlib.blake2b(f"{seed}:{index}".encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big")
 

@@ -9,10 +9,11 @@ external files can change, so they are read and checked on every load.
 
 from __future__ import annotations
 
+import json
 import os
-from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import CatalogError
 from .exact_linalg import shorten
@@ -22,8 +23,7 @@ from .local_systems import MonodromyTuple, json_document, tuple_from_json
 CATALOG_ENV_VAR = "RIGIDITY_LAB_CATALOG"
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     description: str
     tuple: MonodromyTuple
@@ -96,8 +96,9 @@ def _entry(name: str, payload: object, source: str) -> CatalogEntry:
     for key, value in (("expected_index", index), ("expected_rigid", rigid)):
         # of the recomputed type too: Python finds false == 0 and 2.0 == 2
         if key in payload and (type(payload[key]) is not type(value) or payload[key] != value):
-            stored = shorten(str(payload[key]))  # str, not repr: expected_index=7 stays 7
-            raise CatalogError(f"{source}: {key}={stored} but recomputation gives {value}")
+            # as JSON spells them: a stored "2" is not written as the integer 2
+            stored, recomputed = (shorten(json.dumps(v)) for v in (payload[key], value))
+            raise CatalogError(f"{source}: {key}={stored} but recomputation gives {recomputed}")
     return CatalogEntry(
         name=name,
         description=str(payload.get("description", f"external tuple from {name}.json")),

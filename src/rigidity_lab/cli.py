@@ -143,7 +143,7 @@ def _catalog_list_text(payload: list):
 
 
 def _cmd_rig(args: argparse.Namespace) -> int:
-    _print_payload(vars(_load_analysis(args.input).report), args.format, _rig_text)
+    _print_payload(_load_analysis(args.input).report._asdict(), args.format, _rig_text)
     return EXIT_OK
 
 
@@ -169,7 +169,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     analysis.require_irreducible(args.force)
     report = analysis.preservation
     identities = [identity._asdict() for identity in report.per_point_identities]
-    payload = {**vars(report), "per_point_identities": identities}  # a copy: report is frozen
+    payload = {**report._asdict(), "per_point_identities": identities}
     if not analysis.irreducible:
         payload["warning"] = "tuple is reducible: equality is reported but not asserted"
     _print_payload(payload, args.format, _verify_text)

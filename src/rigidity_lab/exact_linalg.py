@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
@@ -101,7 +100,6 @@ def parse_rational(value: Fraction | int | str) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(*rational_pair(value))
 
 
-@dataclass(frozen=True, init=False)
 class QMatrix:
     """Dense rational matrix A, immutable, stored as the rows of the integer
     matrix dA (``numerators``) and d (``denominator``), with d > 0 and
@@ -216,6 +214,22 @@ class QMatrix:
     def is_invertible(self) -> bool:
         """Square of full rank: one fraction-free elimination of dA."""
         return self.is_square and matrix_rank(self) == self.rows
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other: object) -> bool:  # one int, the denominator, before the rows
+        if other.__class__ is not QMatrix:
+            return NotImplemented
+        return self.denominator == other.denominator and (
+            self.rows, self.cols, self.numerators) == (other.rows, other.cols, other.numerators)
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.numerators, self.denominator))
+
+    def __repr__(self) -> str:
+        return (f"QMatrix(rows={self.rows!r}, cols={self.cols!r}, "
+                f"numerators={self.numerators!r}, denominator={self.denominator!r})")
 
     def _require_same_shape(self, other: "QMatrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
@@ -635,11 +649,19 @@ def polynomial_to_string(p: Poly) -> str:
     return text or "0"
 
 
-@dataclass(frozen=True)
 class SimilarityInvariant:
     """Non-constant invariant factors of xI - A, monic, each dividing the next."""
 
-    invariant_factors: tuple[Poly, ...]
+    def __init__(self, invariant_factors: tuple[Poly, ...]):
+        self.invariant_factors = invariant_factors
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not SimilarityInvariant:
+            return NotImplemented
+        return self.invariant_factors == other.invariant_factors
+
+    def __hash__(self) -> int:
+        return hash(self.invariant_factors)
 
     @property
     def centralizer_dimension(self) -> int:

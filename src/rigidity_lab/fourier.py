@@ -15,7 +15,6 @@ views on it.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
@@ -41,8 +40,7 @@ class ReducibleInputWarning(UserWarning):
     """The transform of a reducible tuple carries no preservation guarantee."""
 
 
-@dataclass(frozen=True)
-class ExponentialComponent:
+class ExponentialComponent(NamedTuple):
     """One exponential factor at infinity: coefficient, regular part, size.
     ``TupleAnalysis.local_data`` makes the regular part A on im(A - 1):
     square of side rank(A - 1) >= 1, as ``validate`` rejects A = 1, and
@@ -53,8 +51,7 @@ class ExponentialComponent:
     dimension: int
 
 
-@dataclass(frozen=True)
-class FourierLocalData:
+class FourierLocalData(NamedTuple):
     """Built by ``TupleAnalysis.local_data`` only: rank_hat sums the
     component dimensions, and T at zero is block-diagonal (A_inf on its part
     without eigenvalue 1, unipotent Jordan blocks, identity padding) of side
@@ -65,8 +62,7 @@ class FourierLocalData:
     components: tuple[ExponentialComponent, ...]
 
 
-@dataclass(frozen=True)
-class RigidityReport:
+class RigidityReport(NamedTuple):
     rank: int
     num_points: int
     centralizer_dims: tuple[int, ...]
@@ -81,8 +77,7 @@ class PointIdentity(NamedTuple):
     rhs: int
 
 
-@dataclass(frozen=True)
-class PreservationReport:
+class PreservationReport(NamedTuple):
     rig_source: int
     rig_fourier: int
     equal: bool

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import chain
@@ -39,11 +38,22 @@ class FinitePoint(NamedTuple):
     matrix: QMatrix
 
 
-@dataclass(frozen=True)
 class MonodromyTuple:
-    rank: int
-    finite_points: tuple[FinitePoint, ...]
-    infinity_matrix: QMatrix
+    def __init__(self, rank: int, finite_points: tuple[FinitePoint, ...], infinity_matrix: QMatrix):
+        self.rank, self.finite_points, self.infinity_matrix = rank, finite_points, infinity_matrix
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not MonodromyTuple:
+            return NotImplemented
+        return (self.rank, self.finite_points, self.infinity_matrix) == (
+            other.rank, other.finite_points, other.infinity_matrix)
+
+    def __hash__(self) -> int:
+        return hash((self.rank, self.finite_points, self.infinity_matrix))
+
+    def __repr__(self) -> str:
+        return (f"MonodromyTuple(rank={self.rank!r}, finite_points={self.finite_points!r}, "
+                f"infinity_matrix={self.infinity_matrix!r})")
 
     @property
     def num_finite_points(self) -> int:
@@ -57,7 +67,7 @@ class MonodromyTuple:
     def relation_product(self) -> QMatrix:
         """A_1 ... A_k A_inf, after the shape checks that define it.  When
         ``monodromy_tuple`` derives A_inf it stores 1 here; any other tuple,
-        one from ``dataclasses.replace`` too, multiplies on first use."""
+        one built from a derived tuple's fields too, multiplies on first use."""
         n = self.rank
         _check_shapes(n, self.finite_points)
         if self.infinity_matrix.rows != n or self.infinity_matrix.cols != n:

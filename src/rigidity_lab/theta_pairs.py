@@ -8,8 +8,6 @@ no subobject or quotient concentrated at the point (v injective, u surjective).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InvalidMonodromyError, InvalidPairError, PairPreconditionError
 from .exact_linalg import (
     QMatrix,
@@ -20,23 +18,18 @@ from .exact_linalg import (
 )
 
 
-@dataclass(frozen=True)
 class ThetaPair:
     """u maps E to F (a dim_F x dim_E matrix), v maps back."""
 
-    dim_E: int
-    dim_F: int
-    u: QMatrix
-    v: QMatrix
-
-    def __post_init__(self) -> None:
-        if (self.u.rows, self.u.cols) != (self.dim_F, self.dim_E):
+    def __init__(self, dim_E: int, dim_F: int, u: QMatrix, v: QMatrix):
+        if (u.rows, u.cols) != (dim_F, dim_E):
             raise InvalidPairError("u must be a dim_F x dim_E matrix")
-        if (self.v.rows, self.v.cols) != (self.dim_E, self.dim_F):
+        if (v.rows, v.cols) != (dim_E, dim_F):
             raise InvalidPairError("v must be a dim_E x dim_F matrix")
         # det(1 + vu) = det(1 + uv) (Sylvester), so one side decides both.
-        if not (QMatrix.identity(self.dim_E) + self.v @ self.u).is_invertible():
+        if not (QMatrix.identity(dim_E) + v @ u).is_invertible():
             raise InvalidPairError("1 + v@u must be invertible")
+        self.dim_E, self.dim_F, self.u, self.v = dim_E, dim_F, u, v
 
 
 def monodromy_E(pair: ThetaPair) -> QMatrix:

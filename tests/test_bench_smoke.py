@@ -98,3 +98,16 @@ def test_ab_compares_a_tree_with_itself(capsys):
         assert row["ratio_q1"] <= row["ratio"] <= row["ratio_q3"]
         assert row["verdict"] in {"faster", "parity", "slower"}
     assert json.loads(capsys.readouterr().out.splitlines()[-1]) == result
+
+
+def test_starts_compares_a_tree_with_itself(capsys):
+    starts = _load("starts")
+    result = starts.main(["--parent", str(ROOT), "--change", str(ROOT), "--starts", "2"])
+    assert list(result["commands"]) == list(starts.COMMANDS)
+    for row in result["commands"].values():
+        assert row["exit_code"] == 0 and row["paired"]["rounds"] == 2
+        for tree in ("parent", "change"):
+            assert 0 < row[tree]["q1_ms"] <= row[tree]["median_ms"] <= row[tree]["q3_ms"]
+        # the same tree imports the same modules, deterministically
+        assert row["parent"]["modules"] == row["change"]["modules"] > 0
+    assert json.loads(capsys.readouterr().out.splitlines()[-1]) == result

@@ -568,16 +568,16 @@ class TestReaderMessages:
 
     @pytest.mark.parametrize("key", ["expected_index", "expected_rigid"])
     def test_long_stored_expectation_quoted_in_short(self, capsys, tmp_path, monkeypatch, key):
-        # the stored value is quoted as str text, as a short one is, cut at 60 characters
+        # the stored value is quoted as JSON text, as a short one is, cut at 60 characters
         write_json(tmp_path, "liar.json", dict(RANK1_TWOPOINT, **{key: "x" * 200000}))
         monkeypatch.chdir(tmp_path)
         monkeypatch.setenv(CATALOG_ENV_VAR, ".")
         code, out, err = run_cli(capsys, "catalog", "list")
         assert (code, out) == (2, "")
         assert err.count("\n") == 1 and len(err.encode()) < 200
-        recomputed = {"expected_index": 2, "expected_rigid": True}[key]
+        recomputed = {"expected_index": "2", "expected_rigid": "true"}[key]
         assert err == (
-            f"error: catalog file liar.json: {key}={'x' * 60}... (200000 characters) "
+            f"error: catalog file liar.json: {key}=\"{'x' * 59}... (200002 characters) "
             f"but recomputation gives {recomputed}\n"
         )
 
@@ -588,20 +588,22 @@ class TestReaderMessages:
             ("nonrigid4", "expected_rigid", 0, False),
             ("rank1_twopoint", "expected_index", 2.0, 2),
             ("rank1_twopoint", "expected_rigid", 1, True),
+            ("rank1_twopoint", "expected_index", "2", 2),
         ],
     )
     def test_stored_expectation_of_another_json_type(
         self, capsys, tmp_path, monkeypatch, name, key, stored, recomputed
     ):
-        # equal in Python but not the JSON integer or boolean the entry stores
+        # equal in Python, or as text, but not the JSON integer or boolean the
+        # entry stores; both values are written as JSON writes them
         write_json(tmp_path, "liar.json", dict(catalog._BUILTIN[name], **{key: stored}))
         monkeypatch.chdir(tmp_path)
         monkeypatch.setenv(CATALOG_ENV_VAR, ".")
         code, out, err = run_cli(capsys, "catalog", "list")
         assert (code, out) == (2, "")
         assert err == (
-            f"error: catalog file liar.json: {key}={stored} "
-            f"but recomputation gives {recomputed}\n"
+            f"error: catalog file liar.json: {key}={json.dumps(stored)} "
+            f"but recomputation gives {json.dumps(recomputed)}\n"
         )
 
 

@@ -1,15 +1,18 @@
+import json
 import random
 import sys
 from fractions import Fraction
 
 import pytest
 
-from rigidity_lab import exact_linalg, fourier
+from rigidity_lab import catalog, exact_linalg, fourier
+from rigidity_lab.cli import main
 from rigidity_lab.errors import HypothesisViolationError, NonRealizableError
 from rigidity_lab.exact_linalg import (
     QMatrix,
     centralizer_dimension,
     fixed_space_dim,
+    invariant_factors,
     restrict_to_image,
     similar,
 )
@@ -24,9 +27,10 @@ from rigidity_lab.fourier import (
     preservation_details,
     rig_fourier,
     rigidity_index,
+    rigidity_report,
     stationary_phase,
 )
-from rigidity_lab.local_systems import monodromy_tuple, random_tuple
+from rigidity_lab.local_systems import monodromy_tuple, random_tuple, tuple_to_json
 
 from support import (
     commutation_centralizer_dimension,
@@ -322,7 +326,7 @@ class TestPreservation:
         # the CLI prints the record's fields in order, each identity as a dict
         report = preservation_details(rank1("2"))[0]
         identities = [p._asdict() for p in report.per_point_identities]
-        payload = {**vars(report), "per_point_identities": identities}
+        payload = {**report._asdict(), "per_point_identities": identities}
         assert list(payload) == [
             "rig_source",
             "rig_fourier",
@@ -331,3 +335,93 @@ class TestPreservation:
             "irregularity",
         ]
         assert payload["per_point_identities"][-1]["point"] == "infinity"
+
+
+def kummer_entry():
+    return catalog._entry("kummer", catalog._BUILTIN["kummer"], "kummer")
+
+
+KUMMER_QMATRIX = "QMatrix(rows=1, cols=1, numerators=((2,),), denominator=1)"
+# (make, another value of the type, repr of make()): the text each record
+# wrote when it was a dataclass, which its fields and their order fix
+VALUES = {
+    "QMatrix": (
+        lambda: QMatrix.from_rows([["1/2", 0]]),
+        lambda: QMatrix.from_rows([[1, 0]]),
+        "QMatrix(rows=1, cols=2, numerators=((1, 0),), denominator=2)",
+    ),
+    "SimilarityInvariant": (
+        lambda: invariant_factors(QMatrix.identity(2)),
+        lambda: invariant_factors(J2),
+        None,
+    ),
+    "RigidityReport": (
+        lambda: rigidity_report(rank1("2")),
+        lambda: rigidity_report(rank1("2", "3")),
+        "RigidityReport(rank=1, num_points=2, centralizer_dims=(1, 1), index=2, "
+        "irreducible=True, physically_rigid=True)",
+    ),
+    "PreservationReport": (
+        lambda: preservation_details(rank1("2"))[0],
+        lambda: preservation_details(rank1("2", "3"))[0],
+        "PreservationReport(rig_source=2, rig_fourier=2, equal=True, per_point_identities="
+        "(PointIdentity(point='0', lhs=0, rhs=0), PointIdentity(point='infinity', lhs=0, rhs=0)), "
+        "irregularity=0)",
+    ),
+    "ExponentialComponent": (
+        lambda: stationary_phase(rank1("2")).components[0],
+        lambda: stationary_phase(rank1("3")).components[0],
+        f"ExponentialComponent(coefficient=Fraction(0, 1), regular_monodromy={KUMMER_QMATRIX}, "
+        "dimension=1)",
+    ),
+    "FourierLocalData": (
+        lambda: stationary_phase(rank1("2")),
+        lambda: stationary_phase(rank1("3")),
+        "FourierLocalData(rank_hat=1, zero_monodromy=QMatrix(rows=1, cols=1, numerators=((1,),), "
+        "denominator=2), components=(ExponentialComponent(coefficient=Fraction(0, 1), "
+        f"regular_monodromy={KUMMER_QMATRIX}, dimension=1),))",
+    ),
+    "CatalogEntry": (
+        kummer_entry,
+        lambda: kummer_entry()._replace(expected_index=3),
+        "CatalogEntry(name='kummer', description='Rank-1 system with a single finite singular "
+        "point', tuple=MonodromyTuple(rank=1, finite_points=(FinitePoint(location=Fraction(0, 1), "
+        f"matrix={KUMMER_QMATRIX}),), infinity_matrix=QMatrix(rows=1, cols=1, "
+        "numerators=((1,),), denominator=2)), expected_index=2, expected_rigid=True)",
+    ),
+}
+
+
+class TestRecords:
+    @pytest.mark.parametrize("name", list(VALUES))
+    def test_equal_and_hashed_by_value(self, name):
+        make, other, _ = VALUES[name]
+        a, b = make(), make()
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != other() and not a == other()
+
+    @pytest.mark.parametrize("name", [name for name, (*_, text) in VALUES.items() if text])
+    def test_repr_names_every_field(self, name):
+        make, _, text = VALUES[name]
+        assert repr(make()) == text
+
+    def test_qmatrix_refuses_assignment(self):
+        m = QMatrix.identity(2)
+        with pytest.raises(AttributeError, match="^cannot assign to field 'denominator'$"):
+            m.denominator = 2
+        assert m == QMatrix.identity(2)
+
+    @pytest.mark.parametrize(
+        "command, record",
+        [
+            ("rig", rigidity_report),
+            ("verify", lambda t: preservation_details(t)[0]),
+        ],
+        ids=["rig", "verify"],
+    )
+    def test_printed_keys_in_field_order(self, capsys, tmp_path, command, record):
+        t = rank1("2", "3")
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(tuple_to_json(t)), encoding="utf-8")
+        assert main([command, "--input", str(path)]) == 0
+        assert list(json.loads(capsys.readouterr().out)) == list(record(t)._asdict())

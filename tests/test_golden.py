@@ -7,7 +7,6 @@ single per-tuple analysis, so any change to a printed byte or an exit code
 fails here.
 """
 
-import dataclasses
 import hashlib
 import json
 
@@ -144,13 +143,13 @@ def test_campaign_arithmetic_is_golden():
         record = {
             "trial": index,
             "tuple": tuple_to_json(t),
-            "report": dataclasses.asdict(analysis.report),
+            "report": analysis.report._asdict(),
             "local_data": _local_data_json(analysis.local_data),
             "zero_invariant_factors": [
                 polynomial_to_string(f) for f in analysis.zero_invariants.invariant_factors
             ],
             "preservation": {
-                **vars(analysis.preservation),
+                **analysis.preservation._asdict(),
                 "per_point_identities": [
                     p._asdict() for p in analysis.preservation.per_point_identities
                 ],

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 import sys
@@ -11,6 +10,7 @@ from rigidity_lab.errors import ValidationError
 from rigidity_lab.exact_linalg import QMatrix
 from rigidity_lab.fourier import TupleAnalysis, is_irreducible, rigidity_index, rigidity_report
 from rigidity_lab.local_systems import (
+    MonodromyTuple,
     json_document,
     monodromy_tuple,
     random_tuple,
@@ -161,11 +161,11 @@ class TestValidate:
         # the derived tuple's relation is known; a copy with another A_inf
         # must multiply its matrices out again
         derived = HYPERGEOMETRIC2
-        wrong = dataclasses.replace(derived, infinity_matrix=diagonal([2, 1]))
+        wrong = MonodromyTuple(derived.rank, derived.finite_points, diagonal([2, 1]))
         validate(derived)
         with pytest.raises(ValidationError, match="^monodromy relation violated$"):
             validate(wrong)
-        shapes = dataclasses.replace(derived, infinity_matrix=QMatrix.identity(3))
+        shapes = MonodromyTuple(derived.rank, derived.finite_points, QMatrix.identity(3))
         with pytest.raises(ValidationError, match="^matrix at infinity must be 2x2$"):
             validate(shapes)
 

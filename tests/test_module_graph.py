@@ -1,5 +1,6 @@
-"""The package's internal import graph and its unused definitions, read
-from the source with ``ast``.
+"""The package's internal import graph, its unused definitions and the
+standard-library modules a CLI start loads, read from the source with
+``ast`` and checked in a fresh process.
 
 Importing ``rigidity_lab`` loads every module, so a cycle cannot be seen by
 importing one module in a fresh process; the source shows every import,
@@ -7,11 +8,18 @@ function-level ones too.
 """
 
 import ast
+import json
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import rigidity_lab
 from rigidity_lab import fourier
+from rigidity_lab.catalog import load_catalog
+from rigidity_lab.local_systems import tuple_to_json
+
+from test_cli import source_env
 
 PACKAGE = Path(rigidity_lab.__file__).parent
 
@@ -173,3 +181,79 @@ class TestNoTestOnlyApi:
     def test_every_definition_is_used_in_the_library(self):
         sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
         assert unused_definitions(sources, set(rigidity_lab.__all__)) == []
+
+
+def stdlib_imports(source: str) -> list[tuple[str, bool]]:
+    """(top-level module, whether imported inside a function) of each
+    absolute import in ``source``."""
+    tree = ast.parse(source)
+    in_functions = {
+        id(node)
+        for function in ast.walk(tree)
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(function)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        found.extend((name.split(".")[0], id(node) in in_functions) for name in names)
+    return found
+
+
+# Run in a fresh interpreter: the modules that four commands load, then
+# those that a random campaign adds, each against the modules present before
+# ``rigidity_lab.cli`` was imported, as ``site`` may have loaded some.
+STARTUP_PROBE = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+from rigidity_lab.cli import main
+path = sys.argv[1]
+commands = [["rig", "--input", path], ["fourier", "--input", path],
+            ["verify", "--input", path], ["catalog", "list"]]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in commands]
+    loaded = sorted(set(sys.modules) - before)
+    codes.append(main(["verify", "--random", "--trials", "1"]))
+print(json.dumps([codes, loaded, sorted(set(sys.modules) - before)]))
+"""
+
+# What only some commands need, or no command: ``dataclasses`` pulls in
+# ``inspect``, ``ast``, ``dis`` and ``tokenize``; only campaigns hash seeds.
+STARTUP_UNNEEDED = {"dataclasses", "inspect", "hashlib"}
+
+
+class TestStartUp:
+    def test_the_scan_sees_where_a_module_is_imported(self):
+        source = "import hashlib\nfrom os import path\nfrom . import cli\n"
+        source += "def f():\n    import json\n"
+        assert stdlib_imports(source) == [("hashlib", False), ("os", False), ("json", True)]
+
+    def test_no_dataclasses_and_hashlib_only_where_trials_are_seeded(self):
+        found = sorted(
+            (name, path.stem, inside)
+            for path in PACKAGE.glob("*.py")
+            for name, inside in stdlib_imports(path.read_text(encoding="utf-8"))
+            if name in {"dataclasses", "hashlib"}
+        )
+        assert found == [("hashlib", "campaign", True)]
+
+    def test_commands_load_only_what_they_need(self, tmp_path):
+        path = tmp_path / "hypergeometric2.json"
+        path.write_text(json.dumps(tuple_to_json(load_catalog()["hypergeometric2"].tuple)))
+        proc = subprocess.run(
+            [sys.executable, "-c", STARTUP_PROBE, str(path)],
+            env=source_env(),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        codes, loaded, after_campaign = json.loads(proc.stdout)
+        assert codes == [0] * 5
+        assert STARTUP_UNNEEDED.isdisjoint(loaded)
+        assert "hashlib" in after_campaign
