@@ -32,7 +32,8 @@ named.
   sent it to the two vector spins or it ran the closures.
 - ``invariant_factors``: ``exact_linalg.invariant_factors`` (the Krylov
   kernel) against ``support.smith_invariant_factors`` (the Smith form of the
-  full xI - A), whose answers must agree, on fixed-seed n x n matrices for
+  full xI - A, each factor made primitive as the kernel stores it), whose
+  answers must agree, on fixed-seed n x n matrices for
   n = 2..32 of two families: ``dense``, small rationals, and
   ``zero_monodromy``, shaped like the transform's monodromy at zero: a dense
   block of size about n/3, unit Jordan blocks of sizes 2 and 3, and identity
@@ -86,11 +87,14 @@ named.
   The longest integer's digits and the sha256 of the rendered JSON are
   recorded, so runs of two versions can be compared byte for byte.
 - ``fractions``: the ``Fraction`` constructions (``Fraction.__new__``) and
-  divisions (``Fraction._div``) of ``verify --random --trials 500
-  --max-rank 4 --max-points 4 --seed 7`` (``FRACTION_TRIALS`` trials), run
-  in process under ``cProfile`` with stdout captured: call counts, which do
-  not drift with the host, and no time.  The exit code and the sha256 of
-  stdout are recorded, so runs of two versions can be compared.
+  divisions (``Fraction._div``) of two op streams, run in process under
+  ``cProfile`` with stdout captured: call counts, which do not drift with
+  the host, and no time.  The first is ``verify --random --trials 500
+  --max-rank 4 --max-points 4 --seed 7`` (``FRACTION_TRIALS`` trials); the
+  second, perfbench's seed-11 ``levelt`` ops (``LEVELT_OPS``, the ops of a
+  20 s run, built by ``perfbench/workloads.build_op`` as ``bench/ab.py``
+  builds them).  The largest exit code and the sha256 of stdout are
+  recorded, so runs of two versions can be compared.
 - ``worst_cases``: CPU seconds of ``verify --input FILE``, run in process
   with stdout captured, on the two inputs of ``worst_case_documents``, each
   on 16 finite points with A_inf omitted: ``small_entries``,
@@ -141,9 +145,12 @@ WORST_CASE_POINTS = (16,)  # MAX_POINTS
 ORACLE_CAP_S = 5.0
 CATALOG_REPEATS = 100
 FRACTION_TRIALS = 500  # the seed-7 campaign
+LEVELT_SEED = 11  # perfbench's levelt ops at this seed
 RENDER_SHAPES = ((2, 16), (3, 8), (4, 4))  # (rank, finite points), A_inf omitted
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 
+import child  # noqa: E402
+import workloads  # noqa: E402
 from rigidity_lab import catalog, cli, exact_linalg, fourier  # noqa: E402
 from rigidity_lab.errors import InvalidMonodromyError  # noqa: E402
 from rigidity_lab.exact_linalg import QMatrix, block_diag, jordan_block  # noqa: E402
@@ -163,6 +170,8 @@ from support import (  # noqa: E402
     shift_factorization,
     smith_invariant_factors,
 )
+
+LEVELT_OPS = workloads.planned_ops("levelt", 20, workloads.FULL)  # a 20 s perfbench run: 84
 
 
 def dense_matrix(rng: random.Random, n: int) -> QMatrix:
@@ -506,28 +515,44 @@ def render_rows(runs: int) -> list[dict]:
     return rows
 
 
-def fraction_rows(_runs: int) -> list[dict]:
-    """One row of ``Fraction`` call counts of the seed-7 campaign; counts do
-    not vary from run to run, so the campaign runs once."""
-    argv = ["verify", "--random", "--trials", str(FRACTION_TRIALS)]
-    argv += ["--max-rank", "4", "--max-points", "4", "--seed", "7"]
+def fraction_count_row(command: str, argvs: list[list[str]]) -> dict:
+    """``Fraction`` call counts of ``cli.main`` on each argv in turn."""
     out, profile = io.StringIO(), cProfile.Profile()
     with contextlib.redirect_stdout(out):
-        code = profile.runcall(cli.main, argv)
+        code = max(profile.runcall(cli.main, argv) for argv in argvs)
     calls = {
         name: count
         for (path, _, name), (_, count, *_) in pstats.Stats(profile).stats.items()
         if path == fractions.__file__
     }
     row = {
-        "command": " ".join(argv),
+        "command": command,
         "constructions": calls.get("__new__", 0),
         "divisions": calls.get("_div", 0),
         "exit_code": code,
         "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(),
     }
     print(json.dumps(row), flush=True)
-    return [row]
+    return row
+
+
+def fraction_rows(_runs: int) -> list[dict]:
+    """Rows of ``Fraction`` call counts of the seed-7 campaign and of the
+    seed-11 ``levelt`` ops; counts do not vary from run to run, so each
+    stream runs once."""
+    argv = ["verify", "--random", "--trials", str(FRACTION_TRIALS)]
+    argv += ["--max-rank", "4", "--max-points", "4", "--seed", "7"]
+    with tempfile.TemporaryDirectory() as directory:
+        levelt = []
+        for i in range(LEVELT_OPS):
+            run_dir = Path(directory) / str(i)
+            run_dir.mkdir()
+            op = workloads.build_op("levelt", LEVELT_SEED, i, workloads.FULL)
+            levelt.append(child.materialize(op, run_dir))
+        return [
+            fraction_count_row(" ".join(argv), [argv]),
+            fraction_count_row(f"perfbench levelt seed {LEVELT_SEED}, {LEVELT_OPS} ops", levelt),
+        ]
 
 
 def large_entry(rng: random.Random) -> Fraction:
@@ -677,7 +702,7 @@ def main() -> None:
         },
         "fractions": {
             "what": "Fraction constructions (__new__) and divisions (_div) of the seed-7 "
-            "campaign, in process under cProfile",
+            "campaign and of perfbench's seed-11 levelt ops, in process under cProfile",
             "unit": "calls",
             "rows": fraction_rows(args.runs),
         },

@@ -85,8 +85,8 @@ _BUILTIN = {
 def _entry(name: str, payload: object, source: str) -> CatalogEntry:
     """The entry of one tuple document, its index and rigidity recomputed
     and checked against any stored ``expected_index``, a JSON integer, and
-    ``expected_rigid``, a JSON boolean; ``source`` names the document in
-    errors."""
+    ``expected_rigid``, a JSON boolean; any ``description`` must be a JSON
+    string.  ``source`` names the document in errors."""
     try:
         t = tuple_from_json(payload)
         report = rigidity_report(t)  # validates, raising ValidationError
@@ -99,9 +99,13 @@ def _entry(name: str, payload: object, source: str) -> CatalogEntry:
             # as JSON spells them: a stored "2" is not written as the integer 2
             stored, recomputed = (shorten(json.dumps(v)) for v in (payload[key], value))
             raise CatalogError(f"{source}: {key}={stored} but recomputation gives {recomputed}")
+    description = payload.get("description", f"external tuple from {name}.json")
+    if type(description) is not str:  # listed as is, so never a list's or a number's repr
+        shown = shorten(json.dumps(description))
+        raise CatalogError(f"{source}: description={shown} is not a JSON string")
     return CatalogEntry(
         name=name,
-        description=str(payload.get("description", f"external tuple from {name}.json")),
+        description=description,
         tuple=t,
         expected_index=index,
         expected_rigid=rigid,

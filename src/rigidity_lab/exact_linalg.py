@@ -7,21 +7,21 @@ never from eigenvalue factorization, and runs on these integers: each
 producer (products, sums, inverses, restrictions, block sums) forms its
 result's integer matrix over one common denominator and divides out one gcd.
 Entries are read as integer pairs (p, q); ``Fraction``s are made only at
-the edges: for parsed locations, for ``QMatrix.entries`` (callers that read
-entries), and in the polynomials of similarity invariants.  Printing makes
-none: every number becomes text through ``rational_text``, from its
-integers.  Ranks, inverses, spans and restrictions to invariant images
-come out of one fraction-free elimination per matrix (``Echelon``, on dense
-rows) of the rows of dA, or of dA - dI, whose rank gives ``fixed_space_dim``
-and where ``restrict_to_image`` and ``from_star`` read A on im(A - 1).  One
+the edges, for parsed locations and for ``QMatrix.entries`` (callers that
+read entries), and inside the Smith step's divisions.  Printing makes none:
+every number becomes text through ``rational_text``, from its integers.
+Ranks, inverses, spans and restrictions to invariant images come out of one
+fraction-free elimination per matrix (``Echelon``, on dense rows) of the
+rows of dA, or of dA - dI, whose rank gives ``fixed_space_dim`` and where
+``restrict_to_image`` and ``from_star`` read A on im(A - 1).  One
 Krylov kernel (``_spin``) spans every set of words over Q.  A centralizer
 dimension is n when its spin of dA from (1, 8, ..., n^3) reaches n vectors;
 otherwise it, unit Jordan blocks and similarity are read off the invariant
 factors of xI - A: a Krylov basis of dA splits Q^n into cyclic blocks of A,
 and a Smith form over Q[x] runs on the small matrix of A's relations
-between those blocks, one ``Fraction`` per coefficient.  All bases are the
-deterministic ones from reduced row echelon form with leftmost pivots, so
-runs are bit-identical.
+between those blocks, each row an int multiple; each factor is stored as
+its primitive int multiple.  All bases are the deterministic ones from
+reduced row echelon form with leftmost pivots, so runs are bit-identical.
 
 Invertibility (``QMatrix.is_invertible``) is the exact rank of dA.
 Irreducibility (``spans_full_algebra``) is two vector spins when a generator
@@ -46,9 +46,6 @@ from operator import mul, sub
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError, InvalidMonodromyError
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
@@ -583,24 +580,21 @@ def restrict_to_image(matrix: QMatrix, power: int = 1) -> QMatrix:
 # Polynomials over Q and similarity invariants
 # ---------------------------------------------------------------------------
 
-# Polynomials are tuples of Fraction coefficients in ascending powers with no
-# trailing zeros; the zero polynomial is the empty tuple.
-Poly = tuple[Fraction, ...]
+# Polynomials are tuples of coefficients in ascending powers with no trailing
+# zeros, the zero polynomial the empty tuple: ints, primitive with a positive
+# lead in relations and invariant factors; ``Fraction``s only from ``_pdivmod``.
+Poly = tuple[int | Fraction, ...]
 
 
-def _ptrim(coeffs: Sequence[Fraction]) -> Poly:
+def _ptrim(coeffs: Sequence[int | Fraction]) -> Poly:
     end = len(coeffs)
     while end and not coeffs[end - 1]:
         end -= 1
     return tuple(coeffs[:end])
 
 
-def _pdeg(p: Poly) -> int:
-    return len(p) - 1
-
-
 def _psub(a: Poly, b: Poly) -> Poly:
-    out = list(a) + [_ZERO] * (len(b) - len(a))
+    out = list(a) + [0] * (len(b) - len(a))
     for i, c in enumerate(b):
         out[i] -= c
     return _ptrim(out)
@@ -609,7 +603,7 @@ def _psub(a: Poly, b: Poly) -> Poly:
 def _pmul(a: Poly, b: Poly) -> Poly:
     if not a or not b:
         return ()
-    out = [_ZERO] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
@@ -620,14 +614,14 @@ def _pmul(a: Poly, b: Poly) -> Poly:
 
 def _pdivmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     """(q, r) with a = q b + r and deg r < deg b, for b nonzero; each step
-    clears a's top coefficient, so only the ones below it are updated."""
+    clears a's top coefficient, an int multiple of b's lead as an int."""
     rem = list(a)
-    db = _pdeg(b)
+    db = len(b) - 1
     lead, low = b[-1], b[:-1]
-    quo = [_ZERO] * (len(a) - db)
+    quo = [0] * (len(a) - db)
     for k in range(len(quo) - 1, -1, -1):
-        coef = rem[db + k] / lead
-        if coef:
+        if coef := rem[db + k]:
+            coef = Fraction(coef, lead) if coef % lead else coef // lead
             quo[k] = coef
             for i, c in enumerate(low):
                 if c:
@@ -636,21 +630,24 @@ def _pdivmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
 
 
 def polynomial_to_string(p: Poly) -> str:
-    """Human-readable rendering in x, highest power first."""
-    text = ""
+    """Human-readable rendering in x, highest power first, of p over its
+    lead > 0: the monic multiple of an invariant factor."""
+    text, lead = "", p[-1] if p else 1
     for power in range(len(p) - 1, -1, -1):
         if c := p[power]:
-            mag = abs(c)
-            digits = rational_text(mag)
+            g = gcd(c, lead)
+            mag, scale = abs(c) // g, lead // g
+            digits = rational_text(mag, scale)
             xs = "x" if power == 1 else f"x^{power}"
-            body = digits if not power else xs if mag == 1 else f"{digits}*{xs}"
+            body = digits if not power else xs if mag == scale else f"{digits}*{xs}"
             sign = "-" if c < 0 else "+"
             text = f"{text} {sign} {body}" if text else body if sign == "+" else f"-{body}"
     return text or "0"
 
 
 class SimilarityInvariant:
-    """Non-constant invariant factors of xI - A, monic, each dividing the next."""
+    """Non-constant invariant factors of xI - A, each dividing the next, as
+    their one primitive int multiple with a positive lead (value equality)."""
 
     def __init__(self, invariant_factors: tuple[Poly, ...]):
         self.invariant_factors = invariant_factors
@@ -672,14 +669,15 @@ class SimilarityInvariant:
         """
         m = len(self.invariant_factors)
         return sum(
-            (2 * (m - i) + 1) * _pdeg(f) for i, f in enumerate(self.invariant_factors, start=1)
+            (2 * (m - i) + 1) * (len(f) - 1) for i, f in enumerate(self.invariant_factors, start=1)
         )
 
     @cached_property
     def _unit_split(self) -> list[tuple[int, Poly]]:
         """(e_i, g_i) with f_i = (x - 1)^{e_i} g_i, g_i(1) != 0, e_i rising,
         once per invariant.  When f(1) = 0, f / (x - 1) is exact and its
-        coefficient of x^k is minus the running sum c_0 + ... + c_k of f's."""
+        coefficient of x^k is minus the running sum c_0 + ... + c_k of f's:
+        by Gauss's lemma, g is primitive as f is, with f's lead."""
         split = []
         for f in self.invariant_factors:
             e = 0
@@ -704,37 +702,23 @@ class SimilarityInvariant:
         """
         split = self._unit_split
         grown = [e + 1 for e, _ in split if e]
-        padding = dimension - sum(map(_pdeg, self.invariant_factors)) - len(grown)
+        padding = dimension - sum(map(len, self.invariant_factors)) + len(split) - len(grown)
         if padding < 0:
             raise ValueError("dimension is too small for the grown unit blocks")
         exponents = [1] * padding + grown
         new = len(exponents) - len(split)  # factors x - 1 alone, at the small end
-        factors = [(-_ONE, _ONE)] * new
+        factors = [(-1, 1)] * new
         for e, (_, g) in zip([0] * -new + exponents[max(new, 0) :], split):
             for _ in range(e):  # (x - 1) g = x g - g
-                g = tuple(map(sub, (_ZERO, *g), (*g, _ZERO)))
+                g = tuple(map(sub, (0, *g), (*g, 0)))
             factors.append(g)
         return SimilarityInvariant(tuple(factors))
 
 
-def _min_degree_position(m: list[list[Poly]], start: int) -> tuple[int, int] | None:
-    best: tuple[int, int] | None = None
-    best_deg = -1
-    for i in range(start, len(m)):
-        for j in range(start, len(m)):
-            p = m[i][j]
-            if p and (best is None or _pdeg(p) < best_deg):
-                best = (i, j)
-                best_deg = _pdeg(p)
-                if best_deg == 0:
-                    return best
-    return best
-
-
 def _smith_diagonal(m: list[list[Poly]]) -> list[Poly]:
     """The diagonal of the Smith form of a square polynomial matrix of
-    nonzero determinant, by unimodular row and column moves, each pivot
-    monic.
+    nonzero determinant, by unimodular row and column moves, each entry up
+    to a nonzero rational factor.
 
     Step t pulls a minimal-degree entry of the trailing block to (t, t);
     rows and columns before t are zero there, so row t is zero left of the
@@ -744,15 +728,17 @@ def _smith_diagonal(m: list[list[Poly]]) -> list[Poly]:
     of it becomes its own remainder.  A remainder, below the pivot or right
     of it, is of lower degree than the pivot: the step restarts on it.  When
     row t then holds only the pivot, a trailing entry that the pivot does
-    not divide has its row folded into row t, and the step restarts.  Each
-    restart lowers the minimal degree, so the loop ends.  A constant pivot
-    divides everything: it leaves no remainder and needs no row phase, and
-    its row is left as is, because finished rows are never read again.
+    not divide (one equal to it needs no division) has its row folded into
+    row t, and the step restarts.  Each restart lowers the minimal degree,
+    so the loop ends.  A constant pivot divides everything: it leaves no
+    remainder and needs no row phase, and its row is left as is, because
+    finished rows are never read again.
     """
     size = len(m)
     t = 0
-    while t < size:
-        i0, j0 = _min_degree_position(m, t)
+    while t < size:  # the first entry of minimal degree, row by row
+        block = range(t, size)
+        _, i0, j0 = min((len(p), i, j) for i in block for j in block if (p := m[i][j]))
         if i0 != t:
             m[t], m[i0] = m[i0], m[t]
         if j0 != t:
@@ -774,13 +760,12 @@ def _smith_diagonal(m: list[list[Poly]]) -> list[Poly]:
             if any(top[t + 1 :]):
                 continue
             trailing = (
-                row for row in m[t + 1 :] if any(_pdivmod(a, pivot)[1] for a in row[t + 1 :] if a)
+                row for row in m[t + 1 :]
+                if any(_pdivmod(a, pivot)[1] for a in row[t + 1 :] if a and a != pivot)
             )
             if offender := next(trailing, None):
                 m[t] = [a or b for a, b in zip(top, offender)]
                 continue
-        if pivot[-1] != 1:
-            top[t] = tuple(c / pivot[-1] for c in pivot)
         t += 1
     return [row[i] for i, row in enumerate(m)]
 
@@ -803,11 +788,11 @@ def _relation_matrix(matrix: QMatrix) -> list[list[Poly]]:
     times minus its coordinates in the others; the last column is the scale
     of the tail that completes the basis.  A Krylov vector B^m v_j is
     d^m A^m v_j, so the tail of block i, of degree d_i, gives A^{d_i} v_i
-    the coordinate c d^m / (s d^{d_i}) on A^m v_j: one ``Fraction`` per
-    nonzero c.  In row i of the relation matrix, the entry in column j <= i
-    is the polynomial whose coefficients, in ascending powers of y, are
-    those of block j's Krylov vectors, plus y^{d_i} on the diagonal; entries
-    right of the diagonal are zero.
+    the coordinate c d^m / (s d^{d_i}) on A^m v_j.  Row i of the relation
+    matrix, times s d^{d_i} over its content, a unimodular move over Q[y],
+    has in column j <= i the int polynomial whose coefficients, in
+    ascending powers of y, are the c d^m of block j's Krylov vectors, plus
+    s d^{d_i} y^{d_i} on the diagonal; entries right of it are zero.
     """
     rows, d = matrix.numerators, matrix.denominator
     n = len(rows)
@@ -832,12 +817,12 @@ def _relation_matrix(matrix: QMatrix) -> list[list[Poly]]:
             power *= d
             vector = [sum(map(mul, row, vector)) for row in rows]
         if len(basis) > offset:
-            scale = reduced[k] * power  # s d^{d_i}
-            coefficients = [
-                Fraction(c * m, scale) if c else _ZERO for c, m in zip(reduced[n:k], powers)
-            ]
+            coefficients = [c * m for c, m in zip(reduced[n:k], powers)]
+            coefficients.append(reduced[k] * power)  # s d^{d_i}
+            if (content := gcd(*coefficients)) > 1:
+                coefficients = [c // content for c in coefficients]
             row = [_ptrim(coefficients[at : at + degree]) for at, degree in blocks]
-            row.append((*coefficients[offset:], _ONE))
+            row.append(tuple(coefficients[offset:]))
             blocks.append((offset, len(basis) - offset))
             relations.append(row)
     for row in relations:
@@ -848,9 +833,9 @@ def _relation_matrix(matrix: QMatrix) -> list[list[Poly]]:
 def invariant_factors(matrix: QMatrix) -> SimilarityInvariant:
     """Invariant factors of the characteristic matrix xI - A.
 
-    Constant factors are dropped; the remaining monic factors form a
-    divisibility chain whose product is the characteristic polynomial, which
-    pins down the similarity class of A.
+    Constant factors are dropped; the rest, made primitive, form a
+    divisibility chain whose product is the characteristic polynomial made
+    primitive, which pins down the similarity class of A.
 
     They are read off a Krylov basis of A.  ``_relation_matrix`` splits
     Q^n into r cyclic blocks v_i, Av_i, ..., A^{d_i - 1} v_i whose tails
@@ -858,18 +843,26 @@ def invariant_factors(matrix: QMatrix) -> SimilarityInvariant:
     tail i as p_ij(A) v_j, the rows y^{d_i} e_i - sum_{j <= i} p_ij(y) e_j
     lie in the kernel of the Q[y]-module map Q[y]^r -> Q^n that takes e_i
     to v_i, with y acting as A.  The map is onto, and the rows form a lower
-    triangular matrix with monic diagonal entries of degrees d_i, so the
-    quotient by them has dimension sum d_i = n over Q: they generate the
-    kernel.  This r x r relation matrix therefore presents Q^n with y acting
-    as A, as yI - A does, and the two have the same non-constant invariant
-    factors, read off its Smith form (at r = 1, its one entry).
+    triangular matrix with diagonal entries of degrees d_i, so the quotient
+    by them has dimension sum d_i = n over Q: they generate the kernel.
+    This r x r relation matrix therefore presents Q^n with y acting as A,
+    as yI - A does, and the two have the same non-constant invariant factors
+    up to rational factors, read off its Smith form (at r = 1, its entry).
     """
     if not matrix.is_square:
         raise DimensionMismatchError("invariant factors require a square matrix")
-    if matrix.rows == 1:  # the one factor x - a, without the set-up of a spin
-        return SimilarityInvariant(((-matrix.entries[0], _ONE),))
+    if matrix.rows == 1:  # A = (p/q): the one factor qx - p, without the set-up of a spin
+        return SimilarityInvariant(((-matrix.numerators[0][0], matrix.denominator),))
     factors = _smith_diagonal(_relation_matrix(matrix))
-    return SimilarityInvariant(tuple(f for f in factors if _pdeg(f) > 0))
+    return SimilarityInvariant(tuple(_primitive(f) for f in factors if len(f) > 1))
+
+
+def _primitive(p: Poly) -> Poly:
+    """The multiple of p != 0 in Z[x] of content 1 and with a positive lead."""
+    scale = lcm(*(c.denominator for c in p))
+    p = [c.numerator * (scale // c.denominator) for c in p]
+    content = gcd(*p) if p[-1] > 0 else -gcd(*p)
+    return tuple(c // content for c in p)
 
 
 def centralizer_dimension(matrix: QMatrix) -> int:

@@ -159,8 +159,10 @@ class TupleAnalysis:
         sum(n_i): the part of the infinity matrix without eigenvalue 1, its
         restriction to im((A_inf - 1)^e) with e its largest unit Jordan block,
         is kept as is, each of its unit Jordan blocks grows by one, and the
-        remainder is padded with 1x1 unit blocks.  Both defining properties
-        are checked before returning.
+        remainder is padded with 1x1 unit blocks.  When the unit blocks fill
+        all n, as in every Levelt tuple, that part is 0 x 0, read off the
+        invariant factors without forming (A_inf - 1)^e.  Both defining
+        properties are checked before returning.
         """
         t = self.tuple
         n = t.rank
@@ -171,7 +173,8 @@ class TupleAnalysis:
         rank_hat = sum(c.dimension for c in components)
 
         unit_blocks = self.infinity_invariants.unit_block_sizes
-        non_unit = restrict_to_image(t.infinity_matrix, max(unit_blocks, default=0))
+        e, unipotent = max(unit_blocks, default=0), sum(unit_blocks) == n
+        non_unit = QMatrix.identity(0) if unipotent else restrict_to_image(t.infinity_matrix, e)
         padding = rank_hat - n - len(unit_blocks)
         if padding < 0:
             raise NonRealizableError(

@@ -10,7 +10,8 @@ so library results are checked against a second route.  The one exception,
 ``smith_invariant_factors``, reuses the library's Smith step, but on the
 full characteristic matrix xI - A; ``bench/kernels.py`` times it as the
 oracle of the Krylov front end of ``invariant_factors``, and the tests
-check against sympy instead.
+check against sympy instead.  Both routes give each invariant factor as the
+library stores it, made primitive by ``primitive``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import sys
 from bisect import bisect
 from decimal import Decimal
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
@@ -333,11 +334,22 @@ def _characteristic_matrix(matrix: QMatrix) -> list[list[tuple[Fraction, ...]]]:
     ]
 
 
+def primitive(p: Sequence[Fraction | int]) -> tuple[int, ...]:
+    """The one int multiple of a nonzero polynomial over Q (ascending
+    coefficients) whose coefficients have no common factor and whose lead is
+    positive: the stored form of an invariant factor."""
+    coefficients = list(map(Fraction, p))
+    scale = lcm(*(c.denominator for c in coefficients))
+    ints = [int(c * scale) for c in coefficients]
+    content = gcd(*ints) if ints[-1] > 0 else -gcd(*ints)
+    return tuple(c // content for c in ints)
+
+
 def smith_invariant_factors(matrix: QMatrix) -> SimilarityInvariant:
     """Invariant factors from the library's Smith step on the full n x n
-    matrix xI - A."""
+    matrix xI - A, made primitive."""
     diagonal = _smith_diagonal(_characteristic_matrix(matrix))
-    return SimilarityInvariant(tuple(f for f in diagonal if len(f) > 1))
+    return SimilarityInvariant(tuple(primitive(f) for f in diagonal if len(f) > 1))
 
 
 _X = sympy.Symbol("x")
@@ -358,10 +370,10 @@ def sympy_smith_diagonal(m: list[list[tuple[Fraction, ...]]]) -> list[tuple[Frac
 
 
 def sympy_invariant_factors(matrix: QMatrix) -> SimilarityInvariant:
-    """The non-constant invariant factors of xI - A, monic, by sympy's Smith
-    normal form over Q[x]."""
+    """The non-constant invariant factors of xI - A by sympy's Smith normal
+    form over Q[x], monic, then made primitive (``primitive``)."""
     diagonal = sympy_smith_diagonal(_characteristic_matrix(matrix))
-    return SimilarityInvariant(tuple(f for f in diagonal if len(f) > 1))
+    return SimilarityInvariant(tuple(primitive(f) for f in diagonal if len(f) > 1))
 
 
 def loop_matmul(a: QMatrix, b: QMatrix) -> QMatrix:

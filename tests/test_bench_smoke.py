@@ -51,6 +51,7 @@ def test_rows_at_small_sizes(monkeypatch, capsys, name):
     ):
         monkeypatch.setattr(bench, sizes, (2, 3))
     monkeypatch.setattr(bench, "FRACTION_TRIALS", 10)
+    monkeypatch.setattr(bench, "LEVELT_OPS", 3)
     rows = getattr(bench, name)(1)
     assert rows and len(capsys.readouterr().out.splitlines()) == len(rows)
 
@@ -69,11 +70,17 @@ def test_kernel_table_at_small_sizes(capsys, kernel, family):
 
 
 def test_fraction_rows_count_the_same_calls_twice(monkeypatch, capsys):
-    # counts, not times: a second run of the same campaign makes the same calls
+    # counts, not times: a second run of the same campaign and of the same
+    # levelt ops makes the same calls; parsing alone makes Fractions, and
+    # neither stream divides them more often than it makes them
     monkeypatch.setattr(bench, "FRACTION_TRIALS", 10)
-    (first,), (second,) = bench.fraction_rows(1), bench.fraction_rows(1)
-    assert first == second and first["exit_code"] == 0
-    assert first["constructions"] > first["divisions"] > 0
+    monkeypatch.setattr(bench, "LEVELT_OPS", 6)
+    first, second = bench.fraction_rows(1), bench.fraction_rows(1)
+    assert first == second and len(first) == 2
+    commands = [row["command"].split()[:2] for row in first]
+    assert commands == [["verify", "--random"], ["perfbench", "levelt"]]
+    for row in first:
+        assert row["exit_code"] == 0 and row["constructions"] > row["divisions"] >= 0
 
 
 def test_closure_rows_record_the_routed_decision(monkeypatch, capsys):

@@ -606,6 +606,20 @@ class TestReaderMessages:
             f"but recomputation gives {json.dumps(recomputed)}\n"
         )
 
+    @pytest.mark.parametrize("description", [["a", 1], 3, None, {"text": "a"}, True])
+    def test_description_of_another_json_type(self, capsys, tmp_path, monkeypatch, description):
+        # listed, it would be Python's spelling of the value; it is refused,
+        # quoted as JSON writes it, as a mistyped expectation is
+        write_json(tmp_path, "odd.json", dict(RANK1_TWOPOINT, description=description))
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv(CATALOG_ENV_VAR, ".")
+        code, out, err = run_cli(capsys, "catalog", "list")
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: catalog file odd.json: description={json.dumps(description)} "
+            "is not a JSON string\n"
+        )
+
 
 def source_env() -> dict:
     """The environment with this checkout's ``src`` first on PYTHONPATH."""

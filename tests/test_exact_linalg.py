@@ -52,6 +52,7 @@ from support import (
     levelt_tuple,
     loop_matmul,
     partition_formula,
+    primitive,
     random_fixing_subspace,
     random_invertible,
     random_jordan_data,
@@ -104,6 +105,18 @@ jordan_growth_data = st.tuples(
     st.lists(st.integers(min_value=1, max_value=4), max_size=3),
     st.integers(min_value=0, max_value=4),
 )
+
+
+# Jordan data with unit blocks and a non-integer eigenvalue, so that d > 1
+rational_jordan_data = st.lists(
+    st.tuples(st.sampled_from(["1", "1/2", "-2/3", "3"]), st.integers(min_value=1, max_value=3)),
+    min_size=1,
+    max_size=4,
+).filter(lambda data: any("/" in eigenvalue for eigenvalue, _ in data))
+
+
+def _transpose(m: QMatrix) -> QMatrix:
+    return QMatrix.from_rows([m.entries[i :: m.cols] for i in range(m.cols)])
 
 
 def _rational_block(shape: tuple[int, int]):
@@ -703,15 +716,18 @@ class TestUnitStructure:
         assert invariants.unit_block_sizes == unit_partition_by_ranks(source)
         assert grown.unit_block_sizes == unit_partition_by_ranks(assembled)
         # the synthetic split and growth against _pdivmod and _pmul: each
-        # factor f is (x - 1)^e g, g(1) != 0, and growth keeps the g's
-        x_minus_1 = (Fraction(-1), Fraction(1))
+        # factor f is (x - 1)^e g, g(1) != 0, and growth keeps the g's, which
+        # are int tuples, primitive with a positive lead, as the f's are
+        x_minus_1 = (-1, 1)
         for inv in (invariants, grown):
             for (e, g), f in zip(inv._unit_split, inv.invariant_factors):
-                power = (Fraction(1),)
+                power = (1,)
                 for _ in range(e):
                     power = _pmul(power, x_minus_1)
                 assert _pdivmod(f, power) == (g, ()) and sum(g)
                 assert _pmul(g, power) == f
+                assert all(type(c) is int for c in (*f, *g))
+                assert primitive(g) == g and primitive(f) == f
         padding = len(grown.invariant_factors) - len(invariants.invariant_factors)
         assert [g for _, g in grown._unit_split] == [(1,)] * padding + [
             g for _, g in invariants._unit_split
@@ -859,15 +875,13 @@ class TestSimilarity:
             n = rng.randint(1, 5)
             m = random_invertible(rng, n)
             factors = invariant_factors(m).invariant_factors
-            product = (Fraction(1),)
+            product = (1,)
             for i, f in enumerate(factors):
-                assert f[-1] == 1  # monic
+                assert primitive(f) == f  # primitive, with a positive lead
                 if i + 1 < len(factors):
-                    from rigidity_lab.exact_linalg import _pdivmod
-
                     assert _pdivmod(factors[i + 1], f)[1] == ()
                 product = _pmul(product, f)
-            assert product == char_poly(m)
+            assert product == primitive(char_poly(m))
 
     def test_similar_implies_matching_invariants(self):
         rng = random.Random(53)
@@ -923,21 +937,46 @@ def _kernel_cases(rng: random.Random, n: int) -> list[QMatrix]:
 
 class TestKrylovKernel:
     def test_matches_smith_oracle(self):
-        # The Krylov kernel against sympy's Smith form of the full xI - A, at
-        # every size 0..12; the factors are monic, each divides the next and
-        # their product is the Faddeev-LeVerrier characteristic polynomial.
+        # The Krylov kernel against sympy's Smith form of the full xI - A,
+        # made primitive, at every size 0..12; the factors are int tuples,
+        # primitive with a positive lead, each divides the next and their
+        # product is the Faddeev-LeVerrier characteristic polynomial made
+        # primitive.
         rng = random.Random(61)
         for n in range(13):
             for m in _kernel_cases(rng, n) if n else [zeros(0, 0)]:
                 factors = invariant_factors(m).invariant_factors
                 assert factors == sympy_invariant_factors(m).invariant_factors
-                product = (Fraction(1),)
+                product = (1,)
                 for f, g in zip(factors, factors[1:]):
                     assert _pdivmod(g, f)[1] == ()
                 for f in factors:
-                    assert f[-1] == 1
+                    assert all(type(c) is int for c in f) and primitive(f) == f
                     product = _pmul(product, f)
-                assert product == char_poly(m)
+                assert product == (primitive(char_poly(m)) if n else (1,))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(
+            square_rational_matrices,
+            rational_jordan_data.map(jordan_from_data),
+            rational_jordan_data.map(lambda data: _transpose(jordan_from_data(data))),
+        ).filter(lambda m: m.denominator > 1)
+    )
+    def test_factors_are_primitive_over_z(self, m):
+        # d > 1: int tuples with no common factor and a positive lead, each
+        # dividing the next over Q, whose product is the characteristic
+        # polynomial made primitive, equal to sympy's route made primitive
+        factors = invariant_factors(m).invariant_factors
+        assert factors and all(type(c) is int for f in factors for c in f)
+        assert all(gcd(*f) == 1 and f[-1] > 0 for f in factors)
+        for f, g in zip(factors, factors[1:]):
+            assert _pdivmod(g, f)[1] == ()
+        product = (1,)
+        for f in factors:
+            product = _pmul(product, f)
+        assert product == primitive(char_poly(m))
+        assert factors == sympy_invariant_factors(m).invariant_factors
 
     @staticmethod
     def smith_sizes(monkeypatch) -> list:
@@ -958,10 +997,9 @@ class TestKrylovKernel:
         assert calls == [1]  # nonderogatory: e_8 spins one block
         assert len(invariant_factors(jordan_block(6, "1/2")).invariant_factors) == 1
         assert calls == [1, 1]  # spun from its last basis vector, a Jordan block is one block
-        assert invariant_factors(diagonal([3] * 4)).invariant_factors == (
-            (Fraction(-3), Fraction(1)),
-        ) * 4
-        assert calls == [1, 1, 4]
+        assert invariant_factors(diagonal([3] * 4)).invariant_factors == ((-3, 1),) * 4
+        assert invariant_factors(diagonal(["3/2"] * 4)).invariant_factors == ((-3, 2),) * 4
+        assert calls == [1, 1, 4, 4]
 
     def test_rational_derogatory_matches_sympy(self, monkeypatch):
         # d > 1 and r >= 2: the relations of A itself, coupled through their
@@ -976,7 +1014,8 @@ class TestKrylovKernel:
             assert m.denominator > 1
             factors = invariant_factors(m).invariant_factors
             assert factors == sympy_invariant_factors(m).invariant_factors
-            assert len(factors) == 2 and all(type(c) is Fraction for f in factors for c in f)
+            assert len(factors) == 2 and all(type(c) is int for f in factors for c in f)
+            assert all(primitive(f) == f for f in factors)
         assert len(calls) == 3 and min(calls) >= 2
 
 
@@ -1003,7 +1042,8 @@ class TestSmithStep:
             return q, r
 
         monkeypatch.setattr(exact_linalg, "_pdivmod", recorded)
-        assert exact_linalg._smith_diagonal([list(row) for row in m]) == sympy_smith_diagonal(m)
+        diagonal = exact_linalg._smith_diagonal([list(row) for row in m])
+        assert list(map(primitive, diagonal)) == list(map(primitive, sympy_smith_diagonal(m)))
         return calls
 
     def test_remainder_below_the_pivot(self, monkeypatch):
@@ -1024,22 +1064,37 @@ class TestSmithStep:
 
     def test_constant_pivot(self, monkeypatch):
         # the pivot 2 clears x below it; its row, x + 3, and the trailing
-        # x^2 are never divided by it, and x^2 - 3x is made monic
+        # (x^2 - 3x)/2 are never divided by it
         calls = self.divisions(monkeypatch, [[_poly(3, 1), _poly(2)], [X2, X]])
         assert calls == [(X, _poly(2), ())]
+
+    @pytest.mark.parametrize("r", [2, 3, 7])
+    @pytest.mark.parametrize("last", [True, False])
+    def test_diagonal_relations_divide_only_the_other_entry(self, monkeypatch, r, last):
+        # diag(y - 1, ..., y - 1, (y - 1)(y - 2)), the content-free relations
+        # of a pseudo-reflection: a trailing y - 1 equal to the pivot y - 1
+        # takes no division, so each of the r - 1 steps divides only
+        # (y - 1)(y - 2), where dividing every trailing entry took r(r - 1)/2
+        entries = [(-1, 1)] * (r - 1)
+        entries.insert(r - 1 if last else 0, (2, -3, 1))
+        m = [[f if i == j else () for j in range(r)] for i, f in enumerate(entries)]
+        calls = self.divisions(monkeypatch, m)
+        assert len(calls) <= r - 1
+        assert all(call == ((2, -3, 1), (-1, 1), ()) for call in calls)
 
     def test_relations_of_a_scalar_matrix(self, monkeypatch):
         relations = exact_linalg._relation_matrix(diagonal([3] * 4))
         assert relations == [[_poly(-3, 1) if i == j else () for j in range(4)] for i in range(4)]
-        calls = self.divisions(monkeypatch, relations)
-        assert calls and not any(r for *_, r in calls)
+        # every trailing entry equals the pivot y - 3: no division at all
+        assert self.divisions(monkeypatch, relations) == []
 
     def test_relations_of_a_rational_scalar_matrix(self):
-        # d = 2: the relations are those of A = 3/2 I, not of dA = 3 I
+        # d = 2: the relations are those of A = 3/2 I, not of dA = 3 I, each
+        # row the content-free int multiple of y - 3/2
         relations = exact_linalg._relation_matrix(diagonal(["3/2"] * 4))
-        minus = (Fraction(-3, 2), Fraction(1))
+        minus = (-3, 2)
         assert relations == [[minus if i == j else () for j in range(4)] for i in range(4)]
-        assert all(type(c) is Fraction for row in relations for f in row for c in f)
+        assert all(type(c) is int for row in relations for f in row for c in f)
 
 
 def _record_passes(patch, passes: list) -> None:
@@ -1325,10 +1380,13 @@ class TestRankOneRoute:
         assert not spans_full_algebra(generators)
 
 def test_polynomial_rendering():
+    # the monic multiple of the primitive int factor, each coefficient over the lead
     assert polynomial_to_string(()) == "0"
-    assert polynomial_to_string((Fraction(2), Fraction(-3), Fraction(1))) == "x^2 - 3*x + 2"
-    assert polynomial_to_string((Fraction(-1, 2),)) == "-1/2"
-    assert polynomial_to_string((Fraction(0), Fraction(1))) == "x"
+    assert polynomial_to_string((2, -3, 1)) == "x^2 - 3*x + 2"
+    assert polynomial_to_string((-1, 2)) == "x - 1/2"
+    assert polynomial_to_string((0, 1)) == "x"
+    assert polynomial_to_string((3, 0, -2, 4)) == "x^3 - 1/2*x^2 + 3/4"
+    assert polynomial_to_string((-4, 0, 0, 2)) == "x^3 - 2"
 
 
 def test_jordan_block_layout():

@@ -10,9 +10,11 @@ from rigidity_lab.cli import main
 from rigidity_lab.errors import HypothesisViolationError, NonRealizableError
 from rigidity_lab.exact_linalg import (
     QMatrix,
+    block_diag,
     centralizer_dimension,
     fixed_space_dim,
     invariant_factors,
+    jordan_block,
     restrict_to_image,
     similar,
 )
@@ -38,6 +40,7 @@ from support import (
     diagonal,
     forbid_digit_limit_changes,
     fraction_rank,
+    levelt_tuple,
     random_invertible,
 )
 
@@ -168,6 +171,37 @@ class TestStationaryPhase:
         assert factored == [(t.infinity_matrix,)]
         # the components and T are invertible by construction: no check
         assert inverted == []
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_levelt_local_data_forms_no_power_of_infinity(self, monkeypatch, n):
+        """A Levelt tuple's A_inf = C_g^-1 is unipotent: its unit blocks fill
+        all n, so its part without eigenvalue 1 is 0 x 0, read off its
+        factors; no power of A_inf - 1 is eliminated, and T is the matrix
+        that the restriction to im((A_inf - 1)^e) gives."""
+        t = levelt_tuple(n, seed=n)
+        analysis = TupleAnalysis(t)
+        units = analysis.infinity_invariants.unit_block_sizes
+        assert units == (n,)
+        powers, shift = [], exact_linalg._shift_echelon
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                exact_linalg,
+                "_shift_echelon",
+                lambda a, power: powers.append((a, power)) or shift(a, power),
+            )
+            data = analysis.local_data
+        # the finite points' components, then T once for both self-checks
+        assert [power for _, power in powers] == [1] * (t.num_finite_points + 1)
+        assert all(a != t.infinity_matrix for a, _ in powers)
+        padding = data.rank_hat - n - len(units)
+        expected = block_diag(
+            [
+                restrict_to_image(t.infinity_matrix, max(units)),
+                *(jordan_block(size + 1, 1) for size in units),
+                QMatrix.identity(padding),
+            ]
+        )
+        assert data.zero_monodromy == expected
 
     def test_tuple_decided_shortcuts(self, monkeypatch):
         """The similarity self-check factors T restricted to im(T - 1) only
