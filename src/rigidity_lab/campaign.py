@@ -10,7 +10,7 @@ the ones before it.
 from __future__ import annotations
 
 import random
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import GenerationError
 from .fourier import TupleAnalysis
@@ -26,23 +26,20 @@ class CampaignConfig:
         self.trials, self.max_rank, self.max_points, self.seed = trials, max_rank, max_points, seed
 
 
-class CampaignResult:
-    def __init__(
-        self,
-        trials_run: int,
-        all_equal: bool,
-        failures: list[dict] | None = None,
-        identity_checks: int = 0,
-    ):
-        self.trials_run, self.all_equal = trials_run, all_equal
-        self.failures = [] if failures is None else failures  # a new list per result
-        self.identity_checks = identity_checks
+class CampaignResult(NamedTuple):
+    """Built once, from ``run_campaign``'s counters; ``to_json`` is what
+    ``verify --random`` prints, without ``identity_checks``."""
+
+    trials_run: int
+    all_equal: bool
+    failures: tuple[dict, ...]
+    identity_checks: int
 
     def to_json(self) -> dict:
         return {
             "trials_run": self.trials_run,
             "all_equal": self.all_equal,
-            "failures": self.failures,
+            "failures": list(self.failures),
         }
 
 
@@ -77,14 +74,14 @@ def _campaign_analyses(config: CampaignConfig) -> Iterator[tuple[int, TupleAnaly
 
 def run_campaign(config: CampaignConfig) -> CampaignResult:
     """Verify preservation on every campaign tuple and collect anomalies."""
-    result = CampaignResult(trials_run=0, all_equal=True)
+    trials_run, all_equal, failures, identity_checks = 0, True, [], 0
     for index, analysis in _campaign_analyses(config):
         t = analysis.tuple
         report = analysis.preservation
-        result.trials_run += 1
+        trials_run += 1
         if not report.equal:
-            result.all_equal = False
-            result.failures.append(
+            all_equal = False
+            failures.append(
                 {
                     "trial": index,
                     "kind": "index_mismatch",
@@ -94,9 +91,8 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
                 }
             )
         for identity in report.per_point_identities:
-            result.identity_checks += 1
             if identity.lhs != identity.rhs:
-                result.failures.append(
+                failures.append(
                     {
                         "trial": index,
                         "kind": "centralizer_identity",
@@ -106,6 +102,6 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
                         "tuple": tuple_to_json(t),
                     }
                 )
-        # the kernel-dimension rule, which the local data enforced when built
-        result.identity_checks += 1
-    return result
+        # each identity, and the kernel-dimension rule the local data enforced
+        identity_checks += len(report.per_point_identities) + 1
+    return CampaignResult(trials_run, all_equal, tuple(failures), identity_checks)

@@ -43,7 +43,7 @@ from functools import cached_property
 from itertools import accumulate, chain
 from math import gcd, lcm
 from operator import mul, sub
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DimensionMismatchError, InvalidMonodromyError
 
@@ -168,7 +168,10 @@ class QMatrix:
 
     def _combine(self, other: "QMatrix", sign: int) -> "QMatrix":
         """self + sign * other, over the lcm of the two denominators."""
-        self._require_same_shape(other)
+        if self.rows != other.rows or self.cols != other.cols:
+            raise DimensionMismatchError(
+                f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
+            )
         d = lcm(self.denominator, other.denominator)
         s, t = d // self.denominator, sign * (d // other.denominator)
         rows = [
@@ -227,12 +230,6 @@ class QMatrix:
     def __repr__(self) -> str:
         return (f"QMatrix(rows={self.rows!r}, cols={self.cols!r}, "
                 f"numerators={self.numerators!r}, denominator={self.denominator!r})")
-
-    def _require_same_shape(self, other: "QMatrix") -> None:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionMismatchError(
-                f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
-            )
 
 
 def rational_text(p: Fraction | int, q: int = 1) -> str:
@@ -326,8 +323,6 @@ class Echelon:
         [1, 1], [1, 3] reduces to [0, 2].  ``insert`` divides it out."""
         vec = list(vector)
         content = gcd(*vec)
-        if not content:
-            return vec
         if content > 1:
             vec = [x // content for x in vec]
         for p, row in zip(self.pivots, self._rows):
@@ -601,8 +596,6 @@ def _psub(a: Poly, b: Poly) -> Poly:
 
 
 def _pmul(a: Poly, b: Poly) -> Poly:
-    if not a or not b:
-        return ()
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -645,20 +638,11 @@ def polynomial_to_string(p: Poly) -> str:
     return text or "0"
 
 
-class SimilarityInvariant:
+class SimilarityInvariant(NamedTuple):
     """Non-constant invariant factors of xI - A, each dividing the next, as
     their one primitive int multiple with a positive lead (value equality)."""
 
-    def __init__(self, invariant_factors: tuple[Poly, ...]):
-        self.invariant_factors = invariant_factors
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not SimilarityInvariant:
-            return NotImplemented
-        return self.invariant_factors == other.invariant_factors
-
-    def __hash__(self) -> int:
-        return hash(self.invariant_factors)
+    invariant_factors: tuple[Poly, ...]
 
     @property
     def centralizer_dimension(self) -> int:
@@ -672,12 +656,12 @@ class SimilarityInvariant:
             (2 * (m - i) + 1) * (len(f) - 1) for i, f in enumerate(self.invariant_factors, start=1)
         )
 
-    @cached_property
     def _unit_split(self) -> list[tuple[int, Poly]]:
         """(e_i, g_i) with f_i = (x - 1)^{e_i} g_i, g_i(1) != 0, e_i rising,
-        once per invariant.  When f(1) = 0, f / (x - 1) is exact and its
-        coefficient of x^k is minus the running sum c_0 + ... + c_k of f's:
-        by Gauss's lemma, g is primitive as f is, with f's lead."""
+        made per call (a tuple has no cache), once per analysis.
+        When f(1) = 0, f / (x - 1) is exact and its coefficient of x^k is
+        minus the running sum c_0 + ... + c_k of f's: by Gauss's lemma, g is
+        primitive as f is, with f's lead."""
         split = []
         for f in self.invariant_factors:
             e = 0
@@ -692,27 +676,23 @@ class SimilarityInvariant:
         """Jordan block sizes of A for eigenvalue 1, non-increasing: each
         factor with the root 1 contributes one block, of size the root's
         multiplicity."""
-        return tuple(e for e, _ in reversed(self._unit_split) if e)
+        return tuple(e for e, _ in reversed(self._unit_split()) if e)
 
     def grow_unit_blocks(self, dimension: int) -> "SimilarityInvariant":
         """The invariants of A with each unit Jordan block grown by one and
-        1 x 1 unit blocks added up to ``dimension``.  The new exponents of
-        x - 1, ascending, pair with the g_i along the chain, largest with
-        largest; each exponent left at the small end, a 1, is x - 1 alone.
+        1 x 1 unit blocks added up to ``dimension``.  That makes dimension - n
+        unit blocks, no fewer than A's, one in each of the top dimension - n
+        factors of the chain: each of those gains x - 1, and past the
+        chain's length x - 1 alone joins its small end.
         """
-        split = self._unit_split
-        grown = [e + 1 for e, _ in split if e]
-        padding = dimension - sum(map(len, self.invariant_factors)) + len(split) - len(grown)
-        if padding < 0:
+        factors = self.invariant_factors
+        blocks = dimension - sum(map(len, factors)) + len(factors)  # dimension - n
+        if blocks < sum(1 for f in factors if not sum(f)):  # A's unit blocks: f(1) == 0
             raise ValueError("dimension is too small for the grown unit blocks")
-        exponents = [1] * padding + grown
-        new = len(exponents) - len(split)  # factors x - 1 alone, at the small end
-        factors = [(-1, 1)] * new
-        for e, (_, g) in zip([0] * -new + exponents[max(new, 0) :], split):
-            for _ in range(e):  # (x - 1) g = x g - g
-                g = tuple(map(sub, (0, *g), (*g, 0)))
-            factors.append(g)
-        return SimilarityInvariant(tuple(factors))
+        kept = max(len(factors) - blocks, 0)
+        new = ((-1, 1),) * max(blocks - len(factors), 0)
+        grown = (tuple(map(sub, (0, *g), (*g, 0))) for g in factors[kept:])  # x g - g
+        return SimilarityInvariant((*new, *factors[:kept], *grown))
 
 
 def _smith_diagonal(m: list[list[Poly]]) -> list[Poly]:

@@ -211,19 +211,14 @@ class TupleAnalysis:
         return self.infinity_invariants.grow_unit_blocks(self.local_data.rank_hat)
 
     @cached_property
-    def zero_centralizer_dim(self) -> int:
-        return self.zero_invariants.centralizer_dimension
-
-    @cached_property
     def preservation(self) -> PreservationReport:
         """Both indices, the per-point centralizer identities (finite points
         first, then the zero/infinity pairing) and the irregularity."""
         data = self.local_data
         n = self.tuple.rank
         irregularity = irregularity_end(data)
-        rig_transformed = (
-            self.zero_centralizer_dim + sum(self.component_centralizer_dims) - irregularity
-        )
+        zero_dim = self.zero_invariants.centralizer_dimension
+        rig_transformed = zero_dim + sum(self.component_centralizer_dims) - irregularity
         identities = [
             PointIdentity(rational_text(loc), source - regular, (n - component.dimension) ** 2)
             for (loc, _), component, source, regular in zip(
@@ -236,7 +231,7 @@ class TupleAnalysis:
         identities.append(
             PointIdentity(
                 "infinity",
-                self.centralizer_dims[-1] - self.zero_centralizer_dim,
+                self.centralizer_dims[-1] - zero_dim,
                 -((data.rank_hat - n) ** 2),
             )
         )

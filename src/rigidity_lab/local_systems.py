@@ -38,22 +38,16 @@ class FinitePoint(NamedTuple):
     matrix: QMatrix
 
 
-class MonodromyTuple:
-    def __init__(self, rank: int, finite_points: tuple[FinitePoint, ...], infinity_matrix: QMatrix):
-        self.rank, self.finite_points, self.infinity_matrix = rank, finite_points, infinity_matrix
+class _MonodromyFields(NamedTuple):
+    rank: int
+    finite_points: tuple[FinitePoint, ...]
+    infinity_matrix: QMatrix
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not MonodromyTuple:
-            return NotImplemented
-        return (self.rank, self.finite_points, self.infinity_matrix) == (
-            other.rank, other.finite_points, other.infinity_matrix)
 
-    def __hash__(self) -> int:
-        return hash((self.rank, self.finite_points, self.infinity_matrix))
-
-    def __repr__(self) -> str:
-        return (f"MonodromyTuple(rank={self.rank!r}, finite_points={self.finite_points!r}, "
-                f"infinity_matrix={self.infinity_matrix!r})")
+class MonodromyTuple(_MonodromyFields):
+    """Rank, finite points and A_inf, compared, hashed and printed as the
+    tuple of the three.  Unlike its base it has a ``__dict__``, which caches
+    ``relation_product``: a copy made by ``_replace`` multiplies again."""
 
     @property
     def num_finite_points(self) -> int:
@@ -196,14 +190,13 @@ def json_document(text: str) -> object:
 def _bounded_matrix(data: object) -> QMatrix:
     if not isinstance(data, list) or any(not isinstance(row, list) for row in data):
         raise ValueError("matrix must be a JSON array of row arrays")
+    rows, cols = len(data), len(data[0]) if data else 0  # sized before any entry is parsed
+    if max(rows, cols) > MAX_RANK:
+        raise ValueError(f"a {rows}x{cols} matrix is larger than {MAX_RANK}x{MAX_RANK}")
     try:
         matrix = QMatrix.from_rows(data)
     except ValueError as exc:
         raise ValueError(f"bad matrix entry: {exc}") from exc
-    if max(matrix.rows, matrix.cols) > MAX_RANK:
-        raise ValueError(
-            f"a {matrix.rows}x{matrix.cols} matrix is larger than {MAX_RANK}x{MAX_RANK}"
-        )
     # Entry x/d of the stored dA and d is (x/g)/(d/g) in lowest terms, with
     # g = gcd(x, d), no part above |x| or d: a gcd only where one is too large.
     d = matrix.denominator

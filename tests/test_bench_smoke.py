@@ -2,10 +2,13 @@
 renamed or re-signed library function cannot break the bench unnoticed:
 each entry of its kernel table, read from the table, at n = 2 and 3, and
 each other row function with its size constants shrunk.  ``bench/ab.py``
-compares this tree with itself on a few smoke-sized ops of every workload."""
+compares this tree with itself on a few smoke-sized ops of every workload,
+and ``bench/traffic.py`` counts the lines that a few of them run."""
 
 import importlib.util
 import json
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -118,3 +121,48 @@ def test_starts_compares_a_tree_with_itself(capsys):
         # the same tree imports the same modules, deterministically
         assert row["parent"]["modules"] == row["change"]["modules"] > 0
     assert json.loads(capsys.readouterr().out.splitlines()[-1]) == result
+
+
+def test_traffic_counts_lines_of_the_library(monkeypatch, capsys):
+    traffic = _load("traffic")
+    monkeypatch.setattr(traffic, "OPS", 2)
+    trace = sys.gettrace()
+    result = traffic.main(["--smoke"])
+    assert sys.gettrace() is trace
+    assert json.loads(capsys.readouterr().out.splitlines()[-1]) == result
+    assert result["ops"] == 2 * len(traffic.SEEDS) * 4
+    functions = result["functions"]
+    # only the library is traced: every key is a function of one of its modules
+    modules = {p.stem for p in (ROOT / "src" / "rigidity_lab").glob("*.py")}
+    assert {name.partition(".")[0] for name in functions} <= modules
+    # every op enters main, and a statement with a counted line was reached
+    main_lines = functions["cli.main"]["lines"]
+    assert main_lines and all(hits > 0 for hits in main_lines.values())
+    for row in functions.values():
+        assert set(map(int, row["lines"])).isdisjoint(row["unreached"])
+
+
+def test_traffic_reads_the_statements_of_function_bodies(tmp_path):
+    traffic = _load("traffic")
+    path = tmp_path / "m.py"
+    path.write_text(
+        "class K:\n"
+        "    def f(self, x):\n"
+        '        """The docstring is no statement."""\n'
+        "        try:\n"
+        "            y = 1\n"
+        "        except ValueError:\n"
+        "            y = 2\n"
+        "        if x:\n"
+        "            def g():\n"
+        "                return y\n"
+        "        return y\n"
+    )
+    table = traffic.function_table([str(path)])
+    assert {name: [stmt.lineno for stmt in body] for name, body in table.items()} == {
+        "m.K.f": [4, 5, 7, 8, 9, 11],
+        "m.K.f.g": [10],
+    }
+    # no event on the try line itself: its first inner statement decides
+    hits = Counter({5: 1, 8: 1, 11: 1})
+    assert [stmt.lineno for stmt in table["m.K.f"] if not traffic.reached(stmt, hits)] == [7, 9]

@@ -157,6 +157,11 @@ class TestInputBounds:
                 {"rank": 2, "finite_points": [{"location": "0", "matrix": [["2"] * 17] * 17}]},
                 "a 17x17 matrix is larger than 16x16",
             ),
+            # sized before an entry is parsed, so not "bad matrix entry"
+            (
+                {"rank": 2, "finite_points": [{"location": "0", "matrix": [["x"] * 17] * 17}]},
+                "a 17x17 matrix is larger than 16x16",
+            ),
             (rank_one(str(2**256)), "more than 256 bits"),
             (rank_one(f"-1/{2**256}"), "more than 256 bits"),
             (
@@ -170,6 +175,7 @@ class TestInputBounds:
         ids=[
             "rank",
             "matrix-side",
+            "matrix-side-unparsed",
             "numerator",
             "denominator",
             "infinity-entry",
@@ -184,6 +190,17 @@ class TestInputBounds:
         assert out == ""
         assert err.startswith("error: schema violation: ") and err.count("\n") == 1
         assert message in err
+
+    def test_oversized_matrix_is_refused_before_its_entries_are_parsed(self, monkeypatch):
+        parsed = []
+        parse = exact_linalg.rational_pair
+        monkeypatch.setattr(exact_linalg, "rational_pair", lambda v: parsed.append(v) or parse(v))
+        for matrix in ([["x"] * 17] * 17, [["x"] * 17], [["x"]] * 17):
+            rows, cols = len(matrix), len(matrix[0])
+            message = f"^a {rows}x{cols} matrix is larger than 16x16$"
+            with pytest.raises(ValueError, match=message):
+                tuple_from_json({"rank": 2, "finite_points": [{"location": "0", "matrix": matrix}]})
+        assert "x" not in parsed and parsed  # the locations were parsed
 
     def test_largest_input_parses(self):
         edge = f"-{2**256 - 1}/{2**256 - 1 - 2}"

@@ -700,6 +700,7 @@ class TestUnitStructure:
     @example(([], [], 0))
     @example(([], [1], 0))
     @example(([(Fraction(-1), 2), (Fraction(-1), 1)], [4, 4, 1], 4))
+    @example(([(Fraction(2), 1)] * 3, [1], 0))  # the bottom two factors do not grow
     def test_grow_unit_blocks_matches_the_assembled_matrix(self, data):
         """The composed invariants equal sympy's Smith form of the full
         xI - T, T = non_unit + J_{s+1}(1) for each unit block s + I_padding."""
@@ -720,7 +721,7 @@ class TestUnitStructure:
         # are int tuples, primitive with a positive lead, as the f's are
         x_minus_1 = (-1, 1)
         for inv in (invariants, grown):
-            for (e, g), f in zip(inv._unit_split, inv.invariant_factors):
+            for (e, g), f in zip(inv._unit_split(), inv.invariant_factors):
                 power = (1,)
                 for _ in range(e):
                     power = _pmul(power, x_minus_1)
@@ -729,8 +730,8 @@ class TestUnitStructure:
                 assert all(type(c) is int for c in (*f, *g))
                 assert primitive(g) == g and primitive(f) == f
         padding = len(grown.invariant_factors) - len(invariants.invariant_factors)
-        assert [g for _, g in grown._unit_split] == [(1,)] * padding + [
-            g for _, g in invariants._unit_split
+        assert [g for _, g in grown._unit_split()] == [(1,)] * padding + [
+            g for _, g in invariants._unit_split()
         ]
 
     def test_restrict_to_image_examples(self):

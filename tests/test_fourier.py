@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import sys
@@ -6,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from rigidity_lab import catalog, exact_linalg, fourier
+from rigidity_lab.campaign import CampaignConfig, run_campaign
 from rigidity_lab.cli import main
 from rigidity_lab.errors import HypothesisViolationError, NonRealizableError
 from rigidity_lab.exact_linalg import (
@@ -42,6 +44,7 @@ from support import (
     fraction_rank,
     levelt_tuple,
     random_invertible,
+    sympy_invariant_factors,
 )
 
 J2 = QMatrix.from_rows([[1, 1], [0, 1]])
@@ -333,6 +336,32 @@ class TestPreservation:
             assert fixed_space_dim(data.zero_monodromy) == data.rank_hat - t.rank
             checked += 1
 
+    def test_every_two_point_rank_two_tuple_of_small_entries(self):
+        # each (0: A, 1: B), A_inf derived, over the 47 invertible 2 x 2
+        # matrices other than 1 with entries in {-1, 0, 1}
+        entries = itertools.product((-1, 0, 1), repeat=4)
+        small = [m for e in entries if (m := QMatrix(2, 2, e)).is_invertible()]
+        small.remove(QMatrix.identity(2))
+        analyses = [TupleAnalysis(monodromy_tuple(2, [(0, a), (1, b)])) for a in small for b in small]
+        irreducible = [analysis for analysis in analyses if analysis.irreducible]
+        assert (len(small), len(irreducible)) == (47, 1808)
+        for analysis in irreducible:
+            report = analysis.preservation  # NonRealizableError would fail here
+            assert report.equal
+            assert all(identity.lhs == identity.rhs for identity in report.per_point_identities)
+        # the theorem's non-generic branches at infinity: eigenvalue 1, and
+        # a unit Jordan block of size 2
+        blocks = [analysis.infinity_invariants.unit_block_sizes for analysis in irreducible]
+        assert sum(1 for sizes in blocks if sizes) >= 576
+        assert sum(1 for sizes in blocks if sizes and sizes[0] >= 2) >= 112
+        # a fixed subset against sympy's Smith form of xI - A
+        for analysis in irreducible[::150]:
+            data = analysis.local_data
+            matrices = [*analysis.tuple.matrices(), *(c.regular_monodromy for c in data.components)]
+            dims = [*analysis.centralizer_dims, *analysis.component_centralizer_dims]
+            assert dims == [sympy_invariant_factors(m).centralizer_dimension for m in matrices]
+            assert analysis.zero_invariants == sympy_invariant_factors(data.zero_monodromy)
+
     def test_conjugation_equivariance(self):
         rng = random.Random(103)
         done = 0
@@ -377,7 +406,8 @@ def kummer_entry():
 
 KUMMER_QMATRIX = "QMatrix(rows=1, cols=1, numerators=((2,),), denominator=1)"
 # (make, another value of the type, repr of make()): the text each record
-# wrote when it was a dataclass, which its fields and their order fix
+# wrote when it was a dataclass, which its fields and their order fix (a
+# campaign's failures were a list then, a tuple now)
 VALUES = {
     "QMatrix": (
         lambda: QMatrix.from_rows([["1/2", 0]]),
@@ -387,7 +417,19 @@ VALUES = {
     "SimilarityInvariant": (
         lambda: invariant_factors(QMatrix.identity(2)),
         lambda: invariant_factors(J2),
-        None,
+        "SimilarityInvariant(invariant_factors=((-1, 1), (-1, 1)))",
+    ),
+    "MonodromyTuple": (
+        lambda: rank1("2"),
+        lambda: rank1("3"),
+        "MonodromyTuple(rank=1, finite_points=(FinitePoint(location=Fraction(0, 1), "
+        f"matrix={KUMMER_QMATRIX}),), infinity_matrix=QMatrix(rows=1, cols=1, "
+        "numerators=((1,),), denominator=2))",
+    ),
+    "CampaignResult": (
+        lambda: run_campaign(CampaignConfig(trials=2, max_rank=2, max_points=2, seed=7)),
+        lambda: run_campaign(CampaignConfig(trials=3, max_rank=2, max_points=2, seed=7)),
+        "CampaignResult(trials_run=2, all_equal=True, failures=(), identity_checks=8)",
     ),
     "RigidityReport": (
         lambda: rigidity_report(rank1("2")),
