@@ -124,7 +124,7 @@ def _external_entries(directory: Path) -> list[CatalogEntry]:
     entries = []
     for path in sorted(directory.glob("*.json")):
         try:
-            payload = json_document(path.read_text(encoding="utf-8"))
+            payload = json_document(path)
         except (OSError, ValueError, RecursionError) as exc:  # not UTF-8, too deep, too long
             raise CatalogError(f"cannot read catalog file {path}: {exc}") from exc
         entries.append(_entry(path.stem, payload, f"catalog file {path}"))

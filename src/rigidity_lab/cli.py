@@ -22,7 +22,6 @@ import json
 import os
 import sys
 from functools import cache
-from pathlib import Path
 
 from .campaign import CampaignConfig, run_campaign
 from .catalog import CatalogEntry, load_catalog
@@ -53,8 +52,7 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: what a shell reports for a process it k
 
 def _load_analysis(path: str) -> TupleAnalysis:
     try:
-        text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
-        payload = json_document(text)
+        payload = json_document(path)
     except OSError as exc:
         raise RigidityLabError(f"cannot read input file: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # not UTF-8 or JSON, too deep, too long

@@ -533,36 +533,29 @@ def fixed_space_dim(matrix: QMatrix) -> int:
         raise DimensionMismatchError("matrix must be square")
     if not matrix.is_invertible():
         raise InvalidMonodromyError("matrix must be invertible")
-    return matrix.rows - len(_shift_echelon(matrix, 1))
+    return matrix.rows - len(_shift_echelon(matrix))
 
 
-def _shift_echelon(matrix: QMatrix, power: int) -> Echelon:
-    """The elimination of the rows of (dA - dI)^power, an integer multiple of
-    M = (A - 1)^power: M's pivots, and the nonzero rows W of its RREF as the
-    reduced rows over D.  B = M[:, pivots] is a basis of im(M) and M = B W;
-    as AM = MA, A B = B (W A[:, pivots]): A on im(M) is W A[:, pivots]."""
+def _shift_echelon(matrix: QMatrix) -> Echelon:
+    """The elimination of the rows of dA - dI, an integer multiple of
+    M = A - 1: M's pivots, and the nonzero rows W of its RREF as the reduced
+    rows over D.  B = M[:, pivots] is a basis of im(M) and M = B W; as
+    AM = MA, A B = B (W A[:, pivots]): A on im(M) is W A[:, pivots]."""
     shifted = [list(row) for row in matrix.numerators]
     for i, row in enumerate(shifted):
         row[i] -= matrix.denominator
-    image, shifted_columns = shifted, list(zip(*shifted)) if power > 1 else ()
-    for _ in range(power - 1):
-        image = [[sum(map(mul, row, column)) for column in shifted_columns] for row in image]
-    return _echelon(image)
+    return _echelon(shifted)
 
 
-def restrict_to_image(matrix: QMatrix, power: int = 1) -> QMatrix:
-    """A restricted to im((A - 1)^power), in the basis of the pivot columns
-    of (A - 1)^power.
-
-    From e on, the largest unit Jordan block of A, neither the image nor the
-    row space of (A - 1)^power changes, so neither does the result: A on the
-    A-invariant complement of the generalized eigenspace for 1, with no
-    eigenvalue 1.  At power 0 or full rank of (A - 1)^power it is A itself,
-    and otherwise W A[:, pivots] (``_shift_echelon``) over D d.
-    """
-    if not power:
-        return matrix
-    basis = _shift_echelon(matrix, power)
+def restrict_to_image(matrix: QMatrix) -> QMatrix:
+    """A restricted to im(A - 1), in the basis of the pivot columns B of
+    A - 1: A itself at full rank, else W A[:, pivots] (``_shift_echelon``)
+    over D d.  Applied k times, with R this result, it stores A on
+    im((A - 1)^k) in the pivot columns of (A - 1)^k: those columns at the
+    pivots are B (R - 1)^(k-1), the others depend on earlier ones as in
+    A - 1, so its pivots are B's at those of (R - 1)^(k-1).  From k = e, the
+    largest unit Jordan block, on, it is A on the complement of ker(A - 1)^e."""
+    basis = _shift_echelon(matrix)
     if len(basis) == matrix.cols:  # pivots at every column, W = I: the result is A
         return matrix
     columns = [[row[p] for row in matrix.numerators] for p in basis.pivots]
@@ -656,27 +649,22 @@ class SimilarityInvariant(NamedTuple):
             (2 * (m - i) + 1) * (len(f) - 1) for i, f in enumerate(self.invariant_factors, start=1)
         )
 
-    def _unit_split(self) -> list[tuple[int, Poly]]:
-        """(e_i, g_i) with f_i = (x - 1)^{e_i} g_i, g_i(1) != 0, e_i rising,
-        made per call (a tuple has no cache), once per analysis.
-        When f(1) = 0, f / (x - 1) is exact and its coefficient of x^k is
-        minus the running sum c_0 + ... + c_k of f's: by Gauss's lemma, g is
-        primitive as f is, with f's lead."""
-        split = []
-        for f in self.invariant_factors:
+    @property
+    def unit_block_sizes(self) -> tuple[int, ...]:
+        """Jordan block sizes of A for eigenvalue 1, non-increasing: one per
+        factor with the root 1, the top ones, of the root's multiplicity.
+        f / (x - 1) is exact when f(1) = 0, its coefficient of x^k minus the
+        running sum c_0 + ... + c_k of f's."""
+        sizes = []
+        for f in reversed(self.invariant_factors):
             e = 0
             while not sum(f):  # f(1) == 0
                 f = tuple(-s for s in accumulate(f[:-1]))
                 e += 1
-            split.append((e, f))
-        return split
-
-    @property
-    def unit_block_sizes(self) -> tuple[int, ...]:
-        """Jordan block sizes of A for eigenvalue 1, non-increasing: each
-        factor with the root 1 contributes one block, of size the root's
-        multiplicity."""
-        return tuple(e for e, _ in reversed(self._unit_split()) if e)
+            if not e:
+                break
+            sizes.append(e)
+        return tuple(sizes)
 
     def grow_unit_blocks(self, dimension: int) -> "SimilarityInvariant":
         """The invariants of A with each unit Jordan block grown by one and

@@ -157,12 +157,12 @@ class TupleAnalysis:
         assembled so that its restriction to the image of (T - 1) reproduces
         the monodromy at infinity while the ambient dimension reaches
         sum(n_i): the part of the infinity matrix without eigenvalue 1, its
-        restriction to im((A_inf - 1)^e) with e its largest unit Jordan block,
-        is kept as is, each of its unit Jordan blocks grows by one, and the
-        remainder is padded with 1x1 unit blocks.  When the unit blocks fill
-        all n, as in every Levelt tuple, that part is 0 x 0, read off the
-        invariant factors without forming (A_inf - 1)^e.  Both defining
-        properties are checked before returning.
+        restriction to im((A_inf - 1)^e) with e its largest unit Jordan block
+        (``restrict_to_image`` applied e times), is kept as is, each of its
+        unit Jordan blocks grows by one, and the remainder is padded with 1x1
+        unit blocks.  When the unit blocks fill all n, as in every Levelt
+        tuple, that part is 0 x 0, read off the invariant factors with no
+        restriction.  Both defining properties are checked before returning.
         """
         t = self.tuple
         n = t.rank
@@ -173,8 +173,9 @@ class TupleAnalysis:
         rank_hat = sum(c.dimension for c in components)
 
         unit_blocks = self.infinity_invariants.unit_block_sizes
-        e, unipotent = max(unit_blocks, default=0), sum(unit_blocks) == n
-        non_unit = QMatrix.identity(0) if unipotent else restrict_to_image(t.infinity_matrix, e)
+        non_unit = QMatrix.identity(0) if sum(unit_blocks) == n else t.infinity_matrix
+        for _ in range(max(unit_blocks, default=0) if non_unit.rows else 0):  # 0 x 0: no call
+            non_unit = restrict_to_image(non_unit)
         padding = rank_hat - n - len(unit_blocks)
         if padding < 0:
             raise NonRealizableError(

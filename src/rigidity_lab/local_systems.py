@@ -9,7 +9,9 @@ computed about a tuple, its rigidity index included, lives in ``fourier``.
 from __future__ import annotations
 
 import json
+import os
 import random
+import sys
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import chain
@@ -27,10 +29,12 @@ _MAX_DRAWS_PER_MATRIX = 200
 # Input bounds: the analysis costs about n^6 operations on entries whose
 # size grows with the input's, and the transform's zero monodromy has side
 # sum(rank(A_i - 1)) over the finite points, so these keep one input's work
-# bounded.
+# bounded.  They admit no document above 1 MB at indent=4, so a document is
+# read up to 4 MiB characters and refused past that.
 MAX_RANK = 16
 MAX_ENTRY_BITS = 256
 MAX_POINTS = 16
+_MAX_DOCUMENT_CHARS = 4 << 20
 
 
 class FinitePoint(NamedTuple):
@@ -179,9 +183,17 @@ def _json_int(literal: str) -> int:
 _JSON_DECODER = json.JSONDecoder(parse_int=_json_int)
 
 
-def json_document(text: str) -> object:
-    """``json.loads(text)``, through one decoder built at import, with the
-    reader's own message for an integer literal too long for ``int``."""
+def json_document(path: str | os.PathLike[str]) -> object:
+    """``json.loads`` of the UTF-8 file at ``path``, or of stdin for "-", by one
+    decoder built at import, in the reader's own words for an integer too long
+    for ``int`` or a document of over ``_MAX_DOCUMENT_CHARS``, read no further."""
+    if path == "-":
+        text = sys.stdin.read(_MAX_DOCUMENT_CHARS + 1)
+    else:
+        with open(path, encoding="utf-8") as file:
+            text = file.read(_MAX_DOCUMENT_CHARS + 1)
+    if len(text) > _MAX_DOCUMENT_CHARS:
+        raise ValueError(f"a document of over {_MAX_DOCUMENT_CHARS} characters is too long to read")
     if text.startswith("\ufeff"):  # refused as json.loads refuses it
         raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
     return _JSON_DECODER.decode(text)

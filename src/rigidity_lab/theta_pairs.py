@@ -49,7 +49,7 @@ def from_star(monodromy: QMatrix) -> ThetaPair:
     ``restrict_to_image(T)``."""
     if not monodromy.is_invertible():  # False for a non-square matrix too
         raise InvalidMonodromyError("monodromy matrix must be square and invertible")
-    n, d, basis = monodromy.rows, monodromy.denominator, _shift_echelon(monodromy, 1)
+    n, d, basis = monodromy.rows, monodromy.denominator, _shift_echelon(monodromy)
     (common, reduced), pivots = basis.reduced_rows(), basis.pivots
     v = [[row[p] - d * (i == p) for p in pivots] for i, row in enumerate(monodromy.numerators)]
     u = QMatrix._integral(len(pivots), n, reduced, common)

@@ -30,14 +30,17 @@ from sympy.matrices import normalforms
 
 from rigidity_lab.campaign import CampaignConfig, _campaign_analyses
 from rigidity_lab.exact_linalg import (
+    Poly,
     QMatrix,
     SimilarityInvariant,
+    _pdivmod,
     _ptrim,
     _shift_echelon,
     _smith_diagonal,
     block_diag,
     jordan_block,
     matrix_rank,
+    restrict_to_image,
 )
 from rigidity_lab.local_systems import MonodromyTuple, monodromy_tuple
 
@@ -306,6 +309,26 @@ def span_closure_dimension(generators: list[QMatrix]) -> int:
         basis = [words[i] for i in independent]
 
 
+def restrict_power(matrix: QMatrix, power: int) -> QMatrix:
+    """A on im((A - 1)^power): ``restrict_to_image`` applied ``power`` times,
+    as ``TupleAnalysis.local_data`` applies it to A_inf."""
+    for _ in range(power):
+        matrix = restrict_to_image(matrix)
+    return matrix
+
+
+def unit_split(invariants: SimilarityInvariant) -> list[tuple[int, Poly]]:
+    """(e_i, g_i) with f_i = (x - 1)^{e_i} g_i and g_i(1) != 0 for each
+    invariant factor f_i, by ``_pdivmod`` by x - 1 until a remainder."""
+    split = []
+    for f in invariants.invariant_factors:
+        e = 0
+        while not (divided := _pdivmod(f, (-1, 1)))[1]:
+            f, e = divided[0], e + 1
+        split.append((e, f))
+    return split
+
+
 def restriction_oracle(matrix: QMatrix, power: int) -> QMatrix:
     """A restricted to im((A - 1)^power) by the solve route, in sympy: the
     basis B is the pivot columns of (A - 1)^power, from sympy's rref, and
@@ -474,7 +497,7 @@ def shift_factorization(matrix: QMatrix) -> tuple[list[int], QMatrix]:
     one elimination (``_shift_echelon``) that ``restrict_to_image`` and
     ``from_star`` share; ``fraction_rank_factorization`` of A - 1 is its
     oracle."""
-    basis = _shift_echelon(matrix, 1)
+    basis = _shift_echelon(matrix)
     common, reduced = basis.reduced_rows()
     return basis.pivots, QMatrix._integral(len(basis), matrix.cols, reduced, common)
 

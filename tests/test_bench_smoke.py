@@ -3,7 +3,9 @@ renamed or re-signed library function cannot break the bench unnoticed:
 each entry of its kernel table, read from the table, at n = 2 and 3, and
 each other row function with its size constants shrunk.  ``bench/ab.py``
 compares this tree with itself on a few smoke-sized ops of every workload,
-and ``bench/traffic.py`` counts the lines that a few of them run."""
+``bench/traffic.py`` counts the lines that a few of them run, and
+``bench/exhaustive.py`` runs its sets of small tuples, cut to a few
+matrices, on this tree loaded twice."""
 
 import importlib.util
 import json
@@ -121,6 +123,19 @@ def test_starts_compares_a_tree_with_itself(capsys):
         # the same tree imports the same modules, deterministically
         assert row["parent"]["modules"] == row["change"]["modules"] > 0
     assert json.loads(capsys.readouterr().out.splitlines()[-1]) == result
+
+
+def test_exhaustive_compares_a_tree_with_itself(capsys):
+    exhaustive = _load("exhaustive")
+    result = exhaustive.main(["--parent", str(ROOT), "--change", str(ROOT), "--smoke"])
+    assert json.loads(capsys.readouterr().out.splitlines()[-1]) == result
+    assert list(result["sets"]) == list(exhaustive.SETS)
+    for (_, points, _), row in zip(exhaustive.SETS.values(), result["sets"].values()):
+        everything, irreducible = row["all"], row["irreducible"]
+        assert everything["tuples"] == exhaustive.SMOKE_MATRICES**points
+        assert irreducible["preserved"] == irreducible["tuples"] > 0
+        assert irreducible["non_realizable"] == 0 and everything["eigenvalue_one_at_infinity"]
+        assert row["parent_cpu_s"] > 0 and row["change_cpu_s"] > 0 and row["ratio"] > 0
 
 
 def test_traffic_counts_lines_of_the_library(monkeypatch, capsys):

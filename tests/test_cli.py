@@ -210,6 +210,52 @@ class TestInputBounds:
         )
         assert t.rank == 16
 
+    def test_largest_admissible_document_is_read(self, capsys, tmp_path):
+        # every bound at its largest, indented: entries of two 78-digit
+        # parts, locations of two 4300-digit parts (the most int() reads);
+        # it is read and parsed, and its singular matrices fail validation
+        edge = f"-{2**256 - 1}/{2**256 - 2}"
+        matrix = [[edge] * 16] * 16
+        document = {
+            "rank": 16,
+            "finite_points": [
+                {"location": f"-{'9' * 4298}{i:02}/{'8' * 4300}", "matrix": matrix} for i in range(16)
+            ],
+            "infinity_matrix": matrix,
+        }
+        text = json.dumps(document, indent=4)
+        assert 900_000 < len(text) < local_systems._MAX_DOCUMENT_CHARS / 4
+        path = tmp_path / "largest.json"
+        path.write_text(text, encoding="utf-8")
+        assert local_systems.json_document(path) == document
+        code, out, err = run_cli(capsys, "rig", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: validation failure: ") and err.count("\n") == 1
+
+    def test_longer_document_is_refused_unread(self, capsys, tmp_path, monkeypatch):
+        # a valid document padded with JSON whitespace: up to the bound it
+        # is the same document, one character past it is refused, from a
+        # file, from stdin or in a catalog directory, before it is decoded
+        bound = local_systems._MAX_DOCUMENT_CHARS
+        text = json.dumps(RANK1_TWOPOINT)
+        path = tmp_path / "t.json"
+        path.write_text(text, encoding="utf-8")
+        _, expected, _ = run_cli(capsys, "verify", "--input", str(path))
+        path.write_text(text.ljust(bound), encoding="utf-8")
+        assert run_cli(capsys, "verify", "--input", str(path)) == (0, expected, "")
+        path.write_text(text.ljust(bound + 1), encoding="utf-8")
+        decode = local_systems._JSON_DECODER.decode
+        monkeypatch.setattr(local_systems._JSON_DECODER, "decode", lambda t: pytest.fail(t[:9]))
+        too_long = f"a document of over {bound} characters is too long to read"
+        code, out, err = run_cli(capsys, "verify", "--input", str(path))
+        assert (code, out, err) == (2, "", f"error: malformed JSON: {too_long}\n")
+        monkeypatch.setattr("sys.stdin", io.StringIO(text.ljust(bound + 1)))
+        assert run_cli(capsys, "verify", "--input", "-") == (code, out, err)
+        monkeypatch.setattr(local_systems._JSON_DECODER, "decode", decode)
+        monkeypatch.setenv(CATALOG_ENV_VAR, str(tmp_path))
+        code, out, err = run_cli(capsys, "catalog", "list")
+        assert (code, out, err) == (2, "", f"error: cannot read catalog file {path}: {too_long}\n")
+
     @pytest.mark.parametrize(
         "entries, stored_bits",
         [
@@ -979,9 +1025,10 @@ def exact_closures(spins: list) -> list:
 class TestComputeOnce:
     # (command, invariant-factor calls, restrictions) for k = 3 finite points:
     # rig needs the k + 1 source matrices and nothing of the transform;
-    # fourier restricts the k components to im(A - 1), A_inf to its non-unit
-    # part and the zero monodromy of the self-check, whose one restriction
-    # also gives the kernel-dimension check; verify does both.  One matrix
+    # fourier restricts the k components to im(A - 1) and the zero monodromy
+    # of the self-check, whose one restriction also gives the
+    # kernel-dimension check, but not A_inf: its non-unit part takes e
+    # restrictions, e its largest unit block, 0 here; verify does both.  One matrix
     # is factored, once: A_inf, whose factors serve both sides.  All three
     # points are certified cyclic, also diag(2, 1), of which e_2 is an
     # eigenvector, so that a spin of e_n would not certify it; the
@@ -993,7 +1040,7 @@ class TestComputeOnce:
     # counts were 4, 5 and 8: one factorization per matrix role.
     @pytest.mark.parametrize(
         "command, factorizations, restrictions",
-        [("rig", 1, 0), ("fourier", 1, 5), ("verify", 1, 5)],
+        [("rig", 1, 0), ("fourier", 1, 4), ("verify", 1, 4)],
         ids=["rig", "fourier", "verify"],
     )
     def test_single_tuple_op(
@@ -1129,9 +1176,9 @@ class TestInternalFailures:
         # valid, but the zero monodromy's has rank_hat rows, not rank
         restrict = fourier.restrict_to_image
 
-        def broken(matrix, power=1):
+        def broken(matrix):
             # T is the only matrix larger than the tuple's rank (rank_hat = 4)
-            return matrix if matrix.rows > FOURPOINT2["rank"] else restrict(matrix, power)
+            return matrix if matrix.rows > FOURPOINT2["rank"] else restrict(matrix)
 
         monkeypatch.setattr(fourier, "restrict_to_image", broken)
         code, out, err = run_cli(capsys, "fourier", "--input", path)
@@ -1145,8 +1192,8 @@ class TestInternalFailures:
         # eigenvalues, so not similar to A_inf
         restrict = fourier.restrict_to_image
 
-        def broken(matrix, power=1):
-            restricted = restrict(matrix, power)
+        def broken(matrix):
+            restricted = restrict(matrix)
             return restricted + restricted if matrix.rows > FOURPOINT2["rank"] else restricted
 
         monkeypatch.setattr(fourier, "restrict_to_image", broken)

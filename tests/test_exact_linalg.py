@@ -57,6 +57,7 @@ from support import (
     random_invertible,
     random_jordan_data,
     random_unit_mixed_matrix,
+    restrict_power,
     restriction_oracle,
     shift_factorization,
     span_closure_dimension,
@@ -64,6 +65,7 @@ from support import (
     sympy_invariant_factors,
     sympy_smith_diagonal,
     unit_partition_by_ranks,
+    unit_split,
     zeros,
 )
 
@@ -279,7 +281,9 @@ class TestCanonicalForm:
             (a + b) - b,
         ]
         if rows == cols:
-            built += [restrict_to_image(a, 0), block_diag([a])]
+            built.append(block_diag([a]))
+            if (a - QMatrix.identity(rows)).is_invertible():  # im(A - 1) is everything
+                built.append(restrict_to_image(a))
             if a.is_invertible():
                 built.append(a.inverse().inverse())
         for m in built:
@@ -411,7 +415,7 @@ class TestIntegerEchelon:
 
     def test_shift_of_the_identity_is_empty(self):
         for n in (1, 2, 5):
-            basis = _shift_echelon(QMatrix.identity(n), 1)
+            basis = _shift_echelon(QMatrix.identity(n))
             assert (len(basis), basis.pivots, basis.reduced_rows()) == (0, [], (1, []))
             assert len(self._matches_oracle([[0] * n] * n, n)) == 0
 
@@ -716,12 +720,14 @@ class TestUnitStructure:
         assert invariants.unit_block_sizes == tuple(sorted(sizes, reverse=True))
         assert invariants.unit_block_sizes == unit_partition_by_ranks(source)
         assert grown.unit_block_sizes == unit_partition_by_ranks(assembled)
-        # the synthetic split and growth against _pdivmod and _pmul: each
-        # factor f is (x - 1)^e g, g(1) != 0, and growth keeps the g's, which
-        # are int tuples, primitive with a positive lead, as the f's are
+        # the synthetic division against _pdivmod and _pmul: each factor f is
+        # (x - 1)^e g, g(1) != 0, the e's are the unit blocks, and growth
+        # keeps the g's, int tuples, primitive with a positive lead as f is
         x_minus_1 = (-1, 1)
         for inv in (invariants, grown):
-            for (e, g), f in zip(inv._unit_split(), inv.invariant_factors):
+            split = unit_split(inv)
+            assert inv.unit_block_sizes == tuple(e for e, _ in reversed(split) if e)
+            for (e, g), f in zip(split, inv.invariant_factors):
                 power = (1,)
                 for _ in range(e):
                     power = _pmul(power, x_minus_1)
@@ -730,8 +736,8 @@ class TestUnitStructure:
                 assert all(type(c) is int for c in (*f, *g))
                 assert primitive(g) == g and primitive(f) == f
         padding = len(grown.invariant_factors) - len(invariants.invariant_factors)
-        assert [g for _, g in grown._unit_split()] == [(1,)] * padding + [
-            g for _, g in invariants._unit_split()
+        assert [g for _, g in unit_split(grown)] == [(1,)] * padding + [
+            g for _, g in unit_split(invariants)
         ]
 
     def test_restrict_to_image_examples(self):
@@ -741,18 +747,18 @@ class TestUnitStructure:
 
     def test_non_unit_part_examples(self):
         # A on im((A - 1)^n), the complement of the generalized eigenspace for 1
-        assert restrict_to_image(QMatrix.identity(2), 2).rows == 0
+        assert restrict_power(QMatrix.identity(2), 2).rows == 0
         d = diagonal([2, 3])
-        assert similar(restrict_to_image(d, 2), d)
-        assert restrict_to_image(diagonal([1, 5]), 2) == QMatrix.from_rows([[5]])
-        assert restrict_to_image(d, 0) == d
+        assert similar(restrict_power(d, 2), d)
+        assert restrict_power(diagonal([1, 5]), 2) == QMatrix.from_rows([[5]])
+        assert restrict_power(d, 0) == d
 
     def test_split_properties(self):
         rng = random.Random(31)
         for _ in range(20):
             n = rng.randint(1, 5)
             m = random_invertible(rng, n)
-            rest = restrict_to_image(m, n)
+            rest = restrict_power(m, n)
             assert rest.rows == n - sum(invariant_factors(m).unit_block_sizes)
             assert (rest - QMatrix.identity(rest.rows)).is_invertible()
 
@@ -764,7 +770,7 @@ class TestUnitStructure:
             p = random_invertible(rng, n)
             mc = conjugate(m, p)
             assert similar(restrict_to_image(m), restrict_to_image(mc))
-            assert similar(restrict_to_image(m, n), restrict_to_image(mc, n))
+            assert similar(restrict_power(m, n), restrict_power(mc, n))
 
 
 def _largest_unit_block(matrix: QMatrix) -> int:
@@ -801,7 +807,7 @@ class TestRestriction:
         for m in cases:
             e = _largest_unit_block(m)
             for power in sorted({0, 1, e, m.rows}):
-                assert restrict_to_image(m, power) == restriction_oracle(m, power), (m, power)
+                assert restrict_power(m, power) == restriction_oracle(m, power), (m, power)
 
     def test_largest_unit_block_power_equals_power_n(self):
         # From the largest unit block e on, the image and the row space of
@@ -814,11 +820,11 @@ class TestRestriction:
         for m, sizes in cases:
             e = max(sizes, default=0)
             assert e == _largest_unit_block(m)
-            assert restrict_to_image(m, e) == restrict_to_image(m, m.rows), m
+            assert restrict_power(m, e) == restrict_power(m, m.rows), m
             if e:
-                assert restrict_to_image(m, e - 1).rows > m.rows - sum(sizes)
+                assert restrict_power(m, e - 1).rows > m.rows - sum(sizes)
             else:
-                assert restrict_to_image(m, 0) == m
+                assert restrict_power(m, 0) == m
 
     def test_full_rank_returns_the_argument(self):
         # rank((A - 1)^power) = n: the pivots are every column, W = I, and
@@ -831,7 +837,7 @@ class TestRestriction:
                 cases.append(m)
         for m in cases:
             for power in (1, 2, m.rows):
-                assert restrict_to_image(m, power) is m
+                assert restrict_power(m, power) is m
                 assert m == restriction_oracle(m, power)
         # rank(A - 1) < n keeps the product route
         m = block_diag([J2, QMatrix.from_rows([[3]])])
@@ -844,12 +850,13 @@ class TestRestriction:
         monkeypatch.setattr(  # each call's row width
             exact_linalg, "_echelon", lambda rows: calls.append(len(rows[0])) or original(rows)
         )
-        restrict_to_image(m)
-        restrict_to_image(m, m.rows)
-        assert calls == [m.rows, m.rows]
+        restricted = [m]
+        for _ in range(m.rows):
+            restricted.append(restrict_to_image(restricted[-1]))
+        assert calls == [a.rows for a in restricted[:-1]]
         # at power 0 the image is everything and the result is A itself
-        assert restrict_to_image(m, 0) is m
-        assert calls == [m.rows, m.rows]
+        assert restrict_power(m, 0) is m
+        assert calls == [a.rows for a in restricted[:-1]]
 
 
 class TestSimilarity:

@@ -44,6 +44,8 @@ from support import (
     fraction_rank,
     levelt_tuple,
     random_invertible,
+    restrict_power,
+    restriction_oracle,
     sympy_invariant_factors,
 )
 
@@ -157,21 +159,19 @@ class TestStationaryPhase:
             (QMatrix, "is_invertible", inverted),
         ]:
             function = getattr(owner, name)
-            monkeypatch.setattr(
-                owner, name, lambda a, *rest, f=function, c=calls: c.append((a, *rest)) or f(a, *rest)
-            )
+            monkeypatch.setattr(owner, name, lambda a, f=function, c=calls: c.append(a) or f(a))
         data = analysis.local_data
         k = t.num_finite_points
-        # the k components, A_inf's non-unit part, and T - 1 once for both
-        # self-checks; (A_inf - 1)^n never, T's own factors never
+        # the k components, A_inf's non-unit part by e restrictions, and
+        # T - 1 once for both self-checks; T's own factors never
         e = max(analysis.infinity_invariants.unit_block_sizes, default=0)
         assert e < t.rank
-        assert [args[1:] for args in restricted] == [()] * k + [(e,), ()]
-        assert [args[0] for args in restricted].count(data.zero_monodromy) == 1
-        # A_inf only: it has no eigenvalue 1 here (e = 0), so T restricted to
-        # im(T - 1) is A_inf itself, similar without being factored
+        assert restricted == [a for _, a in t.finite_points] + [data.zero_monodromy]
+        # A_inf only: it has no eigenvalue 1 here (e = 0), so it is its own
+        # non-unit part, and T restricted to im(T - 1) is A_inf itself,
+        # similar without being factored
         assert e == 0
-        assert factored == [(t.infinity_matrix,)]
+        assert factored == [t.infinity_matrix]
         # the components and T are invertible by construction: no check
         assert inverted == []
 
@@ -179,27 +179,22 @@ class TestStationaryPhase:
     def test_levelt_local_data_forms_no_power_of_infinity(self, monkeypatch, n):
         """A Levelt tuple's A_inf = C_g^-1 is unipotent: its unit blocks fill
         all n, so its part without eigenvalue 1 is 0 x 0, read off its
-        factors; no power of A_inf - 1 is eliminated, and T is the matrix
-        that the restriction to im((A_inf - 1)^e) gives."""
+        factors; A_inf - 1 is not eliminated, and T is the matrix that e
+        restrictions of A_inf give."""
         t = levelt_tuple(n, seed=n)
         analysis = TupleAnalysis(t)
         units = analysis.infinity_invariants.unit_block_sizes
         assert units == (n,)
-        powers, shift = [], exact_linalg._shift_echelon
+        shifted, shift = [], exact_linalg._shift_echelon
         with monkeypatch.context() as patch:
-            patch.setattr(
-                exact_linalg,
-                "_shift_echelon",
-                lambda a, power: powers.append((a, power)) or shift(a, power),
-            )
+            patch.setattr(exact_linalg, "_shift_echelon", lambda a: shifted.append(a) or shift(a))
             data = analysis.local_data
         # the finite points' components, then T once for both self-checks
-        assert [power for _, power in powers] == [1] * (t.num_finite_points + 1)
-        assert all(a != t.infinity_matrix for a, _ in powers)
+        assert shifted == [a for _, a in t.finite_points] + [data.zero_monodromy]
         padding = data.rank_hat - n - len(units)
         expected = block_diag(
             [
-                restrict_to_image(t.infinity_matrix, max(units)),
+                restrict_power(t.infinity_matrix, max(units)),
                 *(jordan_block(size + 1, 1) for size in units),
                 QMatrix.identity(padding),
             ]
@@ -361,6 +356,46 @@ class TestPreservation:
             dims = [*analysis.centralizer_dims, *analysis.component_centralizer_dims]
             assert dims == [sympy_invariant_factors(m).centralizer_dimension for m in matrices]
             assert analysis.zero_invariants == sympy_invariant_factors(data.zero_monodromy)
+
+    def test_every_mixed_two_point_rank_three_tuple_of_zero_one_entries(self):
+        # each (0: A, 1: B), A_inf derived, over the 173 invertible 3 x 3
+        # matrices other than 1 with entries in {0, 1}, whose A_inf is mixed:
+        # one unit Jordan block of size 2 beside another eigenvalue, so its
+        # part without eigenvalue 1 takes two restrictions.  A_inf = M^-1 for
+        # M = AB, whose characteristic polynomial is (x - 1)^2 (x - l), l != 1
+        # (p(1) = p'(1) = 0, trace != 3), with rank(M - 1) = 2.
+        entries = itertools.product((0, 1), repeat=9)
+        small = [m for e in entries if (m := QMatrix(3, 3, e)).is_invertible()]
+        small.remove(QMatrix.identity(3))
+        mixed = []
+        for a, b in itertools.product(small, repeat=2):
+            m = a @ b
+            (a1, b1, c1), (d1, e1, f1), (g1, h1, i1) = m.numerators  # d = 1
+            trace = a1 + e1 + i1
+            minors = a1 * e1 - b1 * d1 + a1 * i1 - c1 * g1 + e1 * i1 - f1 * h1
+            det = a1 * (e1 * i1 - f1 * h1) - b1 * (d1 * i1 - f1 * g1) + c1 * (d1 * h1 - e1 * g1)
+            if trace != 3 and 1 - trace + minors == det and 3 - 2 * trace + minors == 0:
+                if fraction_rank(m - QMatrix.identity(3)) == 2:
+                    mixed.append((a, b))
+        analyses = [TupleAnalysis(monodromy_tuple(3, [(0, a), (1, b)])) for a, b in mixed]
+        irreducible = [analysis for analysis in analyses if analysis.irreducible]
+        assert len(small) == 173 and len(analyses) >= 504 and len(irreducible) >= 360
+        for analysis in analyses:
+            a_inf = analysis.tuple.infinity_matrix
+            assert analysis.infinity_invariants.unit_block_sizes == (2,)
+            try:
+                data = analysis.local_data
+            except NonRealizableError:
+                assert not analysis.irreducible
+                continue
+            # T's leading block is A_inf on im((A_inf - 1)^2), by sympy
+            non_unit, t = restriction_oracle(a_inf, 2), data.zero_monodromy
+            assert non_unit.rows == 1 and QMatrix(1, 1, t.entries[:1]) == non_unit
+            assert analysis.zero_invariants == invariant_factors(t)
+            if analysis.irreducible:
+                report = analysis.preservation
+                assert report.equal
+                assert all(identity.lhs == identity.rhs for identity in report.per_point_identities)
 
     def test_conjugation_equivariance(self):
         rng = random.Random(103)

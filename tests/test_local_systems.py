@@ -389,17 +389,22 @@ class TestJson:
             '"rank" is 1' + "0" * 59 + "... (5001 characters), more than the maximum 16"
         )
 
-    def test_json_document_reads_as_json_loads(self):
+    def test_json_document_reads_as_json_loads(self, tmp_path):
+        path = tmp_path / "t.json"
         text = '{"rank": -12, "x": [1.5, "7/2", null, true], "y": {}}'
-        assert json_document(text) == json.loads(text)
+        path.write_text(text, encoding="utf-8")
+        assert json_document(path) == json.loads(text)
         for bad in ("\ufeff{}", "{", "[1,]"):
+            path.write_text(bad, encoding="utf-8")
             with pytest.raises(json.JSONDecodeError) as ours:
-                json_document(bad)
+                json_document(path)
             with pytest.raises(json.JSONDecodeError) as theirs:
                 json.loads(bad)
             assert str(ours.value) == str(theirs.value)
 
-    def test_json_document_refuses_a_long_integer_in_its_own_words(self):
+    def test_json_document_refuses_a_long_integer_in_its_own_words(self, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text('{"rank": -' + "1" * 5000 + "}", encoding="utf-8")
         with pytest.raises(ValueError) as exc:
-            json_document('{"rank": -' + "1" * 5000 + "}")
+            json_document(path)
         assert str(exc.value) == "an integer of 5000 digits is too long to read"
