@@ -33,6 +33,7 @@ from .errors import (
     RigidityLabError,
     ValidationError,
 )
+from .exact_linalg import quote_input
 from .fourier import TupleAnalysis, fourier_data_to_json
 from .local_systems import MAX_POINTS, MAX_RANK, json_document, tuple_from_json, tuple_to_json
 
@@ -187,7 +188,7 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
         payload = tuple_to_json(catalog[args.name].tuple)
         _print_payload(payload, args.format, lambda p: iter([json.dumps(p)]))
     else:
-        raise RigidityLabError(f"unknown catalog entry {args.name!r}")
+        raise RigidityLabError(f"unknown catalog entry {quote_input(args.name)}")
     return EXIT_OK
 
 
@@ -208,7 +209,7 @@ def _positive_int(text: str) -> int:
     except ValueError:
         value = 0
     if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {quote_input(text)}")
     return value
 
 
@@ -218,7 +219,9 @@ def _at_most(limit: int, what: str):
     def parse(text: str) -> int:
         value = _positive_int(text)
         if value > limit:
-            raise argparse.ArgumentTypeError(f"expected {what} of at most {limit}, got {text!r}")
+            raise argparse.ArgumentTypeError(
+                f"expected {what} of at most {limit}, got {quote_input(text)}"
+            )
         return value
 
     return parse

@@ -285,12 +285,12 @@ class Echelon:
     The single elimination kernel over Q, fraction-free: every rank,
     restriction, inverse and span computation feeds it integer rows, the
     stored rows of dA (``QMatrix.numerators``) or rows built from them,
-    through ``add``, and the Krylov spin of ``invariant_factors`` through
-    its two steps, ``reduce`` and ``insert``, because it reads what a vector
-    in the span reduces to.  Rows are kept sorted by pivot column, each a
-    primitive integer vector with a positive pivot value, its lead, stored
-    dense, as a list of all its entries.  A vector v is reduced in one
-    forward pass, at each pivot p by v <- (lead/g) v - (v[p]/g) row with
+    through ``add``, and the Krylov spin of ``invariant_factors`` and
+    ``reduced_rows`` through its two steps, ``reduce`` and ``insert``.  Rows
+    are kept sorted by pivot column, each a primitive integer vector with a
+    positive pivot value, its lead, stored dense, as a list of all its
+    entries.  ``reduce`` is the one routine that clears a vector v at a
+    pivot p, in one forward pass: v <- (lead/g) v - (v[p]/g) row with
     g = gcd(lead, v[p]), one list comprehension per pivot it hits, and its
     content (the gcd of its entries) is divided out when it enters and after
     every step that scaled it, so its entries stay the size of the span's
@@ -316,10 +316,9 @@ class Echelon:
         return True
 
     def reduce(self, vector: Iterable[int]) -> list[int]:
-        """A nonzero multiple of ``vector`` minus the combination of the
+        """A positive multiple of ``vector`` minus the combination of the
         basis rows that clears it at every pivot column; a zero vector as it
-        is.  Its content is divided out on entry and after each step that
-        scaled it, but a step that did not can leave one: with the row
+        is.  A step that did not scale it can leave a content: with the row
         [1, 1], [1, 3] reduces to [0, 2].  ``insert`` divides it out."""
         vec = list(vector)
         content = gcd(*vec)
@@ -352,35 +351,21 @@ class Echelon:
         self._rows.insert(at, reduced if content == 1 else [x // content for x in reduced])
 
     def reduced_rows(self) -> tuple[int, list[list[int]]]:
-        """The basis in reduced row echelon form, by back-substitution on
-        integers, over one denominator: (D, rows), the RREF being rows / D.
+        """The basis in reduced row echelon form over one denominator: (D,
+        rows), the RREF being rows / D, with D the lcm of the leads.
 
-        From the last row up, each row is cleared at the pivots below it in
-        one step, against the rows already reduced there, which are zero at
-        every other pivot: it is scaled once by a common multiple D of their
-        leads over the gcds, so each of its entries f at a pivot takes away
-        D f / lead times that row, and its content is then divided out.  The
-        reduced form depends only on the span, so it is the same whatever
-        order the vectors arrived in.  Each row r / L is then brought to D,
-        the least common multiple of the leads L.
-        """
-        done: list[tuple[int, list[int]]] = []  # (pivot, reduced row)
-        for p, row in reversed(list(zip(self.pivots, self._rows))):
-            hits = [(f, q, below) for q, below in done if (f := row[q])]
-            if hits:
-                scale = lcm(*(below[q] // gcd(below[q], f) for f, q, below in hits))
-                if scale > 1:
-                    row = [scale * x for x in row]
-                for f, q, below in hits:
-                    c = scale * f // below[q]
-                    row = [x - c * y for x, y in zip(row, below)]
-                content = gcd(*row)
-                if content > 1:
-                    row = [x // content for x in row]
-            done.append((p, row))
-        done.reverse()
-        common = lcm(*(row[p] for p, row in done))
-        return common, [[common // row[p] * x for x in row] for p, row in done]
+        The rows enter a fresh ``Echelon`` last first, through ``reduce`` and
+        ``insert``.  The rows already there are reduced: zero at each other's
+        pivots and left of their own, so each step clears one pivot of the
+        new row and keeps the others cleared and its lead.  The RREF depends
+        only on the span, so it is the same whatever order the vectors
+        arrived in."""
+        done = Echelon()
+        for p, row in zip(reversed(self.pivots), reversed(self._rows)):
+            done.insert(done.reduce(row), p)
+        leads = [row[p] for p, row in zip(done.pivots, done._rows)]
+        common = lcm(*leads)
+        return common, [[common // lead * x for x in row] for lead, row in zip(leads, done._rows)]
 
 
 def _echelon(rows: Iterable[Sequence[int]]) -> Echelon:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import chain
 from math import gcd
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, TextIO
 
 from .errors import GenerationError, InvalidMonodromyError, ValidationError
 from .exact_linalg import (
@@ -183,15 +183,25 @@ def _json_int(literal: str) -> int:
 _JSON_DECODER = json.JSONDecoder(parse_int=_json_int)
 
 
+def _read_bounded(stream: TextIO) -> str:
+    """Up to ``_MAX_DOCUMENT_CHARS + 1`` characters of ``stream``, 64 Ki at a
+    time: one read of them all allocates a buffer that large for any document."""
+    chunks, left = [], _MAX_DOCUMENT_CHARS + 1
+    while left and (chunk := stream.read(min(left, 1 << 16))):
+        chunks.append(chunk)
+        left -= len(chunk)
+    return "".join(chunks)
+
+
 def json_document(path: str | os.PathLike[str]) -> object:
     """``json.loads`` of the UTF-8 file at ``path``, or of stdin for "-", by one
     decoder built at import, in the reader's own words for an integer too long
     for ``int`` or a document of over ``_MAX_DOCUMENT_CHARS``, read no further."""
     if path == "-":
-        text = sys.stdin.read(_MAX_DOCUMENT_CHARS + 1)
+        text = _read_bounded(sys.stdin)
     else:
         with open(path, encoding="utf-8") as file:
-            text = file.read(_MAX_DOCUMENT_CHARS + 1)
+            text = _read_bounded(file)
     if len(text) > _MAX_DOCUMENT_CHARS:
         raise ValueError(f"a document of over {_MAX_DOCUMENT_CHARS} characters is too long to read")
     if text.startswith("\ufeff"):  # refused as json.loads refuses it

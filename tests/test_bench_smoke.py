@@ -5,15 +5,20 @@ each other row function with its size constants shrunk.  ``bench/ab.py``
 compares this tree with itself on a few smoke-sized ops of every workload,
 ``bench/traffic.py`` counts the lines that a few of them run, and
 ``bench/exhaustive.py`` runs its sets of small tuples, cut to a few
-matrices, on this tree loaded twice."""
+matrices, on this tree loaded twice, and records for a few rank-3 tuples
+what the CLI prints for them."""
 
 import importlib.util
 import json
 import sys
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+
+from rigidity_lab import errors, exact_linalg, fourier, local_systems
+from rigidity_lab.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -136,6 +141,51 @@ def test_exhaustive_compares_a_tree_with_itself(capsys):
         assert irreducible["preserved"] == irreducible["tuples"] > 0
         assert irreducible["non_realizable"] == 0 and everything["eigenvalue_one_at_infinity"]
         assert row["parent_cpu_s"] > 0 and row["change_cpu_s"] > 0 and row["ratio"] > 0
+
+
+# (indices into the rank-3 set's matrices, the branch they reach)
+EXHAUSTIVE_TUPLES = {
+    "irreducible": ((0, 6), lambda reached, irreducible: irreducible and reached[1]),
+    "reducible": ((0, 14), lambda reached, irreducible: not irreducible and not reached[5]),
+    "mixed-infinity": ((0, 9), lambda reached, irreducible: irreducible and reached[4]),
+    "non-realizable": ((0, 0), lambda reached, irreducible: reached[5]),
+}
+# the error class that ``exhaustive.printed`` records, by the CLI's exit code
+REFUSALS = {3: "NonRealizableError", 4: "HypothesisViolationError"}
+
+
+@pytest.mark.parametrize("case", list(EXHAUSTIVE_TUPLES))
+def test_exhaustive_records_what_the_cli_prints(capsys, tmp_path, case):
+    # the bytes a tuple adds to a set's digest are the stdout of ``fourier
+    # --input`` and ``verify --input``, or, for a refusal, the message the
+    # CLI prints after "error: "
+    exhaustive = _load("exhaustive")
+    lib = SimpleNamespace(
+        errors=errors, exact_linalg=exact_linalg, fourier=fourier, local_systems=local_systems
+    )
+    chosen, branch = EXHAUSTIVE_TUPLES[case]
+    n, _, entries = exhaustive.SETS["rank3-2pt"]
+    matrices = exhaustive.small_matrices(lib, n, entries)
+    pair = [matrices[i] for i in chosen]
+    text, reached, irreducible = exhaustive.outcome(lib, n, pair)
+    assert branch(reached, irreducible)
+    points = [
+        {"location": str(i), "matrix": exact_linalg.matrix_to_json(m)} for i, m in enumerate(pair)
+    ]
+    path = tmp_path / "tuple.json"
+    path.write_text(json.dumps({"rank": n, "finite_points": points}), encoding="utf-8")
+    expected = []
+    for command in ("fourier", "verify"):
+        code = main([command, "--input", str(path)])
+        out, err = capsys.readouterr()
+        if code in REFUSALS:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+            message = err.removeprefix("error: ").removesuffix("\n")
+            out = json.dumps({"error": REFUSALS[code], "message": message}, indent=2) + "\n"
+        else:
+            assert code == 0 and err == ""
+        expected.append(out)
+    assert text == "".join(expected).encode()
 
 
 def test_traffic_counts_lines_of_the_library(monkeypatch, capsys):

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
@@ -255,6 +256,29 @@ class TestInputBounds:
         monkeypatch.setenv(CATALOG_ENV_VAR, str(tmp_path))
         code, out, err = run_cli(capsys, "catalog", "list")
         assert (code, out, err) == (2, "", f"error: cannot read catalog file {path}: {too_long}\n")
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_small_document_is_read_in_a_small_buffer(self, tmp_path, monkeypatch, source):
+        # a read of the whole bound at once allocates 4 MiB for any document
+        text = json.dumps(RANK1_TWOPOINT)
+        path = tmp_path / "t.json"
+        path.write_text(text, encoding="utf-8")
+        if source == "stdin":
+            read, write = os.pipe()
+            os.write(write, text.encode())
+            os.close(write)
+            monkeypatch.setattr("sys.stdin", open(read, encoding="utf-8"))
+            path = "-"
+        tracemalloc.start()
+        try:
+            document = local_systems.json_document(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            if source == "stdin":
+                sys.stdin.close()
+        assert document == RANK1_TWOPOINT
+        assert peak < 256 << 10
 
     @pytest.mark.parametrize(
         "entries, stored_bits",
@@ -848,6 +872,28 @@ class TestErrorLines:
         assert err.startswith(start.format(tmp=tmp_path))
         assert err.endswith("\n") and err.count("\n") == 1
         assert len(err.replace(str(tmp_path), "{tmp}").encode()) < MAX_ERROR_LINE_BYTES
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["catalog", "show", "x" * 100_000],
+            ["verify", "--random", "--trials", "x" * 100_000],
+            # as many digits as int() reads, so the bound, not the parse, refuses it
+            ["verify", "--random", "--max-rank", "9" * 4300],
+        ],
+        ids=["catalog-name", "positive-integer", "at-most"],
+    )
+    def test_long_argument_is_quoted_by_its_start(self, capsys, argv):
+        # argparse writes its usage before the error line; the line is the last
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        err = capsys.readouterr().err
+        line = err.splitlines()[-1]
+        assert code == 2 and err.endswith("\n") and line.count("error:") == 1
+        assert line.endswith(f"{argv[-1][:59]}... ({len(argv[-1]) + 2} characters)")
+        assert len(line.encode()) < MAX_ERROR_LINE_BYTES
 
 
 class Obj:
