@@ -227,9 +227,29 @@ def _at_most(limit: int, what: str):
     return parse
 
 
+def _quoting(step):
+    """argparse's parser step ``step`` (``_get_value``: an invalid type;
+    ``_check_value``: an invalid choice or subcommand), with the argument its
+    error rejects quoted by ``quote_input``: a short one as argparse writes it."""
+
+    def quoted(parser: argparse.ArgumentParser, action: argparse.Action, value):
+        try:
+            return step(parser, action, value)
+        except argparse.ArgumentError as exc:
+            message = exc.message.replace(repr(value), quote_input(value))
+            raise argparse.ArgumentError(action, message) from None
+
+    return quoted
+
+
+class _Parser(argparse.ArgumentParser):  # add_subparsers makes its parsers of this class
+    _get_value = _quoting(argparse.ArgumentParser._get_value)
+    _check_value = _quoting(argparse.ArgumentParser._check_value)
+
+
 @cache  # built on the first call, not at import; parsing leaves no state in it
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rigidity-lab",
         description="Exact rigidity indices of monodromy tuples and their transform data",
     )

@@ -15,7 +15,8 @@ fraction-free elimination per matrix (``Echelon``, on dense rows) of the
 rows of dA, or of dA - dI, whose rank gives ``fixed_space_dim`` and where
 ``restrict_to_image`` and ``from_star`` read A on im(A - 1).  One
 Krylov kernel (``_spin``) spans every set of words over Q.  A centralizer
-dimension is n when its spin of dA from (1, 8, ..., n^3) reaches n vectors;
+dimension is n when its spin of dA from (1, 8, ..., n^3) reaches n vectors,
+else (n - 1)^2 + 1 when rank(A - 1) = 1, as for both classes it allows;
 otherwise it, unit Jordan blocks and similarity are read off the invariant
 factors of xI - A: a Krylov basis of dA splits Q^n into cyclic blocks of A,
 and a Smith form over Q[x] runs on the small matrix of A's relations
@@ -25,12 +26,13 @@ reduced row echelon form with leftmost pivots, so runs are bit-identical.
 
 Invertibility (``QMatrix.is_invertible``) is the exact rank of dA.
 Irreducibility (``spans_full_algebra``) is two vector spins when a generator
-is 1 plus a rank-one matrix; otherwise it closes the span of the words in
-the integer matrices dA: first mod the Mersenne prime p = 2^19 - 1, each
-vector packed into one integer, as a certificate, and over Q only when that
-falls short, as the spin of the identity in M_n(Q); ``spans_full_algebra``
-says why both routes are exact.  Each residue and pivot inverse mod p is
-one CPython digit (p < 2^30).
+P is 1 + u w^T: of u and w under the other generators, as P adds no
+direction to a span that holds u (nor P^T to one that holds w).  Otherwise
+it closes the span of the words in the integer matrices dA: first mod the
+Mersenne prime p = 2^19 - 1, each vector packed into one integer, as a
+certificate, and over Q only when that falls short, as the spin of the
+identity in M_n(Q); ``spans_full_algebra`` says why both routes are exact.
+Each residue and pivot inverse mod p is one CPython digit (p < 2^30).
 """
 
 from __future__ import annotations
@@ -76,7 +78,8 @@ def rational_pair(value: Fraction | int | str) -> tuple[int, int]:
 
     Anything else raises ``ValueError``.
     """
-    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+    # a str first: every JSON entry is one, and the Fraction ABC's check is slow
+    if type(value) is not str and isinstance(value, (int, Fraction)) and type(value) is not bool:
         return value.as_integer_ratio()
     match = _RATIONAL.fullmatch(value) if isinstance(value, str) else None
     if match is None:
@@ -477,9 +480,11 @@ def _rank_one_shift(matrix: QMatrix) -> tuple[list[int], list[int]] | None:
 def spans_full_algebra(generators: Sequence[QMatrix]) -> bool:
     """Whether the n x n matrices ``generators`` generate all of M_n(Q).
 
-    If a generator A has rank(A - 1) = 1, the algebra holds A - 1 ~ u w^T,
+    If a generator P has rank(P - 1) = 1, the algebra holds P - 1 ~ u w^T,
     hence each (xu)(w^T y) for x, y in it: it is M_n(Q) exactly when the
     spins of u under the generators and of w under their transposes reach n.
+    Both spin under the other generators alone: Px = x + c (w^T x) u keeps
+    the span of their words on u, which holds u (and P^T likewise w's).
     Otherwise, starting from the identity, the span of the reached products
     is closed under left multiplication by the generators until it
     stabilizes (the spin of the identity, by rows or columns alike); a
@@ -499,9 +504,10 @@ def spans_full_algebra(generators: Sequence[QMatrix]) -> bool:
     if n <= 1 or len(generators) == 1:  # M_1 = Q; Q[A] has dimension < n^2 once n > 1
         return n <= 1
     rows = [g.numerators for g in generators]
-    if shift := next(filter(None, map(_rank_one_shift, generators)), None):
-        u, w = shift
-        return _spin(rows, u) == n and _spin([list(zip(*r)) for r in rows], w) == n
+    for i, generator in enumerate(generators):
+        if shift := _rank_one_shift(generator):
+            others, (u, w) = rows[:i] + rows[i + 1 :], shift
+            return _spin(others, u) == n and _spin([list(zip(*r)) for r in others], w) == n
     identity = [int(i == j) for i in range(n) for j in range(n)]
     return _closes_mod_p(rows, n) or _spin(rows, identity) == n * n
 
@@ -820,8 +826,9 @@ def _primitive(p: Poly) -> Poly:
 
 def centralizer_dimension(matrix: QMatrix) -> int:
     """Dimension of the space of matrices commuting with ``matrix``: n if one
-    Krylov spin under dA reaches n vectors (A is cyclic), else read off the
-    invariant factor degrees.
+    Krylov spin under dA reaches n vectors (A is cyclic); (n - 1)^2 + 1 if
+    A - 1 = u w^T, so A is diagonalizable (w^T u != 0) or of Jordan type
+    (2, 1^(n-2)) (w^T u = 0); else read off the invariant factor degrees.
 
     The spin starts from the cubes (1, 8, ..., n^3).  A vector with no zero
     entry is cyclic for every cyclic matrix in Jordan form, upper or lower,
@@ -834,6 +841,8 @@ def centralizer_dimension(matrix: QMatrix) -> int:
     n = matrix.rows
     if matrix.is_square and _spin([matrix.numerators], [(j + 1) ** 3 for j in range(n)]) == n:
         return n
+    if matrix.is_square and _rank_one_shift(matrix):  # n >= 2: the spin reached n = 1
+        return (n - 1) ** 2 + 1
     return invariant_factors(matrix).centralizer_dimension
 
 

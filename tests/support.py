@@ -82,6 +82,18 @@ def random_invertible(rng: random.Random, n: int, bound: int = 2, forbid_identit
         return m
 
 
+def random_unimodular(rng: random.Random, n: int, steps: int = 3) -> QMatrix:
+    """An integer matrix of determinant 1: ``steps`` rounds of row i += c row j
+    over all i != j, c in [-1, 1], on the identity."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        for i in range(n):
+            j = rng.choice([j for j in range(n) if j != i] or [i])
+            c = rng.randint(-1, 1) if j != i else 0
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    return QMatrix.from_rows(rows)
+
+
 def random_fixing_subspace(rng: random.Random, n: int, d: int) -> QMatrix:
     """Invertible matrix mapping span(e_1, ..., e_d) into itself."""
     while True:

@@ -787,6 +787,8 @@ LONG_LOCATION_DOCUMENTS = {
 
 # (argv, catalog directory, start of stderr, exit code); "{tmp}" is the test's
 # directory, and a start that ends in a newline is the whole stderr line
+LONG_ARGUMENT = "x" * 5000
+LONG_ARGUMENT_QUOTE = "'" + "x" * 59 + "... (5002 characters)"
 ERROR_LINES = {
     "verify-without-source": (
         ["verify"], None, "error: verify needs --input PATH or --random\n", 2
@@ -847,6 +849,35 @@ ERROR_LINES = {
         f"{LONG_LOCATION_QUOTE}\n",
         2,
     ),
+    # argparse's own error lines, after its usage: the rejected argument
+    # quoted by its start and length
+    "long-subcommand": (
+        [LONG_ARGUMENT],
+        None,
+        f"rigidity-lab: error: argument command: invalid choice: {LONG_ARGUMENT_QUOTE} "
+        "(choose from 'rig', 'fourier', 'verify', 'catalog')\n",
+        2,
+    ),
+    "long-catalog-action": (
+        ["catalog", LONG_ARGUMENT],
+        None,
+        f"rigidity-lab catalog: error: argument action: invalid choice: {LONG_ARGUMENT_QUOTE} "
+        "(choose from 'list', 'show')\n",
+        2,
+    ),
+    "long-format": (
+        ["rig", "--format", LONG_ARGUMENT],
+        None,
+        f"rigidity-lab rig: error: argument --format: invalid choice: {LONG_ARGUMENT_QUOTE} "
+        "(choose from 'json', 'text')\n",
+        2,
+    ),
+    "long-seed": (
+        ["verify", "--random", "--seed", LONG_ARGUMENT],
+        None,
+        f"rigidity-lab verify: error: argument --seed: invalid int value: {LONG_ARGUMENT_QUOTE}\n",
+        2,
+    ),
 }
 # the longest error line, not counting the test's temporary directory
 MAX_ERROR_LINE_BYTES = 200
@@ -867,11 +898,56 @@ class TestErrorLines:
         if directory is not None:
             monkeypatch.setenv(CATALOG_ENV_VAR, directory.format(tmp=tmp_path))
         argv = [arg.format(tmp=tmp_path) for arg in argv]
-        code, out, err = run_cli(capsys, *argv)
+        try:
+            code, out, err = run_cli(capsys, *argv)
+        except SystemExit as exc:  # argparse's own error: its usage, then the one error line
+            code, (out, err) = exc.code, capsys.readouterr()
+            assert err.startswith("usage: rigidity-lab") and start.startswith("rigidity-lab")
+            err = err.splitlines(keepends=True)[-1]
         assert (code, out) == (expected_code, "")
         assert err.startswith(start.format(tmp=tmp_path))
         assert err.endswith("\n") and err.count("\n") == 1
         assert len(err.replace(str(tmp_path), "{tmp}").encode()) < MAX_ERROR_LINE_BYTES
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                ["bogus"],
+                "usage: rigidity-lab [-h] {rig,fourier,verify,catalog} ...\n"
+                "rigidity-lab: error: argument command: invalid choice: 'bogus' "
+                "(choose from 'rig', 'fourier', 'verify', 'catalog')\n",
+            ),
+            (
+                ["catalog", "bogus"],
+                "usage: rigidity-lab catalog [-h] [--format {json,text}] {list,show} [name]\n"
+                "rigidity-lab catalog: error: argument action: invalid choice: 'bogus' "
+                "(choose from 'list', 'show')\n",
+            ),
+            (
+                ["rig", "--format", "x" * 58],
+                "usage: rigidity-lab rig [-h] --input INPUT [--format {json,text}]\n"
+                f"rigidity-lab rig: error: argument --format: invalid choice: '{'x' * 58}' "
+                "(choose from 'json', 'text')\n",
+            ),
+            (
+                ["verify", "--random", "--seed", "bogus"],
+                "usage: rigidity-lab verify [-h] [--input INPUT | --random] [--trials TRIALS]\n"
+                "                           [--max-rank MAX_RANK] [--max-points MAX_POINTS]\n"
+                "                           [--seed SEED] [--force] [--format {json,text}]\n"
+                "rigidity-lab verify: error: argument --seed: invalid int value: 'bogus'\n",
+            ),
+        ],
+        ids=["subcommand", "catalog-action", "format", "seed"],
+    )
+    def test_short_rejected_argument_keeps_argparse_bytes(
+        self, capsys, monkeypatch, argv, expected
+    ):
+        # a quote of at most 60 characters is argparse's own repr, byte for byte
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage to the terminal
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert (exc.value.code, capsys.readouterr()) == (2, ("", expected))
 
     @pytest.mark.parametrize(
         "argv",
@@ -1103,13 +1179,16 @@ class TestComputeOnce:
         code, _, _ = run_cli(capsys, command, "--input", path)
         assert code == 0
         assert (len(validate), len(closure)) == (1, 1)
-        # diag(2, 1) - 1 has rank one, so the irreducibility is two spins
-        # under the three finite matrices, of u = e_1 and of w = e_1, which
-        # both reach 2, and neither closure runs; every other spin is under
-        # one matrix, the cyclic certificate of a centralizer dimension
+        # diag(2, 1) - 1 has rank one, so the irreducibility is two spins,
+        # of u = e_1 and of w = e_1, under the two other finite matrices
+        # (diag(2, 1) itself adds no direction to either), which both reach
+        # 2, and neither closure runs; every other spin is under one matrix,
+        # the cyclic certificate of a centralizer dimension
         assert (len(certificates), len(exact_closures(spins))) == (0, 0)
         spun = [len(args[0]) for args in spins]
-        assert spun.count(3) == 2 and spun.count(1) == len(dims) == len(spun) - 2
+        assert spun.count(2) == 2 and spun.count(1) == len(dims) == len(spun) - 2
+        reflection = diagonal([2, 1]).numerators  # FOURPOINT2's first matrix
+        assert all(reflection not in args[0] for args in spins if len(args[0]) == 2)
         assert len(factors) == factorizations
         assert len(restrict) == restrictions
 
@@ -1121,17 +1200,23 @@ class TestComputeOnce:
         # derogatory, and its component is 1 x 1; A_inf = C_g^-1 serves both
         # sides, and T on im(T - 1), similar to J_5(1) but not A_inf itself,
         # is factored by the self-check.  Only verify prints C_f^-1 C_g's
-        # own dimension, so only verify factors it, once.
+        # own dimension (``pseudo_reflections`` asks for it once), and that
+        # is the closed form (n - 1)^2 + 1: it is never factored, and no
+        # relation matrix is built for it.
         t = levelt_tuple(5, 5)
         (_, cf), (_, pseudo_reflection) = t.finite_points
         path = write_json(tmp_path, "levelt.json", tuple_to_json(t))
         factors = count_calls(monkeypatch, exact_linalg, "invariant_factors")
+        relations = count_calls(monkeypatch, exact_linalg, "_relation_matrix")
+        dims = count_calls(monkeypatch, exact_linalg, "centralizer_dimension")
         code, _, _ = run_cli(capsys, command, "--input", path)
         assert code == 0
         factored = [args[0] for args in factors]
         assert factored.count(t.infinity_matrix) == 1
-        assert factored.count(pseudo_reflection) == pseudo_reflections
-        assert len(factored) == 2 + pseudo_reflections and cf not in factored
+        assert factored.count(pseudo_reflection) == 0
+        assert len(factored) == 2 and cf not in factored
+        assert [args[0] for args in relations] == factored
+        assert [args[0] for args in dims].count(pseudo_reflection) == pseudo_reflections
 
     def test_equal_points_share_one_centralizer_dimension(self, capsys, tmp_path, monkeypatch):
         # M at two points, and as its own component (rank(M - 1) = 2): one call

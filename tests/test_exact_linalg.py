@@ -48,6 +48,7 @@ from support import (
     fraction_inverse,
     fraction_rank,
     fraction_rank_factorization,
+    is_pseudo_reflection,
     jordan_from_data,
     levelt_tuple,
     loop_matmul,
@@ -56,6 +57,7 @@ from support import (
     random_fixing_subspace,
     random_invertible,
     random_jordan_data,
+    random_unimodular,
     random_unit_mixed_matrix,
     restrict_power,
     restriction_oracle,
@@ -209,6 +211,21 @@ class TestQMatrix:
         assert rational_pair(-5) == (-5, 1)
         with pytest.raises(ValueError, match="^not a p/q rational: True$"):
             rational_pair(True)
+
+    def test_rational_pair_reads_each_type_as_before(self):
+        # a plain str is tested first; every other type keeps its result or
+        # its message: a str subclass is read as text, a bool, a float and
+        # None are refused, an int and a Fraction pass as their ratio
+        class Text(str):
+            pass
+
+        assert rational_pair(Text("-3/6")) == (-1, 2) and rational_pair(Text("7")) == (7, 1)
+        assert rational_pair(12) == (12, 1) and rational_pair(Fraction(-6, 4)) == (-3, 2)
+        refused = [(False, "False"), (1.5, "1.5"), (None, "None"), (Text("x"), "'x'")]
+        for value, quoted in [*refused, (b"1", "b'1'")]:
+            with pytest.raises(ValueError) as caught:
+                rational_pair(value)
+            assert str(caught.value) == f"not a p/q rational: {quoted}"
 
     def test_matrix_from_json_rejects_garbage(self):
         with pytest.raises(ValueError, match="^bad matrix entry: ragged rows in matrix literal$"):
@@ -555,9 +572,11 @@ class TestCentralizer:
 
     def test_cyclic_certificate_matches_commutation_system(self, monkeypatch):
         # The spin of the cubes (1, 8, ..., n^3) certifies dimension n
-        # without invariant factors; every other matrix falls back to them.
-        # Derogatory matrices, and cyclic ones for which the cubes are not a
-        # cyclic vector, fall back.
+        # without invariant factors; a matrix with rank(A - 1) = 1 that it
+        # does not certify takes the closed form (n - 1)^2 + 1, also without
+        # them; every other matrix falls back to them.  Derogatory matrices,
+        # and cyclic ones for which the cubes are not a cyclic vector, fall
+        # back unless they are 1 plus rank one.
         rng = random.Random(29)
         upper = lambda n: QMatrix.from_rows([[int(j >= i) for j in range(n)] for i in range(n)])
         cyclic = [zeros(0, 0), QMatrix.from_rows([[3]]), QMatrix.from_rows([["-1/2"]])]
@@ -594,11 +613,36 @@ class TestCentralizer:
             assert centralizer_dimension(m) == expected, m
             if m in cyclic:
                 assert expected == m.rows and calls == []
-            elif m in blind:
-                assert expected == m.rows and calls == [m]
+            elif m in blind:  # the n = 2 one, conjugate to diag(1, 2), is 1 plus rank one
+                assert expected == m.rows and calls == ([] if m.rows == 2 else [m])
             elif expected > m.rows:  # derogatory: no spin reaches n
-                assert calls == [m]
+                assert calls == ([] if is_pseudo_reflection(m) else [m])
         assert sum(commutation_centralizer_dimension(m) > m.rows for m in derogatory) >= 5
+        assert any(m.rows > 2 and is_pseudo_reflection(m) for m in derogatory)
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_rank_one_closed_form_matches_commutation_system(self, monkeypatch, n):
+        # A - 1 = u w^T: pseudo-reflections diag(1, ..., 1, c), with
+        # w^T u = c - 1 != 0 (c = 0 gives w^T u = -1, a singular A), and the
+        # transvection J_2(1) + I, with w^T u = 0, each conjugated by random
+        # unimodular matrices.  Both classes give (n - 1)^2 + 1, with neither
+        # invariant factors nor a relation matrix: at n = 2 the cubes spin
+        # or the closed form, from n = 3 on the closed form alone.
+        rng = random.Random(n)
+        bases = [diagonal([1] * (n - 1) + [c]) for c in (0, 2, -1, Fraction(5, 2))]
+        bases.append(block_diag([jordan_block(2, 1), QMatrix.identity(n - 2)]))
+        cases = [conjugate(m, random_unimodular(rng, n)) for m in bases for _ in range(2)]
+        calls = []
+        for name in ("invariant_factors", "_relation_matrix"):
+            original = getattr(exact_linalg, name)
+            monkeypatch.setattr(
+                exact_linalg, name, lambda m, f=original, name=name: calls.append(name) or f(m)
+            )
+        for m in cases:
+            assert is_pseudo_reflection(m)
+            expected = commutation_centralizer_dimension(m)
+            assert centralizer_dimension(m) == expected == (n - 1) ** 2 + 1
+        assert calls == []
 
     def test_campaign_certificate_rarely_falls_back(self, monkeypatch):
         # The centralizer dimensions of a 100-trial seed-7 campaign are
@@ -1386,6 +1430,81 @@ class TestRankOneRoute:
     def test_block_triangular_sets_are_reducible(self, case):
         _, generators = case
         assert not spans_full_algebra(generators)
+
+    @staticmethod
+    def _spun_under(patch, generators: list[QMatrix]) -> list:
+        """The generator rows of each ``_spin`` that ``spans_full_algebra``
+        runs on ``generators``, and its answer."""
+        spin, spun = exact_linalg._spin, []
+
+        def spinning(rows, start):
+            spun.append(rows)
+            return spin(rows, start)
+
+        patch.setattr(exact_linalg, "_spin", spinning)
+        return spun, spans_full_algebra(generators)
+
+    @staticmethod
+    def _one_plus(u: list[int], w: list[int]) -> QMatrix:
+        """1 + u w^T."""
+        rows = [[int(i == j) + x * y for j, y in enumerate(w)] for i, x in enumerate(u)]
+        return QMatrix.from_rows(rows)
+
+    @staticmethod
+    def _reducible_with_reflection(rng: random.Random, n: int, k: int) -> list[QMatrix]:
+        """k - 1 invertible matrices and 1 + u w^T, u in span(e_1, ..., e_d),
+        all mapping span(e_1, ..., e_d) into itself, the reflection second."""
+        d = rng.randint(1, n - 1)
+        gens = [random_fixing_subspace(rng, n, d) for _ in range(k - 1)]
+        u = [rng.choice((1, 2, -1)) if i < d else 0 for i in range(n)]
+        w = [rng.randint(-2, 2) for _ in range(n - 1)] + [rng.choice((1, -2))]
+        gens.insert(1, TestRankOneRoute._one_plus(u, w))
+        return gens
+
+    def test_spins_leave_out_the_reflection(self, monkeypatch):
+        # The spin of u under the other generators already holds P x =
+        # x + c (w^T x) u for each of its x, so it is the spin under all of
+        # them; so is w's under their transposes.  Each spin runs under
+        # exactly the other generators (or their transposes), and the answer
+        # is sympy's closure, on: Levelt tuples (irreducible); block
+        # triangular sets with the reflection, plain and conjugated
+        # (reducible); three generators with the reflection in the middle;
+        # and {P, Q} with Q commuting with P (reducible: Q keeps im(P - 1)).
+        rng = random.Random(36)
+        sets = []
+        for n in range(2, 9):
+            t = levelt_tuple(n, n)
+            sets.append([a for _, a in t.finite_points])
+        for n in range(2, 6):
+            for k in (2, 3):
+                gens, r = self._reducible_with_reflection(rng, n, k), random_unimodular(rng, n)
+                sets += [gens, [conjugate(g, r) for g in gens]]
+        for n in range(2, 6):
+            u = [rng.choice((1, -1, 2)) for _ in range(n)]
+            w = [rng.randint(-2, 2) for _ in range(n)]
+            middle = self._one_plus(u, w)
+            if is_pseudo_reflection(middle):
+                sets.append([random_invertible(rng, n), middle, random_invertible(rng, n)])
+        for n in range(2, 6):
+            p = diagonal([3] + [1] * (n - 1))
+            q = block_diag([QMatrix.from_rows([[2]]), random_invertible(rng, n - 1)])
+            r = random_unimodular(rng, n)
+            sets.append([conjugate(p, r), conjugate(q, r)])
+        answers = []
+        for gens in sets:
+            n = gens[0].rows
+            reflection = next(i for i, g in enumerate(gens) if is_pseudo_reflection(g))
+            others = [g.numerators for i, g in enumerate(gens) if i != reflection]
+            with pytest.MonkeyPatch.context() as patch:
+                spun, answer = self._spun_under(patch, gens)
+            assert answer == (span_closure_dimension(gens) == n * n)
+            assert spun[:1] == [others] and 1 <= len(spun) <= 2
+            assert spun[1:] in ([], [[list(zip(*rows)) for rows in others]])
+            answers.append(answer)
+        assert answers[:7] == [True] * 7  # Levelt
+        assert answers[7:23] == [False] * 16  # block triangular
+        assert answers[-4:] == [False] * 4  # a commuting pair
+        assert len(sets) > 28 and True in answers[23:-4]  # a full span with three generators
 
 def test_polynomial_rendering():
     # the monic multiple of the primitive int factor, each coefficient over the lead
