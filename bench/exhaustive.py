@@ -80,20 +80,17 @@ def printed(lib, command):
         return {"error": type(exc).__name__, "message": str(exc)}
 
 
-def verify_payload(analysis) -> dict:
-    """``verify --input``'s payload, as ``cli._cmd_verify`` builds it."""
-    analysis.require_irreducible()
-    report = analysis.preservation
-    identities = [identity._asdict() for identity in report.per_point_identities]
-    return {**report._asdict(), "per_point_identities": identities}
-
-
 def outcome(lib, n: int, chosen: tuple) -> tuple[bytes, tuple[bool, ...], bool]:
     """What ``fourier`` and ``verify`` print for the tuple of ``chosen``,
     the ``BRANCHES`` it reaches, and whether it is irreducible."""
     analysis = lib.fourier.TupleAnalysis(lib.local_systems.monodromy_tuple(n, enumerate(chosen)))
+
+    def verify_input() -> dict:  # as ``cli._cmd_verify`` runs it, without ``--force``
+        analysis.require_irreducible()
+        return lib.fourier.preservation_to_json(analysis)
+
     fourier = printed(lib, lambda: lib.fourier.fourier_data_to_json(analysis))
-    verify = printed(lib, lambda: verify_payload(analysis))
+    verify = printed(lib, verify_input)
     text = b"".join(json.dumps(payload, indent=2).encode() + b"\n" for payload in (fourier, verify))
     sizes = analysis.infinity_invariants.unit_block_sizes
     e = max(sizes, default=0)

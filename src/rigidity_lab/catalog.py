@@ -142,7 +142,13 @@ def load_catalog(external_dir: str | os.PathLike | None = None) -> dict[str, Cat
         external_dir = os.environ.get(CATALOG_ENV_VAR)
     if external_dir:
         directory = Path(external_dir)
-        if not directory.is_dir():
+        try:
+            found = directory.is_dir()
+        except OSError as exc:  # a name too long for the file system, say
+            raise CatalogError(
+                f"cannot read catalog directory {directory}: {exc.strerror}"
+            ) from exc
+        if not found:
             raise CatalogError(f"catalog directory {directory} does not exist")
         for entry in _external_entries(directory):
             catalog[entry.name] = entry

@@ -33,8 +33,8 @@ from .errors import (
     RigidityLabError,
     ValidationError,
 )
-from .exact_linalg import quote_input
-from .fourier import TupleAnalysis, fourier_data_to_json
+from .exact_linalg import quote_input, shorten
+from .fourier import TupleAnalysis, fourier_data_to_json, preservation_to_json
 from .local_systems import MAX_POINTS, MAX_RANK, json_document, tuple_from_json, tuple_to_json
 
 EXIT_OK = 0
@@ -166,13 +166,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise RigidityLabError("verify needs --input PATH or --random")
     analysis = _load_analysis(args.input)
     analysis.require_irreducible(args.force)
-    report = analysis.preservation
-    identities = [identity._asdict() for identity in report.per_point_identities]
-    payload = {**report._asdict(), "per_point_identities": identities}
-    if not analysis.irreducible:
-        payload["warning"] = "tuple is reducible: equality is reported but not asserted"
+    payload = preservation_to_json(analysis)
     _print_payload(payload, args.format, _verify_text)
-    return EXIT_OK if report.equal or not analysis.irreducible else EXIT_VERIFY_FAILED
+    return EXIT_OK if payload["equal"] or not analysis.irreducible else EXIT_VERIFY_FAILED
 
 
 def _cmd_catalog(args: argparse.Namespace) -> int:
@@ -209,7 +205,7 @@ def _positive_int(text: str) -> int:
     except ValueError:
         value = 0
     if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {quote_input(text)}")
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return value
 
 
@@ -219,35 +215,37 @@ def _at_most(limit: int, what: str):
     def parse(text: str) -> int:
         value = _positive_int(text)
         if value > limit:
-            raise argparse.ArgumentTypeError(
-                f"expected {what} of at most {limit}, got {quote_input(text)}"
-            )
+            raise argparse.ArgumentTypeError(f"expected {what} of at most {limit}, got {text!r}")
         return value
 
     return parse
 
 
-def _quoting(step):
-    """argparse's parser step ``step`` (``_get_value``: an invalid type;
-    ``_check_value``: an invalid choice or subcommand), with the argument its
-    error rejects quoted by ``quote_input``: a short one as argparse writes it."""
+def _remembering(parser: argparse.ArgumentParser, args=None, namespace=None):
+    """argparse's ``parse_known_args``, keeping the arguments for ``_bounded_error``."""
+    parser.argv = sys.argv[1:] if args is None else list(args)
+    return argparse.ArgumentParser.parse_known_args(parser, parser.argv, namespace)
 
-    def quoted(parser: argparse.ArgumentParser, action: argparse.Action, value):
-        try:
-            return step(parser, action, value)
-        except argparse.ArgumentError as exc:
-            message = exc.message.replace(repr(value), quote_input(value))
-            raise argparse.ArgumentError(action, message) from None
 
-    return quoted
+def _bounded_error(parser: argparse.ArgumentParser, message: str):
+    """argparse's ``error``, which every usage error reaches, with each
+    argument of the parse that ``message`` quotes shortened, the longest
+    first: its repr by ``quote_input``, its bare text by ``shorten``.  The
+    value that argparse reads from ``--option=value`` or ``-hvalue`` (after
+    any run of ``h``) counts as one."""
+    texts = {x for a in parser.argv for x in (a, a.partition("=")[2], a[1:].lstrip(a[1:2]))}
+    for text in sorted(texts, key=len, reverse=True):
+        message = message.replace(repr(text), quote_input(text)).replace(text, shorten(text))
+    argparse.ArgumentParser.error(parser, message)
 
 
 class _Parser(argparse.ArgumentParser):  # add_subparsers makes its parsers of this class
-    _get_value = _quoting(argparse.ArgumentParser._get_value)
-    _check_value = _quoting(argparse.ArgumentParser._check_value)
+    argv = ()  # the last parse's arguments: a parser that never parsed quotes none
+    parse_known_args = _remembering
+    error = _bounded_error
 
 
-@cache  # built on the first call, not at import; parsing leaves no state in it
+@cache  # built on the first call, not at import; each parser keeps its last parse's argv
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="rigidity-lab",

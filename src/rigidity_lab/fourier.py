@@ -328,3 +328,13 @@ def fourier_data_to_json(analysis: TupleAnalysis) -> dict:
     if not analysis.irreducible:
         payload["warning"] = "tuple is reducible: preservation is not asserted for this data"
     return payload
+
+
+def preservation_to_json(analysis: TupleAnalysis) -> dict:
+    """The index comparison, as the ``verify --input`` subcommand prints it."""
+    report = analysis.preservation
+    identities = [identity._asdict() for identity in report.per_point_identities]
+    payload = {**report._asdict(), "per_point_identities": identities}
+    if not analysis.irreducible:
+        payload["warning"] = "tuple is reducible: equality is reported but not asserted"
+    return payload

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -539,6 +540,22 @@ class TestCatalog:
         assert code == 0
         assert "kummer" in out
 
+    @pytest.mark.parametrize("argv", [["list"], ["show", "kummer"]])
+    def test_directory_name_too_long_exit_2(self, argv):
+        # a path component longer than the file system allows makes the
+        # directory test itself fail, not just come out false
+        directory = "/" + "d" * 300
+        result = subprocess.run(
+            [sys.executable, "-m", "rigidity_lab.cli", "catalog", *argv],
+            capture_output=True,
+            text=True,
+            env={**source_env(), CATALOG_ENV_VAR: directory},
+            timeout=120,
+        )
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr.startswith(f"error: cannot read catalog directory {directory}: ")
+        assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
+
 
 @pytest.fixture
 def fresh_builtins():
@@ -789,6 +806,7 @@ LONG_LOCATION_DOCUMENTS = {
 # directory, and a start that ends in a newline is the whole stderr line
 LONG_ARGUMENT = "x" * 5000
 LONG_ARGUMENT_QUOTE = "'" + "x" * 59 + "... (5002 characters)"
+LONG_ARGUMENT_BARE = "x" * 60 + "... (5000 characters)"
 ERROR_LINES = {
     "verify-without-source": (
         ["verify"], None, "error: verify needs --input PATH or --random\n", 2
@@ -878,6 +896,34 @@ ERROR_LINES = {
         f"rigidity-lab verify: error: argument --seed: invalid int value: {LONG_ARGUMENT_QUOTE}\n",
         2,
     ),
+    # an argument that argparse writes bare is shortened bare: no repr quotes
+    "long-unrecognized": (
+        ["rig", "--input", "{tmp}/absent.json", LONG_ARGUMENT],
+        None,
+        f"rigidity-lab: error: unrecognized arguments: {LONG_ARGUMENT_BARE}\n",
+        2,
+    ),
+    "long-unrecognized-catalog": (
+        ["catalog", "list", "name", LONG_ARGUMENT],
+        None,
+        f"rigidity-lab: error: unrecognized arguments: {LONG_ARGUMENT_BARE}\n",
+        2,
+    ),
+    "long-ambiguous": (
+        ["verify", f"--f={LONG_ARGUMENT}"],
+        None,
+        f"rigidity-lab verify: error: ambiguous option: --f={'x' * 56}... (5004 characters) "
+        "could match --force, --format\n",
+        2,
+    ),
+    # the value of --option=value, which argparse quotes apart from its option
+    "long-explicit-argument": (
+        ["verify", f"--random={LONG_ARGUMENT}"],
+        None,
+        "rigidity-lab verify: error: argument --random: ignored explicit argument "
+        f"{LONG_ARGUMENT_QUOTE}\n",
+        2,
+    ),
 }
 # the longest error line, not counting the test's temporary directory
 MAX_ERROR_LINE_BYTES = 200
@@ -937,8 +983,21 @@ class TestErrorLines:
                 "                           [--seed SEED] [--force] [--format {json,text}]\n"
                 "rigidity-lab verify: error: argument --seed: invalid int value: 'bogus'\n",
             ),
+            (
+                ["rig", "--input", "a", "b"],
+                "usage: rigidity-lab [-h] {rig,fourier,verify,catalog} ...\n"
+                "rigidity-lab: error: unrecognized arguments: b\n",
+            ),
+            (
+                ["verify", "--f=abc"],
+                "usage: rigidity-lab verify [-h] [--input INPUT | --random] [--trials TRIALS]\n"
+                "                           [--max-rank MAX_RANK] [--max-points MAX_POINTS]\n"
+                "                           [--seed SEED] [--force] [--format {json,text}]\n"
+                "rigidity-lab verify: error: ambiguous option: --f=abc "
+                "could match --force, --format\n",
+            ),
         ],
-        ids=["subcommand", "catalog-action", "format", "seed"],
+        ids=["subcommand", "catalog-action", "format", "seed", "unrecognized", "ambiguous"],
     )
     def test_short_rejected_argument_keeps_argparse_bytes(
         self, capsys, monkeypatch, argv, expected
@@ -970,6 +1029,26 @@ class TestErrorLines:
         assert code == 2 and err.endswith("\n") and line.count("error:") == 1
         assert line.endswith(f"{argv[-1][:59]}... ({len(argv[-1]) + 2} characters)")
         assert len(line.encode()) < MAX_ERROR_LINE_BYTES
+
+    @pytest.mark.parametrize("flags", ["-h", "-hh"])
+    def test_value_after_short_flags_is_quoted_by_its_start(self, capsys, flags):
+        # before 3.13, argparse refuses "-h<value>" and "-hh<value>" with the
+        # value quoted apart from its argument; 3.13 prints the help instead
+        try:
+            code = main(["verify", flags + LONG_ARGUMENT])
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert sys.version_info >= (3, 13) and out.startswith("usage: ") and err == ""
+        else:
+            assert code == 2 and err.endswith(f" ignored explicit argument {LONG_ARGUMENT_QUOTE}\n")
+
+    def test_parser_overrides_only_public_argparse_methods(self):
+        # every usage error reaches the documented ``error``; argparse's
+        # private steps differ from one Python version to the next
+        own = {name for name in vars(cli._Parser) if not name.startswith("__")}
+        assert own & set(dir(argparse.ArgumentParser)) == {"error", "parse_known_args"}
 
 
 class Obj:
