@@ -221,31 +221,27 @@ def _at_most(limit: int, what: str):
     return parse
 
 
-def _remembering(parser: argparse.ArgumentParser, args=None, namespace=None):
-    """argparse's ``parse_known_args``, keeping the arguments for ``_bounded_error``."""
-    parser.argv = sys.argv[1:] if args is None else list(args)
-    return argparse.ArgumentParser.parse_known_args(parser, parser.argv, namespace)
+def _one_line(text: str) -> str:
+    """``text`` with each line break written as its escape, as ``repr`` does."""
+    return text.replace("\r", "\\r").replace("\n", "\\n")
 
 
 def _bounded_error(parser: argparse.ArgumentParser, message: str):
-    """argparse's ``error``, which every usage error reaches, with each
-    argument of the parse that ``message`` quotes shortened, the longest
-    first: its repr by ``quote_input``, its bare text by ``shorten``.  The
-    value that argparse reads from ``--option=value`` or ``-hvalue`` (after
-    any run of ``h``) counts as one."""
-    texts = {x for a in parser.argv for x in (a, a.partition("=")[2], a[1:].lstrip(a[1:2]))}
-    for text in sorted(texts, key=len, reverse=True):
-        message = message.replace(repr(text), quote_input(text)).replace(text, shorten(text))
-    argparse.ArgumentParser.error(parser, message)
+    """argparse's ``error``, which every usage error reaches, with ``message``
+    on one line, each of its words shortened as a quote is, and the whole
+    cut by ``shorten`` to fit 199 bytes with argparse's prefix and line end."""
+    line = " ".join(map(shorten, _one_line(message).split(" ")))
+    room = 199 - len(f"{parser.prog}: error: \n".encode())
+    if len(line.encode(errors="backslashreplace")) > room:
+        line = shorten(line, room - len(f"... ({len(line)} characters)"))
+    argparse.ArgumentParser.error(parser, line)
 
 
 class _Parser(argparse.ArgumentParser):  # add_subparsers makes its parsers of this class
-    argv = ()  # the last parse's arguments: a parser that never parsed quotes none
-    parse_known_args = _remembering
     error = _bounded_error
 
 
-@cache  # built on the first call, not at import; each parser keeps its last parse's argv
+@cache  # built on the first call, not at import
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="rigidity-lab",
@@ -292,26 +288,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# (error class, exit code, label) in the order ``main`` tries them
+_FAILURES = (
+    (ValidationError, EXIT_INPUT, "validation failure: "),
+    (HypothesisViolationError, EXIT_HYPOTHESIS, ""),
+    (NonRealizableError, EXIT_NON_REALIZABLE, ""),
+    ((InternalError, GenerationError), EXIT_INTERNAL, "internal failure: "),
+    (RigidityLabError, EXIT_INPUT, ""),
+)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
-        print(f"error: validation failure: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except HypothesisViolationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    except NonRealizableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NON_REALIZABLE
-    except (InternalError, GenerationError) as exc:
-        print(f"error: internal failure: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except RigidityLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        for kind, code, label in _FAILURES:  # the last is RigidityLabError
+            if isinstance(exc, kind):
+                print(f"error: {label}{_one_line(str(exc))}", file=sys.stderr)
+                return code
 
 
 def entrypoint() -> None:

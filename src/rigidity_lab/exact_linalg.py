@@ -51,8 +51,8 @@ from .errors import DimensionMismatchError, InvalidMonodromyError
 
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
-# Longest quotation of rejected input that an error message writes in full.
-_QUOTE_CHARS = 60
+# Longest quotation of rejected input, in bytes, that an error message writes in full.
+_QUOTE_BYTES = 60
 
 # The Mersenne prime 2^19 - 1, modulus of the irreducibility certificate.
 _PRIME_BITS = 19
@@ -64,11 +64,14 @@ def quote_input(value: object) -> str:
     return shorten(rational_text(value) if type(value) is int else repr(value))
 
 
-def shorten(text: str) -> str:
-    """``text`` for an error message; past ``_QUOTE_CHARS`` characters, the
-    first of them and the total length, so a message stays one short line."""
-    n = _QUOTE_CHARS
-    return text if len(text) <= n else f"{text[:n]}... ({len(text)} characters)"
+def shorten(text: str, limit: int = _QUOTE_BYTES) -> str:
+    """``text`` for an error message; past ``limit`` bytes as stderr writes them
+    (UTF-8, a lone surrogate as its escape), its start cut on a character
+    boundary and its length in characters, so a message stays one short line."""
+    data = text.encode(errors="backslashreplace")
+    if len(data) <= limit:
+        return text
+    return f"{data[:limit].decode(errors='ignore')}... ({len(text)} characters)"
 
 
 def rational_pair(value: Fraction | int | str) -> tuple[int, int]:

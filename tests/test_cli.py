@@ -33,7 +33,11 @@ from support import (
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    """``main``'s exit code, stdout and stderr; argparse's own exit too."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # a usage error, after its usage, or the help
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -535,6 +539,15 @@ class TestCatalog:
         assert code == 2
         assert path in err and "relation violated" in err
 
+    def test_file_path_with_a_line_break_is_one_line(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "bad\nentry.json"
+        path.write_text("{", encoding="utf-8")
+        monkeypatch.setenv(CATALOG_ENV_VAR, str(tmp_path))
+        code, out, err = run_cli(capsys, "catalog", "list")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read catalog file {tmp_path}/bad\\nentry.json: ")
+        assert err.count("\n") == 1
+
     def test_list_text_format(self, capsys):
         code, out, _ = run_cli(capsys, "catalog", "list", "--format", "text")
         assert code == 0
@@ -780,13 +793,7 @@ class TestArguments:
         # leaves the output and exit codes of every call as they were
         path = write_json(tmp_path, "t.json", RANK1_TWOPOINT)
         calls = [["rig", "--input", path], ["verify", "--random", "--trials", "0"]] * 2
-        results = []
-        for argv in calls:
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = exc.code
-            results.append((code, *capsys.readouterr()))
+        results = [run_cli(capsys, *argv) for argv in calls]
         assert results[2:] == results[:2]
         assert [code for code, _, _ in results] == [0, 2, 0, 2]
         assert cli.build_parser() is cli.build_parser()
@@ -807,6 +814,8 @@ LONG_LOCATION_DOCUMENTS = {
 LONG_ARGUMENT = "x" * 5000
 LONG_ARGUMENT_QUOTE = "'" + "x" * 59 + "... (5002 characters)"
 LONG_ARGUMENT_BARE = "x" * 60 + "... (5000 characters)"
+# 100 three-byte characters: a quote keeps what fits in 60 bytes
+EUROS = "\u20ac" * 100
 ERROR_LINES = {
     "verify-without-source": (
         ["verify"], None, "error: verify needs --input PATH or --random\n", 2
@@ -821,6 +830,13 @@ ERROR_LINES = {
         ["catalog", "list"],
         "{tmp}/missing",
         "error: catalog directory {tmp}/missing does not exist\n",
+        2,
+    ),
+    # a line break is written as its escape; the path stays whole
+    "catalog-directory-line-break": (
+        ["catalog", "list"],
+        "{tmp}/no\nsuch",
+        "error: catalog directory {tmp}/no\\nsuch does not exist\n",
         2,
     ),
     "unreadable-input": (
@@ -838,6 +854,13 @@ ERROR_LINES = {
         None,
         "error: schema violation: bad matrix entry: "
         "too many digits in a p/q rational of 5000 characters\n",
+        2,
+    ),
+    "non-ascii-entry": (
+        ["rig", "--input", "{tmp}/non-ascii-entry.json"],
+        None,
+        "error: schema violation: bad matrix entry: not a p/q rational: "
+        f"'{EUROS[:19]}... (102 characters)\n",
         2,
     ),
     "long-location": (
@@ -924,6 +947,39 @@ ERROR_LINES = {
         f"{LONG_ARGUMENT_QUOTE}\n",
         2,
     ),
+    "non-ascii-format": (
+        ["rig", "--format", EUROS],
+        None,
+        f"rigidity-lab rig: error: argument --format: invalid choice: '{EUROS[:19]}... "
+        "(102 characters) (choose from 'json', 'text')\n",
+        2,
+    ),
+    "non-ascii-unrecognized": (
+        ["rig", "--input", "{tmp}/absent.json", EUROS],
+        None,
+        f"rigidity-lab: error: unrecognized arguments: {EUROS[:20]}... (100 characters)\n",
+        2,
+    ),
+    "line-break-unrecognized": (
+        ["rig", "--input", "{tmp}/absent.json", "a\nb"],
+        None,
+        "rigidity-lab: error: unrecognized arguments: a\\nb\n",
+        2,
+    ),
+    # a line of many arguments, short or long, is cut as a whole
+    "many-unrecognized": (
+        ["rig", "--input", "{tmp}/absent.json", *["y"] * 3000],
+        None,
+        f"rigidity-lab: error: unrecognized arguments: {'y ' * 66}... (6023 characters)\n",
+        2,
+    ),
+    "three-long-unrecognized": (
+        ["rig", "--input", "{tmp}/absent.json", *[LONG_ARGUMENT] * 3],
+        None,
+        f"rigidity-lab: error: unrecognized arguments: {LONG_ARGUMENT_BARE} {'x' * 51}... "
+        "(269 characters)\n",
+        2,
+    ),
 }
 # the longest error line, not counting the test's temporary directory
 MAX_ERROR_LINE_BYTES = 200
@@ -935,6 +991,7 @@ class TestErrorLines:
         argv, directory, start, expected_code = ERROR_LINES[case]
         write_json(tmp_path, "red.json", REDUCIBLE_DIAGONAL)
         write_json(tmp_path, "long-entry.json", rank_one("1" * 5000))
+        write_json(tmp_path, "non-ascii-entry.json", rank_one(EUROS))
         long_location = {"rank": 1, "finite_points": [{"location": "1" * 5000, "matrix": [["2"]]}]}
         write_json(tmp_path, "long-location.json", long_location)
         for name, found in LONG_LOCATION_DOCUMENTS.items():
@@ -944,11 +1001,10 @@ class TestErrorLines:
         if directory is not None:
             monkeypatch.setenv(CATALOG_ENV_VAR, directory.format(tmp=tmp_path))
         argv = [arg.format(tmp=tmp_path) for arg in argv]
-        try:
-            code, out, err = run_cli(capsys, *argv)
-        except SystemExit as exc:  # argparse's own error: its usage, then the one error line
-            code, (out, err) = exc.code, capsys.readouterr()
-            assert err.startswith("usage: rigidity-lab") and start.startswith("rigidity-lab")
+        code, out, err = run_cli(capsys, *argv)
+        # argparse's own error: its usage, then the one error line
+        assert err.startswith("usage: rigidity-lab") == start.startswith("rigidity-lab")
+        if start.startswith("rigidity-lab"):
             err = err.splitlines(keepends=True)[-1]
         assert (code, out) == (expected_code, "")
         assert err.startswith(start.format(tmp=tmp_path))
@@ -1020,11 +1076,7 @@ class TestErrorLines:
     )
     def test_long_argument_is_quoted_by_its_start(self, capsys, argv):
         # argparse writes its usage before the error line; the line is the last
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-        err = capsys.readouterr().err
+        code, _, err = run_cli(capsys, *argv)
         line = err.splitlines()[-1]
         assert code == 2 and err.endswith("\n") and line.count("error:") == 1
         assert line.endswith(f"{argv[-1][:59]}... ({len(argv[-1]) + 2} characters)")
@@ -1034,11 +1086,7 @@ class TestErrorLines:
     def test_value_after_short_flags_is_quoted_by_its_start(self, capsys, flags):
         # before 3.13, argparse refuses "-h<value>" and "-hh<value>" with the
         # value quoted apart from its argument; 3.13 prints the help instead
-        try:
-            code = main(["verify", flags + LONG_ARGUMENT])
-        except SystemExit as exc:
-            code = exc.code
-        out, err = capsys.readouterr()
+        code, out, err = run_cli(capsys, "verify", flags + LONG_ARGUMENT)
         if code == 0:
             assert sys.version_info >= (3, 13) and out.startswith("usage: ") and err == ""
         else:
@@ -1048,7 +1096,7 @@ class TestErrorLines:
         # every usage error reaches the documented ``error``; argparse's
         # private steps differ from one Python version to the next
         own = {name for name in vars(cli._Parser) if not name.startswith("__")}
-        assert own & set(dir(argparse.ArgumentParser)) == {"error", "parse_known_args"}
+        assert own & set(dir(argparse.ArgumentParser)) == {"error"}
 
 
 class Obj:
@@ -1099,6 +1147,7 @@ VALID_DOCUMENTS = [*catalog._BUILTIN.values(), REDUCIBLE_DIAGONAL, NON_REALIZABL
 ]
 ODD_RATIONALS = ["+1", "1_0", "\u0661", "1/0", " 1", "1 ", "-0", "1/-2", "", "0.5", "1e3"]
 ODD_RATIONALS += ["\u00bd", "1//2", "\u0663/\u0664", "-" + "9" * 80, "1" * 90 + "/" + "2" * 90]
+ODD_RATIONALS += ["\u20ac", "\u00e9/2", "\U0001d7d9", "a\nb"]
 # half the swaps put in a p/q string, as written or repeated past any quote
 JSON_ATOMS = st.one_of(
     st.sampled_from(ODD_RATIONALS).flatmap(lambda text: st.sampled_from([text, text * 40])),
@@ -1109,6 +1158,7 @@ JSON_ATOMS = st.one_of(
         st.integers(-3, 3).map(lambda c: c * 10**300),
         st.floats(allow_nan=True, allow_infinity=True),
         st.text(max_size=8),
+        st.text(min_size=20, max_size=100),  # most of it past ASCII
         st.sampled_from([[], [[]], {}, Raw("1" * 5000), Raw("-" + "2" * 4400), Raw("1e400")]),
     ),
 )
@@ -1136,11 +1186,38 @@ def mutated_documents(draw):
     return dump(tree)
 
 
+# Words that reach every subcommand, option and choice.  "--random" comes
+# with one trial, and no value asks for more than 17 trials or a rank or
+# point count past the default, so no draw runs a long campaign.
+COMMAND_WORDS = [
+    "rig", "fourier", "verify", "catalog", "list", "show", "kummer", "nosuch", "-",
+    "absent.json", "--input", "--format", "json", "text", "--trials", "--max-rank",
+    "--max-points", "--seed", "--force", "--f", "--in", "-h", "0", "1", "2", "17", "-1",
+]
+# values that argparse quotes: long, past ASCII, with spaces or line breaks
+QUOTED_WORDS = st.one_of(
+    st.text(max_size=8),
+    st.text(min_size=40, max_size=200),
+    st.sampled_from(["x", "\u20ac", "a b ", "a\nb", "\r", "\U0001d7d9"]).map(lambda t: t * 1700),
+)
+ARGUMENT_WORDS = st.one_of(
+    st.sampled_from(COMMAND_WORDS).map(lambda word: [word]),
+    st.just(["--random", "--trials", "1"]),
+    st.tuples(st.sampled_from(["", "--f=", "--random=", "--seed=", "-h", "--format="]), QUOTED_WORDS)
+    .map(lambda pair: ["".join(pair)]),
+    # a long run of one short word
+    st.tuples(st.sampled_from(["y", "-", "\u20ac", "a\nb"]), st.integers(1, 3000))
+    .map(lambda pair: [pair[0]] * pair[1]),
+)
+
+
 class TestPromise:
-    """Any document gives exit 0, 2, 3 or 4, never a traceback: no exception
-    escapes ``main``, stderr is empty on exit 0 and otherwise one line of
-    less than ``MAX_ERROR_LINE_BYTES``.  A document that breaks it shrinks
-    to a minimal one, to be pinned among ``ERROR_LINES``."""
+    """Any document or argv gives exit 0, 2, 3 or 4, never a traceback: no
+    exception escapes ``main`` but argparse's own exit, stderr is empty on
+    exit 0 and otherwise one line of less than ``MAX_ERROR_LINE_BYTES``,
+    after argparse's usage if it wrote one.  An input path is quoted in full
+    and not counted.  An input that breaks it shrinks to a minimal one, to
+    be pinned among ``ERROR_LINES``."""
 
     @settings(max_examples=250, deadline=None, derandomize=True)
     @given(mutated_documents(), st.sampled_from(["rig", "fourier", "verify"]))
@@ -1156,6 +1233,31 @@ class TestPromise:
         else:
             assert err.endswith("\n") and err.count("\n") == 1
             assert len(err.encode()) < MAX_ERROR_LINE_BYTES
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(ARGUMENT_WORDS, max_size=6).map(lambda words: sum(words, [])))
+    def test_arguments(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        stdin = io.StringIO(json.dumps(RANK1_TWOPOINT))
+        with mock.patch.dict(os.environ), mock.patch.object(sys, "stdin", stdin):
+            os.environ.pop(CATALOG_ENV_VAR, None)
+            with redirect_stdout(out), redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse's usage error, or its help
+                    code = exc.code
+        assert code in (0, 2, 3, 4)
+        err = err.getvalue()
+        if code == 0:
+            assert err == ""
+        else:
+            *usage, line = err.splitlines(keepends=True)
+            assert all(text.startswith(("usage: ", " ")) for text in usage)
+            assert line.endswith("\n") and "error: " in line
+            for flag, path in zip(argv, argv[1:]):
+                if flag == "--input" and path != "-":
+                    line = line.replace(repr(path), "{path}")
+            assert len(line.encode()) < MAX_ERROR_LINE_BYTES
 
 
 def with_identity_at_infinity(payload):

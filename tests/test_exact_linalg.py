@@ -26,6 +26,7 @@ from rigidity_lab.exact_linalg import (
     quote_input,
     rational_pair,
     restrict_to_image,
+    shorten,
     similar,
     spans_full_algebra,
     _echelon,
@@ -251,6 +252,17 @@ class TestQMatrix:
             rational_pair("1/" + "x" * 200000)
         with pytest.raises(ValueError, match=r"^zero denominator in '1/0{57}\.\.\. \(4004 "):
             rational_pair("1/" + "0" * 4000)
+
+    def test_quotes_are_bounded_in_bytes(self):
+        # at most 60 UTF-8 bytes, cut on a character boundary; the length in characters
+        assert quote_input("\u20ac" * 19) == repr("\u20ac" * 19)
+        assert quote_input("\u20ac" * 20) == "'" + "\u20ac" * 19 + "... (22 characters)"
+        assert shorten("\u00e9" * 30) == "\u00e9" * 30
+        assert shorten("x" + "\u00e9" * 30) == "x" + "\u00e9" * 29 + "... (31 characters)"
+        # a lone surrogate, as from an undecodable argument, counts as the escape stderr writes
+        assert shorten("\udcff" * 10) == "\udcff" * 10
+        assert shorten("\udcff" * 11) == "\\udcff" * 10 + "... (11 characters)"
+        assert shorten("x" * 100, 10) == "x" * 10 + "... (100 characters)"
 
 
 # a shape up to 4 x 4 (0 x 0 and 1 x 1 included) and the entries of two
