@@ -14,7 +14,7 @@ from typing import Iterator, NamedTuple
 
 from .errors import GenerationError
 from .fourier import TupleAnalysis
-from .local_systems import random_tuple, tuple_to_json
+from .local_systems import MonodromyTuple, random_tuple, tuple_to_json
 
 _REDRAWS_PER_TRIAL = 200
 
@@ -72,6 +72,11 @@ def _campaign_analyses(config: CampaignConfig) -> Iterator[tuple[int, TupleAnaly
             )
 
 
+def _failure(index: int, kind: str, found: dict, t: MonodromyTuple) -> dict:
+    """The record of one failure: trial, kind, what was found, then the tuple."""
+    return {"trial": index, "kind": kind, **found, "tuple": tuple_to_json(t)}
+
+
 def run_campaign(config: CampaignConfig) -> CampaignResult:
     """Verify preservation on every campaign tuple and collect anomalies."""
     trials_run, all_equal, failures, identity_checks = 0, True, [], 0
@@ -81,27 +86,11 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
         trials_run += 1
         if not report.equal:
             all_equal = False
-            failures.append(
-                {
-                    "trial": index,
-                    "kind": "index_mismatch",
-                    "rig_source": report.rig_source,
-                    "rig_fourier": report.rig_fourier,
-                    "tuple": tuple_to_json(t),
-                }
-            )
+            found = {"rig_source": report.rig_source, "rig_fourier": report.rig_fourier}
+            failures.append(_failure(index, "index_mismatch", found, t))
         for identity in report.per_point_identities:
             if identity.lhs != identity.rhs:
-                failures.append(
-                    {
-                        "trial": index,
-                        "kind": "centralizer_identity",
-                        "point": identity.point,
-                        "lhs": identity.lhs,
-                        "rhs": identity.rhs,
-                        "tuple": tuple_to_json(t),
-                    }
-                )
+                failures.append(_failure(index, "centralizer_identity", identity._asdict(), t))
         # each identity, and the kernel-dimension rule the local data enforced
         identity_checks += len(report.per_point_identities) + 1
     return CampaignResult(trials_run, all_equal, tuple(failures), identity_checks)

@@ -12,7 +12,8 @@ problem, 3 non-realizable reconstruction, 4 theorem hypothesis violated,
 5 internal failure (a self-check on a computed result failed, or a random
 campaign exhausted its redraw budget), and, from ``entrypoint`` only, 141
 when the reader closes stdout.  ``main`` is the one place that maps an
-error to its exit code.
+error to its exit code.  Every error line, argparse's usage errors and
+``main``'s alike, is one line cut to under 200 bytes by ``_bounded``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .errors import (
     RigidityLabError,
     ValidationError,
 )
-from .exact_linalg import quote_input, shorten
+from .exact_linalg import shorten
 from .fourier import TupleAnalysis, fourier_data_to_json, preservation_to_json
 from .local_systems import MAX_POINTS, MAX_RANK, json_document, tuple_from_json, tuple_to_json
 
@@ -184,7 +185,7 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
         payload = tuple_to_json(catalog[args.name].tuple)
         _print_payload(payload, args.format, lambda p: iter([json.dumps(p)]))
     else:
-        raise RigidityLabError(f"unknown catalog entry {quote_input(args.name)}")
+        raise RigidityLabError(f"unknown catalog entry {shorten(repr(args.name))}")
     return EXIT_OK
 
 
@@ -221,20 +222,31 @@ def _at_most(limit: int, what: str):
     return parse
 
 
+# each character at which ``str.splitlines`` breaks a line, to its escape as ``repr`` writes it
+_LINE_BREAKS = str.maketrans({c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
+
+
 def _one_line(text: str) -> str:
-    """``text`` with each line break written as its escape, as ``repr`` does."""
-    return text.replace("\r", "\\r").replace("\n", "\\n")
+    """``text`` with each line break written as its escape; no printable text has one."""
+    return text if text.isprintable() else text.translate(_LINE_BREAKS)
+
+
+def _bounded(prefix: str, line: str) -> str:
+    """``line``, written after ``prefix``, cut by ``shorten`` with its length
+    when prefix, line and line end come to more than 199 bytes: the one rule
+    of every error line, argparse's and ``main``'s."""
+    room = 199 - len(f"{prefix}\n".encode())
+    if len(line.encode(errors="backslashreplace")) > room:
+        line = shorten(line, room - len(f"... ({len(line)} characters)"))
+    return line
 
 
 def _bounded_error(parser: argparse.ArgumentParser, message: str):
     """argparse's ``error``, which every usage error reaches, with ``message``
     on one line, each of its words shortened as a quote is, and the whole
-    cut by ``shorten`` to fit 199 bytes with argparse's prefix and line end."""
+    bounded by ``_bounded`` after argparse's prefix."""
     line = " ".join(map(shorten, _one_line(message).split(" ")))
-    room = 199 - len(f"{parser.prog}: error: \n".encode())
-    if len(line.encode(errors="backslashreplace")) > room:
-        line = shorten(line, room - len(f"... ({len(line)} characters)"))
-    argparse.ArgumentParser.error(parser, line)
+    argparse.ArgumentParser.error(parser, _bounded(f"{parser.prog}: error: ", line))
 
 
 class _Parser(argparse.ArgumentParser):  # add_subparsers makes its parsers of this class
@@ -305,7 +317,8 @@ def main(argv: list[str] | None = None) -> int:
     except RigidityLabError as exc:
         for kind, code, label in _FAILURES:  # the last is RigidityLabError
             if isinstance(exc, kind):
-                print(f"error: {label}{_one_line(str(exc))}", file=sys.stderr)
+                prefix = f"error: {label}"
+                print(prefix + _bounded(prefix, _one_line(str(exc))), file=sys.stderr)
                 return code
 
 

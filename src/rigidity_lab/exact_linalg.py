@@ -59,11 +59,6 @@ _PRIME_BITS = 19
 _PRIME = (1 << _PRIME_BITS) - 1
 
 
-def quote_input(value: object) -> str:
-    """``shorten(repr(value))``, an int written by ``rational_text``."""
-    return shorten(rational_text(value) if type(value) is int else repr(value))
-
-
 def shorten(text: str, limit: int = _QUOTE_BYTES) -> str:
     """``text`` for an error message; past ``limit`` bytes as stderr writes them
     (UTF-8, a lone surrogate as its escape), its start cut on a character
@@ -86,14 +81,14 @@ def rational_pair(value: Fraction | int | str) -> tuple[int, int]:
         return value.as_integer_ratio()
     match = _RATIONAL.fullmatch(value) if isinstance(value, str) else None
     if match is None:
-        raise ValueError(f"not a p/q rational: {quote_input(value)}")
+        raise ValueError(f"not a p/q rational: {shorten(repr(value))}")
     numerator, denominator = match.groups()
     try:
         p, q = int(numerator), int(denominator or 1)
     except ValueError:  # more digits than CPython reads into an int (4300 by default)
         raise ValueError(f"too many digits in a p/q rational of {len(value)} characters") from None
     if not q:
-        raise ValueError(f"zero denominator in {quote_input(value)}")
+        raise ValueError(f"zero denominator in {shorten(repr(value))}")
     g = gcd(p, q) if q > 1 else 1  # lowest terms keep a matrix's common scale small
     return p // g, q // g
 

@@ -19,9 +19,7 @@ from math import gcd
 from typing import Iterable, NamedTuple, TextIO
 
 from .errors import GenerationError, InvalidMonodromyError, ValidationError
-from .exact_linalg import (
-    QMatrix, matrix_to_json, parse_rational, quote_input, rational_text, shorten,
-)
+from .exact_linalg import QMatrix, matrix_to_json, parse_rational, rational_text, shorten
 
 _RANDOM_ENTRY_BOUND = 2
 _MAX_DRAWS_PER_MATRIX = 200
@@ -244,7 +242,8 @@ def tuple_from_json(data: object) -> MonodromyTuple:
         raise ValueError('"rank" must be an integer')
     rank = data["rank"]
     if rank > MAX_RANK:
-        raise ValueError(f'"rank" is {quote_input(rank)}, more than the maximum {MAX_RANK}')
+        quoted = shorten(rational_text(rank))
+        raise ValueError(f'"rank" is {quoted}, more than the maximum {MAX_RANK}')
     raw_points = data.get("finite_points")
     if not isinstance(raw_points, list) or not raw_points:
         raise ValueError('"finite_points" must be a non-empty array')

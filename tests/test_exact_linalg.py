@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 from fractions import Fraction
 from math import comb, gcd
@@ -8,9 +9,14 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rigidity_lab import exact_linalg
+from rigidity_lab import exact_linalg, local_systems
 from rigidity_lab.campaign import CampaignConfig, run_campaign
-from rigidity_lab.errors import DimensionMismatchError, InvalidMonodromyError
+from rigidity_lab.errors import (
+    DimensionMismatchError,
+    GenerationError,
+    InvalidMonodromyError,
+    InvalidPairError,
+)
 from rigidity_lab.exact_linalg import (
     Echelon,
     QMatrix,
@@ -23,8 +29,8 @@ from rigidity_lab.exact_linalg import (
     matrix_to_json,
     parse_rational,
     polynomial_to_string,
-    quote_input,
     rational_pair,
+    rational_text,
     restrict_to_image,
     shorten,
     similar,
@@ -35,6 +41,7 @@ from rigidity_lab.exact_linalg import (
     _shift_echelon,
 )
 from rigidity_lab.local_systems import _bounded_matrix, random_tuple
+from rigidity_lab.theta_pairs import ThetaPair
 
 from support import (
     campaign_tuples,
@@ -241,13 +248,13 @@ class TestQMatrix:
 
     def test_quotes_of_input_are_bounded(self):
         # up to 60 characters a quote is repr itself; past them, its start and length
-        assert quote_input("1/0") == "'1/0'"
-        assert quote_input(True) == "True"
-        assert quote_input("x" * 58) == repr("x" * 58)
-        assert quote_input("x" * 59) == "'" + "x" * 59 + "... (61 characters)"
-        assert quote_input([[1, 2]] * 100) == repr([[1, 2]] * 100)[:60] + "... (800 characters)"
+        assert shorten(repr("1/0")) == "'1/0'"
+        assert shorten(repr(True)) == "True"
+        assert shorten(repr("x" * 58)) == repr("x" * 58)
+        assert shorten(repr("x" * 59)) == "'" + "x" * 59 + "... (61 characters)"
+        assert shorten(repr([[1, 2]] * 100)) == repr([[1, 2]] * 100)[:60] + "... (800 characters)"
         # an int past the int-to-text digit limit is written all the same
-        assert quote_input(10**5000) == "1" + "0" * 59 + "... (5001 characters)"
+        assert shorten(rational_text(10**5000)) == "1" + "0" * 59 + "... (5001 characters)"
         with pytest.raises(ValueError, match=r"^not a p/q rational: '1/x{57}\.\.\. \(200004 "):
             rational_pair("1/" + "x" * 200000)
         with pytest.raises(ValueError, match=r"^zero denominator in '1/0{57}\.\.\. \(4004 "):
@@ -255,8 +262,8 @@ class TestQMatrix:
 
     def test_quotes_are_bounded_in_bytes(self):
         # at most 60 UTF-8 bytes, cut on a character boundary; the length in characters
-        assert quote_input("\u20ac" * 19) == repr("\u20ac" * 19)
-        assert quote_input("\u20ac" * 20) == "'" + "\u20ac" * 19 + "... (22 characters)"
+        assert shorten(repr("\u20ac" * 19)) == repr("\u20ac" * 19)
+        assert shorten(repr("\u20ac" * 20)) == "'" + "\u20ac" * 19 + "... (22 characters)"
         assert shorten("\u00e9" * 30) == "\u00e9" * 30
         assert shorten("x" + "\u00e9" * 30) == "x" + "\u00e9" * 29 + "... (31 characters)"
         # a lone surrogate, as from an undecodable argument, counts as the escape stderr writes
@@ -1531,3 +1538,59 @@ def test_polynomial_rendering():
 def test_jordan_block_layout():
     assert jordan_block(3, 2) == QMatrix.from_rows([[2, 1, 0], [0, 2, 1], [0, 0, 2]])
     assert block_diag([jordan_block(1, 5), QMatrix.identity(1)]) == diagonal([5, 1])
+
+
+_NON_SQUARE = QMatrix(1, 2, [1, 2])
+
+
+def _draw_only_zeros(monkeypatch):
+    monkeypatch.setattr(local_systems, "_RANDOM_ENTRY_BOUND", 0)  # every draw is singular
+    return random_tuple(2, 1, 0)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda _: QMatrix(-1, 1, []),
+            DimensionMismatchError,
+            "matrix dimensions must be non-negative",
+        ),
+        (lambda _: QMatrix(2, 2, [1, 2, 3]), DimensionMismatchError, "expected 4 entries, got 3"),
+        (
+            lambda _: _NON_SQUARE.inverse(),
+            DimensionMismatchError,
+            "only square matrices can be inverted",
+        ),
+        (
+            lambda _: block_diag([_NON_SQUARE]),
+            DimensionMismatchError,
+            "block_diag expects square blocks",
+        ),
+        (lambda _: fixed_space_dim(_NON_SQUARE), DimensionMismatchError, "matrix must be square"),
+        (
+            lambda _: similar(_NON_SQUARE, _NON_SQUARE),
+            DimensionMismatchError,
+            "similarity is defined for square matrices",
+        ),
+        (
+            lambda _: ThetaPair(1, 1, QMatrix.identity(1), _NON_SQUARE),
+            InvalidPairError,
+            "v must be a dim_E x dim_F matrix",
+        ),
+        (_draw_only_zeros, GenerationError, "could not draw an invertible non-identity 2x2 matrix"),
+    ],
+    ids=[
+        "negative-dimensions", "entry-count", "inverse", "block-diag", "fixed-space",
+        "similar", "theta-pair", "random-draws",
+    ],
+)
+def test_defensive_raises(monkeypatch, call, error, message):
+    # checks that no computed input reaches: each raises its own error and message
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(monkeypatch)
+
+
+def test_equality_with_another_type_is_left_to_it():
+    assert QMatrix.identity(1).__eq__(1) is NotImplemented
+    assert QMatrix.identity(1) != 1 and QMatrix.identity(1) != [[1]]
