@@ -22,6 +22,10 @@ from .local_systems import MonodromyTuple, json_document, tuple_from_json
 
 CATALOG_ENV_VAR = "RIGIDITY_LAB_CATALOG"
 
+# A path in an error keeps this many bytes of its start, so what went wrong
+# after it still fits on the error's one line of under 200 bytes.
+_PATH_BYTES = 100
+
 
 class CatalogEntry(NamedTuple):
     name: str
@@ -123,11 +127,12 @@ def _builtin_entries() -> dict[str, CatalogEntry]:
 def _external_entries(directory: Path) -> list[CatalogEntry]:
     entries = []
     for path in sorted(directory.glob("*.json")):
+        shown = shorten(str(path), _PATH_BYTES)
         try:
             payload = json_document(path)
         except (OSError, ValueError, RecursionError) as exc:  # not UTF-8, too deep, too long
-            raise CatalogError(f"cannot read catalog file {path}: {exc}") from exc
-        entries.append(_entry(path.stem, payload, f"catalog file {path}"))
+            raise CatalogError(f"cannot read catalog file {shown}: {exc}") from exc
+        entries.append(_entry(path.stem, payload, f"catalog file {shown}"))
     return entries
 
 
@@ -142,14 +147,13 @@ def load_catalog(external_dir: str | os.PathLike | None = None) -> dict[str, Cat
         external_dir = os.environ.get(CATALOG_ENV_VAR)
     if external_dir:
         directory = Path(external_dir)
+        shown = shorten(str(directory), _PATH_BYTES)
         try:
             found = directory.is_dir()
         except OSError as exc:  # a name too long for the file system, say
-            raise CatalogError(
-                f"cannot read catalog directory {directory}: {exc.strerror}"
-            ) from exc
+            raise CatalogError(f"cannot read catalog directory {shown}: {exc.strerror}") from exc
         if not found:
-            raise CatalogError(f"catalog directory {directory} does not exist")
+            raise CatalogError(f"catalog directory {shown} does not exist")
         for entry in _external_entries(directory):
             catalog[entry.name] = entry
     return catalog

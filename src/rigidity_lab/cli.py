@@ -226,27 +226,25 @@ def _at_most(limit: int, what: str):
 _LINE_BREAKS = str.maketrans({c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
 
 
-def _one_line(text: str) -> str:
-    """``text`` with each line break written as its escape; no printable text has one."""
-    return text if text.isprintable() else text.translate(_LINE_BREAKS)
-
-
-def _bounded(prefix: str, line: str) -> str:
-    """``line``, written after ``prefix``, cut by ``shorten`` with its length
-    when prefix, line and line end come to more than 199 bytes: the one rule
-    of every error line, argparse's and ``main``'s."""
+def _bounded(prefix: str, text: str) -> str:
+    """The error line ``prefix`` + ``text``, each line break of ``text``
+    written as its escape and ``text`` cut by ``shorten`` with its length
+    when the line and its end come to more than 199 bytes: the one rule of
+    every error line, argparse's and ``main``'s."""
+    line = text.translate(_LINE_BREAKS)
     room = 199 - len(f"{prefix}\n".encode())
     if len(line.encode(errors="backslashreplace")) > room:
         line = shorten(line, room - len(f"... ({len(line)} characters)"))
-    return line
+    return prefix + line
 
 
 def _bounded_error(parser: argparse.ArgumentParser, message: str):
-    """argparse's ``error``, which every usage error reaches, with ``message``
-    on one line, each of its words shortened as a quote is, and the whole
-    bounded by ``_bounded`` after argparse's prefix."""
-    line = " ".join(map(shorten, _one_line(message).split(" ")))
-    argparse.ArgumentParser.error(parser, _bounded(f"{parser.prog}: error: ", line))
+    """argparse's ``error``, which every usage error reaches: its usage, then
+    ``message`` with each line break escaped and each word shortened as a
+    quote is, as one ``_bounded`` line."""
+    words = " ".join(map(shorten, message.translate(_LINE_BREAKS).split(" ")))
+    parser.print_usage(sys.stderr)
+    parser.exit(2, _bounded(f"{parser.prog}: error: ", words) + "\n")
 
 
 class _Parser(argparse.ArgumentParser):  # add_subparsers makes its parsers of this class
@@ -317,8 +315,7 @@ def main(argv: list[str] | None = None) -> int:
     except RigidityLabError as exc:
         for kind, code, label in _FAILURES:  # the last is RigidityLabError
             if isinstance(exc, kind):
-                prefix = f"error: {label}"
-                print(prefix + _bounded(prefix, _one_line(str(exc))), file=sys.stderr)
+                print(_bounded(f"error: {label}", str(exc)), file=sys.stderr)
                 return code
 
 
