@@ -1,8 +1,8 @@
 """Time the exact kernels: the span closure, invariant factors, restrictions, the
 composed zero-monodromy invariants, a table of matrix kernels against their oracles,
 the first and a repeated catalog load, the rendering of zero monodromies as text,
-the ``Fraction`` calls of the seed-7 campaign and ``verify`` on the two worst-case
-inputs.
+the ``Fraction`` calls of the seed-7 campaign and ``rig``, ``verify`` and ``fourier``
+on the worst-case inputs and the corner grid.
 
     python3 bench/kernels.py [--runs 3] [--out BENCH.json]
     python3 bench/kernels.py --worst-cases DIR
@@ -97,13 +97,19 @@ named.
   20 s run, built by ``perfbench/workloads.build_op`` as ``bench/ab.py``
   builds them).  The largest exit code and the sha256 of stdout are
   recorded, so runs of two versions can be compared.
-- ``worst_cases``: CPU seconds of ``verify --input FILE``, run in process
-  with stdout captured, on the two inputs of ``worst_case_documents``, each
-  on 16 finite points with A_inf omitted: ``small_entries``,
+- ``worst_cases``: CPU seconds of one run each of ``rig``, ``verify`` and
+  ``fourier --input FILE`` (``WORST_CASE_COMMANDS``), each in a fresh
+  interpreter on this tree's ``src/`` and stopped after
+  ``WORST_CASE_TIMEOUT_S`` seconds of wall time, which the row records as a
+  time-out, on documents with A_inf omitted: the two inputs of
+  ``worst_case_documents``, on 16 finite points, ``small_entries``,
   ``random_tuple(16, 16, 2026)``, and ``large_entries``, rank 4 with
   numerators and denominators of 256 bits drawn from
-  ``random.Random('worst:256')``.  The exit code and the sha256 of stdout
-  are recorded, so runs of two versions can be compared.
+  ``random.Random('worst:256')``; then the corner grid of
+  ``corner_documents``, rank 4, 8 and 16 (``CORNER_RANKS``) on 2, 4 and 16
+  finite points (``CORNER_POINTS``), with such entries drawn from
+  ``random.Random('adm:<rank>:<points>')``.  The exit code and the sha256
+  of stdout are recorded, so runs of two versions can be compared.
 
 With ``--out``, the result is written into that JSON file under the keys
 ``environment``, ``kernels``, ``invariant_factors``, ``restriction``,
@@ -111,7 +117,8 @@ With ``--out``, the result is written into that JSON file under the keys
 ``worst_cases``;
 other keys already in the file are kept.  With ``--worst-cases DIR``, the two
 worst-case inputs are written to ``DIR/small_entries.json`` and
-``DIR/large_entries.json`` and nothing is timed.
+``DIR/large_entries.json``, and each corner to ``DIR/adm_<rank>_<points>.json``,
+and nothing is timed.
 """
 
 from __future__ import annotations
@@ -129,6 +136,7 @@ import platform
 import pstats
 import random
 import re
+import resource
 import statistics
 import subprocess
 import sys
@@ -144,6 +152,11 @@ SIZES = (2, 3, 4, 6, 8, 12, 16, 24, 32)
 RESTRICTION_SIZES = (2, 3, 4, 6, 8, 12, 16)
 TABLE_SIZES = (2, 3, 4, 6, 8, 10, 12, 16, 24, 32)
 WORST_CASE_POINTS = (16,)  # MAX_POINTS
+CORNER_RANKS = (4, 8, 16)  # up to MAX_RANK
+CORNER_POINTS = (2, 4, 16)  # up to MAX_POINTS
+WORST_CASE_COMMANDS = ("rig", "verify", "fourier")
+WORST_CASE_TIMEOUT_S = 60.0
+PRIME = 2**19 - 1  # the library's certificate prime
 ORACLE_CAP_S = 5.0
 CATALOG_REPEATS = 100
 FRACTION_TRIALS = 500  # the seed-7 campaign
@@ -158,6 +171,7 @@ from rigidity_lab.errors import InvalidMonodromyError  # noqa: E402
 from rigidity_lab.exact_linalg import QMatrix, block_diag, jordan_block  # noqa: E402
 from rigidity_lab.local_systems import random_tuple, tuple_from_json, tuple_to_json  # noqa: E402
 from support import (  # noqa: E402
+    EchelonModP,
     closes_full_span_mod_p,
     commutation_centralizer_dimension,
     fraction_inverse,
@@ -564,58 +578,90 @@ def large_entry(rng: random.Random) -> Fraction:
     return Fraction(numerator, rng.randint(2**255, 2**256 - 1))
 
 
+def large_matrices_document(rank: int, points: int, seed: str) -> dict:
+    """A tuple document with A_inf omitted: ``points`` invertible non-identity
+    rank x rank matrices of ``large_entry`` entries, drawn in order from
+    ``random.Random(seed)``, at locations 0..points-1.  A draw is kept when
+    its integer matrix dA has full rank mod 2^19 - 1 (``support.EchelonModP``),
+    which proves it invertible: an exact rank takes seconds at rank 16."""
+    rng, matrices, identity = random.Random(seed), [], QMatrix.identity(rank)
+    while len(matrices) < points:
+        rows = [[large_entry(rng) for _ in range(rank)] for _ in range(rank)]
+        candidate = QMatrix.from_rows(rows)
+        basis = EchelonModP(rank, PRIME)
+        if candidate != identity and all(basis.add(row) for row in candidate.numerators):
+            matrices.append([[str(x) for x in row] for row in rows])
+    return {
+        "rank": rank,
+        "finite_points": [{"location": str(i), "matrix": m} for i, m in enumerate(matrices)],
+    }
+
+
 def worst_case_documents(points: int) -> dict[str, dict]:
-    """The two worst-case ``verify`` inputs on ``points`` finite points, as
-    tuple documents with A_inf omitted: ``small_entries`` is
-    ``random_tuple(16, points, 2026)``; ``large_entries`` has rank 4 and
-    invertible non-identity matrices of ``large_entry`` entries, drawn in
-    order from ``random.Random('worst:256')``, at locations 0..points-1."""
+    """The two worst-case inputs on ``points`` finite points, as tuple
+    documents with A_inf omitted: ``small_entries`` is
+    ``random_tuple(16, points, 2026)``; ``large_entries`` is the rank-4
+    ``large_matrices_document`` of seed ``worst:256``."""
     small = tuple_to_json(random_tuple(16, points, 2026))
     del small["infinity_matrix"]
-    rng, matrices = random.Random("worst:256"), []
-    while len(matrices) < points:
-        candidate = QMatrix.from_rows([[large_entry(rng) for _ in range(4)] for _ in range(4)])
-        if candidate != QMatrix.identity(4) and candidate.is_invertible():
-            matrices.append(candidate)
-    large = {
-        "rank": 4,
-        "finite_points": [
-            {"location": str(i), "matrix": exact_linalg.matrix_to_json(m)}
-            for i, m in enumerate(matrices)
-        ],
-    }
+    large = large_matrices_document(4, points, "worst:256")
     return {"small_entries": small, "large_entries": large}
 
 
-def verify_cpu_s(path: str) -> tuple[float, int, str]:
-    """(CPU seconds, exit code, sha256 of stdout) of one in-process
-    ``verify --input path``."""
-    out = io.StringIO()
-    begin = time.process_time()
-    with contextlib.redirect_stdout(out):
-        code = cli.main(["verify", "--input", path])
-    seconds = time.process_time() - begin
-    return seconds, code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+def corner_documents() -> dict[str, dict]:
+    """The corner grid: the ``large_matrices_document`` of seed
+    ``adm:<rank>:<points>`` for each rank of ``CORNER_RANKS`` and each count of
+    ``CORNER_POINTS``, named by its seed."""
+    return {
+        f"adm:{rank}:{points}": large_matrices_document(rank, points, f"adm:{rank}:{points}")
+        for rank in CORNER_RANKS
+        for points in CORNER_POINTS
+    }
 
 
-def worst_case_rows(runs: int) -> list[dict]:
+def command_run(command: str, path: str) -> dict:
+    """``rigidity-lab <command> --input path`` in a fresh interpreter on this
+    tree's ``src/``, stopped after ``WORST_CASE_TIMEOUT_S`` s of wall time:
+    its CPU seconds (start-up included), exit code and stdout's sha256, each
+    None when it timed out."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "rigidity_lab.cli", command, "--input", path],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            timeout=WORST_CASE_TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired:
+        return {"timed_out": True, "cpu_s": None, "exit_code": None, "stdout_sha256": None}
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+    return {
+        "timed_out": False,
+        "cpu_s": round(cpu, 3),
+        "exit_code": done.returncode,
+        "stdout_sha256": hashlib.sha256(done.stdout).hexdigest(),
+    }
+
+
+def worst_case_rows(_runs: int) -> list[dict]:
+    """One run of each of ``WORST_CASE_COMMANDS`` on each worst-case input and
+    each corner, in that order: a run can take minutes, so none is repeated."""
+    documents = [
+        (name, points, document)
+        for points in WORST_CASE_POINTS
+        for name, document in worst_case_documents(points).items()
+    ]
+    corners = corner_documents().items()
+    documents += [(name, len(document["finite_points"]), document) for name, document in corners]
     rows = []
     with tempfile.TemporaryDirectory() as directory:
-        for points in WORST_CASE_POINTS:
-            for name, document in worst_case_documents(points).items():
-                path = Path(directory) / f"{name}.json"
-                path.write_text(json.dumps(document))
-                results = [verify_cpu_s(str(path)) for _ in range(runs)]
-                if len({result[1:] for result in results}) != 1:
-                    raise RuntimeError(f"{name} points={points}: runs disagree")
-                row = {
-                    "input": name,
-                    "rank": document["rank"],
-                    "points": points,
-                    "cpu_s": round(statistics.median(r[0] for r in results), 3),
-                    "exit_code": results[0][1],
-                    "stdout_sha256": results[0][2],
-                }
+        for name, points, document in documents:
+            path = Path(directory) / "input.json"
+            path.write_text(json.dumps(document))
+            for command in WORST_CASE_COMMANDS:
+                row = {"input": name, "rank": document["rank"], "points": points}
+                row.update(command=command, **command_run(command, str(path)))
                 print(json.dumps(row), flush=True)
                 rows.append(row)
     return rows
@@ -647,8 +693,10 @@ def main() -> None:
         parser.error("--runs must be at least 3")
     if args.worst_cases:
         args.worst_cases.mkdir(parents=True, exist_ok=True)
-        for name, document in worst_case_documents(WORST_CASE_POINTS[-1]).items():
-            (args.worst_cases / f"{name}.json").write_text(json.dumps(document) + "\n")
+        documents = {**worst_case_documents(WORST_CASE_POINTS[-1]), **corner_documents()}
+        for name, document in documents.items():
+            path = args.worst_cases / f"{name.replace(':', '_')}.json"
+            path.write_text(json.dumps(document) + "\n")
         return
 
     result = {
@@ -710,10 +758,10 @@ def main() -> None:
             "rows": fraction_rows(args.runs),
         },
         "worst_cases": {
-            "what": "verify --input on the two worst-case inputs of worst_case_documents, "
-            "A_inf omitted, in process with stdout captured",
-            "unit": "CPU s, median of runs",
-            "runs": args.runs,
+            "what": "rig, verify and fourier --input on the two worst-case inputs of "
+            "worst_case_documents and the corner grid of corner_documents, A_inf omitted, "
+            f"each in a fresh interpreter stopped after {WORST_CASE_TIMEOUT_S:g} s",
+            "unit": "CPU s of one run, start-up included",
             "rows": worst_case_rows(args.runs),
         },
     }

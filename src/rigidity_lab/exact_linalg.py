@@ -14,8 +14,10 @@ Ranks, inverses, spans and restrictions to invariant images come out of one
 fraction-free elimination per matrix (``Echelon``, on dense rows) of the
 rows of dA, or of dA - dI, whose rank gives ``fixed_space_dim`` and where
 ``restrict_to_image`` and ``from_star`` read A on im(A - 1).  One
-Krylov kernel (``_spin``) spans every set of words over Q.  A centralizer
-dimension is n when its spin of dA from (1, 8, ..., n^3) reaches n vectors,
+Krylov kernel (``_spin``) spans every set of words over Q.  One elimination
+mod p (``_independent_mod_p``, on plain lists of residues) proves that n
+integer vectors are independent, and only that: a centralizer dimension is
+n when the spin of dA from (1, 8, ..., n^3) reaches n vectors mod p,
 else (n - 1)^2 + 1 when rank(A - 1) = 1, as for both classes it allows;
 otherwise it, unit Jordan blocks and similarity are read off the invariant
 factors of xI - A: a Krylov basis of dA splits Q^n into cyclic blocks of A,
@@ -24,7 +26,10 @@ between those blocks, each row an int multiple; each factor is stored as
 its primitive int multiple.  All bases are the deterministic ones from
 reduced row echelon form with leftmost pivots, so runs are bit-identical.
 
-Invertibility (``QMatrix.is_invertible``) is the exact rank of dA.
+Invertibility (``QMatrix.is_invertible``) is the exact rank of dA.  The
+inverse of a product P = A_1 ... A_k may be kept unformed
+(``_inverse_of_product``): P mod p proves it invertible, and cyclic and
+without eigenvalue 1 (``_inverse_facts``), when its spin and ranks reach n.
 Irreducibility (``spans_full_algebra``) is two vector spins when a generator
 P is 1 + u w^T: of u and w under the other generators, as P adds no
 direction to a span that holds u (nor P^T to one that holds w).  Otherwise
@@ -41,11 +46,11 @@ import re
 from bisect import bisect
 from decimal import Decimal
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import accumulate, chain
 from math import gcd, lcm
 from operator import mul, sub
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DimensionMismatchError, InvalidMonodromyError
 
@@ -220,7 +225,7 @@ class QMatrix:
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __eq__(self, other: object) -> bool:  # one int, the denominator, before the rows
-        if other.__class__ is not QMatrix:
+        if not isinstance(other, QMatrix):
             return NotImplemented
         return self.denominator == other.denominator and (
             self.rows, self.cols, self.numerators) == (other.rows, other.cols, other.numerators)
@@ -231,6 +236,38 @@ class QMatrix:
     def __repr__(self) -> str:
         return (f"QMatrix(rows={self.rows!r}, cols={self.cols!r}, "
                 f"numerators={self.numerators!r}, denominator={self.denominator!r})")
+
+
+class _ProductInverse(QMatrix):
+    """(A_1 ... A_k)^-1 of invertible n x n ``factors``, equal to the
+    ``QMatrix`` it stands for: its dA and d are formed exactly on their first
+    read, and ``product`` is the factors' product mod p, for the facts that
+    it proves (``_inverse_facts``)."""
+
+    def __init__(self, factors: Sequence[QMatrix]):
+        n = factors[0].rows
+        vars(self).update(rows=n, cols=n, factors=tuple(factors))
+
+    @cached_property
+    def product(self) -> tuple[list[list[int]], int]:
+        return _product_mod_p(self.factors)
+
+    def __getattr__(self, name: str):
+        """dA and d, formed together by the exact product and inverse."""
+        if name not in ("numerators", "denominator"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        inverse = reduce(QMatrix.__matmul__, self.factors).inverse()
+        vars(self).update(numerators=inverse.numerators, denominator=inverse.denominator)
+        return vars(self)[name]
+
+
+def _inverse_of_product(factors: Sequence[QMatrix], proven: bool = False) -> QMatrix | None:
+    """(A_1 ... A_k)^-1 as a ``_ProductInverse``, or None when the product is
+    neither ``proven`` invertible nor of full rank mod p, which proves it."""
+    inverse = _ProductInverse(factors)
+    if proven or _independent_mod_p(inverse.product[0]) == inverse.rows:
+        return inverse
+    return None
 
 
 def rational_text(p: Fraction | int, q: int = 1) -> str:
@@ -436,6 +473,69 @@ def _closes_mod_p(generators: list[Sequence[Sequence[int]]], n: int) -> bool:
                 return True
             queue.append(v)
     return len(basis) == target
+
+
+def _independent_mod_p(vectors: Iterable[list[int]]) -> int:
+    """How many of ``vectors``, lists of n ints, come before the first that
+    those before it span mod p = ``_PRIME``: the one elimination mod p on
+    plain lists.  Each is cleared at the stored rows' pivots, in the order
+    they were stored, each row 0 at the pivots before its own and kept with
+    its lead's inverse, then reduced once: entries stay below n p^2.  A count
+    of n proves that the n integer vectors have a determinant nonzero mod p,
+    hence nonzero, so independent over Q; a smaller count proves nothing."""
+    p, basis = _PRIME, []
+    for vector in vectors:
+        for pivot, inverse, row in basis:
+            if c := vector[pivot] * inverse % p:
+                vector = [x - c * y for x, y in zip(vector, row)]
+        vector = [x % p for x in vector]
+        lead = next(filter(None, vector), 0)
+        if not lead:
+            break
+        basis.append((vector.index(lead), pow(lead, -1, p), vector))
+    return len(basis)
+
+
+def _cyclic_mod_p(rows: list[list[int]]) -> bool:
+    """Whether the Krylov spin of the cubes (1, 8, ..., n^3) under the n x n
+    integer matrix ``rows`` reaches n mod p: then the spin's determinant is
+    nonzero, the cubes are a cyclic vector over Q and any nonzero multiple of
+    the matrix is cyclic.  False proves nothing."""
+    p, n = _PRIME, len(rows)
+
+    def krylov() -> Iterator[list[int]]:
+        yield (vector := [(j + 1) ** 3 for j in range(n)])
+        for _ in range(n - 1):
+            yield (vector := [sum(map(mul, row, vector)) % p for row in rows])
+
+    return _independent_mod_p(krylov()) == n
+
+
+def _product_mod_p(factors: Sequence[QMatrix]) -> tuple[list[list[int]], int]:
+    """(N, D) mod p, with N = (d_1 A_1) ... (d_k A_k) and D = d_1 ... d_k, so
+    that A_1 ... A_k = N / D: each stored dA reduced before it is multiplied."""
+    p = _PRIME
+    rows, scale = [[x % p for x in row] for row in factors[0].numerators], factors[0].denominator
+    for factor in factors[1:]:
+        columns = list(zip(*([x % p for x in row] for row in factor.numerators)))
+        rows = [[sum(map(mul, row, column)) % p for column in columns] for row in rows]
+        scale = scale * factor.denominator % p
+    return rows, scale % p
+
+
+def _inverse_facts(matrix: QMatrix) -> tuple[bool, bool]:
+    """(cyclic, cyclic without eigenvalue 1) of a ``_ProductInverse`` A = P^-1,
+    P = N / D, each proven from P mod p when True, and (False, False) for any
+    other matrix.  A and P share their cyclic vectors' existence, as
+    Q[P^-1] = Q[P], and A - 1 is invertible when P - 1 = (N - DI) / D is,
+    which a full rank of N - DI mod p proves.  A False proves nothing."""
+    if not isinstance(matrix, _ProductInverse):
+        return False, False
+    rows, scale = matrix.product
+    if not _cyclic_mod_p(rows):
+        return False, False
+    shifted = [[x - scale * (i == j) for j, x in enumerate(row)] for i, row in enumerate(rows)]
+    return True, _independent_mod_p(shifted) == len(rows)
 
 
 def _spin(generators: list[Sequence[Sequence[int]]], start: list[int]) -> int:
@@ -823,24 +923,28 @@ def _primitive(p: Poly) -> Poly:
 
 
 def centralizer_dimension(matrix: QMatrix) -> int:
-    """Dimension of the space of matrices commuting with ``matrix``: n if one
-    Krylov spin under dA reaches n vectors (A is cyclic); (n - 1)^2 + 1 if
-    A - 1 = u w^T, so A is diagonalizable (w^T u != 0) or of Jordan type
-    (2, 1^(n-2)) (w^T u = 0); else read off the invariant factor degrees.
+    """Dimension of the space of matrices commuting with ``matrix``: n if
+    n < 2 or one Krylov spin of dA mod p reaches n vectors (A is cyclic,
+    ``_cyclic_mod_p``); (n - 1)^2 + 1 if A - 1 = u w^T, so A is
+    diagonalizable (w^T u != 0) or of Jordan type (2, 1^(n-2)) (w^T u = 0);
+    else read off the invariant factor degrees, which also decide a cyclic
+    A whose spin falls short mod p.
 
     The spin starts from the cubes (1, 8, ..., n^3).  A vector with no zero
     entry is cyclic for every cyclic matrix in Jordan form, upper or lower,
     where e_n is not for a diagonal of distinct entries, a lower Jordan
     block or a sum of blocks.  Of the 2,558 distinct cyclic matrices of
     perfbench's four seed-11 op streams, e_n misses 323, (1, ..., n) 60,
-    the first n primes 29 and the cubes none.  ``_relation_matrix`` keeps
-    its starts e_n, ..., e_1, which keep an upper Jordan block one block.
+    the first n primes 29 and the cubes none, over Q and mod p alike.
+    ``_relation_matrix`` keeps its starts e_n, ..., e_1, which keep an upper
+    Jordan block one block.
     """
     n = matrix.rows
-    if matrix.is_square and _spin([matrix.numerators], [(j + 1) ** 3 for j in range(n)]) == n:
-        return n
-    if matrix.is_square and _rank_one_shift(matrix):  # n >= 2: the spin reached n = 1
-        return (n - 1) ** 2 + 1
+    if matrix.is_square:
+        if n < 2 or _cyclic_mod_p([[x % _PRIME for x in row] for row in matrix.numerators]):
+            return n
+        if _rank_one_shift(matrix):
+            return (n - 1) ** 2 + 1
     return invariant_factors(matrix).centralizer_dimension
 
 

@@ -23,6 +23,7 @@ from .errors import HypothesisViolationError, InternalError, NonRealizableError
 from .exact_linalg import (
     QMatrix,
     SimilarityInvariant,
+    _inverse_facts,
     block_diag,
     centralizer_dimension,
     invariant_factors,
@@ -96,7 +97,17 @@ class TupleAnalysis:
     the zero monodromy's.  A centralizer dimension is computed once per
     distinct matrix, shared by equal points and by a component equal to its
     point's matrix (rank(A - 1) = n), and T on im(T - 1), if equal to A_inf,
-    is similar to it without being factored.
+    is similar to it without being factored.  The components are restricted
+    once, for ``local_data`` and ``preservation`` alike.
+
+    A derived A_inf = P^-1, P the finite matrices' product, is not formed
+    over Q for ``report`` and ``preservation`` when P mod p proves it cyclic
+    (its dimension is then n) and without eigenvalue 1 (then the zero
+    monodromy is A_inf beside m = rank_hat - n unit blocks, of dimension
+    n + m^2, and ``preservation`` needs no ``local_data``).  Any other
+    outcome, a given A_inf, or invariants at infinity already computed take
+    the exact route for that quantity; ``local_data``, which ``fourier``
+    prints, is always exact and keeps its self-checks.
     """
 
     def __init__(self, t: MonodromyTuple):
@@ -126,9 +137,20 @@ class TupleAnalysis:
         return invariant_factors(self.tuple.infinity_matrix)
 
     @cached_property
+    def _infinity_facts(self) -> tuple[bool, bool]:
+        """(A_inf is cyclic, A_inf is cyclic without eigenvalue 1), proven
+        from the product mod p (``exact_linalg._inverse_facts``) when A_inf
+        was derived and its invariants are not cached; False proves nothing."""
+        if "infinity_invariants" in vars(self):
+            return False, False
+        return _inverse_facts(self.tuple.infinity_matrix)
+
+    @cached_property
     def centralizer_dims(self) -> tuple[int, ...]:
         """Source centralizer dimensions, finite points first, infinity last."""
         finite = (self._centralizer_dim(a) for _, a in self.tuple.finite_points)
+        if self._infinity_facts[0]:  # A_inf is cyclic
+            return (*finite, self.tuple.rank)
         return (*finite, self.infinity_invariants.centralizer_dimension)
 
     @cached_property
@@ -166,23 +188,12 @@ class TupleAnalysis:
         """
         t = self.tuple
         n = t.rank
-        components = []
-        for loc, a in t.finite_points:
-            restricted = restrict_to_image(a)
-            components.append(ExponentialComponent(loc, restricted, restricted.rows))
-        rank_hat = sum(c.dimension for c in components)
-
         unit_blocks = self.infinity_invariants.unit_block_sizes
         non_unit = QMatrix.identity(0) if sum(unit_blocks) == n else t.infinity_matrix
         for _ in range(max(unit_blocks, default=0) if non_unit.rows else 0):  # 0 x 0: no call
             non_unit = restrict_to_image(non_unit)
-        padding = rank_hat - n - len(unit_blocks)
-        if padding < 0:
-            raise NonRealizableError(
-                "non-realizable minimal pair: the sum of rank(A_i - 1) over the "
-                "finite points is smaller than rank + dim ker(A_inf - 1); the "
-                "tuple cannot be irreducible"
-            )
+        rank_hat = sum(c.dimension for c in self.components)
+        padding = _padding(rank_hat, n, len(unit_blocks))
         blocks = [non_unit]
         blocks.extend(jordan_block(size + 1, 1) for size in unit_blocks)
         if padding:
@@ -200,12 +211,18 @@ class TupleAnalysis:
         return FourierLocalData(
             rank_hat=rank_hat,
             zero_monodromy=zero_monodromy,
-            components=tuple(components),
+            components=self.components,
         )
 
     @cached_property
+    def components(self) -> tuple[ExponentialComponent, ...]:
+        """Each finite point (c, A) as the component (c, A on im(A - 1))."""
+        restricted = [(loc, restrict_to_image(a)) for loc, a in self.tuple.finite_points]
+        return tuple(ExponentialComponent(loc, r, r.rows) for loc, r in restricted)
+
+    @cached_property
     def component_centralizer_dims(self) -> tuple[int, ...]:
-        return tuple(self._centralizer_dim(c.regular_monodromy) for c in self.local_data.components)
+        return tuple(self._centralizer_dim(c.regular_monodromy) for c in self.components)
 
     @cached_property
     def zero_invariants(self) -> SimilarityInvariant:
@@ -215,16 +232,19 @@ class TupleAnalysis:
     def preservation(self) -> PreservationReport:
         """Both indices, the per-point centralizer identities (finite points
         first, then the zero/infinity pairing) and the irregularity."""
-        data = self.local_data
         n = self.tuple.rank
-        irregularity = irregularity_end(data)
-        zero_dim = self.zero_invariants.centralizer_dimension
+        irregularity = _irregularity(self.components)
+        rank_hat = sum(c.dimension for c in self.components)
+        if self._infinity_facts[1]:  # T's factors: m - 1 times x - 1, then (x - 1) f
+            zero_dim = n + _padding(rank_hat, n, 0) ** 2
+        else:
+            zero_dim = self.zero_invariants.centralizer_dimension
         rig_transformed = zero_dim + sum(self.component_centralizer_dims) - irregularity
         identities = [
             PointIdentity(rational_text(loc), source - regular, (n - component.dimension) ** 2)
             for (loc, _), component, source, regular in zip(
                 self.tuple.finite_points,
-                data.components,
+                self.components,
                 self.centralizer_dims,
                 self.component_centralizer_dims,
             )
@@ -233,7 +253,7 @@ class TupleAnalysis:
             PointIdentity(
                 "infinity",
                 self.centralizer_dims[-1] - zero_dim,
-                -((data.rank_hat - n) ** 2),
+                -((rank_hat - n) ** 2),
             )
         )
         return PreservationReport(
@@ -285,9 +305,25 @@ def rig_fourier(data: FourierLocalData) -> int:
     )
 
 
+def _padding(rank_hat: int, n: int, unit_blocks: int) -> int:
+    """The 1 x 1 unit blocks that fill the zero monodromy up to rank_hat."""
+    padding = rank_hat - n - unit_blocks
+    if padding < 0:
+        raise NonRealizableError(
+            "non-realizable minimal pair: the sum of rank(A_i - 1) over the "
+            "finite points is smaller than rank + dim ker(A_inf - 1); the "
+            "tuple cannot be irreducible"
+        )
+    return padding
+
+
 def irregularity_end(data: FourierLocalData) -> int:
     """Irregularity at infinity of the endomorphism connection."""
-    dims = [c.dimension for c in data.components]
+    return _irregularity(data.components)
+
+
+def _irregularity(components: tuple[ExponentialComponent, ...]) -> int:
+    dims = [c.dimension for c in components]
     total = sum(dims)
     return total * total - sum(d * d for d in dims)
 

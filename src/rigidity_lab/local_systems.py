@@ -19,7 +19,14 @@ from math import gcd
 from typing import Iterable, NamedTuple, TextIO
 
 from .errors import GenerationError, InvalidMonodromyError, ValidationError
-from .exact_linalg import QMatrix, matrix_to_json, parse_rational, rational_text, shorten
+from .exact_linalg import (
+    QMatrix,
+    _inverse_of_product,
+    matrix_to_json,
+    parse_rational,
+    rational_text,
+    shorten,
+)
 
 _RANDOM_ENTRY_BOUND = 2
 _MAX_DRAWS_PER_MATRIX = 200
@@ -78,17 +85,29 @@ def monodromy_tuple(
 ) -> MonodromyTuple:
     """Assemble a tuple.  An omitted infinity matrix is the exact inverse of
     the finite ones' product, so the relation holds: 1 is stored as the
-    tuple's ``relation_product``.  That product fails as ``validate`` would
-    with A_inf given (shape, then point)."""
+    tuple's ``relation_product``.  The product is proven invertible once:
+    mod p when it has full rank there, and its inverse is formed on first
+    read (``exact_linalg._inverse_of_product``); else exactly, failing as
+    ``validate`` would with A_inf given (shape, then point)."""
     points = tuple(FinitePoint(parse_rational(loc), m) for loc, m in finite_points)
     if infinity_matrix is not None:
         return MonodromyTuple(rank, points, infinity_matrix)
     _check_shapes(rank, points)
-    try:
-        infinity_matrix = reduce(lambda a, b: a @ b, (p.matrix for p in points)).inverse()
-    except InvalidMonodromyError:
-        _check_invertible(points)
-        raise  # a singular product has a singular factor, found above
+    matrices = [p.matrix for p in points]
+    infinity_matrix = _inverse_of_product(matrices)
+    if infinity_matrix is None:
+        try:
+            infinity_matrix = reduce(lambda a, b: a @ b, matrices).inverse()
+        except InvalidMonodromyError:
+            _check_invertible(points)
+            raise  # a singular product has a singular factor, found above
+    return _derived(rank, points, infinity_matrix)
+
+
+def _derived(
+    rank: int, points: tuple[FinitePoint, ...], infinity_matrix: QMatrix
+) -> MonodromyTuple:
+    """The tuple whose A_inf is the inverse of its finite matrices' product."""
     t = MonodromyTuple(rank, points, infinity_matrix)
     vars(t)["relation_product"] = QMatrix.identity(rank)
     return t
@@ -138,7 +157,8 @@ def random_tuple(rank: int, k: int, seed: int) -> MonodromyTuple:
 
     Finite matrices draw small-integer entries, rejecting singular and
     identity draws; the matrix at infinity is the exact inverse of their
-    product.  Locations are 0..k-1.
+    product, formed on first read, as the draws are already proven
+    invertible.  Locations are 0..k-1.
     """
     if rank < 1 or k < 1:
         raise ValueError("rank and k must be at least 1")
@@ -156,7 +176,8 @@ def random_tuple(rank: int, k: int, seed: int) -> MonodromyTuple:
             raise GenerationError(
                 f"could not draw an invertible non-identity {rank}x{rank} matrix"
             )
-    return monodromy_tuple(rank, [(i, m) for i, m in enumerate(matrices)])
+    points = tuple(FinitePoint(Fraction(i), m) for i, m in enumerate(matrices))
+    return _derived(rank, points, _inverse_of_product(matrices, proven=True))
 
 
 def tuple_to_json(t: MonodromyTuple) -> dict:

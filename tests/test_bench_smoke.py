@@ -60,10 +60,31 @@ def test_rows_at_small_sizes(monkeypatch, capsys, name):
         "WORST_CASE_POINTS",
     ):
         monkeypatch.setattr(bench, sizes, (2, 3))
+    for grid in ("CORNER_RANKS", "CORNER_POINTS"):
+        monkeypatch.setattr(bench, grid, (2,))
     monkeypatch.setattr(bench, "FRACTION_TRIALS", 10)
     monkeypatch.setattr(bench, "LEVELT_OPS", 3)
     rows = getattr(bench, name)(1)
     assert rows and len(capsys.readouterr().out.splitlines()) == len(rows)
+
+
+def test_worst_case_rows_record_each_command(monkeypatch, capsys):
+    # rig, verify and fourier on two worst-case inputs and one corner, each
+    # in its own interpreter; a run past the time limit is recorded as such
+    monkeypatch.setattr(bench, "WORST_CASE_POINTS", (2,))
+    for grid in ("CORNER_RANKS", "CORNER_POINTS"):
+        monkeypatch.setattr(bench, grid, (2,))
+    rows = bench.worst_case_rows(1)
+    assert [(row["input"], row["command"]) for row in rows] == [
+        (name, command)
+        for name in ("small_entries", "large_entries", "adm:2:2")
+        for command in ("rig", "verify", "fourier")
+    ]
+    assert all(row["exit_code"] == 0 and not row["timed_out"] for row in rows)
+    assert rows[-1]["rank"] == rows[-1]["points"] == 2
+    monkeypatch.setattr(bench, "WORST_CASE_TIMEOUT_S", 0.001)
+    late = bench.command_run("rig", "-")
+    assert late == {"timed_out": True, "cpu_s": None, "exit_code": None, "stdout_sha256": None}
 
 
 @pytest.mark.parametrize(

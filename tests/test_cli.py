@@ -1413,51 +1413,72 @@ def exact_closures(spins: list) -> list:
 
 
 class TestComputeOnce:
-    # (command, invariant-factor calls, restrictions) for k = 3 finite points:
-    # rig needs the k + 1 source matrices and nothing of the transform;
-    # fourier restricts the k components to im(A - 1) and the zero monodromy
-    # of the self-check, whose one restriction also gives the
-    # kernel-dimension check, but not A_inf: its non-unit part takes e
-    # restrictions, e its largest unit block, 0 here; verify does both.  One matrix
-    # is factored, once: A_inf, whose factors serve both sides.  All three
-    # points are certified cyclic, also diag(2, 1), of which e_2 is an
-    # eigenvector, so that a spin of e_n would not certify it; the
-    # components are 1 x 1, or equal to their point's matrix
-    # (rank(A - 1) = n), whose dimension is computed once for both; the
-    # restricted zero monodromy equals A_inf, which has no eigenvalue 1, so
-    # the similarity self-check factors nothing; the zero monodromy's
-    # invariants are composed from A_inf's.  Before these shortcuts the
-    # counts were 4, 5 and 8: one factorization per matrix role.
+    # (command, invariant-factor calls, exact inverses, restrictions, spins
+    # mod p) for k = 3 finite points, A_inf derived: the product P of the
+    # finite matrices has full rank mod p, which proves it invertible, so no
+    # inverse is formed until something reads A_inf.  rig needs the k + 1
+    # source dimensions and nothing of the transform; P mod p is cyclic,
+    # so A_inf is, and its dimension is n, with no factorization.  verify
+    # restricts the k components to im(A - 1), and P - 1 has full rank mod
+    # p too, so A_inf has no eigenvalue 1: the zero monodromy's dimension is
+    # n + m^2, m = rank_hat - n, with no zero monodromy built and so no
+    # restriction of it.  fourier prints A_inf's part of the zero monodromy:
+    # it forms the one inverse and factors A_inf once, restricts the k
+    # components and the zero monodromy of the self-check, whose one
+    # restriction also gives the kernel-dimension check, but not A_inf: its
+    # non-unit part takes e restrictions, e its largest unit block, 0 here.
+    # Every point is cyclic mod p, also diag(2, 1), of which e_2 is an
+    # eigenvector, so that a spin of e_n would not certify it; the 1 x 1
+    # components need no spin, and the component equal to its point's
+    # matrix (rank(A - 1) = n) has its dimension computed once for both; in
+    # fourier the restricted zero monodromy equals A_inf, which has no
+    # eigenvalue 1, so the similarity self-check factors nothing.  Before
+    # the certificate the counts were (1, 1, 0), (1, 1, 4) and (1, 1, 4),
+    # every spin exact; before the earlier shortcuts, 4, 5 and 8
+    # factorizations: one per matrix role.
     @pytest.mark.parametrize(
-        "command, factorizations, restrictions",
-        [("rig", 1, 0), ("fourier", 1, 4), ("verify", 1, 4)],
+        "command, factorizations, inverses, restrictions, cyclic_spins",
+        [("rig", 0, 0, 0, 4), ("fourier", 1, 1, 4, 1), ("verify", 0, 0, 3, 4)],
         ids=["rig", "fourier", "verify"],
     )
     def test_single_tuple_op(
-        self, capsys, tmp_path, monkeypatch, command, factorizations, restrictions
+        self,
+        capsys,
+        tmp_path,
+        monkeypatch,
+        command,
+        factorizations,
+        inverses,
+        restrictions,
+        cyclic_spins,
     ):
         path = write_json(tmp_path, "t.json", FOURPOINT2)
         validate = count_calls(monkeypatch, local_systems, "validate")
         closure = count_calls(monkeypatch, exact_linalg, "spans_full_algebra")
         certificates = count_calls(monkeypatch, exact_linalg, "_closes_mod_p")
         spins = count_calls(monkeypatch, exact_linalg, "_spin")
-        dims = count_calls(monkeypatch, exact_linalg, "centralizer_dimension")
+        cyclic = count_calls(monkeypatch, exact_linalg, "_cyclic_mod_p")
         factors = count_calls(monkeypatch, exact_linalg, "invariant_factors")
         restrict = count_calls(monkeypatch, exact_linalg, "restrict_to_image")
+        inverted = []
+        original = exact_linalg.QMatrix.inverse
+        monkeypatch.setattr(
+            exact_linalg.QMatrix, "inverse", lambda m: inverted.append(m) or original(m)
+        )
         code, _, _ = run_cli(capsys, command, "--input", path)
         assert code == 0
         assert (len(validate), len(closure)) == (1, 1)
         # diag(2, 1) - 1 has rank one, so the irreducibility is two spins,
         # of u = e_1 and of w = e_1, under the two other finite matrices
         # (diag(2, 1) itself adds no direction to either), which both reach
-        # 2, and neither closure runs; every other spin is under one matrix,
-        # the cyclic certificate of a centralizer dimension
+        # 2, and neither closure runs; those are the only exact spins
         assert (len(certificates), len(exact_closures(spins))) == (0, 0)
-        spun = [len(args[0]) for args in spins]
-        assert spun.count(2) == 2 and spun.count(1) == len(dims) == len(spun) - 2
+        assert [len(args[0]) for args in spins] == [2, 2]
         reflection = diagonal([2, 1]).numerators  # FOURPOINT2's first matrix
-        assert all(reflection not in args[0] for args in spins if len(args[0]) == 2)
+        assert all(reflection not in args[0] for args in spins)
+        assert len(cyclic) == cyclic_spins
         assert len(factors) == factorizations
+        assert len(inverted) == inverses
         assert len(restrict) == restrictions
 
     @pytest.mark.parametrize("command, pseudo_reflections", [("fourier", 0), ("verify", 1)])
@@ -1512,8 +1533,10 @@ class TestComputeOnce:
 
     @pytest.mark.parametrize("given", [False, True])
     def test_relation_product_formed_once(self, capsys, tmp_path, monkeypatch, given):
-        # omitted, A_inf is the inverse of the k - 1 products of the finite
-        # matrices, and validate knows the relation holds; given, validate
+        # omitted, A_inf is the inverse of the finite matrices' product,
+        # proven invertible mod p and never formed, as verify reads only
+        # facts of the product mod p, and validate knows the relation holds:
+        # no exact product (k - 1 before the certificate); given, validate
         # forms the k products of all k + 1 matrices
         payload = dict(FOURPOINT2)
         if given:
@@ -1528,7 +1551,7 @@ class TestComputeOnce:
         code, _, _ = run_cli(capsys, "verify", "--input", path)
         assert code == 0
         k = len(FOURPOINT2["finite_points"])
-        assert len(products) == (k if given else k - 1)
+        assert len(products) == (k if given else 0)
 
     def test_campaign_draw(self, capsys, monkeypatch):
         draws = count_calls(monkeypatch, local_systems, "random_tuple")
