@@ -28,8 +28,8 @@ reduced row echelon form with leftmost pivots, so runs are bit-identical.
 
 Invertibility (``QMatrix.is_invertible``) is the exact rank of dA.  The
 inverse of a product P = A_1 ... A_k may be kept unformed
-(``_inverse_of_product``): P mod p proves it invertible, and cyclic and
-without eigenvalue 1 (``_inverse_facts``), when its spin and ranks reach n.
+(``_ProductInverse``): a full rank of P mod p proves it invertible, and its
+``facts``, cyclic and without eigenvalue 1, when its spin and ranks reach n.
 Irreducibility (``spans_full_algebra``) is two vector spins when a generator
 P is 1 + u w^T: of u and w under the other generators, as P adds no
 direction to a span that holds u (nor P^T to one that holds w).  Otherwise
@@ -127,24 +127,24 @@ class QMatrix:
     def _integral(
         cls, rows: int, cols: int, numerators: list[Sequence[int]], denominator: int = 1
     ) -> "QMatrix":
-        """The matrix with the rows ``numerators`` / ``denominator`` > 0."""
-        matrix = object.__new__(cls)
-        matrix._store(rows, cols, numerators, denominator)
-        return matrix
-
-    def _store(self, rows: int, cols: int, numerators: list[Sequence[int]], denominator: int):
-        """Set the fields once, in canonical form: one gcd over dA and d."""
+        """The matrix with the rows ``numerators`` / ``denominator`` > 0, in
+        canonical form: one gcd over dA and d."""
         if denominator > 1 and (g := gcd(denominator, *chain.from_iterable(numerators))) > 1:
             numerators = [[x // g for x in row] for row in numerators]
             denominator //= g
+        matrix = object.__new__(cls)
         numerators = tuple(map(tuple, numerators))
-        vars(self).update(rows=rows, cols=cols, numerators=numerators, denominator=denominator)
+        vars(matrix).update(rows=rows, cols=cols, numerators=numerators, denominator=denominator)
+        return matrix
 
     def _store_ratios(self, rows: int, cols: int, ratios: list[tuple[int, int]]):
-        """Set the fields from the entries p/q, row-major, over their lcm."""
+        """Set the fields from the entries p/q in lowest terms, row-major, over
+        their lcm, with no gcd to divide out."""
         scale = lcm(*(q for _, q in ratios))
-        flat = [p * (scale // q) for p, q in ratios]
-        self._store(rows, cols, [flat[i * cols : (i + 1) * cols] for i in range(rows)], scale)
+        flat = tuple(p * (scale // q) for p, q in ratios)
+        # canonical: r^a exactly dividing scale exactly divides some q, and r cannot divide its p
+        numerators = tuple(flat[i * cols : (i + 1) * cols] for i in range(rows))
+        vars(self).update(rows=rows, cols=cols, numerators=numerators, denominator=scale)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Fraction | int | str]]) -> "QMatrix":
@@ -240,9 +240,9 @@ class QMatrix:
 
 class _ProductInverse(QMatrix):
     """(A_1 ... A_k)^-1 of invertible n x n ``factors``, equal to the
-    ``QMatrix`` it stands for: its dA and d are formed exactly on their first
-    read, and ``product`` is the factors' product mod p, for the facts that
-    it proves (``_inverse_facts``)."""
+    ``QMatrix`` it stands for, and the one mark of a derived A_inf: its dA
+    and d are formed exactly on their first read, ``product`` is the
+    factors' product mod p, and ``facts`` are what that product proves."""
 
     def __init__(self, factors: Sequence[QMatrix]):
         n = factors[0].rows
@@ -252,6 +252,19 @@ class _ProductInverse(QMatrix):
     def product(self) -> tuple[list[list[int]], int]:
         return _product_mod_p(self.factors)
 
+    @cached_property
+    def facts(self) -> tuple[bool, bool]:
+        """(cyclic, cyclic without eigenvalue 1), each proven from P = N / D
+        mod p when True, however P was proven invertible.  A and P share
+        their cyclic vectors' existence, as Q[P^-1] = Q[P], and A - 1 is
+        invertible when P - 1 = (N - DI) / D is, which a full rank of N - DI
+        mod p proves.  A False proves nothing."""
+        rows, scale = self.product
+        if not _cyclic_mod_p(rows):
+            return False, False
+        shifted = [[x - scale * (i == j) for j, x in enumerate(row)] for i, row in enumerate(rows)]
+        return True, _independent_mod_p(shifted) == len(rows)
+
     def __getattr__(self, name: str):
         """dA and d, formed together by the exact product and inverse."""
         if name not in ("numerators", "denominator"):
@@ -259,15 +272,6 @@ class _ProductInverse(QMatrix):
         inverse = reduce(QMatrix.__matmul__, self.factors).inverse()
         vars(self).update(numerators=inverse.numerators, denominator=inverse.denominator)
         return vars(self)[name]
-
-
-def _inverse_of_product(factors: Sequence[QMatrix], proven: bool = False) -> QMatrix | None:
-    """(A_1 ... A_k)^-1 as a ``_ProductInverse``, or None when the product is
-    neither ``proven`` invertible nor of full rank mod p, which proves it."""
-    inverse = _ProductInverse(factors)
-    if proven or _independent_mod_p(inverse.product[0]) == inverse.rows:
-        return inverse
-    return None
 
 
 def rational_text(p: Fraction | int, q: int = 1) -> str:
@@ -521,21 +525,6 @@ def _product_mod_p(factors: Sequence[QMatrix]) -> tuple[list[list[int]], int]:
         rows = [[sum(map(mul, row, column)) % p for column in columns] for row in rows]
         scale = scale * factor.denominator % p
     return rows, scale % p
-
-
-def _inverse_facts(matrix: QMatrix) -> tuple[bool, bool]:
-    """(cyclic, cyclic without eigenvalue 1) of a ``_ProductInverse`` A = P^-1,
-    P = N / D, each proven from P mod p when True, and (False, False) for any
-    other matrix.  A and P share their cyclic vectors' existence, as
-    Q[P^-1] = Q[P], and A - 1 is invertible when P - 1 = (N - DI) / D is,
-    which a full rank of N - DI mod p proves.  A False proves nothing."""
-    if not isinstance(matrix, _ProductInverse):
-        return False, False
-    rows, scale = matrix.product
-    if not _cyclic_mod_p(rows):
-        return False, False
-    shifted = [[x - scale * (i == j) for j, x in enumerate(row)] for i, row in enumerate(rows)]
-    return True, _independent_mod_p(shifted) == len(rows)
 
 
 def _spin(generators: list[Sequence[Sequence[int]]], start: list[int]) -> int:

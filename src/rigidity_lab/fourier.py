@@ -23,7 +23,7 @@ from .errors import HypothesisViolationError, InternalError, NonRealizableError
 from .exact_linalg import (
     QMatrix,
     SimilarityInvariant,
-    _inverse_facts,
+    _ProductInverse,
     block_diag,
     centralizer_dimension,
     invariant_factors,
@@ -139,11 +139,12 @@ class TupleAnalysis:
     @cached_property
     def _infinity_facts(self) -> tuple[bool, bool]:
         """(A_inf is cyclic, A_inf is cyclic without eigenvalue 1), proven
-        from the product mod p (``exact_linalg._inverse_facts``) when A_inf
-        was derived and its invariants are not cached; False proves nothing."""
-        if "infinity_invariants" in vars(self):
+        from the product mod p (``_ProductInverse.facts``) when A_inf was
+        derived and its invariants are not cached; False proves nothing."""
+        a = self.tuple.infinity_matrix
+        if "infinity_invariants" in vars(self) or not isinstance(a, _ProductInverse):
             return False, False
-        return _inverse_facts(self.tuple.infinity_matrix)
+        return a.facts
 
     @cached_property
     def centralizer_dims(self) -> tuple[int, ...]:

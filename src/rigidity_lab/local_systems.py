@@ -2,8 +2,11 @@
 random tuples and the JSON schema.
 
 A tuple stores one invertible matrix per finite singular point plus one at
-infinity, subject to the product-one relation in the listed order.  What is
-computed about a tuple, its rigidity index included, lives in ``fourier``.
+infinity, subject to the product-one relation in the listed order.  An
+A_inf that is derived, not given, is the ``exact_linalg._ProductInverse`` of
+the finite matrices, so the relation holds by construction and ``validate``
+multiplies nothing.  What is computed about a tuple, its rigidity index
+included, lives in ``fourier``.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import os
 import random
 import sys
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import chain
 from math import gcd
 from typing import Iterable, NamedTuple, TextIO
@@ -21,7 +24,8 @@ from typing import Iterable, NamedTuple, TextIO
 from .errors import GenerationError, InvalidMonodromyError, ValidationError
 from .exact_linalg import (
     QMatrix,
-    _inverse_of_product,
+    _independent_mod_p,
+    _ProductInverse,
     matrix_to_json,
     parse_rational,
     rational_text,
@@ -47,16 +51,10 @@ class FinitePoint(NamedTuple):
     matrix: QMatrix
 
 
-class _MonodromyFields(NamedTuple):
+class MonodromyTuple(NamedTuple):
     rank: int
     finite_points: tuple[FinitePoint, ...]
     infinity_matrix: QMatrix
-
-
-class MonodromyTuple(_MonodromyFields):
-    """Rank, finite points and A_inf, compared, hashed and printed as the
-    tuple of the three.  Unlike its base it has a ``__dict__``, which caches
-    ``relation_product``: a copy made by ``_replace`` multiplies again."""
 
     @property
     def num_finite_points(self) -> int:
@@ -66,17 +64,6 @@ class MonodromyTuple(_MonodromyFields):
         """All local monodromies, finite points first, infinity last."""
         return [p.matrix for p in self.finite_points] + [self.infinity_matrix]
 
-    @cached_property
-    def relation_product(self) -> QMatrix:
-        """A_1 ... A_k A_inf, after the shape checks that define it.  When
-        ``monodromy_tuple`` derives A_inf it stores 1 here; any other tuple,
-        one built from a derived tuple's fields too, multiplies on first use."""
-        n = self.rank
-        _check_shapes(n, self.finite_points)
-        if self.infinity_matrix.rows != n or self.infinity_matrix.cols != n:
-            raise ValidationError(f"matrix at infinity must be {n}x{n}")
-        return reduce(lambda a, b: a @ b, self.matrices())
-
 
 def monodromy_tuple(
     rank: int,
@@ -84,33 +71,22 @@ def monodromy_tuple(
     infinity_matrix: QMatrix | None = None,
 ) -> MonodromyTuple:
     """Assemble a tuple.  An omitted infinity matrix is the exact inverse of
-    the finite ones' product, so the relation holds: 1 is stored as the
-    tuple's ``relation_product``.  The product is proven invertible once:
-    mod p when it has full rank there, and its inverse is formed on first
-    read (``exact_linalg._inverse_of_product``); else exactly, failing as
-    ``validate`` would with A_inf given (shape, then point)."""
+    the finite ones' product, a ``_ProductInverse``.  The product is proven
+    invertible once: mod p when it has full rank there, and the inverse is
+    formed on first read; else exactly, by forming the inverse at once,
+    failing as ``validate`` would with A_inf given (shape, then point)."""
     points = tuple(FinitePoint(parse_rational(loc), m) for loc, m in finite_points)
     if infinity_matrix is not None:
         return MonodromyTuple(rank, points, infinity_matrix)
     _check_shapes(rank, points)
-    matrices = [p.matrix for p in points]
-    infinity_matrix = _inverse_of_product(matrices)
-    if infinity_matrix is None:
+    infinity_matrix = _ProductInverse([p.matrix for p in points])
+    if _independent_mod_p(infinity_matrix.product[0]) < rank:
         try:
-            infinity_matrix = reduce(lambda a, b: a @ b, matrices).inverse()
+            infinity_matrix.numerators  # forms the exact product and its inverse
         except InvalidMonodromyError:
             _check_invertible(points)
             raise  # a singular product has a singular factor, found above
-    return _derived(rank, points, infinity_matrix)
-
-
-def _derived(
-    rank: int, points: tuple[FinitePoint, ...], infinity_matrix: QMatrix
-) -> MonodromyTuple:
-    """The tuple whose A_inf is the inverse of its finite matrices' product."""
-    t = MonodromyTuple(rank, points, infinity_matrix)
-    vars(t)["relation_product"] = QMatrix.identity(rank)
-    return t
+    return MonodromyTuple(rank, points, infinity_matrix)
 
 
 def _check_shapes(n: int, finite_points: tuple[FinitePoint, ...]) -> None:
@@ -130,16 +106,22 @@ def _check_invertible(finite_points: tuple[FinitePoint, ...]) -> None:
 
 
 def validate(t: MonodromyTuple) -> None:
-    """Check every structural invariant, raising with the violated one.
-    ``t.relation_product`` checks the shapes and multiplies the k + 1
-    matrices, unless ``monodromy_tuple`` derived A_inf and stored 1 there."""
-    product = t.relation_product
-    identity = QMatrix.identity(t.rank)
+    """Check every structural invariant, raising with the violated one.  The
+    shapes are always checked; the k products of the k + 1 matrices are
+    formed unless A_inf is the ``_ProductInverse`` of the finite matrices."""
+    n, infinity = t.rank, t.infinity_matrix
+    _check_shapes(n, t.finite_points)
+    if infinity.rows != n or infinity.cols != n:
+        raise ValidationError(f"matrix at infinity must be {n}x{n}")
+    identity = QMatrix.identity(n)
+    finite = tuple(m for _, m in t.finite_points)
+    derived = isinstance(infinity, _ProductInverse) and infinity.factors == finite
+    holds = derived or reduce(lambda a, b: a @ b, t.matrices()) == identity
     # A product equal to 1 has factors whose determinants multiply to 1, so
     # each is invertible; only a broken relation needs the checks one by one.
-    if product != identity:
+    if not holds:
         _check_invertible(t.finite_points)
-        if not t.infinity_matrix.is_invertible():
+        if not infinity.is_invertible():
             raise ValidationError("non-invertible matrix at infinity")
     locations = [loc for loc, _ in t.finite_points]
     if len(set(locations)) != len(locations):
@@ -148,7 +130,7 @@ def validate(t: MonodromyTuple) -> None:
         if m == identity:
             where = shorten(rational_text(loc))
             raise ValidationError(f"trivial local monodromy at finite point {where}")
-    if product != identity:
+    if not holds:
         raise ValidationError("monodromy relation violated")
 
 
@@ -156,8 +138,8 @@ def random_tuple(rank: int, k: int, seed: int) -> MonodromyTuple:
     """Deterministic random tuple with the relation enforced exactly.
 
     Finite matrices draw small-integer entries, rejecting singular and
-    identity draws; the matrix at infinity is the exact inverse of their
-    product, formed on first read, as the draws are already proven
+    identity draws; the matrix at infinity is the ``_ProductInverse`` of
+    theirs, formed on first read, as the draws are already proven
     invertible.  Locations are 0..k-1.
     """
     if rank < 1 or k < 1:
@@ -177,7 +159,7 @@ def random_tuple(rank: int, k: int, seed: int) -> MonodromyTuple:
                 f"could not draw an invertible non-identity {rank}x{rank} matrix"
             )
     points = tuple(FinitePoint(Fraction(i), m) for i, m in enumerate(matrices))
-    return _derived(rank, points, _inverse_of_product(matrices, proven=True))
+    return MonodromyTuple(rank, points, _ProductInverse(matrices))
 
 
 def tuple_to_json(t: MonodromyTuple) -> dict:

@@ -34,9 +34,11 @@ INFINITY = (FOURPOINT2[0][1] @ FOURPOINT2[1][1] @ FOURPOINT2[2][1]).inverse()
 
 @contextmanager
 def exact_route():
-    """``monodromy_tuple`` as before the certificate: P's exact inverse."""
-    with mock.patch.object(local_systems, "_inverse_of_product", lambda factors: None):
-        yield
+    """``monodromy_tuple`` as before the certificate: P proven invertible by
+    its exact inverse, formed at once, and no fact of P mod p read."""
+    with mock.patch.object(local_systems, "_independent_mod_p", lambda vectors: 0):
+        with mock.patch.object(exact_linalg._ProductInverse, "facts", (False, False)):
+            yield
 
 
 def outcome(build) -> list:
@@ -76,10 +78,10 @@ class TestCampaign:
             assert formed(t.infinity_matrix) is not facts[1]
             with exact_route():
                 exact = monodromy_tuple(t.rank, t.finite_points)
-            assert type(exact.infinity_matrix) is QMatrix
-            exact_analysis = TupleAnalysis(exact)
-            assert certified == (exact_analysis.report, exact_analysis.preservation)
-            assert exact_analysis._infinity_facts == (False, False)
+                assert formed(exact.infinity_matrix)
+                exact_analysis = TupleAnalysis(exact)
+                assert certified == (exact_analysis.report, exact_analysis.preservation)
+                assert exact_analysis._infinity_facts == (False, False)
         assert (cyclic, settled) == (500, 491)
 
 
@@ -158,12 +160,14 @@ class TestForcedFallbacks:
 
     def test_denominator_the_prime_divides(self, capsys, tmp_path):
         # d A = diag(2p, 1) is singular mod p, so P's invertibility is
-        # proven exactly and A_inf formed at once; the output is that of the
-        # document that gives A_inf
+        # proven exactly and A_inf formed at once; N mod p = [[0, 0], [1, 1]]
+        # still proves A_inf cyclic, and N - DI = N, singular mod p, proves
+        # nothing of eigenvalue 1; the output is that of the document that
+        # gives A_inf
         points = [(0, diagonal([2, f"1/{PRIME}"])), *FOURPOINT2[1:]]
         t = monodromy_tuple(2, points)
-        assert type(t.infinity_matrix) is QMatrix
-        assert TupleAnalysis(t)._infinity_facts == (False, False)
+        assert formed(t.infinity_matrix)
+        assert TupleAnalysis(t)._infinity_facts == (True, False)
         outputs = []
         for given_infinity in (False, True):
             path = tmp_path / f"{given_infinity}.json"

@@ -2,7 +2,7 @@ import random
 import re
 import sys
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 import pytest
 import sympy
@@ -290,6 +290,22 @@ same_shape_pairs = st.tuples(st.integers(0, 4), st.integers(0, 4)).flatmap(
 )
 
 
+# Entries in lowest terms: zeros, both signs, long numerators, and
+# denominators that share factors (4, 6, 12), are coprime (9, 35) or are large.
+_lowest_terms_entries = st.builds(
+    Fraction,
+    st.one_of(st.integers(-30, 30), st.integers(-(2**70), 2**70)),
+    st.sampled_from([1, 2, 3, 4, 6, 9, 10, 12, 35, 2**61 - 1, 2**64]),
+)
+lowest_terms_rows = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
+    lambda shape: st.lists(
+        st.lists(_lowest_terms_entries, min_size=shape[1], max_size=shape[1]),
+        min_size=shape[0],
+        max_size=shape[0],
+    )
+)
+
+
 class TestCanonicalForm:
     """A matrix is stored as dA and d > 0 with gcd(d, content(dA)) = 1, so
     it has one stored form, whatever built it."""
@@ -326,6 +342,20 @@ class TestCanonicalForm:
             assert m == a and hash(m) == hash(a)
             assert (m.numerators, m.denominator) == (a.numerators, d)
             assert all(type(x) is int for row in m.numerators for x in row)
+
+    @settings(max_examples=150, deadline=None)
+    @given(lowest_terms_rows)
+    @example([[Fraction(0)]])
+    @example([[Fraction(1, 6), Fraction(-1, 10)], [Fraction(0), Fraction(1, 15)]])
+    @example([[Fraction(3, 4), Fraction(-5, 4)], [Fraction(7, 2), Fraction(0)]])
+    def test_lowest_terms_over_their_lcm_are_canonical(self, rows):
+        # r^a exactly dividing the lcm exactly divides some entry's q, whose
+        # p r does not divide: read entries store what one gcd would leave
+        scale = lcm(*(x.denominator for row in rows for x in row))
+        numerators = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
+        divided = QMatrix._integral(len(rows), len(rows[0]), numerators, scale)
+        read = QMatrix.from_rows([[str(x) for x in row] for row in rows])
+        assert (read.numerators, read.denominator) == (divided.numerators, divided.denominator)
 
     def test_integer_producers_are_canonical(self):
         half = QMatrix.from_rows([["1/2", 0], [0, "1/2"]])

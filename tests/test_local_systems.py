@@ -169,19 +169,26 @@ class TestValidate:
         with pytest.raises(ValidationError, match="^matrix at infinity must be 2x2$"):
             validate(shapes)
 
-    def test_replace_recomputes_the_relation_product(self):
-        # a derived tuple stores 1 as its product; a copy made by _replace,
-        # even with the same fields, multiplies its matrices on first use
+    def test_replace_recomputes_the_relation_product(self, monkeypatch):
+        # a derived A_inf is the inverse of its own factors: a copy made by
+        # _replace with the same fields keeps them and multiplies nothing,
+        # while a copy with another A_inf, or that A_inf with other finite
+        # matrices, multiplies its matrices and breaks the relation
         derived = HYPERGEOMETRIC2
-        assert vars(derived) == {"relation_product": QMatrix.identity(2)}
+        products = []
+        original = QMatrix.__matmul__
+        monkeypatch.setattr(QMatrix, "__matmul__", lambda a, b: products.append(a) or original(a, b))
         copy = derived._replace()
-        assert type(copy) is MonodromyTuple and copy == derived and vars(copy) == {}
-        assert copy.relation_product == QMatrix.identity(2)
-        assert vars(copy) == {"relation_product": QMatrix.identity(2)}
-        wrong = derived._replace(infinity_matrix=diagonal([2, 1]))
-        assert wrong.relation_product == derived.infinity_matrix.inverse() @ diagonal([2, 1])
-        with pytest.raises(ValidationError, match="^monodromy relation violated$"):
-            validate(wrong)
+        assert type(copy) is MonodromyTuple and copy == derived
+        validate(copy)
+        assert products == []
+        others = tuple(reversed(derived.finite_points))
+        for wrong in (
+            derived._replace(infinity_matrix=diagonal([2, 1])),
+            MonodromyTuple(derived.rank, others, derived.infinity_matrix),
+        ):
+            with pytest.raises(ValidationError, match="^monodromy relation violated$"):
+                validate(wrong)
 
     def test_valid_tuple_checks_no_matrix_for_invertibility(self, monkeypatch):
         tuples = [HYPERGEOMETRIC2, FOURPOINT2, rank1("2", "1/2"), random_tuple(4, 3, 5)]
