@@ -19,7 +19,9 @@ tree's ``src/rigidity_lab`` is loaded as its own package, as ``bench/ab.py``
 loads it.  Every tuple runs on both trees back to back, the tree that goes
 first alternating from tuple to tuple, and what ``fourier --input`` and
 ``verify --input`` print (the JSON at ``indent=2``, or the class and
-message of the error they report) must be the same, or the run stops;
+message of the error they report; each on its own ``TupleAnalysis``, as
+the CLI runs them, so ``verify`` takes the routes it takes there) must be
+the same, or the run stops;
 those bytes go, in order, into one sha256 digest per set.  Each row gives
 each tree's CPU seconds for the set (building the tuples included), their
 ratio (change over parent), the digest, and the branch counts, of all
@@ -83,11 +85,13 @@ def printed(lib, command):
 def outcome(lib, n: int, chosen: tuple) -> tuple[bytes, tuple[bool, ...], bool]:
     """What ``fourier`` and ``verify`` print for the tuple of ``chosen``,
     the ``BRANCHES`` it reaches, and whether it is irreducible."""
-    analysis = lib.fourier.TupleAnalysis(lib.local_systems.monodromy_tuple(n, enumerate(chosen)))
+    t = lib.local_systems.monodromy_tuple(n, enumerate(chosen))
+    analysis = lib.fourier.TupleAnalysis(t)
 
     def verify_input() -> dict:  # as ``cli._cmd_verify`` runs it, without ``--force``
-        analysis.require_irreducible()
-        return lib.fourier.preservation_to_json(analysis)
+        own = lib.fourier.TupleAnalysis(t)  # not the one fourier filled, as in the CLI
+        own.require_irreducible()
+        return lib.fourier.preservation_to_json(own)
 
     fourier = printed(lib, lambda: lib.fourier.fourier_data_to_json(analysis))
     verify = printed(lib, verify_input)

@@ -28,8 +28,8 @@ reduced row echelon form with leftmost pivots, so runs are bit-identical.
 
 Invertibility (``QMatrix.is_invertible``) is the exact rank of dA.  The
 inverse of a product P = A_1 ... A_k may be kept unformed
-(``_ProductInverse``): a full rank of P mod p proves it invertible, and its
-``facts``, cyclic and without eigenvalue 1, when its spin and ranks reach n.
+(``_ProductInverse``): a full rank of P mod p proves it invertible, and
+its spin reaching n proves P^-1 cyclic (``fourier.TupleAnalysis``).
 Irreducibility (``spans_full_algebra``) is two vector spins when a generator
 P is 1 + u w^T: of u and w under the other generators, as P adds no
 direction to a span that holds u (nor P^T to one that holds w).  Otherwise
@@ -241,8 +241,8 @@ class QMatrix:
 class _ProductInverse(QMatrix):
     """(A_1 ... A_k)^-1 of invertible n x n ``factors``, equal to the
     ``QMatrix`` it stands for, and the one mark of a derived A_inf: its dA
-    and d are formed exactly on their first read, ``product`` is the
-    factors' product mod p, and ``facts`` are what that product proves."""
+    and d are formed exactly on their first read, and ``product`` is the
+    factors' product mod p, which proves facts of A_inf without forming it."""
 
     def __init__(self, factors: Sequence[QMatrix]):
         n = factors[0].rows
@@ -251,19 +251,6 @@ class _ProductInverse(QMatrix):
     @cached_property
     def product(self) -> tuple[list[list[int]], int]:
         return _product_mod_p(self.factors)
-
-    @cached_property
-    def facts(self) -> tuple[bool, bool]:
-        """(cyclic, cyclic without eigenvalue 1), each proven from P = N / D
-        mod p when True, however P was proven invertible.  A and P share
-        their cyclic vectors' existence, as Q[P^-1] = Q[P], and A - 1 is
-        invertible when P - 1 = (N - DI) / D is, which a full rank of N - DI
-        mod p proves.  A False proves nothing."""
-        rows, scale = self.product
-        if not _cyclic_mod_p(rows):
-            return False, False
-        shifted = [[x - scale * (i == j) for j, x in enumerate(row)] for i, row in enumerate(rows)]
-        return True, _independent_mod_p(shifted) == len(rows)
 
     def __getattr__(self, name: str):
         """dA and d, formed together by the exact product and inverse."""

@@ -23,6 +23,9 @@ from .errors import HypothesisViolationError, InternalError, NonRealizableError
 from .exact_linalg import (
     QMatrix,
     SimilarityInvariant,
+    _cyclic_mod_p,
+    _independent_mod_p,
+    _product_mod_p,
     _ProductInverse,
     block_diag,
     centralizer_dimension,
@@ -100,14 +103,15 @@ class TupleAnalysis:
     is similar to it without being factored.  The components are restricted
     once, for ``local_data`` and ``preservation`` alike.
 
-    A derived A_inf = P^-1, P the finite matrices' product, is not formed
-    over Q for ``report`` and ``preservation`` when P mod p proves it cyclic
-    (its dimension is then n) and without eigenvalue 1 (then the zero
-    monodromy is A_inf beside m = rank_hat - n unit blocks, of dimension
-    n + m^2, and ``preservation`` needs no ``local_data``).  Any other
-    outcome, a given A_inf, or invariants at infinity already computed take
-    the exact route for that quantity; ``local_data``, which ``fourier``
-    prints, is always exact and keeps its self-checks.
+    A_inf is not factored, nor a derived A_inf = P^-1 (P the finite
+    matrices' product) formed over Q, for ``report`` and ``preservation``
+    when one spin of its residues mod p, dA's or P's, proves it cyclic.  Its
+    dimension is then n, and the zero monodromy's is n + m^2, m = rank_hat -
+    n, whatever A_inf's unit Jordan block; at m = 0 only when det(A_inf - 1)
+    is also nonzero mod p.  Then ``preservation`` needs no ``local_data``.
+    Any other outcome, or invariants at infinity already computed, take the
+    exact route for that quantity; ``local_data``, which ``fourier`` prints,
+    is always exact and keeps its self-checks.
     """
 
     def __init__(self, t: MonodromyTuple):
@@ -137,20 +141,23 @@ class TupleAnalysis:
         return invariant_factors(self.tuple.infinity_matrix)
 
     @cached_property
-    def _infinity_facts(self) -> tuple[bool, bool]:
-        """(A_inf is cyclic, A_inf is cyclic without eigenvalue 1), proven
-        from the product mod p (``_ProductInverse.facts``) when A_inf was
-        derived and its invariants are not cached; False proves nothing."""
+    def _cyclic_residues(self) -> tuple[list[list[int]], int] | None:
+        """(rows, scale) mod p, either (dA, d) of a given A_inf or the
+        product (N, D) whose inverse a derived one is, when the spin of rows
+        proves A_inf cyclic (dA is cyclic exactly when A is, and N exactly
+        when N^-1 is); None, which proves nothing, when it falls short or
+        A_inf's invariants are already cached."""
+        if "infinity_invariants" in vars(self):
+            return None
         a = self.tuple.infinity_matrix
-        if "infinity_invariants" in vars(self) or not isinstance(a, _ProductInverse):
-            return False, False
-        return a.facts
+        rows, scale = a.product if isinstance(a, _ProductInverse) else _product_mod_p([a])
+        return (rows, scale) if _cyclic_mod_p(rows) else None
 
     @cached_property
     def centralizer_dims(self) -> tuple[int, ...]:
         """Source centralizer dimensions, finite points first, infinity last."""
         finite = (self._centralizer_dim(a) for _, a in self.tuple.finite_points)
-        if self._infinity_facts[0]:  # A_inf is cyclic
+        if self._cyclic_residues:  # A_inf is cyclic
             return (*finite, self.tuple.rank)
         return (*finite, self.infinity_invariants.centralizer_dimension)
 
@@ -236,8 +243,17 @@ class TupleAnalysis:
         n = self.tuple.rank
         irregularity = _irregularity(self.components)
         rank_hat = sum(c.dimension for c in self.components)
-        if self._infinity_facts[1]:  # T's factors: m - 1 times x - 1, then (x - 1) f
-            zero_dim = n + _padding(rank_hat, n, 0) ** 2
+        m = _padding(rank_hat, n, 0)  # local_data raises the same when m < 0
+        # A_inf cyclic has at most one unit block, of size e: T's unit part is
+        # (e + 1, 1^(m - 1)), of centralizer e + m^2, beside n - e; at m = 0,
+        # T = A_inf needs e = 0, that is a full rank of rows - scale 1 mod p
+        certified = self._cyclic_residues
+        if certified and not m:
+            rows, scale = certified
+            shifted = [[x - scale * (i == j) for j, x in enumerate(r)] for i, r in enumerate(rows)]
+            certified = _independent_mod_p(shifted) == n
+        if certified:
+            zero_dim = n + m * m
         else:
             zero_dim = self.zero_invariants.centralizer_dimension
         rig_transformed = zero_dim + sum(self.component_centralizer_dims) - irregularity
@@ -250,13 +266,7 @@ class TupleAnalysis:
                 self.component_centralizer_dims,
             )
         ]
-        identities.append(
-            PointIdentity(
-                "infinity",
-                self.centralizer_dims[-1] - zero_dim,
-                -((rank_hat - n) ** 2),
-            )
-        )
+        identities.append(PointIdentity("infinity", self.centralizer_dims[-1] - zero_dim, -m * m))
         return PreservationReport(
             rig_source=self.index,
             rig_fourier=rig_transformed,

@@ -18,7 +18,6 @@ import sys
 from fractions import Fraction
 from functools import reduce
 from itertools import chain
-from math import gcd
 from typing import Iterable, NamedTuple, TextIO
 
 from .errors import GenerationError, InvalidMonodromyError, ValidationError
@@ -28,6 +27,7 @@ from .exact_linalg import (
     _ProductInverse,
     matrix_to_json,
     parse_rational,
+    rational_pair,
     rational_text,
     shorten,
 )
@@ -220,14 +220,12 @@ def _bounded_matrix(data: object) -> QMatrix:
         matrix = QMatrix.from_rows(data)
     except ValueError as exc:
         raise ValueError(f"bad matrix entry: {exc}") from exc
-    # Entry x/d of the stored dA and d is (x/g)/(d/g) in lowest terms, with
-    # g = gcd(x, d), no part above |x| or d: a gcd only where one is too large.
-    d = matrix.denominator
-    if any(
-        (top // gcd(x, d)).bit_length() > MAX_ENTRY_BITS
-        for x in chain.from_iterable(matrix.numerators)
-        if (top := max(abs(x), d)).bit_length() > MAX_ENTRY_BITS
-    ):
+    # An entry x/d of the stored dA and d has no part above |x| or d in
+    # lowest terms, so its parts, rational_pair's, are read again only when
+    # one stored integer is too large: two C-level maxima and no gcd.
+    top = max(map(abs, chain((matrix.denominator,), *matrix.numerators)))
+    pairs = chain.from_iterable(map(rational_pair, chain.from_iterable(data)))
+    if top.bit_length() > MAX_ENTRY_BITS and max(map(abs, pairs)).bit_length() > MAX_ENTRY_BITS:
         raise ValueError(
             f"a matrix entry has a numerator or denominator of more than {MAX_ENTRY_BITS} bits"
         )

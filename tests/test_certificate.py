@@ -1,26 +1,40 @@
-"""The certified route for a derived A_inf: facts of the finite matrices'
-product P mod p stand in for A_inf = P^-1 over Q.  Each test compares it
-with the exact route, which a tuple takes when P is singular mod p: forced
-here by ``exact_route``, by a small prime, or by a denominator that the
-prime divides."""
+"""The certified route for A_inf: one cyclic spin of its residues mod p,
+dA's for a given A_inf or those of the finite matrices' product for a
+derived one, stands in for A_inf's invariant factors over Q in ``rig`` and
+``verify``.  Each test compares it with the exact route, which a quantity
+takes when that spin falls short: forced here by ``exact_route``, by a small
+prime, or by a non-cyclic A_inf."""
 
 import json
 from contextlib import contextmanager
 from unittest import mock
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigidity_lab import exact_linalg, fourier, local_systems
 from rigidity_lab.campaign import CampaignConfig
+from rigidity_lab.catalog import load_catalog
 from rigidity_lab.cli import main
 from rigidity_lab.errors import RigidityLabError
-from rigidity_lab.exact_linalg import QMatrix, centralizer_dimension, invariant_factors
+from rigidity_lab.exact_linalg import (
+    QMatrix,
+    SimilarityInvariant,
+    centralizer_dimension,
+    invariant_factors,
+)
 from rigidity_lab.fourier import TupleAnalysis
 from rigidity_lab.local_systems import MonodromyTuple, monodromy_tuple, tuple_to_json
 
-from support import campaign_tuples, commutation_centralizer_dimension, diagonal
+from support import (
+    campaign_tuples,
+    commutation_centralizer_dimension,
+    diagonal,
+    levelt_tuple,
+    primitive,
+)
 
 PRIME = exact_linalg._PRIME  # 2^19 - 1
 
@@ -34,10 +48,11 @@ INFINITY = (FOURPOINT2[0][1] @ FOURPOINT2[1][1] @ FOURPOINT2[2][1]).inverse()
 
 @contextmanager
 def exact_route():
-    """``monodromy_tuple`` as before the certificate: P proven invertible by
-    its exact inverse, formed at once, and no fact of P mod p read."""
+    """The analysis as before any certificate: the product P proven
+    invertible by its exact inverse, formed at once, and no spin of A_inf's
+    residues reaching n."""
     with mock.patch.object(local_systems, "_independent_mod_p", lambda vectors: 0):
-        with mock.patch.object(exact_linalg._ProductInverse, "facts", (False, False)):
+        with mock.patch.object(fourier, "_cyclic_mod_p", lambda rows: False):
             yield
 
 
@@ -62,27 +77,40 @@ def formed(matrix: QMatrix) -> bool:
     return "numerators" in vars(matrix)
 
 
+def with_given_infinity(t: MonodromyTuple) -> MonodromyTuple:
+    """``t`` with its A_inf given, as a plain ``QMatrix``."""
+    a = t.infinity_matrix
+    return t._replace(infinity_matrix=QMatrix._integral(a.rows, a.cols, a.numerators, a.denominator))
+
+
+def certified_agrees_with_exact(t: MonodromyTuple) -> None:
+    """The two routes give the same reports, or the same errors, for ``t``
+    with A_inf derived and with it given."""
+    for variant in (t, with_given_infinity(t)):
+        with exact_route():
+            exact = outcome(lambda: variant)
+        assert outcome(lambda: variant) == exact
+
+
 class TestCampaign:
     def test_certified_and_exact_reports_agree(self):
-        # the seed-7 campaign's 500 tuples: every A_inf is cyclic mod p, and
-        # all but the 9 with eigenvalue 1 settle the zero monodromy too, with
-        # no A_inf formed over Q
+        # the seed-7 campaign's 500 tuples: every A_inf is cyclic mod p, so
+        # every report and zero monodromy is certified, the 9 with eigenvalue
+        # 1 at infinity too (m >= 1 there), with no A_inf formed over Q
         config = CampaignConfig(trials=500, max_rank=4, max_points=4, seed=7)
-        settled = cyclic = 0
+        certified = 0
         for _, t in campaign_tuples(config):
             analysis = TupleAnalysis(t)
-            certified = (analysis.report, analysis.preservation)
-            facts = analysis._infinity_facts
-            cyclic += facts[0]
-            settled += facts[1]
-            assert formed(t.infinity_matrix) is not facts[1]
+            reports = (analysis.report, analysis.preservation)
+            certified += analysis._cyclic_residues is not None
+            assert not formed(t.infinity_matrix) and "local_data" not in vars(analysis)
             with exact_route():
                 exact = monodromy_tuple(t.rank, t.finite_points)
                 assert formed(exact.infinity_matrix)
                 exact_analysis = TupleAnalysis(exact)
-                assert certified == (exact_analysis.report, exact_analysis.preservation)
-                assert exact_analysis._infinity_facts == (False, False)
-        assert (cyclic, settled) == (500, 491)
+                assert reports == (exact_analysis.report, exact_analysis.preservation)
+                assert exact_analysis._cyclic_residues is None
+        assert certified == 500
 
 
 @st.composite
@@ -117,6 +145,8 @@ class TestDrawnTuples:
         with exact_route():
             exact = outcome(lambda: monodromy_tuple(n, points))
         assert certified == exact
+        if len(certified) == 2:  # a valid tuple: the same with A_inf given
+            certified_agrees_with_exact(monodromy_tuple(n, points))
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -136,12 +166,19 @@ class TestForcedFallbacks:
     COMMANDS = (("rig",), ("fourier",), ("verify", "--force"))
 
     def test_small_prime(self, capsys, tmp_path, monkeypatch):
-        # _closes_mod_p assumes p = 2^bits - 1.  Mod 7 fewer products are
+        # _closes_mod_p assumes p = 2^bits - 1.  Mod 7 fewer matrices are
         # cyclic or of full rank, so more quantities take the exact route:
-        # the same bytes, with more invariant factors computed
+        # the same bytes, with more invariant factors computed.  The Levelt
+        # documents give A_inf, a unipotent Jordan block, or derive it
         campaign = ("verify", "--random", "--trials", "100", "--seed", "7")
-        path = tmp_path / "t.json"
-        path.write_text(json.dumps(document(FOURPOINT2)))
+        documents = [document(FOURPOINT2)]
+        for n in (2, 3, 5, 8):
+            documents.append(tuple_to_json(levelt_tuple(n, n)))
+            documents.append({**documents[-1], "infinity_matrix": None})
+        paths = []
+        for i, payload in enumerate(documents):
+            paths.append(tmp_path / f"{i}.json")
+            paths[-1].write_text(json.dumps(payload))
         runs, calls = [], []
         for bits in (None, 3):
             if bits:
@@ -151,30 +188,74 @@ class TestForcedFallbacks:
             with factors as counted:
                 runs.append(
                     [run(capsys, *campaign)]
-                    + [run(capsys, *command, "--input", str(path)) for command in self.COMMANDS]
+                    + [
+                        run(capsys, *command, "--input", str(path))
+                        for path in paths
+                        for command in self.COMMANDS
+                    ]
                 )
             calls.append(counted.call_count)
         assert runs[0] == runs[1]
         assert runs[0][0][0] == 0 and json.loads(runs[0][0][1])["trials_run"] == 100
+        assert [code for code, _, _ in runs[0][1:]] == [0] * len(paths) * len(self.COMMANDS)
         assert calls[1] > calls[0]
 
     def test_denominator_the_prime_divides(self, capsys, tmp_path):
         # d A = diag(2p, 1) is singular mod p, so P's invertibility is
         # proven exactly and A_inf formed at once; N mod p = [[0, 0], [1, 1]]
-        # still proves A_inf cyclic, and N - DI = N, singular mod p, proves
-        # nothing of eigenvalue 1; the output is that of the document that
-        # gives A_inf
+        # still proves A_inf cyclic, and m = 5 - 2 = 3 >= 1, so the zero
+        # monodromy is certified with no test of eigenvalue 1 (N - DI = N
+        # is singular mod p); the output is that of the document that gives
+        # A_inf
         points = [(0, diagonal([2, f"1/{PRIME}"])), *FOURPOINT2[1:]]
         t = monodromy_tuple(2, points)
         assert formed(t.infinity_matrix)
-        assert TupleAnalysis(t)._infinity_facts == (True, False)
+        analysis = TupleAnalysis(t)
+        assert analysis._cyclic_residues is not None
+        assert analysis.preservation.per_point_identities[-1].rhs == -9
+        assert "local_data" not in vars(analysis)
         outputs = []
-        for given_infinity in (False, True):
-            path = tmp_path / f"{given_infinity}.json"
-            path.write_text(json.dumps(document(points, given_infinity)))
+        for given in (False, True):
+            path = tmp_path / f"{given}.json"
+            path.write_text(json.dumps(document(points, given)))
             outputs.append([run(capsys, *c, "--input", str(path)) for c in self.COMMANDS])
         assert outputs[0] == outputs[1]
         assert [code for code, _, _ in outputs[0]] == [0, 0, 0]
+
+    @pytest.mark.parametrize("given", [False, True])
+    def test_non_cyclic_infinity_is_factored(self, given):
+        # A_inf = diag(2, 2) is scalar, so no spin reaches 2, mod p or over
+        # Q: its dimension 4 and the zero monodromy's, 4 + 1 at m = 1, come
+        # from its one factorization
+        cusp = QMatrix.from_rows([[1, 1], [0, 1]])
+        points = [(0, cusp), (1, cusp.inverse() @ diagonal(["1/2", "1/2"]))]
+        t = monodromy_tuple(2, points, diagonal([2, 2]) if given else None)
+        analysis = TupleAnalysis(t)
+        with mock.patch.object(fourier, "invariant_factors", wraps=invariant_factors) as counted:
+            assert analysis.report.centralizer_dims[-1] == 4
+            assert analysis.preservation.per_point_identities[-1] == ("infinity", -1, -1)
+        assert analysis._cyclic_residues is None and "local_data" in vars(analysis)
+        assert [call.args[0] for call in counted.call_args_list] == [diagonal([2, 2])]
+        certified_agrees_with_exact(t)
+
+    @pytest.mark.parametrize("given", [False, True])
+    def test_eigenvalue_one_at_m_zero_exits_3(self, capsys, tmp_path, given):
+        # rank(A_i - 1) = 1 at both points, so m = 0, and A_inf, the inverse
+        # of [[2, 0], [1, 1]], is cyclic with eigenvalue 1: det(A_inf - 1)
+        # is 0 mod p, so the zero monodromy takes the exact route, which
+        # finds the padding negative, as before the certificate
+        points = [(0, diagonal([2, 1])), (1, QMatrix.from_rows([[1, 0], [1, 1]]))]
+        t = monodromy_tuple(2, points)
+        assert TupleAnalysis(t)._cyclic_residues is not None
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(document(points, given)))
+        assert run(capsys, "verify", "--force", "--input", str(path)) == (
+            3,
+            "",
+            "error: non-realizable minimal pair: the sum of rank(A_i - 1) over the finite "
+            "points is smaller than rank + dim ker(A_inf - 1); the tuple cannot be "
+            "irreducible\n",
+        )
 
     def test_singular_finite_matrix_keeps_its_error(self, capsys, tmp_path):
         # the product is singular, mod p and exactly: the exact route finds
@@ -211,21 +292,97 @@ class TestDerivedInfinity:
     def test_rig_and_verify_form_no_inverse(self):
         t = monodromy_tuple(2, FOURPOINT2)
         analysis = TupleAnalysis(t)
-        assert analysis._infinity_facts == (True, True)
+        assert analysis._cyclic_residues is not None
         assert analysis.report.centralizer_dims[-1] == 2
         assert analysis.preservation.per_point_identities[-1].lhs == -4  # m = 2
         assert not formed(t.infinity_matrix) and "local_data" not in vars(analysis)
 
-    def test_given_infinity_is_not_certified(self):
+    def test_given_cyclic_infinity_is_certified(self):
+        # dA mod p spins to n, so a given A_inf is not factored either
         t = monodromy_tuple(2, FOURPOINT2)
         given_tuple = t._replace(infinity_matrix=INFINITY)
-        assert TupleAnalysis(given_tuple)._infinity_facts == (False, False)
+        factors = mock.patch.object(fourier, "invariant_factors", wraps=invariant_factors)
+        with factors as counted:
+            analysis = TupleAnalysis(given_tuple)
+            reports = (analysis.report, analysis.preservation)
+        assert reports == (TupleAnalysis(t).report, TupleAnalysis(t).preservation)
+        assert analysis._cyclic_residues is not None and counted.call_count == 0
+        assert "local_data" not in vars(analysis)
 
     def test_cached_invariants_are_read_first(self):
-        analysis = TupleAnalysis(monodromy_tuple(2, FOURPOINT2))
-        analysis.local_data  # noqa: B018  (fourier's order: A_inf factored first)
-        assert analysis._infinity_facts == (False, False)
-        assert analysis.report.centralizer_dims[-1] == 2
+        for infinity in (None, INFINITY):  # derived, then given
+            analysis = TupleAnalysis(monodromy_tuple(2, FOURPOINT2, infinity))
+            analysis.local_data  # noqa: B018  (fourier's order: A_inf factored first)
+            assert analysis._cyclic_residues is None
+            assert analysis.report.centralizer_dims[-1] == 2
+
+
+@st.composite
+def cyclic_classes(draw) -> tuple[tuple[int, ...], int, int]:
+    """(f, e, m): f = (x - 1)^e g primitive, ascending, for g with small
+    coefficients and g(0) g(1) != 0, the one invariant factor of a cyclic
+    A_inf with one unit Jordan block of size e (none when e = 0); m >= 1,
+    or m = 0 when e = 0, as a realizable tuple has."""
+    e = draw(st.integers(0, 3))
+    degree = draw(st.integers(0 if e else 1, 4))
+    g = draw(
+        st.tuples(st.lists(st.integers(-3, 3), min_size=degree, max_size=degree), st.integers(1, 3))
+        .map(lambda parts: [*parts[0], parts[1]])
+        .filter(lambda g: g[0] and sum(g))
+    )
+    f = g
+    for _ in range(e):
+        f = [b - a for a, b in zip([*f, 0], [0, *f])]  # x f - f
+    return primitive(f), e, draw(st.integers(1 if e else 0, 4))
+
+
+def jordan_centralizer_dimension(factors: tuple[tuple[int, ...], ...]) -> int:
+    """dim Z(A) from its invariant factors by way of its Jordan partitions
+    over the algebraic closure: an irreducible h of degree d dividing them
+    gives d roots, each with the partition of h's multiplicities in the
+    factors, and a partition contributes the squares of its conjugate's
+    parts."""
+    x = sympy.Symbol("x")
+    partitions: dict = {}
+    for f in factors:
+        for h, k in sympy.factor_list(sympy.Poly(list(reversed(f)), x))[1]:
+            partitions.setdefault(h.monic().as_expr(), []).append(k)
+    total = 0
+    for h, parts in partitions.items():
+        conjugate = [sum(part >= j for part in parts) for j in range(1, max(parts) + 1)]
+        total += sympy.degree(h, x) * sum(c * c for c in conjugate)
+    return total
+
+
+class TestZeroMonodromyLemma:
+    """A cyclic A_inf gives a zero monodromy T of centralizer n + m^2,
+    m = rank_hat - n, whatever its unit Jordan block: the identity that
+    ``TupleAnalysis.preservation`` certifies from A_inf's cyclicity."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(cyclic_classes())
+    def test_grown_class_has_centralizer_n_plus_m_squared(self, drawn):
+        f, e, m = drawn
+        n = len(f) - 1
+        grown = SimilarityInvariant((f,)).grow_unit_blocks(n + m)
+        assert grown.unit_block_sizes == ((e + 1,) + (1,) * (m - 1) if e else (1,) * m)
+        assert jordan_centralizer_dimension(grown.invariant_factors) == n + m * m
+        assert grown.centralizer_dimension == n + m * m
+        if e:  # at m = 0 the unit block cannot grow: the pair is not realizable
+            with pytest.raises(ValueError):
+                SimilarityInvariant((f,)).grow_unit_blocks(n)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_levelt_tuples(self, n):
+        # A_inf = C_g^-1, one unipotent Jordan block of size n, and m = 1
+        for seed in range(3):
+            t = levelt_tuple(n, seed)
+            assert TupleAnalysis(t)._cyclic_residues is not None
+            certified_agrees_with_exact(t)
+
+    def test_catalog_entries(self):
+        for entry in load_catalog().values():
+            certified_agrees_with_exact(entry.tuple)
 
 
 class TestModPKernel:
