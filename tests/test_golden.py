@@ -23,9 +23,11 @@ from support import campaign_tuples, diagonal
 
 CATALOG = ("kummer", "rank1_twopoint", "unipotent_infinity", "hypergeometric2", "nonrigid4")
 
-# (rank, finite points, seed) for library-drawn tuples.
+# (rank, finite points, seed) for library-drawn tuples; from rank 6 on, dense
+# tuples whose irreducibility Norton's certificate decides.
 RANDOM_SHAPES = (
     (2, 2, 1), (2, 3, 2), (3, 2, 3), (3, 3, 4), (4, 2, 5), (4, 3, 6), (5, 2, 7), (5, 3, 8),
+    (6, 3, 9), (7, 3, 10), (8, 3, 11), (12, 3, 12),
 )
 
 SPECIAL = {
@@ -57,10 +59,16 @@ GOLDEN = {
     "random:4,3,6": "4745b6d909f2ca59743a6c393f7eb1f6bf60c2c85d79207b81af819fb3a94a73",
     "random:5,2,7": "214e4cb3a1e1c70ed5cd8fb1e094147b793271456f0f8fa9a670eb89380791d3",
     "random:5,3,8": "38349ce1704dfdef0f2c06fbf417634b3fc08ec5a55c2eb9fe2ed33a5840acb6",
+    "random:6,3,9": "857b147a1a8bfd74a701b58e92f8f2a7cbf790549821ea040f35da3d41bc3514",
+    "random:7,3,10": "b33fc0be29dffe58f210d478f1202b6231e884488789763ba6267108b4176a24",
+    "random:8,3,11": "bb2065a79d01325c863d1f101e5041317703686868eab705b3440b87e8af3691",
+    "random:12,3,12": "9b4d11d6946ef1886633621bfff04dbf6a358ec55ba6e1d56f338e63cff7e79c",
     "special:reducible": "714fd25e8bf1458d59d836316e30ac5e0d8a50c086ea4857a316931fc444fa0b",
     "special:nonrealizable": "6f40cbae7a63b1e07fa87218bbad8a050c1fcefb8a60a85c93756446781587f8",
     "campaign": "b8aedfd1624af26139c2600220bc8fd6a9e66f5362f44e854d499f5730e545ba",
     "campaign-arithmetic": "c2d6981a34e4006367696890c4103761934be1efaa6deee4b0fe62dd94fb18c7",
+    "campaign-rank8": "5a1e88403196ea963735cfea03d677a4821de8cb8b7f4e23a07e048dded37894",
+    "campaign-rank8-draws": "d9b90abb1cd1e50064df675c8cce172e858f820093e795e522651af5ba1d08b7",
 }
 
 
@@ -112,6 +120,26 @@ def test_campaign_output_is_golden(capsys):
         for fmt in ("json", "text")
     ]
     assert _digest(capsys, runs) == GOLDEN["campaign"]
+
+
+# A campaign up to rank 8, where Norton's certificate decides irreducibility.
+RANK8_CAMPAIGN = ("--trials", "40", "--max-rank", "8", "--max-points", "4", "--seed", "7")
+
+
+def test_rank8_campaign_output_is_golden(capsys):
+    runs = [("verify", "--random", *RANK8_CAMPAIGN, "--format", fmt) for fmt in ("json", "text")]
+    assert _digest(capsys, runs) == GOLDEN["campaign-rank8"]
+
+
+def test_rank8_campaign_draws_are_golden():
+    """The tuple each trial of the rank-8 campaign keeps: its first draw
+    found irreducible.  The CLI prints only the totals, which a different
+    irreducibility answer on a redrawn tuple would leave as they are."""
+    config = CampaignConfig(trials=40, max_rank=8, max_points=4, seed=7)
+    h = hashlib.sha256()
+    for index, t in campaign_tuples(config):
+        h.update(json.dumps([index, tuple_to_json(t)]).encode() + b"\0")
+    assert h.hexdigest() == GOLDEN["campaign-rank8-draws"]
 
 
 def _local_data_json(data) -> dict:
