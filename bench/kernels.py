@@ -15,21 +15,29 @@ named.
 - ``kernels``: for each rank n = 2..16, two fixed-seed tuples, a
   hypergeometric (Levelt) tuple (C_f, C_f^-1 C_g; C_g^-1) with
   g = (x - 1)^n (``support.levelt_tuple``) and a dense random tuple on three
-  finite points, and the times of the closures of ``exact_linalg`` on the
-  integer rows of its matrices: the certificate mod the Mersenne prime
-  2^19 - 1, the largest below CPython's 2^30 digit, so that residues and
-  pivot inverses are single digits (``_closes_mod_p``, vectors packed into
-  integers) against ``support.closes_full_span_mod_p`` (the same
-  closure mod the same prime, one entry at a time), whose answers must
-  agree, and, for n = 2..8 only, the exact pass over Q, ``_spin`` from the
-  n x n identity stored as n^2 entries, which grows as n^6; the conversion
-  to integer rows, shared by all, is not timed.  The answers are recorded;
-  on these tuples they agree.  Then the library's routed decision,
+  finite points, and the times of the certificates of ``exact_linalg`` on
+  the integer rows of its matrices: Norton's certificate mod 31
+  (``_norton_mod_p``) and the closure mod the Mersenne prime 2^19 - 1, the
+  largest below CPython's 2^30 digit, so that residues and pivot inverses
+  are single digits (``_closes_mod_p``, vectors packed into integers), the
+  two timed in one process, alternating which runs first
+  (``alternating_ms``); the closure against ``support.closes_full_span_mod_p``
+  (the same closure mod the same prime, one entry at a time), whose answers
+  must agree, and which Norton's certificate may miss but never outrun; and,
+  for n = 2..8 only, the exact pass over Q, ``_spin`` from the n x n
+  identity stored as n^2 entries, which grows as n^6; the conversion to
+  integer rows, shared by all, is not timed.  The answers are recorded; on
+  these tuples they agree.  Then the library's routed decision,
   ``spans_full_algebra`` on the finite matrices as
   ``TupleAnalysis.irreducible`` passes them (``routed_ms``), whose answer
   must be the oracle's full span or, where that stalls, the exact pass's;
   ``route`` says whether a pseudo-reflection (rank(A - 1) = 1) among them
-  sent it to the two vector spins or it ran the closures.
+  sent it to the two vector spins, Norton's certificate decided, or the
+  closures ran.  A ``crossover`` row per rank sums both certificates over
+  ``CROSSOVER_SAMPLE`` dense tuples of 2-4 finite points, with the
+  closure's time added to Norton's where it falls back, and counts those
+  fallbacks.  At ranks 24 and 32 (``NORTON_ONLY_RANKS``) Norton's
+  certificate alone is timed on both tuples.
 - ``invariant_factors``: ``exact_linalg.invariant_factors`` (the Krylov
   kernel) against ``support.smith_invariant_factors`` (the Smith form of the
   full xI - A, each factor made primitive as the kernel stores it), whose
@@ -147,6 +155,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CLOSURE_RANKS = range(2, 17)
+NORTON_ONLY_RANKS = (24, 32)  # Norton's certificate alone: the closure takes 0.75 s and 4.85 s
+CROSSOVER_SAMPLE = 40  # dense tuples per rank of the crossover rows
 EXACT_CLOSURE_RANKS = range(2, 9)  # the exact pass grows as n^6: 0.07-0.2 s at rank 8
 SIZES = (2, 3, 4, 6, 8, 12, 16, 24, 32)
 RESTRICTION_SIZES = (2, 3, 4, 6, 8, 12, 16)
@@ -154,6 +164,7 @@ TABLE_SIZES = (2, 3, 4, 6, 8, 10, 12, 16, 24, 32)
 WORST_CASE_POINTS = (16,)  # MAX_POINTS
 CORNER_RANKS = (4, 8, 16)  # up to MAX_RANK
 CORNER_POINTS = (2, 4, 16)  # up to MAX_POINTS
+NON_GENERIC_RANKS = (4, 8)  # the non-generic corners of non_generic_documents
 WORST_CASE_COMMANDS = ("rig", "verify", "fourier")
 WORST_CASE_TIMEOUT_S = 60.0
 PRIME = 2**19 - 1  # the library's certificate prime
@@ -281,27 +292,56 @@ def invariant_factor_rows(runs: int) -> list[dict]:
     return rows
 
 
+def alternating_ms(functions: list, argument, runs: int) -> tuple[list[float], list]:
+    """(the median ms of each of ``functions`` on ``argument``, their
+    answers) over ``runs`` rounds in one process, each function once a
+    round and the first to run turning from round to round, so that the
+    host's drift between rounds falls on all of them; each function's
+    answers must agree."""
+    times, answers = [[] for _ in functions], [[] for _ in functions]
+    for round_ in range(runs):
+        for i in sorted(range(len(functions)), key=lambda i: (i - round_) % len(functions)):
+            begin = time.perf_counter()
+            answers[i].append(functions[i](argument))
+            times[i].append((time.perf_counter() - begin) * 1e3)
+    if any(answer != found[0] for found in answers for answer in found):
+        raise RuntimeError("a closure route gave different answers on one input")
+    return [statistics.median(t) for t in times], [found[0] for found in answers]
+
+
 def closure_rows(runs: int) -> list[dict]:
     rows = []
-    for n in CLOSURE_RANKS:
+    for n in (*CLOSURE_RANKS, *NORTON_ONLY_RANKS):
         families = {"levelt": levelt_tuple(n, seed=n), "dense": random_tuple(n, 3, seed=n)}
         for family, t in families.items():
             generators, finite = t.matrices(), [a for _, a in t.finite_points]
             integer_rows = [g.numerators for g in generators]
-            packed_ms, certified, _ = median_ms(
-                lambda g: exact_linalg._closes_mod_p(g, n), integer_rows, runs
+            norton = lambda g: exact_linalg._norton_mod_p(g, n)  # noqa: E731
+            packed = lambda g: exact_linalg._closes_mod_p(g, n)  # noqa: E731
+            if n in NORTON_ONLY_RANKS:
+                norton_ms, certified, _ = median_ms(norton, integer_rows, runs)
+                row = {"family": family, "rank": n, "norton_ms": round(norton_ms, 3)}
+                row["norton"] = certified
+                print(json.dumps(row), flush=True)
+                rows.append(row)
+                continue
+            (norton_ms, packed_ms), (norton_says, certified) = alternating_ms(
+                [norton, packed], integer_rows, runs
             )
             unpacked_ms, oracle, _ = median_ms(
                 lambda g: closes_full_span_mod_p(g, n, exact_linalg._PRIME), integer_rows, runs
             )
-            if certified != oracle:
-                raise RuntimeError(f"{family} rank={n}: the certificate disagrees with the oracle")
+            if certified != oracle or norton_says > oracle:
+                raise RuntimeError(f"{family} rank={n}: a certificate disagrees with the oracle")
             row = {
                 "family": family,
                 "rank": n,
+                "norton_ms": round(norton_ms, 3),
                 "packed_ms": round(packed_ms, 3),
+                "norton_over_packed": round(norton_ms / packed_ms, 2),
                 "unpacked_ms": round(unpacked_ms, 3),
                 "speedup": round(unpacked_ms / packed_ms, 1),
+                "norton": norton_says,
                 "certified": certified,
             }
             if n in EXACT_CLOSURE_RANKS:
@@ -314,11 +354,56 @@ def closure_rows(runs: int) -> list[dict]:
             expected = oracle or row.get("full_span")
             if expected is None or routed != expected:
                 raise RuntimeError(f"{family} rank={n}: the routed decision is not confirmed")
-            spins = any(map(exact_linalg._rank_one_shift, finite))
-            row.update(route="spins" if spins else "closure", routed_ms=round(routed_ms, 3))
+            row.update(route=closure_route(finite), routed_ms=round(routed_ms, 3))
             print(json.dumps(row), flush=True)
             rows.append(row)
+        if n in CLOSURE_RANKS:
+            rows.append(crossover_row(n, runs))
     return rows
+
+
+def closure_route(finite: list[QMatrix]) -> str:
+    """The pass of ``spans_full_algebra`` that decides the finite matrices:
+    ``spins`` by a pseudo-reflection, ``norton`` by Norton's certificate,
+    else ``closure``, mod p or, where that stalls, over Q."""
+    n, rows = finite[0].rows, [a.numerators for a in finite]
+    if len(finite) > 1 and any(map(exact_linalg._rank_one_shift, finite)):
+        return "spins"
+    norton = n >= exact_linalg._NORTON_FROM and exact_linalg._norton_mod_p(rows, n)
+    return "norton" if norton else "closure"
+
+
+def crossover_row(n: int, runs: int) -> dict:
+    """Norton's certificate against the packed closure on ``CROSSOVER_SAMPLE``
+    dense tuples of rank n with 2-4 finite points, ``random_tuple(n, 2 +
+    i % 3, 1000 + i)``, on their finite matrices, as ``spans_full_algebra``
+    gets them: the summed medians, each tuple's routes alternating, with
+    the closure's time added to the certificate's where it falls back."""
+    norton_ms = packed_ms = 0.0
+    fallbacks = 0
+    norton_route = lambda g: exact_linalg._norton_mod_p(g, n)  # noqa: E731
+    packed_route = lambda g: exact_linalg._closes_mod_p(g, n)  # noqa: E731
+    for i in range(CROSSOVER_SAMPLE):
+        finite = [a.numerators for _, a in random_tuple(n, 2 + i % 3, 1000 + i).finite_points]
+        (norton, packed), (norton_says, certified) = alternating_ms(
+            [norton_route, packed_route], finite, runs
+        )
+        if norton_says > certified:
+            raise RuntimeError(f"dense rank={n}: Norton's certificate outran the closure")
+        fallbacks += not norton_says
+        norton_ms += norton + (0 if norton_says else packed)
+        packed_ms += packed
+    row = {
+        "family": "crossover",
+        "rank": n,
+        "tuples": CROSSOVER_SAMPLE,
+        "norton_ms": round(norton_ms, 3),
+        "packed_ms": round(packed_ms, 3),
+        "norton_over_packed": round(norton_ms / packed_ms, 2),
+        "fallbacks": fallbacks,
+    }
+    print(json.dumps(row), flush=True)
+    return row
 
 
 def restriction_rows(runs: int) -> list[dict]:
@@ -578,23 +663,36 @@ def large_entry(rng: random.Random) -> Fraction:
     return Fraction(numerator, rng.randint(2**255, 2**256 - 1))
 
 
+def invertible_mod_p(rows: list[list]) -> bool:
+    """Whether dA has full rank mod 2^19 - 1 (``support.EchelonModP``), which
+    proves A invertible: an exact rank takes seconds at rank 16."""
+    basis = EchelonModP(len(rows), PRIME)
+    return all(basis.add(row) for row in QMatrix.from_rows(rows).numerators)
+
+
+def points_document(points: list[list[list]]) -> dict:
+    """A tuple document with A_inf omitted: the matrices ``points``, rows of
+    ``Fraction``s or ints, at locations 0, 1, ..."""
+    return {
+        "rank": len(points[0]),
+        "finite_points": [
+            {"location": str(i), "matrix": [[str(x) for x in row] for row in rows]}
+            for i, rows in enumerate(points)
+        ],
+    }
+
+
 def large_matrices_document(rank: int, points: int, seed: str) -> dict:
     """A tuple document with A_inf omitted: ``points`` invertible non-identity
     rank x rank matrices of ``large_entry`` entries, drawn in order from
     ``random.Random(seed)``, at locations 0..points-1.  A draw is kept when
-    its integer matrix dA has full rank mod 2^19 - 1 (``support.EchelonModP``),
-    which proves it invertible: an exact rank takes seconds at rank 16."""
+    it is invertible (``invertible_mod_p``)."""
     rng, matrices, identity = random.Random(seed), [], QMatrix.identity(rank)
     while len(matrices) < points:
         rows = [[large_entry(rng) for _ in range(rank)] for _ in range(rank)]
-        candidate = QMatrix.from_rows(rows)
-        basis = EchelonModP(rank, PRIME)
-        if candidate != identity and all(basis.add(row) for row in candidate.numerators):
-            matrices.append([[str(x) for x in row] for row in rows])
-    return {
-        "rank": rank,
-        "finite_points": [{"location": str(i), "matrix": m} for i, m in enumerate(matrices)],
-    }
+        if QMatrix.from_rows(rows) != identity and invertible_mod_p(rows):
+            matrices.append(rows)
+    return points_document(matrices)
 
 
 def worst_case_documents(points: int) -> dict[str, dict]:
@@ -617,6 +715,58 @@ def corner_documents() -> dict[str, dict]:
         for rank in CORNER_RANKS
         for points in CORNER_POINTS
     }
+
+
+def large_integer(rng: random.Random, bits: int) -> int:
+    return rng.choice((-1, 1)) * rng.randint(2 ** (bits - 1), 2**bits - 1)
+
+
+def non_generic_documents() -> dict[str, dict]:
+    """Three non-generic documents with numerators and denominators of at
+    most 256 bits for each rank n of ``NON_GENERIC_RANKS``, A_inf omitted,
+    drawn from ``random.Random('adm:<kind>:<n>')`` and named
+    ``<kind>:<n>``:
+
+    - ``unit_block``: the Levelt tuple ``support.levelt_tuple(n, n)``
+      conjugated by a diagonal of 248-bit integers, so that A_inf is one
+      unit Jordan block of size n;
+    - ``rank_drop``: a matrix of ``large_entry`` entries and 1 + U W^T, U
+      and W n x n/2 of 120-bit integers, a point with rank(A - 1) = n/2;
+    - ``reducible``: two matrices of ``large_entry`` entries, zero in rows
+      n/2.. of columns ..n/2, so that span(e_1, ..., e_n/2) is invariant.
+
+    A drawn matrix is kept when it is invertible (``invertible_mod_p``)."""
+    documents = {}
+    for n in NON_GENERIC_RANKS:
+        half = n // 2
+        rng = random.Random(f"adm:unit_block:{n}")
+        scale = [rng.randint(2**247, 2**248 - 1) for _ in range(n)]
+        documents[f"unit_block:{n}"] = [
+            [
+                [Fraction(a.entries[i * n + j] * scale[i], scale[j]) for j in range(n)]
+                for i in range(n)
+            ]
+            for _, a in levelt_tuple(n, n).finite_points
+        ]
+        rng, points = random.Random(f"adm:rank_drop:{n}"), []
+        while not points:
+            dense = [[large_entry(rng) for _ in range(n)] for _ in range(n)]
+            u = [[large_integer(rng, 120) for _ in range(half)] for _ in range(n)]
+            w = [[large_integer(rng, 120) for _ in range(half)] for _ in range(n)]
+            drop = [
+                [int(i == j) + sum(map(operator.mul, u[i], w[j])) for j in range(n)]
+                for i in range(n)
+            ]
+            if invertible_mod_p(dense) and invertible_mod_p(drop):
+                points = [dense, drop]
+        documents[f"rank_drop:{n}"] = points
+        rng, points = random.Random(f"adm:reducible:{n}"), []
+        while len(points) < 2:
+            rows = [[0 if i >= half > j else large_entry(rng) for j in range(n)] for i in range(n)]
+            if invertible_mod_p(rows):
+                points.append(rows)
+        documents[f"reducible:{n}"] = points
+    return {name: points_document(points) for name, points in documents.items()}
 
 
 def command_run(command: str, path: str) -> dict:
@@ -652,7 +802,7 @@ def worst_case_rows(_runs: int) -> list[dict]:
         for points in WORST_CASE_POINTS
         for name, document in worst_case_documents(points).items()
     ]
-    corners = corner_documents().items()
+    corners = {**corner_documents(), **non_generic_documents()}.items()
     documents += [(name, len(document["finite_points"]), document) for name, document in corners]
     rows = []
     with tempfile.TemporaryDirectory() as directory:
@@ -693,7 +843,11 @@ def main() -> None:
         parser.error("--runs must be at least 3")
     if args.worst_cases:
         args.worst_cases.mkdir(parents=True, exist_ok=True)
-        documents = {**worst_case_documents(WORST_CASE_POINTS[-1]), **corner_documents()}
+        documents = {
+            **worst_case_documents(WORST_CASE_POINTS[-1]),
+            **corner_documents(),
+            **non_generic_documents(),
+        }
         for name, document in documents.items():
             path = args.worst_cases / f"{name.replace(':', '_')}.json"
             path.write_text(json.dumps(document) + "\n")
@@ -702,9 +856,11 @@ def main() -> None:
     result = {
         "environment": environment(),
         "kernels": {
-            "what": "span closure of the tuple's integer matrices: the certificate mod 2^19 - 1 "
-            "on packed vectors vs the same closure entry by entry (oracle), the pass "
-            "over Q up to rank 8, and the routed spans_full_algebra on the finite matrices",
+            "what": "irreducibility of the tuple's integer matrices: Norton's certificate mod 31 "
+            "and the closure mod 2^19 - 1 on packed vectors, alternating, vs the same closure "
+            "entry by entry (oracle), the pass over Q up to rank 8, the routed "
+            "spans_full_algebra on the finite matrices, and crossover rows over 40 dense "
+            "tuples per rank; Norton's certificate alone at ranks 24 and 32",
             "unit": "ms, median of runs",
             "runs": args.runs,
             "rows": closure_rows(args.runs),

@@ -60,8 +60,10 @@ def test_rows_at_small_sizes(monkeypatch, capsys, name):
         "WORST_CASE_POINTS",
     ):
         monkeypatch.setattr(bench, sizes, (2, 3))
-    for grid in ("CORNER_RANKS", "CORNER_POINTS"):
+    for grid in ("CORNER_RANKS", "CORNER_POINTS", "NON_GENERIC_RANKS"):
         monkeypatch.setattr(bench, grid, (2,))
+    monkeypatch.setattr(bench, "NORTON_ONLY_RANKS", (4,))
+    monkeypatch.setattr(bench, "CROSSOVER_SAMPLE", 2)
     monkeypatch.setattr(bench, "FRACTION_TRIALS", 10)
     monkeypatch.setattr(bench, "LEVELT_OPS", 3)
     rows = getattr(bench, name)(1)
@@ -69,19 +71,23 @@ def test_rows_at_small_sizes(monkeypatch, capsys, name):
 
 
 def test_worst_case_rows_record_each_command(monkeypatch, capsys):
-    # rig, verify and fourier on two worst-case inputs and one corner, each
-    # in its own interpreter; a run past the time limit is recorded as such
+    # rig, verify and fourier on two worst-case inputs, one corner and the
+    # three non-generic corners, each in its own interpreter; verify refuses
+    # the reducible one (exit 4); a run past the time limit is recorded as such
     monkeypatch.setattr(bench, "WORST_CASE_POINTS", (2,))
-    for grid in ("CORNER_RANKS", "CORNER_POINTS"):
+    for grid in ("CORNER_RANKS", "CORNER_POINTS", "NON_GENERIC_RANKS"):
         monkeypatch.setattr(bench, grid, (2,))
     rows = bench.worst_case_rows(1)
+    names = ("small_entries", "large_entries", "adm:2:2", "unit_block:2", "rank_drop:2")
     assert [(row["input"], row["command"]) for row in rows] == [
         (name, command)
-        for name in ("small_entries", "large_entries", "adm:2:2")
+        for name in (*names, "reducible:2")
         for command in ("rig", "verify", "fourier")
     ]
-    assert all(row["exit_code"] == 0 and not row["timed_out"] for row in rows)
-    assert rows[-1]["rank"] == rows[-1]["points"] == 2
+    assert [row["exit_code"] for row in rows] == [0] * 16 + [4, 0]
+    assert not any(row["timed_out"] for row in rows)
+    assert rows[8]["rank"] == rows[8]["points"] == 2
+    assert all(row["rank"] == 2 and row["points"] == 2 for row in rows[9:])
     monkeypatch.setattr(bench, "WORST_CASE_TIMEOUT_S", 0.001)
     late = bench.command_run("rig", "-")
     assert late == {"timed_out": True, "cpu_s": None, "exit_code": None, "stdout_sha256": None}
@@ -115,15 +121,28 @@ def test_fraction_rows_count_the_same_calls_twice(monkeypatch, capsys):
 
 
 def test_closure_rows_record_the_routed_decision(monkeypatch, capsys):
-    # the Levelt tuple's pseudo-reflection takes the spins; the dense tuple the closures
+    # the Levelt tuple's pseudo-reflection takes the spins; the dense tuple
+    # the closures below rank 5 and Norton's certificate from there; each
+    # rank's crossover row counts the fallbacks of its dense tuples, and
+    # Norton's certificate alone runs at the largest ranks
     for sizes in ("CLOSURE_RANKS", "EXACT_CLOSURE_RANKS"):
-        monkeypatch.setattr(bench, sizes, (2, 3))
+        monkeypatch.setattr(bench, sizes, (3, 5))
+    monkeypatch.setattr(bench, "NORTON_ONLY_RANKS", (6,))
+    monkeypatch.setattr(bench, "CROSSOVER_SAMPLE", 3)
     rows = bench.closure_rows(1)
-    assert all(row["routed_ms"] >= 0 for row in rows)
-    assert {(row["family"], row["route"]) for row in rows} == {
-        ("levelt", "spins"),
-        ("dense", "closure"),
-    }
+    assert all(row["routed_ms"] >= 0 for row in rows if "routed_ms" in row)
+    assert [(row["family"], row["rank"], row.get("route")) for row in rows] == [
+        ("levelt", 3, "spins"),
+        ("dense", 3, "closure"),
+        ("crossover", 3, None),
+        ("levelt", 5, "spins"),
+        ("dense", 5, "norton"),
+        ("crossover", 5, None),
+        ("levelt", 6, None),
+        ("dense", 6, None),
+    ]
+    assert all(row["tuples"] == 3 >= row["fallbacks"] for row in rows[2::3])
+    assert all(row["norton"] and "packed_ms" not in row for row in rows[-2:])
 
 
 def test_ab_compares_a_tree_with_itself(capsys):

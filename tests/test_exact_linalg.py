@@ -1,6 +1,8 @@
+import json
 import random
 import re
 import sys
+from collections import Counter
 from fractions import Fraction
 from math import comb, gcd, lcm
 
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from rigidity_lab import exact_linalg, local_systems
 from rigidity_lab.campaign import CampaignConfig, run_campaign
+from rigidity_lab.cli import main
 from rigidity_lab.errors import (
     DimensionMismatchError,
     GenerationError,
@@ -40,7 +43,12 @@ from rigidity_lab.exact_linalg import (
     _pmul,
     _shift_echelon,
 )
-from rigidity_lab.local_systems import _bounded_matrix, random_tuple
+from rigidity_lab.local_systems import (
+    _bounded_matrix,
+    monodromy_tuple,
+    random_tuple,
+    tuple_to_json,
+)
 from rigidity_lab.theta_pairs import ThetaPair
 
 from support import (
@@ -1200,10 +1208,17 @@ class TestSmithStep:
 
 def _record_passes(patch, passes: list) -> None:
     """Append each pass of ``spans_full_algebra`` to ``passes``, as it runs:
-    ``_closes_mod_p``, the certificate; ``_spin`` from a vector; or
-    ``exact_closure``, ``_spin`` from a matrix of n^2 entries, the closure
-    over Q.  ``patch`` is a ``pytest.MonkeyPatch``."""
-    certificate, spin = exact_linalg._closes_mod_p, exact_linalg._spin
+    ``_norton_mod_p``, Norton's certificate; ``_closes_mod_p``, the closure
+    mod 2^19 - 1; ``_spin`` from a vector; or ``exact_closure``, ``_spin``
+    from a matrix of n^2 entries, the closure over Q.  ``patch`` is a
+    ``pytest.MonkeyPatch``."""
+    norton, certificate, spin = (
+        exact_linalg._norton_mod_p, exact_linalg._closes_mod_p, exact_linalg._spin
+    )
+
+    def norton_certifies(generators, n):
+        passes.append("_norton_mod_p")
+        return norton(generators, n)
 
     def certify(generators, n):
         passes.append("_closes_mod_p")
@@ -1213,6 +1228,7 @@ def _record_passes(patch, passes: list) -> None:
         passes.append("exact_closure" if len(start) > len(generators[0]) else "_spin")
         return spin(generators, start)
 
+    patch.setattr(exact_linalg, "_norton_mod_p", norton_certifies)
     patch.setattr(exact_linalg, "_closes_mod_p", certify)
     patch.setattr(exact_linalg, "_spin", spinning)
 
@@ -1223,7 +1239,7 @@ class TestSpanClosure:
         _record_passes(monkeypatch, passes)
         rng = random.Random(4)
         routes = []
-        for n in range(1, 6):
+        for n in range(1, 9):
             for trial in range(4):
                 k = rng.randint(1, 3)
                 if trial % 2:
@@ -1240,31 +1256,48 @@ class TestSpanClosure:
                 if trial >= 2:  # entries with denominators
                     p = random_invertible(rng, n)
                     gens = [conjugate(g, p) for g in gens]
-                full = span_closure_dimension(gens) == n * n
+                # sympy's closure takes 17-19 s on a full span at rank 8: above
+                # rank 5 support's closure mod P, which proves a full span over
+                # Q when it reaches n^2, decides first, and sympy the rest
+                rows = [g.numerators for g in gens]
+                full = (n > 5 and closes_full_span_mod_p(rows, n, P)) or (
+                    span_closure_dimension(gens) == n * n
+                )
                 passes.clear()
                 assert spans_full_algebra(gens) == full
                 # the route, from sympy's rank(A - 1): M_1 = Q needs none; a
                 # pseudo-reflection decides by the spin of u, then, if that
-                # reaches n, of w; otherwise the certificate settles every
-                # full span, and only the others run exactly
+                # reaches n, of w; otherwise, from rank 5 on, Norton's
+                # certificate runs first and settles a full span or falls
+                # back; the closure mod p settles every full span, and only
+                # the others run exactly
+                closure = [("_closes_mod_p",) if full else ("_closes_mod_p", "exact_closure")]
                 if n == 1:
                     route, allowed = "none", [()]
                 elif spin_route(gens):
                     route = "spin"
                     allowed = [("_spin", "_spin")] if full else [("_spin",), ("_spin", "_spin")]
+                elif n < exact_linalg._NORTON_FROM:
+                    route, allowed = "closure", closure
                 else:
-                    route = "closure"
-                    allowed = [("_closes_mod_p",) if full else ("_closes_mod_p", "exact_closure")]
+                    route = "norton"
+                    allowed = [("_norton_mod_p", *tail) for tail in closure]
+                    allowed += [("_norton_mod_p",)] if full else []
                 assert tuple(passes) in allowed
-                routes.append((route, full))
-        assert 5 < [full for _, full in routes].count(False) < 15
-        counts = {route: [] for route in ("none", "spin", "closure")}
-        for route, full in routes:
+                routes.append((route, full, tuple(passes)))
+        assert 12 < [full for _, full, _ in routes].count(False) < 20
+        counts = {route: [] for route in ("none", "spin", "closure", "norton")}
+        for route, full, _ in routes:
             counts[route].append(full)
         assert len(counts["none"]) == 4 and all(counts["none"])
-        assert len(counts["spin"]) + len(counts["closure"]) == 16
-        # both routes are taken, and each meets a full span and a reducible set
+        assert len(counts["spin"]) + len(counts["closure"]) + len(counts["norton"]) == 28
+        # every route is taken, and each meets a full span and a reducible set
         assert all(set(fulls) == {True, False} for r, fulls in counts.items() if r != "none")
+        # Norton's certificate settles all 11 full spans it meets, at ranks 5
+        # to 8; the 5 other sets there fall through to the exact closure
+        norton = [passes for route, _, passes in routes if route == "norton"]
+        assert norton.count(("_norton_mod_p",)) == counts["norton"].count(True) == 11
+        assert len(norton) == 16
 
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_single_generator_needs_no_closure(self, monkeypatch, n):
@@ -1384,6 +1417,171 @@ class TestPackedClosure:
         ]
         assert not exact_linalg._closes_mod_p(generators, 16)
 
+
+
+def _reducible_families(rng: random.Random, n: int) -> dict[str, list[QMatrix]]:
+    """Generator sets of rank n >= 5 whose algebra is not M_n(Q), each with
+    no pseudo-reflection: block triangular (a common invariant subspace)
+    conjugated so that the entries have denominators, the transposes of
+    those, a direct sum, and three polynomials in the companion matrix of
+    x^n - 2, irreducible by Eisenstein, whose algebra is the field
+    Q(2^(1/n)), irreducible over Q but not absolutely."""
+    d, k = rng.randint(1, n - 1), rng.randint(2, 4)
+    p = random_invertible(rng, n)
+    triangular = [conjugate(random_fixing_subspace(rng, n, d), p) for _ in range(k)]
+    split = rng.randint(1, n - 1)
+    direct_sum = [
+        block_diag([random_invertible(rng, split), random_invertible(rng, n - split)])
+        for _ in range(k)
+    ]
+    c = companion([-2] + [0] * (n - 1))
+    field = [c, c @ c + c, c @ c @ c - QMatrix.identity(n)]
+    return {
+        "triangular": triangular,
+        "transposed": [_transpose(m) for m in triangular],
+        "direct_sum": direct_sum,
+        "field": field,
+    }
+
+
+def _counted(counts: Counter, function):
+    """``function``, counting each call under (its name, its answer); a
+    ``_spin`` from a matrix of n^2 entries, the exact closure, under
+    ``exact_closure`` and whether it reached n^2."""
+
+    def counting(generators, start):
+        answer = function(generators, start)
+        if function.__name__ != "_spin":
+            counts[function.__name__, answer] += 1
+        elif type(start) is list and len(start) > len(generators[0]):
+            counts["exact_closure", answer == len(start)] += 1
+        return answer
+
+    return counting
+
+
+class TestNortonCertificate:
+    """``_norton_mod_p``: from rank ``_NORTON_FROM`` on, the first route of
+    ``spans_full_algebra`` where no generator is a pseudo-reflection.  It
+    proves that the reductions mod ``_NORTON_PRIME`` generate M_n(F_p), so
+    its True must imply the closure mod that prime (``support``'s, entry by
+    entry) and never meet a reducible set."""
+
+    def test_modulus_is_a_small_prime(self):
+        # the root scan tries every residue; 2^19 - 1 would cost 2^19 n steps
+        assert sympy.isprime(exact_linalg._NORTON_PRIME)
+        assert exact_linalg._NORTON_PRIME < 2**7
+        assert exact_linalg._NORTON_FROM == 5
+
+    @pytest.mark.parametrize("prime", [2, 3, 31, 127])
+    @pytest.mark.parametrize("n", range(5, 9))
+    def test_never_certifies_a_reducible_family(self, monkeypatch, prime, n):
+        monkeypatch.setattr(exact_linalg, "_NORTON_PRIME", prime)
+        rng = random.Random(n)
+        for _ in range(5):
+            for family, generators in _reducible_families(rng, n).items():
+                assert not any(map(is_pseudo_reflection, generators)), family
+                rows = [g.numerators for g in generators]
+                assert not exact_linalg._norton_mod_p(rows, n), family
+        assert span_closure_dimension(generators) == n  # the field, of degree n
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_reducible_families_fall_through_to_the_exact_closure(self, monkeypatch, n):
+        # the routed answer is sympy's, after both certificates fail
+        passes = []
+        _record_passes(monkeypatch, passes)
+        for family, generators in _reducible_families(random.Random(10 + n), n).items():
+            passes.clear()
+            assert not spans_full_algebra(generators), family
+            assert span_closure_dimension(generators) < n * n
+            assert passes == ["_norton_mod_p", "_closes_mod_p", "exact_closure"], family
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(
+            _generator_sets(st.integers(-2, 2), max_n=8),
+            _generator_sets(wide_entries, max_n=8),
+            _generator_sets(wide_entries, reducible=True, max_n=8),
+        )
+    )
+    def test_certifies_only_full_spans_mod_its_prime(self, case):
+        n, generators = case
+        if exact_linalg._norton_mod_p(generators, n):
+            assert closes_full_span_mod_p(generators, n, exact_linalg._NORTON_PRIME)
+
+    def test_certifies_most_dense_tuples(self):
+        # cyclic theta and a root of chi in F_p are both likely, and a dense
+        # irreducible tuple rarely reduces to a reducible one mod p
+        certified = []
+        for n in range(5, 13):
+            for seed in range(10):
+                rows = [a.numerators for _, a in random_tuple(n, 2 + seed % 3, seed).finite_points]
+                assert exact_linalg._closes_mod_p(rows, n)
+                certified.append(exact_linalg._norton_mod_p(rows, n))
+        assert certified.count(False) <= 5
+
+    def test_forced_fallbacks_keep_the_answers_and_bytes(self, monkeypatch, capsys, tmp_path):
+        # Each fallback, forced by a small prime: the same exit codes and
+        # bytes.  Documents: dense tuples of rank 5 to 8 and a reducible rank-6 one
+        # (block triangular, conjugated), and a campaign up to rank 8
+        rng = random.Random(44)
+        documents = [tuple_to_json(random_tuple(n, 3, n)) for n in range(5, 9)]
+        p = random_invertible(rng, 6)
+        reducible = [conjugate(random_fixing_subspace(rng, 6, 2), p) for _ in range(3)]
+        documents.append(tuple_to_json(monodromy_tuple(6, list(enumerate(reducible)))))
+        paths = []
+        for i, payload in enumerate(documents):
+            del payload["infinity_matrix"]
+            paths.append(tmp_path / f"{i}.json")
+            paths[-1].write_text(json.dumps(payload))
+        commands = [("rig",), ("fourier",), ("verify", "--force")]
+        campaign = ("verify", "--random", "--trials", "40", "--max-rank", "8", "--seed", "7")
+        outputs, routes = [], []
+        for norton_prime, bits in ((None, None), (2, None), (2, 2)):
+            if norton_prime:
+                monkeypatch.setattr(exact_linalg, "_NORTON_PRIME", norton_prime)
+            if bits:
+                monkeypatch.setattr(exact_linalg, "_PRIME_BITS", bits)
+                monkeypatch.setattr(exact_linalg, "_PRIME", (1 << bits) - 1)
+            decided = Counter()
+            with pytest.MonkeyPatch.context() as patch:
+                for name in ("_norton_mod_p", "_closes_mod_p", "_spin"):
+                    counted = _counted(decided, getattr(exact_linalg, name))
+                    patch.setattr(exact_linalg, name, counted)
+                runs = [main(list(campaign))]
+                for path in paths:
+                    runs += [main([*command, "--input", str(path)]) for command in commands]
+            outputs.append((runs, capsys.readouterr()))
+            routes.append(decided)
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        # at p = 31 Norton's certificate fails only on the reducible
+        # document, once per command, and the exact closure says False
+        assert routes[0]["_norton_mod_p", False] == routes[0]["exact_closure", False] == 3
+        assert routes[0]["_norton_mod_p", True] > 20 and not routes[0]["exact_closure", True]
+        # mod 2 it fails on full spans too, which the closure mod 2^19 - 1
+        # settles; with that prime 3, the closure stalls on one, which the
+        # exact closure settles
+        assert routes[1]["_closes_mod_p", True] > routes[0]["_closes_mod_p", True]
+        assert routes[2]["exact_closure", True] > 0
+
+    def test_vector_spins(self):
+        # e_1 spans an invariant line of upper triangular matrices, e_n does not
+        p, n = exact_linalg._NORTON_PRIME, 5
+        upper = [[[(i + 2 * j) % 3 + 1 if i <= j else 0 for j in range(n)] for i in range(n)]]
+        shift = [[[int(j == i + 1) for j in range(n)] for i in range(n)]]
+        e1, en = [1] + [0] * (n - 1), [0] * (n - 1) + [1]
+        assert not exact_linalg._spans_mod_p(upper, e1, p)
+        assert exact_linalg._spans_mod_p(upper + shift, en, p)
+        assert not exact_linalg._spans_mod_p(upper, [0] * n, p)
+
+    def test_independence_continues_a_basis(self):
+        # a caller's basis carries one elimination over several calls
+        p, basis = 31, []
+        assert exact_linalg._independent_mod_p([[1, 2, 3]], p, basis) == 1
+        assert exact_linalg._independent_mod_p([[2, 4, 6 + p]], p, basis) == 1
+        assert exact_linalg._independent_mod_p([[0, 0, 1], [5, 1, 0]], p, basis) == 3
+        assert [pivot for pivot, _, _ in basis] == [0, 2, 1]
+        assert all(row[pivot] * inverse % p == 1 for pivot, inverse, row in basis)
 
 
 def _pseudo_reflection_sets(entries, reducible: bool = False, max_n: int = 6):
