@@ -321,7 +321,7 @@ def closure_rows(runs: int) -> list[dict]:
             if n in NORTON_ONLY_RANKS:
                 norton_ms, certified, _ = median_ms(norton, integer_rows, runs)
                 row = {"family": family, "rank": n, "norton_ms": round(norton_ms, 3)}
-                row["norton"] = certified
+                row.update(norton=certified)
                 print(json.dumps(row), flush=True)
                 rows.append(row)
                 continue
