@@ -1,8 +1,9 @@
 """Time the exact kernels: the span closure, invariant factors, restrictions, the
 composed zero-monodromy invariants, a table of matrix kernels against their oracles,
 the first and a repeated catalog load, the rendering of zero monodromies as text,
-the ``Fraction`` calls of the seed-7 campaign and ``rig``, ``verify`` and ``fourier``
-on the worst-case inputs and the corner grid.
+the reading, checking and writing of tuple documents, the ``Fraction`` calls of the
+seed-7 campaign and ``rig``, ``verify`` and ``fourier`` on the worst-case inputs and
+the corner grid.
 
     python3 bench/kernels.py [--runs 3] [--out BENCH.json]
     python3 bench/kernels.py --worst-cases DIR
@@ -96,6 +97,19 @@ named.
   of the matrix, so no entry cache carries over; the analysis is not timed.
   The longest integer's digits and the sha256 of the rendered JSON are
   recorded, so runs of two versions can be compared byte for byte.
+- ``reading``: for the tuple document of the Levelt tuple
+  ``support.levelt_tuple(n, n)`` for each n of ``READING_LEVELT_RANKS``
+  (2-8) and of the dense ``random_tuple(n, 3, 2026)`` for each n of
+  ``READING_DENSE_RANKS`` (5-7), A_inf given in both, the ms per call of
+  ``local_systems.tuple_from_json``, of ``validate`` on what it read (the
+  relation checked on integers) and of the CLI's JSON writer
+  (``cli._indented``) on the ``fourier`` payload, beside ``json.dumps(payload,
+  indent=2)``, whose text it must equal; each the median of ``--runs`` runs
+  of ``READING_REPEATS`` calls.  ``entries`` counts the document's matrix
+  entries and ``parsed_by_rational_pair`` the entries that reached
+  ``exact_linalg.rational_pair``.  A last row reads the corner
+  ``adm:<rank>:<points>`` of the largest rank and point count of the corner
+  grid (below), 256-bit entries, once per run.
 - ``fractions``: the ``Fraction`` constructions (``Fraction.__new__``) and
   divisions (``Fraction._div``) of two op streams, run in process under
   ``cProfile`` with stdout captured: call counts, which do not drift with
@@ -121,8 +135,8 @@ named.
 
 With ``--out``, the result is written into that JSON file under the keys
 ``environment``, ``kernels``, ``invariant_factors``, ``restriction``,
-``zero_invariants``, ``kernel_table``, ``catalog``, ``render``, ``fractions`` and
-``worst_cases``;
+``zero_invariants``, ``kernel_table``, ``catalog``, ``render``, ``reading``,
+``fractions`` and ``worst_cases``;
 other keys already in the file are kept.  With ``--worst-cases DIR``, the two
 worst-case inputs are written to ``DIR/small_entries.json`` and
 ``DIR/large_entries.json``, and each corner to ``DIR/adm_<rank>_<points>.json``,
@@ -173,11 +187,14 @@ CATALOG_REPEATS = 100
 FRACTION_TRIALS = 500  # the seed-7 campaign
 LEVELT_SEED = 11  # perfbench's levelt ops at this seed
 RENDER_SHAPES = ((2, 16), (3, 8), (4, 4))  # (rank, finite points), A_inf omitted
+READING_LEVELT_RANKS = range(2, 9)
+READING_DENSE_RANKS = (5, 6, 7)
+READING_REPEATS = 20
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 
 import child  # noqa: E402
 import workloads  # noqa: E402
-from rigidity_lab import catalog, cli, exact_linalg, fourier  # noqa: E402
+from rigidity_lab import catalog, cli, exact_linalg, fourier, local_systems  # noqa: E402
 from rigidity_lab.errors import InvalidMonodromyError  # noqa: E402
 from rigidity_lab.exact_linalg import QMatrix, block_diag, jordan_block  # noqa: E402
 from rigidity_lab.local_systems import random_tuple, tuple_from_json, tuple_to_json  # noqa: E402
@@ -617,6 +634,69 @@ def render_rows(runs: int) -> list[dict]:
     return rows
 
 
+def per_call_ms(function, argument, runs: int, repeats: int) -> float:
+    """The median over ``runs`` runs of the ms per call of ``repeats`` calls."""
+    times = []
+    for _ in range(runs):
+        begin = time.perf_counter()
+        for _ in range(repeats):
+            function(argument)
+        times.append((time.perf_counter() - begin) * 1e3 / repeats)
+    return statistics.median(times)
+
+
+def parsed_entries(document: dict) -> int:
+    """The matrix entries of ``document`` that ``tuple_from_json`` hands to
+    ``rational_pair``: its calls less the one for each location."""
+    calls, parse = [], exact_linalg.rational_pair
+    exact_linalg.rational_pair = lambda value: calls.append(value) or parse(value)
+    try:
+        tuple_from_json(document)
+    finally:
+        exact_linalg.rational_pair = parse
+    return len(calls) - len(document["finite_points"])
+
+
+def reading_rows(runs: int) -> list[dict]:
+    documents = {f"levelt:{n}": tuple_to_json(levelt_tuple(n, n)) for n in READING_LEVELT_RANKS}
+    for n in READING_DENSE_RANKS:
+        documents[f"dense:{n}"] = tuple_to_json(random_tuple(n, 3, 2026))
+    rows = []
+    for name, document in documents.items():
+        t = tuple_from_json(document)
+        payload = fourier.fourier_data_to_json(fourier.TupleAnalysis(t))
+        if cli._indented(payload) != json.dumps(payload, indent=2):
+            raise RuntimeError(f"{name}: the writer differs from json.dumps")
+        matrices = [point["matrix"] for point in document["finite_points"]]
+        matrices.append(document["infinity_matrix"])
+        row = {
+            "input": name,
+            "rank": t.rank,
+            "entries": sum(len(row) for matrix in matrices for row in matrix),
+            "parsed_by_rational_pair": parsed_entries(document),
+            "read_ms": round(per_call_ms(tuple_from_json, document, runs, READING_REPEATS), 4),
+            "validate_ms": round(per_call_ms(local_systems.validate, t, runs, READING_REPEATS), 4),
+            "write_ms": round(per_call_ms(cli._indented, payload, runs, READING_REPEATS), 4),
+            "json_dumps_ms": round(
+                per_call_ms(lambda p: json.dumps(p, indent=2), payload, runs, READING_REPEATS), 4
+            ),
+        }
+        print(json.dumps(row), flush=True)
+        rows.append(row)
+    name = f"adm:{CORNER_RANKS[-1]}:{CORNER_POINTS[-1]}"
+    document = large_matrices_document(CORNER_RANKS[-1], CORNER_POINTS[-1], name)
+    row = {
+        "input": name,
+        "rank": document["rank"],
+        "entries": document["rank"] ** 2 * len(document["finite_points"]),
+        "parsed_by_rational_pair": parsed_entries(document),
+        "read_ms": round(per_call_ms(tuple_from_json, document, runs, 1), 1),
+    }
+    print(json.dumps(row), flush=True)
+    rows.append(row)
+    return rows
+
+
 def fraction_count_row(command: str, argvs: list[list[str]]) -> dict:
     """``Fraction`` call counts of ``cli.main`` on each argv in turn."""
     out, profile = io.StringIO(), cProfile.Profile()
@@ -906,6 +986,15 @@ def main() -> None:
             "unit": "ms, median of runs",
             "runs": args.runs,
             "rows": render_rows(args.runs),
+        },
+        "reading": {
+            "what": "tuple_from_json, validate (the relation on integers) and the CLI's JSON "
+            "writer beside json.dumps(indent=2) on Levelt documents of rank 2-8 and dense ones "
+            "of rank 5-7, A_inf given, and tuple_from_json on the largest 256-bit corner; "
+            "entries parsed by rational_pair",
+            "unit": f"ms per call, median of runs of {READING_REPEATS} calls (the corner: 1)",
+            "runs": args.runs,
+            "rows": reading_rows(args.runs),
         },
         "fractions": {
             "what": "Fraction constructions (__new__) and divisions (_div) of the seed-7 "

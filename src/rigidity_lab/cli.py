@@ -23,6 +23,7 @@ import json
 import os
 import sys
 from functools import cache
+from json.encoder import encode_basestring_ascii
 
 from .campaign import CampaignConfig, run_campaign
 from .catalog import CatalogEntry, load_catalog
@@ -68,9 +69,36 @@ def _load_analysis(path: str) -> TupleAnalysis:
     return TupleAnalysis(t)
 
 
+def _indented(value: object, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)`` of the dicts (of str keys), lists,
+    tuples, strs, ints and bools a payload holds, each line's indent after
+    ``indent``: a str by json's own C escape, a list of strs in one map."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        try:
+            items = list(map(encode_basestring_ascii, value))
+        except TypeError:  # not all strs
+            items = [_indented(item, inner) for item in value]
+        return f"[{inner}{f',{inner}'.join(items)}{indent}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{encode_basestring_ascii(k)}: {_indented(v, inner)}" for k, v in value.items()]
+        return f"{{{inner}{f',{inner}'.join(items)}{indent}}}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _print_payload(payload: dict | list, fmt: str, text_lines) -> None:
     if fmt == "json":
-        print(json.dumps(payload, indent=2))
+        print(_indented(payload))
     else:
         for line in text_lines(payload):
             print(line)

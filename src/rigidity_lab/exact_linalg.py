@@ -6,10 +6,14 @@ equal integers.  Every computation is exact, never from floating point and
 never from eigenvalue factorization, and runs on these integers: each
 producer (products, sums, inverses, restrictions, block sums) forms its
 result's integer matrix over one common denominator and divides out one gcd.
-Entries are read as integer pairs (p, q); ``Fraction``s are made only at
-the edges, for parsed locations and for ``QMatrix.entries`` (callers that
-read entries), and inside the Smith step's divisions.  Printing makes none:
-every number becomes text through ``rational_text``, from its integers.
+Entries are read as integer pairs (p, q) in lowest terms (``_rational_parts``):
+those of a matrix of ``p/q`` strings by one match of the grammar over their
+text joined by commas, each without ``/`` by ``int``; any other matrix entry
+by entry (``rational_pair``), which names the first bad entry.
+``Fraction``s are made only at the edges, for parsed locations and for
+``QMatrix.entries`` (callers that read entries), and inside the Smith
+step's divisions.  Printing makes none: every number becomes text through
+``rational_text``, from its integers.
 Ranks, inverses, spans and restrictions to invariant images come out of one
 fraction-free elimination per matrix (``Echelon``, on dense rows) of the
 rows of dA, or of dA - dI, whose rank gives ``fixed_space_dim`` and where
@@ -50,14 +54,17 @@ from bisect import bisect
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from math import gcd, lcm
-from operator import mul, sub
+from operator import floordiv, mul, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DimensionMismatchError, InvalidMonodromyError
 
+# One entry of the p/q format, and entries of it joined by commas.
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+_ENTRY = r"[+-]?[0-9]+(?:/[0-9]+)?"
+_RATIONALS = re.compile(f"{_ENTRY}(?:,{_ENTRY})*")
 
 # Longest quotation of rejected input, in bytes, that an error message writes in full.
 _QUOTE_BYTES = 60
@@ -113,13 +120,48 @@ def parse_rational(value: Fraction | int | str) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(*rational_pair(value))
 
 
+def _rational_parts(
+    rows: Sequence[Sequence], cols: int
+) -> tuple[Sequence[int], Sequence[int] | None]:
+    """The entries of ``rows``, row-major, in lowest terms p/q, q > 0: the
+    p in order and the q in order, None when every q is 1.  When every entry
+    is a ``str`` and every row has ``cols`` of them, one match of the grammar
+    repeated with commas accepts them all, and only when their text holds
+    exactly one comma fewer than entries; then each entry without ``/`` is
+    read by ``int``, each other by ``rational_pair``.  Any other outcome, a
+    ``ValueError`` included, reads them entry by entry, row by row, so the
+    first bad entry is named before a later ragged row."""
+    entries = list(chain.from_iterable(rows))
+    try:
+        text = ",".join(entries)  # a TypeError unless every entry is a str
+        if (
+            all(len(row) == cols for row in rows)
+            and text.count(",") == len(entries) - 1
+            and _RATIONALS.fullmatch(text)
+        ):
+            if "/" not in text:
+                return list(map(int, entries)), None
+            return tuple(zip(*[rational_pair(x) if "/" in x else (int(x), 1) for x in entries]))
+    except (TypeError, ValueError):  # an entry not a str, or too long for int
+        pass
+    pairs = []
+    for row in rows:
+        if len(row) != cols:
+            raise DimensionMismatchError("ragged rows in matrix literal")
+        pairs.extend(map(rational_pair, row))
+    return tuple(zip(*pairs)) if pairs else ((), ())
+
+
 class QMatrix:
     """Dense rational matrix A, immutable, stored as the rows of the integer
     matrix dA (``numerators``) and d (``denominator``), with d > 0 and
     gcd(d, content(dA)) = 1: each matrix has one stored form, so ``==`` and
     ``hash`` are value equality.  ``QMatrix(rows, cols, entries)`` takes the
     entries row-major as ``Fraction``, ``int`` or ``p/q`` strings, and
-    ``entries`` gives them back as ``Fraction``s, made on first use."""
+    ``entries`` gives them back as ``Fraction``s, made on first use.  A
+    matrix read from entries, by either, also stores ``_height``, the
+    largest |p| or q of its entries in lowest terms, which the document
+    reader bounds."""
 
     rows: int
     cols: int
@@ -131,7 +173,7 @@ class QMatrix:
             raise DimensionMismatchError("matrix dimensions must be non-negative")
         if len(entries) != rows * cols:
             raise DimensionMismatchError(f"expected {rows * cols} entries, got {len(entries)}")
-        self._store_ratios(rows, cols, [rational_pair(x) for x in entries])
+        self._store_parts(rows, cols, *_rational_parts([entries], len(entries)))
 
     @classmethod
     def _integral(
@@ -147,26 +189,26 @@ class QMatrix:
         vars(matrix).update(rows=rows, cols=cols, numerators=numerators, denominator=denominator)
         return matrix
 
-    def _store_ratios(self, rows: int, cols: int, ratios: list[tuple[int, int]]):
+    def _store_parts(self, rows: int, cols: int, ps: Sequence[int], qs: Sequence[int] | None):
         """Set the fields from the entries p/q in lowest terms, row-major, over
-        their lcm, with no gcd to divide out."""
-        scale = lcm(*(q for _, q in ratios))
-        flat = tuple(p * (scale // q) for p, q in ratios)
+        their lcm, with no gcd to divide out, and their height."""
+        if qs is None:
+            flat, scale = tuple(ps), 1
+        else:
+            scale = lcm(*qs)
+            flat = tuple(map(mul, ps, map(floordiv, repeat(scale), qs)))
+        height = max(chain(map(abs, ps), qs or (1,)))
         # canonical: r^a exactly dividing scale exactly divides some q, and r cannot divide its p
         numerators = tuple(flat[i * cols : (i + 1) * cols] for i in range(rows))
-        vars(self).update(rows=rows, cols=cols, numerators=numerators, denominator=scale)
+        fields = dict(rows=rows, cols=cols, numerators=numerators, denominator=scale)
+        vars(self).update(fields, _height=height)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Fraction | int | str]]) -> "QMatrix":
         n_rows = len(rows)
         n_cols = len(rows[0]) if n_rows else 0
-        ratios: list[tuple[int, int]] = []
-        for row in rows:  # row by row: a bad entry is reported before a later ragged row
-            if len(row) != n_cols:
-                raise DimensionMismatchError("ragged rows in matrix literal")
-            ratios.extend(map(rational_pair, row))
         matrix = object.__new__(cls)
-        matrix._store_ratios(n_rows, n_cols, ratios)
+        matrix._store_parts(n_rows, n_cols, *_rational_parts(rows, n_cols))
         return matrix
 
     @classmethod

@@ -17,7 +17,7 @@ from __future__ import annotations
 import warnings
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .errors import HypothesisViolationError, InternalError, NonRealizableError
 from .exact_linalg import (
@@ -100,8 +100,9 @@ class TupleAnalysis:
     the zero monodromy's.  A centralizer dimension is computed once per
     distinct matrix, shared by equal points and by a component equal to its
     point's matrix (rank(A - 1) = n), and T on im(T - 1), if equal to A_inf,
-    is similar to it without being factored.  The components are restricted
-    once, for ``local_data`` and ``preservation`` alike.
+    is similar to it without being factored.  The components are formed
+    once, for ``local_data`` and ``preservation`` alike, each with no
+    elimination when det(A - 1) is nonzero mod p, which makes it A itself.
 
     A_inf is not factored, nor a derived A_inf = P^-1 (P the finite
     matrices' product) formed over Q, for ``report`` and ``preservation``
@@ -224,8 +225,12 @@ class TupleAnalysis:
 
     @cached_property
     def components(self) -> tuple[ExponentialComponent, ...]:
-        """Each finite point (c, A) as the component (c, A on im(A - 1))."""
-        restricted = [(loc, restrict_to_image(a)) for loc, a in self.tuple.finite_points]
+        """Each finite point (c, A) as the component (c, A on im(A - 1)): A
+        itself when det(A - 1) is nonzero mod p, else ``restrict_to_image``."""
+        restricted = [
+            (loc, a if _unit_free_mod_p(a.numerators, a.denominator) else restrict_to_image(a))
+            for loc, a in self.tuple.finite_points
+        ]
         return tuple(ExponentialComponent(loc, r, r.rows) for loc, r in restricted)
 
     @cached_property
@@ -249,9 +254,7 @@ class TupleAnalysis:
         # T = A_inf needs e = 0, that is a full rank of rows - scale 1 mod p
         certified = self._cyclic_residues
         if certified and not m:
-            rows, scale = certified
-            shifted = [[x - scale * (i == j) for j, x in enumerate(r)] for i, r in enumerate(rows)]
-            certified = _independent_mod_p(shifted) == n
+            certified = _unit_free_mod_p(*certified)
         if certified:
             zero_dim = n + m * m
         else:
@@ -314,6 +317,14 @@ def rig_fourier(data: FourierLocalData) -> int:
         + sum(centralizer_dimension(c.regular_monodromy) for c in data.components)
         - irregularity_end(data)
     )
+
+
+def _unit_free_mod_p(rows: Sequence[Sequence[int]], scale: int) -> bool:
+    """Whether rows - scale 1, dA - dI or its residues, has full rank mod p,
+    which proves det(A - 1) nonzero: A has no eigenvalue 1.  False proves
+    nothing."""
+    shifted = ([*r[:i], r[i] - scale, *r[i + 1 :]] for i, r in enumerate(rows))  # read as needed
+    return _independent_mod_p(shifted) == len(rows)
 
 
 def _padding(rank_hat: int, n: int, unit_blocks: int) -> int:

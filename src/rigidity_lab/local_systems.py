@@ -16,8 +16,7 @@ import os
 import random
 import sys
 from fractions import Fraction
-from functools import reduce
-from itertools import chain
+from operator import mul
 from typing import Iterable, NamedTuple, TextIO
 
 from .errors import GenerationError, InvalidMonodromyError, ValidationError
@@ -27,7 +26,6 @@ from .exact_linalg import (
     _ProductInverse,
     matrix_to_json,
     parse_rational,
-    rational_pair,
     rational_text,
     shorten,
 )
@@ -105,10 +103,25 @@ def _check_invertible(finite_points: tuple[FinitePoint, ...]) -> None:
             raise ValidationError(f"non-invertible matrix at point {shorten(rational_text(loc))}")
 
 
+def _relation_holds(matrices: list[QMatrix]) -> bool:
+    """Whether A_1 ... A_inf = 1, on the stored integers: the product of the
+    (d_i A_i) against D I, D the product of the d_i, with no gcd and no
+    ``QMatrix`` formed for a partial product."""
+    rows, scale = matrices[0].numerators, matrices[0].denominator
+    for matrix in matrices[1:]:
+        columns = list(zip(*matrix.numerators))
+        rows = [[sum(map(mul, row, column)) for column in columns] for row in rows]
+        scale *= matrix.denominator
+    return all(
+        row[i] == scale and not any(row[:i]) and not any(row[i + 1 :]) for i, row in enumerate(rows)
+    )
+
+
 def validate(t: MonodromyTuple) -> None:
     """Check every structural invariant, raising with the violated one.  The
-    shapes are always checked; the k products of the k + 1 matrices are
-    formed unless A_inf is the ``_ProductInverse`` of the finite matrices."""
+    shapes are always checked; the relation is checked on integers
+    (``_relation_holds``) unless A_inf is the ``_ProductInverse`` of the
+    finite matrices."""
     n, infinity = t.rank, t.infinity_matrix
     _check_shapes(n, t.finite_points)
     if infinity.rows != n or infinity.cols != n:
@@ -116,7 +129,7 @@ def validate(t: MonodromyTuple) -> None:
     identity = QMatrix.identity(n)
     finite = tuple(m for _, m in t.finite_points)
     derived = isinstance(infinity, _ProductInverse) and infinity.factors == finite
-    holds = derived or reduce(lambda a, b: a @ b, t.matrices()) == identity
+    holds = derived or _relation_holds(t.matrices())
     # A product equal to 1 has factors whose determinants multiply to 1, so
     # each is invertible; only a broken relation needs the checks one by one.
     if not holds:
@@ -220,12 +233,7 @@ def _bounded_matrix(data: object) -> QMatrix:
         matrix = QMatrix.from_rows(data)
     except ValueError as exc:
         raise ValueError(f"bad matrix entry: {exc}") from exc
-    # An entry x/d of the stored dA and d has no part above |x| or d in
-    # lowest terms, so its parts, rational_pair's, are read again only when
-    # one stored integer is too large: two C-level maxima and no gcd.
-    top = max(map(abs, chain((matrix.denominator,), *matrix.numerators)))
-    pairs = chain.from_iterable(map(rational_pair, chain.from_iterable(data)))
-    if top.bit_length() > MAX_ENTRY_BITS and max(map(abs, pairs)).bit_length() > MAX_ENTRY_BITS:
+    if matrix._height.bit_length() > MAX_ENTRY_BITS:  # read with the entries, in lowest terms
         raise ValueError(
             f"a matrix entry has a numerator or denominator of more than {MAX_ENTRY_BITS} bits"
         )

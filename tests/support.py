@@ -6,7 +6,8 @@ partition count, the commutation system, the rank sequence of (A - I)^j,
 span closures ranked by sympy, restrictions solved by sympy, the schoolbook
 product on fractions, elimination on ``Fraction`` rows, the span closure mod
 a prime one entry at a time, invariant factors and Smith forms by sympy)
-so library results are checked against a second route.  The one exception,
+so library results are checked against a second route; the matrix reader's
+oracle reads entry by entry.  The one exception,
 ``smith_invariant_factors``, reuses the library's Smith step, but on the
 full characteristic matrix xI - A; ``bench/kernels.py`` times it as the
 oracle of the Krylov front end of ``invariant_factors``, and the tests
@@ -29,6 +30,7 @@ import sympy
 from sympy.matrices import normalforms
 
 from rigidity_lab.campaign import CampaignConfig, _campaign_analyses
+from rigidity_lab.errors import DimensionMismatchError
 from rigidity_lab.exact_linalg import (
     Poly,
     QMatrix,
@@ -40,6 +42,7 @@ from rigidity_lab.exact_linalg import (
     block_diag,
     jordan_block,
     matrix_rank,
+    rational_pair,
     restrict_to_image,
 )
 from rigidity_lab.local_systems import MonodromyTuple, monodromy_tuple
@@ -207,6 +210,23 @@ def large_entry_document(rank: int, count: int, seed: str) -> dict:
         "rank": rank,
         "finite_points": [{"location": str(i), "matrix": m} for i, m in enumerate(matrices)],
     }
+
+
+def read_rows_oracle(rows: Sequence[Sequence]) -> tuple[QMatrix, list[tuple[int, int]]]:
+    """``QMatrix.from_rows`` read entry by entry: each entry by
+    ``rational_pair``, row by row, so a bad entry is named before a later
+    ragged row; the matrix, over the lcm of the q, and the entries' pairs
+    (p, q) in lowest terms."""
+    cols = len(rows[0]) if rows else 0
+    pairs: list[tuple[int, int]] = []
+    for row in rows:
+        if len(row) != cols:
+            raise DimensionMismatchError("ragged rows in matrix literal")
+        pairs.extend(map(rational_pair, row))
+    scale = lcm(*(q for _, q in pairs))
+    flat = [p * (scale // q) for p, q in pairs]
+    numerators = [flat[i * cols : (i + 1) * cols] for i in range(len(rows))]
+    return QMatrix._integral(len(rows), cols, numerators, scale), pairs
 
 
 def read_rational(text: str) -> Fraction:

@@ -38,6 +38,7 @@ ROW_FUNCTIONS = [
     "closure_rows",
     "fraction_rows",
     "invariant_factor_rows",
+    "reading_rows",
     "render_rows",
     "restriction_rows",
     "zero_invariant_rows",
@@ -58,6 +59,8 @@ def test_rows_at_small_sizes(monkeypatch, capsys, name):
         "CLOSURE_RANKS",
         "EXACT_CLOSURE_RANKS",
         "WORST_CASE_POINTS",
+        "READING_LEVELT_RANKS",
+        "READING_DENSE_RANKS",
     ):
         monkeypatch.setattr(bench, sizes, (2, 3))
     for grid in ("CORNER_RANKS", "CORNER_POINTS", "NON_GENERIC_RANKS"):

@@ -24,6 +24,7 @@ from rigidity_lab.exact_linalg import (
     SimilarityInvariant,
     centralizer_dimension,
     invariant_factors,
+    restrict_to_image,
 )
 from rigidity_lab.fourier import TupleAnalysis
 from rigidity_lab.local_systems import MonodromyTuple, monodromy_tuple, tuple_to_json
@@ -199,6 +200,26 @@ class TestForcedFallbacks:
         assert runs[0][0][0] == 0 and json.loads(runs[0][0][1])["trials_run"] == 100
         assert [code for code, _, _ in runs[0][1:]] == [0] * len(paths) * len(self.COMMANDS)
         assert calls[1] > calls[0]
+
+    def test_component_restricted_where_the_prime_divides_det(self, capsys, tmp_path, monkeypatch):
+        # A = [[8, 1], [0, 2]] has det(A - 1) = 7: mod 2^19 - 1 that proves
+        # its component is A itself, with no elimination; mod 7 it proves
+        # nothing, and the exact restriction, which gives A all the same,
+        # runs.  fourier and verify print the same bytes either way
+        a = QMatrix.from_rows([[8, 1], [0, 2]])
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(document([(0, a), (1, QMatrix.from_rows([[1, 1], [1, 0]]))])))
+        runs, restricted = [], []
+        for bits in (None, 3):
+            if bits:
+                monkeypatch.setattr(exact_linalg, "_PRIME_BITS", bits)
+                monkeypatch.setattr(exact_linalg, "_PRIME", (1 << bits) - 1)
+            restrict = mock.patch.object(fourier, "restrict_to_image", wraps=restrict_to_image)
+            with restrict as counted:
+                runs.append([run(capsys, c, "--input", str(path)) for c in ("fourier", "verify")])
+            restricted.append([call.args[0] for call in counted.call_args_list])
+        assert runs[0] == runs[1] and [code for code, _, _ in runs[0]] == [0, 0]
+        assert a not in restricted[0] and a in restricted[1]
 
     def test_denominator_the_prime_divides(self, capsys, tmp_path):
         # d A = diag(2p, 1) is singular mod p, so P's invertibility is

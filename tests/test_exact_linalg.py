@@ -71,6 +71,7 @@ from support import (
     partition_formula,
     primitive,
     random_fixing_subspace,
+    read_rows_oracle,
     random_invertible,
     random_jordan_data,
     random_unimodular,
@@ -372,6 +373,146 @@ class TestCanonicalForm:
         assert (half + half).numerators == ((1, 0), (0, 1)) and (half + half).denominator == 1
         assert jordan_block(2, "-2/4").numerators == ((-1, 2), (0, -1))
         assert jordan_block(2, "-2/4").denominator == 2
+
+
+def _outcome(read, rows):
+    """What ``read(rows)`` gives: the stored matrix and its recorded height,
+    or the class and message of what it raised."""
+    try:
+        matrix = read(rows)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+    return matrix.rows, matrix.cols, matrix.numerators, matrix.denominator, matrix._height
+
+
+def _oracle_height(rows) -> QMatrix:
+    """The oracle's matrix with the height of its pairs, the largest |p| or
+    q, recorded by hand."""
+    matrix, pairs = read_rows_oracle(rows)
+    vars(matrix)["_height"] = max((max(abs(p), q) for p, q in pairs), default=1)
+    return matrix
+
+
+def _bounded_oracle(rows) -> QMatrix:
+    """``local_systems._bounded_matrix`` on rows of at most 16 x 16 entries,
+    read entry by entry: the oracle, then the bound on its pairs."""
+    try:
+        matrix = _oracle_height(rows)
+    except ValueError as exc:
+        raise ValueError(f"bad matrix entry: {exc}") from exc
+    if matrix._height.bit_length() > 256:
+        raise ValueError("a matrix entry has a numerator or denominator of more than 256 bits")
+    return matrix
+
+
+# The near misses of the p/q grammar, each of which int() or a looser reader
+# might take, and a 4301-digit integer, one digit past what int() reads.
+NEAR_MISSES = (" 3", "1_0", "1,2", "1/0", "1/", "\u0663", "", "-", "+-1", "1/-2", "1/2/3", "3\n")
+TOO_LONG = "7" * 4301
+_digits = st.integers(0, 10**80).map(str) | st.sampled_from(["0", "007", str(2**256), str(2**257)])
+grammar_entries = st.builds(
+    lambda sign, p, q: f"{sign}{p}" if q is None else f"{sign}{p}/{q}",
+    st.sampled_from(["", "+", "-"]),
+    _digits,
+    st.none() | _digits,
+)
+reader_entries = st.one_of(
+    grammar_entries,
+    st.sampled_from([*NEAR_MISSES, TOO_LONG, f"{2**300}/{2**300}", f"{3 * 2**256}/3"]),
+    st.integers(-(2**260), 2**260),
+    st.fractions(max_denominator=10**6),
+    st.booleans(),
+)
+
+
+@st.composite
+def reader_rows(draw, entries=reader_entries):
+    """Up to 4 x 4 entries, grammar strings mostly; a row is cut short or
+    made longer now and then, so some matrices are ragged."""
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    strings = draw(st.booleans())
+    entry = grammar_entries if strings else entries
+    matrix = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    if rows and draw(st.integers(0, 5)) == 0:
+        i = draw(st.integers(0, rows - 1))
+        matrix[i] = matrix[i][1:] if draw(st.booleans()) else [*matrix[i], draw(entry)]
+    row = matrix[draw(st.integers(0, rows - 1))] if rows else []
+    if row and draw(st.integers(0, 3)) == 0:
+        row[draw(st.integers(0, len(row) - 1))] = draw(entries)
+    return matrix
+
+
+class TestOnePatternReader:
+    """``QMatrix.from_rows`` reads a matrix of ``p/q`` strings with one match
+    of the grammar over the entries joined by commas; the entry-by-entry
+    read (``support.read_rows_oracle``) is its oracle, for the stored matrix
+    and for each error's class, message and order."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(reader_rows())
+    @example([["1,2"]])
+    @example([["1", "2,3"], ["4", "5"]])
+    @example([["1/2,3"]])
+    @example([[TOO_LONG, "1/0"]])
+    @example([["1/2", TOO_LONG]])
+    @example([["x", "2"], ["3"]])
+    @example([["1", "2"], ["3"]])
+    @example([["1", "2"], ["3", 4]])
+    @example([[True]])
+    @example([[Fraction(1, 3), "2/6"]])
+    @example([["\u0663"]])
+    @example([[" 3"]])
+    @example([[""]])
+    @example([])
+    def test_from_rows_reads_as_the_oracle(self, rows):
+        assert _outcome(QMatrix.from_rows, rows) == _outcome(_oracle_height, rows)
+        flat = [x for row in rows for x in row]
+        assert _outcome(lambda r: QMatrix(1, len(flat), flat), rows) == _outcome(
+            _oracle_height, [flat]
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(reader_rows())
+    @example([[f"{2**256}/3", "1"]])
+    @example([[f"{2**256 - 1}/3", "1"]])
+    @example([[f"{2**300}/{2**300}"]])
+    @example([[f"-{2**256}"]])
+    @example([[2**256]])
+    @example([["1/3", "1/5"], ["1/7", TOO_LONG]])
+    def test_bounded_matrix_reads_as_the_oracle(self, rows):
+        assert _outcome(local_systems._bounded_matrix, rows) == _outcome(_bounded_oracle, rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(reader_rows())
+    @example([["1,2"]])
+    @example([["1", "2,3"], ["4", "5"]])
+    def test_int_reads_only_the_grammar(self, rows):
+        # int() takes " 3", "1_0" and "\u0663" as numbers: the one pass hands it
+        # only entries that the grammar, joined by commas, matched one by one
+        seen, read = [], int
+
+        def recording(value, *args):
+            if isinstance(value, str):
+                seen.append(value)
+            return read(value, *args)
+
+        exact_linalg.int = recording
+        try:
+            _outcome(QMatrix.from_rows, rows)
+        finally:
+            del exact_linalg.int
+        assert all(re.fullmatch(r"[+-]?[0-9]+", text) for text in seen)
+
+    def test_each_entry_is_read_once(self, monkeypatch):
+        # a 256-bit document's entries, all p/q, each through rational_pair
+        # once: their height is recorded in the same read
+        read, calls = exact_linalg.rational_pair, []
+        monkeypatch.setattr(exact_linalg, "rational_pair", lambda v: calls.append(v) or read(v))
+        part = 2**255 + 1
+        rows = [[f"-{part + i}/{part + 2 * j}" for j in range(4)] for i in range(4)]
+        matrix = local_systems._bounded_matrix(rows)
+        assert len(calls) == 16 and matrix._height == part + 6
+        assert matrix == read_rows_oracle(rows)[0]
 
 
 P = exact_linalg._PRIME  # 2^19 - 1, the irreducibility certificate's modulus

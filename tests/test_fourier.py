@@ -151,6 +151,7 @@ class TestStationaryPhase:
 
     def test_local_data_eliminates_zero_monodromy_once(self, monkeypatch):
         t = random_tuple(3, 3, 11)
+        assert [fixed_space_dim(a) for _, a in t.finite_points] == [0, 1, 0]
         analysis = TupleAnalysis(t)  # validation's checks run here
         restricted, factored, inverted = [], [], []
         for owner, name, calls in [
@@ -161,12 +162,16 @@ class TestStationaryPhase:
             function = getattr(owner, name)
             monkeypatch.setattr(owner, name, lambda a, f=function, c=calls: c.append(a) or f(a))
         data = analysis.local_data
-        k = t.num_finite_points
-        # the k components, A_inf's non-unit part by e restrictions, and
-        # T - 1 once for both self-checks; T's own factors never
+        # the one component whose A - 1 is singular (points 0 and 2 have
+        # det(A - 1) nonzero mod p, so their components are A itself with no
+        # elimination), A_inf's non-unit part by e restrictions, and T - 1
+        # once for both self-checks; T's own factors never
         e = max(analysis.infinity_invariants.unit_block_sizes, default=0)
         assert e < t.rank
-        assert restricted == [a for _, a in t.finite_points] + [data.zero_monodromy]
+        singular = t.finite_points[1].matrix
+        assert restricted == [singular, data.zero_monodromy]
+        components = [c.regular_monodromy for c in data.components]
+        assert [c is a for (_, a), c in zip(t.finite_points, components)] == [True, False, True]
         # A_inf only: it has no eigenvalue 1 here (e = 0), so it is its own
         # non-unit part, and T restricted to im(T - 1) is A_inf itself,
         # similar without being factored
@@ -189,8 +194,12 @@ class TestStationaryPhase:
         with monkeypatch.context() as patch:
             patch.setattr(exact_linalg, "_shift_echelon", lambda a: shifted.append(a) or shift(a))
             data = analysis.local_data
-        # the finite points' components, then T once for both self-checks
-        assert shifted == [a for _, a in t.finite_points] + [data.zero_monodromy]
+        # C_f^-1 C_g's component, then T once for both self-checks: C_f - 1
+        # has determinant +-f(1), nonzero mod p, so C_f is its own component
+        # with no elimination
+        (_, cf), (_, pseudo_reflection) = t.finite_points
+        assert shifted == [pseudo_reflection, data.zero_monodromy]
+        assert data.components[0].regular_monodromy is cf
         padding = data.rank_hat - n - len(units)
         expected = block_diag(
             [

@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from rigidity_lab import QMatrix, monodromy_tuple, random_tuple
+from rigidity_lab import QMatrix, cli, monodromy_tuple, random_tuple
 from rigidity_lab.campaign import CampaignConfig
 from rigidity_lab.cli import main
 from rigidity_lab.exact_linalg import matrix_to_json, polynomial_to_string, rational_text
@@ -112,6 +112,22 @@ CASES = (
 def test_single_tuple_output_is_golden(capsys, tmp_path, case):
     path = _write_case(capsys, tmp_path, case)
     assert _digest(capsys, _input_runs(path)) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_writer_is_json_dumps_on_golden_payloads(capsys, tmp_path, monkeypatch, case):
+    """Every payload the golden runs print as JSON, written by the CLI's own
+    writer, is ``json.dumps(payload, indent=2)``."""
+    path = _write_case(capsys, tmp_path, case)
+    payloads, write = [], cli._print_payload
+    monkeypatch.setattr(cli, "_print_payload", lambda p, *a: payloads.append(p) or write(p, *a))
+    for argv in _input_runs(path):
+        if argv[-1] == "json":
+            main(list(argv))
+    assert payloads
+    for payload in payloads:
+        assert cli._indented(payload) == json.dumps(payload, indent=2)
+    capsys.readouterr()
 
 
 def test_campaign_output_is_golden(capsys):

@@ -2,10 +2,14 @@ import json
 import random
 import sys
 from fractions import Fraction
+from functools import reduce
+from operator import matmul
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from rigidity_lab import exact_linalg
+from rigidity_lab import exact_linalg, local_systems
 from rigidity_lab.errors import ValidationError
 from rigidity_lab.exact_linalg import QMatrix
 from rigidity_lab.fourier import TupleAnalysis, is_irreducible, rigidity_index, rigidity_report
@@ -198,6 +202,50 @@ class TestValidate:
         for t in tuples:
             TupleAnalysis(t)
         assert calls == []
+
+
+@st.composite
+def relation_cases(draw):
+    """k + 1 matrices of side 1-3 with small rational entries, singular ones
+    among them: the last is the inverse of the others' product (the
+    relation holds), that inverse with one entry moved (broken), or drawn
+    like the others."""
+    n, k = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    square = st.lists(entry, min_size=n * n, max_size=n * n).map(lambda xs: QMatrix(n, n, xs))
+    matrices = [draw(square) for _ in range(k)]
+    product = reduce(matmul, matrices)
+    kind = draw(st.sampled_from(["holds", "broken", "drawn"]))
+    if kind == "drawn" or not product.is_invertible():
+        last = draw(square)
+    else:
+        entries = list(product.inverse().entries)
+        if kind == "broken":
+            entries[draw(st.integers(0, n * n - 1))] += draw(st.sampled_from([1, Fraction(-1, 3)]))
+        last = QMatrix(n, n, entries)
+    return [*matrices, last]
+
+
+class TestIntegerRelation:
+    """``validate``'s relation check multiplies the stored integers (d_i A_i)
+    and compares with D I, D the product of the d_i: it decides as the
+    product of ``QMatrix``s compared with 1 does."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(relation_cases())
+    @example([QMatrix.from_rows([["1/2", 0], [0, 3]]), QMatrix.from_rows([[2, 0], [0, "1/3"]])])
+    @example([QMatrix.from_rows([["1/2", 0], [0, 3]]), QMatrix.from_rows([[2, 0], [0, "1/6"]])])
+    @example([QMatrix.from_rows([[1, 1], [1, 1]]), QMatrix.from_rows([[1, 0], [0, 1]])])
+    @example([QMatrix.from_rows([["2/3"]]), QMatrix.from_rows([["3/4"]]), QMatrix.from_rows([[2]])])
+    def test_agrees_with_the_product(self, matrices):
+        n = matrices[0].rows
+        expected = reduce(matmul, matrices) == QMatrix.identity(n)
+        assert local_systems._relation_holds(matrices) == expected
+
+    def test_holds_on_the_catalog_and_drawn_tuples(self):
+        drawn = [random_tuple(n, k, 100 * n + k) for n in (1, 2, 4, 6) for k in (1, 2, 3)]
+        for t in drawn + [HYPERGEOMETRIC2, FOURPOINT2]:
+            assert local_systems._relation_holds(t.matrices())  # A_inf formed on this read
 
 
 class TestRigidityIndex:
