@@ -91,6 +91,5 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
         for identity in report.per_point_identities:
             if identity.lhs != identity.rhs:
                 failures.append(_failure(index, "centralizer_identity", identity._asdict(), t))
-        # each identity, and the kernel-dimension rule the local data enforced
-        identity_checks += len(report.per_point_identities) + 1
+        identity_checks += len(report.per_point_identities)
     return CampaignResult(trials_run, all_equal, tuple(failures), identity_checks)

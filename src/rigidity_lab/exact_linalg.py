@@ -20,16 +20,16 @@ rows of dA, or of dA - dI, whose rank gives ``fixed_space_dim`` and where
 ``restrict_to_image`` and ``from_star`` read A on im(A - 1).  One
 Krylov kernel (``_spin``) spans every set of words over Q.  One elimination
 mod p (``_independent_mod_p``, on plain lists of residues, for either prime
-below) proves that n integer vectors are independent, and only that, and
-carries the spins of Norton's certificate: a centralizer dimension is
-n when the spin of dA from (1, 8, ..., n^3) reaches n vectors mod p,
-else (n - 1)^2 + 1 when rank(A - 1) = 1, as for both classes it allows;
-otherwise it, unit Jordan blocks and similarity are read off the invariant
-factors of xI - A: a Krylov basis of dA splits Q^n into cyclic blocks of A,
-and a Smith form over Q[x] runs on the small matrix of A's relations
-between those blocks, each row an int multiple; each factor is stored as
-its primitive int multiple.  All bases are the deterministic ones from
-reduced row echelon form with leftmost pivots, so runs are bit-identical.
+below) proves that n integer vectors are independent, and only that.  It runs
+the mod-p tests: Norton's spins, ``_cyclic_mod_p`` and ``_unit_free_mod_p``.  A
+centralizer dimension is n when the spin of dA from (1, 8, ..., n^3) reaches n
+vectors mod p, else (n - 1)^2 + 1 when rank(A - 1) = 1, as for both classes it
+allows; otherwise it, unit Jordan blocks and similarity are read off the
+invariant factors of xI - A: a Krylov basis of dA splits Q^n into cyclic blocks
+of A, and a Smith form over Q[x] runs on the small matrix of A's relations
+between those blocks, each row an int multiple; each factor is stored as its
+primitive int multiple.  All bases are the deterministic ones from reduced row
+echelon form with leftmost pivots, so runs are bit-identical.
 
 Invertibility (``QMatrix.is_invertible``) is the exact rank of dA.  The
 inverse of a product P = A_1 ... A_k may be kept unformed
@@ -59,7 +59,7 @@ from math import gcd, lcm
 from operator import floordiv, mul, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import DimensionMismatchError, InvalidMonodromyError
+from .errors import DimensionMismatchError, InvalidMonodromyError, NonRealizableError
 
 # One entry of the p/q format, and entries of it joined by commas.
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
@@ -557,6 +557,14 @@ def _cyclic_mod_p(rows: list[list[int]]) -> bool:
     return _independent_mod_p(krylov()) == n
 
 
+def _unit_free_mod_p(rows: Sequence[Sequence[int]], scale: int) -> bool:
+    """Whether rows - scale 1, dA - dI or its residues, has full rank mod p,
+    which proves det(A - 1) nonzero: A has no eigenvalue 1.  False proves
+    nothing."""
+    shifted = ([*r[:i], r[i] - scale, *r[i + 1 :]] for i, r in enumerate(rows))  # read as needed
+    return _independent_mod_p(shifted) == len(rows)
+
+
 def _product_mod_p(factors: Sequence[QMatrix]) -> tuple[list[list[int]], int]:
     """(N, D) mod p, with N = (d_1 A_1) ... (d_k A_k) and D = d_1 ... d_k, so
     that A_1 ... A_k = N / D: each stored dA reduced before it is multiplied."""
@@ -869,14 +877,18 @@ class SimilarityInvariant(NamedTuple):
     def grow_unit_blocks(self, dimension: int) -> "SimilarityInvariant":
         """The invariants of A with each unit Jordan block grown by one and
         1 x 1 unit blocks added up to ``dimension``.  That makes dimension - n
-        unit blocks, no fewer than A's, one in each of the top dimension - n
-        factors of the chain: each of those gains x - 1, and past the
-        chain's length x - 1 alone joins its small end.
+        unit blocks, one in each of the top dimension - n factors of the
+        chain: each of those gains x - 1, and past the chain's length x - 1
+        alone joins its small end.  Fewer than A's own unit blocks, and no
+        minimal pair at zero exists: ``NonRealizableError``.
         """
         factors = self.invariant_factors
         blocks = dimension - sum(map(len, factors)) + len(factors)  # dimension - n
         if blocks < sum(1 for f in factors if not sum(f)):  # A's unit blocks: f(1) == 0
-            raise ValueError("dimension is too small for the grown unit blocks")
+            raise NonRealizableError(
+                "non-realizable minimal pair: the sum of rank(A_i - 1) over the finite points is "
+                "smaller than rank + dim ker(A_inf - 1); the tuple cannot be irreducible"
+            )
         kept = max(len(factors) - blocks, 0)
         new = ((-1, 1),) * max(blocks - len(factors), 0)
         grown = (tuple(map(sub, (0, *g), (*g, 0))) for g in factors[kept:])  # x g - g

@@ -17,16 +17,16 @@ from __future__ import annotations
 import warnings
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
-from .errors import HypothesisViolationError, InternalError, NonRealizableError
+from .errors import HypothesisViolationError, InternalError
 from .exact_linalg import (
     QMatrix,
     SimilarityInvariant,
     _cyclic_mod_p,
-    _independent_mod_p,
     _product_mod_p,
     _ProductInverse,
+    _unit_free_mod_p,
     block_diag,
     centralizer_dimension,
     invariant_factors,
@@ -109,10 +109,10 @@ class TupleAnalysis:
     when one spin of its residues mod p, dA's or P's, proves it cyclic.  Its
     dimension is then n, and the zero monodromy's is n + m^2, m = rank_hat -
     n, whatever A_inf's unit Jordan block; at m = 0 only when det(A_inf - 1)
-    is also nonzero mod p.  Then ``preservation`` needs no ``local_data``.
-    Any other outcome, or invariants at infinity already computed, take the
-    exact route for that quantity; ``local_data``, which ``fourier`` prints,
-    is always exact and keeps its self-checks.
+    is also nonzero mod p.  Any other outcome, whatever was computed first,
+    takes the exact route for that quantity: A_inf's invariant factors, and
+    for the zero monodromy those grown to rank_hat.  Neither route reads
+    ``local_data``, which ``fourier`` prints: always exact, with self-checks.
     """
 
     def __init__(self, t: MonodromyTuple):
@@ -146,10 +146,7 @@ class TupleAnalysis:
         """(rows, scale) mod p, either (dA, d) of a given A_inf or the
         product (N, D) whose inverse a derived one is, when the spin of rows
         proves A_inf cyclic (dA is cyclic exactly when A is, and N exactly
-        when N^-1 is); None, which proves nothing, when it falls short or
-        A_inf's invariants are already cached."""
-        if "infinity_invariants" in vars(self):
-            return None
+        when N^-1 is); None, which proves nothing, when it falls short."""
         a = self.tuple.infinity_matrix
         rows, scale = a.product if isinstance(a, _ProductInverse) else _product_mod_p([a])
         return (rows, scale) if _cyclic_mod_p(rows) else None
@@ -190,19 +187,20 @@ class TupleAnalysis:
         sum(n_i): the part of the infinity matrix without eigenvalue 1, its
         restriction to im((A_inf - 1)^e) with e its largest unit Jordan block
         (``restrict_to_image`` applied e times), is kept as is, each of its
-        unit Jordan blocks grows by one, and the remainder is padded with 1x1
-        unit blocks.  When the unit blocks fill all n, as in every Levelt
-        tuple, that part is 0 x 0, read off the invariant factors with no
+        unit Jordan blocks grows by one, and 1x1 unit blocks pad it, one per
+        factor with the root 1 of the grown class ``zero_invariants`` beyond
+        A_inf's.  When the unit blocks fill all n, as in every Levelt tuple,
+        that part is 0 x 0, read off the invariant factors with no
         restriction.  Both defining properties are checked before returning.
         """
         t = self.tuple
         n = t.rank
         unit_blocks = self.infinity_invariants.unit_block_sizes
+        grown = self.zero_invariants.invariant_factors  # or NonRealizableError, before any work
+        padding = sum(1 for f in grown if not sum(f)) - len(unit_blocks)  # f(1) == 0
         non_unit = QMatrix.identity(0) if sum(unit_blocks) == n else t.infinity_matrix
         for _ in range(max(unit_blocks, default=0) if non_unit.rows else 0):  # 0 x 0: no call
             non_unit = restrict_to_image(non_unit)
-        rank_hat = sum(c.dimension for c in self.components)
-        padding = _padding(rank_hat, n, len(unit_blocks))
         blocks = [non_unit]
         blocks.extend(jordan_block(size + 1, 1) for size in unit_blocks)
         if padding:
@@ -218,7 +216,7 @@ class TupleAnalysis:
             raise InternalError("reconstruction failed the restriction similarity check")
 
         return FourierLocalData(
-            rank_hat=rank_hat,
+            rank_hat=self.rank_hat,
             zero_monodromy=zero_monodromy,
             components=self.components,
         )
@@ -238,8 +236,12 @@ class TupleAnalysis:
         return tuple(self._centralizer_dim(c.regular_monodromy) for c in self.components)
 
     @cached_property
+    def rank_hat(self) -> int:
+        return sum(c.dimension for c in self.components)
+
+    @cached_property
     def zero_invariants(self) -> SimilarityInvariant:
-        return self.infinity_invariants.grow_unit_blocks(self.local_data.rank_hat)
+        return self.infinity_invariants.grow_unit_blocks(self.rank_hat)
 
     @cached_property
     def preservation(self) -> PreservationReport:
@@ -247,13 +249,13 @@ class TupleAnalysis:
         first, then the zero/infinity pairing) and the irregularity."""
         n = self.tuple.rank
         irregularity = _irregularity(self.components)
-        rank_hat = sum(c.dimension for c in self.components)
-        m = _padding(rank_hat, n, 0)  # local_data raises the same when m < 0
+        m = self.rank_hat - n
         # A_inf cyclic has at most one unit block, of size e: T's unit part is
         # (e + 1, 1^(m - 1)), of centralizer e + m^2, beside n - e; at m = 0,
-        # T = A_inf needs e = 0, that is a full rank of rows - scale 1 mod p
+        # T = A_inf needs e = 0, that is a full rank of rows - scale 1 mod p,
+        # which m < 0 denies (rank(A_inf - 1) <= rank_hat): the exact route raises
         certified = self._cyclic_residues
-        if certified and not m:
+        if certified and m <= 0:
             certified = _unit_free_mod_p(*certified)
         if certified:
             zero_dim = n + m * m
@@ -317,26 +319,6 @@ def rig_fourier(data: FourierLocalData) -> int:
         + sum(centralizer_dimension(c.regular_monodromy) for c in data.components)
         - irregularity_end(data)
     )
-
-
-def _unit_free_mod_p(rows: Sequence[Sequence[int]], scale: int) -> bool:
-    """Whether rows - scale 1, dA - dI or its residues, has full rank mod p,
-    which proves det(A - 1) nonzero: A has no eigenvalue 1.  False proves
-    nothing."""
-    shifted = ([*r[:i], r[i] - scale, *r[i + 1 :]] for i, r in enumerate(rows))  # read as needed
-    return _independent_mod_p(shifted) == len(rows)
-
-
-def _padding(rank_hat: int, n: int, unit_blocks: int) -> int:
-    """The 1 x 1 unit blocks that fill the zero monodromy up to rank_hat."""
-    padding = rank_hat - n - unit_blocks
-    if padding < 0:
-        raise NonRealizableError(
-            "non-realizable minimal pair: the sum of rank(A_i - 1) over the "
-            "finite points is smaller than rank + dim ker(A_inf - 1); the "
-            "tuple cannot be irreducible"
-        )
-    return padding
 
 
 def irregularity_end(data: FourierLocalData) -> int:

@@ -247,7 +247,8 @@ class TestForcedFallbacks:
     def test_non_cyclic_infinity_is_factored(self, given):
         # A_inf = diag(2, 2) is scalar, so no spin reaches 2, mod p or over
         # Q: its dimension 4 and the zero monodromy's, 4 + 1 at m = 1, come
-        # from its one factorization
+        # from its one factorization, grown to rank_hat = 3 with no zero
+        # monodromy assembled over Q
         cusp = QMatrix.from_rows([[1, 1], [0, 1]])
         points = [(0, cusp), (1, cusp.inverse() @ diagonal(["1/2", "1/2"]))]
         t = monodromy_tuple(2, points, diagonal([2, 2]) if given else None)
@@ -255,7 +256,7 @@ class TestForcedFallbacks:
         with mock.patch.object(fourier, "invariant_factors", wraps=invariant_factors) as counted:
             assert analysis.report.centralizer_dims[-1] == 4
             assert analysis.preservation.per_point_identities[-1] == ("infinity", -1, -1)
-        assert analysis._cyclic_residues is None and "local_data" in vars(analysis)
+        assert analysis._cyclic_residues is None and "local_data" not in vars(analysis)
         assert [call.args[0] for call in counted.call_args_list] == [diagonal([2, 2])]
         certified_agrees_with_exact(t)
 
@@ -330,12 +331,21 @@ class TestDerivedInfinity:
         assert analysis._cyclic_residues is not None and counted.call_count == 0
         assert "local_data" not in vars(analysis)
 
-    def test_cached_invariants_are_read_first(self):
-        for infinity in (None, INFINITY):  # derived, then given
-            analysis = TupleAnalysis(monodromy_tuple(2, FOURPOINT2, infinity))
-            analysis.local_data  # noqa: B018  (fourier's order: A_inf factored first)
-            assert analysis._cyclic_residues is None
-            assert analysis.report.centralizer_dims[-1] == 2
+    def test_routes_do_not_depend_on_what_was_computed_first(self):
+        # fourier's order, local_data (A_inf factored) first, and verify's,
+        # local_data last: the same reports and the same certificate
+        tuples = [monodromy_tuple(2, FOURPOINT2, infinity) for infinity in (None, INFINITY)]
+        tuples += [entry.tuple for entry in load_catalog().values()]
+        for t in tuples:
+            quantities = []
+            for local_data_first in (True, False):
+                analysis = TupleAnalysis(t)
+                if local_data_first:
+                    analysis.local_data  # noqa: B018
+                routed = (analysis.report, analysis.preservation, analysis._cyclic_residues)
+                quantities.append((routed, analysis.local_data))
+            assert quantities[0] == quantities[1]
+        assert TupleAnalysis(tuples[0])._cyclic_residues is not None
 
 
 @st.composite

@@ -1701,8 +1701,9 @@ class TestCampaignInternals:
         result = run_campaign(CampaignConfig(trials=5, max_rank=2, max_points=2, seed=1))
         assert result.trials_run == 5
         assert result.all_equal
-        # each trial checks every finite point, infinity, and the kernel rule
-        assert result.identity_checks >= 5 * 3
+        # one identity per finite point and one at infinity: the trials
+        # draw 2, 2, 1, 1 and 2 finite points
+        assert result.identity_checks == 3 + 3 + 2 + 2 + 3
 
     def test_campaign_runs_without_the_cli(self):
         script = (

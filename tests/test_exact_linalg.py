@@ -1706,6 +1706,29 @@ class TestNortonCertificate:
         assert routes[1]["_closes_mod_p", True] > routes[0]["_closes_mod_p", True]
         assert routes[2]["exact_closure", True] > 0
 
+    @pytest.mark.parametrize("n", [5, 8])
+    def test_natural_fallback_at_the_real_primes(self, monkeypatch, capsys, tmp_path, n):
+        # two dense generators, no pseudo-reflection among them, on which
+        # Norton's three candidates find no root mod 31: the packed closure
+        # mod 2^19 - 1 settles it, and rig prints what it prints with
+        # Norton's certificate never tried
+        t = random_tuple(n, 2, 6)
+        generators = [a for _, a in t.finite_points]
+        assert all(exact_linalg._rank_one_shift(a) is None for a in generators)
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(tuple_to_json(t)))
+        passes, outputs = [], []
+        with pytest.MonkeyPatch.context() as patch:
+            _record_passes(patch, passes)
+            assert spans_full_algebra(generators)
+            assert passes == ["_norton_mod_p", "_closes_mod_p"]
+        for norton_from in (None, 9):
+            if norton_from:
+                monkeypatch.setattr(exact_linalg, "_NORTON_FROM", norton_from)
+            outputs.append((main(["rig", "--input", str(path)]), capsys.readouterr()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 0 and json.loads(outputs[0][1].out)["irreducible"] is True
+
     def test_vector_spins(self):
         # e_1 spans an invariant line of upper triangular matrices, e_n does not
         p, n = exact_linalg._NORTON_PRIME, 5

@@ -473,7 +473,7 @@ VALUES = {
     "CampaignResult": (
         lambda: run_campaign(CampaignConfig(trials=2, max_rank=2, max_points=2, seed=7)),
         lambda: run_campaign(CampaignConfig(trials=3, max_rank=2, max_points=2, seed=7)),
-        "CampaignResult(trials_run=2, all_equal=True, failures=(), identity_checks=8)",
+        "CampaignResult(trials_run=2, all_equal=True, failures=(), identity_checks=6)",
     ),
     "RigidityReport": (
         lambda: rigidity_report(rank1("2")),

@@ -114,6 +114,19 @@ def unused_definitions(sources: dict[str, str], exported: set[str]) -> list[str]
     return unused
 
 
+def private_imports(source: str) -> set[str]:
+    """The private names, one leading underscore, that one source file
+    imports from a package module, at any depth."""
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or node.module.startswith("rigidity_lab"))
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    }
+
+
 def find_cycle(graph: dict[str, set[str]]) -> list[str] | None:
     """One cycle of the graph as a path of modules, or None."""
     done: set[str] = set()
@@ -158,6 +171,22 @@ class TestImportGraph:
 
     def test_local_systems_does_not_reach_fourier(self):
         assert "fourier" not in import_graph()["local_systems"]
+
+    def test_private_names_crossing_modules(self):
+        # each private name one module takes from another couples the two
+        # past their public API: a new one is a change to this list
+        source = "from .a import _x, y, __version__\nfrom rigidity_lab.b import _z\nimport _w\n"
+        assert private_imports(source) == {"_x", "_z"}
+        found = {
+            path.stem: names
+            for path in sorted(PACKAGE.glob("*.py"))
+            if (names := private_imports(path.read_text(encoding="utf-8")))
+        }
+        assert found == {
+            "fourier": {"_cyclic_mod_p", "_product_mod_p", "_unit_free_mod_p", "_ProductInverse"},
+            "local_systems": {"_independent_mod_p", "_ProductInverse"},
+            "theta_pairs": {"_shift_echelon"},
+        }
 
     def test_public_names_unchanged(self):
         assert rigidity_lab.__all__ == PUBLIC_NAMES
