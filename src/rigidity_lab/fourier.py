@@ -98,9 +98,11 @@ class TupleAnalysis:
     the two indices were summed from.  Invariant factors are computed at most
     once per matrix; those at infinity also give the unit Jordan blocks and
     the zero monodromy's.  A centralizer dimension is computed once per
-    distinct matrix, shared by equal points and by a component equal to its
-    point's matrix (rank(A - 1) = n), and T on im(T - 1), if equal to A_inf,
-    is similar to it without being factored.  The components are formed
+    point and once per component, but ``preservation`` gives a component
+    that is its point's matrix itself (rank(A - 1) = n, where the identity
+    reads 0 = 0) the point's; equal matrices at other points are computed
+    apart, and no matrix is hashed.  T on im(T - 1), if equal to A_inf, is
+    similar to it without being factored.  The components are formed
     once, for ``local_data`` and ``preservation`` alike, each with no
     elimination when det(A - 1) is nonzero mod p, which makes it A itself.
 
@@ -118,12 +120,6 @@ class TupleAnalysis:
     def __init__(self, t: MonodromyTuple):
         validate(t)
         self.tuple = t
-        self._centralizer_dims: dict[QMatrix, int] = {}
-
-    def _centralizer_dim(self, a: QMatrix) -> int:
-        if a not in self._centralizer_dims:
-            self._centralizer_dims[a] = centralizer_dimension(a)
-        return self._centralizer_dims[a]
 
     def require_irreducible(self, force: bool = False) -> None:
         """The theorem's hypothesis: refuse a reducible tuple unless forced."""
@@ -154,7 +150,7 @@ class TupleAnalysis:
     @cached_property
     def centralizer_dims(self) -> tuple[int, ...]:
         """Source centralizer dimensions, finite points first, infinity last."""
-        finite = (self._centralizer_dim(a) for _, a in self.tuple.finite_points)
+        finite = (centralizer_dimension(a) for _, a in self.tuple.finite_points)
         if self._cyclic_residues:  # A_inf is cyclic
             return (*finite, self.tuple.rank)
         return (*finite, self.infinity_invariants.centralizer_dimension)
@@ -232,10 +228,6 @@ class TupleAnalysis:
         return tuple(ExponentialComponent(loc, r, r.rows) for loc, r in restricted)
 
     @cached_property
-    def component_centralizer_dims(self) -> tuple[int, ...]:
-        return tuple(self._centralizer_dim(c.regular_monodromy) for c in self.components)
-
-    @cached_property
     def rank_hat(self) -> int:
         return sum(c.dimension for c in self.components)
 
@@ -261,16 +253,16 @@ class TupleAnalysis:
             zero_dim = n + m * m
         else:
             zero_dim = self.zero_invariants.centralizer_dimension
-        rig_transformed = zero_dim + sum(self.component_centralizer_dims) - irregularity
-        identities = [
-            PointIdentity(rational_text(loc), source - regular, (n - component.dimension) ** 2)
-            for (loc, _), component, source, regular in zip(
-                self.tuple.finite_points,
-                self.components,
-                self.centralizer_dims,
-                self.component_centralizer_dims,
+        rig_transformed, identities = zero_dim - irregularity, []
+        for (loc, a), component, source in zip(
+            self.tuple.finite_points, self.components, self.centralizer_dims
+        ):
+            r = component.regular_monodromy
+            regular = source if r is a else centralizer_dimension(r)  # rank(A - 1) = n: 0 = 0
+            rig_transformed += regular
+            identities.append(
+                PointIdentity(rational_text(loc), source - regular, (n - component.dimension) ** 2)
             )
-        ]
         identities.append(PointIdentity("infinity", self.centralizer_dims[-1] - zero_dim, -m * m))
         return PreservationReport(
             rig_source=self.index,
@@ -317,16 +309,12 @@ def rig_fourier(data: FourierLocalData) -> int:
     return (
         centralizer_dimension(data.zero_monodromy)
         + sum(centralizer_dimension(c.regular_monodromy) for c in data.components)
-        - irregularity_end(data)
+        - _irregularity(data.components)
     )
 
 
-def irregularity_end(data: FourierLocalData) -> int:
-    """Irregularity at infinity of the endomorphism connection."""
-    return _irregularity(data.components)
-
-
 def _irregularity(components: tuple[ExponentialComponent, ...]) -> int:
+    """Irregularity at infinity of the endomorphism connection."""
     dims = [c.dimension for c in components]
     total = sum(dims)
     return total * total - sum(d * d for d in dims)
@@ -359,11 +347,11 @@ def fourier_data_to_json(analysis: TupleAnalysis) -> dict:
                 "exp_coefficient": rational_text(c.coefficient),
                 "dimension": c.dimension,
                 "regular_monodromy": matrix_to_json(c.regular_monodromy),
-                "centralizer_dim": dim,
+                "centralizer_dim": centralizer_dimension(c.regular_monodromy),
             }
-            for c, dim in zip(data.components, analysis.component_centralizer_dims)
+            for c in data.components
         ],
-        "irregularity": irregularity_end(data),
+        "irregularity": _irregularity(data.components),
     }
     if not analysis.irreducible:
         payload["warning"] = "tuple is reducible: preservation is not asserted for this data"

@@ -243,6 +243,42 @@ class TestForcedFallbacks:
         assert outputs[0] == outputs[1]
         assert [code for code, _, _ in outputs[0]] == [0, 0, 0]
 
+    def test_component_restricted_where_the_real_prime_divides_det(self):
+        # A = [[2^19, 1], [0, 2]] has det(A - 1) = 2^19 - 1 = p, which proves
+        # nothing mod p: the exact restriction runs, with no prime patched,
+        # and gives A itself
+        a = QMatrix.from_rows([[PRIME + 1, 1], [0, 2]])
+        analysis = TupleAnalysis(monodromy_tuple(2, [(0, a), (1, FOURPOINT2[1][1])]))
+        with mock.patch.object(fourier, "restrict_to_image", wraps=restrict_to_image) as counted:
+            assert analysis.components[0].regular_monodromy == a
+        assert [call.args[0] for call in counted.call_args_list] == [a]
+        assert analysis.irreducible and analysis.preservation.equal
+
+    def test_cyclic_infinity_whose_spin_falls_short_at_the_real_prime(self, capsys, tmp_path):
+        # A_inf = [[1, 0], [p, 1]] is cyclic over Q, but the cubes' Krylov
+        # determinant is p, and P = A_inf^-1 is 1 mod p: no spin reaches 2,
+        # given or derived, so A_inf's dimension 2 comes from its one
+        # factorization, and the identity at infinity, m = 2, from the grown
+        # factors
+        infinity = QMatrix.from_rows([[1, 0], [PRIME, 1]])
+        a1 = QMatrix.from_rows([[2, 1], [1, 1]])
+        points = [(0, a1), (1, a1.inverse() @ infinity.inverse())]
+        outputs = []
+        for given in (False, True):
+            t = monodromy_tuple(2, points, infinity if given else None)
+            analysis = TupleAnalysis(t)
+            with mock.patch.object(fourier, "invariant_factors", wraps=invariant_factors) as counted:
+                assert analysis.report.centralizer_dims[-1] == 2
+                assert analysis.preservation.per_point_identities[-1] == ("infinity", -4, -4)
+            assert analysis._cyclic_residues is None
+            assert [call.args[0] for call in counted.call_args_list] == [infinity]
+            certified_agrees_with_exact(t)
+            path = tmp_path / f"{given}.json"
+            path.write_text(json.dumps(document(points, given)))
+            outputs.append([run(capsys, *c, "--input", str(path)) for c in self.COMMANDS])
+        assert outputs[0] == outputs[1]
+        assert [code for code, _, _ in outputs[0]] == [0, 0, 0]
+
     @pytest.mark.parametrize("given", [False, True])
     def test_non_cyclic_infinity_is_factored(self, given):
         # A_inf = diag(2, 2) is scalar, so no spin reaches 2, mod p or over

@@ -1562,8 +1562,12 @@ class TestComputeOnce:
         assert [args[0] for args in relations] == factored
         assert [args[0] for args in dims].count(pseudo_reflection) == pseudo_reflections
 
-    def test_equal_points_share_one_centralizer_dimension(self, capsys, tmp_path, monkeypatch):
-        # M at two points, and as its own component (rank(M - 1) = 2): one call
+    def test_a_component_shares_only_its_own_points_dimension(self, capsys, tmp_path, monkeypatch):
+        # M at two points, and its own component at each (rank(M - 1) = 2):
+        # verify computes M's dimension once per point, shared with that
+        # point's component, and the two equal points apart; fourier computes
+        # it once per component, and no point's dimension.  J_2(1)'s
+        # component is [1].
         m, j2 = [["1", "1"], ["1", "0"]], [["1", "1"], ["0", "1"]]
         payload = {
             "rank": 2,
@@ -1572,11 +1576,31 @@ class TestComputeOnce:
             ],
         }
         path = write_json(tmp_path, "t.json", payload)
+        (_, matrix), _, (_, jordan) = tuple_from_json(payload).finite_points
+        one = exact_linalg.QMatrix.identity(1)
+        expected = {"verify": [matrix, matrix, jordan, one], "fourier": [matrix, matrix, one]}
         calls = count_calls(monkeypatch, exact_linalg, "centralizer_dimension")
-        code, _, _ = run_cli(capsys, "verify", "--input", path)
-        assert code == 0
-        matrix = tuple_from_json(payload).finite_points[0][1]
-        assert [args[0] for args in calls].count(matrix) == 1
+        for command, dims in expected.items():
+            calls.clear()
+            code, _, _ = run_cli(capsys, command, "--input", path)
+            assert code == 0
+            assert [args[0] for args in calls] == dims
+
+    def test_no_command_hashes_a_matrix(self, capsys, tmp_path, monkeypatch):
+        # no structure on a command's path is keyed by a matrix's value:
+        # equal matrices at different points are computed apart
+        hashed = []
+        original = exact_linalg.QMatrix.__hash__
+        monkeypatch.setattr(
+            exact_linalg.QMatrix, "__hash__", lambda m: hashed.append(m) or original(m)
+        )
+        documents = {"fourpoint.json": FOURPOINT2, "levelt.json": tuple_to_json(levelt_tuple(5, 5))}
+        for name, payload in documents.items():
+            path = write_json(tmp_path, name, payload)
+            for command in ("rig", "fourier", "verify"):
+                assert run_cli(capsys, command, "--input", path)[0] == 0
+        assert run_cli(capsys, "verify", "--random", "--trials", "20")[0] == 0
+        assert hashed == []
 
     def test_reducible_runs_the_exact_closure_once(self, capsys, tmp_path, monkeypatch):
         path = write_json(tmp_path, "red.json", REDUCIBLE_DIAGONAL)

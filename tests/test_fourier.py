@@ -26,7 +26,6 @@ from rigidity_lab.fourier import (
     ReducibleInputWarning,
     TupleAnalysis,
     fourier_data_to_json,
-    irregularity_end,
     is_irreducible,
     preservation_details,
     rig_fourier,
@@ -212,9 +211,9 @@ class TestStationaryPhase:
 
     def test_tuple_decided_shortcuts(self, monkeypatch):
         """The similarity self-check factors T restricted to im(T - 1) only
-        when it is not A_inf itself, and a component equal to its point's
-        matrix, which ``restrict_to_image`` then returns as is, takes that
-        point's centralizer dimension; both against the commutation system."""
+        when it is not A_inf itself, and a component that is its point's
+        matrix itself (rank(A - 1) = n) is printed with the right centralizer
+        dimension; both against the commutation system."""
         m = QMatrix.from_rows([[2, 1], [0, 3]])
         # A_inf = J_2(1), which T restricted to im(T - 1) equals, and a conjugate
         unipotent = [
@@ -240,9 +239,11 @@ class TestStationaryPhase:
             similar_unfactored = restricted == t.infinity_matrix
             assert calls == [t.infinity_matrix] + ([] if similar_unfactored else [restricted])
             factored_zero += len(calls) - 1
-            dims = analysis.component_centralizer_dims
-            for (_, a), c, dim in zip(t.finite_points, data.components, dims):
-                assert dim == commutation_centralizer_dimension(c.regular_monodromy)
+            printed = fourier_data_to_json(analysis)["components"]
+            for (_, a), c, component in zip(t.finite_points, data.components, printed):
+                assert component["centralizer_dim"] == commutation_centralizer_dimension(
+                    c.regular_monodromy
+                )
                 reused += c.regular_monodromy is a
         assert factored_zero >= 1 and reused >= 10
 
@@ -272,9 +273,9 @@ class TestIndexFormulas:
         assert rig_fourier(data) == centralizer_dimension(data.zero_monodromy) + 9
 
     def test_irregularity(self):
-        assert irregularity_end(synthetic_data(1, 1)) == 2
-        assert irregularity_end(synthetic_data(4)) == 0
-        assert irregularity_end(synthetic_data(2, 1, 1)) == 10
+        assert fourier._irregularity(synthetic_data(1, 1).components) == 2
+        assert fourier._irregularity(synthetic_data(4).components) == 0
+        assert fourier._irregularity(synthetic_data(2, 1, 1).components) == 10
 
     def test_irregularity_zero_iff_single_component(self):
         rng = random.Random(89)
@@ -283,7 +284,7 @@ class TestIndexFormulas:
             if not is_irreducible(t):
                 continue
             data = stationary_phase(t, warn_reducible=False)
-            assert (irregularity_end(data) == 0) == (len(data.components) == 1)
+            assert (fourier._irregularity(data.components) == 0) == (len(data.components) == 1)
 
 
 class TestPreservation:
@@ -362,7 +363,8 @@ class TestPreservation:
         for analysis in irreducible[::150]:
             data = analysis.local_data
             matrices = [*analysis.tuple.matrices(), *(c.regular_monodromy for c in data.components)]
-            dims = [*analysis.centralizer_dims, *analysis.component_centralizer_dims]
+            printed = fourier_data_to_json(analysis)["components"]
+            dims = [*analysis.centralizer_dims, *(c["centralizer_dim"] for c in printed)]
             assert dims == [sympy_invariant_factors(m).centralizer_dimension for m in matrices]
             assert analysis.zero_invariants == sympy_invariant_factors(data.zero_monodromy)
 
