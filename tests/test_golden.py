@@ -4,7 +4,8 @@ Each case runs ``rig``, ``fourier``, ``verify`` and ``verify --force`` in
 json and text on one input and hashes every exit code and stdout in order.
 The digests were recorded before the library was reorganized around a
 single per-tuple analysis, so any change to a printed byte or an exit code
-fails here.
+fails here.  The natural inputs that reach a fallback at the real primes were
+added later, each recorded before a change to the route it runs.
 """
 
 import hashlib
@@ -30,13 +31,39 @@ RANDOM_SHAPES = (
     (6, 3, 9), (7, 3, 10), (8, 3, 11), (12, 3, 12),
 )
 
+PRIME = 2**19 - 1  # the certificates' prime
+GOLDEN_RATIO = QMatrix.from_rows([[1, 1], [1, 0]])
+SHEAR = QMatrix.from_rows([[1, 1], [0, 1]])
+SQUARE = QMatrix.from_rows([[2, 1], [1, 1]])
+P_SHEAR = QMatrix.from_rows([[1, 0], [PRIME, 1]])
+
 SPECIAL = {
     "reducible": monodromy_tuple(
         2, [(0, diagonal([2, 3])), (1, diagonal([5, 7]))]
     ),
     # non-realizable, hence also reducible: verify exits 4, verify --force 3
     "nonrealizable": monodromy_tuple(2, [(0, QMatrix.from_rows([[1, 1], [0, 1]]))]),
+    # natural inputs that reach a fallback at the real primes, none patched
+    # (tests/test_certificate.py, tests/test_exact_linalg.py).  A denominator
+    # p: P's rank mod p falls short, so A_inf is formed over Q
+    "denominator-p": monodromy_tuple(
+        2, [(0, diagonal([2, f"1/{PRIME}"])), (1, GOLDEN_RATIO), (2, SHEAR)]
+    ),
+    # det(A - 1) = p: the component is A, found by the exact restriction
+    "restricted-det-p": monodromy_tuple(
+        2, [(0, QMatrix.from_rows([[PRIME + 1, 1], [0, 2]])), (1, GOLDEN_RATIO)]
+    ),
+    # A_inf = [[1, 0], [p, 1]] is cyclic, but no spin of it or of P reaches 2
+    "cyclic-infinity-spin-short": monodromy_tuple(
+        2, [(0, SQUARE), (1, SQUARE.inverse() @ P_SHEAR.inverse())], P_SHEAR
+    ),
+    # no pseudo-reflection, and Norton's certificate finds no root mod 31
+    "norton-fallback:5": random_tuple(5, 2, 6),
+    "norton-fallback:8": random_tuple(8, 2, 6),
 }
+# SPECIAL cases also run on the document without A_inf, which the reader
+# then derives from the finite points; every other document gives it
+DERIVED = ("denominator-p", "cyclic-infinity-spin-short")
 
 COMMANDS = (
     ("rig",),
@@ -65,6 +92,18 @@ GOLDEN = {
     "random:12,3,12": "9b4d11d6946ef1886633621bfff04dbf6a358ec55ba6e1d56f338e63cff7e79c",
     "special:reducible": "714fd25e8bf1458d59d836316e30ac5e0d8a50c086ea4857a316931fc444fa0b",
     "special:nonrealizable": "6f40cbae7a63b1e07fa87218bbad8a050c1fcefb8a60a85c93756446781587f8",
+    "special:denominator-p": "60f1a7562675e40c1370056e35310a02e67cd624185dfa4f635c3e7234d23dd8",
+    "special:restricted-det-p": "902d259ab18df26e8d3602eec2991636e80333b48ae366e24f2a2fecefec4e68",
+    "special:cyclic-infinity-spin-short": (
+        "230664f18b5622c6c8546f2bf157316ee08fe9d7d2cedeb973537eabb16b6775"
+    ),
+    "special:norton-fallback:5": "3ee4224cf362244d73c49ad442a7429bd8e2681843ec736bb883222bd7c3d2ef",
+    "special:norton-fallback:8": "31399aa83c987e06aa3251f5517caa6990eb360b4a859ec92ac1f4d584e20103",
+    # the same bytes as with A_inf given
+    "derived:denominator-p": "60f1a7562675e40c1370056e35310a02e67cd624185dfa4f635c3e7234d23dd8",
+    "derived:cyclic-infinity-spin-short": (
+        "230664f18b5622c6c8546f2bf157316ee08fe9d7d2cedeb973537eabb16b6775"
+    ),
     "campaign": "b8aedfd1624af26139c2600220bc8fd6a9e66f5362f44e854d499f5730e545ba",
     "campaign-arithmetic": "c2d6981a34e4006367696890c4103761934be1efaa6deee4b0fe62dd94fb18c7",
     "campaign-rank8": "5a1e88403196ea963735cfea03d677a4821de8cb8b7f4e23a07e048dded37894",
@@ -97,7 +136,10 @@ def _write_case(capsys, tmp_path, case: str) -> str:
         rank, k, seed = (int(x) for x in name.split(","))
         path.write_text(json.dumps(tuple_to_json(random_tuple(rank, k, seed))), encoding="utf-8")
     else:
-        path.write_text(json.dumps(tuple_to_json(SPECIAL[name])), encoding="utf-8")
+        payload = tuple_to_json(SPECIAL[name])
+        if kind == "derived":
+            del payload["infinity_matrix"]
+        path.write_text(json.dumps(payload), encoding="utf-8")
     return str(path)
 
 
@@ -105,6 +147,7 @@ CASES = (
     [f"catalog:{name}" for name in CATALOG]
     + [f"random:{r},{k},{s}" for r, k, s in RANDOM_SHAPES]
     + [f"special:{name}" for name in SPECIAL]
+    + [f"derived:{name}" for name in DERIVED]
 )
 
 
