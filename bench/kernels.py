@@ -123,14 +123,17 @@ named.
   ``fourier --input FILE`` (``WORST_CASE_COMMANDS``), each in a fresh
   interpreter on this tree's ``src/`` and stopped after
   ``WORST_CASE_TIMEOUT_S`` seconds of wall time, which the row records as a
-  time-out, on documents with A_inf omitted: the two inputs of
+  time-out, on documents with A_inf omitted but the last: the two inputs of
   ``worst_case_documents``, on 16 finite points, ``small_entries``,
   ``random_tuple(16, 16, 2026)``, and ``large_entries``, rank 4 with
   numerators and denominators of 256 bits drawn from
   ``random.Random('worst:256')``; then the corner grid of
   ``corner_documents``, rank 4, 8 and 16 (``CORNER_RANKS``) on 2, 4 and 16
   finite points (``CORNER_POINTS``), with such entries drawn from
-  ``random.Random('adm:<rank>:<points>')``.  The exit code and the sha256
+  ``random.Random('adm:<rank>:<points>')``; then the non-generic corners of
+  ``non_generic_documents``; and last, with A_inf given, the document of
+  ``given_infinity_documents`` at rank 16 (``GIVEN_INFINITY_RANKS``), whose
+  A_inf is a diagonal of such entries.  The exit code and the sha256
   of stdout are recorded, so runs of two versions can be compared.
 
 With ``--out``, the result is written into that JSON file under the keys
@@ -139,7 +142,8 @@ With ``--out``, the result is written into that JSON file under the keys
 ``fractions`` and ``worst_cases``;
 other keys already in the file are kept.  With ``--worst-cases DIR``, the two
 worst-case inputs are written to ``DIR/small_entries.json`` and
-``DIR/large_entries.json``, and each corner to ``DIR/adm_<rank>_<points>.json``,
+``DIR/large_entries.json``, and each corner to ``DIR/<name>.json``, its name with
+``:`` as ``_`` (``adm_<rank>_<points>.json``, ``given_infinity_16.json``, ...),
 and nothing is timed.
 """
 
@@ -179,6 +183,7 @@ WORST_CASE_POINTS = (16,)  # MAX_POINTS
 CORNER_RANKS = (4, 8, 16)  # up to MAX_RANK
 CORNER_POINTS = (2, 4, 16)  # up to MAX_POINTS
 NON_GENERIC_RANKS = (4, 8)  # the non-generic corners of non_generic_documents
+GIVEN_INFINITY_RANKS = (16,)  # the corners of given_infinity_documents
 WORST_CASE_COMMANDS = ("rig", "verify", "fourier")
 WORST_CASE_TIMEOUT_S = 60.0
 PRIME = 2**19 - 1  # the library's certificate prime
@@ -197,7 +202,12 @@ import workloads  # noqa: E402
 from rigidity_lab import catalog, cli, exact_linalg, fourier, local_systems  # noqa: E402
 from rigidity_lab.errors import InvalidMonodromyError  # noqa: E402
 from rigidity_lab.exact_linalg import QMatrix, block_diag, jordan_block  # noqa: E402
-from rigidity_lab.local_systems import random_tuple, tuple_from_json, tuple_to_json  # noqa: E402
+from rigidity_lab.local_systems import (  # noqa: E402
+    monodromy_tuple,
+    random_tuple,
+    tuple_from_json,
+    tuple_to_json,
+)
 from support import (  # noqa: E402
     EchelonModP,
     closes_full_span_mod_p,
@@ -849,6 +859,31 @@ def non_generic_documents() -> dict[str, dict]:
     return {name: points_document(points) for name, points in documents.items()}
 
 
+def given_infinity_documents() -> dict[str, dict]:
+    """A document that gives A_inf for each rank n of ``GIVEN_INFINITY_RANKS``,
+    named ``given_infinity:<n>``: A_inf = diag(r_1, ..., r_n), each r_i of a
+    numerator (either sign) and a denominator of 255 bits drawn from
+    ``random.Random('adm:given_infinity:<n>')``, A_1 = A_inf^-1 C^-1 and
+    A_2 = C, where C = U L is the product of the all-ones upper and lower
+    triangular matrices.  C^-1 has entries 2 on its diagonal, so A_1's stay
+    within the 256 bits the reader accepts.  A_inf's stored integers, over
+    the lcm of n denominators, run to about 255 n bits; every other corner
+    omits A_inf, so this one times the route of a given A_inf."""
+    documents = {}
+    for n in GIVEN_INFINITY_RANKS:
+        rng = random.Random(f"adm:given_infinity:{n}")
+        diagonal = [
+            Fraction(large_integer(rng, 255), rng.randint(2**254, 2**255 - 1)) for _ in range(n)
+        ]
+        infinity = QMatrix.from_rows(
+            [[diagonal[i] if i == j else 0 for j in range(n)] for i in range(n)]
+        )
+        c = QMatrix.from_rows([[min(n - i, n - j) for j in range(n)] for i in range(n)])
+        points = [(0, infinity.inverse() @ c.inverse()), (1, c)]
+        documents[f"given_infinity:{n}"] = tuple_to_json(monodromy_tuple(n, points, infinity))
+    return documents
+
+
 def command_run(command: str, path: str) -> dict:
     """``rigidity-lab <command> --input path`` in a fresh interpreter on this
     tree's ``src/``, stopped after ``WORST_CASE_TIMEOUT_S`` s of wall time:
@@ -882,8 +917,10 @@ def worst_case_rows(_runs: int) -> list[dict]:
         for points in WORST_CASE_POINTS
         for name, document in worst_case_documents(points).items()
     ]
-    corners = {**corner_documents(), **non_generic_documents()}.items()
-    documents += [(name, len(document["finite_points"]), document) for name, document in corners]
+    corners = {**corner_documents(), **non_generic_documents(), **given_infinity_documents()}
+    documents += [
+        (name, len(document["finite_points"]), document) for name, document in corners.items()
+    ]
     rows = []
     with tempfile.TemporaryDirectory() as directory:
         for name, points, document in documents:
@@ -927,6 +964,7 @@ def main() -> None:
             **worst_case_documents(WORST_CASE_POINTS[-1]),
             **corner_documents(),
             **non_generic_documents(),
+            **given_infinity_documents(),
         }
         for name, document in documents.items():
             path = args.worst_cases / f"{name.replace(':', '_')}.json"
@@ -1004,7 +1042,8 @@ def main() -> None:
         },
         "worst_cases": {
             "what": "rig, verify and fourier --input on the two worst-case inputs of "
-            "worst_case_documents and the corner grid of corner_documents, A_inf omitted, "
+            "worst_case_documents, the corner grid of corner_documents and the "
+            "non_generic_documents, A_inf omitted, then given_infinity_documents, A_inf given, "
             f"each in a fresh interpreter stopped after {WORST_CASE_TIMEOUT_S:g} s",
             "unit": "CPU s of one run, start-up included",
             "rows": worst_case_rows(args.runs),

@@ -293,8 +293,8 @@ class QMatrix:
 class _ProductInverse(QMatrix):
     """(A_1 ... A_k)^-1 of invertible n x n ``factors``, equal to the
     ``QMatrix`` it stands for, and the one mark of a derived A_inf: its dA
-    and d are formed exactly on their first read, and ``product`` is the
-    factors' product mod p, which proves facts of A_inf without forming it."""
+    and d are formed exactly on their first read, and it owns ``product``,
+    the factors' product mod p, which proves facts of A_inf unformed."""
 
     def __init__(self, factors: Sequence[QMatrix]):
         n = factors[0].rows
@@ -302,7 +302,15 @@ class _ProductInverse(QMatrix):
 
     @cached_property
     def product(self) -> tuple[list[list[int]], int]:
-        return _product_mod_p(self.factors)
+        """(N, D) mod p: N = (d_1 A_1) ... (d_k A_k), D = d_1 ... d_k and
+        A_1 ... A_k = N / D, each stored dA reduced before it is multiplied."""
+        p, (first, *rest) = _PRIME, self.factors
+        rows, scale = [[x % p for x in row] for row in first.numerators], first.denominator
+        for factor in rest:
+            columns = list(zip(*([x % p for x in row] for row in factor.numerators)))
+            rows = [[sum(map(mul, row, column)) % p for column in columns] for row in rows]
+            scale = scale * factor.denominator % p
+        return rows, scale % p
 
     def __getattr__(self, name: str):
         """dA and d, formed together by the exact product and inverse."""
@@ -542,11 +550,11 @@ def _independent_mod_p(vectors: Iterable[list[int]], p: int = 0, basis: list | N
     return len(basis)
 
 
-def _cyclic_mod_p(rows: list[list[int]]) -> bool:
+def _cyclic_mod_p(rows: Sequence[Sequence[int]]) -> bool:
     """Whether the Krylov spin of the cubes (1, 8, ..., n^3) under the n x n
-    integer matrix ``rows`` reaches n mod p: then the spin's determinant is
-    nonzero, the cubes are a cyclic vector over Q and any nonzero multiple of
-    the matrix is cyclic.  False proves nothing."""
+    integer matrix ``rows``, reduced mod p or not, reaches n mod p: then the
+    spin's determinant is nonzero, the cubes are a cyclic vector over Q and
+    any nonzero multiple of the matrix is cyclic.  False proves nothing."""
     p, n = _PRIME, len(rows)
 
     def krylov() -> Iterator[list[int]]:
@@ -563,18 +571,6 @@ def _unit_free_mod_p(rows: Sequence[Sequence[int]], scale: int) -> bool:
     nothing."""
     shifted = ([*r[:i], r[i] - scale, *r[i + 1 :]] for i, r in enumerate(rows))  # read as needed
     return _independent_mod_p(shifted) == len(rows)
-
-
-def _product_mod_p(factors: Sequence[QMatrix]) -> tuple[list[list[int]], int]:
-    """(N, D) mod p, with N = (d_1 A_1) ... (d_k A_k) and D = d_1 ... d_k, so
-    that A_1 ... A_k = N / D: each stored dA reduced before it is multiplied."""
-    p = _PRIME
-    rows, scale = [[x % p for x in row] for row in factors[0].numerators], factors[0].denominator
-    for factor in factors[1:]:
-        columns = list(zip(*([x % p for x in row] for row in factor.numerators)))
-        rows = [[sum(map(mul, row, column)) % p for column in columns] for row in rows]
-        scale = scale * factor.denominator % p
-    return rows, scale % p
 
 
 def _spin(generators: list[Sequence[Sequence[int]]], start: list[int]) -> int:
@@ -1027,12 +1023,11 @@ def invariant_factors(matrix: QMatrix) -> SimilarityInvariant:
     by them has dimension sum d_i = n over Q: they generate the kernel.
     This r x r relation matrix therefore presents Q^n with y acting as A,
     as yI - A does, and the two have the same non-constant invariant factors
-    up to rational factors, read off its Smith form (at r = 1, its entry).
+    up to rational factors, read off its Smith form (at r = 1, its entry; at
+    n = 1 too, qy - p for A = (p/q), made primitive as (-p, q)).
     """
     if not matrix.is_square:
         raise DimensionMismatchError("invariant factors require a square matrix")
-    if matrix.rows == 1:  # A = (p/q): the one factor qx - p, without the set-up of a spin
-        return SimilarityInvariant(((-matrix.numerators[0][0], matrix.denominator),))
     factors = _smith_diagonal(_relation_matrix(matrix))
     return SimilarityInvariant(tuple(_primitive(f) for f in factors if len(f) > 1))
 

@@ -17,14 +17,13 @@ from __future__ import annotations
 import warnings
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .errors import HypothesisViolationError, InternalError
 from .exact_linalg import (
     QMatrix,
     SimilarityInvariant,
     _cyclic_mod_p,
-    _product_mod_p,
     _ProductInverse,
     _unit_free_mod_p,
     block_diag,
@@ -108,7 +107,7 @@ class TupleAnalysis:
 
     A_inf is not factored, nor a derived A_inf = P^-1 (P the finite
     matrices' product) formed over Q, for ``report`` and ``preservation``
-    when one spin of its residues mod p, dA's or P's, proves it cyclic.  Its
+    when one spin mod p, of dA or of P's residues, proves it cyclic.  Its
     dimension is then n, and the zero monodromy's is n + m^2, m = rank_hat -
     n, whatever A_inf's unit Jordan block; at m = 0 only when det(A_inf - 1)
     is also nonzero mod p.  Any other outcome, whatever was computed first,
@@ -138,13 +137,13 @@ class TupleAnalysis:
         return invariant_factors(self.tuple.infinity_matrix)
 
     @cached_property
-    def _cyclic_residues(self) -> tuple[list[list[int]], int] | None:
-        """(rows, scale) mod p, either (dA, d) of a given A_inf or the
-        product (N, D) whose inverse a derived one is, when the spin of rows
-        proves A_inf cyclic (dA is cyclic exactly when A is, and N exactly
+    def _cyclic_residues(self) -> tuple[Sequence[Sequence[int]], int] | None:
+        """(rows, scale): a given A_inf's stored (dA, d), spun as they are, or
+        the product (N, D) mod p whose inverse a derived one is, when the spin
+        of rows proves A_inf cyclic (dA is cyclic exactly when A is, N exactly
         when N^-1 is); None, which proves nothing, when it falls short."""
         a = self.tuple.infinity_matrix
-        rows, scale = a.product if isinstance(a, _ProductInverse) else _product_mod_p([a])
+        rows, scale = a.product if isinstance(a, _ProductInverse) else (a.numerators, a.denominator)
         return (rows, scale) if _cyclic_mod_p(rows) else None
 
     @cached_property

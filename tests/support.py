@@ -11,7 +11,7 @@ oracle reads entry by entry.  The one exception,
 ``smith_invariant_factors``, reuses the library's Smith step, but on the
 full characteristic matrix xI - A; ``bench/kernels.py`` times it as the
 oracle of the Krylov front end of ``invariant_factors``, and the tests
-check against sympy instead.  Both routes give each invariant factor as the
+check against sympy, and against it too at n = 1.  Both routes give each invariant factor as the
 library stores it, made primitive by ``primitive``.
 """
 

@@ -74,20 +74,21 @@ def test_rows_at_small_sizes(monkeypatch, capsys, name):
 
 
 def test_worst_case_rows_record_each_command(monkeypatch, capsys):
-    # rig, verify and fourier on two worst-case inputs, one corner and the
-    # three non-generic corners, each in its own interpreter; verify refuses
-    # the reducible one (exit 4); a run past the time limit is recorded as such
+    # rig, verify and fourier on two worst-case inputs, one corner, the three
+    # non-generic corners and the one that gives A_inf, each in its own
+    # interpreter; verify refuses the reducible one (exit 4); a run past the
+    # time limit is recorded as such
     monkeypatch.setattr(bench, "WORST_CASE_POINTS", (2,))
-    for grid in ("CORNER_RANKS", "CORNER_POINTS", "NON_GENERIC_RANKS"):
+    for grid in ("CORNER_RANKS", "CORNER_POINTS", "NON_GENERIC_RANKS", "GIVEN_INFINITY_RANKS"):
         monkeypatch.setattr(bench, grid, (2,))
     rows = bench.worst_case_rows(1)
     names = ("small_entries", "large_entries", "adm:2:2", "unit_block:2", "rank_drop:2")
     assert [(row["input"], row["command"]) for row in rows] == [
         (name, command)
-        for name in (*names, "reducible:2")
+        for name in (*names, "reducible:2", "given_infinity:2")
         for command in ("rig", "verify", "fourier")
     ]
-    assert [row["exit_code"] for row in rows] == [0] * 16 + [4, 0]
+    assert [row["exit_code"] for row in rows] == [0] * 16 + [4, 0] + [0] * 3
     assert not any(row["timed_out"] for row in rows)
     assert rows[8]["rank"] == rows[8]["points"] == 2
     assert all(row["rank"] == 2 and row["points"] == 2 for row in rows[9:])

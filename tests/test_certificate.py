@@ -1,6 +1,6 @@
-"""The certified route for A_inf: one cyclic spin of its residues mod p,
-dA's for a given A_inf or those of the finite matrices' product for a
-derived one, stands in for A_inf's invariant factors over Q in ``rig`` and
+"""The certified route for A_inf: one cyclic spin mod p, of dA for a given
+A_inf or of the residues of the finite matrices' product for a derived
+one, stands in for A_inf's invariant factors over Q in ``rig`` and
 ``verify``.  Each test compares it with the exact route, which a quantity
 takes when that spin falls short: forced here by ``exact_route``, by a small
 prime, or by a non-cyclic A_inf."""
@@ -11,7 +11,7 @@ from unittest import mock
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rigidity_lab import exact_linalg, fourier, local_systems
@@ -50,8 +50,8 @@ INFINITY = (FOURPOINT2[0][1] @ FOURPOINT2[1][1] @ FOURPOINT2[2][1]).inverse()
 @contextmanager
 def exact_route():
     """The analysis as before any certificate: the product P proven
-    invertible by its exact inverse, formed at once, and no spin of A_inf's
-    residues reaching n."""
+    invertible by its exact inverse, formed at once, and no spin for A_inf
+    reaching n."""
     with mock.patch.object(local_systems, "_independent_mod_p", lambda vectors: 0):
         with mock.patch.object(fourier, "_cyclic_mod_p", lambda rows: False):
             yield
@@ -452,7 +452,34 @@ class TestZeroMonodromyLemma:
             certified_agrees_with_exact(entry.tuple)
 
 
+# A_inf = [[1, 0], [p, 1]]: cyclic over Q, but 1 mod p, where no spin reaches 2
+SPIN_SHORT = [[1, 0], [PRIME, 1]]
+
+
 class TestModPKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=5).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(-3 * PRIME, 3 * PRIME), min_size=n, max_size=n),
+                min_size=n,
+                max_size=n,
+            )
+        ),
+        st.integers(min_value=1, max_value=3 * PRIME),
+    )
+    @example(SPIN_SHORT, 1)
+    def test_integers_and_their_residues_agree(self, rows, scale):
+        # the mod-p tests reduce what they compute, so a given A_inf's stored
+        # (dA, d) and their residues give one answer
+        residues = [[x % PRIME for x in row] for row in rows]
+        cyclic = exact_linalg._cyclic_mod_p(rows)
+        unit_free = exact_linalg._unit_free_mod_p(rows, scale)
+        assert cyclic == exact_linalg._cyclic_mod_p(residues)
+        assert unit_free == exact_linalg._unit_free_mod_p(residues, scale % PRIME)
+        if (rows, scale) == (SPIN_SHORT, 1):
+            assert not cyclic and not unit_free
+
     @pytest.mark.parametrize("n", range(1, 9))
     def test_cyclic_spin_agrees_with_commutation_system(self, n):
         # mod p the cubes' spin proves cyclicity only when it reaches n; on

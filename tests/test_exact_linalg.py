@@ -79,6 +79,7 @@ from support import (
     restrict_power,
     restriction_oracle,
     shift_factorization,
+    smith_invariant_factors,
     span_closure_dimension,
     spin_route,
     sympy_invariant_factors,
@@ -1193,10 +1194,15 @@ class TestKrylovKernel:
         # product is the Faddeev-LeVerrier characteristic polynomial made
         # primitive.
         rng = random.Random(61)
+        # and A = (p/q), one of 256 bits: one route, whose relation matrix is qy - p
+        entries = [Fraction(p, q) for p in (-3, 0, 5) for q in (1, 7)]
+        one_by_one = [QMatrix(1, 1, [x]) for x in (*entries, Fraction(-(2**255 + 19), 3**161))]
         for n in range(13):
-            for m in _kernel_cases(rng, n) if n else [zeros(0, 0)]:
+            for m in _kernel_cases(rng, n) + one_by_one * (n == 1) if n else [zeros(0, 0)]:
                 factors = invariant_factors(m).invariant_factors
                 assert factors == sympy_invariant_factors(m).invariant_factors
+                if n == 1:
+                    assert factors == smith_invariant_factors(m).invariant_factors
                 product = (1,)
                 for f, g in zip(factors, factors[1:]):
                     assert _pdivmod(g, f)[1] == ()

@@ -183,7 +183,7 @@ class TestImportGraph:
             if (names := private_imports(path.read_text(encoding="utf-8")))
         }
         assert found == {
-            "fourier": {"_cyclic_mod_p", "_product_mod_p", "_unit_free_mod_p", "_ProductInverse"},
+            "fourier": {"_cyclic_mod_p", "_unit_free_mod_p", "_ProductInverse"},
             "local_systems": {"_independent_mod_p", "_ProductInverse"},
             "theta_pairs": {"_shift_echelon"},
         }
